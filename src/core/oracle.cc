@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,6 +23,50 @@ stateBits(uint32_t row, unsigned i)
     return (row >> (2 * i)) & 0x3u;
 }
 
+/** Home slot of a packed tag in a branch's 32-slot candidate index. */
+inline unsigned
+candidateHome(uint64_t packed)
+{
+    return static_cast<unsigned>((packed * 0x9e3779b97f4a7c15ull) >> 59);
+}
+
+/** 2-bit counter successor, [taken][counter], matching Counter2. */
+constexpr uint8_t kNextCounter[2][4] = {{0, 0, 1, 2}, {1, 2, 3, 3}};
+
+/**
+ * Score every one-candidate extension of a chosen set in one pass:
+ * afterwards correct[c] equals replayScore(rows, chosen + {c}) for each
+ * c < @p k. The k tables of 3^(m+1) counters sit side by side, and
+ * entries for candidates already in @p chosen are meaningless.
+ */
+void
+scoreExtensions(const std::vector<uint32_t> &rows, const unsigned *chosen,
+                unsigned m, unsigned k, uint64_t *correct)
+{
+    const uint32_t radix = pow3(m); // weight of the extending candidate
+    const uint32_t table_size = 3 * radix;
+    // Initialized weakly-not-taken, as in replayScore.
+    std::array<uint8_t, 15 * pow3(3)> counters;
+    std::fill_n(counters.begin(), k * table_size, uint8_t{1});
+    std::fill_n(correct, k, uint64_t{0});
+
+    for (uint32_t row : rows) {
+        uint32_t prefix = 0;
+        uint32_t weight = 1;
+        for (unsigned j = 0; j < m; ++j) {
+            prefix += stateBits(row, chosen[j]) * weight;
+            weight *= 3;
+        }
+        unsigned taken = row >> kOutcomeBit;
+        uint8_t *table = counters.data() + prefix;
+        for (unsigned c = 0; c < k; ++c, table += table_size) {
+            uint8_t &counter = table[stateBits(row, c) * radix];
+            correct[c] += (counter >> 1) == taken;
+            counter = kNextCounter[taken][counter];
+        }
+    }
+}
+
 } // namespace
 
 SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
@@ -34,16 +80,34 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     fatalIf(config.historyDepth == 0 || config.historyDepth > 64,
             "oracle history depth must be in 1..64");
 
+    // Phase CPU times feed telemetry only; the clock is not read when
+    // telemetry is off.
+    const bool timed = obs::enabled();
+    auto cpu_now = [timed] { return timed ? obs::threadCpuSeconds() : 0.0; };
+
+    double start = cpu_now();
     CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
     miner.mine(trace, config.mineConditionals);
+    double mined = cpu_now();
     record(trace, miner);
-    select();
+    double recorded = cpu_now();
+    double select_cpu = select(timed);
+    if (timed) {
+        obs::observe(obs::ids().simPhaseOracleMineCpuSeconds,
+                     mined - start);
+        obs::observe(obs::ids().simPhaseOracleRecordCpuSeconds,
+                     recorded - mined);
+        obs::observe(obs::ids().simPhaseOracleSelectCpuSeconds,
+                     select_cpu);
+    }
 }
 
 void
 SelectiveOracle::record(const trace::Trace &trace,
                         const CandidateMiner &miner)
 {
+    static_assert(kCandidateSlots == 32,
+                  "candidateHome() indexes with the top 5 hash bits");
     HistoryWindow window(config_.historyDepth);
     std::vector<TagState> collected;
 
@@ -69,25 +133,46 @@ SelectiveOracle::record(const trace::Trace &trace,
                         OracleConfig::TagFilter::BackwardOnly &&
                     is_occurrence)
                     continue;
+                unsigned slot = candidateHome(cand.tag.packed);
+                while (fresh.slotField[slot] != 0)
+                    slot = (slot + 1) % kCandidateSlots;
+                fresh.slotKey[slot] = cand.tag.packed;
+                fresh.slotField[slot] =
+                    static_cast<uint8_t>(fresh.candidates.size() + 1);
                 fresh.candidates.push_back(cand.tag);
                 if (fresh.candidates.size() >= config_.candidatePool)
                     break;
             }
+            fresh.selection = &branches_[rec.pc];
+            fresh.selection->pc = rec.pc;
             data_it = data_.emplace(rec.pc, std::move(fresh)).first;
         }
         BranchData &data = data_it->second;
 
-        BranchSelection &sel = branches_[rec.pc];
-        sel.pc = rec.pc;
+        BranchSelection &sel = *data.selection;
         ++sel.execs;
         if (rec.taken)
             ++sel.taken;
 
-        window.collect(collected);
+        // One index lookup per collected tag sets that candidate's
+        // field. A collected window never repeats a tag, so each field
+        // is written at most once, exactly as stateOf() would read it.
         uint32_t row = rec.taken ? (1u << kOutcomeBit) : 0u;
-        for (unsigned i = 0; i < data.candidates.size(); ++i) {
-            TagOutcome state = stateOf(collected, data.candidates[i]);
-            row |= static_cast<uint32_t>(state) << (2 * i);
+        if (!data.candidates.empty()) {
+            window.collect(collected);
+            for (const TagState &ts : collected) {
+                unsigned slot = candidateHome(ts.tag.packed);
+                for (; data.slotField[slot] != 0;
+                     slot = (slot + 1) % kCandidateSlots) {
+                    if (data.slotKey[slot] != ts.tag.packed)
+                        continue;
+                    TagOutcome state =
+                        ts.taken ? TagOutcome::Taken : TagOutcome::NotTaken;
+                    row |= static_cast<uint32_t>(state)
+                        << (2 * (data.slotField[slot] - 1));
+                    break;
+                }
+            }
         }
         data.rows.push_back(row);
 
@@ -129,37 +214,48 @@ SelectiveOracle::replayScore(const std::vector<uint32_t> &rows,
     return correct;
 }
 
-void
-SelectiveOracle::selectGreedy(const BranchData &data,
-                              BranchSelection &out) const
+GreedySelection
+SelectiveOracle::greedySelect(const std::vector<uint32_t> &rows, unsigned k,
+                              unsigned max_select)
 {
-    std::vector<unsigned> chosen;
-    uint64_t last_score = replayScore(data.rows, chosen);
+    panicIf(k > 15 || max_select > 3, "greedySelect out of range");
+    GreedySelection out;
+    bool in_set[15] = {};
+    std::array<uint64_t, 15> correct{};
+    uint64_t last_score = k == 0 ? replayScore(rows, {}) : 0;
 
-    for (unsigned size = 1; size <= config_.maxSelect; ++size) {
-        unsigned best_candidate = UINT32_MAX;
-        uint64_t best_score = 0;
-        for (unsigned c = 0; c < data.candidates.size(); ++c) {
-            if (std::find(chosen.begin(), chosen.end(), c) != chosen.end())
-                continue;
-            std::vector<unsigned> trial = chosen;
-            trial.push_back(c);
-            uint64_t score = replayScore(data.rows, trial);
-            if (best_candidate == UINT32_MAX || score > best_score) {
-                best_candidate = c;
-                best_score = score;
+    for (unsigned size = 1; size <= max_select; ++size) {
+        if (out.picked < k) {
+            scoreExtensions(rows, out.order.data(), out.picked, k,
+                            correct.data());
+            unsigned best = k;
+            for (unsigned c = 0; c < k; ++c) {
+                if (!in_set[c] && (best == k || correct[c] > correct[best]))
+                    best = c;
             }
-        }
-        if (best_candidate != UINT32_MAX) {
-            chosen.push_back(best_candidate);
-            last_score = best_score;
+            out.order[out.picked++] = best;
+            in_set[best] = true;
+            last_score = correct[best];
         }
         // When candidates run out, larger sizes inherit the best smaller
         // set (there is nothing more to include in the history).
         out.correct[size - 1] = last_score;
+    }
+    return out;
+}
+
+void
+SelectiveOracle::selectGreedy(const BranchData &data,
+                              BranchSelection &out) const
+{
+    GreedySelection greedy = greedySelect(
+        data.rows, static_cast<unsigned>(data.candidates.size()),
+        config_.maxSelect);
+    for (unsigned size = 1; size <= config_.maxSelect; ++size) {
+        out.correct[size - 1] = greedy.correct[size - 1];
         out.chosen[size - 1].clear();
-        for (unsigned idx : chosen)
-            out.chosen[size - 1].push_back(data.candidates[idx]);
+        for (unsigned i = 0; i < std::min(size, greedy.picked); ++i)
+            out.chosen[size - 1].push_back(data.candidates[greedy.order[i]]);
     }
 }
 
@@ -211,28 +307,36 @@ SelectiveOracle::selectExhaustive(const BranchData &data,
     }
 }
 
-void
-SelectiveOracle::select()
+double
+SelectiveOracle::select(bool timed)
 {
-    // Greedy selection replays every candidate subset per static branch
-    // — the hottest analysis kernel. Branches are independent (each
-    // task reads immutable recorded rows and writes only its own
-    // BranchSelection), so partition them across the pool. Aggregates
-    // like accuracyPercent() iterate the map afterwards, so results do
-    // not depend on completion order.
-    std::vector<std::pair<const BranchData *, BranchSelection *>> work;
-    work.reserve(branches_.size());
+    // Branches are independent (each task reads immutable recorded rows
+    // and writes only its own BranchSelection), so partition them
+    // across the pool. Aggregates like accuracyPercent() iterate the
+    // map afterwards, so results do not depend on completion order.
+    std::vector<const BranchData *> work;
+    work.reserve(data_.size());
     // copra-lint: allow(unordered-iter) -- builds a keyed work list; aggregates re-iterate the map afterwards
-    for (auto &[pc, sel] : branches_)
-        work.emplace_back(&data_.at(pc), &sel);
+    for (const auto &[pc, data] : data_)
+        work.push_back(&data);
 
+    // Per-task CPU seconds, summed in index order once the pool is done,
+    // so the select phase counts every thread that ran part of it.
+    std::vector<double> task_cpu(timed ? work.size() : 0);
     parallelFor(globalPool(), work.size(), [&](size_t i) {
-        auto [data, sel] = work[i];
+        double start = timed ? obs::threadCpuSeconds() : 0.0;
+        const BranchData &data = *work[i];
         if (config_.exhaustive)
-            selectExhaustive(*data, *sel);
+            selectExhaustive(data, *data.selection);
         else
-            selectGreedy(*data, *sel);
+            selectGreedy(data, *data.selection);
+        if (timed)
+            task_cpu[i] = obs::threadCpuSeconds() - start;
     });
+    double total = 0.0;
+    for (double seconds : task_cpu)
+        total += seconds;
+    return total;
 }
 
 const BranchSelection *

@@ -14,8 +14,24 @@
  *     bits per candidate) plus the outcome.
  *  3. Select: greedy forward selection — for sizes 1..3, extend the
  *     current set with the candidate that maximizes the *exact* accuracy
- *     of the selective predictor, scored by replaying the recorded
- *     states through a fresh 3^m-entry 2-bit-counter table.
+ *     of the selective predictor, as replaying the recorded states
+ *     through a fresh 3^m-entry 2-bit-counter table would score it.
+ *
+ * Cost per dynamic conditional branch, at window depth n and pool K:
+ *
+ *  - Mine and record each walk the window once (HistoryWindow::collect
+ *    is O(n): one newest-first pass with a small per-pc table) and get
+ *    up to 2n tagged instances back.
+ *  - Mine charges each instance with one probe of the branch's flat
+ *    contingency table (TagTable).
+ *  - Record looks each instance up once in the branch's 32-slot
+ *    candidate index and sets that candidate's 2-bit field, instead of
+ *    scanning the window once per candidate.
+ *  - Select makes one pass over a branch's rows per size and scores all
+ *    K extensions of the current set in it, with K counter tables side
+ *    by side: 3 passes per branch instead of K + (K-1) + (K-2) subset
+ *    replays. replayScore() stays the reference scorer and scores the
+ *    exhaustive mode.
  *
  * Greedy-over-top-K is an approximation of the (unspecified) paper
  * oracle; an exhaustive subset search is available for ablation.
@@ -86,6 +102,17 @@ struct BranchSelection
     std::array<std::vector<Tag>, 3> chosen{};
 };
 
+/** Greedy forward selection over a recorded state matrix. */
+struct GreedySelection
+{
+    /** Candidates in pick order; size s uses the first min(s, picked). */
+    std::array<unsigned, 3> order{};
+    unsigned picked = 0;
+
+    /** Correct predictions using the best set of size s+1 (s = 0..2). */
+    std::array<uint64_t, 3> correct{};
+};
+
 /** Runs the three oracle phases over one trace. */
 class SelectiveOracle
 {
@@ -139,15 +166,34 @@ class SelectiveOracle
     static uint64_t replayScore(const std::vector<uint32_t> &rows,
                                 const std::vector<unsigned> &subset);
 
+    /**
+     * Greedy forward selection over @p k candidates: for sizes
+     * 1..@p max_select, extend the previous size's set with the
+     * candidate whose extension scores best under replayScore(), ties
+     * going to the lowest index. All extensions of one size are scored
+     * in a single pass over @p rows. Once the candidates run out, larger
+     * sizes inherit the best smaller set. Exposed for tests.
+     */
+    static GreedySelection greedySelect(const std::vector<uint32_t> &rows,
+                                        unsigned k, unsigned max_select);
+
   private:
+    /** Open-addressed slots indexing a branch's candidate tags. */
+    static constexpr unsigned kCandidateSlots = 32;
+
     struct BranchData
     {
         std::vector<Tag> candidates;      // at most K
         std::vector<uint32_t> rows;       // packed states + outcome
+        BranchSelection *selection = nullptr;
+        // Candidate index by tag: slotField[s] is 1 + the candidate's
+        // 2-bit field number (0 = empty slot), slotKey[s] its packed tag.
+        std::array<uint64_t, kCandidateSlots> slotKey{};
+        std::array<uint8_t, kCandidateSlots> slotField{};
     };
 
     void record(const trace::Trace &trace, const CandidateMiner &miner);
-    void select();
+    double select(bool timed);
     void selectGreedy(const BranchData &data, BranchSelection &out) const;
     void selectExhaustive(const BranchData &data,
                           BranchSelection &out) const;

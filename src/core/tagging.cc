@@ -7,7 +7,8 @@ namespace copra::core {
 HistoryWindow::HistoryWindow(unsigned depth)
     : depth_(depth)
 {
-    panicIf(depth == 0 || depth > 64, "history window depth must be 1..64");
+    panicIf(depth == 0 || depth > kMaxDepth,
+            "history window depth must be 1..64");
     ring_.resize(depth);
 }
 
@@ -46,43 +47,58 @@ HistoryWindow::collect(std::vector<TagState> &out) const noexcept
     // copra-lint: allow(hot-alloc) -- analysis-side, capacity stabilizes
     out.reserve(2 * count_);
 
-    // Newest-first walk of the ring. For method A, the occurrence index
-    // of an entry is how many newer entries share its pc. For method B,
-    // the instance number is the backward-transfer count since the entry
-    // executed; only the newest entry per (pc, num) is reported.
+    // One newest-first walk of the ring with a per-pc table of what the
+    // walk has seen so far. For method A, the occurrence index of an
+    // entry is how many newer entries share its pc: the pc's running
+    // count. For method B, the instance number is the backward-transfer
+    // count since the entry executed, and only the newest entry per
+    // (pc, num) is reported. `back` never decreases along a newest-first
+    // walk, so a pc's method-B tags come out in nondecreasing num order
+    // and a duplicate can only repeat the pc's previous num: one compare
+    // against the table's last back count replaces a scan of the output.
+    // Depth <= 64 keeps every occurrence index below 0xff.
+    constexpr unsigned kIndexSlots = 2 * kMaxDepth;
+    static_assert(kIndexSlots == 128, "the probe takes 7 hash bits");
+    constexpr uint64_t kNoBack = UINT64_MAX;
+    struct Seen
+    {
+        uint64_t pc;
+        uint64_t lastBack;
+        unsigned occurrences;
+    };
+    // seen[d] is written before index[] first points at it, so only the
+    // small index is zeroed per call.
+    Seen seen[kMaxDepth];
+    uint8_t index[kIndexSlots] = {}; // 0 = empty, else 1 + seen position
+    unsigned distinct = 0;
+
+    unsigned slot = head_;
     for (unsigned i = 0; i < count_; ++i) {
-        unsigned slot = (head_ + depth_ - 1 - i) % depth_;
+        slot = (slot == 0 ? depth_ : slot) - 1;
         const Entry &entry = ring_[slot];
 
-        unsigned occurrence = 0;
-        for (unsigned j = 0; j < i; ++j) {
-            unsigned newer = (head_ + depth_ - 1 - j) % depth_;
-            if (ring_[newer].pc == entry.pc)
-                ++occurrence;
+        unsigned probe = static_cast<unsigned>(
+            (entry.pc * 0x9e3779b97f4a7c15ull) >> 57);
+        while (index[probe] != 0 && seen[index[probe] - 1].pc != entry.pc)
+            probe = (probe + 1) & (kIndexSlots - 1);
+        if (index[probe] == 0) {
+            seen[distinct] = {entry.pc, kNoBack, 0};
+            index[probe] = static_cast<uint8_t>(++distinct);
         }
-        if (occurrence <= 0xff) {
-            // copra-lint: allow(hot-alloc) -- within the reserve() above
-            out.push_back({Tag(entry.pc, TagMethod::Occurrence,
-                               static_cast<uint8_t>(occurrence)),
-                           entry.taken});
-        }
+        Seen &pc_seen = seen[index[probe] - 1];
+
+        // copra-lint: allow(hot-alloc) -- within the reserve() above
+        out.push_back({Tag(entry.pc, TagMethod::Occurrence,
+                           static_cast<uint8_t>(pc_seen.occurrences++)),
+                       entry.taken});
 
         uint64_t back = backwardEpoch_ - entry.epoch;
-        if (back <= 0xff) {
-            Tag tag_b(entry.pc, TagMethod::BackwardCount,
-                      static_cast<uint8_t>(back));
-            // Deduplicate method-B tags, keeping the most recent (the
-            // first produced in this newest-first walk).
-            bool duplicate = false;
-            for (const TagState &prior : out) {
-                if (prior.tag == tag_b) {
-                    duplicate = true;
-                    break;
-                }
-            }
-            if (!duplicate)
-                // copra-lint: allow(hot-alloc) -- within the reserve() above
-                out.push_back({tag_b, entry.taken});
+        if (back <= 0xff && back != pc_seen.lastBack) {
+            pc_seen.lastBack = back;
+            // copra-lint: allow(hot-alloc) -- within the reserve() above
+            out.push_back({Tag(entry.pc, TagMethod::BackwardCount,
+                               static_cast<uint8_t>(back)),
+                           entry.taken});
         }
     }
 }

@@ -79,6 +79,9 @@ struct TagState
 class HistoryWindow
 {
   public:
+    /** Largest supported window depth. */
+    static constexpr unsigned kMaxDepth = 64;
+
     /** @param depth Window depth n (the paper uses 8..32). */
     explicit HistoryWindow(unsigned depth);
 
@@ -92,6 +95,7 @@ class HistoryWindow
      * Enumerate the tagged instances of the branches in the path,
      * newest first, both tagging methods per entry (method B entries
      * deduplicated keeping the most recent). Clears and fills @p out.
+     * One pass over the window: O(depth).
      */
     void collect(std::vector<TagState> &out) const noexcept;
 
@@ -125,19 +129,4 @@ class HistoryWindow
 };
 
 } // namespace copra::core
-
-/** Hash support so Tag can key unordered containers. */
-template <>
-struct std::hash<copra::core::Tag>
-{
-    size_t
-    operator()(const copra::core::Tag &tag) const noexcept
-    {
-        // splitmix64 finalizer inlined to avoid pulling in util/rng.hpp.
-        uint64_t z = tag.packed + 0x9e3779b97f4a7c15ull;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<size_t>(z ^ (z >> 31));
-    }
-};
 

@@ -125,6 +125,21 @@ buildCatalog()
             "sim.phase.oracle.cpu_seconds", "seconds",
             "thread CPU time per selective-oracle / classifier phase",
             "core", 0.0, 30.0, 30);
+    addHist(c, i.simPhaseOracleMineCpuSeconds,
+            "sim.phase.oracle.mine.cpu_seconds", "seconds",
+            "thread CPU time of one SelectiveOracle's candidate-mining "
+            "pass",
+            "core", 0.0, 30.0, 30);
+    addHist(c, i.simPhaseOracleRecordCpuSeconds,
+            "sim.phase.oracle.record.cpu_seconds", "seconds",
+            "thread CPU time of one SelectiveOracle's state-recording "
+            "pass",
+            "core", 0.0, 30.0, 30);
+    addHist(c, i.simPhaseOracleSelectCpuSeconds,
+            "sim.phase.oracle.select.cpu_seconds", "seconds",
+            "CPU time of one SelectiveOracle's subset selection, summed "
+            "over the pool threads that ran it",
+            "core", 0.0, 30.0, 30);
 
     // --- util: thread pool ------------------------------------------
     add(c, i.poolTaskQueued, "pool.task.queued", Kind::Counter, "tasks",

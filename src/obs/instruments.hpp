@@ -54,6 +54,11 @@ struct Ids
     InstrumentId simPhaseOracleSeconds = 0;
     InstrumentId simPhaseOracleCpuSeconds = 0;
 
+    // core: selective-oracle phases (src/core/oracle.cc).
+    InstrumentId simPhaseOracleMineCpuSeconds = 0;
+    InstrumentId simPhaseOracleRecordCpuSeconds = 0;
+    InstrumentId simPhaseOracleSelectCpuSeconds = 0;
+
     // util: the thread pool (src/util/thread_pool.cc, via hooks).
     InstrumentId poolTaskQueued = 0;
     InstrumentId poolTaskExecuted = 0;

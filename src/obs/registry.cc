@@ -28,8 +28,10 @@ nowWallSeconds()
         .count();
 }
 
+} // namespace
+
 double
-nowThreadCpuSeconds()
+threadCpuSeconds()
 {
     timespec ts{};
     if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
@@ -37,8 +39,6 @@ nowThreadCpuSeconds()
     return static_cast<double>(ts.tv_sec) +
         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
-
-} // namespace
 
 const char *
 kindName(Kind kind)
@@ -348,7 +348,7 @@ PhaseTimer::PhaseTimer(InstrumentId wall_id, InstrumentId cpu_id,
 {
     if (armed_) {
         startWall_ = nowWallSeconds();
-        startCpu_ = nowThreadCpuSeconds();
+        startCpu_ = threadCpuSeconds();
     }
 }
 
@@ -361,7 +361,7 @@ PhaseTimer::~PhaseTimer()
         *wallSink_ += wall;
     if (detail::enabledRelaxed()) {
         observe(wallId_, wall);
-        observe(cpuId_, nowThreadCpuSeconds() - startCpu_);
+        observe(cpuId_, threadCpuSeconds() - startCpu_);
     }
 }
 

@@ -244,6 +244,9 @@ observe(InstrumentId id, double value)
         Registry::instance().observe(id, value);
 }
 
+/** CPU seconds the calling thread has consumed (0 if unavailable). */
+double threadCpuSeconds();
+
 /**
  * RAII phase timer: on destruction, records elapsed wall seconds into
  * histogram @p wall_id and elapsed thread-CPU seconds into @p cpu_id,

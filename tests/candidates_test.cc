@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/candidates.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
@@ -127,8 +131,57 @@ TEST(CandidateMiner, PerBranchCapStopsNewTags)
     miner.mine(t);
     const BranchCandidates *bc = miner.branch(0x100);
     ASSERT_NE(bc, nullptr);
-    EXPECT_LE(bc->tags.size(), 16u);
+    EXPECT_EQ(bc->tags.size(), 16u);
     EXPECT_TRUE(bc->capped);
+
+    // The kept tags are exactly the first 16 distinct tags in collect()
+    // order over the branch's executions; the 17th was dropped.
+    HistoryWindow window(8);
+    std::vector<TagState> collected;
+    std::vector<Tag> first;
+    for (const auto &rec : t.records()) {
+        if (rec.isConditional() && rec.pc == 0x100) {
+            window.collect(collected);
+            for (const TagState &ts : collected) {
+                if (first.size() < 17 &&
+                    std::find(first.begin(), first.end(), ts.tag) ==
+                        first.end())
+                    first.push_back(ts.tag);
+            }
+        }
+        window.push(rec);
+    }
+    ASSERT_EQ(first.size(), 17u);
+    for (size_t i = 0; i < 16; ++i)
+        EXPECT_NE(bc->tags.find(first[i]), nullptr) << "tag " << i;
+    EXPECT_EQ(bc->tags.find(first[16]), nullptr);
+}
+
+TEST(TagTable, InsertFindAndVisitEveryTag)
+{
+    // Enough tags to force several doublings, plus the all-zero tag that
+    // lives outside the slot array.
+    TagTable table;
+    std::vector<Tag> tags = {Tag(0, TagMethod::Occurrence, 0)};
+    for (uint64_t i = 1; i < 300; ++i)
+        tags.push_back(Tag(0x40 * i, TagMethod(i & 1), uint8_t(i)));
+    for (size_t i = 0; i < tags.size(); ++i) {
+        EXPECT_EQ(table.find(tags[i]), nullptr);
+        table.insert(tags[i]).present[1][0] = static_cast<uint32_t>(i);
+        EXPECT_EQ(table.size(), i + 1);
+    }
+    for (size_t i = 0; i < tags.size(); ++i) {
+        const Contingency *counts = std::as_const(table).find(tags[i]);
+        ASSERT_NE(counts, nullptr);
+        EXPECT_EQ(counts->present[1][0], i);
+    }
+    EXPECT_EQ(table.find(Tag(0x40, TagMethod::BackwardCount, 9)), nullptr);
+    size_t visited = 0;
+    table.forEach([&](Tag tag, const Contingency &counts) {
+        EXPECT_EQ(tags[counts.present[1][0]], tag);
+        ++visited;
+    });
+    EXPECT_EQ(visited, tags.size());
 }
 
 TEST(CandidateMiner, ScoresAreDeterministicallyOrdered)

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "core/oracle.hpp"
 #include "core/selective.hpp"
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
 #include "sim/driver.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
@@ -75,6 +82,152 @@ TEST(ReplayScore, SubsetSelectsTheRightBits)
     uint64_t with_noise = SelectiveOracle::replayScore(rows, {0});
     EXPECT_GT(with_informative, 190u);
     EXPECT_LT(with_noise, 140u);
+}
+
+/** Greedy selection scored one subset at a time through replayScore. */
+struct ReferenceGreedy
+{
+    std::array<uint64_t, 3> correct{};
+    std::array<std::vector<unsigned>, 3> chosen{};
+};
+
+ReferenceGreedy
+referenceGreedy(const std::vector<uint32_t> &rows, unsigned k,
+                unsigned max_select)
+{
+    ReferenceGreedy out;
+    std::vector<unsigned> chosen;
+    uint64_t last_score = SelectiveOracle::replayScore(rows, chosen);
+
+    for (unsigned size = 1; size <= max_select; ++size) {
+        unsigned best_candidate = UINT32_MAX;
+        uint64_t best_score = 0;
+        for (unsigned c = 0; c < k; ++c) {
+            if (std::find(chosen.begin(), chosen.end(), c) != chosen.end())
+                continue;
+            std::vector<unsigned> trial = chosen;
+            trial.push_back(c);
+            uint64_t score = SelectiveOracle::replayScore(rows, trial);
+            if (best_candidate == UINT32_MAX || score > best_score) {
+                best_candidate = c;
+                best_score = score;
+            }
+        }
+        if (best_candidate != UINT32_MAX) {
+            chosen.push_back(best_candidate);
+            last_score = best_score;
+        }
+        out.correct[size - 1] = last_score;
+        out.chosen[size - 1] = chosen;
+    }
+    return out;
+}
+
+/** Assert greedySelect() matches the one-subset-at-a-time reference. */
+void
+expectGreedyMatchesReference(const std::vector<uint32_t> &rows, unsigned k,
+                             unsigned max_select, const std::string &what)
+{
+    ReferenceGreedy ref = referenceGreedy(rows, k, max_select);
+    GreedySelection got = SelectiveOracle::greedySelect(rows, k, max_select);
+    for (unsigned size = 1; size <= max_select; ++size) {
+        SCOPED_TRACE(what + " k=" + std::to_string(k) +
+                     " max_select=" + std::to_string(max_select) +
+                     " size=" + std::to_string(size));
+        EXPECT_EQ(got.correct[size - 1], ref.correct[size - 1]);
+        std::vector<unsigned> chosen(
+            got.order.begin(),
+            got.order.begin() + std::min(size, got.picked));
+        EXPECT_EQ(chosen, ref.chosen[size - 1]);
+    }
+}
+
+/** Random rows over @p k candidates with states in 0..2. */
+std::vector<uint32_t>
+randomRows(unsigned k, size_t n, double taken_rate, Rng &rng)
+{
+    std::vector<uint32_t> rows;
+    for (size_t r = 0; r < n; ++r) {
+        uint32_t packed = rng.bernoulli(taken_rate) ? (1u << 31) : 0u;
+        for (unsigned c = 0; c < k; ++c)
+            packed |= static_cast<uint32_t>(rng.next() % 3) << (2 * c);
+        rows.push_back(packed);
+    }
+    return rows;
+}
+
+TEST(GreedySelect, MatchesReplayScoreReferenceOnRandomRows)
+{
+    Rng rng(123);
+    for (unsigned k = 1; k <= 15; ++k) {
+        for (unsigned max_select = 1; max_select <= 3; ++max_select) {
+            expectGreedyMatchesReference(randomRows(k, 400, 0.5, rng), k,
+                                         max_select, "random");
+            expectGreedyMatchesReference(randomRows(k, 250, 0.85, rng), k,
+                                         max_select, "biased");
+        }
+    }
+}
+
+TEST(GreedySelect, MatchesReferenceOnCorrelatedRows)
+{
+    // The outcome follows one candidate's state, so scores differ
+    // widely and the greedy order does not simply start at index 0.
+    Rng rng(7);
+    for (unsigned k = 1; k <= 15; ++k) {
+        std::vector<uint32_t> rows = randomRows(k, 600, 0.5, rng);
+        unsigned informative = (3 * k) / 4;
+        for (uint32_t &packed : rows) {
+            bool taken = ((packed >> (2 * informative)) & 3u) == 2u;
+            packed = (packed & ~(1u << 31)) | (taken ? 1u << 31 : 0u);
+        }
+        for (unsigned max_select = 1; max_select <= 3; ++max_select)
+            expectGreedyMatchesReference(rows, k, max_select, "correlated");
+    }
+}
+
+TEST(GreedySelect, TiesGoToTheLowestIndex)
+{
+    Rng rng(5);
+    for (unsigned k = 1; k <= 15; ++k) {
+        for (unsigned max_select = 1; max_select <= 3; ++max_select) {
+            // A constant outcome scores every subset alike.
+            expectGreedyMatchesReference(randomRows(k, 300, 1.0, rng), k,
+                                         max_select, "always taken");
+            expectGreedyMatchesReference(randomRows(k, 300, 0.0, rng), k,
+                                         max_select, "never taken");
+            // Identical candidate columns tie on any outcome sequence.
+            std::vector<uint32_t> rows;
+            for (int r = 0; r < 300; ++r) {
+                uint32_t state = static_cast<uint32_t>(rng.next() % 3);
+                uint32_t packed = rng.bernoulli(0.5) ? (1u << 31) : 0u;
+                for (unsigned c = 0; c < k; ++c)
+                    packed |= state << (2 * c);
+                rows.push_back(packed);
+            }
+            expectGreedyMatchesReference(rows, k, max_select, "identical");
+            expectGreedyMatchesReference({}, k, max_select, "no rows");
+        }
+    }
+    GreedySelection tied = SelectiveOracle::greedySelect(
+        randomRows(6, 100, 1.0, rng), 6, 3);
+    EXPECT_EQ(tied.order, (std::array<unsigned, 3>{0, 1, 2}));
+}
+
+TEST(GreedySelect, LargerSizesInheritWhenCandidatesRunOut)
+{
+    Rng rng(11);
+    for (unsigned k = 0; k < 3; ++k) {
+        std::vector<uint32_t> rows = randomRows(k, 300, 0.6, rng);
+        expectGreedyMatchesReference(rows, k, 3, "short pool");
+        GreedySelection got = SelectiveOracle::greedySelect(rows, k, 3);
+        EXPECT_EQ(got.picked, k);
+        for (unsigned size = k + 1; size <= 3; ++size) {
+            EXPECT_EQ(got.correct[size - 1],
+                      k == 0 ? SelectiveOracle::replayScore(rows, {})
+                             : got.correct[k - 1]);
+        }
+    }
 }
 
 TEST(Oracle, RecoversPerfectCorrelation)
@@ -288,6 +441,34 @@ TEST(Oracle, MixedBenchmarkOnlineReplayConsistency)
             ++mismatched;
     }
     EXPECT_EQ(mismatched, 0u);
+}
+
+TEST(Oracle, PhaseTelemetryTimesEachPhaseOnce)
+{
+    // With telemetry on, one oracle adds one CPU-time sample to each
+    // phase histogram and selects exactly what an untimed oracle does.
+    auto trace = workload::makeBenchmarkTrace("xlisp", 20000, 0);
+    OracleConfig config;
+    SelectiveOracle quiet(trace, config);
+    obs::Registry::instance().reset();
+    obs::setEnabled(true);
+    SelectiveOracle timed(trace, config);
+    obs::Snapshot snap = obs::Registry::instance().snapshot();
+    obs::setEnabled(false);
+    obs::Registry::instance().reset();
+
+    const obs::Ids &ids = obs::ids();
+    double total = 0.0;
+    for (obs::InstrumentId id : {ids.simPhaseOracleMineCpuSeconds,
+                                 ids.simPhaseOracleRecordCpuSeconds,
+                                 ids.simPhaseOracleSelectCpuSeconds}) {
+        EXPECT_EQ(snap.values.at(id).count, 1u);
+        EXPECT_GE(snap.values.at(id).sum, 0.0);
+        total += snap.values.at(id).sum;
+    }
+    EXPECT_GT(total, 0.0);
+    for (unsigned size = 1; size <= 3; ++size)
+        EXPECT_EQ(quiet.accuracyPercent(size), timed.accuracyPercent(size));
 }
 
 TEST(OracleDeath, ConfigBoundsEnforced)

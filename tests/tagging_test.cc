@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/tagging.hpp"
+#include "util/rng.hpp"
 
 namespace copra::core {
 namespace {
@@ -42,15 +43,6 @@ TEST(Tag, PackAndUnpack)
     Tag o(0x12345678, TagMethod::Occurrence, 37);
     EXPECT_NE(t, o);
     EXPECT_EQ(o.method(), TagMethod::Occurrence);
-}
-
-TEST(Tag, HashableAndDistinct)
-{
-    std::hash<Tag> h;
-    EXPECT_EQ(h(Tag(0x100, TagMethod::Occurrence, 0)),
-              h(Tag(0x100, TagMethod::Occurrence, 0)));
-    EXPECT_NE(h(Tag(0x100, TagMethod::Occurrence, 0)),
-              h(Tag(0x100, TagMethod::Occurrence, 1)));
 }
 
 TEST(HistoryWindow, OccurrenceNumberingCountsFromCurrent)
@@ -217,6 +209,172 @@ TEST(HistoryWindow, EpochOverflowPastWindowClampsTag)
               nullptr);
 }
 
+/**
+ * The original O(depth^2) window, kept verbatim as the reference for
+ * HistoryWindow::collect: per entry it rescans the newer entries for
+ * the occurrence index and the output for a method-B duplicate.
+ */
+class ReferenceWindow
+{
+  public:
+    explicit ReferenceWindow(unsigned depth) : depth_(depth), ring_(depth) {}
+
+    void
+    push(const BranchRecord &rec)
+    {
+        switch (rec.kind) {
+          case BranchKind::Conditional:
+            ring_[head_] = {rec.pc, backwardEpoch_, rec.taken};
+            head_ = (head_ + 1) % depth_;
+            if (count_ < depth_)
+                ++count_;
+            if (rec.taken && rec.isBackward())
+                ++backwardEpoch_;
+            break;
+          case BranchKind::Jump:
+            if (rec.isBackward())
+                ++backwardEpoch_;
+            break;
+          case BranchKind::Call:
+          case BranchKind::Return:
+            break;
+        }
+    }
+
+    void
+    collect(std::vector<TagState> &out) const
+    {
+        out.clear();
+        for (unsigned i = 0; i < count_; ++i) {
+            unsigned slot = (head_ + depth_ - 1 - i) % depth_;
+            const Entry &entry = ring_[slot];
+
+            unsigned occurrence = 0;
+            for (unsigned j = 0; j < i; ++j) {
+                unsigned newer = (head_ + depth_ - 1 - j) % depth_;
+                if (ring_[newer].pc == entry.pc)
+                    ++occurrence;
+            }
+            if (occurrence <= 0xff) {
+                out.push_back({Tag(entry.pc, TagMethod::Occurrence,
+                                   static_cast<uint8_t>(occurrence)),
+                               entry.taken});
+            }
+
+            uint64_t back = backwardEpoch_ - entry.epoch;
+            if (back <= 0xff) {
+                Tag tag_b(entry.pc, TagMethod::BackwardCount,
+                          static_cast<uint8_t>(back));
+                bool duplicate = false;
+                for (const TagState &prior : out) {
+                    if (prior.tag == tag_b) {
+                        duplicate = true;
+                        break;
+                    }
+                }
+                if (!duplicate)
+                    out.push_back({tag_b, entry.taken});
+            }
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        uint64_t pc;
+        uint64_t epoch;
+        bool taken;
+    };
+
+    unsigned depth_;
+    unsigned count_ = 0;
+    unsigned head_ = 0;
+    uint64_t backwardEpoch_ = 0;
+    std::vector<Entry> ring_;
+};
+
+/**
+ * A random record over a small pc pool: conditionals either way and in
+ * both directions, backward and forward jumps, calls and returns, and
+ * occasional long runs of backward jumps that push method-B instance
+ * numbers past 0xff.
+ */
+std::vector<BranchRecord>
+randomRecords(Rng &rng, unsigned pcs)
+{
+    uint64_t pc = 0x1000 + 4 * rng.range(0, pcs - 1);
+    uint64_t back_target = pc - 0x40;
+    uint64_t fwd_target = pc + 0x40;
+    switch (rng.range(0, 9)) {
+      case 0:
+        return {{pc, back_target, BranchKind::Jump, true}};
+      case 1:
+        return {{pc, fwd_target, BranchKind::Jump, true}};
+      case 2:
+        return {{pc, fwd_target, BranchKind::Call, true}};
+      case 3:
+        return {{pc, back_target, BranchKind::Return, true}};
+      case 4:
+        if (rng.bernoulli(0.1)) {
+            return std::vector<BranchRecord>(
+                rng.range(250, 300), {pc, back_target, BranchKind::Jump,
+                                      true});
+        }
+        return {{pc, back_target, BranchKind::Conditional,
+                 rng.bernoulli(0.5)}};
+      case 5:
+      case 6:
+        return {{pc, back_target, BranchKind::Conditional,
+                 rng.bernoulli(0.7)}};
+      default:
+        return {{pc, fwd_target, BranchKind::Conditional,
+                 rng.bernoulli(0.5)}};
+    }
+}
+
+TEST(HistoryWindow, CollectMatchesReferenceElementByElement)
+{
+    Rng rng(2024);
+    for (unsigned depth : {1u, 2u, 8u, 16u, 32u, 64u}) {
+        for (unsigned pcs : {1u, 3u, 12u, 80u}) {
+            HistoryWindow window(depth);
+            ReferenceWindow reference(depth);
+            std::vector<TagState> got, want;
+            std::vector<uint64_t> epochs; // per conditional, at entry
+            bool saw_wide_back = false;
+            for (int step = 0; step < 3000; ++step) {
+                for (const BranchRecord &rec : randomRecords(rng, pcs)) {
+                    if (rec.isConditional()) {
+                        window.collect(got);
+                        reference.collect(want);
+                        ASSERT_EQ(got.size(), want.size())
+                            << "depth=" << depth << " pcs=" << pcs
+                            << " step=" << step;
+                        for (size_t i = 0; i < got.size(); ++i) {
+                            ASSERT_EQ(got[i].tag, want[i].tag)
+                                << "depth=" << depth << " pcs=" << pcs
+                                << " step=" << step << " i=" << i;
+                            ASSERT_EQ(got[i].taken, want[i].taken);
+                        }
+                        // Is the oldest windowed entry more than 0xff
+                        // backward transfers old?
+                        size_t oldest = epochs.size() > depth
+                            ? epochs.size() - depth : 0;
+                        if (!epochs.empty() &&
+                            window.backwardEpoch() - epochs[oldest] > 0xff)
+                            saw_wide_back = true;
+                        epochs.push_back(window.backwardEpoch());
+                    }
+                    window.push(rec);
+                    reference.push(rec);
+                }
+            }
+            EXPECT_TRUE(saw_wide_back) << "depth=" << depth
+                                       << " pcs=" << pcs;
+        }
+    }
+}
+
 class WindowDepths : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -237,7 +395,7 @@ TEST_P(WindowDepths, SizeNeverExceedsDepth)
 
 INSTANTIATE_TEST_SUITE_P(PaperDepths, WindowDepths,
                          ::testing::Values(1u, 8u, 12u, 16u, 20u, 24u,
-                                           28u, 32u));
+                                           28u, 32u, 64u));
 
 } // namespace
 } // namespace copra::core
