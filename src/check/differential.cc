@@ -460,6 +460,30 @@ defaultCheckPairs()
              },
              [config] { return std::make_unique<RefPerceptron>(config); }});
     }
+    // Long histories: the small geometries above stop at 20 bits, so
+    // these are the pairs that take the folds past the 64-bit word
+    // boundary (fold()'s second-word path, the tracked registers'
+    // outgoing-bit read at age >= 64) against refFold.
+    {
+        predictor::TageConfig config; // default geometry, hmax = 80
+        config.label = "tage(default)";
+        pairs.push_back(
+            {config.label,
+             [config] { return std::make_unique<predictor::Tage>(config); },
+             [config] { return std::make_unique<RefTage>(config); }});
+    }
+    {
+        predictor::PerceptronConfig config = smallPerceptronConfig();
+        config.numTables = 16;
+        config.segmentBits = 8; // 15 segments = 120 history bits
+        config.label = "perceptron(long)";
+        pairs.push_back(
+            {config.label,
+             [config] {
+                 return std::make_unique<predictor::Perceptron>(config);
+             },
+             [config] { return std::make_unique<RefPerceptron>(config); }});
+    }
     {
         predictor::TournamentConfig config = smallTournamentConfig();
         pairs.push_back(

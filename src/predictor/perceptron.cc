@@ -28,6 +28,9 @@ Perceptron::Perceptron(const PerceptronConfig &config)
 
     tables_.assign(config_.numTables,
                    std::vector<int16_t>(size_t(1) << config_.tableBits, 0));
+    folds_.assign(config_.numTables, 0);
+    for (unsigned t = 1; t < config_.numTables; ++t)
+        folds_[t] = history_.track(t * config_.segmentBits, config_.tableBits);
 }
 
 Perceptron::~Perceptron() = default;
@@ -47,8 +50,7 @@ Perceptron::indexOf(unsigned table, uint64_t pc) const noexcept
         // so instead fold the full window seen so far at each depth —
         // the windows nest, giving each table a progressively deeper
         // view, O-GEHL style.
-        uint64_t folded =
-            history_.fold(table * config_.segmentBits, config_.tableBits);
+        uint64_t folded = history_.folded(folds_[table]);
         idx = word ^ (word >> table) ^ folded;
     }
     return idx & ((size_t(1) << config_.tableBits) - 1);

@@ -115,7 +115,7 @@ class Perceptron : public Predictor
         thetaCtr_ = r.i32();
     }
 
-    COPRA_CONFIG_FIELDS(config_);
+    COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(tables_, history_, theta_, thetaCtr_);
     COPRA_TRANSIENT_FIELDS(stats_);
 
@@ -133,6 +133,7 @@ class Perceptron : public Predictor
 
     PerceptronConfig config_;
     std::vector<std::vector<int16_t>> tables_; //!< [table][index] weights
+    std::vector<unsigned> folds_; //!< fold id per table (slot 0 unused)
     FoldedHistory history_;
     int theta_;       //!< current training threshold
     int thetaCtr_ = 0; //!< threshold-fitting counter (TC)

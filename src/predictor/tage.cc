@@ -45,9 +45,15 @@ Tage::Tage(const TageConfig &config) : config_(config)
     base_.assign(size_t(1) << config_.baseBits, 1); // weakly not-taken
     tables_.assign(config_.numTables,
                    std::vector<Entry>(size_t(1) << config_.tableBits));
-    lengths_.resize(config_.numTables);
-    for (unsigned t = 0; t < config_.numTables; ++t)
-        lengths_[t] = config_.historyLength(t);
+    folds_.resize(config_.numTables);
+    for (unsigned t = 0; t < config_.numTables; ++t) {
+        unsigned length = config_.historyLength(t);
+        folds_[t].index = history_.track(length, config_.tableBits);
+        folds_[t].tag = history_.track(length, config_.tagBits);
+        // tagBits == 1 has no second tag fold (tagOf skips it).
+        if (config_.tagBits > 1)
+            folds_[t].tag2 = history_.track(length, config_.tagBits - 1);
+    }
 }
 
 Tage::~Tage() = default;
@@ -56,7 +62,7 @@ size_t
 Tage::indexOf(unsigned table, uint64_t pc) const noexcept
 {
     uint64_t word = pc >> 2;
-    uint64_t folded = history_.fold(lengths_[table], config_.tableBits);
+    uint64_t folded = history_.folded(folds_[table].index);
     // Skew the pc contribution per table so tables disagree about which
     // static branches collide.
     uint64_t idx = folded ^ word ^ (word >> (table + 1));
@@ -67,11 +73,11 @@ uint16_t
 Tage::tagOf(unsigned table, uint64_t pc) const noexcept
 {
     uint64_t word = pc >> 2;
-    uint64_t f1 = history_.fold(lengths_[table], config_.tagBits);
+    uint64_t f1 = history_.folded(folds_[table].tag);
     // The second, shifted fold at width-1 breaks the symmetry that a
     // single fold shares with the index hash (classic TAGE trick).
     uint64_t f2 = config_.tagBits > 1
-        ? history_.fold(lengths_[table], config_.tagBits - 1) << 1
+        ? history_.folded(folds_[table].tag2) << 1
         : 0;
     uint64_t tag = word ^ f1 ^ f2;
     return static_cast<uint16_t>(tag &

@@ -13,9 +13,9 @@
  * Deliberate simplifications versus full TAGE (documented in DESIGN.md
  * §13): no alternate-prediction override of weak entries (USE_ALT_ON_NA),
  * deterministic first-free-slot allocation instead of randomized
- * candidate choice, and stateless block-folded history hashing
- * (predictor/history_fold.hpp) instead of incremental circular shift
- * registers.
+ * candidate choice, and one shared history whose folds are tracked
+ * registers of a single FoldedHistory (predictor/history_fold.hpp)
+ * rather than a separate circular shift register per table.
  */
 
 #pragma once
@@ -130,7 +130,7 @@ class Tage : public Predictor
         updates_ = r.u64();
     }
 
-    COPRA_CONFIG_FIELDS(config_, lengths_);
+    COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(base_, tables_, history_, updates_);
     COPRA_TRANSIENT_FIELDS(stats_);
 
@@ -161,6 +161,14 @@ class Tage : public Predictor
         bool altPrediction = false;
     };
 
+    /** One tagged table's FoldedHistory ids, all over its length. */
+    struct Folds
+    {
+        unsigned index = 0; //!< fold to tableBits
+        unsigned tag = 0;   //!< fold to tagBits
+        unsigned tag2 = 0;  //!< fold to tagBits - 1 (when tagBits > 1)
+    };
+
     Lookup lookup(uint64_t pc) const noexcept;
     size_t indexOf(unsigned table, uint64_t pc) const noexcept;
     uint16_t tagOf(unsigned table, uint64_t pc) const noexcept;
@@ -170,7 +178,7 @@ class Tage : public Predictor
     TageConfig config_;
     std::vector<uint8_t> base_;              //!< bimodal counters (2-bit)
     std::vector<std::vector<Entry>> tables_; //!< tagged tables
-    std::vector<unsigned> lengths_;          //!< per-table history length
+    std::vector<Folds> folds_;               //!< per-table fold ids
     FoldedHistory history_;
     uint64_t updates_ = 0; //!< branches trained since reset (drives aging)
     TageStats stats_;

@@ -78,9 +78,10 @@ inform(const std::string &msg)
  * panic() unless a condition holds.
  *
  * The const char* overload matters: assertion checks sit on the hot
- * prediction path (e.g. FoldedHistory::fold runs two per call), and a
- * std::string parameter would heap-allocate the message at every call
- * site even when the condition is false — a per-branch allocation the
+ * prediction path (e.g. SelectiveTable::predict checks its pattern
+ * bound on every branch), and a std::string parameter would
+ * heap-allocate the message at every call even when the condition is
+ * false — a per-branch allocation the
  * `copra_check --hot-gates` steady-state probe flags. Literal messages
  * must never touch an allocator; only call sites that actually format
  * pay for a std::string.
