@@ -41,8 +41,8 @@ BM_Predictor(benchmark::State &state, const std::string &spec)
 /**
  * Reference scalar loop: two virtual calls per branch, the driver's
  * pre-batching behaviour. The delta against BM_Predictor (which goes
- * through sim::run and therefore TwoLevel::predictUpdateBatch) is the
- * devirtualization win.
+ * through sim::run and therefore the predictUpdateSoa column kernels)
+ * is the batching win.
  */
 void
 BM_PredictorScalarVirtual(benchmark::State &state, const std::string &spec)

@@ -61,14 +61,14 @@ main(int argc, char **argv)
         auto trace =
             copra::workload::makeBenchmarkTrace(name, branches, seed);
         table.row().cell(name);
-        // Fresh predictors per benchmark; run all in a single pass.
+        // Fresh predictors per benchmark, sharded across the pool.
         std::vector<copra::predictor::PredictorPtr> owners;
         std::vector<copra::predictor::Predictor *> preds;
         for (const auto &spec : spec_list) {
             owners.push_back(copra::predictor::makePredictor(spec));
             preds.push_back(owners.back().get());
         }
-        for (const auto &res : copra::sim::runAll(trace, preds))
+        for (const auto &res : copra::sim::runAllParallel(trace, preds))
             table.cell(res.accuracyPercent(), 2);
     }
 

@@ -60,11 +60,12 @@ main(int argc, char **argv)
             copra::predictor::TwoLevelConfig::pas(12, 12, 4)),
         12);
 
-    // 3. Run them all in one pass over the trace.
+    // 3. Run them all over the trace, one pass per predictor, sharded
+    //    across the thread pool.
     std::vector<copra::predictor::Predictor *> preds = {
         &bimodal, &gshare, &pas, &hybrid,
     };
-    auto results = copra::sim::runAll(trace, preds);
+    auto results = copra::sim::runAllParallel(trace, preds);
 
     // 4. Report.
     copra::Table table({"predictor", "accuracy %", "mispredict %"});

@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <span>
 #include <sstream>
 
 #include "check/fuzz.hpp"
+#include "sim/driver.hpp"
 #include "trace/trace.hpp"
 #include "util/sync.hpp"
 
@@ -25,47 +25,6 @@ namespace {
 std::atomic<uint64_t> g_hotAllocs{0};
 // copra-lint: sanctioned-global(records whether the operator-new hook TU is linked into this binary)
 std::atomic<bool> g_allocProbeLinked{false};
-
-/**
- * One full replay along the path sim::run drives: conditional SoA
- * segments through predictUpdateSoa, everything else through
- * observe(). The SoA image and record span are caller-materialized —
- * Trace::soa() guards its lazy cache with a mutex, and the measured
- * region must take no locks of its own. @p correct is caller-owned
- * scratch, pre-sized to the largest segment, so the measured region
- * itself allocates nothing either.
- */
-void
-soaReplay(const trace::SoABlocks &soa,
-          std::span<const trace::BranchRecord> records,
-          predictor::Predictor &pred, std::vector<uint8_t> &correct)
-{
-    size_t pos = 0;
-    for (const trace::SoABlocks::Segment &seg :
-         soa.conditionalSegments()) {
-        for (; pos < seg.begin; ++pos)
-            pred.observe(records[pos]);
-        predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.taken() + seg.begin,
-                                  records.data() + seg.begin, seg.count};
-        pred.predictUpdateSoa(batch, correct.data());
-        pos = seg.begin + seg.count;
-    }
-    for (; pos < records.size(); ++pos)
-        pred.observe(records[pos]);
-}
-
-/** Largest conditional segment of @p soa (scratch sizing). */
-size_t
-maxSegment(const trace::SoABlocks &soa)
-{
-    size_t n = 1;
-    for (const trace::SoABlocks::Segment &seg :
-         soa.conditionalSegments())
-        if (seg.count > n)
-            n = seg.count;
-    return n;
-}
 
 /**
  * A terminate handler that names the contract being enforced: the lint
@@ -134,13 +93,16 @@ runHotGates(const HotGateOptions &options,
         for (uint64_t seed = options.seedBase;
              seed < options.seedBase + options.traces; ++seed) {
             trace::Trace trace = fuzzTrace(seed, options.conditionals);
-            // Materialize the SoA image here: Trace::soa() locks its
-            // lazy cache on every call, so the measured passes work
-            // from direct references.
             const trace::SoABlocks &soa = trace.soa();
-            std::span<const trace::BranchRecord> records =
-                trace.records();
-            std::vector<uint8_t> correct(maxSegment(soa));
+            // The ledger buffers sim::run hands runLoop, caller-owned
+            // here too, so the ledger fold is under the gate as well.
+            std::vector<uint8_t> correct(sim::maxSegmentCount(soa));
+            std::vector<uint64_t> packed(soa.staticCount(), 0);
+            std::vector<sim::BranchTally> tallies(soa.staticCount());
+            auto replay = [&](predictor::Predictor &pred) {
+                sim::runLoop(soa, pred, correct.data(), packed.data(),
+                             tallies.data());
+            };
 
             // Warm-up: first-touch table fills, then history-keyed
             // instrument pinning — including per-address history
@@ -150,13 +112,13 @@ runHotGates(const HotGateOptions &options,
             predictor::PredictorPtr pred = entry.make();
             for (uint64_t pass = 0; pass < options.warmupPasses;
                  ++pass)
-                soaReplay(soa, records, *pred, correct);
+                replay(*pred);
 
             for (uint64_t pass = 0; pass < options.steadyPasses;
                  ++pass) {
                 uint64_t allocs_before = hotAllocCount();
                 uint64_t locks_before = util::lockAcquisitionCount();
-                soaReplay(soa, records, *pred, correct);
+                replay(*pred);
                 uint64_t alloc_delta =
                     hotAllocCount() - allocs_before;
                 uint64_t lock_delta =

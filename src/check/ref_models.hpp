@@ -11,7 +11,7 @@
  * sequence. The differential runner (check/differential.hpp) replays
  * the same trace through the optimized predictor and its reference and
  * diffs the per-branch prediction streams, so any divergence in the
- * optimized scalar, batched, or parallel paths is caught mechanically.
+ * optimized scalar, SoA batch, or parallel paths is caught mechanically.
  *
  * The semantics replicated here are the *documented* semantics of the
  * optimized models (weakly-not-taken counter init, pc >> 2 word

@@ -6,7 +6,6 @@
 
 #include "check/state_gates.hpp"
 
-#include <span>
 #include <sstream>
 
 #include "check/fuzz.hpp"
@@ -17,13 +16,17 @@ namespace copra::check {
 
 namespace {
 
-/** Scalar replay of a record span; returns the prediction stream. */
+/**
+ * Scalar replay of records [@p begin, @p end) of @p trace; returns the
+ * prediction stream.
+ */
 std::vector<uint8_t>
-replaySpan(std::span<const trace::BranchRecord> records,
-           predictor::Predictor &pred)
+replayRange(const trace::Trace &trace, size_t begin, size_t end,
+            predictor::Predictor &pred)
 {
     std::vector<uint8_t> out;
-    for (const trace::BranchRecord &rec : records) {
+    for (size_t i = begin; i < end; ++i) {
+        trace::BranchRecord rec = trace[i];
         if (!rec.isConditional()) {
             pred.observe(rec);
             continue;
@@ -89,7 +92,7 @@ resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
     ++report.gatesRun;
     predictor::PredictorPtr a = entry.make();
     uint64_t cold_hash = a->stateHash();
-    std::vector<uint8_t> first = replaySpan(trace.records(), *a);
+    std::vector<uint8_t> first = replayRange(trace, 0, trace.size(), *a);
     uint64_t warm_hash = a->stateHash();
 
     if (a->snapshot() != a->snapshot()) {
@@ -106,7 +109,7 @@ resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
              "reset() does not reproduce the cold state hash"});
         return;
     }
-    std::vector<uint8_t> second = replaySpan(trace.records(), *a);
+    std::vector<uint8_t> second = replayRange(trace, 0, trace.size(), *a);
     size_t diff = firstDiff(first, second);
     if (diff != std::string::npos) {
         report.failures.push_back(
@@ -132,11 +135,10 @@ roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
               uint64_t seed, StateGateReport &report)
 {
     ++report.gatesRun;
-    std::span<const trace::BranchRecord> records = trace.records();
-    size_t half = records.size() / 2;
+    size_t half = trace.size() / 2;
 
     predictor::PredictorPtr original = entry.make();
-    replaySpan(records.subspan(0, half), *original);
+    replayRange(trace, 0, half, *original);
 
     std::vector<uint8_t> snap = original->snapshot();
     predictor::PredictorPtr clone = entry.make();
@@ -156,9 +158,9 @@ roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
     }
 
     std::vector<uint8_t> suffix_original =
-        replaySpan(records.subspan(half), *original);
+        replayRange(trace, half, trace.size(), *original);
     std::vector<uint8_t> suffix_clone =
-        replaySpan(records.subspan(half), *clone);
+        replayRange(trace, half, trace.size(), *clone);
     size_t diff = firstDiff(suffix_original, suffix_clone);
     if (diff != std::string::npos) {
         report.failures.push_back(
@@ -274,7 +276,7 @@ renderStateBudgets()
     for (const std::string &spec : predictor::knownPredictors()) {
         predictor::PredictorPtr pred = predictor::makePredictor(spec);
         uint64_t cold = pred->stateBits();
-        replaySpan(warmup.records(), *pred);
+        replayRange(warmup, 0, warmup.size(), *pred);
         os << "| " << spec << " | " << pred->name() << " | " << cold
            << " | " << pred->stateBits() << " |\n";
     }

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "predictor/two_level.hpp"
+#include "sim/driver.hpp"
 #include "trace/trace_stats.hpp"
 #include "workload/frontier.hpp"
 #include "workload/profiles.hpp"
@@ -175,8 +177,12 @@ characterizeTrace(const trace::Trace &trace,
 
     fp.gshareAccuracyPercent = std::nan("");
     if (options.withPredictor && fp.conditionals > 0) {
-        BenchmarkExperiment experiment(trace, options.config);
-        const sim::Ledger &ledger = experiment.gshareLedger();
+        // BenchmarkExperiment::gshareLedger's pass, run over the
+        // caller's trace in place rather than over a copy.
+        predictor::TwoLevel gshare(
+            predictor::TwoLevelConfig::gshare(options.config.gshareHistory));
+        sim::Ledger ledger;
+        sim::run(trace, gshare, &ledger);
         fp.gshareAccuracyPercent = ledger.accuracyPercent();
         H2pReport h2p = identifyH2p(ledger, options.h2p);
         fp.h2pBranches = h2p.branches.size();

@@ -13,13 +13,12 @@
 namespace copra::sim {
 
 LoopTotals
-runLoop(const trace::SoABlocks &soa,
-        std::span<const trace::BranchRecord> records,
-        predictor::Predictor &pred, uint8_t *correct_scratch,
-        uint64_t *packed, BranchTally *tallies) noexcept
+runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
+        uint8_t *correct_scratch, uint64_t *packed,
+        BranchTally *tallies) noexcept
 {
     // Ledger path: accumulate per-branch tallies addressed by the
-    // trace's dense static index (built once with the SoA image — no
+    // trace's dense static index (maintained by the column store — no
     // hashing per branch). The hot loop does ONE u64 add per branch
     // into a packed execs/taken/correct word (21 bits each, flushed to
     // the wide tallies well before any field can saturate), keeping the
@@ -44,14 +43,21 @@ runLoop(const trace::SoABlocks &soa,
         since_flush = 0;
     };
 
-    LoopTotals totals;
+    // Records [pos, end) between conditional runs go to observe().
     size_t pos = 0;
+    auto observeUntil = [&](size_t end) noexcept {
+        for (; pos < end; ++pos)
+            pred.observe({soa.pc()[pos], soa.target()[pos],
+                          static_cast<trace::BranchKind>(soa.kind()[pos]),
+                          soa.taken()[pos] != 0});
+    };
+
+    LoopTotals totals;
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
-        for (; pos < seg.begin; ++pos)
-            pred.observe(records[pos]);
+        observeUntil(seg.begin);
         predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.taken() + seg.begin,
-                                  records.data() + seg.begin, seg.count};
+                                  soa.target() + seg.begin,
+                                  soa.taken() + seg.begin, seg.count};
         if (packed) {
             totals.correct +=
                 pred.predictUpdateSoa(batch, correct_scratch);
@@ -79,11 +85,19 @@ runLoop(const trace::SoABlocks &soa,
         totals.branches += seg.count;
         pos = seg.begin + seg.count;
     }
-    for (; pos < records.size(); ++pos)
-        pred.observe(records[pos]);
+    observeUntil(soa.size());
     if (packed)
         flush();
     return totals;
+}
+
+size_t
+maxSegmentCount(const trace::SoABlocks &soa)
+{
+    size_t longest = 0;
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments())
+        longest = std::max(longest, seg.count);
+    return longest;
 }
 
 RunResult
@@ -93,10 +107,9 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     result.predictorName = pred.name();
 
     // Feed maximal runs of consecutive conditional branches through the
-    // SoA batch entry point: predictors with specialized kernels
-    // (TwoLevel, Bimodal) consume the contiguous pc/taken columns
-    // directly, and everything else falls back — via the batch's AoS
-    // mirror — to the record-based batch default, which reproduces the
+    // batch entry point: predictors with specialized kernels (TwoLevel,
+    // Bimodal) consume the contiguous pc/taken columns directly, and
+    // everything else falls back to the default, which reproduces the
     // classic predict/update call sequence exactly. Non-conditional
     // records between runs are delivered to observe() in trace order.
     //
@@ -104,19 +117,12 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     // the loop itself is the COPRA_HOT region and performs no heap
     // allocation of its own (`copra_check --hot-gates` enforces this).
     const trace::SoABlocks &soa = trace.soa();
-    std::span<const trace::BranchRecord> records = trace.records();
     std::vector<BranchTally> tallies(ledger ? soa.staticCount() : 0);
     std::vector<uint64_t> packed(tallies.size(), 0);
-    size_t maxSegment = 0;
-    if (ledger)
-        for (const trace::SoABlocks::Segment &seg :
-             soa.conditionalSegments())
-            maxSegment = std::max(maxSegment, seg.count);
-    std::vector<uint8_t> correct(maxSegment);
+    std::vector<uint8_t> correct(ledger ? maxSegmentCount(soa) : 0);
 
     LoopTotals totals =
-        runLoop(soa, records, pred, correct.data(),
-                ledger ? packed.data() : nullptr,
+        runLoop(soa, pred, correct.data(), ledger ? packed.data() : nullptr,
                 ledger ? tallies.data() : nullptr);
     result.correct = totals.correct;
     result.dynamicBranches = totals.branches;
@@ -134,30 +140,6 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
 }
 
 std::vector<RunResult>
-runAll(const trace::Trace &trace,
-       const std::vector<predictor::Predictor *> &preds,
-       std::vector<Ledger> *ledgers)
-{
-    for (auto *p : preds)
-        panicIf(p == nullptr, "runAll: null predictor");
-    if (ledgers) {
-        ledgers->clear();
-        ledgers->resize(preds.size());
-    }
-
-    // One full pass per predictor over the shared SoA image. Predictors
-    // own all their adaptive state, so per-predictor passes produce
-    // exactly the branch-interleaved results — every ledger covers the
-    // same dynamic branches — while each pass streams the cached
-    // columns instead of re-decoding records.
-    std::vector<RunResult> results(preds.size());
-    for (size_t i = 0; i < preds.size(); ++i)
-        results[i] = run(trace, *preds[i],
-                         ledgers ? &(*ledgers)[i] : nullptr);
-    return results;
-}
-
-std::vector<RunResult>
 runAllParallel(const trace::Trace &trace,
                const std::vector<predictor::Predictor *> &preds,
                std::vector<Ledger> *ledgers, ThreadPool *pool)
@@ -168,11 +150,6 @@ runAllParallel(const trace::Trace &trace,
         ledgers->clear();
         ledgers->resize(preds.size());
     }
-
-    // Build the shared SoA image once, before the fan-out, so worker
-    // threads only ever read it (the lazy build in soa() is locked, but
-    // prebuilding keeps the hot path contention-free).
-    trace.soa();
 
     // Each predictor owns its adaptive state and writes only its own
     // result slot and ledger; the trace is shared read-only. Sharding by

@@ -1,14 +1,17 @@
 /**
  * @file
  * The trace-driven simulation driver: runs one or more predictors over a
- * trace, producing aggregate results and per-branch ledgers. All
- * conditional branches are predicted; other control transfers are passed
- * through (they exist for path/backward bookkeeping in the analyses).
+ * trace, producing aggregate results and per-branch ledgers. Every
+ * conditional branch is predicted, each maximal run of them in one call
+ * to the predictor's single batch entry point (predictUpdateSoa) over
+ * the trace's columns; other control transfers go to observe() (they
+ * exist for path/backward bookkeeping in the analyses).
  *
  * Concurrency contract (DESIGN.md §10): the driver holds no shared
  * mutable state of its own — runAllParallel shards by predictor index,
  * each task owning its predictor, result slot, and ledger outright,
- * with the trace shared strictly read-only. There is deliberately
+ * with the trace shared strictly read-only (its column store has no
+ * lazily built state, so reading it takes no lock). There is deliberately
  * nothing here for a mutex to guard; the statically checked locking
  * discipline lives in the pool (util/thread_pool.hpp) and the bench
  * timing accumulator (bench_common.hpp) that feed this layer.
@@ -18,7 +21,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,9 +80,9 @@ struct LoopTotals
 
 /**
  * The steady-state inner loop of run(): stream every conditional
- * segment of a prebuilt SoA image through the predictor's batch entry
- * point, delivering non-conditional records to observe() in trace
- * order, and — when @p packed is non-null — fold one packed
+ * segment of a trace's column store through the predictor's batch
+ * entry point, delivering non-conditional records to observe() in
+ * trace order, and — when @p packed is non-null — fold one packed
  * execs/taken/correct word per branch into the ledger accumulators.
  *
  * This is a COPRA_HOT root: between the buffers being handed in and
@@ -90,34 +92,25 @@ struct LoopTotals
  * is used (it always may be written), and @p packed / @p tallies must
  * hold soa.staticCount() entries or be null together. `copra_check
  * --hot-gates` replays this exact function under the counting
- * allocator to prove the claim at runtime.
+ * allocator and lock counter to prove the claim at runtime.
  */
 COPRA_HOT LoopTotals
-runLoop(const trace::SoABlocks &soa,
-        std::span<const trace::BranchRecord> records,
-        predictor::Predictor &pred, uint8_t *correct_scratch,
-        uint64_t *packed, BranchTally *tallies) noexcept;
+runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
+        uint8_t *correct_scratch, uint64_t *packed,
+        BranchTally *tallies) noexcept;
 
 /**
- * Run several predictors over the same trace in a single pass, so every
- * ledger covers exactly the same dynamic branches.
- *
- * @param preds Predictors to drive (all receive every branch).
- * @param ledgers Optional parallel array of ledgers, one per predictor
- *                (pass nullptr to skip, or a vector shorter than preds).
+ * Scratch sizing for runLoop: the longest conditional segment of
+ * @p soa (the correct_scratch length a ledger pass needs).
  */
-std::vector<RunResult> runAll(
-    const trace::Trace &trace,
-    const std::vector<predictor::Predictor *> &preds,
-    std::vector<Ledger> *ledgers = nullptr);
+size_t maxSegmentCount(const trace::SoABlocks &soa);
 
 /**
  * Run several predictors over the same trace concurrently, sharding
- * predictors across a thread pool. Unlike runAll this performs one full
- * trace pass per predictor, but each pass is independent, so results
- * and ledgers are bit-identical to runAll (and to serial run calls) for
- * every thread count — predictors own all their adaptive state and
- * there is no shared RNG.
+ * predictors across a thread pool: one full trace pass per predictor.
+ * Each pass is independent, so results and ledgers are bit-identical
+ * to serial run() calls for every thread count — predictors own all
+ * their adaptive state and there is no shared RNG.
  *
  * @param preds Predictors to drive (all receive every branch).
  * @param ledgers Optional ledger sink; resized to preds.size().

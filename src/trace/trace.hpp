@@ -6,14 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "trace/branch_record.hpp"
 #include "trace/trace_soa.hpp"
-#include "util/sync.hpp"
 
 namespace copra::trace {
 
@@ -25,24 +22,28 @@ namespace copra::trace {
  * simulation; all experiment passes iterate the same trace object so
  * per-branch comparisons are exactly aligned.
  *
- * Storage is shared copy-on-write: copying a Trace, or taking a
- * prefix() view, shares the underlying record array (no record is
- * copied); the first append to a trace whose storage is shared — or
- * whose window does not end at the storage tail — detaches it onto a
- * private copy, so views never observe later mutation.
- *
- * soa() exposes a lazily built, cached structure-of-arrays image of
- * the records (see trace_soa.hpp) reused across all predictor passes.
- * Building is thread-safe; as with the record array itself, mutating
- * a trace while another thread reads it is outside the contract.
+ * The records are stored once, as the columns of soa() (see
+ * trace_soa.hpp), whose segment and static-branch indices grow with
+ * every append. A BranchRecord is a value built on demand by
+ * operator[] and records(). Copies are deep, and — as with
+ * std::vector — append() invalidates references obtained from soa().
  */
 class Trace
 {
   public:
-    Trace();
+    Trace() = default;
 
     /** @param name Benchmark / workload identification string. */
-    explicit Trace(std::string name, uint64_t seed = 0);
+    explicit Trace(std::string name, uint64_t seed = 0)
+        : name_(std::move(name)), seed_(seed)
+    {
+    }
+
+    /** Adopt a column image (trace loaders). */
+    Trace(std::string name, uint64_t seed, SoABlocks columns)
+        : name_(std::move(name)), seed_(seed), soa_(std::move(columns))
+    {
+    }
 
     /** Workload name this trace was generated from. */
     const std::string &name() const { return name_; }
@@ -57,82 +58,39 @@ class Trace
     void setSeed(uint64_t seed) { seed_ = seed; }
 
     /** Append one dynamic branch execution. */
-    void append(const BranchRecord &rec);
+    void append(const BranchRecord &rec) { soa_.append(rec); }
 
     /** Append every record of @p other in order (bulk concatenation). */
-    void appendTrace(const Trace &other);
+    void appendTrace(const Trace &other) { soa_.append(other.soa_); }
 
     /** Total records (all control-transfer kinds). */
-    size_t size() const { return count_; }
+    size_t size() const { return soa_.size(); }
 
     /** True when the trace holds no records. */
-    bool empty() const { return count_ == 0; }
+    bool empty() const { return soa_.size() == 0; }
 
     /** Number of conditional branch records. */
-    uint64_t conditionalCount() const { return conditionals_; }
+    uint64_t conditionalCount() const { return soa_.conditionalCount(); }
 
     /** Record at position @p i. */
-    const BranchRecord &operator[](size_t i) const
-    {
-        return (*store_)[offset_ + i];
-    }
+    BranchRecord operator[](size_t i) const { return soa_.record(i); }
 
-    /** The record window (for range-for iteration and batch spans). */
-    std::span<const BranchRecord>
-    records() const
-    {
-        if (!store_)
-            return {};
-        return {store_->data() + offset_, count_};
-    }
+    /** Every record in order, materialized on dereference. */
+    RecordRange records() const { return soa_.records(); }
 
     /** Reserve storage for @p n records. */
-    void reserve(size_t n);
+    void reserve(size_t n) { soa_.reserve(n); }
 
     /** Remove all records. */
-    void clear();
+    void clear() { soa_.clear(); }
 
-    /**
-     * A view of the first @p n_conditionals conditional branches (and
-     * every non-conditional record interleaved before them). The view
-     * shares record storage with this trace — no records are copied.
-     * Used to run experiments on a prefix of a long trace.
-     */
-    Trace prefix(uint64_t n_conditionals) const;
-
-    /**
-     * The structure-of-arrays image of this trace, built on first use
-     * and cached (copies of the trace share the cache; prefix views
-     * build their own). Loaders that already hold columns install the
-     * image directly via fromSoa().
-     */
-    const SoABlocks &soa() const;
-
-    /**
-     * Build a trace directly from a column image: materializes the
-     * record array from the columns and installs @p blocks as the
-     * cached SoA, so a subsequent soa() call is free.
-     */
-    static Trace fromSoa(std::string name, uint64_t seed, SoABlocks blocks);
+    /** The column image: the trace's only storage. */
+    const SoABlocks &soa() const { return soa_; }
 
   private:
-    /** Lazily built SoA image; shared by copies of the same window. */
-    struct SoaCache
-    {
-        util::Mutex mutex;
-        std::shared_ptr<const SoABlocks> blocks COPRA_GUARDED_BY(mutex);
-    };
-
-    /** Detach shared or non-tail storage before mutation. */
-    void ensureOwned(size_t extra_capacity);
-
     std::string name_;
     uint64_t seed_ = 0;
-    uint64_t conditionals_ = 0;
-    std::shared_ptr<std::vector<BranchRecord>> store_;
-    size_t offset_ = 0;
-    size_t count_ = 0;
-    std::shared_ptr<SoaCache> soaCache_;
+    SoABlocks soa_;
 };
 
 } // namespace copra::trace

@@ -60,9 +60,9 @@ TraceCache::load(const TraceCacheKey &key) const
         bytes = 0;
     try {
         // Fast path: mmap the entry and adopt its columns directly.
-        // Anything the mapped loader rejects — most usefully a
-        // wrong-version header, e.g. a v1 file renamed into place —
-        // falls back to the stream decoder, which still reads v1.
+        // Anything the mapped loader rejects is retried through the
+        // stream decoder (the only loader where mmap is unavailable);
+        // what both reject, e.g. a wrong-version header, is evicted.
         Trace trace;
         bool mapped = false;
         try {

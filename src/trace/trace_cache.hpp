@@ -9,9 +9,9 @@
  * bookkeeping (old files are simply never looked up). Hits are served
  * by memory-mapping the column-major v2 format (loadBinaryMapped): a
  * header check plus bulk column adoption, no per-record decode. A
- * stale or renamed file the mapped loader rejects falls back to the
- * stream decoder (which still reads v1); corrupt or unreadable
- * entries are treated as misses and removed.
+ * file the mapped loader rejects is retried through the stream decoder
+ * (the only path on platforms without mmap); corrupt, unreadable or
+ * wrong-version entries are treated as misses and removed.
  *
  * The cache directory defaults to ".copra-cache/" and is overridable
  * with the COPRA_CACHE_DIR environment variable. Stores are atomic
@@ -45,7 +45,7 @@ struct TraceCacheKey
     uint64_t branches = 0;  //!< dynamic conditional branches requested
     uint64_t seed = 0;      //!< execution seed as requested (0 = canonical)
 
-    /** Entry file name, e.g. "gcc-b2000000-s0-v1.trc". */
+    /** Entry file name, e.g. "gcc-b2000000-s0-v2.trc". */
     std::string fileName() const;
 };
 

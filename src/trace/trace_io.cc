@@ -21,7 +21,6 @@ namespace copra::trace {
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'P', 'R', 'A', 'T', 'R', 'C'};
-constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersion = kTraceFormatVersion;
 
 void
@@ -136,8 +135,7 @@ decodeColumns(const unsigned char *payload, uint64_t count,
     for (size_t i = 0; i < n; ++i)
         kind[i] = p[i];
     p += n;
-    for (size_t i = 0; i < n; ++i)
-        taken[i] = p[i] ? 1 : 0;
+    std::copy(p, p + n, taken.begin());
     for (size_t i = 0; i < n; ++i)
         if (kind[i] > static_cast<uint8_t>(BranchKind::Return))
             throw std::runtime_error("copra trace: invalid branch kind");
@@ -149,45 +147,6 @@ decodeColumns(const unsigned char *payload, uint64_t count,
             std::to_string(claimed_conditionals) + ", columns hold " +
             std::to_string(blocks.conditionalCount()) + ")");
     return blocks;
-}
-
-Trace
-readBinaryV1(std::istream &is)
-{
-    uint64_t seed = getU64(is);
-    uint32_t name_len = getU32(is);
-    // A malformed header must not drive allocations: cap the name at a
-    // size no legitimate writer produces before trusting the field.
-    if (name_len > (1u << 16))
-        throw std::runtime_error("copra trace: implausible name length " +
-                                 std::to_string(name_len));
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    if (!is)
-        throw std::runtime_error("copra trace: truncated name");
-    uint64_t count = getU64(is);
-
-    Trace trace(name, seed);
-    // An inflated count is detected by the truncated-record throw below;
-    // only pre-reserve what the field claims up to a sane bound so a
-    // corrupt header cannot force a huge up-front allocation.
-    trace.reserve(static_cast<size_t>(std::min<uint64_t>(count, 1u << 20)));
-    for (uint64_t i = 0; i < count; ++i) {
-        BranchRecord rec;
-        rec.pc = getU64(is);
-        rec.target = getU64(is);
-        char tail[2];
-        is.read(tail, 2);
-        if (!is)
-            throw std::runtime_error("copra trace: truncated record");
-        auto kind = static_cast<uint8_t>(tail[0]);
-        if (kind > static_cast<uint8_t>(BranchKind::Return))
-            throw std::runtime_error("copra trace: invalid branch kind");
-        rec.kind = static_cast<BranchKind>(kind);
-        rec.taken = tail[1] != 0;
-        trace.append(rec);
-    }
-    return trace;
 }
 
 Trace
@@ -229,9 +188,8 @@ readBinaryV2(std::istream &is)
     }
     if (checksumPayload(payload.data(), payload.size()) != checksum)
         throw std::runtime_error("copra trace: payload checksum mismatch");
-    return Trace::fromSoa(std::move(name), seed,
-                          decodeColumns(payload.data(), count,
-                                        conditionals));
+    return Trace(std::move(name), seed,
+                 decodeColumns(payload.data(), count, conditionals));
 }
 
 } // namespace
@@ -241,24 +199,19 @@ writeBinary(const Trace &trace, std::ostream &os)
 {
     // Stage the whole column payload first: the header carries its
     // checksum, so the bytes must exist before the header is written.
-    std::span<const BranchRecord> records = trace.records();
-    size_t n = records.size();
+    const SoABlocks &soa = trace.soa();
+    size_t n = soa.size();
     std::vector<unsigned char> payload(v2PayloadBytes(n));
     unsigned char *p = payload.data();
-    auto putColumn = [&](auto field) {
+    for (const uint64_t *column : {soa.pc(), soa.target()}) {
         for (size_t i = 0; i < n; ++i, p += 8) {
-            uint64_t v = field(records[i]);
             for (int b = 0; b < 8; ++b)
-                p[static_cast<size_t>(b)] =
-                    static_cast<unsigned char>((v >> (8 * b)) & 0xff);
+                p[static_cast<size_t>(b)] = static_cast<unsigned char>(
+                    (column[i] >> (8 * b)) & 0xff);
         }
-    };
-    putColumn([](const BranchRecord &r) { return r.pc; });
-    putColumn([](const BranchRecord &r) { return r.target; });
-    for (size_t i = 0; i < n; ++i)
-        *p++ = static_cast<unsigned char>(records[i].kind);
-    for (size_t i = 0; i < n; ++i)
-        *p++ = records[i].taken ? 1 : 0;
+    }
+    std::copy(soa.kind(), soa.kind() + n, p);
+    std::copy(soa.taken(), soa.taken() + n, p + n);
 
     os.write(kMagic, sizeof(kMagic));
     putU32(os, kVersion);
@@ -284,8 +237,6 @@ readBinary(std::istream &is)
     if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
         throw std::runtime_error("copra trace: bad magic");
     uint32_t version = getU32(is);
-    if (version == kVersionV1)
-        return readBinaryV1(is);
     if (version == kVersion)
         return readBinaryV2(is);
     throw std::runtime_error("copra trace: unsupported version " +
@@ -375,8 +326,8 @@ loadBinaryMapped(const std::string &path)
         throw std::runtime_error("copra trace: payload checksum mismatch");
     std::string name(reinterpret_cast<const char *>(base) + kV2HeaderBytes,
                      name_len);
-    return Trace::fromSoa(std::move(name), seed,
-                          decodeColumns(payload, count, conditionals));
+    return Trace(std::move(name), seed,
+                 decodeColumns(payload, count, conditionals));
 }
 
 #else // _WIN32

@@ -17,9 +17,8 @@ namespace copra::trace {
 /**
  * Version of the binary trace format written by writeBinary. Bump on any
  * layout change; the on-disk trace cache keys its entries on this value,
- * so stale cache files are never misread. readBinary still decodes the
- * previous (v1) record-interleaved layout, so a v1 file that shows up
- * under a v2 name falls back to a full re-decode instead of failing.
+ * so stale cache files are never misread. Only the current version is
+ * read; any other version number is rejected as unsupported.
  */
 inline constexpr uint32_t kTraceFormatVersion = 2;
 
@@ -34,15 +33,11 @@ inline constexpr uint32_t kTraceFormatVersion = 2;
  * zero-padded to an 8-byte boundary, then four contiguous columns —
  * pc (count × u64), target (count × u64), kind (count × u8), taken
  * (count × u8). All integers are little-endian.
- *
- * v1 (read-only support) stored one 18-byte packed record per dynamic
- * branch (u64 pc, u64 target, u8 kind, u8 taken) after a
- * version/seed/name/count header.
  */
 void writeBinary(const Trace &trace, std::ostream &os);
 
 /**
- * Read a trace in the copra binary format (v1 or v2).
+ * Read a trace in the copra binary format (v2).
  *
  * @throws std::runtime_error on bad magic, unsupported version, or
  * truncated input.
@@ -57,14 +52,12 @@ Trace loadBinary(const std::string &path);
 
 /**
  * Load a v2 binary trace by memory-mapping @p path: the header is
- * validated against the exact file size, the columns are adopted
- * directly into the trace's structure-of-arrays image, and no
- * per-record decode loop runs. The mapping is transient (the file may
- * be deleted afterwards).
+ * validated against the exact file size and the columns are copied
+ * into the trace's column store with one bulk pass per column. The
+ * mapping is transient (the file may be deleted afterwards).
  *
  * @throws std::runtime_error when the file cannot be mapped, is not a
- * v2 trace (including well-formed v1 files — callers fall back to
- * loadBinary's re-decode), or is truncated / inconsistent.
+ * v2 trace, or is truncated / inconsistent.
  */
 Trace loadBinaryMapped(const std::string &path);
 

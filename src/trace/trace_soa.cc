@@ -1,28 +1,9 @@
 #include "trace/trace_soa.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace copra::trace {
-
-SoABlocks::SoABlocks(std::span<const BranchRecord> records)
-{
-    size_t n = records.size();
-    pc_.resize(n);
-    target_.resize(n);
-    kind_.resize(n);
-    taken_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        pc_[i] = rec.pc;
-        target_[i] = rec.target;
-        kind_[i] = static_cast<uint8_t>(rec.kind);
-        taken_[i] = rec.taken ? 1 : 0;
-    }
-    indexSegments();
-}
 
 SoABlocks::SoABlocks(std::vector<uint64_t> pc, std::vector<uint64_t> target,
                      std::vector<uint8_t> kind, std::vector<uint8_t> taken)
@@ -35,97 +16,110 @@ SoABlocks::SoABlocks(std::vector<uint64_t> pc, std::vector<uint64_t> target,
     for (uint8_t k : kind_)
         panicIf(k > static_cast<uint8_t>(BranchKind::Return),
                 "SoABlocks: invalid branch kind in column");
-    indexSegments();
+    for (uint8_t &t : taken_)
+        t = t != 0 ? 1 : 0;
+    staticIndex_.reserve(pc_.size());
+    for (size_t i = 0; i < pc_.size(); ++i)
+        indexRecord(i);
 }
 
 void
-SoABlocks::indexSegments()
+SoABlocks::append(const BranchRecord &rec)
 {
-    constexpr auto cond = static_cast<uint8_t>(BranchKind::Conditional);
-    size_t n = kind_.size();
-    size_t i = 0;
-    while (i < n) {
-        if (kind_[i] != cond) {
-            ++i;
-            continue;
-        }
-        size_t end = i + 1;
-        while (end < n && kind_[end] == cond)
-            ++end;
-        condSegments_.push_back({i, end - i});
-        conditionals_ += end - i;
-        i = end;
-    }
-    indexStatics();
+    pc_.push_back(rec.pc);
+    target_.push_back(rec.target);
+    kind_.push_back(static_cast<uint8_t>(rec.kind));
+    taken_.push_back(rec.taken ? 1 : 0);
+    indexRecord(pc_.size() - 1);
 }
 
 void
-SoABlocks::indexStatics()
+SoABlocks::append(const SoABlocks &other)
 {
-    // Open-addressing pc → dense-index table, linear probing, grown at
-    // 50% load. Runs once per trace; the produced column lets every
-    // ledger pass accumulate with a plain indexed add.
-    size_t n = pc_.size();
-    staticIndex_.resize(n);
-    size_t cap = 256;
-    // slot: index+1 into staticPcs_, 0 = empty.
-    std::vector<uint32_t> slots(cap, 0);
-    for (size_t i = 0; i < n; ++i) {
-        if (staticPcs_.size() * 2 >= cap) {
-            cap *= 2;
-            slots.assign(cap, 0);
-            for (uint32_t id = 0; id < staticPcs_.size(); ++id) {
-                size_t j = mix64(staticPcs_[id]) & (cap - 1);
-                while (slots[j] != 0)
-                    j = (j + 1) & (cap - 1);
-                slots[j] = id + 1;
-            }
-        }
-        uint64_t pc = pc_[i];
-        size_t j = mix64(pc) & (cap - 1);
-        while (slots[j] != 0 && staticPcs_[slots[j] - 1] != pc)
-            j = (j + 1) & (cap - 1);
-        if (slots[j] == 0) {
-            staticPcs_.push_back(pc);
-            slots[j] = static_cast<uint32_t>(staticPcs_.size());
-        }
-        staticIndex_[i] = slots[j] - 1;
+    size_t base = size();
+    pc_.insert(pc_.end(), other.pc_.begin(), other.pc_.end());
+    target_.insert(target_.end(), other.target_.begin(),
+                   other.target_.end());
+    kind_.insert(kind_.end(), other.kind_.begin(), other.kind_.end());
+    taken_.insert(taken_.end(), other.taken_.begin(), other.taken_.end());
+
+    // other's ids are in first-appearance order within other, so
+    // interning them in that order reproduces the ids a per-record
+    // append would have assigned.
+    std::vector<uint32_t> remap(other.staticCount());
+    for (size_t id = 0; id < remap.size(); ++id)
+        remap[id] = intern(other.staticPcs_[id]);
+    staticIndex_.reserve(size());
+    for (uint32_t id : other.staticIndex_)
+        staticIndex_.push_back(remap[id]);
+
+    for (Segment seg : other.condSegments_) {
+        seg.begin += base;
+        if (!condSegments_.empty() &&
+            condSegments_.back().begin + condSegments_.back().count ==
+                seg.begin)
+            condSegments_.back().count += seg.count;
+        else
+            condSegments_.push_back(seg);
     }
+    conditionals_ += other.conditionals_;
 }
 
-SoABlocks::BlockView
-SoABlocks::block(size_t i) const
+void
+SoABlocks::reserve(size_t n)
 {
-    panicIf(i >= blockCount(), "SoABlocks::block index out of range");
-    size_t begin = i * kBlockRecords;
-    size_t count = std::min(kBlockRecords, size() - begin);
-    BlockView view;
-    view.firstRecord = begin;
-    view.pc = {pc_.data() + begin, count};
-    view.target = {target_.data() + begin, count};
-    view.kind = {kind_.data() + begin, count};
-    view.taken = {taken_.data() + begin, count};
-    return view;
+    pc_.reserve(n);
+    target_.reserve(n);
+    kind_.reserve(n);
+    taken_.reserve(n);
+    staticIndex_.reserve(n);
 }
 
-BranchRecord
-SoABlocks::record(size_t i) const
+void
+SoABlocks::clear()
 {
-    BranchRecord rec;
-    rec.pc = pc_[i];
-    rec.target = target_[i];
-    rec.kind = static_cast<BranchKind>(kind_[i]);
-    rec.taken = taken_[i] != 0;
-    return rec;
+    *this = SoABlocks();
 }
 
-std::vector<BranchRecord>
-SoABlocks::toRecords() const
+void
+SoABlocks::indexRecord(size_t i)
 {
-    std::vector<BranchRecord> records(size());
-    for (size_t i = 0; i < size(); ++i)
-        records[i] = record(i);
-    return records;
+    staticIndex_.push_back(intern(pc_[i]));
+    if (kind_[i] != static_cast<uint8_t>(BranchKind::Conditional))
+        return;
+    ++conditionals_;
+    if (!condSegments_.empty() &&
+        condSegments_.back().begin + condSegments_.back().count == i)
+        ++condSegments_.back().count;
+    else
+        condSegments_.push_back({i, 1});
+}
+
+uint32_t
+SoABlocks::intern(uint64_t pc)
+{
+    // Open addressing with linear probing, grown at 50% load; each
+    // static branch is hashed once per append, and ledger passes then
+    // accumulate with a plain indexed add.
+    if (staticPcs_.size() * 2 >= slots_.size()) {
+        size_t cap = slots_.empty() ? 256 : slots_.size() * 2;
+        slots_.assign(cap, 0);
+        for (uint32_t id = 0; id < staticPcs_.size(); ++id) {
+            size_t j = mix64(staticPcs_[id]) & (cap - 1);
+            while (slots_[j] != 0)
+                j = (j + 1) & (cap - 1);
+            slots_[j] = id + 1;
+        }
+    }
+    size_t mask = slots_.size() - 1;
+    size_t j = mix64(pc) & mask;
+    while (slots_[j] != 0 && staticPcs_[slots_[j] - 1] != pc)
+        j = (j + 1) & mask;
+    if (slots_[j] == 0) {
+        staticPcs_.push_back(pc);
+        slots_[j] = static_cast<uint32_t>(staticPcs_.size());
+    }
+    return slots_[j] - 1;
 }
 
 } // namespace copra::trace

@@ -3,7 +3,7 @@
  * The differential-verification acceptance gate.
  *
  * 1. Zero mismatches between every optimized predictor path (scalar,
- *    batched, sim::run, runAllParallel) and the clarity-first reference
+ *    SoA batch, sim::run, runAllParallel) and the clarity-first reference
  *    models over 100 fuzzed traces at a fixed seed range.
  * 2. Self-test: each deliberately-injected predictor bug is caught by
  *    the same harness and shrunk to a reproducer of at most 1000
@@ -97,31 +97,34 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
     }
 }
 
-TEST(Differential, BatchOnlyBugEscapesScalarPathButNotBatched)
+TEST(Differential, SoaOnlyBugEscapesScalarPathButNotSoa)
 {
-    // GshareBatchStaleHistory is constructed so the scalar path is
+    // GshareSoaStaleHistory is constructed so the scalar path is
     // faithful and only the batch entry point diverges; catching it
-    // proves the harness exercises predictUpdateBatch specifically.
-    CheckPair pair = injectedBugPair(InjectedBug::GshareBatchStaleHistory);
+    // proves the harness exercises predictUpdateSoa specifically, both
+    // directly ("soa") and through the driver ("run").
+    CheckPair pair = injectedBugPair(InjectedBug::GshareSoaStaleHistory);
     bool scalar_diverged = false;
-    bool batch_caught = false;
+    bool soa_caught = false;
+    bool run_caught = false;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         trace::Trace t = fuzzTrace(seed, 1500);
         DiffResult result = diffPair(t, pair, false);
         for (const Mismatch &m : result.mismatches) {
-            if (m.path == "scalar")
-                scalar_diverged = true;
-            else
-                batch_caught = true;
+            scalar_diverged |= m.path == "scalar";
+            soa_caught |= m.path == "soa";
+            run_caught |= m.path == "run";
         }
     }
     EXPECT_FALSE(scalar_diverged)
         << "planted bug must be invisible to the scalar path";
-    EXPECT_TRUE(batch_caught)
-        << "batched/run paths must expose the stale-history bug";
+    EXPECT_TRUE(soa_caught)
+        << "the soa path must expose the stale-history bug";
+    EXPECT_TRUE(run_caught)
+        << "sim::run's aggregates must expose the stale-history bug";
 }
 
-TEST(Differential, ScalarAndBatchedStreamsAgreeForCleanPredictor)
+TEST(Differential, ScalarAndSoaStreamsAgreeForCleanPredictor)
 {
     // Direct stream-level check, independent of diffPair's plumbing.
     for (uint64_t seed : {1ull, 9ull, 23ull}) {
@@ -129,10 +132,10 @@ TEST(Differential, ScalarAndBatchedStreamsAgreeForCleanPredictor)
         predictor::TwoLevel a(TwoLevelConfig::pas(7, 5, 3));
         predictor::TwoLevel b(TwoLevelConfig::pas(7, 5, 3));
         std::vector<uint8_t> scalar = scalarPredictions(t, a);
-        std::vector<uint8_t> batched = batchedPredictions(t, b);
-        ASSERT_EQ(scalar.size(), batched.size()) << "seed " << seed;
+        std::vector<uint8_t> soa = soaPredictions(t, b);
+        ASSERT_EQ(scalar.size(), soa.size()) << "seed " << seed;
         for (size_t i = 0; i < scalar.size(); ++i)
-            ASSERT_EQ(scalar[i], batched[i])
+            ASSERT_EQ(scalar[i], soa[i])
                 << "seed " << seed << " conditional " << i;
     }
 }

@@ -54,6 +54,21 @@ raw(const std::vector<predictor::PredictorPtr> &zoo)
     return out;
 }
 
+/** The serial reference: one explicit run() per predictor. */
+std::vector<RunResult>
+serialRuns(const trace::Trace &trace,
+           const std::vector<predictor::Predictor *> &preds,
+           std::vector<Ledger> *ledgers = nullptr)
+{
+    if (ledgers)
+        ledgers->resize(preds.size());
+    std::vector<RunResult> results;
+    for (size_t i = 0; i < preds.size(); ++i)
+        results.push_back(
+            run(trace, *preds[i], ledgers ? &(*ledgers)[i] : nullptr));
+    return results;
+}
+
 void
 expectSameResults(const std::vector<RunResult> &a,
                   const std::vector<RunResult> &b)
@@ -87,14 +102,13 @@ expectSameLedgers(const std::vector<Ledger> &a,
     }
 }
 
-TEST(RunAllParallel, MatchesSerialRunAllAcrossThreadCounts)
+TEST(RunAllParallel, MatchesSerialRunsAcrossThreadCounts)
 {
     trace::Trace trace = testTrace();
 
     auto serial_zoo = predictorZoo();
     std::vector<Ledger> serial_ledgers;
-    auto serial =
-        runAll(trace, raw(serial_zoo), &serial_ledgers);
+    auto serial = serialRuns(trace, raw(serial_zoo), &serial_ledgers);
 
     for (unsigned threads : {1u, 2u, 8u}) {
         ThreadPool pool(threads);
@@ -112,7 +126,7 @@ TEST(RunAllParallel, UsesGlobalPoolByDefault)
     trace::Trace trace = testTrace();
     auto zoo_a = predictorZoo();
     auto zoo_b = predictorZoo();
-    auto serial = runAll(trace, raw(zoo_a));
+    auto serial = serialRuns(trace, raw(zoo_a));
     auto parallel = runAllParallel(trace, raw(zoo_b));
     expectSameResults(serial, parallel);
 }

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,25 +43,45 @@ TEST(PredictorContracts, EveryFactorySpecConstructsAndNames)
 
 TEST(PredictorContracts, BatchEntryPointMatchesScalarLoop)
 {
+    // The conditionals of a fuzzed trace as one column batch, fed
+    // through predictUpdateSoa in runs of varying length.
     copra::trace::Trace trace = copra::check::fuzzTrace(7, 4000);
-    std::vector<copra::trace::BranchRecord> conds;
-    for (const auto &rec : trace.records())
-        if (rec.isConditional())
-            conds.push_back(rec);
-    ASSERT_FALSE(conds.empty());
+    std::vector<uint64_t> pc, target;
+    std::vector<uint8_t> taken;
+    for (const auto &rec : trace.records()) {
+        if (!rec.isConditional())
+            continue;
+        pc.push_back(rec.pc);
+        target.push_back(rec.target);
+        taken.push_back(rec.taken ? 1 : 0);
+    }
+    ASSERT_FALSE(pc.empty());
 
     for (const std::string &spec : knownPredictors()) {
         auto batched = makePredictor(spec);
         auto scalar = makePredictor(spec);
-        uint64_t batch_correct = batched->predictUpdateBatch(
-            std::span<const copra::trace::BranchRecord>(conds), nullptr);
-        uint64_t scalar_correct = 0;
-        for (const auto &rec : conds) {
-            scalar_correct +=
-                scalar->predict(rec) == rec.taken ? 1 : 0;
-            scalar->update(rec, rec.taken);
+        std::vector<uint8_t> batch_correct(pc.size());
+        uint64_t batch_total = 0;
+        for (size_t begin = 0, run = 1; begin < pc.size(); run *= 3) {
+            size_t count = std::min(run, pc.size() - begin);
+            copra::predictor::SoaBatch batch{&pc[begin], &target[begin],
+                                             &taken[begin], count};
+            batch_total += batched->predictUpdateSoa(
+                batch, batch_correct.data() + begin);
+            begin += count;
         }
-        EXPECT_EQ(batch_correct, scalar_correct) << spec;
+        uint64_t scalar_total = 0;
+        for (size_t i = 0; i < pc.size(); ++i) {
+            copra::trace::BranchRecord rec{
+                pc[i], target[i], copra::trace::BranchKind::Conditional,
+                taken[i] != 0};
+            bool correct = scalar->predict(rec) == rec.taken;
+            scalar->update(rec, rec.taken);
+            scalar_total += correct ? 1 : 0;
+            ASSERT_EQ(batch_correct[i], correct ? 1 : 0)
+                << spec << " conditional " << i;
+        }
+        EXPECT_EQ(batch_total, scalar_total) << spec;
     }
 }
 

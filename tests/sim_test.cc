@@ -96,7 +96,7 @@ TEST(Driver, LedgerMatchesAggregate)
     EXPECT_EQ(b108.correct, 0u);
 }
 
-TEST(Driver, RunAllMatchesIndividualRuns)
+TEST(Driver, RunAllParallelMatchesIndividualRuns)
 {
     auto trace = workload::biasedTrace(0x100, 0.7, 2000, 3);
     AlwaysTaken t1, t2;
@@ -107,7 +107,7 @@ TEST(Driver, RunAllMatchesIndividualRuns)
 
     std::vector<predictor::Predictor *> preds = {&t2, &n2};
     std::vector<Ledger> ledgers;
-    auto all = runAll(trace, preds, &ledgers);
+    auto all = runAllParallel(trace, preds, &ledgers);
     ASSERT_EQ(all.size(), 2u);
     EXPECT_EQ(all[0].correct, res_t.correct);
     EXPECT_EQ(all[1].correct, res_n.correct);
@@ -116,11 +116,11 @@ TEST(Driver, RunAllMatchesIndividualRuns)
     EXPECT_EQ(all[0].correct + all[1].correct, all[0].dynamicBranches);
 }
 
-TEST(Driver, RunAllDeliversObserves)
+TEST(Driver, RunAllParallelDeliversObserves)
 {
     Probe a, b;
     std::vector<predictor::Predictor *> preds = {&a, &b};
-    runAll(mixedTrace(), preds);
+    runAllParallel(mixedTrace(), preds);
     EXPECT_EQ(a.observes, 3);
     EXPECT_EQ(b.observes, 3);
 }

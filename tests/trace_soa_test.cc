@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the structure-of-arrays trace image and the memory-mapped
- * v2 loader: SoA <-> AoS round-trip equality over fuzzed traces,
- * conditional-segment indexing, cache sharing across trace copies, and
- * the mmap fast path's rejection of truncated / garbage / wrong-version
- * files (with the trace cache falling back to the stream decoder).
+ * Tests for the column store and the memory-mapped v2 loader: record
+ * materialization against the columns over fuzzed traces,
+ * conditional-segment and static-index invariants, and the rejection
+ * of truncated / garbage / wrong-version files by both loaders (with
+ * the trace cache evicting what neither can read).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <ranges>
 #include <sstream>
 
 #include "check/fuzz.hpp"
@@ -25,28 +27,30 @@ namespace {
 
 namespace fs = std::filesystem;
 
-TEST(TraceSoa, RoundTripsEveryFuzzedTrace)
+static_assert(std::random_access_iterator<RecordIterator>);
+static_assert(std::ranges::sized_range<RecordRange>);
+
+TEST(TraceSoa, RecordsMaterializeFromTheColumns)
 {
-    // Property over the adversarial fuzz corpus: transposing to columns
-    // and materializing back must reproduce every record bit for bit,
-    // and the columns must agree with the records index for index.
+    // Property over the adversarial fuzz corpus: operator[], the
+    // records() iterator and the columns agree index for index, and the
+    // static index maps every record back to its own pc.
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         Trace t = check::fuzzTrace(seed, 700);
         const SoABlocks &soa = t.soa();
         ASSERT_EQ(soa.size(), t.size()) << "seed " << seed;
-        EXPECT_EQ(soa.conditionalCount(), t.conditionalCount());
-        for (size_t i = 0; i < t.size(); ++i) {
-            const BranchRecord &rec = t[i];
+        ASSERT_EQ(t.records().size(), t.size());
+        size_t i = 0;
+        for (const BranchRecord &rec : t.records()) {
             ASSERT_EQ(soa.pc()[i], rec.pc) << "seed " << seed;
             ASSERT_EQ(soa.target()[i], rec.target);
             ASSERT_EQ(soa.kind()[i], static_cast<uint8_t>(rec.kind));
             ASSERT_EQ(soa.taken()[i] != 0, rec.taken);
-            ASSERT_EQ(soa.record(i), rec);
+            ASSERT_EQ(t[i], rec);
+            ASSERT_EQ(soa.staticPcs()[soa.staticIndex()[i]], rec.pc);
+            ++i;
         }
-        std::vector<BranchRecord> back = soa.toRecords();
-        ASSERT_EQ(back.size(), t.size());
-        for (size_t i = 0; i < back.size(); ++i)
-            ASSERT_EQ(back[i], t[i]) << "seed " << seed << " rec " << i;
+        EXPECT_EQ(i, t.size());
     }
 }
 
@@ -85,35 +89,6 @@ TEST(TraceSoa, SegmentsCoverExactlyTheConditionalRuns)
     }
 }
 
-TEST(TraceSoa, BlocksTileTheColumns)
-{
-    Trace t = check::fuzzTrace(5, 2000);
-    const SoABlocks &soa = t.soa();
-    size_t seen = 0;
-    for (size_t b = 0; b < soa.blockCount(); ++b) {
-        SoABlocks::BlockView view = soa.block(b);
-        EXPECT_EQ(view.firstRecord, seen);
-        ASSERT_EQ(view.pc.size(), view.taken.size());
-        for (size_t i = 0; i < view.pc.size(); ++i)
-            ASSERT_EQ(view.pc[i], t[seen + i].pc);
-        seen += view.pc.size();
-    }
-    EXPECT_EQ(seen, t.size());
-}
-
-TEST(TraceSoa, CopiesShareTheCachedImage)
-{
-    Trace t = check::fuzzTrace(9, 300);
-    const SoABlocks &first = t.soa();
-    Trace copy = t; // shares storage and the SoA cache
-    EXPECT_EQ(&copy.soa(), &first);
-    // A prefix view is a different window; it builds its own image.
-    Trace pre = t.prefix(50);
-    const SoABlocks &pre_soa = pre.soa();
-    EXPECT_NE(&pre_soa, &first);
-    EXPECT_EQ(pre_soa.conditionalCount(), 50u);
-}
-
 class MappedLoadTest : public ::testing::Test
 {
   protected:
@@ -149,7 +124,7 @@ class MappedLoadTest : public ::testing::Test
         return os.str();
     }
 
-    /** Serialize @p t in the legacy v1 record-interleaved format. */
+    /** Serialize @p t in the retired v1 record-interleaved format. */
     std::string
     v1Bytes(const Trace &t)
     {
@@ -191,8 +166,7 @@ TEST_F(MappedLoadTest, MapsV2FilesIdenticallyToTheStreamDecoder)
         ASSERT_EQ(mapped.size(), streamed.size());
         for (size_t i = 0; i < mapped.size(); ++i)
             ASSERT_EQ(mapped[i], streamed[i]) << "seed " << seed;
-        // The adopted columns must be immediately valid.
-        EXPECT_EQ(mapped.soa().conditionalCount(), t.conditionalCount());
+        EXPECT_EQ(mapped.conditionalCount(), t.conditionalCount());
     }
 }
 
@@ -224,26 +198,29 @@ TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
     EXPECT_THROW(loadBinaryMapped(writeFile("magic.trc", bad_magic)),
                  std::runtime_error);
 
-    // A well-formed v1 file is not mappable (wrong version) ...
+    // A well-formed v1 file is rejected by both loaders.
     std::string v1_path = writeFile("v1.trc", v1Bytes(t));
-    EXPECT_THROW(loadBinaryMapped(v1_path), std::runtime_error);
-    // ... but the stream decoder still reads it, which is exactly the
-    // fallback the cache uses.
-    Trace back = loadBinary(v1_path);
-    ASSERT_EQ(back.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        ASSERT_EQ(back[i], t[i]);
+    for (auto load : {&loadBinaryMapped, &loadBinary}) {
+        try {
+            load(v1_path);
+            ADD_FAILURE() << "a v1 file must not load";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
     // A missing file cannot be mapped at all.
     EXPECT_THROW(loadBinaryMapped((dir_ / "absent.trc").string()),
                  std::runtime_error);
 }
 
-TEST_F(MappedLoadTest, CacheFallsBackToStreamDecodeOnV1Content)
+TEST_F(MappedLoadTest, CacheEvictsV1ContentAsAMiss)
 {
     // A v1-format file renamed into a v2 cache slot (e.g. copied from
-    // an old cache by hand) must still load — through the fallback
-    // decoder — rather than miss or crash.
+    // an old cache by hand) is unreadable: the cache reports a miss and
+    // removes the entry so the next store regenerates it.
     TraceCache cache(dir_.string());
     TraceCacheKey key{"legacy", 4, 7};
     Trace t("legacy", 7);
@@ -251,14 +228,10 @@ TEST_F(MappedLoadTest, CacheFallsBackToStreamDecodeOnV1Content)
     t.append({0x104, 0x200, BranchKind::Jump, true});
     t.append({0x108, 0x090, BranchKind::Conditional, false});
     t.append({0x10c, 0x0a0, BranchKind::Conditional, true});
-    writeFile(key.fileName(), v1Bytes(t));
+    std::string path = writeFile(key.fileName(), v1Bytes(t));
 
-    auto loaded = cache.load(key);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->name(), "legacy");
-    ASSERT_EQ(loaded->size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        EXPECT_EQ((*loaded)[i], t[i]);
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_FALSE(fs::exists(path));
 }
 
 } // namespace

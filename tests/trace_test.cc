@@ -71,27 +71,20 @@ TEST(Trace, ClearEmptiesEverything)
     EXPECT_EQ(t.conditionalCount(), 0u);
 }
 
-TEST(Trace, PrefixKeepsInterleavedNonConditionals)
+TEST(Trace, CopiesAreDeep)
 {
     Trace t("p", 1);
     t.append({0x10, 0x20, BranchKind::Call, true});
     t.append(cond(0x20, true));
-    t.append({0x24, 0x30, BranchKind::Jump, true});
-    t.append(cond(0x30, false));
-    t.append(cond(0x34, true));
-
-    Trace two = t.prefix(2);
-    EXPECT_EQ(two.conditionalCount(), 2u);
-    EXPECT_EQ(two.size(), 4u); // call + cond + jump + cond
-    EXPECT_EQ(two.name(), "p");
-}
-
-TEST(Trace, PrefixLargerThanTraceCopiesAll)
-{
-    Trace t;
-    t.append(cond(0x100, true));
-    Trace copy = t.prefix(1000);
-    EXPECT_EQ(copy.size(), 1u);
+    Trace copy = t;
+    copy.append(cond(0x30, false));
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.conditionalCount(), 1u);
+    EXPECT_EQ(t.soa().staticCount(), 2u);
+    EXPECT_EQ(copy.size(), 3u);
+    EXPECT_EQ(copy.conditionalCount(), 2u);
+    EXPECT_EQ(copy.soa().staticCount(), 3u);
+    EXPECT_EQ(copy.name(), "p");
 }
 
 TEST(TraceStats, PerBranchCounts)
