@@ -71,5 +71,6 @@ main(int argc, char **argv)
                 "set, static PHTs are on par with or above 2-bit "
                 "counters; bias classification never hurts and frees "
                 "dynamic capacity.\n");
+    copra::bench::finish("ablation_adaptivity", opts);
     return 0;
 }

@@ -119,5 +119,6 @@ main(int argc, char **argv)
                 "loop-class branches; small ones lose trip-count state "
                 "on every conflict and degrade toward the cold "
                 "default.\n");
+    copra::bench::finish("ablation_btb", opts);
     return 0;
 }

@@ -54,5 +54,6 @@ main(int argc, char **argv)
     std::printf("\nexpectation (Smith 1981): 2-bit hysteresis beats "
                 "1-bit nearly everywhere (loop exits cost one mispredict "
                 "instead of two); 3 bits rarely pays.\n");
+    copra::bench::finish("ablation_counters", opts);
     return 0;
 }

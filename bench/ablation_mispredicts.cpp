@@ -51,5 +51,6 @@ main(int argc, char **argv)
     std::printf("\nreading: interference + training is the IF-gshare "
                 "gap of Table 2 decomposed; noise is the floor no "
                 "global predictor of this geometry can cross.\n");
+    copra::bench::finish("ablation_mispredicts", opts);
     return 0;
 }

@@ -59,5 +59,6 @@ main(int argc, char **argv)
     std::printf("\nexpectation: accuracy saturates with K; exhaustive "
                 "gains little over greedy (the candidates the miner "
                 "ranks first are rarely complementary-only).\n");
+    copra::bench::finish("ablation_oracle", opts);
     return 0;
 }

@@ -81,5 +81,6 @@ main(int argc, char **argv)
                 "always positive. Decisive gshare-vs-PAs orderings are "
                 "stable; near-ties (gcc, perl - the paper's own gaps "
                 "are under a quarter point there) legitimately flip.\n");
+    copra::bench::finish("ablation_seeds", opts);
     return 0;
 }

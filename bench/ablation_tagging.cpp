@@ -55,5 +55,6 @@ main(int argc, char **argv)
                 "the fixed-size candidate pool). Its value is "
                 "robustness - each method wins somewhere (DESIGN.md "
                 "SS5.1).\n");
+    copra::bench::finish("ablation_tagging", opts);
     return 0;
 }

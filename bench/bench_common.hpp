@@ -15,10 +15,11 @@
  * on-disk cache (.copra-cache/ or $COPRA_CACHE_DIR) unless
  * --no-trace-cache is given.
  *
- * Timing: each harness prints a "timing=" line (per-phase seconds and
- * branch throughput) and appends a machine-readable entry to
- * bench_results.json, so successive PRs have a perf trajectory to
- * compare against.
+ * Timing: the fan-out harnesses print a "timing=" line to stderr with
+ * the fan-out's own wall clock, pool size and branch throughput. The
+ * per-phase split (trace, predictors, oracle) lives only in the run
+ * manifest (--metrics-out) and the --metrics-summary table, which every
+ * harness writes through finish() (docs/OBSERVABILITY.md).
  */
 
 #pragma once
@@ -26,9 +27,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
+#include <numeric>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -40,8 +40,6 @@
 #include "trace/trace_cache.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profiles.hpp"
 
@@ -54,11 +52,11 @@ struct BenchOptions
     bool csv = false;
     uint64_t threads = 0;     //!< worker threads (0 = auto)
     bool noTraceCache = false;
-    std::string resultsPath = "bench_results.json";
     //! run-manifest path; "" disables (docs/OBSERVABILITY.md)
     std::string metricsOut = util::envString("COPRA_METRICS_OUT", "");
     bool metricsSummary = false; //!< print the instrument table (stderr)
-    std::string argvLine;        //!< reconstructed command line
+    int argc = 0;                //!< the command line, for the manifest
+    char **argv = nullptr;
 
     /**
      * Parse argv; returns false if the program should exit (e.g.
@@ -83,8 +81,6 @@ struct BenchOptions
         options.addFlag("no-trace-cache", &noTraceCache,
                         "regenerate traces instead of using "
                         ".copra-cache/ ($COPRA_CACHE_DIR)");
-        options.addString("results", &resultsPath,
-                          "bench_results.json path (empty = skip)");
         options.addString("metrics-out", &metricsOut,
                           "write a run-manifest JSON here "
                           "($COPRA_METRICS_OUT; empty = off)");
@@ -101,10 +97,8 @@ struct BenchOptions
         config.historyDepth = static_cast<unsigned>(depth);
         config.candidatePool = static_cast<unsigned>(pool);
 
-        std::ostringstream line;
-        for (int i = 1; i < argc; ++i)
-            line << (i > 1 ? " " : "") << argv[i];
-        argvLine = line.str();
+        this->argc = argc;
+        this->argv = argv;
 
         setGlobalPoolThreads(static_cast<unsigned>(threads));
         trace::setTraceCacheEnabled(!noTraceCache);
@@ -126,45 +120,11 @@ banner(const char *artifact, const BenchOptions &opts)
                 static_cast<unsigned long long>(opts.config.seed));
 }
 
-/** Aggregate timing of one harness run, summed over the suite. */
+/** The fan-out's own measurements of one harness run. */
 struct SuiteTiming
 {
-    double wallSeconds = 0.0;      //!< end-to-end fan-out wall clock
-    double traceSeconds = 0.0;     //!< trace gen/load, summed per task
-    double predictorSeconds = 0.0; //!< predictor runs, summed per task
-    double oracleSeconds = 0.0;    //!< oracle + classifier, summed
-    uint64_t dynamicBranches = 0;  //!< conditional branches simulated
-};
-
-/**
- * Mutex-guarded SuiteTiming accumulator for the parallel fan-out. The
- * guarded_by annotation makes the locking discipline a compile-time
- * property under -Wthread-safety (DESIGN.md §10): a task adding its
- * phase times without the lock no longer compiles on Clang.
- */
-struct SuiteTimingAccumulator
-{
-    util::Mutex mutex;
-    SuiteTiming totals COPRA_GUARDED_BY(mutex);
-
-    /** Fold one completed experiment's phase times into the totals. */
-    void
-    add(const core::PhaseTimes &phases, uint64_t branches)
-    {
-        util::MutexLock lock(mutex);
-        totals.traceSeconds += phases.traceSeconds;
-        totals.predictorSeconds += phases.predictorSeconds;
-        totals.oracleSeconds += phases.oracleSeconds;
-        totals.dynamicBranches += branches;
-    }
-
-    /** Snapshot the totals (taken after the fan-out has joined). */
-    SuiteTiming
-    snapshot()
-    {
-        util::MutexLock lock(mutex);
-        return totals;
-    }
+    double wallSeconds = 0.0;     //!< end-to-end fan-out wall clock
+    uint64_t dynamicBranches = 0; //!< conditional branches simulated
 };
 
 /**
@@ -174,7 +134,7 @@ struct SuiteTimingAccumulator
  * its own slot). Names must be suite workloads
  * (workload::makeBenchmarkTrace dispatches paper and frontier alike).
  *
- * @param timing Optional sink for per-phase and wall-clock seconds.
+ * @param timing Optional sink for the wall clock and branch count.
  */
 template <typename Producer>
 auto
@@ -186,20 +146,19 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
     using Row = std::decay_t<
         std::invoke_result_t<Producer &, core::BenchmarkExperiment &>>;
     std::vector<Row> rows(names.size());
+    std::vector<uint64_t> branches(names.size());
 
-    SuiteTimingAccumulator accumulator;
     auto start = std::chrono::steady_clock::now();
     parallelFor(globalPool(), names.size(), [&](size_t i) {
         core::BenchmarkExperiment experiment(names[i], opts.config);
         rows[i] = producer(experiment);
-        if (timing)
-            accumulator.add(experiment.phaseTimes(),
-                            experiment.trace().conditionalCount());
+        branches[i] = experiment.trace().conditionalCount();
     });
     if (timing) {
-        *timing = accumulator.snapshot();
         timing->wallSeconds = std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start).count();
+        timing->dynamicBranches =
+            std::accumulate(branches.begin(), branches.end(), uint64_t(0));
     }
     return rows;
 }
@@ -215,72 +174,24 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
 }
 
 /**
- * Append one run's entry to the bench_results.json array (creating the
- * file on first use; a file that is not a well-formed array is started
- * over). Records enough to reconstruct a perf trajectory across PRs.
+ * End a harness run: write the run manifest (--metrics-out) and/or
+ * print the instrument table to stderr (--metrics-summary). Every
+ * harness ends here, directly or through reportTiming(); a no-op
+ * unless telemetry was requested.
  */
 inline void
-appendBenchResult(const std::string &path, const std::string &name,
-                  const BenchOptions &opts, const SuiteTiming &timing)
+finish(const char *artifact, const BenchOptions &opts)
 {
-    double branches_per_sec = timing.wallSeconds > 0
-        ? static_cast<double>(timing.dynamicBranches) / timing.wallSeconds
-        : 0.0;
-    std::ostringstream entry;
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\": \"%s\", \"threads\": %u, "
-                  "\"branches\": %llu, \"seconds\": %.3f, "
-                  "\"branches_per_sec\": %.0f, "
-                  "\"trace_seconds\": %.3f, "
-                  "\"predictor_seconds\": %.3f, "
-                  "\"oracle_seconds\": %.3f, "
-                  "\"trace_cache\": %s}",
-                  name.c_str(), globalPool().size(),
-                  static_cast<unsigned long long>(timing.dynamicBranches),
-                  timing.wallSeconds, branches_per_sec,
-                  timing.traceSeconds, timing.predictorSeconds,
-                  timing.oracleSeconds,
-                  opts.noTraceCache ? "false" : "true");
-    entry << buf;
-
-    std::string existing;
-    {
-        std::ifstream in(path);
-        if (in) {
-            std::ostringstream slurp;
-            slurp << in.rdbuf();
-            existing = slurp.str();
-        }
-    }
-    // Keep the file a valid JSON array: strip the closing bracket and
-    // append, or start fresh when absent/not an array.
-    size_t open = existing.find('[');
-    size_t close = existing.rfind(']');
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return;
-    if (open != std::string::npos && close != std::string::npos &&
-        open < close) {
-        std::string body = existing.substr(open + 1, close - open - 1);
-        while (!body.empty() &&
-               (body.back() == '\n' || body.back() == ' ' ||
-                body.back() == ','))
-            body.pop_back();
-        out << "[" << body;
-        if (!body.empty())
-            out << ",";
-        out << "\n" << entry.str() << "\n]\n";
-    } else {
-        out << "[\n" << entry.str() << "\n]\n";
-    }
+    obs::gaugeMax(obs::ids().poolWorkerCount, globalPool().size());
+    obs::finishRun(obs::runInfo(artifact, opts.argc, opts.argv,
+                                opts.config.seed, true),
+                   opts.metricsOut, opts.metricsSummary);
 }
 
 /**
- * Print the timing= line for @p artifact and append the matching
- * bench_results.json entry (unless --results ""). Call after the table.
- * The line goes to stderr so stdout (the table) stays byte-identical
- * across thread counts and machines.
+ * Print the timing= line for a runSuite() harness, then finish() the
+ * run. Call after the table. The line goes to stderr so stdout (the
+ * table) stays byte-identical across thread counts and machines.
  */
 inline void
 reportTiming(const char *artifact, const BenchOptions &opts,
@@ -290,33 +201,13 @@ reportTiming(const char *artifact, const BenchOptions &opts,
         ? static_cast<double>(timing.dynamicBranches) / timing.wallSeconds
         : 0.0;
     std::fprintf(stderr,
-                 "timing= total=%.3fs trace=%.3fs predictors=%.3fs "
-                 "oracle=%.3fs threads=%u branches=%llu "
+                 "timing= total=%.3fs threads=%u branches=%llu "
                  "branches/sec=%.0f\n",
-                 timing.wallSeconds, timing.traceSeconds,
-                 timing.predictorSeconds, timing.oracleSeconds,
-                 globalPool().size(),
+                 timing.wallSeconds, globalPool().size(),
                  static_cast<unsigned long long>(timing.dynamicBranches),
                  branches_per_sec);
-    if (!opts.resultsPath.empty())
-        appendBenchResult(opts.resultsPath, artifact, opts, timing);
-
-    if (!obs::enabled())
-        return;
     obs::observe(obs::ids().benchSuiteWallSeconds, timing.wallSeconds);
-    obs::gaugeMax(obs::ids().poolWorkerCount, globalPool().size());
-    obs::RunInfo info;
-    info.tool = artifact;
-    info.args = opts.argvLine;
-    info.seed = opts.config.seed;
-    info.threads = globalPool().size();
-    if (!opts.metricsOut.empty())
-        obs::writeManifest(opts.metricsOut, info);
-    if (opts.metricsSummary)
-        std::fputs(
-            obs::renderSummary(obs::Registry::instance().snapshot())
-                .c_str(),
-            stderr);
+    finish(artifact, opts);
 }
 
 } // namespace copra::bench

@@ -363,23 +363,10 @@ main(int argc, char **argv)
             dumpReproducer(repro_dir, failure);
     }
 
-    if (obs::enabled()) {
-        std::ostringstream line;
-        for (int i = 1; i < argc; ++i)
-            line << (i > 1 ? " " : "") << argv[i];
-        obs::RunInfo info;
-        info.tool = "copra_check";
-        info.args = line.str();
-        info.seed = options.seedBase;
-        info.threads = 0;
-        if (!metrics_out.empty())
-            obs::writeManifest(metrics_out, info);
-        if (metrics_summary)
-            std::fputs(
-                obs::renderSummary(
-                    obs::Registry::instance().snapshot())
-                    .c_str(),
-                stderr);
-    }
+    // The differential suite runs sim::runAllParallel on the global
+    // pool unless --no-parallel.
+    obs::finishRun(obs::runInfo("copra_check", argc, argv,
+                                options.seedBase, options.checkParallel),
+                   metrics_out, metrics_summary);
     return report.ok() ? 0 : 1;
 }

@@ -11,39 +11,9 @@
 
 namespace copra::core {
 
-namespace {
-
-// Phase timing now goes through obs::PhaseTimer, which both feeds the
-// per-phase wall/CPU histograms and accumulates into the PhaseTimes
-// field the bench timing= line reports. Durations go to stderr and run
-// manifests, never into simulation results or stdout (DESIGN.md §7).
-
-/** Wall+CPU phase guard for the trace-build phase. */
-obs::PhaseTimer
-traceGuard(PhaseTimes &times)
-{
-    return {obs::ids().simPhaseTraceSeconds,
-            obs::ids().simPhaseTraceCpuSeconds, &times.traceSeconds};
-}
-
-/** Wall+CPU phase guard for the predictor-simulation phase. */
-obs::PhaseTimer
-predictorGuard(PhaseTimes &times)
-{
-    return {obs::ids().simPhasePredictorSeconds,
-            obs::ids().simPhasePredictorCpuSeconds,
-            &times.predictorSeconds};
-}
-
-/** Wall+CPU phase guard for the oracle/classifier phase. */
-obs::PhaseTimer
-oracleGuard(PhaseTimes &times)
-{
-    return {obs::ids().simPhaseOracleSeconds,
-            obs::ids().simPhaseOracleCpuSeconds, &times.oracleSeconds};
-}
-
-} // namespace
+// Each phase is timed by an obs::PhaseTimer into the sim.phase.*
+// histograms of the run manifest; durations never reach simulation
+// results or stdout (DESIGN.md §7).
 
 trace::Trace
 makeExperimentTrace(const std::string &name, const ExperimentConfig &config)
@@ -62,7 +32,8 @@ BenchmarkExperiment::BenchmarkExperiment(const std::string &name,
                                          const ExperimentConfig &config)
     : name_(name), config_(config)
 {
-    obs::PhaseTimer guard = traceGuard(times_);
+    obs::PhaseTimer guard(obs::ids().simPhaseTraceSeconds,
+                          obs::ids().simPhaseTraceCpuSeconds);
     trace_ = makeExperimentTrace(name, config);
 }
 
@@ -84,7 +55,8 @@ const sim::Ledger &
 BenchmarkExperiment::gshareLedger()
 {
     if (!gshare_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
+                              obs::ids().simPhasePredictorCpuSeconds);
         predictor::TwoLevel pred(
             predictor::TwoLevelConfig::gshare(config_.gshareHistory));
         gshare_.emplace();
@@ -97,7 +69,8 @@ const sim::Ledger &
 BenchmarkExperiment::pasLedger()
 {
     if (!pas_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
+                              obs::ids().simPhasePredictorCpuSeconds);
         predictor::TwoLevel pred(predictor::TwoLevelConfig::pas(
             config_.pasHistory, config_.pasBhtBits, config_.pasSelectBits));
         pas_.emplace();
@@ -110,7 +83,8 @@ const sim::Ledger &
 BenchmarkExperiment::ifGshareLedger()
 {
     if (!ifGshare_) {
-        obs::PhaseTimer guard = predictorGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
+                              obs::ids().simPhasePredictorCpuSeconds);
         predictor::IfGshare pred(config_.gshareHistory);
         ifGshare_.emplace();
         sim::run(trace_, pred, &*ifGshare_);
@@ -146,7 +120,8 @@ BenchmarkExperiment::precomputeLedgers()
     for (auto &pred : owned)
         preds.push_back(pred.get());
 
-    obs::PhaseTimer guard = predictorGuard(times_);
+    obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
+                          obs::ids().simPhasePredictorCpuSeconds);
     std::vector<sim::Ledger> ledgers;
     sim::runAllParallel(trace_, preds, &ledgers);
     for (size_t i = 0; i < sinks.size(); ++i)
@@ -166,7 +141,8 @@ BenchmarkExperiment::ledgerFor(const std::string &spec)
 {
     auto it = specLedgers_.find(spec);
     if (it == specLedgers_.end()) {
-        obs::PhaseTimer guard = predictorGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
+                              obs::ids().simPhasePredictorCpuSeconds);
         predictor::PredictorPtr pred = predictor::makePredictor(spec);
         sim::Ledger ledger;
         sim::run(trace_, *pred, &ledger);
@@ -179,7 +155,8 @@ const SelectiveOracle &
 BenchmarkExperiment::oracle()
 {
     if (!oracle_) {
-        obs::PhaseTimer guard = oracleGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhaseOracleSeconds,
+                              obs::ids().simPhaseOracleCpuSeconds);
         OracleConfig oc;
         oc.historyDepth = config_.historyDepth;
         oc.candidatePool = config_.candidatePool;
@@ -194,7 +171,8 @@ const PaClassifier &
 BenchmarkExperiment::classifier()
 {
     if (!classifier_) {
-        obs::PhaseTimer guard = oracleGuard(times_);
+        obs::PhaseTimer guard(obs::ids().simPhaseOracleSeconds,
+                              obs::ids().simPhaseOracleCpuSeconds);
         classifier_ =
             std::make_unique<PaClassifier>(trace_, config_.ifPasHistory);
     }

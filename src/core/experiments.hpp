@@ -12,6 +12,12 @@
  * task; inside an experiment, precomputeLedgers() may itself shard
  * across the pool, which is safe because each inner task writes only
  * its own result slot before the single owning task installs them.
+ *
+ * Timing: the trace, predictor and oracle phases record into the
+ * sim.phase.* histograms through obs::PhaseTimer, and only while
+ * telemetry is on; an experiment keeps no timing state of its own. The
+ * run manifest (docs/OBSERVABILITY.md) is the one place those times
+ * live.
  */
 
 #pragma once
@@ -61,19 +67,6 @@ struct ExperimentConfig
 
     /** IF-PAs history length. */
     unsigned ifPasHistory = 12;
-};
-
-/**
- * Wall-clock seconds spent in each phase of one benchmark's experiments,
- * recorded by BenchmarkExperiment as work happens. The bench harnesses
- * sum these across benchmarks for the timing= line and
- * bench_results.json.
- */
-struct PhaseTimes
-{
-    double traceSeconds = 0.0;     //!< workload generation or cache load
-    double predictorSeconds = 0.0; //!< sim::run passes over the trace
-    double oracleSeconds = 0.0;    //!< selective oracle + classifier
 };
 
 /** Fig. 4 row: selective history vs gshare and IF gshare. */
@@ -139,9 +132,6 @@ class BenchmarkExperiment
     /** Population statistics of the trace. */
     const trace::TraceStats &stats();
 
-    /** Seconds spent so far, by phase. */
-    const PhaseTimes &phaseTimes() const { return times_; }
-
     /**
      * Compute the gshare, PAs and IF-gshare ledgers that are not yet
      * cached, sharding the simulation passes across the global thread
@@ -205,7 +195,6 @@ class BenchmarkExperiment
     std::map<std::string, sim::Ledger> specLedgers_; // keyed by spec
     std::unique_ptr<SelectiveOracle> oracle_;
     std::unique_ptr<PaClassifier> classifier_;
-    PhaseTimes times_;
 };
 
 /**

@@ -6,8 +6,42 @@
 
 #include "obs/build_info.hpp"
 #include "util/logging.hpp"
+#include "util/thread_pool.hpp"
 
 namespace copra::obs {
+
+namespace {
+
+void
+writeManifest(const std::string &path, const Json &manifest)
+{
+    std::ofstream out(path, std::ios::trunc);
+    if (!out) {
+        warn("metrics: cannot write manifest to " + path);
+        return;
+    }
+    out << manifest.dump(2);
+    if (!out.good())
+        warn("metrics: short write to " + path);
+}
+
+} // namespace
+
+RunInfo
+runInfo(const char *tool, int argc, char **argv, uint64_t seed,
+        bool ran_pool)
+{
+    RunInfo info;
+    info.tool = tool;
+    for (int i = 1; i < argc; ++i) {
+        if (i > 1)
+            info.args += ' ';
+        info.args += argv[i];
+    }
+    info.seed = seed;
+    info.threads = ran_pool ? globalPool().size() : 0;
+    return info;
+}
 
 Json
 buildManifest(const RunInfo &info, const Snapshot &snapshot)
@@ -49,24 +83,6 @@ buildManifest(const RunInfo &info, const Snapshot &snapshot)
     return root;
 }
 
-bool
-writeManifest(const std::string &path, const RunInfo &info)
-{
-    Snapshot snapshot = Registry::instance().snapshot();
-    Json manifest = buildManifest(info, snapshot);
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        warn("metrics: cannot write manifest to " + path);
-        return false;
-    }
-    out << manifest.dump(2);
-    if (!out.good()) {
-        warn("metrics: short write to " + path);
-        return false;
-    }
-    return true;
-}
-
 Json
 loadManifest(const std::string &path)
 {
@@ -85,34 +101,49 @@ loadManifest(const std::string &path)
 }
 
 std::string
-renderSummary(const Snapshot &snapshot)
+renderSummary(const Json &manifest)
 {
-    const Registry &registry = Registry::instance();
     std::ostringstream out;
-    out << "metrics summary (non-zero instruments)\n";
     char line[256];
-    for (const InstrumentValue &value : snapshot.values) {
-        const InstrumentDesc &desc = registry.describe(value.id);
-        if (desc.kind == Kind::Histogram) {
-            if (value.count == 0)
+    for (const Json &entry : manifest.at("instruments").items()) {
+        const char *key = entry.at("key").asString().c_str();
+        const char *unit = entry.at("unit").asString().c_str();
+        const Json *value = entry.find("value");
+        if (value != nullptr) {
+            if (value->asNumber() == 0.0)
+                continue;
+            std::snprintf(line, sizeof(line), "  %-34s %12.0f %s\n", key,
+                          value->asNumber(), unit);
+        } else {
+            double count = entry.at("count").asNumber();
+            if (count == 0.0)
                 continue;
             std::snprintf(line, sizeof(line),
-                          "  %-34s %12llu samples  sum=%-12.6g "
+                          "  %-34s %12.0f samples  sum=%-12.6g "
                           "min=%-10.4g max=%-10.4g [%s]\n",
-                          desc.key,
-                          static_cast<unsigned long long>(value.count),
-                          value.sum, value.min, value.max, desc.unit);
-        } else {
-            if (value.scalar == 0)
-                continue;
-            std::snprintf(
-                line, sizeof(line), "  %-34s %12llu %s\n", desc.key,
-                static_cast<unsigned long long>(value.scalar),
-                desc.unit);
+                          key, count, entry.at("sum").asNumber(),
+                          entry.at("min").asNumber(),
+                          entry.at("max").asNumber(), unit);
         }
         out << line;
     }
     return out.str();
+}
+
+void
+finishRun(const RunInfo &info, const std::string &metrics_out,
+          bool summary)
+{
+    if (!enabled())
+        return;
+    Json manifest = buildManifest(info, Registry::instance().snapshot());
+    if (!metrics_out.empty())
+        writeManifest(metrics_out, manifest);
+    if (summary) {
+        std::string table = "metrics summary (non-zero instruments)\n" +
+                            renderSummary(manifest);
+        std::fputs(table.c_str(), stderr);
+    }
 }
 
 } // namespace copra::obs

@@ -341,10 +341,8 @@ setEnabled(bool on)
     g_enabled.store(on, std::memory_order_relaxed);
 }
 
-PhaseTimer::PhaseTimer(InstrumentId wall_id, InstrumentId cpu_id,
-                       double *wall_sink)
-    : wallId_(wall_id), cpuId_(cpu_id), wallSink_(wall_sink),
-      armed_(wall_sink != nullptr || detail::enabledRelaxed())
+PhaseTimer::PhaseTimer(InstrumentId wall_id, InstrumentId cpu_id)
+    : wallId_(wall_id), cpuId_(cpu_id), armed_(detail::enabledRelaxed())
 {
     if (armed_) {
         startWall_ = nowWallSeconds();
@@ -356,13 +354,8 @@ PhaseTimer::~PhaseTimer()
 {
     if (!armed_)
         return;
-    double wall = nowWallSeconds() - startWall_;
-    if (wallSink_ != nullptr)
-        *wallSink_ += wall;
-    if (detail::enabledRelaxed()) {
-        observe(wallId_, wall);
-        observe(cpuId_, threadCpuSeconds() - startCpu_);
-    }
+    observe(wallId_, nowWallSeconds() - startWall_);
+    observe(cpuId_, threadCpuSeconds() - startCpu_);
 }
 
 } // namespace copra::obs

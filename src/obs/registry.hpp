@@ -249,10 +249,9 @@ double threadCpuSeconds();
 
 /**
  * RAII phase timer: on destruction, records elapsed wall seconds into
- * histogram @p wall_id and elapsed thread-CPU seconds into @p cpu_id,
- * and optionally adds wall seconds to a caller-owned accumulator (the
- * bench timing= plumbing). Clock reads are skipped entirely when both
- * telemetry is disabled and no accumulator is attached.
+ * histogram @p wall_id and elapsed thread-CPU seconds into @p cpu_id.
+ * When telemetry is disabled at construction the clocks are never read
+ * and nothing is recorded.
  */
 class PhaseTimer
 {
@@ -260,10 +259,8 @@ class PhaseTimer
     /**
      * @param wall_id Wall-seconds histogram instrument.
      * @param cpu_id Thread-CPU-seconds histogram instrument.
-     * @param wall_sink Optional accumulator for elapsed wall seconds.
      */
-    PhaseTimer(InstrumentId wall_id, InstrumentId cpu_id,
-               double *wall_sink = nullptr);
+    PhaseTimer(InstrumentId wall_id, InstrumentId cpu_id);
     ~PhaseTimer();
 
     PhaseTimer(const PhaseTimer &) = delete;
@@ -272,7 +269,6 @@ class PhaseTimer
   private:
     InstrumentId wallId_;
     InstrumentId cpuId_;
-    double *wallSink_;
     bool armed_;
     double startWall_ = 0.0; //!< seconds since an arbitrary epoch
     double startCpu_ = 0.0;  //!< thread CPU seconds

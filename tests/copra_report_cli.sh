@@ -1,0 +1,68 @@
+#!/bin/sh
+# copra_report's CLI contract, on two crafted manifests: perf_base.json
+# (100M branches/s) and perf_slow.json (10M branches/s, a 90%
+# throughput regression against it).
+#   - perf-gate exits 0 within the bound, 1 beyond it, and 1 for a
+#     manifest that records no sim.run.branches;
+#   - a --max-regress or --threshold that is not a whole number in
+#     [0, 1) ("15%", "abc", "1") is a usage error, exit 2 — never a
+#     silently different bound.
+#
+# Usage: copra_report_cli.sh <copra_report-binary> <tests/data dir>
+
+set -u
+
+BIN="$1"
+DATA="$2"
+BASE="$DATA/perf_base.json"
+SLOW="$DATA/perf_slow.json"
+
+DIR=$(mktemp -d)
+trap 'rm -rf "$DIR"' EXIT
+grep -v '"sim.run.branches"' "$BASE" > "$DIR/no_branches.json"
+
+failures=0
+
+# expect <status> <description> <copra_report args...>
+expect() {
+    want="$1"
+    what="$2"
+    shift 2
+    "$BIN" "$@" > "$DIR/out" 2>&1
+    got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "FAIL: $what: exit $got, want $want"
+        sed 's/^/  | /' "$DIR/out"
+        failures=$((failures + 1))
+    fi
+}
+
+expect 0 "no regression" perf-gate "$BASE" --baseline "$BASE"
+expect 0 "speed-up" perf-gate "$BASE" --baseline "$SLOW" --max-regress 0.15
+expect 0 "90% regression within a 0.95 bound" \
+    perf-gate "$SLOW" --baseline "$BASE" --max-regress 0.95
+expect 1 "90% regression beyond the default bound" \
+    perf-gate "$SLOW" --baseline "$BASE"
+expect 1 "90% regression beyond 0.15" \
+    perf-gate "$SLOW" --baseline "$BASE" --max-regress 0.15
+expect 2 "percent-suffixed bound" \
+    perf-gate "$SLOW" --baseline "$BASE" --max-regress 15%
+expect 2 "non-numeric bound" \
+    perf-gate "$SLOW" --baseline "$BASE" --max-regress abc
+expect 2 "bound of 1" perf-gate "$SLOW" --baseline "$BASE" --max-regress 1
+expect 2 "negative bound" \
+    perf-gate "$SLOW" --baseline "$BASE" --max-regress -0.1
+expect 1 "manifest without sim.run.branches" perf-gate "$DIR/no_branches.json"
+expect 1 "baseline without sim.run.branches" \
+    perf-gate "$BASE" --baseline "$DIR/no_branches.json"
+expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
+expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
+expect 2 "diff with a non-numeric threshold" \
+    diff "$BASE" "$SLOW" --threshold abc
+
+if [ "$failures" -ne 0 ]; then
+    echo "$failures copra_report CLI case(s) failed"
+    exit 1
+fi
+echo "ok: copra_report CLI exit codes"
+exit 0

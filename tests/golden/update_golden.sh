@@ -19,10 +19,9 @@ if [[ ! -d "$build/bench" ]]; then
 fi
 
 # Canonical snapshot arguments. Small deterministic traces, cache off so
-# nothing is read from or written outside the build tree, --results= so
-# no bench_results.json is emitted. Keep in sync with the golden test
-# registrations in tests/CMakeLists.txt.
-args=(--branches 20000 --mine 20000 --no-trace-cache --results=)
+# nothing is read from or written outside the build tree. Keep in sync
+# with the golden test registrations in tests/CMakeLists.txt.
+args=(--branches 20000 --mine 20000 --no-trace-cache)
 
 benches=(
     table1_benchmarks

@@ -5,11 +5,14 @@
  * the structural rules of docs/schema/run_manifest.schema.json (the
  * schema file itself is read and cross-checked, so manifest.cc and the
  * schema cannot silently drift apart). Also covers the JSON
- * writer/parser pair on its own.
+ * writer/parser pair on its own, the one summary renderer, and the
+ * run-finishing helpers every binary ends with.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,6 +22,7 @@
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/registry.hpp"
+#include "util/thread_pool.hpp"
 
 #ifndef COPRA_REPO_ROOT
 #error "COPRA_REPO_ROOT must point at the source tree"
@@ -156,7 +160,7 @@ TEST_F(ObsManifestTest, ValuesSurviveTheRoundTrip)
     EXPECT_TRUE(found);
 }
 
-TEST_F(ObsManifestTest, WriteAndLoadManifestFile)
+TEST_F(ObsManifestTest, FinishRunWritesALoadableManifest)
 {
     count(ids().traceCacheHit, 7);
     RunInfo info;
@@ -164,9 +168,82 @@ TEST_F(ObsManifestTest, WriteAndLoadManifestFile)
     info.seed = 1;
     info.threads = 2;
     std::string path = ::testing::TempDir() + "obs_manifest_test.json";
-    ASSERT_TRUE(writeManifest(path, info));
+    std::remove(path.c_str());
+    finishRun(info, path, false);
     Json loaded = loadManifest(path);
     EXPECT_EQ(loaded.at("tool").asString(), "obs_manifest_test");
+    EXPECT_EQ(loaded.at("threads").asNumber(), 2.0);
+}
+
+TEST_F(ObsManifestTest, FinishRunIsANoOpWhenTelemetryIsOff)
+{
+    setEnabled(false);
+    std::string path = ::testing::TempDir() + "obs_manifest_off.json";
+    std::remove(path.c_str());
+    ::testing::internal::CaptureStderr();
+    finishRun(RunInfo{}, path, true);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    EXPECT_FALSE(std::ifstream(path).good());
+}
+
+TEST_F(ObsManifestTest, SummaryAndManifestFileShowTheSameRows)
+{
+    count(ids().simRunBranches, 5000);
+    observe(ids().benchSuiteWallSeconds, 0.1);
+    std::string path = ::testing::TempDir() + "obs_manifest_summary.json";
+    ::testing::internal::CaptureStderr();
+    finishRun(RunInfo{}, path, true);
+    std::string printed = ::testing::internal::GetCapturedStderr();
+    // --metrics-summary and `copra_report --summary` on the written
+    // file print the same instrument rows under their own headers.
+    EXPECT_EQ(printed, "metrics summary (non-zero instruments)\n" +
+                           renderSummary(loadManifest(path)));
+}
+
+TEST_F(ObsManifestTest, RunInfoRecordsThePoolOnlyWhenOneRan)
+{
+    char tool[] = "tool";
+    char flag[] = "--branches";
+    char value[] = "1000";
+    char *argv[] = {tool, flag, value};
+    RunInfo serial = runInfo("obs_manifest_test", 3, argv, 9, false);
+    EXPECT_EQ(serial.tool, "obs_manifest_test");
+    EXPECT_EQ(serial.args, "--branches 1000");
+    EXPECT_EQ(serial.seed, 9u);
+    EXPECT_EQ(serial.threads, 0u);
+
+    RunInfo pooled = runInfo("obs_manifest_test", 1, argv, 9, true);
+    EXPECT_EQ(pooled.args, "");
+    EXPECT_EQ(pooled.threads, globalPool().size());
+    EXPECT_GE(pooled.threads, 1u);
+
+    // The schema's "no pool" value survives into the manifest.
+    Json manifest = buildManifest(serial, Registry::instance().snapshot());
+    EXPECT_EQ(manifest.at("threads").asNumber(), 0.0);
+}
+
+TEST_F(ObsManifestTest, SummarySkipsZeroRowsAndSurvivesTheRoundTrip)
+{
+    // Non-zero counter and histogram; sim.run.mispredicts (counter)
+    // and sim.phase.oracle.seconds (histogram) stay zero/empty.
+    count(ids().simRunBranches, 123456);
+    observe(ids().benchSuiteWallSeconds, 1.0 / 3.0);
+    observe(ids().benchSuiteWallSeconds, 2.5);
+    Json manifest = buildManifest(RunInfo{}, Registry::instance().snapshot());
+    std::string table = renderSummary(manifest);
+
+    EXPECT_NE(table.find("  sim.run.branches "), std::string::npos);
+    EXPECT_NE(table.find(" 123456 branches\n"), std::string::npos)
+        << table;
+    EXPECT_NE(table.find("bench.suite.wall_seconds"), std::string::npos);
+    EXPECT_NE(table.find("2 samples  sum=2.83333"), std::string::npos)
+        << table;
+    EXPECT_EQ(table.find("sim.run.mispredicts"), std::string::npos);
+    EXPECT_EQ(table.find("sim.phase.oracle.seconds"), std::string::npos);
+    EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 2);
+
+    // copra_report --summary renders a manifest parsed back from disk.
+    EXPECT_EQ(renderSummary(Json::parse(manifest.dump(2))), table);
 }
 
 TEST_F(ObsManifestTest, LoadRejectsNonManifests)

@@ -3,7 +3,8 @@
  * The observability registry under concurrency: counter sums must be
  * exact across racing threads, histogram merging must be associative
  * and commutative (the determinism argument of DESIGN.md §11), and the
- * RAII phase timer must feed both its histograms and its caller sink.
+ * RAII phase timer must feed both its histograms when telemetry is on
+ * and record nothing when it is off.
  */
 
 #include <gtest/gtest.h>
@@ -167,46 +168,44 @@ TEST_F(ObsRegistryTest, HistogramObserveTracksExtremes)
     EXPECT_DOUBLE_EQ(v.max, 2.0);
 }
 
-TEST_F(ObsRegistryTest, PhaseTimerFeedsHistogramAndSink)
+TEST_F(ObsRegistryTest, PhaseTimerFeedsWallAndCpuHistograms)
 {
-    double sink = 0.0;
     {
         PhaseTimer timer(ids().simPhaseTraceSeconds,
-                         ids().simPhaseTraceCpuSeconds, &sink);
+                         ids().simPhaseTraceCpuSeconds);
         // A little real work so the elapsed time is non-negative and
         // the CPU clock advances measurably on most schedulers.
         volatile uint64_t x = 0;
         for (int i = 0; i < 100000; ++i)
-            x += static_cast<uint64_t>(i);
+            x = x + static_cast<uint64_t>(i);
     }
-    EXPECT_GE(sink, 0.0);
     Snapshot snap = Registry::instance().snapshot();
     EXPECT_EQ(snap.values.at(ids().simPhaseTraceSeconds).count, 1u);
     EXPECT_EQ(snap.values.at(ids().simPhaseTraceCpuSeconds).count, 1u);
-    EXPECT_DOUBLE_EQ(snap.values.at(ids().simPhaseTraceSeconds).sum,
-                     sink);
+    EXPECT_GE(snap.values.at(ids().simPhaseTraceSeconds).sum, 0.0);
+    EXPECT_GE(snap.values.at(ids().simPhaseTraceCpuSeconds).sum, 0.0);
 }
 
-TEST_F(ObsRegistryTest, PhaseTimerSinkWorksWhenTelemetryDisabled)
+TEST_F(ObsRegistryTest, PhaseTimerRecordsNothingWhenTelemetryDisabled)
 {
     setEnabled(false);
-    double sink = -1.0;
     {
         PhaseTimer timer(ids().simPhaseTraceSeconds,
-                         ids().simPhaseTraceCpuSeconds, &sink);
+                         ids().simPhaseTraceCpuSeconds);
         volatile uint64_t x = 0;
         for (int i = 0; i < 100000; ++i)
-            x += static_cast<uint64_t>(i);
+            x = x + static_cast<uint64_t>(i);
     }
-    // The caller-owned accumulator must still be fed (the bench
-    // timing= line does not depend on --metrics-out).
-    EXPECT_GT(sink, -1.0);
-    setEnabled(true);
-    EXPECT_EQ(Registry::instance()
-                  .snapshot()
-                  .values.at(ids().simPhaseTraceSeconds)
-                  .count,
-              0u);
+    // A timer that outlives a mid-phase enable must not record either:
+    // it never read its start clocks.
+    {
+        PhaseTimer timer(ids().simPhaseTraceSeconds,
+                         ids().simPhaseTraceCpuSeconds);
+        setEnabled(true);
+    }
+    Snapshot snap = Registry::instance().snapshot();
+    EXPECT_EQ(snap.values.at(ids().simPhaseTraceSeconds).count, 0u);
+    EXPECT_EQ(snap.values.at(ids().simPhaseTraceCpuSeconds).count, 0u);
 }
 
 TEST_F(ObsRegistryTest, ResetZeroesEverything)

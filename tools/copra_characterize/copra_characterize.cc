@@ -207,19 +207,10 @@ main(int argc, char **argv)
         out << core::fingerprintsToJson(fps).dump(2) << "\n";
     }
 
-    if (obs::enabled()) {
-        obs::RunInfo info;
-        info.tool = "copra_characterize";
-        std::string args;
-        for (int i = 1; i < argc; ++i) {
-            if (i > 1)
-                args += " ";
-            args += argv[i];
-        }
-        info.args = args;
-        info.seed = seed;
-        info.threads = globalPool().size();
-        obs::writeManifest(metrics_out, info);
-    }
+    // Only the generated workloads fan out on the pool (--trace alone
+    // runs serially).
+    obs::finishRun(obs::runInfo("copra_characterize", argc, argv, seed,
+                                !names.empty()),
+                   metrics_out, false);
     return 0;
 }

@@ -109,27 +109,13 @@ main(int argc, char **argv)
                     trace::kTraceFormatVersion);
     }
 
-    if (obs::enabled()) {
-        obs::count(obs::ids().traceIngestRecords, report.records);
-        obs::count(obs::ids().traceIngestConditionals,
-                   report.conditionals);
-        obs::count(obs::ids().traceIngestNormalized,
-                   report.normalizedTaken);
-        obs::count(obs::ids().traceIngestReordered, report.reordered);
-        obs::count(obs::ids().traceIngestWarnings,
-                   report.warnings.size());
-        obs::RunInfo info;
-        info.tool = "copra_ingest";
-        std::string args;
-        for (int i = 1; i < argc; ++i) {
-            if (i > 1)
-                args += " ";
-            args += argv[i];
-        }
-        info.args = args;
-        info.seed = trace.seed();
-        info.threads = 1;
-        obs::writeManifest(metrics_out, info);
-    }
+    obs::count(obs::ids().traceIngestRecords, report.records);
+    obs::count(obs::ids().traceIngestConditionals, report.conditionals);
+    obs::count(obs::ids().traceIngestNormalized, report.normalizedTaken);
+    obs::count(obs::ids().traceIngestReordered, report.reordered);
+    obs::count(obs::ids().traceIngestWarnings, report.warnings.size());
+    obs::finishRun(obs::runInfo("copra_ingest", argc, argv, trace.seed(),
+                                false),
+                   metrics_out, false);
     return 0;
 }

@@ -13,8 +13,9 @@
  *       non-zero on drift (the metrics_doc_drift ctest gate).
  *
  *   copra_report --summary <manifest.json>
- *       Print the non-zero instruments of a manifest as an aligned
- *       table.
+ *       Print a header line, then the non-zero instruments of a
+ *       manifest as the same aligned table --metrics-summary prints
+ *       (obs::renderSummary).
  *
  *   copra_report perf-gate <current.json> [--baseline <before.json>]
  *                [--max-regress <frac>] [--json]
@@ -25,9 +26,14 @@
  *       bench-perf hard gate. With --json, print a small snapshot
  *       object (committed as BENCH_<n>.json to track the perf
  *       trajectory in-repo).
+ *
+ * Exit status: 0 on success, 1 for a failed gate or an unusable
+ * manifest, 2 for a usage error — including a --max-regress or
+ * --threshold value that is not a whole number in [0, 1).
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -54,6 +60,27 @@ usage(const char *prog)
         "     [--max-regress <frac>] [--json]\n",
         prog, prog, prog, prog);
     return 2;
+}
+
+/**
+ * Parse the value of fraction option @p option into @p out: the whole
+ * of @p text must be a number in [0, 1). Anything else ("15%", "abc",
+ * "1.5") is a usage error, never a silently different bound.
+ */
+bool
+parseFraction(const char *option, const char *text, double *out)
+{
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(value >= 0.0 && value < 1.0)) {
+        std::fprintf(stderr,
+                     "copra_report: %s wants a fraction in [0, 1), "
+                     "got '%s'\n",
+                     option, text);
+        return false;
+    }
+    *out = value;
+    return true;
 }
 
 /**
@@ -100,7 +127,8 @@ runPerfGate(int argc, char **argv)
             baseline_path = argv[++i];
         } else if (std::strcmp(argv[i], "--max-regress") == 0 &&
                    i + 1 < argc) {
-            max_regress = std::strtod(argv[++i], nullptr);
+            if (!parseFraction("--max-regress", argv[++i], &max_regress))
+                return 2;
         } else if (std::strcmp(argv[i], "--json") == 0) {
             as_json = true;
         } else if (current_path.empty()) {
@@ -154,7 +182,9 @@ runDiff(int argc, char **argv)
     std::string after_path;
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            options.threshold = std::strtod(argv[++i], nullptr);
+            if (!parseFraction("--threshold", argv[++i],
+                               &options.threshold))
+                return 2;
         } else if (before_path.empty()) {
             before_path = argv[i];
         } else if (after_path.empty()) {
@@ -219,29 +249,7 @@ runSummary(int argc, char **argv)
     std::printf("manifest %s (tool=%s git=%s)\n", argv[2],
                 manifest.at("tool").asString().c_str(),
                 manifest.at("git_sha").asString().c_str());
-    for (const obs::Json &entry :
-         manifest.at("instruments").items()) {
-        const obs::Json *value = entry.find("value");
-        if (value != nullptr) {
-            if (value->asNumber() == 0.0)
-                continue;
-            std::printf("  %-34s %12.0f %s\n",
-                        entry.at("key").asString().c_str(),
-                        value->asNumber(),
-                        entry.at("unit").asString().c_str());
-        } else {
-            double count = entry.at("count").asNumber();
-            if (count == 0.0)
-                continue;
-            std::printf("  %-34s %12.0f samples  sum=%-12.6g "
-                        "min=%-10.4g max=%-10.4g [%s]\n",
-                        entry.at("key").asString().c_str(), count,
-                        entry.at("sum").asNumber(),
-                        entry.at("min").asNumber(),
-                        entry.at("max").asNumber(),
-                        entry.at("unit").asString().c_str());
-        }
-    }
+    std::fputs(obs::renderSummary(manifest).c_str(), stdout);
     return 0;
 }
 
