@@ -39,15 +39,16 @@ loopClassAccuracy(const copra::trace::Trace &trace,
     if (evictions != nullptr)
         *evictions = pred.btbEvictions();
 
+    const auto &classes = classifier.branches();
+    copra::requireAligned(classes, ledger.table(),
+                          "ablation_btb: ledger covers a different trace");
     uint64_t execs = 0;
     uint64_t correct = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, res] : classifier.branches()) {
-        if (res.cls != copra::core::PaClass::Loop)
+    for (size_t i = 0; i < classes.size(); ++i) {
+        if (classes[i].second.cls != copra::core::PaClass::Loop)
             continue;
-        auto tally = ledger.branch(pc);
-        execs += tally.execs;
-        correct += tally.correct;
+        execs += ledger.table()[i].second.execs;
+        correct += ledger.table()[i].second.correct;
     }
     if (execs == 0)
         return 0.0;

@@ -2,25 +2,26 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
-
 namespace copra::core {
 
 BestOfSplit
 bestOfSplit(const sim::Ledger &a, const sim::Ledger &b,
             const sim::Ledger &ideal_static, double bias_threshold)
 {
+    const char *mismatch = "bestOfSplit: ledgers cover different traces";
+    requireAligned(a.table(), b.table(), mismatch);
+    requireAligned(a.table(), ideal_static.table(), mismatch);
+
     uint64_t total = 0;
     uint64_t execs_a = 0;
     uint64_t execs_b = 0;
     uint64_t execs_static = 0;
     uint64_t static_biased = 0;
 
-    for (const auto &[pc, ta] : a.table()) {
-        sim::BranchTally tb = b.branch(pc);
-        sim::BranchTally ts = ideal_static.branch(pc);
-        panicIf(tb.execs != ta.execs || ts.execs != ta.execs,
-                "bestOfSplit: ledgers cover different traces");
+    for (size_t i = 0; i < a.table().size(); ++i) {
+        const sim::BranchTally &ta = a.table()[i].second;
+        const sim::BranchTally &tb = b.table()[i].second;
+        const sim::BranchTally &ts = ideal_static.table()[i].second;
         total += ta.execs;
 
         uint64_t best_dynamic = std::max(ta.correct, tb.correct);
@@ -51,14 +52,15 @@ bestOfSplit(const sim::Ledger &a, const sim::Ledger &b,
 WeightedPercentiles
 accuracyDifference(const sim::Ledger &a, const sim::Ledger &b)
 {
+    requireAligned(a.table(), b.table(),
+                   "accuracyDifference: ledgers cover different traces");
     WeightedPercentiles percentiles;
-    for (const auto &[pc, ta] : a.table()) {
-        sim::BranchTally tb = b.branch(pc);
-        panicIf(tb.execs != ta.execs,
-                "accuracyDifference: ledgers cover different traces");
+    for (size_t i = 0; i < a.table().size(); ++i) {
+        const sim::BranchTally &ta = a.table()[i].second;
         if (ta.execs == 0)
             continue;
-        double diff = 100.0 * (ta.accuracy() - tb.accuracy());
+        double diff =
+            100.0 * (ta.accuracy() - b.table()[i].second.accuracy());
         percentiles.add(diff, ta.execs);
     }
     return percentiles;
@@ -67,27 +69,9 @@ accuracyDifference(const sim::Ledger &a, const sim::Ledger &b)
 sim::Ledger
 idealStaticLedger(const sim::Ledger &reference)
 {
-    sim::Ledger out;
-    for (const auto &[pc, tally] : reference.table()) {
-        uint64_t not_taken = tally.execs - tally.taken;
-        uint64_t correct = std::max(tally.taken, not_taken);
-        out.setTally(pc, tally.execs, correct, tally.taken);
-    }
-    return out;
-}
-
-sim::Ledger
-maxLedger(const sim::Ledger &a, const sim::Ledger &b)
-{
-    sim::Ledger out;
-    for (const auto &[pc, ta] : a.table()) {
-        sim::BranchTally tb = b.branch(pc);
-        panicIf(tb.execs != ta.execs,
-                "maxLedger: ledgers cover different traces");
-        out.setTally(pc, ta.execs, std::max(ta.correct, tb.correct),
-                     ta.taken);
-    }
-    return out;
+    return sim::ledgerOf(reference.table(), [](const sim::BranchTally &t) {
+        return std::max(t.taken, t.execs - t.taken);
+    });
 }
 
 } // namespace copra::core

@@ -66,7 +66,11 @@ WeightedPercentiles accuracyDifference(const sim::Ledger &a,
 sim::Ledger idealStaticLedger(const sim::Ledger &reference);
 
 /** Per-branch max of two ledgers covering the same trace. */
-sim::Ledger maxLedger(const sim::Ledger &a, const sim::Ledger &b);
+inline sim::Ledger
+maxLedger(const sim::Ledger &a, const sim::Ledger &b)
+{
+    return sim::bestPerBranchLedger({&a, &b});
+}
 
 } // namespace copra::core
 

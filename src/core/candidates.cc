@@ -102,8 +102,11 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
     HistoryWindow window(depth_);
     std::vector<TagState> collected;
     uint64_t seen = 0;
+    const trace::SoABlocks &soa = trace.soa();
+    std::vector<BranchCandidates> table(soa.staticCount());
 
-    for (const auto &rec : trace.records()) {
+    for (size_t i = 0; i < soa.size(); ++i) {
+        const trace::BranchRecord rec = soa.record(i);
         if (!rec.isConditional()) {
             window.push(rec);
             continue;
@@ -113,7 +116,7 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
         ++seen;
 
         window.collect(collected);
-        BranchCandidates &bc = table_[rec.pc];
+        BranchCandidates &bc = table[soa.staticIndex()[i]];
         if (rec.taken)
             ++bc.execsTaken;
         else
@@ -136,6 +139,9 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
         }
         window.push(rec);
     }
+    table_ = rowsFromIds(
+        soa.staticPcs(), table,
+        [](const BranchCandidates &bc) { return bc.execs() != 0; });
 }
 
 double
@@ -175,14 +181,13 @@ std::vector<ScoredCandidate>
 CandidateMiner::topCandidates(uint64_t pc, unsigned k) const
 {
     std::vector<ScoredCandidate> scored;
-    auto it = table_.find(pc);
-    if (it == table_.end())
+    const BranchCandidates *bc = branch(pc);
+    if (bc == nullptr)
         return scored;
-    const BranchCandidates &bc = it->second;
 
-    scored.reserve(bc.tags.size());
-    bc.tags.forEach([&](Tag tag, const Contingency &contingency) {
-        scored.push_back({tag, informationGain(bc, contingency)});
+    scored.reserve(bc->tags.size());
+    bc->tags.forEach([&](Tag tag, const Contingency &contingency) {
+        scored.push_back({tag, informationGain(*bc, contingency)});
     });
 
     // Deterministic order: gain descending, then packed tag ascending so
@@ -201,8 +206,7 @@ CandidateMiner::topCandidates(uint64_t pc, unsigned k) const
 const BranchCandidates *
 CandidateMiner::branch(uint64_t pc) const
 {
-    auto it = table_.find(pc);
-    return it == table_.end() ? nullptr : &it->second;
+    return findRow(table_, pc);
 }
 
 } // namespace copra::core

@@ -5,17 +5,19 @@
  * prior-instance t, the joint statistics of (state of t, outcome of X),
  * and scores candidates by the information the 3-valued state of t
  * carries about X's direction.
+ * Mining counts into a table indexed by static id and publishes
+ * pc-sorted rows (util/pc_rows.hpp).
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/tagging.hpp"
 #include "trace/trace.hpp"
+#include "util/pc_rows.hpp"
 
 namespace copra::core {
 
@@ -141,12 +143,6 @@ class CandidateMiner
     /** Mined statistics for @p pc (nullptr if the branch never ran). */
     const BranchCandidates *branch(uint64_t pc) const;
 
-    /** All mined branches. */
-    const std::unordered_map<uint64_t, BranchCandidates> &branches() const
-    {
-        return table_;
-    }
-
     /**
      * Information gain of a candidate's 3-valued state about the branch
      * outcome (in bits). Exposed for tests.
@@ -158,7 +154,7 @@ class CandidateMiner
     unsigned depth_;
     size_t perBranchCap_;
     bool mined_ = false;
-    std::unordered_map<uint64_t, BranchCandidates> table_;
+    PcRows<BranchCandidates> table_;
 };
 
 } // namespace copra::core

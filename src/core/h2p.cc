@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <map>
 
 #include "obs/instruments.hpp"
-#include "util/logging.hpp"
 
 namespace copra::core {
 
@@ -31,7 +30,6 @@ identifyH2p(const sim::Ledger &ledger, const H2pCriteria &criteria)
     H2pReport report;
     report.criteria = criteria;
     report.staticBranches = ledger.staticBranches();
-    // copra-lint: allow(unordered-iter) -- collected then sorted with a deterministic tie-break
     for (const auto &[pc, tally] : ledger.table()) {
         report.dynamicBranches += tally.execs;
         uint64_t mispredicts = tally.execs - tally.correct;
@@ -44,32 +42,13 @@ identifyH2p(const sim::Ledger &ledger, const H2pCriteria &criteria)
             {pc, tally.execs, mispredicts, tally.accuracy()});
         report.h2pMispredicts += mispredicts;
     }
-    std::sort(report.branches.begin(), report.branches.end(),
-              [](const H2pBranch &a, const H2pBranch &b) {
-                  if (a.mispredicts != b.mispredicts)
-                      return a.mispredicts > b.mispredicts;
-                  return a.pc < b.pc;
-              });
+    // Rows arrive in pc order, so a stable sort breaks ties by pc.
+    std::stable_sort(report.branches.begin(), report.branches.end(),
+                     [](const H2pBranch &a, const H2pBranch &b) {
+                         return a.mispredicts > b.mispredicts;
+                     });
     obs::count(obs::ids().h2pCount, report.branches.size());
     return report;
-}
-
-sim::Ledger
-bestPerBranchLedger(const std::vector<const sim::Ledger *> &ledgers)
-{
-    fatalIf(ledgers.empty(), "bestPerBranchLedger needs >= 1 ledger");
-    sim::Ledger best;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, tally] : ledgers.front()->table()) {
-        sim::BranchTally winner = tally;
-        for (size_t i = 1; i < ledgers.size(); ++i) {
-            sim::BranchTally other = ledgers[i]->branch(pc);
-            if (other.correct > winner.correct)
-                winner = other;
-        }
-        best.setTally(pc, winner.execs, winner.correct, winner.taken);
-    }
-    return best;
 }
 
 double
@@ -102,19 +81,16 @@ mispredictCdf(const sim::Ledger &ledger)
 {
     MispredictCdf cdf;
     cdf.points.reserve(ledger.staticBranches());
-    // copra-lint: allow(unordered-iter) -- collected then sorted with a deterministic tie-break
     for (const auto &[pc, tally] : ledger.table()) {
         uint64_t mispredicts = tally.execs - tally.correct;
         cdf.points.push_back({pc, mispredicts, 0.0});
         cdf.totalMispredicts += mispredicts;
     }
-    std::sort(cdf.points.begin(), cdf.points.end(),
-              [](const MispredictCdf::Point &a,
-                 const MispredictCdf::Point &b) {
-                  if (a.mispredicts != b.mispredicts)
-                      return a.mispredicts > b.mispredicts;
-                  return a.pc < b.pc;
-              });
+    std::stable_sort(cdf.points.begin(), cdf.points.end(),
+                     [](const MispredictCdf::Point &a,
+                        const MispredictCdf::Point &b) {
+                         return a.mispredicts > b.mispredicts;
+                     });
     uint64_t running = 0;
     for (MispredictCdf::Point &point : cdf.points) {
         running += point.mispredicts;
@@ -128,31 +104,20 @@ mispredictCdf(const sim::Ledger &ledger)
 H2pStability
 h2pStability(const std::vector<H2pReport> &reports)
 {
-    H2pStability out;
-    if (reports.empty()) {
-        out.jaccard = 1.0;
-        return out;
-    }
-    std::set<uint64_t> all;
-    std::set<uint64_t> common;
-    for (const H2pBranch &branch : reports.front().branches)
-        common.insert(branch.pc);
-    for (const H2pReport &report : reports) {
-        std::set<uint64_t> seen;
+    // A report names each pc at most once (it comes from ledger rows),
+    // so a pc is in every report exactly when every report counts it.
+    std::map<uint64_t, size_t> reportsNaming;
+    for (const H2pReport &report : reports)
         for (const H2pBranch &branch : report.branches)
-            seen.insert(branch.pc);
-        all.insert(seen.begin(), seen.end());
-        std::set<uint64_t> kept;
-        for (uint64_t pc : common)
-            if (seen.count(pc))
-                kept.insert(pc);
-        common.swap(kept);
-    }
-    out.unionSize = all.size();
-    out.intersectionSize = common.size();
-    out.jaccard = all.empty()
+            ++reportsNaming[branch.pc];
+    H2pStability out;
+    out.unionSize = reportsNaming.size();
+    for (const auto &[pc, n] : reportsNaming)
+        if (n == reports.size())
+            ++out.intersectionSize;
+    out.jaccard = out.unionSize == 0
         ? 1.0
-        : static_cast<double>(common.size()) / all.size();
+        : static_cast<double>(out.intersectionSize) / out.unionSize;
     return out;
 }
 

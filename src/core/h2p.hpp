@@ -62,14 +62,8 @@ struct H2pReport
 H2pReport identifyH2p(const sim::Ledger &ledger,
                       const H2pCriteria &criteria = {});
 
-/**
- * Per-branch best-of combination of @p ledgers: for every static
- * branch, the tally of whichever ledger predicted it best (most correct
- * executions). This realizes "under the best predictor" in the
- * Lin-Tarsa criterion; all ledgers must cover the same trace.
- */
-sim::Ledger bestPerBranchLedger(
-    const std::vector<const sim::Ledger *> &ledgers);
+/** "Under the best predictor" in the Lin-Tarsa criterion. */
+using sim::bestPerBranchLedger;
 
 /**
  * Per-static-branch misprediction CDF: branches sorted by descending

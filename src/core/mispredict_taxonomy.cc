@@ -50,14 +50,17 @@ classifyMispredicts(const trace::Trace &trace, unsigned history_bits)
 
     HistoryRegister history(history_bits);
     MispredictBreakdown breakdown;
+    const trace::SoABlocks &soa = trace.soa();
 
-    for (const auto &rec : trace.records()) {
+    for (size_t i = 0; i < soa.size(); ++i) {
+        const trace::BranchRecord rec = soa.record(i);
         if (!rec.isConditional())
             continue;
         uint64_t hist = history.value() & hist_mask;
         size_t index = (hist ^ (rec.pc >> 2)) & hist_mask;
-        // Exact context identity, as in the interference-free predictor.
-        uint64_t context = ((rec.pc ^ (rec.pc >> 32)) << 32) ^ hist;
+        // Exact context identity: (static id < 2^32, history <= 26 bits).
+        uint64_t context =
+            (uint64_t(soa.staticIndex()[i]) << history_bits) | hist;
 
         bool predicted = pht[index].taken();
         bool correct = predicted == rec.taken;

@@ -89,9 +89,15 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
     miner.mine(trace, config.mineConditionals);
     double mined = cpu_now();
-    record(trace, miner);
+    const trace::SoABlocks &soa = trace.soa();
+    std::vector<BranchData> data(soa.staticCount());
+    std::vector<BranchSelection> selections(soa.staticCount());
+    record(soa, miner, data, selections);
     double recorded = cpu_now();
-    double select_cpu = select(timed);
+    double select_cpu = select(data, selections, timed);
+    branches_ = rowsFromIds(
+        soa.staticPcs(), selections,
+        [](const BranchSelection &sel) { return sel.execs != 0; });
     if (timed) {
         obs::observe(obs::ids().simPhaseOracleMineCpuSeconds,
                      mined - start);
@@ -103,23 +109,29 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
 }
 
 void
-SelectiveOracle::record(const trace::Trace &trace,
-                        const CandidateMiner &miner)
+SelectiveOracle::record(const trace::SoABlocks &soa,
+                        const CandidateMiner &miner,
+                        std::vector<BranchData> &data_by_id,
+                        std::vector<BranchSelection> &selections) const
 {
     static_assert(kCandidateSlots == 32,
                   "candidateHome() indexes with the top 5 hash bits");
     HistoryWindow window(config_.historyDepth);
     std::vector<TagState> collected;
 
-    for (const auto &rec : trace.records()) {
+    for (size_t i = 0; i < soa.size(); ++i) {
+        const trace::BranchRecord rec = soa.record(i);
         if (!rec.isConditional()) {
             window.push(rec);
             continue;
         }
 
-        auto data_it = data_.find(rec.pc);
-        if (data_it == data_.end()) {
-            BranchData fresh;
+        const uint32_t id = soa.staticIndex()[i];
+        BranchData &data = data_by_id[id];
+        BranchSelection &sel = selections[id];
+        if (sel.execs == 0) {
+            // First execution: index the branch's mined candidates.
+            sel.pc = rec.pc;
             // Over-fetch so a method filter still fills the pool.
             for (const ScoredCandidate &cand :
                  miner.topCandidates(rec.pc, 2 * config_.candidatePool)) {
@@ -134,22 +146,16 @@ SelectiveOracle::record(const trace::Trace &trace,
                     is_occurrence)
                     continue;
                 unsigned slot = candidateHome(cand.tag.packed);
-                while (fresh.slotField[slot] != 0)
+                while (data.slotField[slot] != 0)
                     slot = (slot + 1) % kCandidateSlots;
-                fresh.slotKey[slot] = cand.tag.packed;
-                fresh.slotField[slot] =
-                    static_cast<uint8_t>(fresh.candidates.size() + 1);
-                fresh.candidates.push_back(cand.tag);
-                if (fresh.candidates.size() >= config_.candidatePool)
+                data.slotKey[slot] = cand.tag.packed;
+                data.slotField[slot] =
+                    static_cast<uint8_t>(data.candidates.size() + 1);
+                data.candidates.push_back(cand.tag);
+                if (data.candidates.size() >= config_.candidatePool)
                     break;
             }
-            fresh.selection = &branches_[rec.pc];
-            fresh.selection->pc = rec.pc;
-            data_it = data_.emplace(rec.pc, std::move(fresh)).first;
         }
-        BranchData &data = data_it->second;
-
-        BranchSelection &sel = *data.selection;
         ++sel.execs;
         if (rec.taken)
             ++sel.taken;
@@ -308,30 +314,26 @@ SelectiveOracle::selectExhaustive(const BranchData &data,
 }
 
 double
-SelectiveOracle::select(bool timed)
+SelectiveOracle::select(const std::vector<BranchData> &data_by_id,
+                        std::vector<BranchSelection> &selections,
+                        bool timed) const
 {
     // Branches are independent (each task reads immutable recorded rows
     // and writes only its own BranchSelection), so partition them
-    // across the pool. Aggregates like accuracyPercent() iterate the
-    // map afterwards, so results do not depend on completion order.
-    std::vector<const BranchData *> work;
-    work.reserve(data_.size());
-    // copra-lint: allow(unordered-iter) -- builds a keyed work list; aggregates re-iterate the map afterwards
-    for (const auto &[pc, data] : data_)
-        work.push_back(&data);
-
-    // Per-task CPU seconds, summed in index order once the pool is done,
-    // so the select phase counts every thread that ran part of it.
-    std::vector<double> task_cpu(timed ? work.size() : 0);
-    parallelFor(globalPool(), work.size(), [&](size_t i) {
+    // across the pool by static id. Per-task CPU seconds, summed in
+    // index order once the pool is done, so the select phase counts
+    // every thread that ran part of it.
+    std::vector<double> task_cpu(timed ? selections.size() : 0);
+    parallelFor(globalPool(), selections.size(), [&](size_t id) {
+        if (selections[id].execs == 0)
+            return;
         double start = timed ? obs::threadCpuSeconds() : 0.0;
-        const BranchData &data = *work[i];
         if (config_.exhaustive)
-            selectExhaustive(data, *data.selection);
+            selectExhaustive(data_by_id[id], selections[id]);
         else
-            selectGreedy(data, *data.selection);
+            selectGreedy(data_by_id[id], selections[id]);
         if (timed)
-            task_cpu[i] = obs::threadCpuSeconds() - start;
+            task_cpu[id] = obs::threadCpuSeconds() - start;
     });
     double total = 0.0;
     for (double seconds : task_cpu)
@@ -342,8 +344,7 @@ SelectiveOracle::select(bool timed)
 const BranchSelection *
 SelectiveOracle::branch(uint64_t pc) const
 {
-    auto it = branches_.find(pc);
-    return it == branches_.end() ? nullptr : &it->second;
+    return findRow(branches_, pc);
 }
 
 double
@@ -353,7 +354,6 @@ SelectiveOracle::accuracyPercent(unsigned size) const
             "selective size out of range");
     uint64_t execs = 0;
     uint64_t correct = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
     for (const auto &[pc, sel] : branches_) {
         execs += sel.execs;
         correct += sel.correct[size - 1];
@@ -369,11 +369,9 @@ SelectiveOracle::toLedger(unsigned size) const
 {
     panicIf(size == 0 || size > config_.maxSelect,
             "selective size out of range");
-    sim::Ledger ledger;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, sel] : branches_)
-        ledger.setTally(pc, sel.execs, sel.correct[size - 1], sel.taken);
-    return ledger;
+    return sim::ledgerOf(branches_, [size](const BranchSelection &sel) {
+        return sel.correct[size - 1];
+    });
 }
 
 std::unordered_map<uint64_t, std::vector<Tag>>
@@ -382,7 +380,6 @@ SelectiveOracle::selectionMap(unsigned size) const
     panicIf(size == 0 || size > config_.maxSelect,
             "selective size out of range");
     std::unordered_map<uint64_t, std::vector<Tag>> out;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
     for (const auto &[pc, sel] : branches_) {
         const auto &tags = sel.chosen[size - 1];
         if (!tags.empty())

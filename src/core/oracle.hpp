@@ -33,6 +33,9 @@
  *    replays. replayScore() stays the reference scorer and scores the
  *    exhaustive mode.
  *
+ * All three phases index their tables by static id; the result is
+ * pc-sorted rows (util/pc_rows.hpp).
+ *
  * Greedy-over-top-K is an approximation of the (unspecified) paper
  * oracle; an exhaustive subset search is available for ablation.
  */
@@ -48,6 +51,7 @@
 #include "core/selective.hpp"
 #include "sim/ledger.hpp"
 #include "trace/trace.hpp"
+#include "util/pc_rows.hpp"
 
 namespace copra::core {
 
@@ -125,11 +129,8 @@ class SelectiveOracle
 
     const OracleConfig &config() const { return config_; }
 
-    /** Per-branch selections and accuracies. */
-    const std::unordered_map<uint64_t, BranchSelection> &branches() const
-    {
-        return branches_;
-    }
+    /** Per-branch selections and accuracies, in ascending pc order. */
+    const PcRows<BranchSelection> &branches() const { return branches_; }
 
     /** Selection for one branch (nullptr if it never executed). */
     const BranchSelection *branch(uint64_t pc) const;
@@ -185,22 +186,24 @@ class SelectiveOracle
     {
         std::vector<Tag> candidates;      // at most K
         std::vector<uint32_t> rows;       // packed states + outcome
-        BranchSelection *selection = nullptr;
         // Candidate index by tag: slotField[s] is 1 + the candidate's
         // 2-bit field number (0 = empty slot), slotKey[s] its packed tag.
         std::array<uint64_t, kCandidateSlots> slotKey{};
         std::array<uint8_t, kCandidateSlots> slotField{};
     };
 
-    void record(const trace::Trace &trace, const CandidateMiner &miner);
-    double select(bool timed);
+    void record(const trace::SoABlocks &soa, const CandidateMiner &miner,
+                std::vector<BranchData> &data_by_id,
+                std::vector<BranchSelection> &selections) const;
+    double select(const std::vector<BranchData> &data_by_id,
+                  std::vector<BranchSelection> &selections,
+                  bool timed) const;
     void selectGreedy(const BranchData &data, BranchSelection &out) const;
     void selectExhaustive(const BranchData &data,
                           BranchSelection &out) const;
 
     OracleConfig config_;
-    std::unordered_map<uint64_t, BranchData> data_;
-    std::unordered_map<uint64_t, BranchSelection> branches_;
+    PcRows<BranchSelection> branches_;
 };
 
 } // namespace copra::core

@@ -1,10 +1,11 @@
 #include "core/pa_class.hpp"
 
+#include <vector>
+
 #include "predictor/block_pattern.hpp"
 #include "predictor/fixed_pattern.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
-#include "util/logging.hpp"
 
 namespace copra::core {
 
@@ -25,39 +26,43 @@ paClassName(PaClass cls)
 }
 
 PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
-    : ifPasHistory_(ifpas_history)
 {
     predictor::LoopPredictor loop;
     predictor::BlockPatternPredictor block;
     predictor::FixedPatternBank fixed;
     predictor::IfPas ifpas(ifpas_history);
 
-    for (const auto &rec : trace.records()) {
-        if (!rec.isConditional())
-            continue;
-        PaBranchResult &res = table_[rec.pc];
-        res.pc = rec.pc;
-        ++res.execs;
-        if (rec.taken)
-            ++res.taken;
+    const trace::SoABlocks &soa = trace.soa();
+    std::vector<PaBranchResult> table(soa.staticCount());
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            const trace::BranchRecord rec = soa.record(i);
+            PaBranchResult &res = table[soa.staticIndex()[i]];
+            res.pc = rec.pc;
+            ++res.execs;
+            if (rec.taken)
+                ++res.taken;
 
-        if (loop.predict(rec) == rec.taken)
-            ++res.loopCorrect;
-        loop.update(rec, rec.taken);
+            if (loop.predict(rec) == rec.taken)
+                ++res.loopCorrect;
+            loop.update(rec, rec.taken);
 
-        if (block.predict(rec) == rec.taken)
-            ++res.blockCorrect;
-        block.update(rec, rec.taken);
+            if (block.predict(rec) == rec.taken)
+                ++res.blockCorrect;
+            block.update(rec, rec.taken);
 
-        if (ifpas.predict(rec) == rec.taken)
-            ++res.ifPasCorrect;
-        ifpas.update(rec, rec.taken);
+            if (ifpas.predict(rec) == rec.taken)
+                ++res.ifPasCorrect;
+            ifpas.update(rec, rec.taken);
 
-        fixed.observe(rec.pc, rec.taken);
+            fixed.observe(rec.pc, rec.taken);
+        }
     }
 
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (auto &[pc, res] : table_) {
+    rows_ = rowsFromIds(soa.staticPcs(), table, [](const PaBranchResult &res) {
+        return res.execs != 0;
+    });
+    for (auto &[pc, res] : rows_) {
         res.fixedCorrect = fixed.bestCorrect(pc);
         res.bestFixedK = fixed.bestK(pc);
         uint64_t not_taken = res.execs - res.taken;
@@ -81,8 +86,7 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
 const PaBranchResult *
 PaClassifier::branch(uint64_t pc) const
 {
-    auto it = table_.find(pc);
-    return it == table_.end() ? nullptr : &it->second;
+    return findRow(rows_, pc);
 }
 
 std::array<double, 4>
@@ -90,8 +94,7 @@ PaClassifier::classFractions() const
 {
     std::array<uint64_t, 4> execs{};
     uint64_t total = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, res] : table_) {
+    for (const auto &[pc, res] : rows_) {
         execs[static_cast<size_t>(res.cls)] += res.execs;
         total += res.execs;
     }
@@ -109,8 +112,7 @@ PaClassifier::staticBucketBiasFraction(double threshold) const
 {
     uint64_t bucket = 0;
     uint64_t biased = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, res] : table_) {
+    for (const auto &[pc, res] : rows_) {
         if (res.cls != PaClass::IdealStatic)
             continue;
         bucket += res.execs;
@@ -127,47 +129,38 @@ PaClassifier::staticBucketBiasFraction(double threshold) const
 sim::Ledger
 PaClassifier::loopLedger() const
 {
-    sim::Ledger ledger;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, res] : table_)
-        ledger.setTally(pc, res.execs, res.loopCorrect, res.taken);
-    return ledger;
+    return sim::ledgerOf(
+        rows_, [](const PaBranchResult &res) { return res.loopCorrect; });
 }
 
 sim::Ledger
 PaClassifier::ifPasLedger() const
 {
-    sim::Ledger ledger;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, res] : table_)
-        ledger.setTally(pc, res.execs, res.ifPasCorrect, res.taken);
-    return ledger;
+    return sim::ledgerOf(
+        rows_, [](const PaBranchResult &res) { return res.ifPasCorrect; });
 }
 
 sim::Ledger
 PaClassifier::bestPaLedger() const
 {
-    sim::Ledger ledger;
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, res] : table_)
-        ledger.setTally(pc, res.execs, res.bestDynamicCorrect(), res.taken);
-    return ledger;
+    return sim::ledgerOf(rows_, [](const PaBranchResult &res) {
+        return res.bestDynamicCorrect();
+    });
 }
 
 double
 PaClassifier::loopEnhancedAccuracyPercent(const sim::Ledger &base) const
 {
+    requireAligned(rows_, base.table(),
+                   "loopEnhancedAccuracyPercent: base ledger covers a "
+                   "different trace");
     uint64_t total = 0;
     uint64_t correct = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, res] : table_) {
-        sim::BranchTally tally = base.branch(pc);
-        panicIf(tally.execs != res.execs,
-                "loopEnhancedAccuracyPercent: base ledger covers a "
-                "different trace");
+    for (size_t i = 0; i < rows_.size(); ++i) {
+        const PaBranchResult &res = rows_[i].second;
         total += res.execs;
         correct += res.cls == PaClass::Loop ? res.loopCorrect
-                                            : tally.correct;
+                                            : base.table()[i].second.correct;
     }
     if (total == 0)
         return 0.0;

@@ -8,6 +8,8 @@
  * by the ideal static predictor. A branch belongs to the class whose
  * predictor is most accurate for it; branches the ideal static
  * predictor matches or beats belong to no class (paper Fig. 6).
+ * Scores accumulate by static id into pc-sorted rows (util/pc_rows.hpp)
+ * that every derived or joined ledger shares.
  */
 
 #pragma once
@@ -15,10 +17,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "sim/ledger.hpp"
 #include "trace/trace.hpp"
+#include "util/pc_rows.hpp"
 
 namespace copra::core {
 
@@ -88,11 +90,8 @@ class PaClassifier
     explicit PaClassifier(const trace::Trace &trace,
                           unsigned ifpas_history = 12);
 
-    /** Per-branch results. */
-    const std::unordered_map<uint64_t, PaBranchResult> &branches() const
-    {
-        return table_;
-    }
+    /** Per-branch results, one row per branch in ascending pc order. */
+    const PcRows<PaBranchResult> &branches() const { return rows_; }
 
     /** Result for one branch (nullptr if it never executed). */
     const PaBranchResult *branch(uint64_t pc) const;
@@ -127,8 +126,7 @@ class PaClassifier
     double loopEnhancedAccuracyPercent(const sim::Ledger &base) const;
 
   private:
-    unsigned ifPasHistory_;
-    std::unordered_map<uint64_t, PaBranchResult> table_;
+    PcRows<PaBranchResult> rows_;
 };
 
 } // namespace copra::core

@@ -24,7 +24,7 @@ runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
     // the wide tallies well before any field can saturate), keeping the
     // randomly-addressed array at 8 bytes per static branch — L1-sized
     // for every benchmark. Folding is additive, so the result is
-    // identical to calling Ledger::record per branch.
+    // identical to counting every branch into its tally directly.
     constexpr uint64_t kFieldMask = (uint64_t(1) << 21) - 1;
     constexpr uint64_t kFlushEvery = uint64_t(1) << 20;
     const size_t staticCount = packed ? soa.staticCount() : 0;
@@ -127,12 +127,10 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     result.correct = totals.correct;
     result.dynamicBranches = totals.branches;
 
-    if (ledger) {
-        std::span<const uint64_t> pcs = soa.staticPcs();
-        for (size_t id = 0; id < tallies.size(); ++id)
-            if (tallies[id].execs != 0)
-                ledger->addTally(pcs[id], tallies[id]);
-    }
+    if (ledger)
+        *ledger = Ledger(rowsFromIds(
+            soa.staticPcs(), tallies,
+            [](const BranchTally &t) { return t.execs != 0; }));
     obs::count(obs::ids().simRunBranches, result.dynamicBranches);
     obs::count(obs::ids().simRunMispredicts,
                result.dynamicBranches - result.correct);

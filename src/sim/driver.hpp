@@ -66,7 +66,7 @@ struct RunResult
 /**
  * Run @p pred over @p trace.
  *
- * @param ledger Optional per-branch accounting sink.
+ * @param ledger Optional per-branch accounting sink (overwritten).
  */
 RunResult run(const trace::Trace &trace, predictor::Predictor &pred,
               Ledger *ledger = nullptr);

@@ -1,18 +1,17 @@
 #include "sim/ledger.hpp"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/logging.hpp"
 
 namespace copra::sim {
 
 uint64_t
-Ledger::dynamic_helper() const
+Ledger::dynamic() const
 {
     uint64_t total = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, tally] : table_)
+    for (const auto &[pc, tally] : rows_)
         total += tally.execs;
     return total;
 }
@@ -21,8 +20,7 @@ uint64_t
 Ledger::correct() const
 {
     uint64_t total = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, tally] : table_)
+    for (const auto &[pc, tally] : rows_)
         total += tally.correct;
     return total;
 }
@@ -40,27 +38,30 @@ Ledger::accuracyPercent() const
 BranchTally
 Ledger::branch(uint64_t pc) const
 {
-    auto it = table_.find(pc);
-    return it == table_.end() ? BranchTally{} : it->second;
+    const BranchTally *tally = findRow(rows_, pc);
+    return tally ? *tally : BranchTally{};
+}
+
+Ledger
+bestPerBranchLedger(const std::vector<const Ledger *> &ledgers)
+{
+    fatalIf(ledgers.empty(), "bestPerBranchLedger needs >= 1 ledger");
+    PcRows<BranchTally> rows = ledgers.front()->table();
+    for (size_t l = 1; l < ledgers.size(); ++l) {
+        const PcRows<BranchTally> &other = ledgers[l]->table();
+        requireAligned(rows, other,
+                       "bestPerBranchLedger: ledgers cover different traces");
+        for (size_t i = 0; i < rows.size(); ++i)
+            if (other[i].second.correct > rows[i].second.correct)
+                rows[i].second = other[i].second;
+    }
+    return Ledger(std::move(rows));
 }
 
 double
 bestOfAccuracyPercent(const Ledger &a, const Ledger &b)
 {
-    uint64_t total = 0;
-    uint64_t correct = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
-    for (const auto &[pc, ta] : a.table()) {
-        BranchTally tb = b.branch(pc);
-        panicIf(tb.execs != ta.execs,
-                "bestOfAccuracyPercent: ledgers cover different traces");
-        total += ta.execs;
-        correct += std::max(ta.correct, tb.correct);
-    }
-    if (total == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return 100.0 * static_cast<double>(correct)
-        / static_cast<double>(total);
+    return bestPerBranchLedger({&a, &b}).accuracyPercent();
 }
 
 } // namespace copra::sim

@@ -2,16 +2,20 @@
  * @file
  * Per-branch accuracy ledger. Every analysis in the paper is a statement
  * about *per-static-branch* accuracy — which predictor is best for which
- * branch — so the driver records correct/total per pc, and the core
+ * branch — so the driver records correct/total per branch, and the core
  * analyses combine ledgers (best-of, hypothetical hybrids, percentile
- * curves).
+ * curves). A ledger is built once from pc-sorted rows (util/pc_rows.hpp)
+ * and never mutated; ledgers over one trace join row for row.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "util/pc_rows.hpp"
 
 namespace copra::sim {
 
@@ -34,46 +38,17 @@ struct BranchTally
 class Ledger
 {
   public:
-    /** Record one prediction outcome for the branch at @p pc. */
-    void
-    record(uint64_t pc, bool taken, bool correct)
-    {
-        BranchTally &t = table_[pc];
-        ++t.execs;
-        if (taken)
-            ++t.taken;
-        if (correct)
-            ++t.correct;
-    }
+    /** An empty ledger. */
+    Ledger() = default;
 
-    /**
-     * Install a precomputed tally for @p pc, replacing any existing
-     * entry. Used by analyses that compute per-branch counts offline
-     * (e.g. the selective-history oracle) and expose them as a ledger.
-     */
-    void
-    setTally(uint64_t pc, uint64_t execs, uint64_t correct, uint64_t taken)
+    /** Adopt @p rows in any order; panics if a pc repeats. */
+    explicit Ledger(PcRows<BranchTally> rows) : rows_(std::move(rows))
     {
-        table_[pc] = BranchTally{execs, correct, taken};
-    }
-
-    /**
-     * Accumulate a precomputed tally into the entry for @p pc —
-     * equivalent to tally.execs record() calls. The driver batches its
-     * per-branch accounting in a flat table and folds it in here once
-     * per run.
-     */
-    void
-    addTally(uint64_t pc, const BranchTally &tally)
-    {
-        BranchTally &t = table_[pc];
-        t.execs += tally.execs;
-        t.correct += tally.correct;
-        t.taken += tally.taken;
+        sortRowsByPc(rows_, "Ledger: duplicate pc");
     }
 
     /** Total dynamic branches recorded. */
-    uint64_t dynamic() const { return dynamic_helper(); }
+    uint64_t dynamic() const;
 
     /** Total correct predictions recorded. */
     uint64_t correct() const;
@@ -84,29 +59,41 @@ class Ledger
     /** Tally for @p pc (zero tally if never recorded). */
     BranchTally branch(uint64_t pc) const;
 
-    /** The underlying per-branch table. */
-    const std::unordered_map<uint64_t, BranchTally> &table() const
-    {
-        return table_;
-    }
+    /** One row per static branch, in ascending pc order. */
+    const PcRows<BranchTally> &table() const { return rows_; }
 
     /** Number of distinct static branches. */
-    size_t staticBranches() const { return table_.size(); }
+    size_t staticBranches() const { return rows_.size(); }
 
   private:
-    uint64_t dynamic_helper() const;
-
-    std::unordered_map<uint64_t, BranchTally> table_;
+    PcRows<BranchTally> rows_;
 };
 
 /**
- * Overall accuracy (%) of the per-branch-best combination of two ledgers:
- * for each branch, take whichever ledger got more executions right. Both
- * ledgers must cover the same trace. This realizes the paper's
- * hypothetical predictors ("gshare w/ Corr", "PAs w/ Loop") and the
- * best-of distributions of §5.
+ * The ledger of any per-branch rows carrying execs and taken counts,
+ * scoring @p correct(value) correct predictions for each branch.
  */
+template <typename T, typename Correct>
+Ledger
+ledgerOf(const PcRows<T> &rows, Correct correct)
+{
+    PcRows<BranchTally> tallies;
+    tallies.reserve(rows.size());
+    for (const auto &[pc, value] : rows)
+        tallies.emplace_back(
+            pc, BranchTally{value.execs, correct(value), value.taken});
+    return Ledger(std::move(tallies));
+}
+
+/**
+ * Per-branch best of @p ledgers: each branch's tally from the ledger
+ * with the most correct executions (the earliest on ties). Realizes the
+ * paper's hypothetical predictors ("gshare w/ Corr", "PAs w/ Loop") and
+ * the best-of distributions of §5. All ledgers must cover the same trace.
+ */
+Ledger bestPerBranchLedger(const std::vector<const Ledger *> &ledgers);
+
+/** Overall accuracy (%) of the per-branch best of @p a and @p b. */
 double bestOfAccuracyPercent(const Ledger &a, const Ledger &b);
 
 } // namespace copra::sim
-

@@ -6,28 +6,28 @@ namespace copra::trace {
 
 TraceStats::TraceStats(const Trace &trace)
 {
-    perBranch_.reserve(1024);
-    for (const auto &rec : trace.records()) {
-        if (!rec.isConditional())
-            continue;
-        auto &entry = perBranch_[rec.pc];
-        entry.pc = rec.pc;
-        ++entry.execs;
-        if (rec.taken)
-            ++entry.taken;
-        ++dynamic_;
-        if (rec.taken)
-            ++taken_;
+    const SoABlocks &soa = trace.soa();
+    std::vector<StaticBranchStats> table(soa.staticCount());
+    for (const SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            StaticBranchStats &entry = table[soa.staticIndex()[i]];
+            entry.pc = soa.pc()[i];
+            ++entry.execs;
+            entry.taken += soa.taken()[i];
+            taken_ += soa.taken()[i];
+        }
     }
+    dynamic_ = soa.conditionalCount();
+    perBranch_ = rowsFromIds(
+        soa.staticPcs(), table,
+        [](const StaticBranchStats &stats) { return stats.execs != 0; });
 }
 
 StaticBranchStats
 TraceStats::branch(uint64_t pc) const
 {
-    auto it = perBranch_.find(pc);
-    if (it == perBranch_.end())
-        return StaticBranchStats{pc, 0, 0};
-    return it->second;
+    const StaticBranchStats *stats = findRow(perBranch_, pc);
+    return stats ? *stats : StaticBranchStats{pc, 0, 0};
 }
 
 double
@@ -36,7 +36,6 @@ TraceStats::dynamicFractionWithBiasAbove(double threshold) const
     if (dynamic_ == 0)
         return 0.0;
     uint64_t covered = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
     for (const auto &[pc, stats] : perBranch_)
         if (stats.bias() > threshold)
             covered += stats.execs;
@@ -47,7 +46,6 @@ uint64_t
 TraceStats::idealStaticCorrect() const
 {
     uint64_t correct = 0;
-    // copra-lint: allow(unordered-iter) -- commutative integer aggregation; result is order-independent
     for (const auto &[pc, stats] : perBranch_)
         correct += stats.idealStaticCorrect();
     return correct;
@@ -58,15 +56,14 @@ TraceStats::hottest(size_t n) const
 {
     std::vector<StaticBranchStats> all;
     all.reserve(perBranch_.size());
-    // copra-lint: allow(unordered-iter) -- collected then sorted with a deterministic tie-break
     for (const auto &[pc, stats] : perBranch_)
         all.push_back(stats);
-    std::sort(all.begin(), all.end(),
-              [](const StaticBranchStats &a, const StaticBranchStats &b) {
-                  if (a.execs != b.execs)
-                      return a.execs > b.execs;
-                  return a.pc < b.pc;
-              });
+    // Rows are in pc order, so a stable sort breaks ties by pc.
+    std::stable_sort(
+        all.begin(), all.end(),
+        [](const StaticBranchStats &a, const StaticBranchStats &b) {
+            return a.execs > b.execs;
+        });
     if (all.size() > n)
         all.resize(n);
     return all;

@@ -4,15 +4,16 @@
  * taken rates, bias distribution. Feeds the Table 1 style benchmark
  * summaries and the "more than 99% biased" accounting in the paper's
  * sections 4.2 and 5.1.
+ * Counts accumulate by static id into pc-sorted rows (util/pc_rows.hpp).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/trace.hpp"
+#include "util/pc_rows.hpp"
 
 namespace copra::trace {
 
@@ -69,12 +70,8 @@ class TraceStats
     /** Dynamic conditional branches that were taken. */
     uint64_t dynamicTaken() const { return taken_; }
 
-    /** Per-branch statistics keyed by pc. */
-    const std::unordered_map<uint64_t, StaticBranchStats> &
-    perBranch() const
-    {
-        return perBranch_;
-    }
+    /** Per-branch statistics, one row per branch in ascending pc order. */
+    const PcRows<StaticBranchStats> &perBranch() const { return perBranch_; }
 
     /** Stats for a specific branch; execs == 0 if never seen. */
     StaticBranchStats branch(uint64_t pc) const;
@@ -98,7 +95,7 @@ class TraceStats
   private:
     uint64_t dynamic_ = 0;
     uint64_t taken_ = 0;
-    std::unordered_map<uint64_t, StaticBranchStats> perBranch_;
+    PcRows<StaticBranchStats> perBranch_;
 };
 
 } // namespace copra::trace

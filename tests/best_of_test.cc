@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "core/best_of.hpp"
 
 namespace copra::core {
@@ -15,10 +18,10 @@ sim::Ledger
 ledgerOf(std::initializer_list<std::tuple<uint64_t, uint64_t, uint64_t,
                                           uint64_t>> rows)
 {
-    sim::Ledger ledger;
+    PcRows<sim::BranchTally> out;
     for (const auto &[pc, execs, correct, taken] : rows)
-        ledger.setTally(pc, execs, correct, taken);
-    return ledger;
+        out.emplace_back(pc, sim::BranchTally{execs, correct, taken});
+    return sim::Ledger(std::move(out));
 }
 
 TEST(BestOfSplit, PartitionsByPerBranchWinner)
@@ -86,6 +89,32 @@ TEST(BestOfSplitDeath, MismatchedLedgersPanic)
     sim::Ledger b = ledgerOf({{1, 90, 50, 50}});
     sim::Ledger st = idealStaticLedger(a);
     EXPECT_DEATH(bestOfSplit(a, b, st), "different traces");
+}
+
+// Every join pairs row i with row i, so a branch the first ledger lacks
+// is a different trace, even when every shared branch matches.
+TEST(BestOfSplitDeath, BranchMissingFromFirstPanics)
+{
+    sim::Ledger a = ledgerOf({{1, 100, 50, 50}});
+    sim::Ledger b = ledgerOf({{1, 100, 50, 50}, {2, 10, 5, 5}});
+    EXPECT_DEATH(bestOfSplit(a, b, idealStaticLedger(a)),
+                 "different traces");
+    EXPECT_DEATH(bestOfSplit(a, a, idealStaticLedger(b)),
+                 "different traces");
+}
+
+TEST(AccuracyDifferenceDeath, BranchMissingFromFirstPanics)
+{
+    sim::Ledger a = ledgerOf({{2, 100, 50, 50}});
+    sim::Ledger b = ledgerOf({{1, 10, 5, 5}, {2, 100, 50, 50}});
+    EXPECT_DEATH(accuracyDifference(a, b), "different traces");
+}
+
+TEST(MaxLedgerDeath, BranchMissingFromFirstPanics)
+{
+    sim::Ledger a = ledgerOf({{1, 10, 3, 5}});
+    sim::Ledger b = ledgerOf({{1, 10, 7, 5}, {2, 10, 2, 5}});
+    EXPECT_DEATH(maxLedger(a, b), "different traces");
 }
 
 TEST(AccuracyDifference, PercentilesReflectPerBranchGaps)

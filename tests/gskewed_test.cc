@@ -159,6 +159,32 @@ TEST(MispredictTaxonomy, AliasedBranchesShowInterference)
               0.15);
 }
 
+TEST(MispredictTaxonomy, PcsFoldingToOneKeyAreDistinctContexts)
+{
+    // 0x1 and 0x1'0000'0000 share every PHT index (pc >> 2 masks to 0)
+    // and fold to the same (pc ^ pc >> 32) << 32 key. With a 1-bit
+    // history, A (always taken) and B (always not taken) in the order
+    // A B B A hit each shared counter alternately, so every warm miss
+    // is the other branch's write: interference, never training or
+    // noise.
+    const uint64_t a = 0x1;
+    const uint64_t b = uint64_t(1) << 32;
+    trace::Trace trace("fold");
+    for (int i = 0; i < 200; ++i) {
+        trace.append(cond(a, true));
+        trace.append(cond(b, false));
+        trace.append(cond(b, false));
+        trace.append(cond(a, true));
+    }
+    auto breakdown = core::classifyMispredicts(trace, 1);
+    auto count = [&](core::MispredictCause cause) {
+        return breakdown.byCause[static_cast<size_t>(cause)];
+    };
+    EXPECT_GT(count(core::MispredictCause::Interference), 300u);
+    EXPECT_EQ(count(core::MispredictCause::Training), 0u);
+    EXPECT_EQ(count(core::MispredictCause::Noise), 0u);
+}
+
 TEST(MispredictTaxonomy, DeterministicBranchHasOnlyWarmupLosses)
 {
     auto trace = workload::periodicTrace(0x100, {true, true, false},

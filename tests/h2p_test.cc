@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "core/h2p.hpp"
 #include "predictor/factory.hpp"
@@ -23,10 +25,10 @@ sim::Ledger
 ledgerOf(std::initializer_list<std::tuple<uint64_t, uint64_t, uint64_t>>
              rows)
 {
-    sim::Ledger ledger;
+    PcRows<sim::BranchTally> out;
     for (const auto &[pc, execs, correct] : rows)
-        ledger.setTally(pc, execs, correct, execs / 2);
-    return ledger;
+        out.emplace_back(pc, sim::BranchTally{execs, correct, execs / 2});
+    return sim::Ledger(std::move(out));
 }
 
 TEST(IdentifyH2p, AppliesBothCriteriaAndSortsByContribution)
@@ -56,7 +58,7 @@ TEST(IdentifyH2p, BoundaryAccuracyIsNotH2p)
     sim::Ledger ledger = ledgerOf({{0x100, 1000, 990}});
     EXPECT_TRUE(identifyH2p(ledger).branches.empty());
     // One more miss tips it in.
-    ledger.setTally(0x100, 1000, 989, 500);
+    ledger = ledgerOf({{0x100, 1000, 989}});
     EXPECT_EQ(identifyH2p(ledger).branches.size(), 1u);
 }
 
@@ -69,6 +71,20 @@ TEST(BestPerBranch, DominatesEveryInput)
     EXPECT_EQ(best.branch(0x200).correct, 95u);
     EXPECT_GE(best.accuracyPercent(), a.accuracyPercent());
     EXPECT_GE(best.accuracyPercent(), b.accuracyPercent());
+}
+
+TEST(BestPerBranchDeath, BranchMissingFromFirstPanics)
+{
+    sim::Ledger a = ledgerOf({{0x100, 100, 90}});
+    sim::Ledger b = ledgerOf({{0x100, 100, 70}, {0x200, 100, 95}});
+    EXPECT_DEATH(bestPerBranchLedger({&a, &b}), "different traces");
+}
+
+TEST(BestPerBranchDeath, MismatchedExecsPanic)
+{
+    sim::Ledger a = ledgerOf({{0x100, 100, 90}, {0x200, 100, 40}});
+    sim::Ledger b = ledgerOf({{0x100, 100, 70}, {0x200, 90, 85}});
+    EXPECT_DEATH(bestPerBranchLedger({&a, &b}), "different traces");
 }
 
 TEST(MispredictCdf, MonotoneAndNormalized)

@@ -190,9 +190,9 @@ TEST(PaClassifier, LoopEnhancementUsesLoopForLoopClassOnly)
     auto trace = workload::interleave({loop, biased});
     PaClassifier classifier(trace);
 
-    sim::Ledger base;
-    base.setTally(0x100, 1000, 500, classifier.branch(0x100)->taken);
-    base.setTally(0x200, 1000, 1000, 1000);
+    sim::Ledger base(
+        {{0x100, {1000, 500, classifier.branch(0x100)->taken}},
+         {0x200, {1000, 1000, 1000}}});
 
     double enhanced = classifier.loopEnhancedAccuracyPercent(base);
     uint64_t loop_correct = classifier.branch(0x100)->loopCorrect;
@@ -205,8 +205,18 @@ TEST(PaClassifierDeath, MismatchedBaseLedgerPanics)
 {
     auto trace = workload::loopTrace(0x100, 5, 10);
     PaClassifier classifier(trace);
-    sim::Ledger base;
-    base.setTally(0x100, 7, 7, 7); // wrong exec count
+    sim::Ledger base({{0x100, {7, 7, 7}}}); // wrong exec count
+    EXPECT_DEATH(classifier.loopEnhancedAccuracyPercent(base),
+                 "different");
+}
+
+TEST(PaClassifierDeath, BaseLedgerWithExtraBranchPanics)
+{
+    auto trace = workload::loopTrace(0x100, 5, 10);
+    PaClassifier classifier(trace);
+    const PaBranchResult &res = *classifier.branch(0x100);
+    sim::Ledger base({{0x100, {res.execs, res.execs, res.taken}},
+                      {0x200, {10, 10, 10}}});
     EXPECT_DEATH(classifier.loopEnhancedAccuracyPercent(base),
                  "different");
 }

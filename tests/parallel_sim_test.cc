@@ -87,17 +87,16 @@ expectSameLedgers(const std::vector<Ledger> &a,
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        // Order-independent comparison of the per-branch tables.
-        std::map<uint64_t, BranchTally> ta(a[i].table().begin(),
-                                           a[i].table().end());
-        std::map<uint64_t, BranchTally> tb(b[i].table().begin(),
-                                           b[i].table().end());
+        // Both tables are pc-sorted rows, so they compare row by row.
+        const auto &ta = a[i].table();
+        const auto &tb = b[i].table();
         ASSERT_EQ(ta.size(), tb.size()) << "ledger " << i;
-        for (const auto &[pc, tally] : ta) {
-            const BranchTally &other = tb.at(pc);
-            EXPECT_EQ(tally.execs, other.execs) << pc;
-            EXPECT_EQ(tally.correct, other.correct) << pc;
-            EXPECT_EQ(tally.taken, other.taken) << pc;
+        for (size_t r = 0; r < ta.size(); ++r) {
+            const auto &[pc, tally] = ta[r];
+            ASSERT_EQ(pc, tb[r].first) << "ledger " << i << " row " << r;
+            EXPECT_EQ(tally.execs, tb[r].second.execs) << pc;
+            EXPECT_EQ(tally.correct, tb[r].second.correct) << pc;
+            EXPECT_EQ(tally.taken, tb[r].second.taken) << pc;
         }
     }
 }
@@ -137,7 +136,7 @@ TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)
 
     // Scalar reference: the classic two-virtual-calls-per-branch loop.
     predictor::TwoLevel scalar(predictor::TwoLevelConfig::gshare(12));
-    Ledger scalar_ledger;
+    std::map<uint64_t, BranchTally> scalar_tallies;
     uint64_t scalar_correct = 0;
     uint64_t scalar_dynamic = 0;
     for (const auto &rec : trace.records()) {
@@ -150,8 +149,13 @@ TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)
         bool correct = prediction == rec.taken;
         ++scalar_dynamic;
         scalar_correct += correct ? 1 : 0;
-        scalar_ledger.record(rec.pc, rec.taken, correct);
+        BranchTally &tally = scalar_tallies[rec.pc];
+        ++tally.execs;
+        tally.taken += rec.taken ? 1 : 0;
+        tally.correct += correct ? 1 : 0;
     }
+    Ledger scalar_ledger(
+        PcRows<BranchTally>(scalar_tallies.begin(), scalar_tallies.end()));
 
     // sim::run drives the devirtualized batch override.
     predictor::TwoLevel batched(predictor::TwoLevelConfig::gshare(12));

@@ -96,6 +96,20 @@ TEST(Driver, LedgerMatchesAggregate)
     EXPECT_EQ(b108.correct, 0u);
 }
 
+TEST(Driver, LedgerHoldsOneRowPerExecutedConditional)
+{
+    // Non-conditional pcs hold static ids too, but get no row; a second
+    // run into the same ledger replaces it rather than adding to it.
+    AlwaysTaken taken;
+    Ledger ledger;
+    run(mixedTrace(), taken, &ledger);
+    run(mixedTrace(), taken, &ledger);
+    ASSERT_EQ(ledger.staticBranches(), 2u);
+    EXPECT_EQ(ledger.table()[0].first, 0x100u);
+    EXPECT_EQ(ledger.table()[1].first, 0x108u);
+    EXPECT_EQ(ledger.dynamic(), 3u);
+}
+
 TEST(Driver, RunAllParallelMatchesIndividualRuns)
 {
     auto trace = workload::biasedTrace(0x100, 0.7, 2000, 3);
@@ -151,62 +165,67 @@ TEST(Driver, NonConditionalOnlyTraceGivesUndefinedAccuracy)
     EXPECT_TRUE(std::isnan(result.accuracyPercent()));
 }
 
-TEST(Ledger, RecordAccumulates)
+TEST(Ledger, ConstructorSortsRowsByPc)
 {
-    Ledger ledger;
-    ledger.record(0x100, true, true);
-    ledger.record(0x100, false, false);
-    ledger.record(0x100, true, true);
+    Ledger ledger(
+        {{0x300, {4, 1, 2}}, {0x100, {3, 2, 2}}, {0x200, {1, 1, 0}}});
+    ASSERT_EQ(ledger.staticBranches(), 3u);
+    EXPECT_EQ(ledger.table()[0].first, 0x100u);
+    EXPECT_EQ(ledger.table()[1].first, 0x200u);
+    EXPECT_EQ(ledger.table()[2].first, 0x300u);
     auto tally = ledger.branch(0x100);
     EXPECT_EQ(tally.execs, 3u);
     EXPECT_EQ(tally.taken, 2u);
     EXPECT_EQ(tally.correct, 2u);
     EXPECT_NEAR(tally.accuracy(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Ledger, SetTallyOverwrites)
-{
-    Ledger ledger;
-    ledger.record(0x100, true, false);
-    ledger.setTally(0x100, 10, 9, 5);
-    auto tally = ledger.branch(0x100);
-    EXPECT_EQ(tally.execs, 10u);
-    EXPECT_EQ(tally.correct, 9u);
-    EXPECT_EQ(tally.taken, 5u);
+    EXPECT_EQ(ledger.branch(0x300).execs, 4u);
+    EXPECT_EQ(ledger.dynamic(), 8u);
+    EXPECT_EQ(ledger.correct(), 4u);
 }
 
 TEST(Ledger, UnknownBranchIsZeroTally)
 {
-    Ledger ledger;
-    auto tally = ledger.branch(0x1234);
-    EXPECT_EQ(tally.execs, 0u);
-    EXPECT_DOUBLE_EQ(tally.accuracy(), 0.0);
+    Ledger ledger({{0x100, {10, 9, 5}}, {0x200, {10, 9, 5}}});
+    for (uint64_t pc : {0x0ull, 0x150ull, 0x1234ull}) {
+        auto tally = ledger.branch(pc);
+        EXPECT_EQ(tally.execs, 0u);
+        EXPECT_DOUBLE_EQ(tally.accuracy(), 0.0);
+    }
+    EXPECT_EQ(Ledger{}.branch(0x100).execs, 0u);
 }
 
 TEST(Ledger, AccuracyPercentAggregates)
 {
-    Ledger ledger;
-    ledger.setTally(0x100, 10, 10, 10);
-    ledger.setTally(0x200, 10, 5, 0);
+    Ledger ledger({{0x100, {10, 10, 10}}, {0x200, {10, 5, 0}}});
     EXPECT_DOUBLE_EQ(ledger.accuracyPercent(), 75.0);
     EXPECT_EQ(ledger.staticBranches(), 2u);
+    EXPECT_TRUE(std::isnan(Ledger{}.accuracyPercent()));
 }
 
 TEST(Ledger, BestOfTakesPerBranchMax)
 {
-    Ledger a, b;
-    a.setTally(0x100, 10, 8, 5);
-    b.setTally(0x100, 10, 3, 5);
-    a.setTally(0x200, 10, 2, 5);
-    b.setTally(0x200, 10, 9, 5);
+    Ledger a({{0x100, {10, 8, 5}}, {0x200, {10, 2, 5}}});
+    Ledger b({{0x200, {10, 9, 5}}, {0x100, {10, 3, 5}}});
     EXPECT_DOUBLE_EQ(bestOfAccuracyPercent(a, b), 85.0);
+}
+
+TEST(LedgerDeath, DuplicatePcPanics)
+{
+    EXPECT_DEATH(Ledger({{0x100, {1, 1, 1}}, {0x100, {2, 1, 1}}}),
+                 "duplicate pc");
 }
 
 TEST(LedgerDeath, BestOfRejectsMismatchedTraces)
 {
-    Ledger a, b;
-    a.setTally(0x100, 10, 8, 5);
-    b.setTally(0x100, 7, 3, 5);
+    Ledger a({{0x100, {10, 8, 5}}});
+    Ledger b({{0x100, {7, 3, 5}}});
+    EXPECT_DEATH(bestOfAccuracyPercent(a, b), "different traces");
+}
+
+TEST(LedgerDeath, BestOfRejectsBranchMissingFromFirst)
+{
+    Ledger a({{0x100, {10, 8, 5}}});
+    Ledger b({{0x100, {10, 3, 5}}, {0x200, {10, 3, 5}}});
     EXPECT_DEATH(bestOfAccuracyPercent(a, b), "different traces");
 }
 

@@ -114,9 +114,9 @@ FileScan scanSource(const std::string &rel, const std::string &content);
 /**
  * Unordered-container knowledge harvested from declarations: variable
  * and accessor names whose type involves std::unordered_map/set.
- * Collected from a file's own tokens plus its directly included
- * project headers, so `for (x : ledger.table())` is visible from a
- * .cc that only includes sim/ledger.hpp.
+ * Collected from a file's own tokens plus every project header in its
+ * include closure, so `for (x : bank.table())` is visible from a .cc
+ * that reaches predictor/fixed_pattern.hpp through another header.
  */
 struct UnorderedDecls
 {

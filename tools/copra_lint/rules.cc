@@ -688,6 +688,47 @@ relPath(const fs::path &root, const fs::path &file)
     return fs::relative(file, root).generic_string();
 }
 
+/**
+ * Unordered declarations of every scanned header in the include
+ * closure of each scan: what `x.table()` can refer to in a file that
+ * reaches the declaring header directly or through any chain of
+ * project headers.
+ */
+std::vector<UnorderedDecls>
+includedUnorderedDecls(const std::vector<FileScan> &scans,
+                       const IncludeGraph &graph)
+{
+    std::map<std::string, UnorderedDecls> headerDecls;
+    for (const FileScan &scan : scans)
+        if (isHeader(scan.rel))
+            collectUnorderedDecls(scan, headerDecls[scan.rel]);
+
+    std::vector<UnorderedDecls> out(scans.size());
+    for (size_t s = 0; s < scans.size(); ++s) {
+        std::set<std::string> seen{scans[s].rel};
+        std::vector<std::string> todo{scans[s].rel};
+        while (!todo.empty()) {
+            auto edges = graph.edges.find(todo.back());
+            todo.pop_back();
+            if (edges == graph.edges.end())
+                continue;
+            for (const Include &inc : edges->second) {
+                if (!seen.insert(inc.target).second)
+                    continue;
+                todo.push_back(inc.target);
+                auto decls = headerDecls.find(inc.target);
+                if (decls == headerDecls.end())
+                    continue;
+                out[s].variables.insert(decls->second.variables.begin(),
+                                        decls->second.variables.end());
+                out[s].accessors.insert(decls->second.accessors.begin(),
+                                        decls->second.accessors.end());
+            }
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 TreeLint
@@ -699,10 +740,8 @@ lintTreeFull(const std::string &rootStr,
     std::vector<fs::path> files =
         collectFiles(root, paths, result.errors);
 
-    // First pass: lex everything and harvest unordered declarations
-    // per header, keyed by include spelling (e.g. "sim/ledger.hpp").
+    // First pass: lex everything.
     std::vector<FileScan> scans;
-    std::map<std::string, UnorderedDecls> headerDecls;
     scans.reserve(files.size());
     for (const fs::path &file : files) {
         std::ifstream in(file, std::ios::binary);
@@ -713,43 +752,22 @@ lintTreeFull(const std::string &rootStr,
         }
         std::ostringstream buf;
         buf << in.rdbuf();
-        FileScan scan = scanSource(relPath(root, file), buf.str());
-        if (isHeader(scan.rel)) {
-            UnorderedDecls decls;
-            collectUnorderedDecls(scan, decls);
-            // Headers are included src-relative ("sim/ledger.hpp") or,
-            // for bench/, by bare name ("bench_common.hpp").
-            std::string key = scan.rel;
-            if (key.rfind("src/", 0) == 0)
-                key = key.substr(4);
-            else if (key.rfind("bench/", 0) == 0)
-                key = key.substr(6);
-            headerDecls[key] = decls;
-        }
-        scans.push_back(std::move(scan));
+        scans.push_back(scanSource(relPath(root, file), buf.str()));
     }
 
-    // Second pass: run rules, seeding each file with the declarations
-    // of the project headers it directly includes.
+    // Second pass: run rules, seeding each file with the unordered
+    // declarations of every project header its includes reach.
+    result.graph = buildIncludeGraph(scans);
+    std::vector<UnorderedDecls> included =
+        includedUnorderedDecls(scans, result.graph);
     std::vector<Finding> all;
-    for (const FileScan &scan : scans) {
-        UnorderedDecls extra;
-        for (const std::string &inc : scan.includes) {
-            auto it = headerDecls.find(inc);
-            if (it != headerDecls.end()) {
-                extra.variables.insert(it->second.variables.begin(),
-                                       it->second.variables.end());
-                extra.accessors.insert(it->second.accessors.begin(),
-                                       it->second.accessors.end());
-            }
-        }
-        std::vector<Finding> found = runRules(scan, extra);
+    for (size_t s = 0; s < scans.size(); ++s) {
+        std::vector<Finding> found = runRules(scans[s], included[s]);
         all.insert(all.end(), found.begin(), found.end());
     }
 
     // Graph passes: include cycles and include-through layering over
     // the resolved file-level include graph of everything scanned.
-    result.graph = buildIncludeGraph(scans);
     std::vector<Finding> graphFindings =
         runGraphRules(scans, result.graph);
     all.insert(all.end(), graphFindings.begin(), graphFindings.end());
@@ -837,7 +855,11 @@ selfTest(const std::string &rootStr, const std::string &corpus,
     std::map<std::string, std::set<std::pair<int, std::string>>>
         expected, actual;
 
-    for (const FileScan &scan : scans) {
+    IncludeGraph graph = buildIncludeGraph(scans);
+    std::vector<UnorderedDecls> included =
+        includedUnorderedDecls(scans, graph);
+    for (size_t s = 0; s < scans.size(); ++s) {
+        const FileScan &scan = scans[s];
         for (const Annotation &ann : scan.annotations) {
             if (ann.kind == Annotation::Kind::Expect)
                 expected[scan.rel].insert({ann.line, ann.rule});
@@ -846,10 +868,10 @@ selfTest(const std::string &rootStr, const std::string &corpus,
             if (ann.kind == Annotation::Kind::SanctionedGlobal)
                 suppressed.insert("mutable-global");
         }
-        for (const Finding &f : runRules(scan, {}))
+        for (const Finding &f : runRules(scan, included[s]))
             actual[scan.rel].insert({f.line, f.rule});
     }
-    for (const Finding &f : runGraphRules(scans, buildIncludeGraph(scans)))
+    for (const Finding &f : runGraphRules(scans, graph))
         actual[f.rel].insert({f.line, f.rule});
     SemaModel model = buildSemaModel(scans);
     for (const Finding &f : runSemaRules(model, scans))
