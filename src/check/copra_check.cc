@@ -20,9 +20,9 @@
  *
  * --ingest-gates verifies the foreign-trace path end to end over a
  * committed sample (--sample): reference ingest, stream-vs-mmap SoA
- * identity of the emitted cache-v2 file, record round-trip,
- * cross-format (text/CSV) agreement, and corruption fuzz
- * (check/ingest_gates.hpp).
+ * identity of the emitted cache-v3 file, record round-trip,
+ * cross-format (text/CSV) agreement, corruption fuzz through both
+ * loaders, and re-sealed forgeries (check/ingest_gates.hpp).
  *
  * --hot-gates replays fuzzed traces through the roster's SoA hot path
  * and asserts a steady-state replay performs zero heap allocations
@@ -251,7 +251,7 @@ main(int argc, char **argv)
     parser.addFlag("ingest-gates", &ingest_gates,
                    "run the foreign-trace ingestion gates (sample "
                    "ingest, stream/mmap identity, round-trip, "
-                   "corruption fuzz) over --sample");
+                   "corruption fuzz, forgeries) over --sample");
     std::string sample_path;
     parser.addString("sample", &sample_path,
                      "with --ingest-gates: committed sample foreign "

@@ -1,7 +1,11 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
+#include <optional>
+
+#include "trace/trace_io.hpp"
 
 #include "util/logging.hpp"
 
@@ -428,6 +432,123 @@ fuzzTrace(uint64_t seed, uint64_t conditionals)
     return out;
 }
 
+namespace {
+
+/** A cache-v3 image's header counts and layout; nullopt if @p bytes
+ * is not a well-sized v3 image. */
+struct ImageShape
+{
+    uint64_t records = 0;
+    uint64_t statics = 0;
+    trace::ImageLayout at;
+};
+
+std::optional<ImageShape>
+imageShape(const std::string &bytes)
+{
+    namespace off = trace::header_offset;
+    if (bytes.size() < off::kName || bytes.compare(0, 8, "COPRATRC") != 0)
+        return std::nullopt;
+    auto u64 = [&](size_t at) {
+        uint64_t v;
+        std::memcpy(&v, bytes.data() + at, sizeof v);
+        return v;
+    };
+    uint64_t word = u64(off::kVersion);
+    ImageShape shape{u64(off::kRecords), u64(off::kStaticPcs), {}};
+    if (static_cast<uint32_t>(word) != trace::kTraceFormatVersion ||
+        shape.records > bytes.size() || shape.statics > bytes.size())
+        return std::nullopt;
+    shape.at = trace::imageLayout(static_cast<uint32_t>(word >> 32),
+                                  shape.records, shape.statics);
+    if (shape.at.end != bytes.size())
+        return std::nullopt;
+    return shape;
+}
+
+} // namespace
+
+std::string
+forgeImage(const std::string &bytes, Forgery forgery, uint64_t seed)
+{
+    std::optional<ImageShape> shape = imageShape(bytes);
+    if (!shape || shape->statics < 2 || shape->records < shape->statics)
+        return {};
+    std::string out = bytes;
+    const trace::ImageLayout &at = shape->at;
+    size_t n = static_cast<size_t>(shape->records);
+    auto get = [&]<typename T>(size_t offset, T value) {
+        std::memcpy(&value, out.data() + offset, sizeof value);
+        return value;
+    };
+    auto put = [&]<typename T>(size_t offset, T value) {
+        std::memcpy(out.data() + offset, &value, sizeof value);
+    };
+    auto id = [&](size_t i) {
+        return get(at.staticIndex + 4 * i, uint32_t{});
+    };
+    auto setId = [&](size_t i, uint32_t v) {
+        put(at.staticIndex + 4 * i, v);
+    };
+    auto staticPc = [&](size_t j) {
+        return get(at.staticPcs + 8 * j, uint64_t{});
+    };
+    Rng rng(mix64(seed ^ 0xf0a6e5ull));
+
+    switch (forgery) {
+      case Forgery::StaticIdOtherPc: {
+        // A record repeating an id seen before, once two ids are out:
+        // re-pointing it at another seen id stays in range and in
+        // first-appearance order, so only the pc check can catch it.
+        std::vector<std::pair<size_t, uint32_t>> repeats; // (i, ids seen)
+        uint32_t seen = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if (id(i) < seen && seen >= 2)
+                repeats.emplace_back(i, seen);
+            seen = std::max(seen, id(i) + 1);
+        }
+        if (repeats.empty())
+            return {};
+        auto [i, seen_before] = repeats[rng.index(repeats.size())];
+        setId(i, static_cast<uint32_t>(
+                     (id(i) + 1 + rng.index(seen_before - 1)) % seen_before));
+        break;
+      }
+      case Forgery::StaticIdOutOfRange:
+        setId(rng.index(n),
+              static_cast<uint32_t>(shape->statics + rng.index(16)));
+        break;
+      case Forgery::StaticIdOrder: {
+        // Swapping ids 0 and 1 everywhere, and their pcs with them,
+        // keeps every id naming its record's pc.
+        uint64_t first = staticPc(0);
+        put(at.staticPcs, staticPc(1));
+        put(at.staticPcs + 8, first);
+        for (size_t i = 0; i < n; ++i)
+            if (id(i) < 2)
+                setId(i, id(i) ^ 1);
+        break;
+      }
+      case Forgery::DuplicateStaticPc: {
+        // The last static branch takes the first one's pc, and so do
+        // its records: ids stay consistent, only uniqueness breaks.
+        uint32_t last = static_cast<uint32_t>(shape->statics - 1);
+        put(at.staticPcs + 8 * last, staticPc(0));
+        for (size_t i = 0; i < n; ++i)
+            if (id(i) == last)
+                put(at.pc + 8 * i, staticPc(0));
+        break;
+      }
+      case Forgery::TakenTwo:
+        out[at.taken + rng.index(n)] = 2;
+        break;
+    }
+    put(trace::header_offset::kChecksum,
+        trace::imageChecksum(
+            reinterpret_cast<const unsigned char *>(out.data()), out.size()));
+    return out;
+}
+
 std::string
 corruptBytes(const std::string &bytes, uint64_t seed)
 {
@@ -435,8 +556,16 @@ corruptBytes(const std::string &bytes, uint64_t seed)
     std::string mutated = bytes;
     // Mutation kinds, weighted toward header damage (the paths the
     // trace cache must survive): 0 truncate, 1 magic smash, 2 version
-    // bump, 3 record-count inflate, 4 kind poison, 5 payload bit flip.
-    unsigned kind = static_cast<unsigned>(rng.index(6));
+    // bump, 3 record-count inflate, 4 kind poison, 5 payload bit flip,
+    // 6.. a re-sealed forgery (bit flip where none applies).
+    unsigned kind = static_cast<unsigned>(rng.index(6 + kForgeryCount));
+    if (kind >= 6) {
+        std::string forged =
+            forgeImage(bytes, static_cast<Forgery>(kind - 6), rng.next());
+        if (!forged.empty() && forged != bytes)
+            return forged;
+        kind = 5;
+    }
     switch (kind) {
       case 0: // truncate anywhere, including mid-header and mid-record
         mutated.resize(rng.index(bytes.empty() ? 1 : bytes.size()));
@@ -447,35 +576,22 @@ corruptBytes(const std::string &bytes, uint64_t seed)
         if (mutated.size() >= 8)
             mutated[rng.index(8)] ^= char(0x40 | (1 + rng.index(0x3f)));
         break;
-      case 2: // implausible format version (offset 8..11)
-        if (mutated.size() >= 12)
-            mutated[8 + rng.index(4)] ^= char(1 + rng.index(0xff));
+      case 2: // implausible format version
+        if (mutated.size() >= trace::header_offset::kVersion + 4)
+            mutated[trace::header_offset::kVersion + rng.index(4)] ^=
+                char(1 + rng.index(0xff));
         break;
-      case 3: // inflate the record count so columns run past EOF.
-        // v2 keeps the count at a fixed header offset (24..31).
-        if (mutated.size() >= 32)
-            mutated[24 + 7] = char(0x7f); // count |= 2^63-ish
+      case 3: // inflate the record count so columns run past EOF
+        if (mutated.size() >= trace::header_offset::kRecords + 8)
+            mutated[trace::header_offset::kRecords + 7] =
+                char(0x7f); // count |= 2^63-ish
         break;
-      case 4: { // poison one byte of the kind column
-        // v2 layout: header(48, incl. payload checksum) + name padded
-        // to 8 bytes + pc column (8n) + target column (8n) + kind
-        // column (n) + taken (n).
-        if (mutated.size() >= 48) {
-            uint32_t name_len = 0;
-            for (int i = 3; i >= 0; --i) {
-                name_len = (name_len << 8) |
-                    static_cast<unsigned char>(mutated[12 + i]);
-            }
-            size_t cols = 48 + ((size_t(name_len) + 7) & ~size_t(7));
-            if (mutated.size() >= cols + 18) {
-                size_t nrec = (mutated.size() - cols) / 18;
-                size_t off = cols + 16 * nrec + rng.index(nrec);
-                if (off < mutated.size())
-                    mutated[off] = char(4 + rng.index(250)); // > Return
-            }
-        }
+      case 4: // poison one byte of the kind column
+        if (std::optional<ImageShape> shape = imageShape(bytes);
+            shape && shape->records != 0)
+            mutated[shape->at.kind + rng.index(shape->records)] =
+                char(4 + rng.index(250)); // > Return
         break;
-      }
       default: // flip one payload bit anywhere
         if (!mutated.empty()) {
             size_t off = rng.index(mutated.size());

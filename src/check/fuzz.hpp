@@ -16,8 +16,9 @@
  *
  * corruptBytes() is the companion byte-level mutator for serialized
  * traces: it applies a seed-chosen corruption (truncation, bit flip,
- * magic/version smash, kind poisoning, record-count inflation) for
- * trace_io / trace_cache robustness fuzzing.
+ * magic/version smash, kind poisoning, record-count inflation, or one
+ * of the re-sealed forgeries of forgeImage()) for trace_io /
+ * trace_cache robustness fuzzing.
  */
 
 #pragma once
@@ -78,10 +79,38 @@ trace::Trace fuzzTrace(uint64_t seed, uint64_t conditionals = 2000);
  * mutation is chosen from the seed; the result is guaranteed to differ
  * from the input. Mutations targeting the header (magic, version,
  * record count, kind bytes, truncation) make readBinary() throw; a
- * payload bit flip may instead yield a different-but-valid trace, which
- * is also a legitimate fuzz outcome.
+ * payload bit flip fails the checksum; a re-sealed forgery (see
+ * forgeImage) passes the checksum and must fail verification. Where a
+ * forgery does not apply (e.g. @p bytes is not a cache-v3 image) a
+ * bit is flipped instead.
  */
 std::string corruptBytes(const std::string &bytes, uint64_t seed);
+
+/**
+ * Tampering with a cache-v3 image that forgeImage() re-seals under a
+ * valid checksum, so only the loader's verification pass can catch it.
+ */
+enum class Forgery : uint8_t
+{
+    StaticIdOtherPc = 0, //!< a repeat record's id names another seen pc
+    StaticIdOutOfRange,  //!< a static id at or past the static pc count
+    StaticIdOrder,       //!< ids 0 and 1 swapped (pcs kept consistent)
+    DuplicateStaticPc,   //!< the last static pc repeats the first one
+    TakenTwo,            //!< one taken byte set to 2
+};
+
+/** Number of Forgery values. */
+inline constexpr unsigned kForgeryCount = 5;
+
+/**
+ * Apply @p forgery to the cache-v3 image @p bytes (the record touched
+ * is chosen from @p seed) and recompute its checksum. Every other
+ * invariant the forgery does not target is kept, so the image fails
+ * exactly one check. Returns "" when @p bytes is not a v3 image or
+ * has too few static branches for the forgery.
+ */
+std::string forgeImage(const std::string &bytes, Forgery forgery,
+                       uint64_t seed);
 
 } // namespace copra::check
 

@@ -1,28 +1,33 @@
 /**
  * @file
  * Ingestion gates: end-to-end verification of the foreign-trace path
- * (trace/ingest.hpp → trace_io v2 → SoA replay) over a committed
+ * (trace/ingest.hpp → trace_io cache-v3 → SoA replay) over a committed
  * reference sample plus fuzzed corruption.
  *
  * The gates prove, on every run:
  *
  *  - reference-ingest: the committed sample foreign trace parses, has
  *    conditionals, and normalization is idempotent.
- *  - stream-mmap-identity: the ingested trace, emitted as a cache-v2
- *    file, decodes byte-identically through loadBinary (stream decode)
- *    and loadBinaryMapped (mmap column adoption) — every SoA column,
- *    the name, and the seed. This is the "SoA replay is byte-identical
- *    between the stream and mmap paths" contract the simulator's
- *    determinism rests on.
- *  - round-trip: records out of the v2 file equal the ingested records
+ *  - stream-mmap-identity: the ingested trace, emitted as a cache-v3
+ *    file, loads byte-identically through loadBinary (stream) and
+ *    loadBinaryMapped (mmap) — every column, the static index, the
+ *    static pcs, the conditional segments, the name, and the seed.
+ *    This is the "SoA replay is byte-identical between the stream and
+ *    mmap paths" contract the simulator's determinism rests on.
+ *  - round-trip: records out of the v3 file equal the ingested records
  *    one-for-one.
  *  - cross-format: re-rendering the sample as native text and as CSV
  *    (with an explicit index column) and re-ingesting yields the same
  *    record sequence — the three grammars describe one trace.
- *  - corruption-fuzz: seed-ranged corrupted copies of the v2 bytes and
- *    of the text rendering must either throw on load/ingest or decode
- *    to a structurally valid trace; never crash, never silently
- *    truncate past validation.
+ *  - corruption-fuzz: seed-ranged corrupted copies of the v3 bytes go
+ *    through both loaders (the mapped one from a temp file), which
+ *    must both reject them or both load identical traces that are
+ *    structurally valid from first principles (static index, static
+ *    pcs and segments rebuilt from the pc and kind columns). Corrupted
+ *    copies of the text rendering must throw or ingest validly. Never
+ *    crash, never silently truncate past validation.
+ *  - forgery: each re-sealed forgery of check/fuzz.hpp (valid
+ *    checksum, one broken invariant) is rejected by both loaders.
  */
 
 #pragma once
@@ -46,7 +51,7 @@ struct IngestGateFailure
 {
     std::string gate; //!< "reference-ingest", "stream-mmap-identity",
                       //!< "round-trip", "cross-format",
-                      //!< "corruption-fuzz"
+                      //!< "corruption-fuzz", "forgery"
     uint64_t seed = 0; //!< corruption seed (0 for deterministic gates)
     std::string detail;
 };

@@ -396,7 +396,7 @@ renderWorkloadsDoc(const std::vector<WorkloadFingerprint> &fps,
         "\n"
         "`copra_ingest` validates and normalizes foreign traces (text, "
         "CSV, or\nCBP-style binary — grammars and failure semantics "
-        "in docs/TRACES.md)\ninto cache-v2 files, recording provenance "
+        "in docs/TRACES.md)\ninto cache-v3 files, recording provenance "
         "in the run manifest:\n"
         "\n"
         "```\n"

@@ -176,7 +176,7 @@ buildCatalog()
         "trace cache lookups served from disk", "trace");
     add(c, i.traceCacheMmapHit, "trace.cache.mmap_hit", Kind::Counter,
         "entries",
-        "cache hits decoded through the mmap fast path (subset of "
+        "cache hits served in place by the mmap fast path (subset of "
         "trace.cache.hit)",
         "trace");
     add(c, i.traceCacheMiss, "trace.cache.miss", Kind::Counter,

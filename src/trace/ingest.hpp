@@ -2,7 +2,7 @@
  * @file
  * Foreign-trace ingestion: validate and normalize branch traces from
  * outside the repo into the native in-memory Trace (and from there into
- * cache-v2 files via trace_io). Three source formats are supported; the
+ * cache-v3 files via trace_io). Three source formats are supported; the
  * grammars and failure semantics are documented in docs/TRACES.md.
  *
  *  - Text: the versioned "copra branch-trace" line format. A superset

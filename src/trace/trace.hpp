@@ -25,8 +25,11 @@ namespace copra::trace {
  * The records are stored once, as the columns of soa() (see
  * trace_soa.hpp), whose segment and static-branch indices grow with
  * every append. A BranchRecord is a value built on demand by
- * operator[] and records(). Copies are deep, and — as with
- * std::vector — append() invalidates references obtained from soa().
+ * operator[] and records(). A copy of a generated trace is deep; a
+ * copy of a loaded trace shares the loaded file image, which stays
+ * read-only. As with std::vector, append() invalidates pointers
+ * obtained from soa() (on a loaded trace it first copies the image
+ * into owned columns).
  */
 class Trace
 {

@@ -59,9 +59,9 @@ TraceCache::load(const TraceCacheKey &key) const
     if (ec)
         bytes = 0;
     try {
-        // Fast path: mmap the entry and adopt its columns directly.
+        // Fast path: mmap the entry and view its columns in place.
         // Anything the mapped loader rejects is retried through the
-        // stream decoder (the only loader where mmap is unavailable);
+        // stream loader (the only loader where mmap is unavailable);
         // what both reject, e.g. a wrong-version header, is evicted.
         Trace trace;
         bool mapped = false;

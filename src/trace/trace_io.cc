@@ -1,9 +1,11 @@
 #include "trace/trace_io.hpp"
 
-#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,234 +20,276 @@
 
 namespace copra::trace {
 
+// The file's little-endian columns are the trace's columns, viewed in
+// place; a big-endian host would need a decode pass.
+static_assert(std::endian::native == std::endian::little,
+              "cache-v3 images are viewed in place on little-endian hosts");
+
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'P', 'R', 'A', 'T', 'R', 'C'};
-constexpr uint32_t kVersion = kTraceFormatVersion;
-
-void
-putU32(std::ostream &os, uint32_t v)
-{
-    std::array<char, 4> buf;
-    for (int i = 0; i < 4; ++i)
-        buf[static_cast<size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(buf.data(), buf.size());
-}
-
-void
-putU64(std::ostream &os, uint64_t v)
-{
-    std::array<char, 8> buf;
-    for (int i = 0; i < 8; ++i)
-        buf[static_cast<size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xff);
-    os.write(buf.data(), buf.size());
-}
-
-uint32_t
-getU32(std::istream &is)
-{
-    std::array<unsigned char, 4> buf;
-    is.read(reinterpret_cast<char *>(buf.data()), buf.size());
-    if (!is)
-        throw std::runtime_error("copra trace: truncated input (u32)");
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | buf[static_cast<size_t>(i)];
-    return v;
-}
-
-uint64_t
-getU64(std::istream &is)
-{
-    std::array<unsigned char, 8> buf;
-    is.read(reinterpret_cast<char *>(buf.data()), buf.size());
-    if (!is)
-        throw std::runtime_error("copra trace: truncated input (u64)");
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | buf[static_cast<size_t>(i)];
-    return v;
-}
-
-/** Little-endian u64 load; compiles to one mov on LE hosts. */
-uint64_t
-loadLe64(const unsigned char *p)
-{
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[static_cast<size_t>(i)];
-    return v;
-}
+constexpr size_t kHeaderBytes = header_offset::kName;
+constexpr uint32_t kMaxNameLength = 1u << 16;
+/** Smallest per-record footprint: pc, target, kind, taken, static id. */
+constexpr uint64_t kMinRecordBytes = 8 + 8 + 1 + 1 + 4;
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 size_t
-paddedNameLen(size_t name_len)
+pad8(size_t n)
 {
-    return (name_len + 7) & ~size_t(7);
+    return (n + 7) & ~size_t(7);
 }
 
-/** v2 header: everything before the name bytes (incl. checksum). */
-constexpr size_t kV2HeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8;
+uint64_t
+loadU64(const unsigned char *p)
+{
+    uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+storeU64(unsigned char *p, uint64_t v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
 
 /**
- * FNV-1a folded over 8-byte LE words (byte-wise tail). The column
- * layout has no per-record structure to validate — a flipped pc byte
- * decodes silently — so v2 carries an explicit payload checksum;
- * corruption detection, not adversarial tamper-proofing.
+ * Fold @p bytes at @p data into FNV-1a state @p h one 8-byte word at a
+ * time; a partial last word is zero-extended, which is what the
+ * section's zero padding holds on disk.
  */
 uint64_t
-checksumPayload(const unsigned char *p, size_t n)
+foldWords(uint64_t h, const void *data, size_t bytes)
 {
-    uint64_t h = 1469598103934665603ull;
-    size_t words = n / 8;
+    const auto *p = static_cast<const unsigned char *>(data);
+    size_t words = bytes / 8;
     for (size_t i = 0; i < words; ++i) {
-        h ^= loadLe64(p + i * 8);
-        h *= 1099511628211ull;
+        h ^= loadU64(p + 8 * i);
+        h *= kFnvPrime;
     }
-    for (size_t i = words * 8; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
+    if (size_t tail = bytes % 8) {
+        uint64_t last = 0;
+        std::memcpy(&last, p + 8 * words, tail);
+        h ^= last;
+        h *= kFnvPrime;
     }
     return h;
 }
 
-size_t
-v2PayloadBytes(uint64_t count)
+/** The header fields of a cache-v3 image, checked against its size. */
+struct Header
 {
-    return static_cast<size_t>(count) * (8 + 8 + 1 + 1);
+    uint32_t nameLength = 0;
+    uint64_t seed = 0;
+    uint64_t records = 0;
+    uint64_t conditionals = 0;
+    uint64_t staticPcs = 0;
+    uint64_t checksum = 0;
+    ImageLayout layout;
+};
+
+/**
+ * Parse the header in the first @p have bytes at @p p of an image that
+ * is @p image_bytes long. Checks run in the order a reader needs them:
+ * magic, version, a complete header, then the exact image size — the
+ * counts are bounded by that size before any offset is computed from
+ * them.
+ */
+Header
+parseHeader(const unsigned char *p, size_t have, uint64_t image_bytes)
+{
+    if (have < sizeof kMagic || std::memcmp(p, kMagic, sizeof kMagic) != 0)
+        throw std::runtime_error("copra trace: bad magic");
+    if (have < header_offset::kVersion + 4)
+        throw std::runtime_error("copra trace: truncated header");
+    uint64_t word = loadU64(p + header_offset::kVersion);
+    auto version = static_cast<uint32_t>(word);
+    if (version != kTraceFormatVersion)
+        throw std::runtime_error("copra trace: unsupported version " +
+                                 std::to_string(version));
+    if (have < kHeaderBytes)
+        throw std::runtime_error("copra trace: truncated header");
+    Header h;
+    h.nameLength = static_cast<uint32_t>(word >> 32);
+    if (h.nameLength > kMaxNameLength)
+        throw std::runtime_error("copra trace: implausible name length " +
+                                 std::to_string(h.nameLength));
+    h.seed = loadU64(p + header_offset::kSeed);
+    h.records = loadU64(p + header_offset::kRecords);
+    h.conditionals = loadU64(p + header_offset::kConditionals);
+    h.staticPcs = loadU64(p + header_offset::kStaticPcs);
+    h.checksum = loadU64(p + header_offset::kChecksum);
+    if (h.records > image_bytes / kMinRecordBytes ||
+        h.staticPcs > image_bytes / 8)
+        throw std::runtime_error(
+            "copra trace: size mismatch (file is " +
+            std::to_string(image_bytes) + " bytes, too few for " +
+            std::to_string(h.records) + " records)");
+    h.layout = imageLayout(h.nameLength, h.records, h.staticPcs);
+    if (h.layout.end != image_bytes)
+        throw std::runtime_error(
+            "copra trace: size mismatch (file is " +
+            std::to_string(image_bytes) + " bytes, header implies " +
+            std::to_string(h.layout.end) + ")");
+    return h;
+}
+
+/** A read-only view of @p count values of type T at @p base + @p offset. */
+template <typename T>
+std::span<const T>
+section(const unsigned char *base, size_t offset, uint64_t count)
+{
+    return {reinterpret_cast<const T *>(base + offset),
+            static_cast<size_t>(count)};
 }
 
 /**
- * Decode the v2 column payload (laid out pc, target, kind, taken) into
- * a SoABlocks. @p payload must hold v2PayloadBytes(count) bytes.
+ * The one decode path of both loaders: check the image at @p base
+ * (@p bytes long, 8-aligned, kept alive by @p owner) and adopt its
+ * sections as the trace's columns in place.
  */
-SoABlocks
-decodeColumns(const unsigned char *payload, uint64_t count,
-              uint64_t claimed_conditionals)
+Trace
+adoptImage(std::shared_ptr<const void> owner, const unsigned char *base,
+           size_t bytes)
 {
-    size_t n = static_cast<size_t>(count);
-    std::vector<uint64_t> pc(n);
-    std::vector<uint64_t> target(n);
-    std::vector<uint8_t> kind(n);
-    std::vector<uint8_t> taken(n);
-    const unsigned char *p = payload;
-    for (size_t i = 0; i < n; ++i, p += 8)
-        pc[i] = loadLe64(p);
-    for (size_t i = 0; i < n; ++i, p += 8)
-        target[i] = loadLe64(p);
-    for (size_t i = 0; i < n; ++i)
-        kind[i] = p[i];
-    p += n;
-    std::copy(p, p + n, taken.begin());
-    for (size_t i = 0; i < n; ++i)
-        if (kind[i] > static_cast<uint8_t>(BranchKind::Return))
-            throw std::runtime_error("copra trace: invalid branch kind");
-    SoABlocks blocks(std::move(pc), std::move(target), std::move(kind),
-                     std::move(taken));
-    if (blocks.conditionalCount() != claimed_conditionals)
+    Header h = parseHeader(base, bytes, bytes);
+    if (imageChecksum(base, bytes) != h.checksum)
+        throw std::runtime_error("copra trace: checksum mismatch");
+    std::string name(reinterpret_cast<const char *>(base) + kHeaderBytes,
+                     h.nameLength);
+    const ImageLayout &at = h.layout;
+    SoABlocks::Columns columns{
+        section<uint64_t>(base, at.pc, h.records),
+        section<uint64_t>(base, at.target, h.records),
+        section<uint8_t>(base, at.kind, h.records),
+        section<uint8_t>(base, at.taken, h.records),
+        section<uint32_t>(base, at.staticIndex, h.records),
+        section<uint64_t>(base, at.staticPcs, h.staticPcs),
+    };
+    SoABlocks soa = SoABlocks::adopt(std::move(owner), columns);
+    if (soa.conditionalCount() != h.conditionals)
         throw std::runtime_error(
             "copra trace: conditional count mismatch (header says " +
-            std::to_string(claimed_conditionals) + ", columns hold " +
-            std::to_string(blocks.conditionalCount()) + ")");
-    return blocks;
-}
-
-Trace
-readBinaryV2(std::istream &is)
-{
-    uint32_t name_len = getU32(is);
-    if (name_len > (1u << 16))
-        throw std::runtime_error("copra trace: implausible name length " +
-                                 std::to_string(name_len));
-    uint64_t seed = getU64(is);
-    uint64_t count = getU64(is);
-    uint64_t conditionals = getU64(is);
-    uint64_t checksum = getU64(is);
-
-    size_t padded = paddedNameLen(name_len);
-    std::string name_buf(padded, '\0');
-    is.read(name_buf.data(), static_cast<std::streamsize>(padded));
-    if (!is)
-        throw std::runtime_error("copra trace: truncated name");
-    std::string name = name_buf.substr(0, name_len);
-
-    // Validate the claimed record count against the actual stream size
-    // before allocating column storage for it.
-    std::istream::pos_type here = is.tellg();
-    is.seekg(0, std::ios::end);
-    std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (here == std::istream::pos_type(-1) ||
-        end == std::istream::pos_type(-1) ||
-        static_cast<uint64_t>(end - here) != v2PayloadBytes(count))
-        throw std::runtime_error("copra trace: truncated columns");
-
-    std::vector<unsigned char> payload(v2PayloadBytes(count));
-    if (!payload.empty()) {
-        is.read(reinterpret_cast<char *>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-        if (!is)
-            throw std::runtime_error("copra trace: truncated columns");
-    }
-    if (checksumPayload(payload.data(), payload.size()) != checksum)
-        throw std::runtime_error("copra trace: payload checksum mismatch");
-    return Trace(std::move(name), seed,
-                 decodeColumns(payload.data(), count, conditionals));
+            std::to_string(h.conditionals) + ", columns hold " +
+            std::to_string(soa.conditionalCount()) + ")");
+    return Trace(std::move(name), h.seed, std::move(soa));
 }
 
 } // namespace
 
+ImageLayout
+imageLayout(uint32_t name_length, uint64_t records, uint64_t static_pcs)
+{
+    auto n = static_cast<size_t>(records);
+    ImageLayout at;
+    at.pc = kHeaderBytes + pad8(name_length);
+    at.target = at.pc + 8 * n;
+    at.kind = at.target + 8 * n;
+    at.taken = at.kind + pad8(n);
+    at.staticIndex = at.taken + pad8(n);
+    at.staticPcs = at.staticIndex + pad8(4 * n);
+    at.end = at.staticPcs + 8 * static_cast<size_t>(static_pcs);
+    return at;
+}
+
+uint64_t
+imageChecksum(const unsigned char *image, size_t bytes)
+{
+    uint64_t h = foldWords(kFnvBasis, image, header_offset::kChecksum);
+    return foldWords(h, image + kHeaderBytes, bytes - kHeaderBytes);
+}
+
 void
 writeBinary(const Trace &trace, std::ostream &os)
 {
-    // Stage the whole column payload first: the header carries its
-    // checksum, so the bytes must exist before the header is written.
     const SoABlocks &soa = trace.soa();
+    const std::string &name = trace.name();
+    if (name.size() > kMaxNameLength)
+        throw std::runtime_error("copra trace: name longer than 64 KiB");
     size_t n = soa.size();
-    std::vector<unsigned char> payload(v2PayloadBytes(n));
-    unsigned char *p = payload.data();
-    for (const uint64_t *column : {soa.pc(), soa.target()}) {
-        for (size_t i = 0; i < n; ++i, p += 8) {
-            for (int b = 0; b < 8; ++b)
-                p[static_cast<size_t>(b)] = static_cast<unsigned char>(
-                    (column[i] >> (8 * b)) & 0xff);
-        }
-    }
-    std::copy(soa.kind(), soa.kind() + n, p);
-    std::copy(soa.taken(), soa.taken() + n, p + n);
 
-    os.write(kMagic, sizeof(kMagic));
-    putU32(os, kVersion);
-    putU32(os, static_cast<uint32_t>(trace.name().size()));
-    putU64(os, trace.seed());
-    putU64(os, trace.size());
-    putU64(os, trace.conditionalCount());
-    putU64(os, checksumPayload(payload.data(), payload.size()));
-    size_t padded = paddedNameLen(trace.name().size());
-    std::string name_buf(padded, '\0');
-    std::copy(trace.name().begin(), trace.name().end(), name_buf.begin());
-    os.write(name_buf.data(), static_cast<std::streamsize>(padded));
-    if (!payload.empty())
-        os.write(reinterpret_cast<const char *>(payload.data()),
-                 static_cast<std::streamsize>(payload.size()));
+    std::array<unsigned char, kHeaderBytes> header{};
+    std::memcpy(header.data(), kMagic, sizeof kMagic);
+    storeU64(header.data() + header_offset::kVersion,
+             kTraceFormatVersion | uint64_t(name.size()) << 32);
+    storeU64(header.data() + header_offset::kSeed, trace.seed());
+    storeU64(header.data() + header_offset::kRecords, n);
+    storeU64(header.data() + header_offset::kConditionals,
+             soa.conditionalCount());
+    storeU64(header.data() + header_offset::kStaticPcs, soa.staticCount());
+
+    // The name and the six sections in file order; each is padded with
+    // zeros to an 8-byte boundary on disk.
+    struct Section
+    {
+        const void *data;
+        size_t bytes;
+    };
+    const Section sections[] = {
+        {name.data(), name.size()},
+        {soa.pc(), 8 * n},
+        {soa.target(), 8 * n},
+        {soa.kind(), n},
+        {soa.taken(), n},
+        {soa.staticIndex(), 4 * n},
+        {soa.staticPcs().data(), 8 * soa.staticCount()},
+    };
+    uint64_t h = foldWords(kFnvBasis, header.data(), header_offset::kChecksum);
+    for (const Section &s : sections)
+        h = foldWords(h, s.data, s.bytes);
+    storeU64(header.data() + header_offset::kChecksum, h);
+
+    constexpr char kZeros[8] = {};
+    os.write(reinterpret_cast<const char *>(header.data()), kHeaderBytes);
+    for (const Section &s : sections) {
+        if (s.bytes != 0)
+            os.write(static_cast<const char *>(s.data),
+                     static_cast<std::streamsize>(s.bytes));
+        os.write(kZeros,
+                 static_cast<std::streamsize>(pad8(s.bytes) - s.bytes));
+    }
 }
 
 Trace
 readBinary(std::istream &is)
 {
-    char magic[8];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        throw std::runtime_error("copra trace: bad magic");
-    uint32_t version = getU32(is);
-    if (version == kVersion)
-        return readBinaryV2(is);
-    throw std::runtime_error("copra trace: unsupported version " +
-                             std::to_string(version));
+    std::istream::pos_type start = is.tellg();
+    std::array<unsigned char, kHeaderBytes> header{};
+    is.read(reinterpret_cast<char *>(header.data()), kHeaderBytes);
+    auto have = static_cast<size_t>(is.gcount());
+    is.clear();
+    is.seekg(0, std::ios::end);
+    std::istream::pos_type end = is.tellg();
+    if (start == std::istream::pos_type(-1) ||
+        end == std::istream::pos_type(-1))
+        throw std::runtime_error("copra trace: input is not seekable");
+    auto bytes = static_cast<uint64_t>(end - start);
+    parseHeader(header.data(), have, bytes);
+
+    // One buffer holds the whole image and the trace views it in place.
+    // operator new aligns it for u64 and implicitly creates the column
+    // objects the views read.
+    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(uint64_t));
+    std::shared_ptr<void> buffer(::operator new(static_cast<size_t>(bytes)),
+                                 [](void *p) { ::operator delete(p); });
+    auto *base = static_cast<unsigned char *>(buffer.get());
+    std::memcpy(base, header.data(), kHeaderBytes);
+    is.seekg(start + std::streamoff(kHeaderBytes));
+    is.read(reinterpret_cast<char *>(base) + kHeaderBytes,
+            static_cast<std::streamsize>(bytes - kHeaderBytes));
+    if (!is)
+        throw std::runtime_error("copra trace: truncated input");
+    return adoptImage(std::move(buffer), base, static_cast<size_t>(bytes));
 }
 
 void
 saveBinary(const Trace &trace, const std::string &path)
 {
+    // A fresh inode, so traces still mapping the old file keep it.
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
     std::ofstream os(path, std::ios::binary);
     if (!os)
         throw std::runtime_error("copra trace: cannot open for write: " +
@@ -279,55 +323,24 @@ loadBinaryMapped(const std::string &path)
         ::close(fd);
         throw std::runtime_error("copra trace: cannot stat: " + path);
     }
-    size_t file_size = static_cast<size_t>(st.st_size);
-    if (file_size < kV2HeaderBytes) {
+    auto bytes = static_cast<size_t>(st.st_size);
+    if (bytes < kHeaderBytes) {
         ::close(fd);
         throw std::runtime_error("copra trace: truncated header");
     }
-    void *map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    int flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+    flags |= MAP_POPULATE; // the checksum reads every page anyway
+#endif
+    void *map = ::mmap(nullptr, bytes, PROT_READ, flags, fd, 0);
     ::close(fd);
     if (map == MAP_FAILED)
         throw std::runtime_error("copra trace: mmap failed: " + path);
-
-    // Unmap on every exit path; the decoded columns own their memory.
-    struct Unmapper
-    {
-        void *addr;
-        size_t len;
-        ~Unmapper() { ::munmap(addr, len); }
-    } unmapper{map, file_size};
-
-    const unsigned char *base = static_cast<const unsigned char *>(map);
-    if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0)
-        throw std::runtime_error("copra trace: bad magic");
-    uint32_t version = static_cast<uint32_t>(loadLe64(base + 8) & 0xffffffff);
-    uint32_t name_len =
-        static_cast<uint32_t>(loadLe64(base + 8) >> 32);
-    if (version != kVersion)
-        throw std::runtime_error("copra trace: unsupported version " +
-                                 std::to_string(version));
-    if (name_len > (1u << 16))
-        throw std::runtime_error("copra trace: implausible name length " +
-                                 std::to_string(name_len));
-    uint64_t seed = loadLe64(base + 16);
-    uint64_t count = loadLe64(base + 24);
-    uint64_t conditionals = loadLe64(base + 32);
-    uint64_t checksum = loadLe64(base + 40);
-
-    size_t padded = paddedNameLen(name_len);
-    uint64_t expected = kV2HeaderBytes + padded + v2PayloadBytes(count);
-    if (file_size != expected)
-        throw std::runtime_error(
-            "copra trace: size mismatch (file is " +
-            std::to_string(file_size) + " bytes, header implies " +
-            std::to_string(expected) + ")");
-    const unsigned char *payload = base + kV2HeaderBytes + padded;
-    if (checksumPayload(payload, v2PayloadBytes(count)) != checksum)
-        throw std::runtime_error("copra trace: payload checksum mismatch");
-    std::string name(reinterpret_cast<const char *>(base) + kV2HeaderBytes,
-                     name_len);
-    return Trace(std::move(name), seed,
-                 decodeColumns(payload, count, conditionals));
+    // The last trace sharing the image unmaps it.
+    std::shared_ptr<const void> image(
+        map, [bytes](void *p) { ::munmap(p, bytes); });
+    return adoptImage(std::move(image),
+                      static_cast<const unsigned char *>(map), bytes);
 }
 
 #else // _WIN32

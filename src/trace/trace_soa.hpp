@@ -5,10 +5,19 @@
  * The simulation hot loops stream one or two fields of every record
  * (pc and taken), so a trace is kept as contiguous per-field columns
  * (pc[], target[], kind[], taken[]) rather than as an array of 24-byte
- * BranchRecord structs. Two derived indices are maintained in place as
- * records arrive, so every predictor pass reuses them without a build
- * step: the maximal runs of consecutive conditional branches (the
- * batch boundaries) and a dense static-branch index per record.
+ * BranchRecord structs, next to two derived indices every predictor
+ * pass reuses without a build step: a dense static-branch index per
+ * record (with its table of distinct pcs) and the maximal runs of
+ * consecutive conditional branches (the batch boundaries).
+ *
+ * Each column is a read-only view over one owner. Traces built in
+ * memory (the generator, ingest) own their columns as vectors and
+ * extend both indices as records arrive. Traces loaded from a cache-v3
+ * file view the file image itself (a shared read-only mapping or one
+ * aligned buffer): adopt() verifies the stored static index against
+ * the pc column and derives the segments in one pass, copying no
+ * column. A copy of an adopted trace shares its image; the first
+ * mutation copies the image once into owned columns.
  *
  * BranchRecord is a value materialized on demand (record(), records())
  * for the consumers that want whole records.
@@ -20,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -155,15 +165,47 @@ class SoABlocks
         size_t count = 0; //!< number of consecutive conditionals
     };
 
+    /** The six stored columns of a trace, as read-only views. */
+    struct Columns
+    {
+        std::span<const uint64_t> pc;
+        std::span<const uint64_t> target;
+        std::span<const uint8_t> kind;
+        std::span<const uint8_t> taken;
+        std::span<const uint32_t> staticIndex;
+        std::span<const uint64_t> staticPcs;
+    };
+
     SoABlocks() = default;
 
     /**
-     * Adopt pre-built columns (trace loaders, tests) and index them.
-     * All four vectors must have equal length; kind values must be
-     * valid BranchKind encodings.
+     * Take ownership of in-memory columns (tests, in-process builders)
+     * and index them. All four vectors must have equal length and kind
+     * values must be valid BranchKind encodings (both panic otherwise);
+     * any non-zero taken byte is canonicalized to 1. File loaders do
+     * not come through here: they adopt() and reject such bytes.
      */
     SoABlocks(std::vector<uint64_t> pc, std::vector<uint64_t> target,
               std::vector<uint8_t> kind, std::vector<uint8_t> taken);
+
+    /**
+     * View @p columns in place; @p image owns the memory they point
+     * into and is shared by every copy. One pass verifies the stored
+     * static index and derives the segments and conditional count;
+     * nothing is copied or hashed per record.
+     *
+     * @throws std::runtime_error unless the columns have equal length,
+     * every kind is a BranchKind, every taken byte is 0 or 1, every
+     * staticIndex[i] < staticPcs.size() with staticPcs[staticIndex[i]]
+     * == pc[i], the static pcs are distinct, and the ids first appear
+     * in order 0, 1, 2, ... and cover all of staticPcs.
+     */
+    static SoABlocks adopt(std::shared_ptr<const void> image,
+                           const Columns &columns);
+
+    SoABlocks(const SoABlocks &other);
+    SoABlocks(SoABlocks &&other) noexcept;
+    SoABlocks &operator=(SoABlocks other) noexcept;
 
     /** Append one record, extending both indices in O(1). */
     void append(const BranchRecord &rec);
@@ -182,22 +224,22 @@ class SoABlocks
     void clear();
 
     /** Total records (all control-transfer kinds). */
-    size_t size() const noexcept { return pc_.size(); }
+    size_t size() const noexcept { return view_.pc.size(); }
 
     /** Number of conditional records across all segments. */
     uint64_t conditionalCount() const noexcept { return conditionals_; }
 
     /** Branch addresses, one per record. */
-    const uint64_t *pc() const noexcept { return pc_.data(); }
+    const uint64_t *pc() const noexcept { return view_.pc.data(); }
 
     /** Taken-path targets, one per record. */
-    const uint64_t *target() const noexcept { return target_.data(); }
+    const uint64_t *target() const noexcept { return view_.target.data(); }
 
     /** BranchKind encodings, one byte per record. */
-    const uint8_t *kind() const noexcept { return kind_.data(); }
+    const uint8_t *kind() const noexcept { return view_.kind.data(); }
 
     /** Outcomes (0/1), one byte per record. */
-    const uint8_t *taken() const noexcept { return taken_.data(); }
+    const uint8_t *taken() const noexcept { return view_.taken.data(); }
 
     /**
      * Dense static-branch index, one entry per record: records with the
@@ -206,13 +248,16 @@ class SoABlocks
      * into a flat array addressed by this column, replacing a hashed
      * map probe per dynamic branch with one indexed add.
      */
-    const uint32_t *staticIndex() const noexcept { return staticIndex_.data(); }
+    const uint32_t *staticIndex() const noexcept
+    {
+        return view_.staticIndex.data();
+    }
 
     /** Distinct branch addresses; position = dense static index. */
-    std::span<const uint64_t> staticPcs() const { return staticPcs_; }
+    std::span<const uint64_t> staticPcs() const { return view_.staticPcs; }
 
     /** Number of distinct branch addresses in the trace. */
-    size_t staticCount() const noexcept { return staticPcs_.size(); }
+    size_t staticCount() const noexcept { return view_.staticPcs.size(); }
 
     /** Maximal conditional runs, in trace order. */
     std::span<const Segment> conditionalSegments() const noexcept
@@ -224,8 +269,9 @@ class SoABlocks
     BranchRecord
     record(size_t i) const noexcept
     {
-        return {pc_[i], target_[i], static_cast<BranchKind>(kind_[i]),
-                taken_[i] != 0};
+        return {view_.pc[i], view_.target[i],
+                static_cast<BranchKind>(view_.kind[i]),
+                view_.taken[i] != 0};
     }
 
     /** Every record, materialized on dereference. */
@@ -236,20 +282,42 @@ class SoABlocks
     }
 
   private:
+    /** Columns this object owns (used when image_ is null). */
+    struct Owned
+    {
+        std::vector<uint64_t> pc;
+        std::vector<uint64_t> target;
+        std::vector<uint8_t> kind;
+        std::vector<uint8_t> taken;
+        std::vector<uint32_t> staticIndex;
+        std::vector<uint64_t> staticPcs;
+    };
+
+    /** Before a mutation: copy a shared image into owned columns. */
+    void own();
+
+    /** Point the views at the owned columns. */
+    void bind();
+
     /** Dense static id of @p pc, assigning the next id on first sight. */
     uint32_t intern(uint64_t pc);
+
+    /** Rebuild the intern table at @p cap slots from the static pcs. */
+    void rehash(size_t cap);
 
     /** Extend the segment and static indices over record @p i. */
     void indexRecord(size_t i);
 
-    std::vector<uint64_t> pc_;
-    std::vector<uint64_t> target_;
-    std::vector<uint8_t> kind_;
-    std::vector<uint8_t> taken_;
+    /** Keeps an adopted image alive; null when the columns are owned. */
+    std::shared_ptr<const void> image_;
+    Owned owned_;
+    Columns view_;
     std::vector<Segment> condSegments_;
-    std::vector<uint32_t> staticIndex_;
-    std::vector<uint64_t> staticPcs_;
-    /** Open-addressing pc table: slot = static id + 1, 0 = empty. */
+    /**
+     * Open-addressing pc table of the owned columns: slot = static id
+     * + 1, 0 = empty. Built on the first append, never for an adopted
+     * image that is only read.
+     */
     std::vector<uint32_t> slots_;
     uint64_t conditionals_ = 0;
 };

@@ -3,7 +3,7 @@
  * Unit tests for the foreign-trace ingestion frontend (trace/ingest.hpp):
  * the versioned text grammar, the CSV dialect (including out-of-order
  * index normalization), the CBP-style binary reader with its corruption
- * and endianness tripwires, and the ingest → cache-v2 → SoA round trip.
+ * and endianness tripwires, and the ingest → cache-v3 → SoA round trip.
  * Also pins the ledger's packed-tally flush across the 2^21 field
  * boundary, since ingested foreign traces are the first consumers long
  * enough to cross it with a single static branch.

@@ -95,7 +95,7 @@ TEST(TraceIoBinary, InvalidKindRejected)
     std::stringstream buf;
     writeBinary(original, buf);
     std::string bytes = buf.str();
-    bytes[bytes.size() - 2] = 42; // corrupt the kind byte
+    bytes[imageLayout(0, 1, 1).kind] = 42; // corrupt the kind byte
     std::stringstream bad(bytes);
     EXPECT_THROW(readBinary(bad), std::runtime_error);
 }

@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the column store and the memory-mapped v2 loader: record
+ * Tests for the column store and the cache-v3 loaders: record
  * materialization against the columns over fuzzed traces,
- * conditional-segment and static-index invariants, and the rejection
- * of truncated / garbage / wrong-version files by both loaders (with
- * the trace cache evicting what neither can read).
+ * conditional-segment and static-index invariants, the rejection of
+ * truncated / garbage / wrong-version files by both loaders (with the
+ * trace cache evicting what neither can read), and the rejection of
+ * re-sealed forgeries that only the verification pass can catch.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -115,9 +118,9 @@ class MappedLoadTest : public ::testing::Test
         return path;
     }
 
-    /** Serialize @p t in the current (v2) binary format. */
+    /** Serialize @p t in the current (v3) binary format. */
     std::string
-    v2Bytes(const Trace &t)
+    v3Bytes(const Trace &t)
     {
         std::ostringstream os;
         writeBinary(t, os);
@@ -154,11 +157,11 @@ class MappedLoadTest : public ::testing::Test
     fs::path dir_;
 };
 
-TEST_F(MappedLoadTest, MapsV2FilesIdenticallyToTheStreamDecoder)
+TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheStreamLoader)
 {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         Trace t = check::fuzzTrace(seed, 400);
-        std::string path = writeFile("t.trc", v2Bytes(t));
+        std::string path = writeFile("t.trc", v3Bytes(t));
         Trace mapped = loadBinaryMapped(path);
         Trace streamed = loadBinary(path);
         EXPECT_EQ(mapped.name(), t.name());
@@ -167,13 +170,20 @@ TEST_F(MappedLoadTest, MapsV2FilesIdenticallyToTheStreamDecoder)
         for (size_t i = 0; i < mapped.size(); ++i)
             ASSERT_EQ(mapped[i], streamed[i]) << "seed " << seed;
         EXPECT_EQ(mapped.conditionalCount(), t.conditionalCount());
+        ASSERT_TRUE(std::ranges::equal(mapped.soa().staticPcs(),
+                                       streamed.soa().staticPcs()));
+        EXPECT_TRUE(std::equal(mapped.soa().staticIndex(),
+                               mapped.soa().staticIndex() + mapped.size(),
+                               t.soa().staticIndex()));
+        EXPECT_EQ(mapped.soa().conditionalSegments().size(),
+                  t.soa().conditionalSegments().size());
     }
 }
 
 TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
 {
     Trace t = check::fuzzTrace(2, 200);
-    std::string clean = v2Bytes(t);
+    std::string clean = v3Bytes(t);
 
     // Truncations at every structurally interesting point: mid-magic,
     // mid-header, mid-name, and mid-column.
@@ -214,6 +224,91 @@ TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
     // A missing file cannot be mapped at all.
     EXPECT_THROW(loadBinaryMapped((dir_ / "absent.trc").string()),
                  std::runtime_error);
+}
+
+/** The message both loaders give for @p bytes, or "" if one loads. */
+std::string
+rejection(const std::string &bytes, const std::string &path)
+{
+    std::string messages[2];
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+        loadBinaryMapped(path);
+        return "";
+    } catch (const std::runtime_error &e) {
+        messages[0] = e.what();
+    }
+    try {
+        std::istringstream in(bytes);
+        readBinary(in);
+        return "";
+    } catch (const std::runtime_error &e) {
+        messages[1] = e.what();
+    }
+    EXPECT_EQ(messages[0], messages[1]) << "the loaders share one check";
+    return messages[0];
+}
+
+TEST_F(MappedLoadTest, BothLoadersRejectEveryResealedForgery)
+{
+    // Each forgery carries a valid checksum and breaks one invariant,
+    // so the check that names it is the one that must fire.
+    const std::pair<check::Forgery, const char *> expected[] = {
+        {check::Forgery::StaticIdOtherPc, "names another pc"},
+        {check::Forgery::StaticIdOutOfRange, "out of range"},
+        {check::Forgery::StaticIdOrder, "first-appearance order"},
+        {check::Forgery::DuplicateStaticPc, "duplicate static pc"},
+        {check::Forgery::TakenTwo, "taken byte"},
+    };
+    std::string path = (dir_ / "forged.trc").string();
+    size_t forged_images = 0;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        std::string clean = v3Bytes(check::fuzzTrace(seed, 300));
+        for (const auto &[forgery, message] : expected) {
+            // A trace hammering one pc has no second branch to forge.
+            std::string forged = check::forgeImage(clean, forgery, seed);
+            if (forged.empty())
+                continue;
+            ++forged_images;
+            ASSERT_NE(forged, clean);
+            uint64_t stored;
+            std::memcpy(&stored, forged.data() + header_offset::kChecksum,
+                        sizeof stored);
+            EXPECT_EQ(stored,
+                      imageChecksum(reinterpret_cast<const unsigned char *>(
+                                        forged.data()),
+                                    forged.size()))
+                << "the forgery must be re-sealed";
+            std::string why = rejection(forged, path);
+            EXPECT_NE(why.find(message), std::string::npos)
+                << "seed " << seed << ": " << why;
+        }
+    }
+    EXPECT_GE(forged_images, 30u);
+}
+
+TEST_F(MappedLoadTest, TakenBytesAboveOneAreRejectedNotRewritten)
+{
+    // A file loads exactly what it holds or fails: a non-canonical
+    // taken byte is an error, never silently read as taken.
+    Trace t = check::fuzzTrace(4, 200);
+    std::string bytes = v3Bytes(t);
+    auto *image = reinterpret_cast<unsigned char *>(bytes.data());
+    ImageLayout at = imageLayout(static_cast<uint32_t>(t.name().size()),
+                                 t.size(), t.soa().staticCount());
+    image[at.taken + 17] = 0xff;
+    uint64_t checksum = imageChecksum(image, bytes.size());
+    std::memcpy(image + header_offset::kChecksum, &checksum, sizeof checksum);
+    EXPECT_NE(rejection(bytes, (dir_ / "taken.trc").string())
+                  .find("taken byte at record 17"),
+              std::string::npos);
+
+    // In-memory callers keep the canonicalizing constructor.
+    SoABlocks canonical({0x10, 0x20}, {0x14, 0x24}, {0, 0}, {0, 7});
+    EXPECT_EQ(canonical.taken()[1], 1);
 }
 
 TEST_F(MappedLoadTest, CacheEvictsV1ContentAsAMiss)

@@ -116,7 +116,7 @@ main(int argc, char **argv)
                    "fingerprint the whole suite (paper + frontier)");
     std::string trace_path;
     parser.addString("trace", &trace_path,
-                     "fingerprint a binary trace file (v1 or v2)");
+                     "fingerprint a binary trace file (cache-v3)");
     uint64_t branches = 200000;
     parser.addUint("branches", &branches,
                    "conditional branches per generated workload");

@@ -1,13 +1,13 @@
 /**
  * @file
  * copra_ingest: validate and normalize a foreign branch trace into a
- * native cache-v2 binary trace file.
+ * native cache-v3 binary trace file.
  *
  * The ingestion frontend (src/trace/ingest.hpp) accepts the versioned
  * copra text grammar, CSV rows, or a CBP-championship-style packed
  * binary (formats documented in docs/TRACES.md), normalizes foreign
  * quirks (outcome conventions, CSV row order), and the tool emits the
- * result with trace::saveBinary — the same v2 layout the trace cache
+ * result with trace::saveBinary — the same v3 layout the trace cache
  * mmaps. Provenance (record counts, normalization counts, warnings)
  * is recorded in the run manifest via --metrics-out.
  *
@@ -35,12 +35,12 @@ main(int argc, char **argv)
 {
     OptionParser parser(
         "validate and normalize a foreign branch trace into a native "
-        "cache-v2 binary trace file (formats: docs/TRACES.md)");
+        "cache-v3 binary trace file (formats: docs/TRACES.md)");
     std::string in_path;
     parser.addString("in", &in_path, "input trace file (required)");
     std::string out_path;
     parser.addString("out", &out_path,
-                     "output v2 binary trace path (empty with "
+                     "output v3 binary trace path (empty with "
                      "--validate = parse only)");
     std::string format_name = "auto";
     parser.addString("format", &format_name,
