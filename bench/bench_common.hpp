@@ -25,6 +25,7 @@
 #pragma once
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -77,7 +78,8 @@ struct BenchOptions
                         "branches used for candidate mining (0 = all)");
         options.addFlag("csv", &csv, "emit CSV instead of aligned text");
         options.addUint("threads", &threads,
-                        "worker threads (0 = COPRA_THREADS or hardware)");
+                        "worker threads (0 = COPRA_THREADS or hardware)",
+                        UINT_MAX);
         options.addFlag("no-trace-cache", &noTraceCache,
                         "regenerate traces instead of using "
                         ".copra-cache/ ($COPRA_CACHE_DIR)");
@@ -88,8 +90,10 @@ struct BenchOptions
                         "print non-zero telemetry instruments to stderr");
         uint64_t depth = config.historyDepth;
         uint64_t pool = config.candidatePool;
-        options.addUint("depth", &depth, "history window depth n");
-        options.addUint("pool", &pool, "oracle candidate pool size K");
+        options.addUint("depth", &depth, "history window depth n",
+                        UINT_MAX);
+        options.addUint("pool", &pool, "oracle candidate pool size K",
+                        UINT_MAX);
         if (extra)
             extra(options);
         if (!options.parse(argc, argv))

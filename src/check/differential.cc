@@ -51,7 +51,7 @@ std::vector<uint8_t>
 soaPredictions(const Trace &trace, predictor::Predictor &pred)
 {
     // Mirror sim::run exactly: conditional segments of the column store
-    // go through predictUpdateSoa (the specialized column kernels),
+    // go through predictUpdateSoa (the specialized batch loops),
     // non-conditionals through observe() in trace order.
     const trace::SoABlocks &soa = trace.soa();
     std::vector<uint8_t> out;
@@ -362,6 +362,14 @@ defaultCheckPairs()
     pairs.push_back(twoLevelPair(TwoLevelConfig::gas(5, 3)));
     pairs.push_back(twoLevelPair(TwoLevelConfig::pas(7, 5, 3)));
     pairs.push_back(twoLevelPair(TwoLevelConfig::pag(6, 4)));
+    {
+        // Per-address Xor has no factory name; without it one of the
+        // six scope x index loops would go undiffed.
+        TwoLevelConfig pshare = TwoLevelConfig::pag(6, 4);
+        pshare.index = TwoLevelConfig::Index::Xor;
+        pshare.label = "pshare(h=6,bht=4)";
+        pairs.push_back(twoLevelPair(pshare));
+    }
 
     pairs.push_back(
         {"bimodal(6b)",
@@ -649,11 +657,11 @@ class SoaStaleHistoryGshare : public predictor::TwoLevel
 };
 
 /**
- * gshare whose SoA kernel path trains the counter and history *before*
+ * gshare whose SoA batch path trains the counter and history *before*
  * predicting each branch. The scalar path inherits correct TwoLevel
  * behaviour, so only the "soa" stream (and the sim::run aggregates
  * built on it) can catch this — the self-test that proves the harness
- * actually exercises the column-kernel path.
+ * actually exercises the column batch path.
  */
 class SoaPrematureTrainGshare : public predictor::TwoLevel
 {

@@ -83,7 +83,7 @@ std::vector<uint8_t> scalarPredictions(const trace::Trace &trace,
 /**
  * Per-conditional prediction stream using predictUpdateSoa() over the
  * trace's conditional segments — the batch path sim::run() drives.
- * Covers the specialized SIMD/scalar index kernels.
+ * Covers the TwoLevel and Bimodal fused batch loops.
  */
 std::vector<uint8_t> soaPredictions(const trace::Trace &trace,
                                     predictor::Predictor &pred);
@@ -154,7 +154,7 @@ enum class InjectedBug : uint8_t
     GshareSoaStaleHistory,   //!< SoA batch path predicts before applying
                              //!< the previous branch's history update
     LoopTripOffByOne,        //!< learned trip count is run + 1
-    GshareSoaPrematureTrain, //!< SoA kernel path trains the counter and
+    GshareSoaPrematureTrain, //!< SoA batch path trains the counter and
                              //!< history before predicting; every other
                              //!< path is untouched
     TageAllocWrongDirection, //!< freshly allocated TAGE entries start

@@ -48,17 +48,12 @@ buildCatalog()
     add(c, i.simKernelBatches, "sim.kernel.batches", Kind::Counter,
         "batches",
         "SoA conditional runs handed to specialized predictor batch "
-        "kernels",
+        "loops",
         "sim");
     add(c, i.simKernelBranches, "sim.kernel.branches", Kind::Counter,
         "branches",
         "conditional branches simulated through specialized SoA batch "
-        "kernels (subset of sim.run.branches)",
-        "sim");
-    add(c, i.simKernelSimdBranches, "sim.kernel.simd_branches",
-        Kind::Counter, "branches",
-        "kernel branches whose index phase ran on the SIMD tier "
-        "(0 when dispatch selects scalar)",
+        "loops (subset of sim.run.branches)",
         "sim");
 
     // --- predictor: modern-roster internals -------------------------

@@ -32,9 +32,8 @@ class Bimodal : public Predictor
     void update(const trace::BranchRecord &br, bool taken) noexcept override;
 
     /**
-     * Column-kernel batch path: table indices come from the dispatched
-     * pcIndices kernel (predictor/kernels.hpp); the counter walk stays
-     * serial because aliasing branches must see each other's updates.
+     * Column batch path: one loop indexes, predicts and trains each
+     * branch in turn, so aliasing branches see each other's updates.
      */
     uint64_t predictUpdateSoa(const SoaBatch &batch,
                               uint8_t *correct_out) noexcept override;
@@ -66,22 +65,14 @@ class Bimodal : public Predictor
 
     COPRA_CONFIG_FIELDS(tableBits_);
     COPRA_STATE_FIELDS(table_);
-    COPRA_TRANSIENT_FIELDS(idxScratch_, kernelCounts_, kernels_);
+    COPRA_TRANSIENT_FIELDS(kernelCounts_);
 
   private:
-    /** Records per kernel tile (see TwoLevel::kKernelTile). */
-    static constexpr size_t kKernelTile = 2048;
-
     size_t indexOf(uint64_t pc) const noexcept;
 
     unsigned tableBits_;
     std::vector<Counter2> table_;
-    std::vector<uint32_t> idxScratch_; // kernel tile: table indices
     kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
-    /** Dispatch table resolved once at construction: the tier is fixed
-     * per process, and activeTier()'s guarded initialization is off
-     * limits inside the hot region (hot-lock). */
-    const kernels::Kernels *kernels_ = nullptr;
 };
 
 } // namespace copra::predictor

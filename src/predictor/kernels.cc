@@ -1,11 +1,7 @@
 #include "predictor/kernels.hpp"
 
-#include <string>
-
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
-#include "util/env.hpp"
-#include "util/logging.hpp"
 
 namespace copra::predictor::kernels {
 
@@ -15,139 +11,6 @@ BatchCounters::~BatchCounters()
         return;
     obs::count(obs::ids().simKernelBatches, batches);
     obs::count(obs::ids().simKernelBranches, branches);
-    if (simdBranches != 0)
-        obs::count(obs::ids().simKernelSimdBranches, simdBranches);
-}
-
-namespace {
-
-COPRA_HOT void
-xorIndicesScalar(const uint64_t *hist, const uint64_t *pc, size_t n,
-                 uint64_t history_mask, uint64_t pht_mask,
-                 uint32_t *idx) noexcept
-{
-    for (size_t k = 0; k < n; ++k)
-        idx[k] = static_cast<uint32_t>(
-            ((hist[k] & history_mask) ^ (pc[k] >> 2)) & pht_mask);
-}
-
-COPRA_HOT void
-maskIndicesScalar(const uint64_t *hist, size_t n, uint64_t history_mask,
-                  uint64_t pht_mask, uint32_t *idx) noexcept
-{
-    uint64_t mask = history_mask & pht_mask;
-    for (size_t k = 0; k < n; ++k)
-        idx[k] = static_cast<uint32_t>(hist[k] & mask);
-}
-
-COPRA_HOT void
-concatIndicesScalar(const uint64_t *hist, const uint64_t *pc, size_t n,
-                    uint64_t history_mask, unsigned history_bits,
-                    uint64_t select_mask, uint64_t pht_mask,
-                    uint32_t *idx) noexcept
-{
-    for (size_t k = 0; k < n; ++k) {
-        uint64_t select = (pc[k] >> 2) & select_mask;
-        idx[k] = static_cast<uint32_t>(
-            ((select << history_bits) | (hist[k] & history_mask)) &
-            pht_mask);
-    }
-}
-
-COPRA_HOT void
-pcIndicesScalar(const uint64_t *pc, size_t n, uint64_t mask,
-                uint32_t *idx) noexcept
-{
-    for (size_t k = 0; k < n; ++k)
-        idx[k] = static_cast<uint32_t>((pc[k] >> 2) & mask);
-}
-
-constexpr Kernels kScalar = {
-    &xorIndicesScalar,
-    &maskIndicesScalar,
-    &concatIndicesScalar,
-    &pcIndicesScalar,
-};
-
-Tier
-resolveTier()
-{
-    std::string v = util::envString("COPRA_SIMD", "auto");
-    if (v == "0" || v == "off" || v == "scalar")
-        return Tier::Scalar;
-    if (v == "1" || v == "on" || v == "simd") {
-        if (!simdAvailable()) {
-            warn("COPRA_SIMD=" + v +
-                 " requested but no SIMD kernels are available on this "
-                 "CPU/build; using scalar kernels");
-            return Tier::Scalar;
-        }
-        return Tier::Simd;
-    }
-    return simdAvailable() ? Tier::Simd : Tier::Scalar;
-}
-
-} // namespace
-
-const char *
-tierName(Tier tier)
-{
-    return tier == Tier::Simd ? "simd" : "scalar";
-}
-
-bool
-simdAvailable()
-{
-#if defined(COPRA_HAVE_AVX2)
-    return __builtin_cpu_supports("avx2") != 0;
-#elif defined(COPRA_HAVE_NEON)
-    return true; // NEON is architectural on aarch64
-#else
-    return false;
-#endif
-}
-
-Tier
-activeTier()
-{
-    static const Tier tier = resolveTier();
-    return tier;
-}
-
-const Kernels &
-scalarKernels()
-{
-    return kScalar;
-}
-
-const Kernels &
-forTier(Tier tier)
-{
-    if (tier == Tier::Simd && simdAvailable()) {
-#if defined(COPRA_HAVE_AVX2)
-        return avx2Kernels();
-#elif defined(COPRA_HAVE_NEON)
-        return neonKernels();
-#endif
-    }
-    return kScalar;
-}
-
-const Kernels &
-active()
-{
-    return forTier(activeTier());
-}
-
-uint64_t
-historyFill(const uint8_t *taken, size_t n, uint64_t w,
-            uint64_t *w_out) noexcept
-{
-    for (size_t k = 0; k < n; ++k) {
-        w_out[k] = w;
-        w = (w << 1) | (taken[k] ? 1u : 0u);
-    }
-    return w;
 }
 
 } // namespace copra::predictor::kernels

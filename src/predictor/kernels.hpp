@@ -1,23 +1,13 @@
 /**
  * @file
- * Batch index-computation kernels behind a runtime dispatch seam.
+ * Telemetry for the table predictors' column batch loops.
  *
- * The two-level and bimodal batch paths split each run of conditional
- * branches into two phases: an index phase that turns the pc / history
- * columns into flat power-of-two table indices (pure data-parallel
- * integer math), and a train phase that walks the saturating counters
- * (a serial read-modify-write loop, because two branches in one batch
- * may hit the same counter). Only the index phase is worth
- * vectorizing, and this header is its seam: scalar reference kernels
- * always exist, and a SIMD kernel TU (AVX2 on x86-64, NEON on
- * aarch64) is substituted at runtime when the CPU supports it.
- *
- * Every SIMD kernel performs exactly the same integer arithmetic as
- * its scalar twin, so predictions are bit-identical across tiers; the
- * differential suite (check::diffPair) and the batch-vs-scalar ctest
- * gate enforce that. Raw intrinsics are only permitted inside the
- * dedicated kernel TUs (kernels_avx2.cc, kernels_neon.cc) —
- * copra_lint's banned-api rule rejects them anywhere else.
+ * `TwoLevel` and `Bimodal` answer `Predictor::predictUpdateSoa` with one
+ * fused loop per index flavour: for every branch the loop computes the
+ * table index inline, trains the saturating counter and shifts the
+ * history. Counter training is a serial read-modify-write (two branches
+ * in one batch may hit the same counter), so the loop is the whole
+ * batch path; this header only counts what it did.
  */
 
 #pragma once
@@ -26,86 +16,13 @@
 #include <cstdint>
 #include <utility>
 
-#include "util/hot.hpp"
-
 namespace copra::predictor::kernels {
 
-/** Which kernel implementation family is in use. */
-enum class Tier : uint8_t
-{
-    Scalar, //!< portable reference loops
-    Simd,   //!< AVX2 / NEON kernels (bit-identical to Scalar)
-};
-
-/** Display name of a tier ("scalar" / "simd"). */
-const char *tierName(Tier tier);
-
-/** True when this build contains a SIMD kernel TU usable on this CPU. */
-bool simdAvailable();
-
 /**
- * The tier selected for this process: COPRA_SIMD=0/off/scalar forces
- * Scalar, COPRA_SIMD=1/on/simd requests Simd (falling back to Scalar
- * with a warning when unavailable), anything else auto-detects.
- * Resolved once on first use.
- */
-Tier activeTier();
-
-/**
- * Index-phase kernels; one function pointer per index flavour. The
- * pointer types are `noexcept`: every kernel is hot-region code (the
- * implementations carry COPRA_HOT roots in their TUs, since the
- * call-graph pass cannot see through a function pointer).
- */
-struct Kernels
-{
-    /** idx[k] = ((hist[k] & history_mask) ^ (pc[k] >> 2)) & pht_mask */
-    void (*xorIndices)(const uint64_t *hist, const uint64_t *pc, size_t n,
-                       uint64_t history_mask, uint64_t pht_mask,
-                       uint32_t *idx) noexcept;
-
-    /** idx[k] = hist[k] & history_mask & pht_mask */
-    void (*maskIndices)(const uint64_t *hist, size_t n,
-                        uint64_t history_mask, uint64_t pht_mask,
-                        uint32_t *idx) noexcept;
-
-    /**
-     * idx[k] = ((((pc[k] >> 2) & select_mask) << history_bits) |
-     *           (hist[k] & history_mask)) & pht_mask
-     */
-    void (*concatIndices)(const uint64_t *hist, const uint64_t *pc,
-                          size_t n, uint64_t history_mask,
-                          unsigned history_bits, uint64_t select_mask,
-                          uint64_t pht_mask, uint32_t *idx) noexcept;
-
-    /** idx[k] = (pc[k] >> 2) & mask */
-    void (*pcIndices)(const uint64_t *pc, size_t n, uint64_t mask,
-                      uint32_t *idx) noexcept;
-};
-
-/** The kernel table for the active tier. */
-const Kernels &active();
-
-/** Kernel table for an explicit tier (Simd degrades to Scalar when
- * unavailable); used by tests to pin a tier. */
-const Kernels &forTier(Tier tier);
-
-/**
- * Serial history fill: w[k] receives the running global-history word
- * *before* branch k, evolving w by the actual outcomes
- * (w = (w << 1) | taken[k]). Returns the running word after the batch.
- * Deliberately not dispatched — the loop is a strict bit-recurrence
- * and already runs at ~1 cycle per branch; masking happens downstream
- * in the index kernels, so the word may carry stale high bits.
- */
-COPRA_HOT uint64_t historyFill(const uint8_t *taken, size_t n, uint64_t w,
-                               uint64_t *w_out) noexcept;
-
-/**
- * Deferred kernel telemetry. The obs counters for batches/branches are
+ * Deferred batch telemetry. The obs counters for batches/branches are
  * cheap but not free (one locked thread-sink update each), and the
  * batch entry points run once per ~20-branch conditional segment — so
- * counting there per call costs more than the kernels themselves.
+ * counting there per call costs more than the loop itself.
  * Predictors accumulate into this plain struct instead and the totals
  * flush to obs (sim.kernel.*) once, when the predictor is destroyed.
  */
@@ -113,11 +30,6 @@ struct BatchCounters
 {
     uint64_t batches = 0;
     uint64_t branches = 0;
-    uint64_t simdBranches = 0;
-    /** Tier resolved at construction (cold): note() runs per batch in
-     *  the hot region, where the activeTier() magic static — a guarded
-     *  initialization, i.e. a potential lock — is off limits. */
-    bool simdTier = activeTier() == Tier::Simd;
 
     BatchCounters() = default;
     // Copying would double-count on flush; moves transfer the totals
@@ -130,34 +42,18 @@ struct BatchCounters
     {
         batches += other.batches;
         branches += other.branches;
-        simdBranches += other.simdBranches;
-        other.batches = other.branches = other.simdBranches = 0;
+        other.batches = other.branches = 0;
         return *this;
     }
     ~BatchCounters();
 
-    /** Record one batch of @p n branches on the active tier. */
+    /** Record one batch of @p n branches. */
     void
     note(size_t n) noexcept
     {
         batches += 1;
         branches += n;
-        if (simdTier)
-            simdBranches += n;
     }
 };
-
-/** Scalar kernel table (always available; the differential twin). */
-const Kernels &scalarKernels();
-
-#if defined(COPRA_HAVE_AVX2)
-/** AVX2 kernel table (kernels_avx2.cc; x86-64 builds only). */
-const Kernels &avx2Kernels();
-#endif
-
-#if defined(COPRA_HAVE_NEON)
-/** NEON kernel table (kernels_neon.cc; aarch64 builds only). */
-const Kernels &neonKernels();
-#endif
 
 } // namespace copra::predictor::kernels

@@ -87,8 +87,8 @@ class Predictor
      * one call, equivalent to predict(); update(rec, rec.taken) per
      * branch in order — the only batch entry point. The simulation
      * driver hands each conditional run as SoA columns so hot
-     * predictors can override this with batch index kernels over
-     * contiguous pc/taken arrays (see predictor/kernels.hpp). The
+     * predictors can override this with one tight loop over the
+     * contiguous pc/taken arrays (TwoLevel, Bimodal). The
      * default loops the scalar calls, so overriding is purely an
      * optimization and never changes results — the differential suite
      * compares every overriding predictor against the scalar path.

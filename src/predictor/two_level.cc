@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "predictor/kernels.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -96,12 +95,6 @@ TwoLevel::TwoLevel(const TwoLevelConfig &config)
         ? 1 : (size_t(1) << config.bhtBits);
     histories_.assign(n_hist, 0);
     pht_.assign(size_t(1) << config.phtBits, counterInit_);
-    // The batch path is hot-region code (DESIGN.md §15): resolve the
-    // kernel dispatch once (activeTier's guarded init is a lock) and
-    // pre-size the tile scratch so the loop never touches the heap.
-    kernels_ = &kernels::active();
-    histScratch_.resize(kKernelTile);
-    idxScratch_.resize(kKernelTile);
 }
 
 uint64_t &
@@ -126,17 +119,27 @@ TwoLevel::phtIndex(uint64_t pc) const noexcept
     uint64_t pc_bits = pc >> 2;
     switch (config_.index) {
       case TwoLevelConfig::Index::HistoryOnly:
-        return hist & phtMask_;
+        return historyIndex(hist);
       case TwoLevelConfig::Index::Concat:
-        {
-            uint64_t select =
-                pc_bits & ((uint64_t(1) << config_.pcSelectBits) - 1);
-            return ((select << config_.historyBits) | hist) & phtMask_;
-        }
+        return concatIndex(pc_bits, hist);
       case TwoLevelConfig::Index::Xor:
-        return (hist ^ pc_bits) & phtMask_;
+        return xorIndex(pc_bits, hist);
     }
     return 0;
+}
+
+bool
+TwoLevel::trainCounter(uint8_t &counter, bool taken) const noexcept
+{
+    bool prediction = counter > counterInit_;
+    if (taken) {
+        if (counter < counterMax_)
+            ++counter;
+    } else {
+        if (counter > 0)
+            --counter;
+    }
+    return prediction == taken;
 }
 
 bool
@@ -148,14 +151,7 @@ TwoLevel::predict(const trace::BranchRecord &br) noexcept
 void
 TwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    uint8_t &counter = pht_[phtIndex(br.pc)];
-    if (taken) {
-        if (counter < counterMax_)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
+    trainCounter(pht_[phtIndex(br.pc)], taken);
     uint64_t &hist = historyFor(br.pc);
     hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask_;
 }
@@ -171,123 +167,83 @@ TwoLevel::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
         : runPerAddressSoa(batch, correct_out);
 }
 
+// Both batch loops hoist the index flavour out of the loop: train()
+// takes the flavour as a lambda, so each switch arm is one
+// specialized loop. Counter training is serial by nature — two
+// branches in one batch may alias the same counter, and the second
+// prediction must see the first update.
+
 uint64_t
 TwoLevel::runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    // The global history register evolves only from the outcomes, so
-    // per-branch history words — and hence every PHT index — are known
-    // before any counter is touched. historyFill leaves the words
-    // unmasked; masking distributes over the shift chain, so masking
-    // once inside the index kernels is equivalent to the per-step
-    // masking the scalar path performs.
-    const kernels::Kernels &k = *kernels_;
-    const uint64_t select_mask =
-        (uint64_t(1) << config_.pcSelectBits) - 1;
-    uint64_t w = histories_[0];
+    // The global history lives in a local for the whole batch: a PHT
+    // store through uint8_t may alias any member, so a history kept in
+    // histories_[0] would be reloaded after every counter update.
+    uint64_t hist = histories_[0] & historyMask_;
     uint64_t n_correct = 0;
-    size_t base = 0;
-    while (base < batch.count) {
-        size_t n = std::min(kKernelTile, batch.count - base);
-        w = kernels::historyFill(batch.taken + base, n, w,
-                                 histScratch_.data());
-        switch (config_.index) {
-          case TwoLevelConfig::Index::HistoryOnly:
-            k.maskIndices(histScratch_.data(), n, historyMask_, phtMask_,
-                          idxScratch_.data());
-            break;
-          case TwoLevelConfig::Index::Concat:
-            k.concatIndices(histScratch_.data(), batch.pc + base, n,
-                            historyMask_, config_.historyBits,
-                            select_mask, phtMask_, idxScratch_.data());
-            break;
-          case TwoLevelConfig::Index::Xor:
-            k.xorIndices(histScratch_.data(), batch.pc + base, n,
-                         historyMask_, phtMask_, idxScratch_.data());
-            break;
-        }
-        // Counter training stays serial: two branches in one tile may
-        // alias the same counter, and the second prediction must see
-        // the first update.
-        for (size_t j = 0; j < n; ++j) {
-            uint8_t &counter = pht_[idxScratch_[j]];
-            bool prediction = counter > counterInit_;
-            uint8_t t = batch.taken[base + j];
-            if (t) {
-                if (counter < counterMax_)
-                    ++counter;
-            } else {
-                if (counter > 0)
-                    --counter;
-            }
-            bool correct = prediction == (t != 0);
+    auto train = [&](auto pht_index_of) {
+        for (size_t i = 0; i < batch.count; ++i) {
+            uint8_t t = batch.taken[i];
+            bool correct =
+                trainCounter(pht_[pht_index_of(batch.pc[i] >> 2, hist)],
+                             t != 0);
+            hist = ((hist << 1) | t) & historyMask_;
             n_correct += correct ? 1 : 0;
             if (correct_out)
-                correct_out[base + j] = correct ? 1 : 0;
+                correct_out[i] = correct ? 1 : 0;
         }
-        base += n;
+    };
+    switch (config_.index) {
+      case TwoLevelConfig::Index::HistoryOnly:
+        train([&](uint64_t, uint64_t h) { return historyIndex(h); });
+        break;
+      case TwoLevelConfig::Index::Concat:
+        train([&](uint64_t pc_bits, uint64_t h) {
+            return concatIndex(pc_bits, h);
+        });
+        break;
+      case TwoLevelConfig::Index::Xor:
+        train([&](uint64_t pc_bits, uint64_t h) {
+            return xorIndex(pc_bits, h);
+        });
+        break;
     }
-    histories_[0] = w & historyMask_;
+    histories_[0] = hist;
     return n_correct;
 }
 
 uint64_t
 TwoLevel::runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    // Per-address histories serialize on the BHT row, so only the row
-    // lookup vectorizes; the PHT index still needs the just-updated
-    // row history. Hoisting the index flavour out of the loop is the
-    // remaining win over the record-based batch path.
-    const kernels::Kernels &k = *kernels_;
-    const uint64_t select_mask =
-        (uint64_t(1) << config_.pcSelectBits) - 1;
     const uint64_t bht_mask = (uint64_t(1) << config_.bhtBits) - 1;
     uint64_t n_correct = 0;
-    size_t base = 0;
-    while (base < batch.count) {
-        size_t n = std::min(kKernelTile, batch.count - base);
-        k.pcIndices(batch.pc + base, n, bht_mask, idxScratch_.data());
-        auto train = [&](auto pht_index_of) {
-            for (size_t j = 0; j < n; ++j) {
-                uint64_t &hist_reg = histories_[idxScratch_[j]];
-                uint64_t pc_bits = batch.pc[base + j] >> 2;
-                uint8_t &counter =
-                    pht_[pht_index_of(pc_bits, hist_reg & historyMask_)];
-                bool prediction = counter > counterInit_;
-                uint8_t t = batch.taken[base + j];
-                if (t) {
-                    if (counter < counterMax_)
-                        ++counter;
-                } else {
-                    if (counter > 0)
-                        --counter;
-                }
-                hist_reg = ((hist_reg << 1) | t) & historyMask_;
-                bool correct = prediction == (t != 0);
-                n_correct += correct ? 1 : 0;
-                if (correct_out)
-                    correct_out[base + j] = correct ? 1 : 0;
-            }
-        };
-        switch (config_.index) {
-          case TwoLevelConfig::Index::HistoryOnly:
-            train([&](uint64_t, uint64_t hist) {
-                return hist & phtMask_;
-            });
-            break;
-          case TwoLevelConfig::Index::Concat:
-            train([&](uint64_t pc_bits, uint64_t hist) {
-                uint64_t select = pc_bits & select_mask;
-                return ((select << config_.historyBits) | hist) &
-                    phtMask_;
-            });
-            break;
-          case TwoLevelConfig::Index::Xor:
-            train([&](uint64_t pc_bits, uint64_t hist) {
-                return (hist ^ pc_bits) & phtMask_;
-            });
-            break;
+    auto train = [&](auto pht_index_of) {
+        for (size_t i = 0; i < batch.count; ++i) {
+            uint64_t pc_bits = batch.pc[i] >> 2;
+            uint64_t &hist = histories_[pc_bits & bht_mask];
+            uint8_t t = batch.taken[i];
+            bool correct = trainCounter(
+                pht_[pht_index_of(pc_bits, hist & historyMask_)], t != 0);
+            hist = ((hist << 1) | t) & historyMask_;
+            n_correct += correct ? 1 : 0;
+            if (correct_out)
+                correct_out[i] = correct ? 1 : 0;
         }
-        base += n;
+    };
+    switch (config_.index) {
+      case TwoLevelConfig::Index::HistoryOnly:
+        train([&](uint64_t, uint64_t h) { return historyIndex(h); });
+        break;
+      case TwoLevelConfig::Index::Concat:
+        train([&](uint64_t pc_bits, uint64_t h) {
+            return concatIndex(pc_bits, h);
+        });
+        break;
+      case TwoLevelConfig::Index::Xor:
+        train([&](uint64_t pc_bits, uint64_t h) {
+            return xorIndex(pc_bits, h);
+        });
+        break;
     }
     return n_correct;
 }

@@ -99,10 +99,9 @@ class TwoLevel : public Predictor
     void update(const trace::BranchRecord &br, bool taken) noexcept override;
 
     /**
-     * Column-kernel batch path (same results as predict + update):
-     * the index phase runs through the dispatched batch kernels
-     * (predictor/kernels.hpp) in fixed-size L1-resident tiles; only
-     * the saturating-counter training loop stays serial.
+     * Column batch path (same results as predict + update): one fused
+     * loop per scope and index flavour computes each branch's PHT
+     * index inline, trains its counter and shifts the history.
      */
     uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept override;
@@ -145,16 +144,37 @@ class TwoLevel : public Predictor
     COPRA_CONFIG_FIELDS(config_, historyMask_, phtMask_, counterMax_,
                         counterInit_);
     COPRA_STATE_FIELDS(histories_, pht_);
-    COPRA_TRANSIENT_FIELDS(histScratch_, idxScratch_, kernelCounts_,
-                           kernels_);
+    COPRA_TRANSIENT_FIELDS(kernelCounts_);
 
   private:
-    /** Records per kernel tile; bounds the index scratch to ~24 KiB so
-     * it stays L1-resident for any batch length. */
-    static constexpr size_t kKernelTile = 2048;
-
     uint64_t &historyFor(uint64_t pc) noexcept;
     uint64_t historyFor(uint64_t pc) const noexcept;
+
+    // The three PHT index flavours over a masked history and pc >> 2;
+    // phtIndex() and the batch loops share them.
+    size_t
+    historyIndex(uint64_t hist) const noexcept
+    {
+        return hist & phtMask_;
+    }
+
+    size_t
+    concatIndex(uint64_t pc_bits, uint64_t hist) const noexcept
+    {
+        uint64_t select =
+            pc_bits & ((uint64_t(1) << config_.pcSelectBits) - 1);
+        return ((select << config_.historyBits) | hist) & phtMask_;
+    }
+
+    size_t
+    xorIndex(uint64_t pc_bits, uint64_t hist) const noexcept
+    {
+        return (hist ^ pc_bits) & phtMask_;
+    }
+
+    /** Predict from @p counter, then train it toward @p taken; returns
+     * whether the prediction was correct. */
+    bool trainCounter(uint8_t &counter, bool taken) const noexcept;
 
     uint64_t runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;
     uint64_t runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;
@@ -166,13 +186,7 @@ class TwoLevel : public Predictor
     uint8_t counterInit_;
     std::vector<uint64_t> histories_; // size 1 (global) or 2^bhtBits
     std::vector<uint8_t> pht_;        // counterBits-wide counters
-    std::vector<uint64_t> histScratch_; // kernel tile: history words
-    std::vector<uint32_t> idxScratch_;  // kernel tile: table indices
     kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
-    /** Dispatch table resolved once at construction: the tier is fixed
-     * per process, and activeTier()'s guarded initialization is off
-     * limits inside the hot region (hot-lock). */
-    const kernels::Kernels *kernels_ = nullptr;
 };
 
 } // namespace copra::predictor

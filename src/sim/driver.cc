@@ -107,7 +107,7 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     result.predictorName = pred.name();
 
     // Feed maximal runs of consecutive conditional branches through the
-    // batch entry point: predictors with specialized kernels (TwoLevel,
+    // batch entry point: predictors with specialized loops (TwoLevel,
     // Bimodal) consume the contiguous pc/taken columns directly, and
     // everything else falls back to the default, which reproduces the
     // classic predict/update call sequence exactly. Non-conditional

@@ -44,24 +44,6 @@ readLe32(const unsigned char *p)
     return v;
 }
 
-/** Parse a pc/target field: 0x-prefixed hex or plain decimal. */
-uint64_t
-parseAddress(const std::string &field, size_t line_no)
-{
-    size_t consumed = 0;
-    uint64_t value = 0;
-    try {
-        value = std::stoull(field, &consumed, 0);
-    } catch (const std::exception &) {
-        fail("bad address '" + field + "' on line " +
-             std::to_string(line_no));
-    }
-    if (consumed != field.size())
-        fail("bad address '" + field + "' on line " +
-             std::to_string(line_no));
-    return value;
-}
-
 bool
 parseKind(const std::string &field, BranchKind &kind)
 {
@@ -387,6 +369,27 @@ sniffFormat(std::istream &is)
 }
 
 } // namespace
+
+uint64_t
+parseAddress(const std::string &field, size_t line_no)
+{
+    // stoull would wrap a sign and stop at trailing junk; an address
+    // is the whole field and never negative.
+    size_t consumed = 0;
+    uint64_t value = 0;
+    bool ok = field.find('-') == std::string::npos;
+    if (ok) {
+        try {
+            value = std::stoull(field, &consumed, 0);
+        } catch (const std::exception &) {
+            ok = false;
+        }
+    }
+    if (!ok || consumed != field.size())
+        throw std::runtime_error("copra trace: bad address '" + field +
+                                 "' on line " + std::to_string(line_no));
+    return value;
+}
 
 IngestFormat
 parseIngestFormat(const std::string &name)

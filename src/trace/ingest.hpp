@@ -53,6 +53,14 @@ enum class IngestFormat : uint8_t
     Cbp,      //!< championship-style packed binary
 };
 
+/**
+ * Parse a pc/target field of a text or CSV trace line: 0x-prefixed hex
+ * or plain decimal, the whole field, no sign.
+ *
+ * @throws std::runtime_error naming the field and @p line_no otherwise.
+ */
+uint64_t parseAddress(const std::string &field, size_t line_no);
+
 /** Parse a format name (auto/text/csv/cbp); throws on unknown names. */
 IngestFormat parseIngestFormat(const std::string &name);
 

@@ -16,6 +16,7 @@
 #include <unistd.h>
 #endif
 
+#include "trace/ingest.hpp"
 #include "trace/trace_soa.hpp"
 
 namespace copra::trace {
@@ -410,8 +411,8 @@ readText(std::istream &is)
             throw std::runtime_error("copra trace: unknown kind '" +
                                      kind_str + "' on line " +
                                      std::to_string(line_no));
-        rec.pc = std::stoull(pc_str, nullptr, 0);
-        rec.target = std::stoull(target_str, nullptr, 0);
+        rec.pc = parseAddress(pc_str, line_no);
+        rec.target = parseAddress(target_str, line_no);
         if (taken_str == "T")
             rec.taken = true;
         else if (taken_str == "N")

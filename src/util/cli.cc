@@ -21,9 +21,9 @@ OptionParser::addInt(const std::string &name, int64_t *target,
 
 void
 OptionParser::addUint(const std::string &name, uint64_t *target,
-                      const std::string &help)
+                      const std::string &help, uint64_t max)
 {
-    options_.push_back({name, Kind::Uint, target, help});
+    options_.push_back({name, Kind::Uint, target, help, max});
 }
 
 void
@@ -59,28 +59,44 @@ OptionParser::find(const std::string &name) const
 void
 OptionParser::apply(const Option &opt, const std::string &value) const
 {
+    // std::sto* stop at the first character they cannot use, and stoull
+    // wraps a leading '-'; a number must use the whole value and an
+    // unsigned one carries no sign.
+    auto invalid = [&] {
+        fatal("invalid value '" + value + "' for option --" + opt.name);
+    };
+    size_t used = 0;
     try {
         switch (opt.kind) {
           case Kind::Int:
-            *static_cast<int64_t *>(opt.target) = std::stoll(value);
+            *static_cast<int64_t *>(opt.target) = std::stoll(value, &used);
             break;
           case Kind::Uint:
-            *static_cast<uint64_t *>(opt.target) = std::stoull(value);
+            {
+                if (value.find('-') != std::string::npos)
+                    invalid();
+                uint64_t v = std::stoull(value, &used);
+                if (v > opt.max)
+                    invalid();
+                *static_cast<uint64_t *>(opt.target) = v;
+            }
             break;
           case Kind::Double:
-            *static_cast<double *>(opt.target) = std::stod(value);
+            *static_cast<double *>(opt.target) = std::stod(value, &used);
             break;
           case Kind::String:
             *static_cast<std::string *>(opt.target) = value;
-            break;
+            return;
           case Kind::Flag:
             *static_cast<bool *>(opt.target) =
                 !(value == "false" || value == "0" || value == "no");
-            break;
+            return;
         }
     } catch (const std::exception &) {
-        fatal("invalid value '" + value + "' for option --" + opt.name);
+        invalid();
     }
+    if (used != value.size())
+        invalid();
 }
 
 void

@@ -27,9 +27,13 @@ class OptionParser
     void addInt(const std::string &name, int64_t *target,
                 const std::string &help);
 
-    /** Register an unsigned integer option bound to @p target. */
+    /**
+     * Register an unsigned integer option bound to @p target; values
+     * above @p max (e.g. UINT_MAX for a field narrowed to unsigned)
+     * are rejected like malformed ones.
+     */
     void addUint(const std::string &name, uint64_t *target,
-                 const std::string &help);
+                 const std::string &help, uint64_t max = UINT64_MAX);
 
     /** Register a floating point option bound to @p target. */
     void addDouble(const std::string &name, double *target,
@@ -60,6 +64,7 @@ class OptionParser
         Kind kind;
         void *target;
         std::string help;
+        uint64_t max = UINT64_MAX; //!< Uint only: largest accepted value
     };
 
     const Option *find(const std::string &name) const;

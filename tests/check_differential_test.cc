@@ -193,8 +193,11 @@ TEST(Differential, DefaultRosterCoversThePaperFamilies)
         return false;
     };
     EXPECT_TRUE(has("gshare"));
-    EXPECT_TRUE(has("PAs("));
     EXPECT_TRUE(has("GAg("));
+    EXPECT_TRUE(has("GAs("));
+    EXPECT_TRUE(has("PAs("));
+    EXPECT_TRUE(has("PAg("));
+    EXPECT_TRUE(has("pshare("));
     EXPECT_TRUE(has("bimodal"));
     EXPECT_TRUE(has("loop"));
     EXPECT_TRUE(has("hybrid"));

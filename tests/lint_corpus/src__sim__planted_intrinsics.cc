@@ -1,8 +1,7 @@
 /**
- * Corpus: planted raw-SIMD leaks. Intrinsics and their headers are
- * confined to the kernel TUs (kernels_avx2.cc / kernels_neon.cc);
- * anywhere else — this file lints as src/sim/... — every marked line
- * must fire banned-api.
+ * Corpus: planted raw-SIMD code. Intrinsics and their headers are
+ * banned everywhere (this file lints as src/sim/...), so every marked
+ * line must fire banned-api.
  */
 
 #include <immintrin.h> // expect: banned-api

@@ -141,6 +141,12 @@ TEST(IngestText, MalformedLinesAreHardErrors)
     // Unparseable address.
     EXPECT_THROW(ingestString("cond 0xzz 0x180 T\n", report),
                  std::runtime_error);
+    // Negative address (stoull alone would wrap it).
+    EXPECT_THROW(ingestString("cond -4 0x180 T\n", report),
+                 std::runtime_error);
+    EXPECT_THROW(ingestString("kind,pc,target,taken\ncond,0x100,-8,1\n",
+                              report),
+                 std::runtime_error);
     // Missing outcome.
     EXPECT_THROW(ingestString("cond 0x100 0x180\n", report),
                  std::runtime_error);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "trace/trace_io.hpp"
 #include "workload/patterns.hpp"
@@ -147,6 +148,26 @@ TEST(TraceIoText, BadOutcomeThrows)
 {
     std::stringstream in("cond 0x100 0x104 X\n");
     EXPECT_THROW(readText(in), std::runtime_error);
+}
+
+TEST(TraceIoText, BadAddressThrowsWithLineNumber)
+{
+    // Not a number, trailing junk, and a sign: each must be rejected
+    // whole, never read as a prefix or wrapped.
+    for (const char *line :
+         {"cond zz 0x104 T", "cond 0x10zz 0x104 T", "cond -4 0x104 T",
+          "cond 0x100 0x104zz T"}) {
+        std::stringstream in(std::string("cond 0x100 0x104 T\n") + line +
+                             "\n");
+        try {
+            readText(in);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TraceIoFile, SaveAndLoadByPath)

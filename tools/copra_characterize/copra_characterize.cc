@@ -20,6 +20,7 @@
  *   copra_characterize --doc-workloads --check docs/WORKLOADS.md
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -138,7 +139,8 @@ main(int argc, char **argv)
                      "and exit non-zero on drift");
     uint64_t threads = 0;
     parser.addUint("threads", &threads,
-                   "worker threads (0 = COPRA_THREADS or hardware)");
+                   "worker threads (0 = COPRA_THREADS or hardware)",
+                   UINT_MAX);
     std::string metrics_out = util::envString("COPRA_METRICS_OUT", "");
     parser.addString("metrics-out", &metrics_out,
                      "write a run-manifest JSON here "
