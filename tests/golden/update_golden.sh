@@ -18,20 +18,13 @@ if [[ ! -d "$build/bench" ]]; then
     exit 1
 fi
 
-# Canonical snapshot arguments. Small deterministic traces, cache off so
-# nothing is read from or written outside the build tree. Keep in sync
-# with the golden test registrations in tests/CMakeLists.txt.
+# Canonical snapshot arguments (COPRA_GOLDEN_ARGS in tests/CMakeLists.txt).
+# Small deterministic traces, cache off so nothing is read from or
+# written outside the build tree.
 args=(--branches 20000 --mine 20000 --no-trace-cache)
 
-benches=(
-    table1_benchmarks
-    fig4_selective_history
-    fig5_history_length
-    fig7_gshare_pas_static
-    fig9_gshare_vs_pas
-    fig10_modern_roster
-    table3_pas_loop
-)
+# The golden roster, shared with the ctest registrations.
+mapfile -t benches < <(grep -E '^[a-z0-9_]+$' "$root/tests/golden/benches.txt")
 
 for bench in "${benches[@]}"; do
     "$build/bench/$bench" "${args[@]}" > "$root/tests/golden/$bench.txt"
