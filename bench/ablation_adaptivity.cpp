@@ -8,8 +8,6 @@
  * statically predicts the strongly biased branches.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "predictor/bias_hybrid.hpp"
 #include "predictor/static_pht.hpp"
@@ -32,45 +30,64 @@ main(int argc, char **argv)
         opts);
 
     using namespace copra::predictor;
+    struct Row
+    {
+        double gshare = 0.0;
+        double staticGshare = 0.0;
+        double pas = 0.0;
+        double staticPas = 0.0;
+        double biasHybrid = 0.0;
+        uint64_t stronglyBiased = 0;
+    };
+    copra::bench::SuiteTiming timing;
+    auto rows = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            const copra::trace::Trace &trace = experiment.trace();
+            auto gshare_cfg = TwoLevelConfig::gshare(16);
+            auto pas_cfg = TwoLevelConfig::pas(12, 12, 4);
+            auto static_gshare =
+                StaticPhtTwoLevel::profile(trace, gshare_cfg);
+            auto static_pas = StaticPhtTwoLevel::profile(trace, pas_cfg);
+            BiasClassifyingHybrid bias_hybrid(
+                BiasClassifyingHybrid::profileTrace(trace, 0.95),
+                std::make_unique<TwoLevel>(gshare_cfg));
+
+            Row row;
+            row.gshare = experiment.ledgerFor(copra::core::kGshareSpec)
+                             .accuracyPercent();
+            row.staticGshare =
+                copra::sim::run(trace, static_gshare).accuracyPercent();
+            row.pas = experiment.ledgerFor(copra::core::kPasSpec)
+                          .accuracyPercent();
+            row.staticPas =
+                copra::sim::run(trace, static_pas).accuracyPercent();
+            row.biasHybrid =
+                copra::sim::run(trace, bias_hybrid).accuracyPercent();
+            row.stronglyBiased = bias_hybrid.stronglyBiasedBranches();
+            return row;
+        });
+
     copra::Table table({"benchmark", "gshare", "static-PHT gshare", "PAs",
                         "static-PHT PAs", "bias-hybrid(gshare)",
                         "strongly biased branches"});
-
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::workload::makeBenchmarkTrace(
-            name, opts.config.branches, opts.config.seed);
-        auto gshare_cfg = TwoLevelConfig::gshare(16);
-        auto pas_cfg = TwoLevelConfig::pas(12, 12, 4);
-
-        TwoLevel gshare(gshare_cfg);
-        TwoLevel pas(pas_cfg);
-        auto static_gshare = StaticPhtTwoLevel::profile(trace, gshare_cfg);
-        auto static_pas = StaticPhtTwoLevel::profile(trace, pas_cfg);
-        BiasClassifyingHybrid bias_hybrid(
-            BiasClassifyingHybrid::profileTrace(trace, 0.95),
-            std::make_unique<TwoLevel>(gshare_cfg));
-        size_t strongly = bias_hybrid.stronglyBiasedBranches();
-
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Row &row = rows[i];
         table.row()
-            .cell(name)
-            .cell(copra::sim::run(trace, gshare).accuracyPercent(), 2)
-            .cell(copra::sim::run(trace, static_gshare).accuracyPercent(),
-                  2)
-            .cell(copra::sim::run(trace, pas).accuracyPercent(), 2)
-            .cell(copra::sim::run(trace, static_pas).accuracyPercent(), 2)
-            .cell(copra::sim::run(trace, bias_hybrid).accuracyPercent(),
-                  2)
-            .cell(static_cast<uint64_t>(strongly));
+            .cell(names[i])
+            .cell(row.gshare, 2)
+            .cell(row.staticGshare, 2)
+            .cell(row.pas, 2)
+            .cell(row.staticPas, 2)
+            .cell(row.biasHybrid, 2)
+            .cell(row.stronglyBiased);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation (paper §2.2): with profiling == testing "
                 "set, static PHTs are on par with or above 2-bit "
                 "counters; bias classification never hurts and frees "
                 "dynamic capacity.\n");
-    copra::bench::finish("ablation_adaptivity", opts);
+    copra::bench::finish("ablation_adaptivity", opts, timing);
     return 0;
 }

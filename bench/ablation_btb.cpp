@@ -14,7 +14,10 @@
  * classification signal.
  */
 
-#include <iostream>
+#include <array>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/pa_class.hpp"
@@ -77,49 +80,56 @@ main(int argc, char **argv)
         const char *label;
         BtbConfig config;
     };
-    const Geometry geometries[] = {
+    static const Geometry geometries[] = {
         {"perfect", BtbConfig::perfect()},
         {"1024x4", BtbConfig::finite(10, 4)},
         {"256x4", BtbConfig::finite(8, 4)},
         {"64x2", BtbConfig::finite(6, 2)},
         {"16x1", BtbConfig::finite(4, 1)},
     };
+    constexpr size_t kGeometries = std::size(geometries);
+
+    struct Row
+    {
+        double loopFraction = 0.0;
+        std::array<double, kGeometries> accuracy{};
+        uint64_t smallestEvictions = 0;
+    };
+    copra::bench::SuiteTiming timing;
+    auto rows = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            const copra::core::PaClassifier &classifier =
+                experiment.classifier();
+            Row row;
+            row.loopFraction = classifier.classFractions()[static_cast<
+                size_t>(copra::core::PaClass::Loop)];
+            for (size_t g = 0; g < kGeometries; ++g)
+                row.accuracy[g] = loopClassAccuracy(
+                    experiment.trace(), classifier, geometries[g].config,
+                    &row.smallestEvictions);
+            return row;
+        });
 
     std::vector<std::string> headers = {"benchmark", "loop-class dyn %"};
     for (const auto &g : geometries)
         headers.push_back(g.label);
     headers.push_back("evictions@16x1");
     copra::Table table(headers);
-
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::workload::makeBenchmarkTrace(
-            name, opts.config.branches, opts.config.seed);
-        copra::core::PaClassifier classifier(trace,
-                                             opts.config.ifPasHistory);
-        table.row().cell(name);
-        table.cell(
-            100.0 * classifier.classFractions()[static_cast<size_t>(
-                copra::core::PaClass::Loop)],
-            1);
-        uint64_t smallest_evictions = 0;
-        for (const auto &g : geometries) {
-            uint64_t evictions = 0;
-            table.cell(loopClassAccuracy(trace, classifier, g.config,
-                                         &evictions),
-                       2);
-            smallest_evictions = evictions;
-        }
-        table.cell(smallest_evictions);
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Row &row = rows[i];
+        table.row().cell(names[i]);
+        table.cell(100.0 * row.loopFraction, 1);
+        for (double accuracy : row.accuracy)
+            table.cell(accuracy, 2);
+        table.cell(row.smallestEvictions);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation: generous BTBs match perfect on the "
                 "loop-class branches; small ones lose trip-count state "
                 "on every conflict and degrade toward the cold "
                 "default.\n");
-    copra::bench::finish("ablation_btb", opts);
+    copra::bench::finish("ablation_btb", opts, timing);
     return 0;
 }

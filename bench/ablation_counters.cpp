@@ -7,11 +7,10 @@
  * slower recovery after behaviour changes).
  */
 
-#include <iostream>
+#include <array>
+#include <string>
 
 #include "bench_common.hpp"
-#include "predictor/two_level.hpp"
-#include "sim/driver.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -26,34 +25,35 @@ main(int argc, char **argv)
         return 0;
     copra::bench::banner("Ablation: PHT counter width", opts);
 
-    using namespace copra::predictor;
+    copra::bench::SuiteTiming timing;
+    auto rows = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            std::array<double, 6> accuracy{};
+            size_t column = 0;
+            for (const char *spec :
+                 {copra::core::kGshareSpec, copra::core::kPasSpec})
+                for (unsigned bits : {1u, 2u, 3u})
+                    accuracy[column++] =
+                        experiment
+                            .ledgerFor(std::string(spec) + ":cbits=" +
+                                       std::to_string(bits))
+                            .accuracyPercent();
+            return accuracy;
+        });
+
     copra::Table table({"benchmark", "gshare 1b", "gshare 2b",
                         "gshare 3b", "PAs 1b", "PAs 2b", "PAs 3b"});
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::workload::makeBenchmarkTrace(
-            name, opts.config.branches, opts.config.seed);
-        table.row().cell(name);
-        for (unsigned bits : {1u, 2u, 3u}) {
-            auto config = TwoLevelConfig::gshare(opts.config.gshareHistory);
-            config.counterBits = bits;
-            TwoLevel pred(config);
-            table.cell(copra::sim::run(trace, pred).accuracyPercent(), 2);
-        }
-        for (unsigned bits : {1u, 2u, 3u}) {
-            auto config = TwoLevelConfig::pas(12, 12, 4);
-            config.counterBits = bits;
-            TwoLevel pred(config);
-            table.cell(copra::sim::run(trace, pred).accuracyPercent(), 2);
-        }
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        table.row().cell(names[i]);
+        for (double accuracy : rows[i])
+            table.cell(accuracy, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation (Smith 1981): 2-bit hysteresis beats "
                 "1-bit nearly everywhere (loop exits cost one mispredict "
                 "instead of two); 3 bits rarely pays.\n");
-    copra::bench::finish("ablation_counters", opts);
+    copra::bench::finish("ablation_counters", opts, timing);
     return 0;
 }

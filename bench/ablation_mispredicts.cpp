@@ -7,8 +7,6 @@
  * benchmark — the paper's IF-gap argument made causal.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "core/mispredict_taxonomy.hpp"
 #include "util/table.hpp"
@@ -25,17 +23,21 @@ main(int argc, char **argv)
         return 0;
     copra::bench::banner("Ablation: gshare misprediction causes", opts);
 
+    copra::bench::SuiteTiming timing;
+    auto breakdowns = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            return copra::core::classifyMispredicts(experiment.trace());
+        });
+
     copra::Table table({"benchmark", "accuracy %", "mispredicts",
                         "cold %", "interference %", "training %",
                         "noise %"});
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::workload::makeBenchmarkTrace(
-            name, opts.config.branches, opts.config.seed);
-        auto breakdown = copra::core::classifyMispredicts(
-            trace, opts.config.gshareHistory);
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < breakdowns.size(); ++i) {
+        const copra::core::MispredictBreakdown &breakdown = breakdowns[i];
         using Cause = copra::core::MispredictCause;
         table.row()
-            .cell(name)
+            .cell(names[i])
             .cell(breakdown.accuracyPercent(), 2)
             .cell(breakdown.mispredicts())
             .cell(100.0 * breakdown.causeFraction(Cause::Cold), 1)
@@ -43,14 +45,11 @@ main(int argc, char **argv)
             .cell(100.0 * breakdown.causeFraction(Cause::Training), 1)
             .cell(100.0 * breakdown.causeFraction(Cause::Noise), 1);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nreading: interference + training is the IF-gshare "
                 "gap of Table 2 decomposed; noise is the floor no "
                 "global predictor of this geometry can cross.\n");
-    copra::bench::finish("ablation_mispredicts", opts);
+    copra::bench::finish("ablation_mispredicts", opts, timing);
     return 0;
 }

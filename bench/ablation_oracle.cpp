@@ -5,7 +5,8 @@
  * trace so the exhaustive run stays cheap.
  */
 
-#include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/oracle.hpp"
@@ -25,40 +26,41 @@ main(int argc, char **argv)
     copra::bench::banner("Ablation: oracle search (sel-3 accuracy)",
                          opts);
 
-    const std::vector<unsigned> pools = {4, 8, 14};
+    static const unsigned pools[] = {4, 8, 14};
+    copra::bench::SuiteTiming timing;
+    auto rows = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            copra::core::OracleConfig oc =
+                copra::core::oracleConfig(experiment.config());
+            std::vector<double> accuracy;
+            for (unsigned k : pools) {
+                oc.candidatePool = k;
+                copra::core::SelectiveOracle oracle(experiment.trace(), oc);
+                accuracy.push_back(oracle.accuracyPercent(3));
+            }
+            oc.candidatePool = 8;
+            oc.exhaustive = true;
+            copra::core::SelectiveOracle oracle(experiment.trace(), oc);
+            accuracy.push_back(oracle.accuracyPercent(3));
+            return accuracy;
+        });
+
     std::vector<std::string> headers = {"benchmark"};
     for (unsigned k : pools)
         headers.push_back("greedy K=" + std::to_string(k));
     headers.push_back("exhaustive K=8");
     copra::Table table(headers);
-
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::core::makeExperimentTrace(name, opts.config);
-        table.row().cell(name);
-        for (unsigned k : pools) {
-            copra::core::OracleConfig oc;
-            oc.historyDepth = opts.config.historyDepth;
-            oc.candidatePool = k;
-            oc.mineConditionals = opts.config.mineConditionals;
-            copra::core::SelectiveOracle oracle(trace, oc);
-            table.cell(oracle.accuracyPercent(3), 2);
-        }
-        copra::core::OracleConfig oc;
-        oc.historyDepth = opts.config.historyDepth;
-        oc.candidatePool = 8;
-        oc.mineConditionals = opts.config.mineConditionals;
-        oc.exhaustive = true;
-        copra::core::SelectiveOracle oracle(trace, oc);
-        table.cell(oracle.accuracyPercent(3), 2);
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        table.row().cell(names[i]);
+        for (double accuracy : rows[i])
+            table.cell(accuracy, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation: accuracy saturates with K; exhaustive "
                 "gains little over greedy (the candidates the miner "
                 "ranks first are rarely complementary-only).\n");
-    copra::bench::finish("ablation_oracle", opts);
+    copra::bench::finish("ablation_oracle", opts, timing);
     return 0;
 }

@@ -8,10 +8,10 @@
  */
 
 #include <cmath>
-#include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -29,41 +29,61 @@ main(int argc, char **argv)
                                         "number of execution seeds");
                     }))
         return 0;
+    copra::fatalIf(seeds == 0, "ablation_seeds: --seeds must be at least 1");
     copra::bench::banner("Ablation: seed robustness", opts);
 
+    struct SeedRow
+    {
+        double gshare = 0.0;
+        double gain = 0.0;      //!< gshare w/ Corr minus gshare
+        bool gshareWins = false; //!< gshare >= PAs
+    };
+    // One suite fan-out per seed: runs[s][i] is benchmark i under seed s.
+    copra::bench::SuiteTiming timing;
+    std::vector<std::vector<SeedRow>> runs;
+    for (uint64_t s = 0; s < seeds; ++s) {
+        copra::bench::BenchOptions seeded = opts;
+        seeded.config.seed = 1000 + 17 * s;
+        runs.push_back(copra::bench::runSuite(
+            seeded, timing,
+            [](copra::core::BenchmarkExperiment &experiment) {
+                auto row = experiment.table2Row();
+                return SeedRow{
+                    row.gshare, row.gshareWithCorr - row.gshare,
+                    row.gshare >= experiment
+                                      .ledgerFor(copra::core::kPasSpec)
+                                      .accuracyPercent()};
+            }));
+    }
+
+    auto mean = [](const std::vector<double> &v) {
+        double sum = 0;
+        for (double x : v)
+            sum += x;
+        return sum / static_cast<double>(v.size());
+    };
+    auto stdev = [&](const std::vector<double> &v) {
+        double m = mean(v);
+        double ss = 0;
+        for (double x : v)
+            ss += (x - m) * (x - m);
+        return std::sqrt(ss / static_cast<double>(v.size()));
+    };
     copra::Table table({"benchmark", "gshare mean", "gshare sd",
                         "w/Corr gain mean", "gain sd",
                         "gshare>PAs (seeds)"});
-    for (const auto &name : copra::workload::benchmarkNames()) {
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < names.size(); ++i) {
         std::vector<double> gshare_acc;
         std::vector<double> gains;
         int gshare_wins = 0;
-        for (uint64_t s = 0; s < seeds; ++s) {
-            copra::core::ExperimentConfig config = opts.config;
-            config.seed = 1000 + 17 * s;
-            copra::core::BenchmarkExperiment experiment(name, config);
-            auto row = experiment.table2Row();
-            gshare_acc.push_back(row.gshare);
-            gains.push_back(row.gshareWithCorr - row.gshare);
-            if (row.gshare >=
-                experiment.pasLedger().accuracyPercent())
-                ++gshare_wins;
+        for (const auto &run : runs) {
+            gshare_acc.push_back(run[i].gshare);
+            gains.push_back(run[i].gain);
+            gshare_wins += run[i].gshareWins ? 1 : 0;
         }
-        auto mean = [](const std::vector<double> &v) {
-            double sum = 0;
-            for (double x : v)
-                sum += x;
-            return sum / static_cast<double>(v.size());
-        };
-        auto stdev = [&](const std::vector<double> &v) {
-            double m = mean(v);
-            double ss = 0;
-            for (double x : v)
-                ss += (x - m) * (x - m);
-            return std::sqrt(ss / static_cast<double>(v.size()));
-        };
         table.row()
-            .cell(name)
+            .cell(names[i])
             .cell(mean(gshare_acc), 2)
             .cell(stdev(gshare_acc), 3)
             .cell(mean(gains), 2)
@@ -71,16 +91,13 @@ main(int argc, char **argv)
             .cell(std::to_string(gshare_wins) + "/" +
                   std::to_string(seeds));
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation: accuracies move by tenths across seeds "
                 "(go, the noisiest, by ~2 points); the w/Corr gain is "
                 "always positive. Decisive gshare-vs-PAs orderings are "
                 "stable; near-ties (gcc, perl - the paper's own gaps "
                 "are under a quarter point there) legitimately flip.\n");
-    copra::bench::finish("ablation_seeds", opts);
+    copra::bench::finish("ablation_seeds", opts, timing);
     return 0;
 }

@@ -7,7 +7,7 @@
  * union buys.
  */
 
-#include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/oracle.hpp"
@@ -27,27 +27,31 @@ main(int argc, char **argv)
     copra::bench::banner("Ablation: tagging methods (sel-3 accuracy)",
                          opts);
 
-    using Filter = copra::core::OracleConfig::TagFilter;
+    copra::bench::SuiteTiming timing;
+    auto rows = copra::bench::runSuite(
+        opts, timing, [](copra::core::BenchmarkExperiment &experiment) {
+            using Filter = copra::core::OracleConfig::TagFilter;
+            copra::core::OracleConfig oc =
+                copra::core::oracleConfig(experiment.config());
+            std::vector<double> accuracy;
+            for (Filter filter : {Filter::OccurrenceOnly,
+                                  Filter::BackwardOnly, Filter::Both}) {
+                oc.tagFilter = filter;
+                copra::core::SelectiveOracle oracle(experiment.trace(), oc);
+                accuracy.push_back(oracle.accuracyPercent(3));
+            }
+            return accuracy;
+        });
+
     copra::Table table({"benchmark", "occurrence only", "backward only",
                         "both (paper)"});
-    for (const auto &name : copra::workload::benchmarkNames()) {
-        auto trace = copra::core::makeExperimentTrace(name, opts.config);
-        table.row().cell(name);
-        for (Filter filter : {Filter::OccurrenceOnly,
-                              Filter::BackwardOnly, Filter::Both}) {
-            copra::core::OracleConfig oc;
-            oc.historyDepth = opts.config.historyDepth;
-            oc.candidatePool = opts.config.candidatePool;
-            oc.mineConditionals = opts.config.mineConditionals;
-            oc.tagFilter = filter;
-            copra::core::SelectiveOracle oracle(trace, oc);
-            table.cell(oracle.accuracyPercent(3), 2);
-        }
+    const auto &names = copra::workload::benchmarkNames();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        table.row().cell(names[i]);
+        for (double accuracy : rows[i])
+            table.cell(accuracy, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\nexpectation: the union tracks the better single "
                 "method within noise on every benchmark (a tenth of a "
@@ -55,6 +59,6 @@ main(int argc, char **argv)
                 "the fixed-size candidate pool). Its value is "
                 "robustness - each method wins somewhere (DESIGN.md "
                 "SS5.1).\n");
-    copra::bench::finish("ablation_tagging", opts);
+    copra::bench::finish("ablation_tagging", opts, timing);
     return 0;
 }

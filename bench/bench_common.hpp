@@ -15,11 +15,13 @@
  * on-disk cache (.copra-cache/ or $COPRA_CACHE_DIR) unless
  * --no-trace-cache is given.
  *
- * Timing: the fan-out harnesses print a "timing=" line to stderr with
- * the fan-out's own wall clock, pool size and branch throughput. The
- * per-phase split (trace, predictors, oracle) lives only in the run
- * manifest (--metrics-out) and the --metrics-summary table, which every
- * harness writes through finish() (docs/OBSERVABILITY.md).
+ * Every harness is one or more runSuite() calls followed by finish().
+ *
+ * Timing: finish() prints a "timing=" line to stderr with the fan-outs'
+ * own wall clock, pool size and branch throughput. The per-phase split
+ * (trace, predictors, oracle) lives only in the run manifest
+ * (--metrics-out) and the --metrics-summary table, which finish() also
+ * writes (docs/OBSERVABILITY.md).
  */
 
 #pragma once
@@ -29,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iostream>
 #include <numeric>
 #include <string>
 #include <type_traits>
@@ -41,6 +44,7 @@
 #include "trace/trace_cache.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
+#include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profiles.hpp"
 
@@ -124,10 +128,20 @@ banner(const char *artifact, const BenchOptions &opts)
                 static_cast<unsigned long long>(opts.config.seed));
 }
 
-/** The fan-out's own measurements of one harness run. */
+/** Print a harness table to stdout, as CSV under --csv. */
+inline void
+printTable(const Table &table, const BenchOptions &opts)
+{
+    if (opts.csv)
+        table.printCsv(std::cout);
+    else
+        table.print(std::cout);
+}
+
+/** The fan-outs' own measurements of one harness run. */
 struct SuiteTiming
 {
-    double wallSeconds = 0.0;     //!< end-to-end fan-out wall clock
+    double wallSeconds = 0.0;     //!< summed fan-out wall clock
     uint64_t dynamicBranches = 0; //!< conditional branches simulated
 };
 
@@ -136,13 +150,13 @@ struct SuiteTiming
  * rows in that order (deterministic regardless of thread count or
  * scheduling: each task owns its BenchmarkExperiment and writes only
  * its own slot). Names must be suite workloads
- * (workload::makeBenchmarkTrace dispatches paper and frontier alike).
+ * (core::makeExperimentTrace serves paper and frontier alike).
  *
- * @param timing Optional sink for the wall clock and branch count.
+ * @param timing Accumulates the fan-out's wall clock and branch count.
  */
 template <typename Producer>
 auto
-runSuite(const BenchOptions &opts, SuiteTiming *timing,
+runSuite(const BenchOptions &opts, SuiteTiming &timing,
          const std::vector<std::string> &names, Producer &&producer)
     -> std::vector<std::decay_t<
         std::invoke_result_t<Producer &, core::BenchmarkExperiment &>>>
@@ -158,19 +172,19 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
         rows[i] = producer(experiment);
         branches[i] = experiment.trace().conditionalCount();
     });
-    if (timing) {
-        timing->wallSeconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start).count();
-        timing->dynamicBranches =
-            std::accumulate(branches.begin(), branches.end(), uint64_t(0));
-    }
+    double wall = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+    obs::observe(obs::ids().benchSuiteWallSeconds, wall);
+    timing.wallSeconds += wall;
+    timing.dynamicBranches +=
+        std::accumulate(branches.begin(), branches.end(), uint64_t(0));
     return rows;
 }
 
 /** runSuite over the paper's eight benchmarks (the tables' roster). */
 template <typename Producer>
 auto
-runSuite(const BenchOptions &opts, SuiteTiming *timing,
+runSuite(const BenchOptions &opts, SuiteTiming &timing,
          Producer &&producer)
 {
     return runSuite(opts, timing, workload::benchmarkNames(),
@@ -178,28 +192,14 @@ runSuite(const BenchOptions &opts, SuiteTiming *timing,
 }
 
 /**
- * End a harness run: write the run manifest (--metrics-out) and/or
- * print the instrument table to stderr (--metrics-summary). Every
- * harness ends here, directly or through reportTiming(); a no-op
- * unless telemetry was requested.
- */
-inline void
-finish(const char *artifact, const BenchOptions &opts)
-{
-    obs::gaugeMax(obs::ids().poolWorkerCount, globalPool().size());
-    obs::finishRun(obs::runInfo(artifact, opts.argc, opts.argv,
-                                opts.config.seed, true),
-                   opts.metricsOut, opts.metricsSummary);
-}
-
-/**
- * Print the timing= line for a runSuite() harness, then finish() the
- * run. Call after the table. The line goes to stderr so stdout (the
+ * End a harness run, after its table: print the timing= line, then
+ * write the run manifest (--metrics-out) and/or print the instrument
+ * table (--metrics-summary). The line goes to stderr so stdout (the
  * table) stays byte-identical across thread counts and machines.
  */
 inline void
-reportTiming(const char *artifact, const BenchOptions &opts,
-             const SuiteTiming &timing)
+finish(const char *artifact, const BenchOptions &opts,
+       const SuiteTiming &timing)
 {
     double branches_per_sec = timing.wallSeconds > 0
         ? static_cast<double>(timing.dynamicBranches) / timing.wallSeconds
@@ -210,8 +210,10 @@ reportTiming(const char *artifact, const BenchOptions &opts,
                  timing.wallSeconds, globalPool().size(),
                  static_cast<unsigned long long>(timing.dynamicBranches),
                  branches_per_sec);
-    obs::observe(obs::ids().benchSuiteWallSeconds, timing.wallSeconds);
-    finish(artifact, opts);
+    obs::gaugeMax(obs::ids().poolWorkerCount, globalPool().size());
+    obs::finishRun(obs::runInfo(artifact, opts.argc, opts.argv,
+                                opts.config.seed, true),
+                   opts.metricsOut, opts.metricsSummary);
 }
 
 } // namespace copra::bench

@@ -10,8 +10,6 @@
  * (per-static-branch misprediction CDF).
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "core/h2p.hpp"
 #include "util/table.hpp"
@@ -51,10 +49,11 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto rows = copra::bench::runSuite(
-        opts, &timing,
+        opts, timing,
         [](copra::core::BenchmarkExperiment &experiment) {
             Fig10Row row;
-            const copra::sim::Ledger &gshare = experiment.gshareLedger();
+            const copra::sim::Ledger &gshare =
+                experiment.ledgerFor(copra::core::kGshareSpec);
             const copra::sim::Ledger &tage = experiment.ledgerFor("tage");
             const copra::sim::Ledger &perceptron =
                 experiment.ledgerFor("perceptron");
@@ -104,10 +103,7 @@ main(int argc, char **argv)
     accuracy.row().cell("average");
     for (double sum : sums)
         accuracy.cell(sum / rows.size(), 2);
-    if (opts.csv)
-        accuracy.printCsv(std::cout);
-    else
-        accuracy.print(std::cout);
+    copra::bench::printTable(accuracy, opts);
 
     std::printf("\nH2P branches (>=1k execs, <99%% accuracy) per "
                 "predictor, and under the per-branch best-of:\n\n");
@@ -125,13 +121,10 @@ main(int argc, char **argv)
             .cell(row.cdfTop1, 1)
             .cell(row.cdfTop10, 1);
     }
-    if (opts.csv)
-        h2p.printCsv(std::cout);
-    else
-        h2p.print(std::cout);
+    copra::bench::printTable(h2p, opts);
 
     std::printf("\nextension of the paper's per-branch analysis; H2P "
                 "criterion after Lin & Tarsa (no paper counterpart).\n");
-    copra::bench::reportTiming("fig10_modern_roster", opts, timing);
+    copra::bench::finish("fig10_modern_roster", opts, timing);
     return 0;
 }

@@ -6,8 +6,6 @@
  * prior branches considered), against IF gshare and regular gshare.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -25,7 +23,7 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto rows = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.fig4Row();
         });
@@ -41,13 +39,10 @@ main(int argc, char **argv)
             .cell(row.ifGshare, 2)
             .cell(row.gshare, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper shape: sel-1 already respectable; sel-3 close "
                 "to IF gshare; gshare below IF gshare.\n");
-    copra::bench::reportTiming("fig4_selective_history", opts, timing);
+    copra::bench::finish("fig4_selective_history", opts, timing);
     return 0;
 }

@@ -6,8 +6,6 @@
  * important correlated branches are close to the predicted branch.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -35,7 +33,7 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto all_series = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [&depths,
          &opts](copra::core::BenchmarkExperiment &experiment) {
             return copra::core::fig5Series(experiment.trace(),
@@ -48,13 +46,10 @@ main(int argc, char **argv)
         for (const auto &[depth, accuracy] : all_series[i])
             table.cell(accuracy, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper shape: slow growth up to n~20, little beyond "
                 "(correlated branches are nearby).\n");
-    copra::bench::reportTiming("fig5_history_length", opts, timing);
+    copra::bench::finish("fig5_history_length", opts, timing);
     return 0;
 }

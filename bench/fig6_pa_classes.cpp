@@ -6,8 +6,6 @@
  * class predictor, or by the ideal static predictor (unclassified).
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -29,7 +27,7 @@ main(int argc, char **argv)
                         "static bucket >99% biased %"});
     copra::bench::SuiteTiming timing;
     auto produced = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.fig6Row();
         });
@@ -53,14 +51,11 @@ main(int argc, char **argv)
     for (double sum : sums)
         table.cell(sum / rows, 1);
 
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper shape: about half ideal-static (88%% of that "
                 ">99%% biased), about a third non-repeating, about a "
                 "sixth loop, repeating infrequent.\n");
-    copra::bench::reportTiming("fig6_pa_classes", opts, timing);
+    copra::bench::finish("fig6_pa_classes", opts, timing);
     return 0;
 }

@@ -6,8 +6,6 @@
  * with 83% of the static bucket more than 99% biased.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -28,7 +26,7 @@ main(int argc, char **argv)
                         "ideal static best %", "static >99% biased %"});
     copra::bench::SuiteTiming timing;
     auto splits = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.fig7Split();
         });
@@ -54,13 +52,10 @@ main(int argc, char **argv)
     for (double sum : sums)
         table.cell(sum / rows, 1);
 
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper averages: gshare best 29%%, PAs best 16%%, "
                 "ideal static 55%% (83%% of it >99%% biased).\n");
-    copra::bench::reportTiming("fig7_gshare_pas_static", opts, timing);
+    copra::bench::finish("fig7_gshare_pas_static", opts, timing);
     return 0;
 }

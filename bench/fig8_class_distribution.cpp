@@ -7,8 +7,6 @@
  * per-address, ~40% static (92% of it >99% biased).
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -30,7 +28,7 @@ main(int argc, char **argv)
                         "static >99% biased %"});
     copra::bench::SuiteTiming timing;
     auto splits = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.fig8Split();
         });
@@ -56,13 +54,10 @@ main(int argc, char **argv)
     for (double sum : sums)
         table.cell(sum / rows, 1);
 
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper averages: global 38%%, per-address 22%%, ideal "
                 "static 40%% (92%% of it >99%% biased).\n");
-    copra::bench::reportTiming("fig8_class_distribution", opts, timing);
+    copra::bench::finish("fig8_class_distribution", opts, timing);
     return 0;
 }

@@ -8,8 +8,6 @@
  * why hybrids win.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/frontier.hpp"
@@ -35,7 +33,7 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto curves = copra::bench::runSuite(
-        opts, &timing, copra::workload::workloadSuiteNames(),
+        opts, timing, copra::workload::workloadSuiteNames(),
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.fig9Percentiles();
         });
@@ -46,13 +44,10 @@ main(int argc, char **argv)
         for (double p : percentiles)
             table.cell(curves[i].percentile(p), 1);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper reference (gcc): p10 ~ -7.0 (PAs better), p90 "
                 "~ +10.4 (gshare better); perl much flatter.\n");
-    copra::bench::reportTiming("fig9_gshare_vs_pas", opts, timing);
+    copra::bench::finish("fig9_gshare_vs_pas", opts, timing);
     return 0;
 }

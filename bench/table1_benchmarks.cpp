@@ -5,8 +5,6 @@
  * bias structure, next to the paper's dynamic branch counts.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/table.hpp"
@@ -34,7 +32,7 @@ main(int argc, char **argv)
     };
     copra::bench::SuiteTiming timing;
     auto rows = copra::bench::runSuite(
-        opts, &timing,
+        opts, timing,
         [](copra::core::BenchmarkExperiment &experiment) {
             const copra::trace::TraceStats &stats = experiment.stats();
             Row row;
@@ -65,10 +63,7 @@ main(int argc, char **argv)
             .cell(row.idealStaticPct, 2)
             .cell(ref.paperDynamicBranches);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
-    copra::bench::reportTiming("table1_benchmarks", opts, timing);
+    copra::bench::printTable(table, opts);
+    copra::bench::finish("table1_benchmarks", opts, timing);
     return 0;
 }

@@ -6,8 +6,6 @@
  * exploit even the single strongest correlation for some branches.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
@@ -25,7 +23,7 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto rows = copra::bench::runSuite(
-        opts, &timing,
+        opts, timing,
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.table2Row();
         });
@@ -46,13 +44,10 @@ main(int argc, char **argv)
             .cell(ref.ifGshare, 2)
             .cell(ref.ifGshareWithCorr, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper shape: w/Corr > base for every benchmark, with "
                 "the largest gains on gcc and go.\n");
-    copra::bench::reportTiming("table2_gshare_corr", opts, timing);
+    copra::bench::finish("table2_gshare_corr", opts, timing);
     return 0;
 }

@@ -6,8 +6,6 @@
  * PAs leaves unexploited.
  */
 
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
@@ -24,7 +22,7 @@ main(int argc, char **argv)
 
     copra::bench::SuiteTiming timing;
     auto rows = copra::bench::runSuite(
-        opts, &timing,
+        opts, timing,
         [](copra::core::BenchmarkExperiment &experiment) {
             return experiment.table3Row();
         });
@@ -45,13 +43,10 @@ main(int argc, char **argv)
             .cell(ref.ifPas, 2)
             .cell(ref.ifPasWithLoop, 2);
     }
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    copra::bench::printTable(table, opts);
 
     std::printf("\npaper shape: the loop enhancement helps every "
                 "benchmark, most on gcc/go/ijpeg/m88ksim.\n");
-    copra::bench::reportTiming("table3_pas_loop", opts, timing);
+    copra::bench::finish("table3_pas_loop", opts, timing);
     return 0;
 }

@@ -53,7 +53,7 @@ main(int argc, char **argv)
     copra::core::BenchmarkExperiment experiment(benchmark, config);
 
     const auto &oracle = experiment.oracle();
-    const auto &gshare = experiment.gshareLedger();
+    const auto &gshare = experiment.ledgerFor(copra::core::kGshareSpec);
 
     // Rank branches by mispredictions under gshare: the interesting ones.
     std::vector<const copra::core::BranchSelection *> hard;
@@ -91,7 +91,8 @@ main(int argc, char **argv)
                 "IF-gshare %.2f%%  gshare %.2f%%\n",
                 oracle.accuracyPercent(1), oracle.accuracyPercent(2),
                 oracle.accuracyPercent(3),
-                experiment.ifGshareLedger().accuracyPercent(),
+                experiment.ledgerFor(copra::core::kIfGshareSpec)
+                    .accuracyPercent(),
                 gshare.accuracyPercent());
     return 0;
 }

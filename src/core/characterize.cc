@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include "predictor/two_level.hpp"
+#include "predictor/factory.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace_stats.hpp"
 #include "workload/frontier.hpp"
@@ -177,12 +177,11 @@ characterizeTrace(const trace::Trace &trace,
 
     fp.gshareAccuracyPercent = std::nan("");
     if (options.withPredictor && fp.conditionals > 0) {
-        // BenchmarkExperiment::gshareLedger's pass, run over the
-        // caller's trace in place rather than over a copy.
-        predictor::TwoLevel gshare(
-            predictor::TwoLevelConfig::gshare(options.config.gshareHistory));
+        // BenchmarkExperiment::ledgerFor(kGshareSpec)'s pass, run over
+        // the caller's trace in place rather than over a copy.
+        predictor::PredictorPtr gshare = predictor::makePredictor(kGshareSpec);
         sim::Ledger ledger;
-        sim::run(trace, gshare, &ledger);
+        sim::run(trace, *gshare, &ledger);
         fp.gshareAccuracyPercent = ledger.accuracyPercent();
         H2pReport h2p = identifyH2p(ledger, options.h2p);
         fp.h2pBranches = h2p.branches.size();

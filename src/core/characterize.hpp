@@ -53,8 +53,7 @@ struct CharacterizeOptions
      * off for entropy-only passes). */
     bool withPredictor = true;
 
-    /** Reference-run parameters (gshare geometry, H2P criteria). */
-    ExperimentConfig config;
+    /** H2P criteria of the reference run (a kGshareSpec gshare). */
     H2pCriteria h2p;
 };
 

@@ -3,8 +3,6 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "predictor/factory.hpp"
-#include "predictor/interference_free.hpp"
-#include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace_cache.hpp"
 #include "workload/profiles.hpp"
@@ -14,6 +12,17 @@ namespace copra::core {
 // Each phase is timed by an obs::PhaseTimer into the sim.phase.*
 // histograms of the run manifest; durations never reach simulation
 // results or stdout (DESIGN.md §7).
+
+OracleConfig
+oracleConfig(const ExperimentConfig &config)
+{
+    OracleConfig oc;
+    oc.historyDepth = config.historyDepth;
+    oc.candidatePool = config.candidatePool;
+    oc.maxSelect = 3;
+    oc.mineConditionals = config.mineConditionals;
+    return oc;
+}
 
 trace::Trace
 makeExperimentTrace(const std::string &name, const ExperimentConfig &config)
@@ -52,87 +61,10 @@ BenchmarkExperiment::stats()
 }
 
 const sim::Ledger &
-BenchmarkExperiment::gshareLedger()
-{
-    if (!gshare_) {
-        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
-                              obs::ids().simPhasePredictorCpuSeconds);
-        predictor::TwoLevel pred(
-            predictor::TwoLevelConfig::gshare(config_.gshareHistory));
-        gshare_.emplace();
-        sim::run(trace_, pred, &*gshare_);
-    }
-    return *gshare_;
-}
-
-const sim::Ledger &
-BenchmarkExperiment::pasLedger()
-{
-    if (!pas_) {
-        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
-                              obs::ids().simPhasePredictorCpuSeconds);
-        predictor::TwoLevel pred(predictor::TwoLevelConfig::pas(
-            config_.pasHistory, config_.pasBhtBits, config_.pasSelectBits));
-        pas_.emplace();
-        sim::run(trace_, pred, &*pas_);
-    }
-    return *pas_;
-}
-
-const sim::Ledger &
-BenchmarkExperiment::ifGshareLedger()
-{
-    if (!ifGshare_) {
-        obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
-                              obs::ids().simPhasePredictorCpuSeconds);
-        predictor::IfGshare pred(config_.gshareHistory);
-        ifGshare_.emplace();
-        sim::run(trace_, pred, &*ifGshare_);
-    }
-    return *ifGshare_;
-}
-
-void
-BenchmarkExperiment::precomputeLedgers()
-{
-    std::vector<predictor::PredictorPtr> owned;
-    std::vector<predictor::Predictor *> preds;
-    std::vector<std::optional<sim::Ledger> *> sinks;
-    if (!gshare_) {
-        owned.push_back(std::make_unique<predictor::TwoLevel>(
-            predictor::TwoLevelConfig::gshare(config_.gshareHistory)));
-        sinks.push_back(&gshare_);
-    }
-    if (!pas_) {
-        owned.push_back(std::make_unique<predictor::TwoLevel>(
-            predictor::TwoLevelConfig::pas(config_.pasHistory,
-                                           config_.pasBhtBits,
-                                           config_.pasSelectBits)));
-        sinks.push_back(&pas_);
-    }
-    if (!ifGshare_) {
-        owned.push_back(std::make_unique<predictor::IfGshare>(
-            config_.gshareHistory));
-        sinks.push_back(&ifGshare_);
-    }
-    if (owned.empty())
-        return;
-    for (auto &pred : owned)
-        preds.push_back(pred.get());
-
-    obs::PhaseTimer guard(obs::ids().simPhasePredictorSeconds,
-                          obs::ids().simPhasePredictorCpuSeconds);
-    std::vector<sim::Ledger> ledgers;
-    sim::runAllParallel(trace_, preds, &ledgers);
-    for (size_t i = 0; i < sinks.size(); ++i)
-        sinks[i]->emplace(std::move(ledgers[i]));
-}
-
-const sim::Ledger &
 BenchmarkExperiment::idealStaticLedgerRef()
 {
     if (!idealStatic_)
-        idealStatic_ = idealStaticLedger(gshareLedger());
+        idealStatic_ = idealStaticLedger(ledgerFor(kGshareSpec));
     return *idealStatic_;
 }
 
@@ -157,12 +89,8 @@ BenchmarkExperiment::oracle()
     if (!oracle_) {
         obs::PhaseTimer guard(obs::ids().simPhaseOracleSeconds,
                               obs::ids().simPhaseOracleCpuSeconds);
-        OracleConfig oc;
-        oc.historyDepth = config_.historyDepth;
-        oc.candidatePool = config_.candidatePool;
-        oc.maxSelect = 3;
-        oc.mineConditionals = config_.mineConditionals;
-        oracle_ = std::make_unique<SelectiveOracle>(trace_, oc);
+        oracle_ = std::make_unique<SelectiveOracle>(trace_,
+                                                    oracleConfig(config_));
     }
     return *oracle_;
 }
@@ -173,8 +101,7 @@ BenchmarkExperiment::classifier()
     if (!classifier_) {
         obs::PhaseTimer guard(obs::ids().simPhaseOracleSeconds,
                               obs::ids().simPhaseOracleCpuSeconds);
-        classifier_ =
-            std::make_unique<PaClassifier>(trace_, config_.ifPasHistory);
+        classifier_ = std::make_unique<PaClassifier>(trace_);
     }
     return *classifier_;
 }
@@ -188,8 +115,8 @@ BenchmarkExperiment::fig4Row()
     row.selective1 = orc.accuracyPercent(1);
     row.selective2 = orc.accuracyPercent(2);
     row.selective3 = orc.accuracyPercent(3);
-    row.ifGshare = ifGshareLedger().accuracyPercent();
-    row.gshare = gshareLedger().accuracyPercent();
+    row.ifGshare = ledgerFor(kIfGshareSpec).accuracyPercent();
+    row.gshare = ledgerFor(kGshareSpec).accuracyPercent();
     return row;
 }
 
@@ -199,12 +126,12 @@ BenchmarkExperiment::table2Row()
     Table2Row row;
     row.name = name_;
     sim::Ledger selective1 = oracle().toLedger(1);
-    row.gshare = gshareLedger().accuracyPercent();
-    row.gshareWithCorr =
-        sim::bestOfAccuracyPercent(gshareLedger(), selective1);
-    row.ifGshare = ifGshareLedger().accuracyPercent();
-    row.ifGshareWithCorr =
-        sim::bestOfAccuracyPercent(ifGshareLedger(), selective1);
+    const sim::Ledger &gshare = ledgerFor(kGshareSpec);
+    const sim::Ledger &if_gshare = ledgerFor(kIfGshareSpec);
+    row.gshare = gshare.accuracyPercent();
+    row.gshareWithCorr = sim::bestOfAccuracyPercent(gshare, selective1);
+    row.ifGshare = if_gshare.accuracyPercent();
+    row.ifGshareWithCorr = sim::bestOfAccuracyPercent(if_gshare, selective1);
     return row;
 }
 
@@ -225,8 +152,9 @@ BenchmarkExperiment::table3Row()
     row.name = name_;
     const PaClassifier &cls = classifier();
     sim::Ledger if_pas = cls.ifPasLedger();
-    row.pas = pasLedger().accuracyPercent();
-    row.pasWithLoop = cls.loopEnhancedAccuracyPercent(pasLedger());
+    const sim::Ledger &pas = ledgerFor(kPasSpec);
+    row.pas = pas.accuracyPercent();
+    row.pasWithLoop = cls.loopEnhancedAccuracyPercent(pas);
     row.ifPas = if_pas.accuracyPercent();
     row.ifPasWithLoop = cls.loopEnhancedAccuracyPercent(if_pas);
     return row;
@@ -235,13 +163,15 @@ BenchmarkExperiment::table3Row()
 BestOfSplit
 BenchmarkExperiment::fig7Split()
 {
-    return bestOfSplit(gshareLedger(), pasLedger(), idealStaticLedgerRef());
+    return bestOfSplit(ledgerFor(kGshareSpec), ledgerFor(kPasSpec),
+                       idealStaticLedgerRef());
 }
 
 BestOfSplit
 BenchmarkExperiment::fig8Split()
 {
-    sim::Ledger global = maxLedger(ifGshareLedger(), oracle().toLedger(3));
+    sim::Ledger global =
+        maxLedger(ledgerFor(kIfGshareSpec), oracle().toLedger(3));
     sim::Ledger per_address = classifier().bestPaLedger();
     return bestOfSplit(global, per_address, idealStaticLedgerRef());
 }
@@ -249,7 +179,7 @@ BenchmarkExperiment::fig8Split()
 WeightedPercentiles
 BenchmarkExperiment::fig9Percentiles()
 {
-    return accuracyDifference(gshareLedger(), pasLedger());
+    return accuracyDifference(ledgerFor(kGshareSpec), ledgerFor(kPasSpec));
 }
 
 std::vector<std::pair<unsigned, double>>
@@ -259,11 +189,8 @@ fig5Series(const trace::Trace &trace, const ExperimentConfig &config,
     std::vector<std::pair<unsigned, double>> series;
     series.reserve(depths.size());
     for (unsigned depth : depths) {
-        OracleConfig oc;
+        OracleConfig oc = oracleConfig(config);
         oc.historyDepth = depth;
-        oc.candidatePool = config.candidatePool;
-        oc.maxSelect = 3;
-        oc.mineConditionals = config.mineConditionals;
         SelectiveOracle oracle(trace, oc);
         series.emplace_back(depth, oracle.accuracyPercent(3));
     }

@@ -5,13 +5,15 @@
  * (trace, ledgers, oracle, classifier) computed lazily and exactly once.
  * The bench binaries are thin wrappers over this layer.
  *
+ * Ledgers: ledgerFor(spec) is the one ledger cache, keyed by predictor
+ * factory spec. The paper's reference predictors are the spec
+ * constants below, whose factory defaults are the paper geometry.
+ *
  * Concurrency contract (DESIGN.md §10): a BenchmarkExperiment is
- * task-confined — the lazy getters mutate the cached optionals without
+ * task-confined — the lazy getters mutate the cached products without
  * locking, so one instance must never be shared across pool workers.
  * The bench fan-out honors this by constructing one experiment per
- * task; inside an experiment, precomputeLedgers() may itself shard
- * across the pool, which is safe because each inner task writes only
- * its own result slot before the single owning task installs them.
+ * task.
  *
  * Timing: the trace, predictor and oracle phases record into the
  * sim.phase.* histograms through obs::PhaseTimer, and only while
@@ -56,18 +58,20 @@ struct ExperimentConfig
 
     /** Conditional branches used for candidate mining (0 = all). */
     uint64_t mineConditionals = 1'000'000;
-
-    /** gshare and IF-gshare history length. */
-    unsigned gshareHistory = 16;
-
-    /** PAs geometry. */
-    unsigned pasHistory = 12;
-    unsigned pasBhtBits = 12;
-    unsigned pasSelectBits = 4;
-
-    /** IF-PAs history length. */
-    unsigned ifPasHistory = 12;
 };
+
+/**
+ * The paper's reference predictors as factory specs (predictor/factory
+ * grammar) for BenchmarkExperiment::ledgerFor. The factory defaults are
+ * the paper geometry: gshare and IF gshare with 16 history bits, PAs
+ * with 12 history bits, a 2^12-entry BHT and 4 PHT select bits.
+ */
+inline constexpr const char *kGshareSpec = "gshare";
+inline constexpr const char *kPasSpec = "pas";
+inline constexpr const char *kIfGshareSpec = "ifgshare";
+
+/** The selective oracle's configuration (sizes 1..3) under @p config. */
+OracleConfig oracleConfig(const ExperimentConfig &config);
 
 /** Fig. 4 row: selective history vs gshare and IF gshare. */
 struct Fig4Row
@@ -132,32 +136,14 @@ class BenchmarkExperiment
     /** Population statistics of the trace. */
     const trace::TraceStats &stats();
 
-    /**
-     * Compute the gshare, PAs and IF-gshare ledgers that are not yet
-     * cached, sharding the simulation passes across the global thread
-     * pool (sim::runAllParallel). Purely an optimization: the lazy
-     * getters return identical ledgers whether or not this ran first.
-     */
-    void precomputeLedgers();
-
-    /** gshare run (per-branch ledger). */
-    const sim::Ledger &gshareLedger();
-
-    /** PAs run. */
-    const sim::Ledger &pasLedger();
-
-    /** Interference-free gshare run. */
-    const sim::Ledger &ifGshareLedger();
-
     /** Ideal static predictor (majority direction per branch). */
     const sim::Ledger &idealStaticLedgerRef();
 
     /**
-     * Ledger of an arbitrary factory-spec predictor (predictor/factory
-     * grammar, e.g. "tage" or "perceptron:tbits=12"), computed on first
-     * use and cached by spec string. The modern-roster and H2P analyses
-     * (bench/fig10_modern_roster, core/h2p.hpp) run through this so
-     * repeated queries against one benchmark share simulation passes.
+     * Ledger of a factory-spec predictor (predictor/factory grammar,
+     * e.g. kGshareSpec, "pas:cbits=1" or "tage"), computed on first use
+     * and cached by spec string, so every query against one benchmark
+     * shares one simulation pass per predictor.
      */
     const sim::Ledger &ledgerFor(const std::string &spec);
 
@@ -188,9 +174,6 @@ class BenchmarkExperiment
     trace::Trace trace_;
 
     std::optional<trace::TraceStats> stats_;
-    std::optional<sim::Ledger> gshare_;
-    std::optional<sim::Ledger> pas_;
-    std::optional<sim::Ledger> ifGshare_;
     std::optional<sim::Ledger> idealStatic_;
     std::map<std::string, sim::Ledger> specLedgers_; // keyed by spec
     std::unique_ptr<SelectiveOracle> oracle_;

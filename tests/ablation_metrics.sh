@@ -1,7 +1,7 @@
 #!/bin/sh
-# A harness that runs no suite fan-out (the ablations) must still honor
-# --metrics-out: the manifest it writes loads in `copra_report
-# --summary` and records the branches it simulated.
+# An ablation harness must honor --metrics-out: the manifest it writes
+# loads in `copra_report --summary` and records the branches it
+# simulated.
 #
 # Usage: ablation_metrics.sh <bench-binary> <copra_report-binary>
 #        [bench args...]

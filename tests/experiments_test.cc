@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/experiments.hpp"
+#include "predictor/interference_free.hpp"
+#include "predictor/two_level.hpp"
+#include "sim/driver.hpp"
 #include "workload/profiles.hpp"
 
 namespace copra::core {
@@ -108,12 +113,35 @@ TEST_F(ExperimentsFixture, Fig9PercentilesAreMonotone)
 
 TEST_F(ExperimentsFixture, LedgersAreCachedAndConsistent)
 {
-    const sim::Ledger &first = experiment_.gshareLedger();
-    const sim::Ledger &second = experiment_.gshareLedger();
+    const sim::Ledger &first = experiment_.ledgerFor(kGshareSpec);
+    const sim::Ledger &second = experiment_.ledgerFor(kGshareSpec);
     EXPECT_EQ(&first, &second); // same object: computed once
     EXPECT_EQ(first.dynamic(), 40000u);
-    EXPECT_EQ(experiment_.pasLedger().dynamic(), 40000u);
-    EXPECT_EQ(experiment_.ifGshareLedger().dynamic(), 40000u);
+    EXPECT_EQ(experiment_.ledgerFor(kPasSpec).dynamic(), 40000u);
+    EXPECT_EQ(experiment_.ledgerFor(kIfGshareSpec).dynamic(), 40000u);
+}
+
+TEST_F(ExperimentsFixture, SpecConstantsAreThePaperGeometry)
+{
+    // gshare and IF gshare with 16 history bits, PAs 12/12/4.
+    predictor::TwoLevel gshare(predictor::TwoLevelConfig::gshare(16));
+    predictor::TwoLevel pas(predictor::TwoLevelConfig::pas(12, 12, 4));
+    predictor::IfGshare if_gshare(16);
+    const std::pair<const char *, predictor::Predictor *> cases[] = {
+        {kGshareSpec, &gshare},
+        {kPasSpec, &pas},
+        {kIfGshareSpec, &if_gshare},
+    };
+    for (const auto &[spec, pred] : cases) {
+        sim::Ledger expected;
+        sim::run(experiment_.trace(), *pred, &expected);
+        const sim::Ledger &actual = experiment_.ledgerFor(spec);
+        ASSERT_EQ(actual.table().size(), expected.table().size()) << spec;
+        for (size_t i = 0; i < actual.table().size(); ++i)
+            EXPECT_EQ(actual.table()[i].second.correct,
+                      expected.table()[i].second.correct)
+                << spec << " branch " << i;
+    }
 }
 
 TEST(Experiments, ExternalTraceConstructor)
@@ -123,7 +151,7 @@ TEST(Experiments, ExternalTraceConstructor)
         workload::makeBenchmarkTrace("xlisp", 20000, 0);
     BenchmarkExperiment experiment(std::move(trace), config);
     EXPECT_EQ(experiment.name(), "xlisp");
-    EXPECT_EQ(experiment.gshareLedger().dynamic(), 20000u);
+    EXPECT_EQ(experiment.ledgerFor(kGshareSpec).dynamic(), 20000u);
 }
 
 TEST(Experiments, Fig5SeriesCoversRequestedDepths)
@@ -148,8 +176,8 @@ TEST(Experiments, DeterministicAcrossInstances)
     config.branches = 20000;
     BenchmarkExperiment a("go", config);
     BenchmarkExperiment b("go", config);
-    EXPECT_DOUBLE_EQ(a.gshareLedger().accuracyPercent(),
-                     b.gshareLedger().accuracyPercent());
+    EXPECT_DOUBLE_EQ(a.ledgerFor(kGshareSpec).accuracyPercent(),
+                     b.ledgerFor(kGshareSpec).accuracyPercent());
     Fig4Row ra = a.fig4Row();
     Fig4Row rb = b.fig4Row();
     EXPECT_DOUBLE_EQ(ra.selective3, rb.selective3);
