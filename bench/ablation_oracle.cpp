@@ -36,12 +36,12 @@ main(int argc, char **argv)
             for (unsigned k : pools) {
                 oc.candidatePool = k;
                 copra::core::SelectiveOracle oracle(experiment.trace(), oc);
-                accuracy.push_back(oracle.accuracyPercent(3));
+                accuracy.push_back(oracle.toLedger(3).accuracyPercent());
             }
             oc.candidatePool = 8;
             oc.exhaustive = true;
             copra::core::SelectiveOracle oracle(experiment.trace(), oc);
-            accuracy.push_back(oracle.accuracyPercent(3));
+            accuracy.push_back(oracle.toLedger(3).accuracyPercent());
             return accuracy;
         });
 

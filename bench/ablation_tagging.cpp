@@ -38,7 +38,7 @@ main(int argc, char **argv)
                                   Filter::BackwardOnly, Filter::Both}) {
                 oc.tagFilter = filter;
                 copra::core::SelectiveOracle oracle(experiment.trace(), oc);
-                accuracy.push_back(oracle.accuracyPercent(3));
+                accuracy.push_back(oracle.toLedger(3).accuracyPercent());
             }
             return accuracy;
         });

@@ -89,8 +89,9 @@ main(int argc, char **argv)
 
     std::printf("\naggregate: sel-1 %.2f%%  sel-2 %.2f%%  sel-3 %.2f%%  "
                 "IF-gshare %.2f%%  gshare %.2f%%\n",
-                oracle.accuracyPercent(1), oracle.accuracyPercent(2),
-                oracle.accuracyPercent(3),
+                oracle.toLedger(1).accuracyPercent(),
+                oracle.toLedger(2).accuracyPercent(),
+                oracle.toLedger(3).accuracyPercent(),
                 experiment.ledgerFor(copra::core::kIfGshareSpec)
                     .accuracyPercent(),
                 gshare.accuracyPercent());

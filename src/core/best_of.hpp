@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "sim/ledger.hpp"
-#include "util/histogram.hpp"
+#include "util/percentiles.hpp"
 
 namespace copra::core {
 

@@ -403,10 +403,11 @@ renderWorkloadsDoc(const std::vector<WorkloadFingerprint> &fps,
         "build/tools/copra_characterize --trace mine.trc\n"
         "```\n"
         "\n"
-        "The native binary and text formats also round-trip through\n"
-        "`src/trace/trace_io.hpp` directly; load with `loadBinary()` /\n"
-        "`readText()` and pass the trace to `core::BenchmarkExperiment`"
-        "\n(see `examples/paper_report.cpp --load`).\n"
+        "The native binary format also round-trips through\n"
+        "`src/trace/trace_io.hpp` directly (text reads back through\n"
+        "`trace::ingestStream`); load with `loadBinary()` and pass the "
+        "trace\nto `core::BenchmarkExperiment` (see "
+        "`examples/paper_report.cpp --load`).\n"
         "\n"
         "## Exactly-known patterns for tests\n"
         "\n"

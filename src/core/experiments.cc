@@ -112,9 +112,9 @@ BenchmarkExperiment::fig4Row()
     Fig4Row row;
     row.name = name_;
     const SelectiveOracle &orc = oracle();
-    row.selective1 = orc.accuracyPercent(1);
-    row.selective2 = orc.accuracyPercent(2);
-    row.selective3 = orc.accuracyPercent(3);
+    row.selective1 = orc.toLedger(1).accuracyPercent();
+    row.selective2 = orc.toLedger(2).accuracyPercent();
+    row.selective3 = orc.toLedger(3).accuracyPercent();
     row.ifGshare = ledgerFor(kIfGshareSpec).accuracyPercent();
     row.gshare = ledgerFor(kGshareSpec).accuracyPercent();
     return row;
@@ -192,7 +192,7 @@ fig5Series(const trace::Trace &trace, const ExperimentConfig &config,
         OracleConfig oc = oracleConfig(config);
         oc.historyDepth = depth;
         SelectiveOracle oracle(trace, oc);
-        series.emplace_back(depth, oracle.accuracyPercent(3));
+        series.emplace_back(depth, oracle.toLedger(3).accuracyPercent());
     }
     return series;
 }

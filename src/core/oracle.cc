@@ -347,23 +347,6 @@ SelectiveOracle::branch(uint64_t pc) const
     return findRow(branches_, pc);
 }
 
-double
-SelectiveOracle::accuracyPercent(unsigned size) const
-{
-    panicIf(size == 0 || size > config_.maxSelect,
-            "selective size out of range");
-    uint64_t execs = 0;
-    uint64_t correct = 0;
-    for (const auto &[pc, sel] : branches_) {
-        execs += sel.execs;
-        correct += sel.correct[size - 1];
-    }
-    if (execs == 0)
-        return 0.0;
-    return 100.0 * static_cast<double>(correct)
-        / static_cast<double>(execs);
-}
-
 sim::Ledger
 SelectiveOracle::toLedger(unsigned size) const
 {

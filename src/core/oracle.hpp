@@ -136,14 +136,9 @@ class SelectiveOracle
     const BranchSelection *branch(uint64_t pc) const;
 
     /**
-     * Aggregate accuracy (%) of the size-@p size selective history over
-     * all dynamic branches (size = 1..maxSelect). This is the "IF
-     * s-branch selective history" series of the paper's Fig. 4.
-     */
-    double accuracyPercent(unsigned size) const;
-
-    /**
-     * Per-branch ledger for the size-@p size selective predictor, for
+     * Per-branch ledger for the size-@p size selective predictor
+     * (size = 1..maxSelect). Its accuracyPercent() is the "IF s-branch
+     * selective history" series of the paper's Fig. 4; it also feeds
      * best-of combinations with other predictors (Table 2, Fig. 8).
      */
     sim::Ledger toLedger(unsigned size) const;

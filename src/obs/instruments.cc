@@ -19,15 +19,12 @@ add(Catalog &c, InstrumentId &slot, const char *key, Kind kind,
     c.descs.push_back({key, kind, unit, description, module});
 }
 
-/** Append a histogram instrument over [lo, hi] with @p bins bins. */
+/** Append a histogram instrument and record its id. */
 void
 addHist(Catalog &c, InstrumentId &slot, const char *key, const char *unit,
-        const char *description, const char *module, double lo, double hi,
-        unsigned bins)
+        const char *description, const char *module)
 {
-    slot = static_cast<InstrumentId>(c.descs.size());
-    c.descs.push_back(
-        {key, Kind::Histogram, unit, description, module, lo, hi, bins});
+    add(c, slot, key, Kind::Histogram, unit, description, module);
 }
 
 Catalog
@@ -98,43 +95,40 @@ buildCatalog()
             "seconds",
             "wall time per trace generation or cache load, one sample "
             "per benchmark",
-            "core", 0.0, 30.0, 30);
+            "core");
     addHist(c, i.simPhaseTraceCpuSeconds, "sim.phase.trace.cpu_seconds",
             "seconds",
-            "thread CPU time per trace generation or cache load", "core",
-            0.0, 30.0, 30);
+            "thread CPU time per trace generation or cache load", "core");
     addHist(c, i.simPhasePredictorSeconds, "sim.phase.predictor.seconds",
             "seconds",
             "wall time per predictor-simulation phase (sim::run passes "
             "over one trace)",
-            "core", 0.0, 30.0, 30);
+            "core");
     addHist(c, i.simPhasePredictorCpuSeconds,
             "sim.phase.predictor.cpu_seconds", "seconds",
-            "thread CPU time per predictor-simulation phase", "core",
-            0.0, 30.0, 30);
+            "thread CPU time per predictor-simulation phase", "core");
     addHist(c, i.simPhaseOracleSeconds, "sim.phase.oracle.seconds",
             "seconds",
-            "wall time per selective-oracle / classifier phase", "core",
-            0.0, 30.0, 30);
+            "wall time per selective-oracle / classifier phase", "core");
     addHist(c, i.simPhaseOracleCpuSeconds,
             "sim.phase.oracle.cpu_seconds", "seconds",
             "thread CPU time per selective-oracle / classifier phase",
-            "core", 0.0, 30.0, 30);
+            "core");
     addHist(c, i.simPhaseOracleMineCpuSeconds,
             "sim.phase.oracle.mine.cpu_seconds", "seconds",
             "thread CPU time of one SelectiveOracle's candidate-mining "
             "pass",
-            "core", 0.0, 30.0, 30);
+            "core");
     addHist(c, i.simPhaseOracleRecordCpuSeconds,
             "sim.phase.oracle.record.cpu_seconds", "seconds",
             "thread CPU time of one SelectiveOracle's state-recording "
             "pass",
-            "core", 0.0, 30.0, 30);
+            "core");
     addHist(c, i.simPhaseOracleSelectCpuSeconds,
             "sim.phase.oracle.select.cpu_seconds", "seconds",
             "CPU time of one SelectiveOracle's subset selection, summed "
             "over the pool threads that ran it",
-            "core", 0.0, 30.0, 30);
+            "core");
 
     // --- util: thread pool ------------------------------------------
     add(c, i.poolTaskQueued, "pool.task.queued", Kind::Counter, "tasks",
@@ -150,7 +144,7 @@ buildCatalog()
         "divide by wall time x workers for utilization)",
         "util");
     addHist(c, i.poolTaskSeconds, "pool.task.seconds", "seconds",
-            "run time of individual pool tasks", "util", 0.0, 10.0, 40);
+            "run time of individual pool tasks", "util");
     add(c, i.poolWorkerCount, "pool.worker.count", Kind::Gauge,
         "threads", "worker threads in the global pool at manifest time",
         "util");
@@ -190,7 +184,7 @@ buildCatalog()
     addHist(c, i.traceCacheEntryBytes, "trace.cache.entry_bytes",
             "bytes", "size distribution of cache entries touched "
             "(reads and writes)",
-            "trace", 0.0, 64.0 * 1024 * 1024, 64);
+            "trace");
 
     // --- trace: foreign-trace ingestion -----------------------------
     add(c, i.traceIngestRecords, "trace.ingest.records", Kind::Counter,
@@ -233,8 +227,7 @@ buildCatalog()
     // --- bench: suite fan-out ---------------------------------------
     addHist(c, i.benchSuiteWallSeconds, "bench.suite.wall_seconds",
             "seconds",
-            "end-to-end wall time of one harness suite fan-out", "bench",
-            0.0, 120.0, 60);
+            "end-to-end wall time of one harness suite fan-out", "bench");
 
     return c;
 }
@@ -243,7 +236,7 @@ const Catalog &
 catalog()
 {
     // Leaked for the same reason as the registry: worker threads may
-    // consult the catalog during their exit-time sink merge.
+    // still record while static destruction runs.
     // copra-lint: sanctioned-global(immutable instrument catalog, built once)
     static const Catalog *c = new Catalog(buildCatalog());
     return *c;

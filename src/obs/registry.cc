@@ -66,94 +66,23 @@ HistogramValue::observe(double value)
     }
     ++count;
     sum += value;
-    bins.add(value);
 }
-
-void
-HistogramValue::merge(const HistogramValue &other)
-{
-    if (other.count == 0)
-        return;
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-    }
-    count += other.count;
-    sum += other.sum;
-    bins.merge(other.bins);
-}
-
-ThreadSink::ThreadSink(const std::vector<InstrumentDesc> &catalog)
-{
-    util::MutexLock lock(mutex_);
-    scalars_.assign(catalog.size(), 0);
-    hists_.reserve(catalog.size());
-    for (const InstrumentDesc &desc : catalog)
-        hists_.emplace_back(desc);
-}
-
-void
-ThreadSink::add(InstrumentId id, uint64_t delta)
-{
-    util::MutexLock lock(mutex_);
-    scalars_[id] += delta;
-}
-
-void
-ThreadSink::maxAt(InstrumentId id, uint64_t value)
-{
-    util::MutexLock lock(mutex_);
-    scalars_[id] = std::max(scalars_[id], value);
-}
-
-void
-ThreadSink::observe(InstrumentId id, double value)
-{
-    util::MutexLock lock(mutex_);
-    hists_[id].observe(value);
-}
-
-namespace {
-
-/**
- * Owns the calling thread's sink pointer; the destructor is the "scope
- * exit" of the per-thread-merge design — it folds the sink into the
- * registry's retired totals when the thread goes away.
- */
-struct SinkHolder
-{
-    ThreadSink *sink = nullptr;
-
-    ~SinkHolder();
-};
-
-// copra-lint: sanctioned-global(per-thread telemetry sink pointer; merged into the registry at thread exit)
-thread_local SinkHolder t_sink;
-
-} // namespace
 
 Registry &
 Registry::instance()
 {
-    // Leaked deliberately: worker threads (and their SinkHolder
-    // destructors) may outlive any static destruction order we could
-    // arrange, so the registry must never be torn down.
+    // Leaked deliberately: worker threads may still record while static
+    // destruction runs, so the registry must never be torn down.
     // copra-lint: sanctioned-global(the observability registry singleton)
     static Registry *registry = new Registry;
     return *registry;
 }
 
 Registry::Registry()
-    : catalog_(instrumentCatalog())
+    : catalog_(instrumentCatalog()), slots_(catalog_.size())
 {
     util::MutexLock lock(mutex_);
-    retiredScalars_.assign(catalog_.size(), 0);
-    retiredHists_.reserve(catalog_.size());
-    for (const InstrumentDesc &desc : catalog_)
-        retiredHists_.emplace_back(desc);
+    hists_.resize(catalog_.size());
 }
 
 const InstrumentDesc &
@@ -163,66 +92,12 @@ Registry::describe(InstrumentId id) const
     return catalog_[id];
 }
 
-ThreadSink *
-Registry::localSink()
-{
-    if (t_sink.sink == nullptr) {
-        auto *sink = new ThreadSink(catalog_);
-        {
-            util::MutexLock lock(mutex_);
-            sinks_.push_back(sink);
-        }
-        t_sink.sink = sink;
-    }
-    return t_sink.sink;
-}
-
-void
-Registry::retire(ThreadSink *sink)
-{
-    util::MutexLock lock(mutex_);
-    {
-        util::MutexLock sinkLock(sink->mutex_);
-        for (size_t i = 0; i < retiredScalars_.size(); ++i) {
-            if (catalog_[i].kind == Kind::Gauge)
-                retiredScalars_[i] =
-                    std::max(retiredScalars_[i], sink->scalars_[i]);
-            else
-                retiredScalars_[i] += sink->scalars_[i];
-            retiredHists_[i].merge(sink->hists_[i]);
-        }
-    }
-    sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink),
-                 sinks_.end());
-    delete sink;
-}
-
-namespace {
-
-SinkHolder::~SinkHolder()
-{
-    // retireCurrentThread() nulls t_sink.sink, i.e. this->sink.
-    if (sink != nullptr)
-        Registry::instance().retireCurrentThread();
-}
-
-} // namespace
-
-void
-Registry::retireCurrentThread()
-{
-    if (t_sink.sink != nullptr) {
-        retire(t_sink.sink);
-        t_sink.sink = nullptr;
-    }
-}
-
 void
 Registry::add(InstrumentId id, uint64_t delta)
 {
     panicIf(describe(id).kind != Kind::Counter,
             "obs: count() on a non-counter instrument");
-    localSink()->add(id, delta);
+    slots_[id].value.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void
@@ -230,7 +105,12 @@ Registry::maxAt(InstrumentId id, uint64_t value)
 {
     panicIf(describe(id).kind != Kind::Gauge,
             "obs: gaugeMax() on a non-gauge instrument");
-    localSink()->maxAt(id, value);
+    std::atomic<uint64_t> &slot = slots_[id].value;
+    uint64_t seen = slot.load(std::memory_order_relaxed);
+    while (seen < value &&
+           !slot.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+    }
 }
 
 void
@@ -238,7 +118,8 @@ Registry::observe(InstrumentId id, double value)
 {
     panicIf(describe(id).kind != Kind::Histogram,
             "obs: observe() on a non-histogram instrument");
-    localSink()->observe(id, value);
+    util::MutexLock lock(mutex_);
+    hists_[id].observe(value);
 }
 
 Snapshot
@@ -246,28 +127,15 @@ Registry::snapshot()
 {
     Snapshot snap;
     snap.values.resize(catalog_.size());
-    for (size_t i = 0; i < catalog_.size(); ++i)
-        snap.values[i].id = static_cast<InstrumentId>(i);
-
     util::MutexLock lock(mutex_);
-    std::vector<uint64_t> scalars = retiredScalars_;
-    std::vector<HistogramValue> hists = retiredHists_;
-    for (ThreadSink *sink : sinks_) {
-        util::MutexLock sinkLock(sink->mutex_);
-        for (size_t i = 0; i < catalog_.size(); ++i) {
-            if (catalog_[i].kind == Kind::Gauge)
-                scalars[i] = std::max(scalars[i], sink->scalars_[i]);
-            else
-                scalars[i] += sink->scalars_[i];
-            hists[i].merge(sink->hists_[i]);
-        }
-    }
     for (size_t i = 0; i < catalog_.size(); ++i) {
-        snap.values[i].scalar = scalars[i];
-        snap.values[i].count = hists[i].count;
-        snap.values[i].sum = hists[i].sum;
-        snap.values[i].min = hists[i].min;
-        snap.values[i].max = hists[i].max;
+        InstrumentValue &v = snap.values[i];
+        v.id = static_cast<InstrumentId>(i);
+        v.scalar = slots_[i].value.load(std::memory_order_relaxed);
+        v.count = hists_[i].count;
+        v.sum = hists_[i].sum;
+        v.min = hists_[i].min;
+        v.max = hists_[i].max;
     }
     return snap;
 }
@@ -275,16 +143,10 @@ Registry::snapshot()
 void
 Registry::reset()
 {
+    for (Slot &slot : slots_)
+        slot.value.store(0, std::memory_order_relaxed);
     util::MutexLock lock(mutex_);
-    std::fill(retiredScalars_.begin(), retiredScalars_.end(), 0);
-    for (size_t i = 0; i < retiredHists_.size(); ++i)
-        retiredHists_[i] = HistogramValue(catalog_[i]);
-    for (ThreadSink *sink : sinks_) {
-        util::MutexLock sinkLock(sink->mutex_);
-        std::fill(sink->scalars_.begin(), sink->scalars_.end(), 0);
-        for (size_t i = 0; i < sink->hists_.size(); ++i)
-            sink->hists_[i] = HistogramValue(catalog_[i]);
-    }
+    std::fill(hists_.begin(), hists_.end(), HistogramValue{});
 }
 
 namespace {

@@ -1,16 +1,15 @@
 /**
  * @file
  * The observability registry: a process-wide catalog of typed telemetry
- * instruments, with per-thread aggregation so instrumenting the
+ * instruments, one shared slot per instrument, so instrumenting the
  * parallel engine never serializes it and never perturbs its output.
  *
  * Three instrument kinds cover every copra telemetry need:
  *
  *  - Counter: a monotonic uint64 sum (branches simulated, cache hits).
  *  - Gauge: a high-water maximum (queue depth, worker count).
- *  - Histogram: a fixed-bin distribution over doubles with count, sum,
- *    min and max (phase latencies, entry sizes), reusing
- *    copra::Histogram for the bins.
+ *  - Histogram: count, sum, min and max over doubles (phase latencies,
+ *    entry sizes).
  *
  * Every instrument is registered up front — at Registry construction,
  * from the static catalog in instruments.cc — under a namespaced string
@@ -20,31 +19,29 @@
  * regenerate docs/METRICS.md, and a ctest gate fails when that file
  * drifts from the code.
  *
- * Concurrency and determinism (DESIGN.md §11): each thread owns a
- * ThreadSink; hot-path updates touch only the caller's sink under its
- * own (uncontended) mutex. Sinks merge into the registry's retired
- * totals when their thread exits, and snapshot() folds retired totals
- * with every live sink. Because counters merge by addition, gauges by
- * max, and histograms by bin-wise addition, the merge is associative
- * and commutative — so aggregate values are independent of thread
- * count and scheduling order wherever the underlying event counts are
+ * Concurrency and determinism (DESIGN.md §11): each counter and gauge
+ * is one cache-line-padded atomic, updated with a relaxed fetch_add
+ * (counter) or a compare-exchange max (gauge) — no lock, no
+ * allocation, so instrumented hot paths still pass the hot gates.
+ * Histograms are observed once per phase or pool task and keep their
+ * summary under the registry's one mutex. Because add and max commute,
+ * counter and gauge values are independent of thread count and
+ * scheduling order wherever the underlying event counts are
  * (timing-valued instruments vary run to run and are labeled as such
  * in the manifest schema). Nothing here ever writes to stdout, so
  * instrumented benches stay byte-identical to uninstrumented ones.
  *
  * Zero-overhead-when-disabled: the free helpers (count, gaugeMax,
- * observe) test one relaxed atomic bool and return; no sink is ever
- * created, no lock taken. Enabling is one-way per run (the bench CLIs
- * flip it before any simulation starts).
+ * observe) test one relaxed atomic bool and return. Enabling is one-way
+ * per run (the bench CLIs flip it before any simulation starts).
  */
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "util/histogram.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -55,7 +52,7 @@ enum class Kind : uint8_t
 {
     Counter = 0,  //!< monotonic sum
     Gauge = 1,    //!< high-water maximum
-    Histogram = 2 //!< fixed-bin distribution with count/sum/min/max
+    Histogram = 2 //!< sample count/sum/min/max
 };
 
 /** Display name of an instrument kind ("counter", "gauge", ...). */
@@ -72,9 +69,6 @@ struct InstrumentDesc
     const char *unit;        //!< what one count means, e.g. "branches"
     const char *description; //!< one-line doc, surfaced in METRICS.md
     const char *module;      //!< emitting module, e.g. "sim" or "util"
-    double lo = 0.0;         //!< histogram interval lower bound
-    double hi = 1.0;         //!< histogram interval upper bound
-    unsigned bins = 1;       //!< histogram bin count
 };
 
 /** Aggregated state of one histogram instrument. */
@@ -84,18 +78,9 @@ struct HistogramValue
     double sum = 0.0;   //!< sum of observed values
     double min = 0.0;   //!< smallest observed value (0 when count == 0)
     double max = 0.0;   //!< largest observed value (0 when count == 0)
-    copra::Histogram bins;
-
-    explicit HistogramValue(const InstrumentDesc &desc)
-        : bins(desc.lo, desc.hi, desc.bins)
-    {
-    }
 
     /** Record one sample. */
     void observe(double value);
-
-    /** Bin-wise associative fold of @p other into this value. */
-    void merge(const HistogramValue &other);
 };
 
 /** One instrument's aggregate at snapshot time. */
@@ -115,30 +100,6 @@ struct Snapshot
     std::vector<InstrumentValue> values; //!< indexed by InstrumentId
 };
 
-class Registry;
-
-/**
- * Thread-owned aggregation buffer. Updates lock only the sink's own
- * mutex (uncontended in steady state — the owning thread is the only
- * writer; snapshot() is the only cross-thread reader).
- */
-class ThreadSink
-{
-  public:
-    explicit ThreadSink(const std::vector<InstrumentDesc> &catalog);
-
-    void add(InstrumentId id, uint64_t delta);
-    void maxAt(InstrumentId id, uint64_t value);
-    void observe(InstrumentId id, double value);
-
-  private:
-    friend class Registry;
-
-    util::Mutex mutex_;
-    std::vector<uint64_t> scalars_ COPRA_GUARDED_BY(mutex_);
-    std::vector<HistogramValue> hists_ COPRA_GUARDED_BY(mutex_);
-};
-
 /** The process-wide instrument registry. */
 class Registry
 {
@@ -153,50 +114,41 @@ class Registry
     /** Catalog entry for @p id. */
     const InstrumentDesc &describe(InstrumentId id) const;
 
-    /** Add @p delta to counter @p id on the calling thread's sink. */
+    /** Add @p delta to counter @p id (one relaxed fetch_add). */
     void add(InstrumentId id, uint64_t delta);
 
-    /** Raise gauge @p id to at least @p value. */
+    /** Raise gauge @p id to at least @p value (compare-exchange max). */
     void maxAt(InstrumentId id, uint64_t value);
 
-    /** Record @p value into histogram @p id. */
+    /** Record @p value into histogram @p id (takes the mutex). */
     void observe(InstrumentId id, double value);
 
     /**
-     * Merge retired totals and every live thread sink into a consistent
-     * copy. Safe to call while other threads keep recording; values are
-     * at least as fresh as every event that happened-before the call.
+     * Copy every instrument's value. Safe to call while other threads
+     * keep recording; values are at least as fresh as every event that
+     * happened-before the call.
      */
     Snapshot snapshot();
 
-    /**
-     * Zero every instrument (all live sinks and the retired totals).
-     * Test helper; production code never resets telemetry.
-     */
+    /** Zero every instrument. Test helper; production code never
+     * resets telemetry. */
     void reset();
-
-    /**
-     * Merge and drop the calling thread's sink now instead of at
-     * thread exit. The next update from this thread creates a fresh
-     * sink. Used by scope-exit points that outlive their data (e.g. a
-     * pool about to join its workers).
-     */
-    void retireCurrentThread();
 
   private:
     Registry();
 
-    ThreadSink *localSink();
-    void retire(ThreadSink *sink);
+    /** A counter's sum or a gauge's high-water, alone on its cache
+     * line so threads bumping different instruments never share one. */
+    struct alignas(64) Slot
+    {
+        std::atomic<uint64_t> value{0};
+    };
 
     std::vector<InstrumentDesc> catalog_;
+    std::vector<Slot> slots_; //!< one per catalog entry
 
     util::Mutex mutex_;
-    std::vector<ThreadSink *> sinks_ COPRA_GUARDED_BY(mutex_);
-    // Totals of sinks whose threads have exited, folded in at
-    // retirement ("merge at scope exit"); same shape as a sink.
-    std::vector<uint64_t> retiredScalars_ COPRA_GUARDED_BY(mutex_);
-    std::vector<HistogramValue> retiredHists_ COPRA_GUARDED_BY(mutex_);
+    std::vector<HistogramValue> hists_ COPRA_GUARDED_BY(mutex_);
 };
 
 /** True when telemetry is recording (one relaxed atomic load). */
@@ -208,7 +160,7 @@ bool enabled();
  */
 void setEnabled(bool on);
 
-/** Add @p delta to counter @p id; no-op (and no sink) when disabled. */
+/** Add @p delta to counter @p id; no-op when disabled. */
 inline void count(InstrumentId id, uint64_t delta = 1);
 
 /** Raise gauge @p id to at least @p value; no-op when disabled. */

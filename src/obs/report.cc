@@ -217,15 +217,8 @@ renderRegistryDoc()
             if (module != desc.module)
                 continue;
             out << "| `" << desc.key << "` | " << kindName(desc.kind)
-                << " | " << desc.unit << " | " << desc.description;
-            if (desc.kind == Kind::Histogram) {
-                char buf[64];
-                std::snprintf(buf, sizeof(buf),
-                              " (bins: %u over [%g, %g])", desc.bins,
-                              desc.lo, desc.hi);
-                out << buf;
-            }
-            out << " |\n";
+                << " | " << desc.unit << " | " << desc.description
+                << " |\n";
         }
     }
     return out.str();

@@ -1,6 +1,9 @@
 #include "predictor/factory.hpp"
 
-#include <unordered_map>
+#include <charconv>
+#include <limits>
+#include <map>
+#include <set>
 
 #include "predictor/bimodal.hpp"
 #include "predictor/block_pattern.hpp"
@@ -22,16 +25,21 @@ namespace copra::predictor {
 
 namespace {
 
+/** A parsed spec. The getters mark each key they look up as read, so
+ * makePredictor can reject a key the named predictor never reads. */
 struct Spec
 {
+    std::string text;
     std::string name;
-    std::unordered_map<std::string, std::string> params;
+    std::map<std::string, std::string> params;
+    std::set<std::string> read;
 };
 
 Spec
 parseSpec(const std::string &text)
 {
     Spec spec;
+    spec.text = text;
     auto colon = text.find(':');
     spec.name = text.substr(0, colon);
     if (colon == std::string::npos)
@@ -56,23 +64,30 @@ parseSpec(const std::string &text)
 }
 
 unsigned
-getUnsigned(const Spec &spec, const std::string &key, unsigned fallback)
+getUnsigned(Spec &spec, const std::string &key, unsigned fallback)
 {
+    spec.read.insert(key);
     auto it = spec.params.find(key);
     if (it == spec.params.end())
         return fallback;
-    try {
-        return static_cast<unsigned>(std::stoul(it->second));
-    } catch (const std::exception &) {
-        fatal("predictor parameter " + key + "='" + it->second +
-              "' is not a number");
-    }
+    // The whole value in decimal digits: no sign, no trailing text,
+    // nothing that wraps.
+    const std::string &value = it->second;
+    const char *last = value.data() + value.size();
+    unsigned out = 0;
+    auto [end, ec] = std::from_chars(value.data(), last, out);
+    if (ec != std::errc() || end != last)
+        fatal("predictor parameter " + key + "='" + value + "' in '" +
+              spec.text + "' is not a number (want an unsigned decimal " +
+              "<= " + std::to_string(std::numeric_limits<unsigned>::max()) +
+              ")");
+    return out;
 }
 
 std::string
-getString(const Spec &spec, const std::string &key,
-          const std::string &fallback)
+getString(Spec &spec, const std::string &key, const std::string &fallback)
 {
+    spec.read.insert(key);
     auto it = spec.params.find(key);
     return it == spec.params.end() ? fallback : it->second;
 }
@@ -91,12 +106,9 @@ decodeInner(std::string text)
     return text;
 }
 
-} // namespace
-
 PredictorPtr
-makePredictor(const std::string &text)
+build(Spec &spec)
 {
-    Spec spec = parseSpec(text);
     const std::string &name = spec.name;
 
     if (name == "taken")
@@ -198,6 +210,21 @@ makePredictor(const std::string &text)
                                         getUnsigned(spec, "chooser", 12));
     }
     fatal("unknown predictor '" + name + "'");
+}
+
+} // namespace
+
+PredictorPtr
+makePredictor(const std::string &text)
+{
+    Spec spec = parseSpec(text);
+    PredictorPtr pred = build(spec);
+    for (const auto &[key, value] : spec.params) {
+        if (spec.read.count(key) == 0)
+            fatal("predictor '" + spec.name + "' has no parameter '" +
+                  key + "' (in '" + text + "')");
+    }
+    return pred;
 }
 
 std::vector<std::string>

@@ -4,8 +4,9 @@
  *
  * Spec grammar: `name` or `name:key=value,key=value`. Examples:
  *   "gshare", "gshare:h=14", "pas:h=10,bht=8,s=4", "bimodal:bits=10",
- *   "fixed:k=7", "hybrid:a=gshare;b=pas" (components use ';' separators
- *   so the inner specs may themselves carry parameters via '.').
+ *   "fixed:k=7", "hybrid:a=pas.h=10;bht=8,b=gshare" (an inner
+ *   component spec spells ':' as '.' and ',' as ';' so it survives the
+ *   outer parse).
  */
 
 #pragma once
@@ -18,8 +19,10 @@
 namespace copra::predictor {
 
 /**
- * Create a predictor from a spec string. Calls fatal() on unknown names
- * or malformed parameters.
+ * Create a predictor from a spec string. Calls fatal(), naming the
+ * spec, on an unknown predictor name, a malformed parameter, a key the
+ * named predictor does not read, or a numeric value that is not a whole
+ * unsigned decimal no larger than UINT_MAX.
  */
 PredictorPtr makePredictor(const std::string &spec);
 

@@ -20,9 +20,9 @@ namespace copra::predictor::kernels {
 
 /**
  * Deferred batch telemetry. The obs counters for batches/branches are
- * cheap but not free (one locked thread-sink update each), and the
- * batch entry points run once per ~20-branch conditional segment — so
- * counting there per call costs more than the loop itself.
+ * cheap but not free (one shared atomic add each), and the batch entry
+ * points run once per ~20-branch conditional segment — so counting
+ * there per call costs more than the loop itself.
  * Predictors accumulate into this plain struct instead and the totals
  * flush to obs (sim.kernel.*) once, when the predictor is destroyed.
  */

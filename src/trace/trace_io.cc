@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #ifndef _WIN32
@@ -16,7 +15,6 @@
 #include <unistd.h>
 #endif
 
-#include "trace/ingest.hpp"
 #include "trace/trace_soa.hpp"
 
 namespace copra::trace {
@@ -366,63 +364,6 @@ writeText(const Trace &trace, std::ostream &os)
            << " 0x" << rec.target << std::dec << ' '
            << (rec.taken ? 'T' : 'N') << '\n';
     }
-}
-
-Trace
-readText(std::istream &is)
-{
-    Trace trace;
-    std::string line;
-    size_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        if (line[0] == '#') {
-            std::istringstream hdr(line.substr(1));
-            std::string key;
-            hdr >> key;
-            if (key == "name") {
-                std::string name;
-                hdr >> name;
-                trace.setName(name);
-            } else if (key == "seed") {
-                uint64_t seed = 0;
-                hdr >> seed;
-                trace.setSeed(seed);
-            }
-            continue;
-        }
-        std::istringstream ls(line);
-        std::string kind_str, pc_str, target_str, taken_str;
-        if (!(ls >> kind_str >> pc_str >> target_str >> taken_str))
-            throw std::runtime_error("copra trace: malformed text line " +
-                                     std::to_string(line_no));
-        BranchRecord rec;
-        if (kind_str == "cond")
-            rec.kind = BranchKind::Conditional;
-        else if (kind_str == "jump")
-            rec.kind = BranchKind::Jump;
-        else if (kind_str == "call")
-            rec.kind = BranchKind::Call;
-        else if (kind_str == "ret")
-            rec.kind = BranchKind::Return;
-        else
-            throw std::runtime_error("copra trace: unknown kind '" +
-                                     kind_str + "' on line " +
-                                     std::to_string(line_no));
-        rec.pc = parseAddress(pc_str, line_no);
-        rec.target = parseAddress(target_str, line_no);
-        if (taken_str == "T")
-            rec.taken = true;
-        else if (taken_str == "N")
-            rec.taken = false;
-        else
-            throw std::runtime_error("copra trace: bad outcome on line " +
-                                     std::to_string(line_no));
-        trace.append(rec);
-    }
-    return trace;
 }
 
 } // namespace copra::trace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace serialization: a versioned binary format for bulk storage and a
- * line-oriented text format for inspection and hand-written test inputs.
+ * line-oriented text writer for inspection (trace/ingest.hpp reads the
+ * text back).
  */
 
 #pragma once
@@ -115,16 +116,10 @@ Trace loadBinaryMapped(const std::string &path);
 
 /**
  * Write @p trace as text: a "# name <name>" / "# seed <seed>" header, then
- * one "<kind> <pc-hex> <target-hex> <T|N>" line per record.
+ * one "<kind> <pc-hex> <target-hex> <T|N>" line per record. Read it back
+ * with trace::ingestStream (trace/ingest.hpp), whose text grammar is a
+ * superset of this one.
  */
 void writeText(const Trace &trace, std::ostream &os);
-
-/**
- * Read a text-format trace. Blank lines and lines starting with '#'
- * (other than the recognized header directives) are ignored.
- *
- * @throws std::runtime_error on malformed lines.
- */
-Trace readText(std::istream &is);
 
 } // namespace copra::trace

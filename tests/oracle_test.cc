@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -279,9 +280,23 @@ TEST(Oracle, AggregateAccuracyIsExecutionWeighted)
     OracleConfig config;
     SelectiveOracle oracle(trace, config);
     // Y is a coin (~50%); X is near-perfect: aggregate ~75%.
-    double agg = oracle.accuracyPercent(1);
+    double agg = oracle.toLedger(1).accuracyPercent();
     EXPECT_GT(agg, 70.0);
     EXPECT_LT(agg, 80.0);
+}
+
+TEST(Oracle, NoConditionalBranchIsUndefinedNotZero)
+{
+    // Like every ledger, a trace without a conditional branch has no
+    // accuracy ("n/a"), not 0%.
+    trace::Trace trace("jumps", 1);
+    trace.append({0x100, 0x200, trace::BranchKind::Jump, true});
+    trace.append({0x200, 0x100, trace::BranchKind::Jump, true});
+    OracleConfig config;
+    SelectiveOracle oracle(trace, config);
+    for (unsigned size = 1; size <= config.maxSelect; ++size)
+        EXPECT_TRUE(std::isnan(oracle.toLedger(size).accuracyPercent()))
+            << "size=" << size;
 }
 
 TEST(Oracle, LedgerMatchesSelections)
@@ -468,7 +483,8 @@ TEST(Oracle, PhaseTelemetryTimesEachPhaseOnce)
     }
     EXPECT_GT(total, 0.0);
     for (unsigned size = 1; size <= 3; ++size)
-        EXPECT_EQ(quiet.accuracyPercent(size), timed.accuracyPercent(size));
+        EXPECT_EQ(quiet.toLedger(size).accuracyPercent(),
+                  timed.toLedger(size).accuracyPercent());
 }
 
 TEST(OracleDeath, ConfigBoundsEnforced)

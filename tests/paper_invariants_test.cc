@@ -140,9 +140,9 @@ TEST(PaperInvariants, SelectiveHistoryAccuracyGrowsWithSetSize)
         trace::Trace t =
             core::makeExperimentTrace(name, smallConfig(20000));
         core::SelectiveOracle oracle(t, config);
-        double a1 = oracle.accuracyPercent(1);
-        double a2 = oracle.accuracyPercent(2);
-        double a3 = oracle.accuracyPercent(3);
+        double a1 = oracle.toLedger(1).accuracyPercent();
+        double a2 = oracle.toLedger(2).accuracyPercent();
+        double a3 = oracle.toLedger(3).accuracyPercent();
         EXPECT_GE(a2, a1) << name;
         EXPECT_GE(a3 + 0.25, a2) << name;
         EXPECT_GE(a3, a1) << name

@@ -184,8 +184,8 @@ TEST(ParallelOracle, SelectionIsIdenticalAcrossThreadCounts)
         setGlobalPoolThreads(threads);
         core::SelectiveOracle oracle(trace, config);
         for (unsigned size = 1; size <= 3; ++size) {
-            EXPECT_DOUBLE_EQ(oracle.accuracyPercent(size),
-                             reference.accuracyPercent(size))
+            EXPECT_DOUBLE_EQ(oracle.toLedger(size).accuracyPercent(),
+                             reference.toLedger(size).accuracyPercent())
                 << "threads=" << threads << " size=" << size;
         }
         for (const auto &[pc, sel] : reference.branches()) {

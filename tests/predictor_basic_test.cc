@@ -138,8 +138,34 @@ TEST(FactoryDeath, MalformedParameterIsFatal)
 {
     EXPECT_EXIT(makePredictor("gshare:h"), ::testing::ExitedWithCode(1),
                 "malformed");
-    EXPECT_EXIT(makePredictor("gshare:h=abc"),
-                ::testing::ExitedWithCode(1), "not a number");
+    // A value is a whole unsigned decimal <= UINT_MAX: a prefix parse or
+    // a wrap would build a different predictor than the spec names.
+    for (const char *spec :
+         {"gshare:h=abc", "gshare:h=12abc", "pas:h=+7",
+          "bimodal:bits=3junk", "gshare:h=-1", "gshare:h=4294967296",
+          "gshare:h= 12", "gshare:h="}) {
+        EXPECT_EXIT(makePredictor(spec), ::testing::ExitedWithCode(1),
+                    "not a number")
+            << spec;
+    }
+    // TAGE's aging period takes any value, so the largest one builds.
+    EXPECT_NE(makePredictor("tage:aging=4294967295"), nullptr);
+}
+
+TEST(FactoryDeath, UnreadKeyIsFatal)
+{
+    // A typo of cbits must not build default 2-bit counters in silence.
+    EXPECT_EXIT(makePredictor("gshare:cbit=3"),
+                ::testing::ExitedWithCode(1),
+                "predictor 'gshare' has no parameter 'cbit' "
+                "\\(in 'gshare:cbit=3'\\)");
+    EXPECT_EXIT(makePredictor("bimodal:h=10"),
+                ::testing::ExitedWithCode(1), "has no parameter 'h'");
+    EXPECT_EXIT(makePredictor("taken:k=1"), ::testing::ExitedWithCode(1),
+                "has no parameter 'k'");
+    // An inner hybrid component is checked as its own spec.
+    EXPECT_EXIT(makePredictor("hybrid:a=gshare.hh=10"),
+                ::testing::ExitedWithCode(1), "in 'gshare:hh=10'");
 }
 
 } // namespace

@@ -155,6 +155,26 @@ TEST(IngestText, MalformedLinesAreHardErrors)
                  std::runtime_error);
 }
 
+TEST(IngestText, BadAddressNamesItsLine)
+{
+    // Not a number, trailing junk on either address, and a sign: each
+    // must be rejected whole, never read as a prefix or wrapped.
+    for (const char *line :
+         {"cond zz 0x104 T", "cond 0x10zz 0x104 T", "cond -4 0x104 T",
+          "cond 0x100 0x104zz T"}) {
+        IngestReport report;
+        try {
+            ingestString(std::string("cond 0x100 0x104 T\n") + line + "\n",
+                         report);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(IngestText, NormalizesUnconditionalOutcomes)
 {
     // Some producers emit N for never-taken-encoded unconditionals; the

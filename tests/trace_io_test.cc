@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "trace/ingest.hpp"
 #include "trace/trace_io.hpp"
 #include "workload/patterns.hpp"
 
@@ -101,73 +102,22 @@ TEST(TraceIoBinary, InvalidKindRejected)
     EXPECT_THROW(readBinary(bad), std::runtime_error);
 }
 
-TEST(TraceIoText, RoundTripsRecordsAndHeader)
+TEST(TraceIoText, WriteTextIngestsBackRecordExact)
 {
     Trace original = sampleTrace();
     std::stringstream buf;
     writeText(original, buf);
-    Trace loaded = readText(buf);
+    IngestOptions options;
+    options.format = IngestFormat::Text;
+    IngestReport report;
+    Trace loaded = ingestStream(buf, options, report);
 
     EXPECT_EQ(loaded.name(), "sample");
     EXPECT_EQ(loaded.seed(), 0xdeadbeefu);
+    EXPECT_EQ(report.normalizedTaken, 0u);
     ASSERT_EQ(loaded.size(), original.size());
     for (size_t i = 0; i < original.size(); ++i)
         EXPECT_EQ(loaded[i], original[i]) << "record " << i;
-}
-
-TEST(TraceIoText, IgnoresBlankAndCommentLines)
-{
-    std::stringstream in(
-        "# name hand\n"
-        "\n"
-        "# a free-form comment\n"
-        "cond 0x100 0x180 T\n"
-        "\n"
-        "cond 0x104 0x080 N\n");
-    Trace t = readText(in);
-    EXPECT_EQ(t.name(), "hand");
-    ASSERT_EQ(t.size(), 2u);
-    EXPECT_TRUE(t[0].taken);
-    EXPECT_FALSE(t[1].taken);
-    EXPECT_TRUE(t[1].isBackward());
-}
-
-TEST(TraceIoText, MalformedLineThrows)
-{
-    std::stringstream in("cond 0x100\n");
-    EXPECT_THROW(readText(in), std::runtime_error);
-}
-
-TEST(TraceIoText, UnknownKindThrows)
-{
-    std::stringstream in("sproing 0x100 0x104 T\n");
-    EXPECT_THROW(readText(in), std::runtime_error);
-}
-
-TEST(TraceIoText, BadOutcomeThrows)
-{
-    std::stringstream in("cond 0x100 0x104 X\n");
-    EXPECT_THROW(readText(in), std::runtime_error);
-}
-
-TEST(TraceIoText, BadAddressThrowsWithLineNumber)
-{
-    // Not a number, trailing junk, and a sign: each must be rejected
-    // whole, never read as a prefix or wrapped.
-    for (const char *line :
-         {"cond zz 0x104 T", "cond 0x10zz 0x104 T", "cond -4 0x104 T",
-          "cond 0x100 0x104zz T"}) {
-        std::stringstream in(std::string("cond 0x100 0x104 T\n") + line +
-                             "\n");
-        try {
-            readText(in);
-            ADD_FAILURE() << "accepted: " << line;
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("line 2"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
 }
 
 TEST(TraceIoFile, SaveAndLoadByPath)

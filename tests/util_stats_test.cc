@@ -1,64 +1,17 @@
 /**
  * @file
- * Unit tests for histograms, weighted percentiles, and table formatting.
+ * Unit tests for weighted percentiles and table formatting.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "util/histogram.hpp"
+#include "util/percentiles.hpp"
 #include "util/table.hpp"
 
 namespace copra {
 namespace {
-
-TEST(Histogram, BinsValuesByPosition)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.5);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(5), 1u);
-    EXPECT_EQ(h.count(9), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ClampsOutOfRangeToEdgeBins)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(7.0);
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(3), 1u);
-}
-
-TEST(Histogram, WeightsAccumulate)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.25, 10);
-    h.add(0.75, 30);
-    EXPECT_EQ(h.count(0), 10u);
-    EXPECT_EQ(h.count(1), 30u);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.75);
-}
-
-TEST(Histogram, BinCentersAreMidpoints)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCenter(4), 9.0);
-}
-
-TEST(Histogram, ClearResets)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.1);
-    h.clear();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
 
 TEST(WeightedPercentiles, UnweightedMedian)
 {

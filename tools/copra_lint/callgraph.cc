@@ -86,8 +86,10 @@ skipPair(const std::vector<Token> &toks, size_t open,
  * harnesses under src/check/ are clarity-first by design; tests,
  * tools, and bench harnesses are cold by definition; src/obs/ is the
  * audited telemetry frontier — hot code reaches it only through the
- * kObsFrontier entry points, whose one-relaxed-load discipline is
- * checked by clang thread-safety analysis, not by this pass. */
+ * kObsFrontier entry points, whose lock- and allocation-free discipline
+ * is checked at run time by the copra_check_hot_gates_metrics gate
+ * (`copra_check --hot-gates --metrics-summary` replays the roster with
+ * telemetry on), not by this pass. */
 bool
 eligibleRel(const std::string &rel)
 {

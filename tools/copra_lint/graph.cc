@@ -31,8 +31,8 @@ namespace {
  */
 const std::map<std::string, std::set<std::string>> kModuleDeps = {
     {"util", {}},
-    // obs sits directly above util (it reuses Histogram and the sync
-    // primitives) and below everything instrumented; util itself emits
+    // obs sits directly above util (it reuses the sync primitives and
+    // logging) and below everything instrumented; util itself emits
     // telemetry only through the function-pointer seam in
     // util/metrics_hooks.hpp, never by including obs.
     {"obs", {"util"}},
