@@ -44,6 +44,7 @@
 #include "trace/trace_cache.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/profiles.hpp"
@@ -102,6 +103,8 @@ struct BenchOptions
             extra(options);
         if (!options.parse(argc, argv))
             return false;
+        // Zero branches would print rows over empty traces.
+        fatalIf(config.branches == 0, "--branches must be at least 1");
         config.historyDepth = static_cast<unsigned>(depth);
         config.candidatePool = static_cast<unsigned>(pool);
 

@@ -14,6 +14,7 @@
 #include "core/experiments.hpp"
 #include "core/tagging.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -46,6 +47,7 @@ main(int argc, char **argv)
     options.addUint("top", &top, "hard branches to display");
     if (!options.parse(argc, argv))
         return 0;
+    copra::fatalIf(branches == 0, "--branches must be at least 1");
 
     copra::core::ExperimentConfig config;
     config.branches = branches;
@@ -56,6 +58,7 @@ main(int argc, char **argv)
     const auto &gshare = experiment.ledgerFor(copra::core::kGshareSpec);
 
     // Rank branches by mispredictions under gshare: the interesting ones.
+    // Ties go to the lower pc, so the order is the data's, not the sort's.
     std::vector<const copra::core::BranchSelection *> hard;
     for (const auto &[pc, sel] : oracle.branches())
         hard.push_back(&sel);
@@ -63,7 +66,9 @@ main(int argc, char **argv)
               [&](const auto *a, const auto *b) {
                   auto ga = gshare.branch(a->pc);
                   auto gb = gshare.branch(b->pc);
-                  return ga.execs - ga.correct > gb.execs - gb.correct;
+                  uint64_t ma = ga.execs - ga.correct;
+                  uint64_t mb = gb.execs - gb.correct;
+                  return ma != mb ? ma > mb : a->pc < b->pc;
               });
     if (hard.size() > top)
         hard.resize(top);

@@ -13,6 +13,7 @@
 
 #include "core/pa_class.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -31,6 +32,7 @@ main(int argc, char **argv)
     options.addUint("samples", &samples, "sample branches per class");
     if (!options.parse(argc, argv))
         return 0;
+    copra::fatalIf(branches == 0, "--branches must be at least 1");
 
     auto trace = copra::workload::makeBenchmarkTrace(benchmark, branches, 0);
     copra::core::PaClassifier classifier(trace);
@@ -47,7 +49,7 @@ main(int argc, char **argv)
     std::printf("  (%.0f%% of the static bucket is >99%% biased)\n\n",
                 100.0 * classifier.staticBucketBiasFraction());
 
-    // Show the hottest branches of each class.
+    // Show the hottest branches of each class, ties to the lower pc.
     for (unsigned c = 0; c < 4; ++c) {
         auto cls = static_cast<copra::core::PaClass>(c);
         std::vector<const copra::core::PaBranchResult *> members;
@@ -56,7 +58,8 @@ main(int argc, char **argv)
                 members.push_back(&res);
         std::sort(members.begin(), members.end(),
                   [](const auto *a, const auto *b) {
-                      return a->execs > b->execs;
+                      return a->execs != b->execs ? a->execs > b->execs
+                                                  : a->pc < b->pc;
                   });
         if (members.size() > samples)
             members.resize(samples);

@@ -9,11 +9,12 @@
 #include <iostream>
 
 #include "predictor/bimodal.hpp"
-#include "predictor/hybrid.hpp"
+#include "predictor/tournament.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/cli.hpp"
+#include "util/logging.hpp"
 #include "util/table.hpp"
 #include "workload/profiles.hpp"
 
@@ -35,6 +36,7 @@ main(int argc, char **argv)
     options.addUint("seed", &seed, "execution seed (0 = canonical)");
     if (!options.parse(argc, argv))
         return 0;
+    copra::fatalIf(branches == 0, "--branches must be at least 1");
 
     // 1. Generate a workload trace.
     auto trace =
@@ -53,17 +55,13 @@ main(int argc, char **argv)
         copra::predictor::TwoLevelConfig::gshare(16));
     copra::predictor::TwoLevel pas(
         copra::predictor::TwoLevelConfig::pas(12, 12, 4));
-    copra::predictor::Hybrid hybrid(
-        std::make_unique<copra::predictor::TwoLevel>(
-            copra::predictor::TwoLevelConfig::gshare(16)),
-        std::make_unique<copra::predictor::TwoLevel>(
-            copra::predictor::TwoLevelConfig::pas(12, 12, 4)),
-        12);
+    copra::predictor::Tournament tournament(
+        copra::predictor::TournamentConfig{});
 
     // 3. Run them all over the trace, one pass per predictor, sharded
     //    across the thread pool.
     std::vector<copra::predictor::Predictor *> preds = {
-        &bimodal, &gshare, &pas, &hybrid,
+        &bimodal, &gshare, &pas, &tournament,
     };
     auto results = copra::sim::runAllParallel(trace, preds);
 

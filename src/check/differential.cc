@@ -10,8 +10,6 @@
 #include "obs/registry.hpp"
 #include "predictor/bimodal.hpp"
 #include "predictor/block_pattern.hpp"
-#include "predictor/fixed_pattern.hpp"
-#include "predictor/hybrid.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "predictor/perceptron.hpp"
 #include "predictor/tage.hpp"
@@ -385,30 +383,6 @@ defaultCheckPairs()
         {"block-pattern",
          [] { return std::make_unique<predictor::BlockPatternPredictor>(); },
          [] { return std::make_unique<RefBlockPattern>(); }});
-
-    for (unsigned k : {1u, 3u, 32u}) {
-        pairs.push_back(
-            {"fixed-k(" + std::to_string(k) + ")",
-             [k] { return std::make_unique<predictor::FixedPattern>(k); },
-             [k] { return std::make_unique<RefFixedPattern>(k); }});
-    }
-
-    pairs.push_back(
-        {"hybrid(gshare(7),pas(5,4,2))",
-         [] {
-             return std::make_unique<predictor::Hybrid>(
-                 std::make_unique<predictor::TwoLevel>(
-                     TwoLevelConfig::gshare(7)),
-                 std::make_unique<predictor::TwoLevel>(
-                     TwoLevelConfig::pas(5, 4, 2)),
-                 6);
-         },
-         [] {
-             return std::make_unique<RefHybrid>(
-                 std::make_unique<RefTwoLevel>(TwoLevelConfig::gshare(7)),
-                 std::make_unique<RefTwoLevel>(TwoLevelConfig::pas(5, 4, 2)),
-                 6);
-         }});
 
     // Modern roster, small geometries (see the config helpers above).
     {

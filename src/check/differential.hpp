@@ -45,9 +45,9 @@ struct CheckPair
 /**
  * The default pair roster: the two-level family at deliberately small
  * geometries (so fuzzed aliasing actually lands), bimodal, the loop and
- * pattern class predictors, and a hybrid. Small tables are the
- * adversarial choice — a big table hides indexing bugs by never
- * colliding.
+ * block-pattern class predictors, and the modern roster. Small tables
+ * are the adversarial choice — a big table hides indexing bugs by
+ * never colliding.
  */
 std::vector<CheckPair> defaultCheckPairs();
 

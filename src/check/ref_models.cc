@@ -305,64 +305,6 @@ RefFixedPattern::name() const
 }
 
 // ---------------------------------------------------------------------------
-// RefHybrid
-
-RefHybrid::RefHybrid(predictor::PredictorPtr a, predictor::PredictorPtr b,
-                     unsigned chooser_bits)
-    : a_(std::move(a)), b_(std::move(b)), chooserBits_(chooser_bits)
-{
-    fatalIf(!a_ || !b_, "ref hybrid needs two components");
-    fatalIf(chooser_bits == 0 || chooser_bits > 24,
-            "ref hybrid chooser bits must be in 1..24");
-}
-
-bool
-RefHybrid::predict(const trace::BranchRecord &br) noexcept
-{
-    lastA_ = a_->predict(br);
-    lastB_ = b_->predict(br);
-    uint64_t index = (br.pc >> 2) % (uint64_t(1) << chooserBits_);
-    auto it = chooser_.find(index);
-    int counter = it == chooser_.end() ? 2 : it->second;
-    // Counter >= 2 (weakly/strongly "A") selects component A.
-    return counter >= 2 ? lastA_ : lastB_;
-}
-
-void
-RefHybrid::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    bool correct_a = lastA_ == taken;
-    bool correct_b = lastB_ == taken;
-    if (correct_a != correct_b) {
-        uint64_t index = (br.pc >> 2) % (uint64_t(1) << chooserBits_);
-        auto it = chooser_.find(index);
-        int counter = it == chooser_.end() ? 2 : it->second;
-        counter += correct_a ? 1 : -1;
-        if (counter < 0)
-            counter = 0;
-        if (counter > 3)
-            counter = 3;
-        chooser_[index] = counter;
-    }
-    a_->update(br, taken);
-    b_->update(br, taken);
-}
-
-void
-RefHybrid::reset()
-{
-    a_->reset();
-    b_->reset();
-    chooser_.clear();
-}
-
-std::string
-RefHybrid::name() const
-{
-    return "ref-hybrid(" + a_->name() + "," + b_->name() + ")";
-}
-
-// ---------------------------------------------------------------------------
 // RefTage
 
 RefTage::RefTage(const predictor::TageConfig &config)

@@ -141,6 +141,8 @@ class RefBlockPattern : public predictor::Predictor
 /**
  * Reference fixed-length-pattern predictor: replay the branch's outcome
  * from k executions ago (cold default taken until k outcomes exist).
+ * It is the single-k definition that FixedPatternBank, the PA
+ * classifier's 32-way instrument, is checked against per branch.
  */
 class RefFixedPattern : public predictor::Predictor
 {
@@ -157,31 +159,6 @@ class RefFixedPattern : public predictor::Predictor
     // Full outcome history per branch, newest last. Clarity over
     // space: the reference keeps everything and indexes from the end.
     std::map<uint64_t, std::vector<bool>> outcomes_;
-};
-
-/**
- * Reference tournament predictor: two reference components and a
- * per-index 2-bit chooser (init weakly-taken = 2, selecting A); the
- * chooser trains only when exactly one component was correct.
- */
-class RefHybrid : public predictor::Predictor
-{
-  public:
-    RefHybrid(predictor::PredictorPtr a, predictor::PredictorPtr b,
-              unsigned chooser_bits = 12);
-
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
-    void reset() override;
-    std::string name() const override;
-
-  private:
-    predictor::PredictorPtr a_;
-    predictor::PredictorPtr b_;
-    unsigned chooserBits_;
-    std::map<uint64_t, int> chooser_; // chooser index -> counter 0..3
-    bool lastA_ = false;
-    bool lastB_ = false;
 };
 
 /**

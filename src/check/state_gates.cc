@@ -195,14 +195,10 @@ defaultStateRoster()
         "gas:h=6,s=3",
         "pas:h=6,bht=5,s=3",
         "pag:h=6,bht=5",
-        "gskewed:h=7,bank=6",
         "ifgshare:h=7",
         "ifpas:h=6",
-        "path:n=4,b=2,pht=8",
         "loop",
         "block",
-        "fixed:k=2",
-        "hybrid:a=gshare.h=6,b=pas.h=5,chooser=6",
         "tage:base=6,tbits=5,tag=7,tables=4,hmin=3,hmax=20",
         "perceptron:tbits=6,tables=4,seg=6",
         "tournament:gh=7,lh=6,bht=5,s=3,chooser=6,btbsets=4,btbways=2,"
@@ -266,9 +262,10 @@ renderStateBudgets()
           "Cold is `stateBits()` of a fresh default-geometry instance;\n"
           "warm is after replaying the fixed fuzz trace `fuzz-7` (4000\n"
           "conditionals). The columns differ exactly for the predictors\n"
-          "whose tables allocate on demand (the interference-free and\n"
-          "fixed-pattern instruments). Inter-call latches and telemetry\n"
-          "are serialized by snapshots but not counted (DESIGN.md §14).\n"
+          "whose tables fill on demand (the interference-free instruments\n"
+          "and the BTB-backed loop, block and tournament tables).\n"
+          "Inter-call latches and telemetry are serialized by snapshots\n"
+          "but not counted (DESIGN.md §14).\n"
           "\n"
           "| spec | name | cold bits | warm bits |\n"
           "|---|---|---:|---:|\n";

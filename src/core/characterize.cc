@@ -405,9 +405,9 @@ renderWorkloadsDoc(const std::vector<WorkloadFingerprint> &fps,
         "\n"
         "The native binary format also round-trips through\n"
         "`src/trace/trace_io.hpp` directly (text reads back through\n"
-        "`trace::ingestStream`); load with `loadBinary()` and pass the "
-        "trace\nto `core::BenchmarkExperiment` (see "
-        "`examples/paper_report.cpp --load`).\n"
+        "`trace::ingestStream`); load with `loadBinary()`, as\n"
+        "`copra_characterize --trace` does, and pass the trace to\n"
+        "`core::BenchmarkExperiment(trace, config)`.\n"
         "\n"
         "## Exactly-known patterns for tests\n"
         "\n"

@@ -25,13 +25,9 @@
 #include "predictor/bias_hybrid.hpp"
 #include "predictor/bimodal.hpp"
 #include "predictor/block_pattern.hpp"
-#include "predictor/fixed_pattern.hpp"
-#include "predictor/gskewed.hpp"
-#include "predictor/hybrid.hpp"
 #include "predictor/ideal_static.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
-#include "predictor/path_based.hpp"
 #include "predictor/perceptron.hpp"
 #include "predictor/predictor.hpp"
 #include "predictor/static_pht.hpp"
@@ -128,9 +124,9 @@ inline constexpr bool validateRoster = (PredictorContract<Ps>::ok && ...);
  */
 inline constexpr bool kRosterValidated = validateRoster<
     // factory roster, in spec-name order (see knownPredictors()):
-    AlwaysTaken, AlwaysNotTaken, Btfnt, Bimodal, TwoLevel, GSkewed,
-    IfGshare, IfPas, PathBased, LoopPredictor, BlockPatternPredictor,
-    FixedPattern, Hybrid, Tage, Perceptron, Tournament,
+    AlwaysTaken, AlwaysNotTaken, Btfnt, Bimodal, TwoLevel, IfGshare,
+    IfPas, LoopPredictor, BlockPatternPredictor, Tage, Perceptron,
+    Tournament,
     // analysis-side predictors constructed outside the factory:
     BiasClassifyingHybrid, IdealStatic, StaticPhtTwoLevel>;
 

@@ -8,12 +8,8 @@
 #include "predictor/bimodal.hpp"
 #include "predictor/block_pattern.hpp"
 #include "predictor/contracts.hpp"
-#include "predictor/fixed_pattern.hpp"
-#include "predictor/gskewed.hpp"
-#include "predictor/hybrid.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
-#include "predictor/path_based.hpp"
 #include "predictor/perceptron.hpp"
 #include "predictor/static_pred.hpp"
 #include "predictor/tage.hpp"
@@ -84,28 +80,6 @@ getUnsigned(Spec &spec, const std::string &key, unsigned fallback)
     return out;
 }
 
-std::string
-getString(Spec &spec, const std::string &key, const std::string &fallback)
-{
-    spec.read.insert(key);
-    auto it = spec.params.find(key);
-    return it == spec.params.end() ? fallback : it->second;
-}
-
-/** Inner hybrid component specs use '.' where a top-level spec uses ':'
- * and ';' where it uses ',', so they survive the outer parse. */
-std::string
-decodeInner(std::string text)
-{
-    for (char &ch : text) {
-        if (ch == '.')
-            ch = ':';
-        else if (ch == ';')
-            ch = ',';
-    }
-    return text;
-}
-
 PredictorPtr
 build(Spec &spec)
 {
@@ -143,25 +117,14 @@ build(Spec &spec)
         return std::make_unique<TwoLevel>(TwoLevelConfig::pag(
             getUnsigned(spec, "h", 12), getUnsigned(spec, "bht", 12)));
     }
-    if (name == "gskewed") {
-        return std::make_unique<GSkewed>(getUnsigned(spec, "h", 16),
-                                         getUnsigned(spec, "bank", 14));
-    }
     if (name == "ifgshare")
         return std::make_unique<IfGshare>(getUnsigned(spec, "h", 16));
     if (name == "ifpas")
         return std::make_unique<IfPas>(getUnsigned(spec, "h", 12));
-    if (name == "path") {
-        return std::make_unique<PathBased>(
-            getUnsigned(spec, "n", 8), getUnsigned(spec, "b", 2),
-            getUnsigned(spec, "pht", 16));
-    }
     if (name == "loop")
         return std::make_unique<LoopPredictor>();
     if (name == "block")
         return std::make_unique<BlockPatternPredictor>();
-    if (name == "fixed")
-        return std::make_unique<FixedPattern>(getUnsigned(spec, "k", 1));
     if (name == "tage") {
         TageConfig config;
         config.baseBits = getUnsigned(spec, "base", config.baseBits);
@@ -203,12 +166,6 @@ build(Spec &spec)
             getUnsigned(spec, "ras", config.returnStackDepth);
         return std::make_unique<Tournament>(config);
     }
-    if (name == "hybrid") {
-        std::string a = decodeInner(getString(spec, "a", "gshare"));
-        std::string b = decodeInner(getString(spec, "b", "pas"));
-        return std::make_unique<Hybrid>(makePredictor(a), makePredictor(b),
-                                        getUnsigned(spec, "chooser", 12));
-    }
     fatal("unknown predictor '" + name + "'");
 }
 
@@ -231,9 +188,9 @@ std::vector<std::string>
 knownPredictors()
 {
     return {
-        "taken", "nottaken", "btfnt", "bimodal", "gshare", "gag", "gas",
-        "pas", "pag", "gskewed", "ifgshare", "ifpas", "path", "loop",
-        "block", "fixed", "hybrid", "tage", "perceptron", "tournament",
+        "taken", "nottaken", "btfnt", "bimodal", "gshare", "gag",
+        "gas", "pas", "pag", "ifgshare", "ifpas", "loop", "block",
+        "tage", "perceptron", "tournament",
     };
 }
 

@@ -2,11 +2,8 @@
  * @file
  * String-spec predictor factory for CLI tools and examples.
  *
- * Spec grammar: `name` or `name:key=value,key=value`. Examples:
- *   "gshare", "gshare:h=14", "pas:h=10,bht=8,s=4", "bimodal:bits=10",
- *   "fixed:k=7", "hybrid:a=pas.h=10;bht=8,b=gshare" (an inner
- *   component spec spells ':' as '.' and ',' as ';' so it survives the
- *   outer parse).
+ * Spec grammar: `name` or `name:key=uint,key=uint`. Examples:
+ *   "gshare", "gshare:h=14", "pas:h=10,bht=8,s=4", "bimodal:bits=10".
  */
 
 #pragma once

@@ -2,42 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
-
 namespace copra::predictor {
-
-FixedPattern::FixedPattern(unsigned k)
-    : k_(k)
-{
-    fatalIf(k == 0 || k > 32, "fixed-pattern k must be in 1..32");
-}
-
-bool
-FixedPattern::predict(const trace::BranchRecord &br) noexcept
-{
-    auto it = rings_.find(br.pc);
-    if (it == rings_.end())
-        return true;
-    return it->second.kAgo(k_);
-}
-
-void
-FixedPattern::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    rings_[br.pc].push(taken);
-}
-
-void
-FixedPattern::reset()
-{
-    rings_.clear();
-}
-
-std::string
-FixedPattern::name() const
-{
-    return "fixed-k(" + std::to_string(k_) + ")";
-}
 
 void
 FixedPatternBank::observe(uint64_t pc, bool taken) noexcept

@@ -5,19 +5,15 @@
  * ago, so the class predictor simply replays the outcome from k ago.
  *
  * The paper simulates 32 variants (k = 1..32) and scores each branch by
- * the best of them; FixedPattern is the single-k predictor and
- * FixedPatternBank runs all 32 in one pass for the classification engine.
+ * the best of them; FixedPatternBank runs all 32 in one pass for the
+ * classification engine.
  */
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
-
-#include "predictor/predictor.hpp"
-#include "predictor/state.hpp"
 
 namespace copra::predictor {
 
@@ -47,51 +43,6 @@ struct OutcomeRing
             return cold_default;
         return (bits >> (k - 1)) & 1u;
     }
-};
-
-/** Predict the same direction the branch took k executions ago. */
-class FixedPattern : public Predictor
-{
-  public:
-    /** @param k Pattern length hypothesis, 1..32. */
-    explicit FixedPattern(unsigned k);
-
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
-    void reset() override;
-    std::string name() const override;
-
-    unsigned k() const { return k_; }
-
-    // State contract (DESIGN.md §14). Unbounded instrument: 64 ring
-    // bits (32 outcomes + 32-bit fill count) per tracked branch.
-    uint64_t stateBits() const override { return rings_.size() * 64; }
-
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        state::writeMap(w, rings_,
-                        [](state::Writer &out, const OutcomeRing &ring) {
-                            out.u32(ring.bits);
-                            out.u32(ring.count);
-                        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        state::readMap(r, rings_, [](state::Reader &in, OutcomeRing &ring) {
-            ring.bits = in.u32();
-            ring.count = in.u32();
-        });
-    }
-
-    COPRA_CONFIG_FIELDS(k_);
-    COPRA_STATE_FIELDS(rings_);
-
-  private:
-    unsigned k_;
-    std::unordered_map<uint64_t, OutcomeRing> rings_;
 };
 
 /**

@@ -3,9 +3,10 @@
  * The branch direction predictor interface.
  *
  * Every predictor in the zoo — static, bimodal, two-level, interference
- * free, loop/pattern, hybrid, and the paper's hypothetical selective
- * history predictor — implements this interface, so the simulation driver
- * and the analysis passes are predictor-agnostic.
+ * free, loop/pattern, TAGE, perceptron, tournament, and the paper's
+ * hypothetical selective history predictor — implements this interface,
+ * so the simulation driver and the analysis passes are
+ * predictor-agnostic.
  */
 
 #pragma once

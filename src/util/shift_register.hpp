@@ -68,57 +68,5 @@ class HistoryRegister
     uint64_t bits_;
 };
 
-/**
- * A path history register (Nair, 1995): instead of outcomes it records a
- * few low-order bits of the addresses of the most recent branches, giving a
- * (lossy) encoding of the path taken to reach the current branch.
- */
-class PathRegister
-{
-  public:
-    /**
-     * @param branches Number of recent branches encoded.
-     * @param bits_per_branch Address bits retained per branch.
-     */
-    PathRegister(unsigned branches = 8, unsigned bits_per_branch = 2)
-        : branches_(branches), bitsPer_(bits_per_branch), value_(0)
-    {
-        panicIf(branches * bits_per_branch > 64,
-                "PathRegister wider than 64 bits");
-        panicIf(bits_per_branch == 0, "PathRegister needs >= 1 bit/branch");
-        unsigned total = branches * bits_per_branch;
-        mask_ = total >= 64 ? ~uint64_t(0) : ((uint64_t(1) << total) - 1);
-    }
-
-    /** Total register width in bits. */
-    unsigned width() const { return branches_ * bitsPer_; }
-
-    /** Current path pattern. */
-    uint64_t value() const noexcept { return value_; }
-
-    /** Record the address of a newly executed branch. */
-    void
-    push(uint64_t pc) noexcept
-    {
-        // Instruction addresses are word aligned; skip the low two bits so
-        // the retained bits actually vary across branches.
-        uint64_t piece = (pc >> 2) & ((uint64_t(1) << bitsPer_) - 1);
-        value_ = ((value_ << bitsPer_) | piece) & mask_;
-    }
-
-    /** Clear all recorded path history. */
-    void clear() { value_ = 0; }
-
-    /** Replace the recorded pattern (snapshot restore); masked to the
-     *  configured width. */
-    void set(uint64_t value) { value_ = value & mask_; }
-
-  private:
-    unsigned branches_;
-    unsigned bitsPer_;
-    uint64_t mask_;
-    uint64_t value_;
-};
-
 } // namespace copra
 

@@ -31,7 +31,8 @@ namespace {
 /**
  * Calibration notes. Each profile targets the accuracy fingerprint the
  * paper reports for that program (Table 2 gshare / Table 3 PAs columns),
- * tuned empirically with examples/predictor_shootout:
+ * tuned empirically against the gshare and PAs columns of
+ * bench/table2_gshare_corr and bench/table3_pas_loop:
  *  - compress: small code, data-dependent branches; gshare ~92, PAs
  *    slightly better (~93.5).
  *  - gcc: very large executed static branch population; strong

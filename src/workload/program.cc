@@ -77,6 +77,7 @@ TripState::next()
 ExecContext::ExecContext(const Program &prog, trace::Trace &out,
                          uint64_t budget_conditionals, uint64_t seed)
     : program(prog), out_(out), budget_(budget_conditionals),
+      done_(budget_conditionals == 0),
       assignRng_(mix64(seed ^ 0xA55A5AA5ull))
 {
     Rng seeder(seed);

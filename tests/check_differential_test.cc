@@ -200,7 +200,7 @@ TEST(Differential, DefaultRosterCoversThePaperFamilies)
     EXPECT_TRUE(has("pshare("));
     EXPECT_TRUE(has("bimodal"));
     EXPECT_TRUE(has("loop"));
-    EXPECT_TRUE(has("hybrid"));
+    EXPECT_TRUE(has("block-pattern"));
     for (const CheckPair &p : pairs) {
         ASSERT_TRUE(p.optimized) << p.name;
         ASSERT_TRUE(p.reference) << p.name;

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "check/fuzz.hpp"
 #include "check/ref_models.hpp"
 #include "predictor/bimodal.hpp"
-#include "util/rng.hpp"
+#include "predictor/fixed_pattern.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "predictor/two_level.hpp"
+#include "sim/driver.hpp"
+#include "util/rng.hpp"
 
 namespace copra::check {
 namespace {
@@ -177,24 +180,39 @@ TEST(RefFixedPattern, ReplaysOutcomeFromKAgo)
     }
 }
 
-TEST(RefHybrid, ChooserMovesTowardTheCorrectComponent)
+TEST(RefFixedPattern, MatchesTheBankThePaClassifierReads)
 {
-    // Component A: always-taken-ish (gshare trained taken); component
-    // B: cold (predicts not-taken). On an always-taken branch the
-    // chooser must converge to A and the hybrid must predict taken.
-    auto make = [] {
-        return RefHybrid(
-            std::make_unique<RefTwoLevel>(TwoLevelConfig::gshare(4)),
-            std::make_unique<RefTwoLevel>(TwoLevelConfig::pas(4, 3, 2)),
-            4);
-    };
-    RefHybrid hybrid = make();
-    BranchRecord br = cond(0xa00, true);
-    for (int i = 0; i < 50; ++i) {
-        hybrid.predict(br);
-        hybrid.update(br, true);
+    // PaClassifier (figs. 6 and 8, table 3) scores each branch by
+    // FixedPatternBank's per-k correct counts. The bank runs all 32
+    // pattern lengths in one pass; the reference is the single-k
+    // definition, cold "taken" default included. Per branch, the two
+    // must count the same hits for every k.
+    uint64_t long_branches = 0;
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+        trace::Trace t = fuzzTrace(seed, 1500);
+        predictor::FixedPatternBank bank;
+        for (const BranchRecord &rec : t.records())
+            if (rec.isConditional())
+                bank.observe(rec.pc, rec.taken);
+        for (unsigned k : {1u, 2u, 3u, 31u, 32u}) {
+            RefFixedPattern ref(k);
+            sim::Ledger ledger;
+            sim::run(t, ref, &ledger);
+            ASSERT_EQ(ledger.table().size(), bank.table().size())
+                << "seed=" << seed;
+            for (const auto &[pc, tally] : ledger.table()) {
+                const auto &counts = bank.table().at(pc);
+                ASSERT_EQ(counts.execs, tally.execs) << "pc=" << pc;
+                ASSERT_EQ(counts.correct[k - 1], tally.correct)
+                    << "seed=" << seed << " pc=" << pc << " k=" << k;
+                if (k == 32 && tally.execs > 32)
+                    ++long_branches;
+            }
+        }
     }
-    EXPECT_TRUE(hybrid.predict(br));
+    // The warm path of k = 31 and 32 is only compared on branches that
+    // run past their cold prefix.
+    EXPECT_GT(long_branches, 20u);
 }
 
 TEST(RefModels, ResetRestoresColdState)

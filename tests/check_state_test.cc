@@ -4,10 +4,14 @@
  * full factory roster must pass every gate, the planted hidden-state
  * bug must be caught by the round-trip (snapshot-completeness) probe
  * specifically, snapshot primitives must panic loudly on malformed
- * input, and the generated STATE_BUDGETS table must cover the roster.
+ * input, the generated STATE_BUDGETS table must cover the roster, and
+ * the roster must name every factory predictor exactly once.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "check/differential.hpp"
 #include "check/state_gates.hpp"
@@ -27,6 +31,25 @@ TEST(StateGates, WholeRosterPasses)
     EXPECT_TRUE(report.ok()) << formatStateGateReport(report);
     // 2 cold gates per spec + 2 per (spec, trace).
     EXPECT_EQ(report.gatesRun, defaultStateRoster().size() * (2 + 2 * 3));
+}
+
+TEST(StateGates, RosterNamesEveryFactoryPredictorOnce)
+{
+    // The state gates and the hot gates both replay this hand-kept
+    // list, so a factory predictor left off it would skip both in
+    // silence.
+    std::map<std::string, int> leads;
+    for (const StatePredictor &entry : defaultStateRoster())
+        ++leads[entry.spec.substr(0, entry.spec.find(':'))];
+    for (const std::string &name : predictor::knownPredictors()) {
+        EXPECT_EQ(leads[name], 1)
+            << "factory predictor '" << name << "' should lead exactly "
+            << "one roster spec";
+        leads.erase(name);
+    }
+    for (const auto &[name, count] : leads)
+        ADD_FAILURE() << count << " roster spec(s) name '" << name
+                      << "', which is not a factory predictor";
 }
 
 TEST(StateGates, ShadowStateBugCaughtByRoundTripOnly)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the per-address class predictors: loop, block-pattern,
- * and fixed-length-pattern (paper §4.1).
+ * and the fixed-length-pattern bank (paper §4.1).
  */
 
 #include <gtest/gtest.h>
@@ -207,28 +207,30 @@ TEST_P(FixedK, PerfectOnPeriodKPattern)
     std::vector<bool> pattern;
     for (unsigned i = 0; i < k; ++i)
         pattern.push_back((i * 7 + 1) % 3 != 0);
-    FixedPattern pred(k);
+    FixedPatternBank bank;
     auto trace = workload::periodicTrace(0x100, pattern, 200);
-    sim::Ledger ledger;
-    sim::run(trace, pred, &ledger);
-    auto tally = ledger.branch(0x100);
+    for (const auto &rec : trace.records())
+        bank.observe(rec.pc, rec.taken);
+    const auto &counts = bank.table().at(0x100);
     // Only the first k predictions (cold ring) may miss.
-    EXPECT_GE(tally.correct + k, tally.execs) << "k=" << k;
+    EXPECT_GE(counts.correct[k - 1] + k, counts.execs) << "k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Periods, FixedK,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            32u));
 
-TEST(FixedPattern, WrongKFailsOnPrimePeriod)
+TEST(FixedPatternBank, WrongKFailsOnPrimePeriod)
 {
     // Period-7 pattern with alternating-ish content: k=3 must do poorly.
     std::vector<bool> pattern = {true, false, true, true, false, false,
                                  true};
-    FixedPattern pred(3);
+    FixedPatternBank bank;
     auto trace = workload::periodicTrace(0x100, pattern, 300);
-    auto result = sim::run(trace, pred);
-    EXPECT_LT(result.accuracyPercent(), 80.0);
+    for (const auto &rec : trace.records())
+        bank.observe(rec.pc, rec.taken);
+    const auto &counts = bank.table().at(0x100);
+    EXPECT_LT(100.0 * counts.correct[2] / counts.execs, 80.0);
 }
 
 TEST(FixedPatternBank, FindsTheTruePeriod)
@@ -249,16 +251,6 @@ TEST(FixedPatternBank, UnseenBranchDefaults)
     FixedPatternBank bank;
     EXPECT_EQ(bank.bestCorrect(0x100), 0u);
     EXPECT_EQ(bank.bestK(0x100), 1u);
-}
-
-TEST(FixedPattern, ResetForgets)
-{
-    FixedPattern pred(2);
-    pred.update(cond(0x100, true), true);
-    pred.update(cond(0x100, true), true);
-    pred.reset();
-    // Cold prediction defaults to taken.
-    EXPECT_TRUE(pred.predict(cond(0x100, false)));
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate the golden bench snapshots under tests/golden/ from a built
-# tree. Run after an *intentional* change to bench output, review the
-# diff, and commit the updated .txt files.
+# Regenerate the golden snapshots under tests/golden/ (bench harnesses,
+# example programs, suite fingerprints) from a built tree. Run after an
+# *intentional* change to their output, review the diff, and commit the
+# updated .txt files.
 #
 # Usage: tests/golden/update_golden.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -18,7 +19,8 @@ if [[ ! -d "$build/bench" ]]; then
     exit 1
 fi
 
-# Canonical snapshot arguments (COPRA_GOLDEN_ARGS in tests/CMakeLists.txt).
+# Canonical snapshot arguments (the copra_golden_roster calls in
+# tests/CMakeLists.txt).
 # Small deterministic traces, cache off so nothing is read from or
 # written outside the build tree.
 args=(--branches 20000 --mine 20000 --no-trace-cache)
@@ -29,6 +31,15 @@ mapfile -t benches < <(grep -E '^[a-z0-9_]+$' "$root/tests/golden/benches.txt")
 for bench in "${benches[@]}"; do
     "$build/bench/$bench" "${args[@]}" > "$root/tests/golden/$bench.txt"
     echo "updated tests/golden/$bench.txt"
+done
+
+# The example programs, at the same small budget (the cache is off by
+# default for them). Roster shared with the ctest registrations.
+mapfile -t examples < <(grep -E '^[a-z0-9_]+$' "$root/tests/golden/examples.txt")
+for example in "${examples[@]}"; do
+    "$build/examples/$example" --branches 20000 \
+        > "$root/tests/golden/$example.txt"
+    echo "updated tests/golden/$example.txt"
 done
 
 # Suite fingerprints (copra_characterize) at the same small budget.

@@ -42,17 +42,6 @@ TEST(Integration, InterferenceFreeDominatesOnLargeBenchmarks)
     }
 }
 
-TEST(Integration, HybridBeatsBothComponents)
-{
-    // McFarling's observation, confirmed by the paper's §5: a hybrid
-    // approaches the per-branch best of its components.
-    auto trace = workload::makeBenchmarkTrace("ijpeg", 200000, 0);
-    double g = accuracy("gshare", trace);
-    double p = accuracy("pas", trace);
-    double h = accuracy("hybrid", trace);
-    EXPECT_GT(h + 0.5, std::max(g, p));
-}
-
 TEST(Integration, TwoLevelNeverLosesBadlyToBimodal)
 {
     // At short trace lengths two-level predictors are still training

@@ -1,15 +1,17 @@
 /**
  * @file
- * Unit tests for static predictors, the bimodal predictor, and the
- * predictor factory.
+ * Unit tests for static predictors, the ideal static predictor, the
+ * bimodal predictor, and the predictor factory.
  */
 
 #include <gtest/gtest.h>
 
 #include "predictor/bimodal.hpp"
 #include "predictor/factory.hpp"
+#include "predictor/ideal_static.hpp"
 #include "predictor/static_pred.hpp"
 #include "sim/driver.hpp"
+#include "trace/trace_stats.hpp"
 #include "workload/patterns.hpp"
 
 namespace copra::predictor {
@@ -93,6 +95,42 @@ TEST(Bimodal, NameMentionsGeometry)
     EXPECT_EQ(Bimodal(12).name(), "bimodal(12b)");
 }
 
+TEST(IdealStatic, PredictsMajorityDirection)
+{
+    trace::Trace t;
+    for (int i = 0; i < 7; ++i)
+        t.append(cond(0x100, true));
+    for (int i = 0; i < 3; ++i)
+        t.append(cond(0x100, false));
+    for (int i = 0; i < 9; ++i)
+        t.append(cond(0x200, false));
+
+    IdealStatic pred = IdealStatic::fromTrace(t);
+    EXPECT_EQ(pred.branches(), 2u);
+    EXPECT_TRUE(pred.predict(cond(0x100, true)));
+    EXPECT_FALSE(pred.predict(cond(0x200, true)));
+    // Unprofiled branches default to taken.
+    EXPECT_TRUE(pred.predict(cond(0x999, true)));
+}
+
+TEST(IdealStatic, AccuracyEqualsPerBranchMajority)
+{
+    auto trace = workload::biasedTrace(0x100, 0.8, 10000, 7);
+    IdealStatic pred = IdealStatic::fromTrace(trace);
+    auto result = sim::run(trace, pred);
+    trace::TraceStats stats(trace);
+    EXPECT_EQ(result.correct, stats.idealStaticCorrect());
+}
+
+TEST(IdealStatic, TieGoesToTaken)
+{
+    trace::Trace t;
+    t.append(cond(0x100, true));
+    t.append(cond(0x100, false));
+    IdealStatic pred = IdealStatic::fromTrace(t);
+    EXPECT_TRUE(pred.predict(cond(0x100, false)));
+}
+
 class FactoryNames : public ::testing::TestWithParam<std::string>
 {
 };
@@ -117,15 +155,6 @@ TEST(Factory, ParsesParameters)
     EXPECT_NE(gshare->name().find("h=10"), std::string::npos);
     PredictorPtr pas = makePredictor("pas:h=8,bht=6,s=2");
     EXPECT_NE(pas->name().find("h=8"), std::string::npos);
-    PredictorPtr fixed = makePredictor("fixed:k=7");
-    EXPECT_NE(fixed->name().find("7"), std::string::npos);
-}
-
-TEST(Factory, HybridInnerSpecs)
-{
-    PredictorPtr h = makePredictor("hybrid:a=gshare.h=10,b=bimodal.bits=8");
-    EXPECT_NE(h->name().find("gshare(h=10)"), std::string::npos);
-    EXPECT_NE(h->name().find("bimodal(8b)"), std::string::npos);
 }
 
 TEST(FactoryDeath, UnknownNameIsFatal)
@@ -163,9 +192,6 @@ TEST(FactoryDeath, UnreadKeyIsFatal)
                 ::testing::ExitedWithCode(1), "has no parameter 'h'");
     EXPECT_EXIT(makePredictor("taken:k=1"), ::testing::ExitedWithCode(1),
                 "has no parameter 'k'");
-    // An inner hybrid component is checked as its own spec.
-    EXPECT_EXIT(makePredictor("hybrid:a=gshare.hh=10"),
-                ::testing::ExitedWithCode(1), "in 'gshare:hh=10'");
 }
 
 } // namespace

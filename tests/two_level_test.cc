@@ -2,14 +2,18 @@
  * @file
  * Unit tests for the configurable two-level predictor engine: index
  * functions, history scoping, and the signature behaviours (gshare
- * exploits cross-branch correlation; PAs exploits per-branch patterns).
+ * exploits cross-branch correlation; PAs exploits per-branch patterns);
+ * plus the gshare misprediction taxonomy, whose shadowed walk must
+ * match the engine exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/mispredict_taxonomy.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
 #include "workload/patterns.hpp"
+#include "workload/profiles.hpp"
 
 namespace copra::predictor {
 namespace {
@@ -241,6 +245,116 @@ TEST(TwoLevelDeath, InvalidGeometryIsFatal)
     TwoLevelConfig wide = TwoLevelConfig::gshare(16);
     wide.counterBits = 9;
     EXPECT_EXIT(TwoLevel{wide}, ::testing::ExitedWithCode(1), "counter");
+}
+
+TEST(MispredictTaxonomy, CauseNames)
+{
+    using core::MispredictCause;
+    EXPECT_STREQ(core::mispredictCauseName(MispredictCause::Cold),
+                 "cold");
+    EXPECT_STREQ(
+        core::mispredictCauseName(MispredictCause::Interference),
+        "interference");
+    EXPECT_STREQ(core::mispredictCauseName(MispredictCause::Training),
+                 "training");
+    EXPECT_STREQ(core::mispredictCauseName(MispredictCause::Noise),
+                 "noise");
+}
+
+TEST(MispredictTaxonomy, AccuracyMatchesRealGshare)
+{
+    // The shadowed walk must implement gshare exactly.
+    auto trace = workload::makeBenchmarkTrace("compress", 100000, 0);
+    auto breakdown = core::classifyMispredicts(trace, 16);
+    predictor::TwoLevel gshare(predictor::TwoLevelConfig::gshare(16));
+    auto result = sim::run(trace, gshare);
+    EXPECT_EQ(breakdown.dynamicBranches, result.dynamicBranches);
+    EXPECT_EQ(breakdown.correct, result.correct);
+}
+
+TEST(MispredictTaxonomy, CausesPartitionTheMispredicts)
+{
+    auto trace = workload::makeBenchmarkTrace("gcc", 100000, 0);
+    auto breakdown = core::classifyMispredicts(trace, 14);
+    uint64_t sum = 0;
+    for (uint64_t c : breakdown.byCause)
+        sum += c;
+    EXPECT_EQ(sum, breakdown.mispredicts());
+}
+
+TEST(MispredictTaxonomy, PureNoiseBranchIsMostlyNoise)
+{
+    auto trace = workload::biasedTrace(0x100, 0.5, 20000, 7);
+    auto breakdown = core::classifyMispredicts(trace, 10);
+    using core::MispredictCause;
+    // A lone coin-flip branch has no interference; its mispredictions
+    // are noise (deviations from each context's majority) plus training.
+    EXPECT_DOUBLE_EQ(
+        breakdown.causeFraction(MispredictCause::Interference) +
+            breakdown.causeFraction(MispredictCause::Cold) +
+            breakdown.causeFraction(MispredictCause::Training) +
+            breakdown.causeFraction(MispredictCause::Noise),
+        1.0);
+    EXPECT_GT(breakdown.causeFraction(MispredictCause::Noise), 0.4);
+    EXPECT_LT(breakdown.causeFraction(MispredictCause::Interference),
+              0.05);
+}
+
+TEST(MispredictTaxonomy, AliasedBranchesShowInterference)
+{
+    // Opposite-biased branches thrashing a 16-entry PHT via noisy
+    // histories: interference must be a visible cause.
+    std::vector<trace::Trace> parts;
+    parts.push_back(workload::biasedTrace(0x100, 1.0, 5000, 1));
+    parts.push_back(workload::biasedTrace(0x204, 0.5, 5000, 2));
+    parts.push_back(workload::biasedTrace(0x140, 0.0, 5000, 3));
+    auto trace = workload::interleave(parts);
+    // With a 2-bit history the pattern preceding A (noise, B=0) and the
+    // pattern preceding B (A=1, noise) overlap at "10", where the
+    // opposite-biased branches thrash one shared counter.
+    auto breakdown = core::classifyMispredicts(trace, 2);
+    EXPECT_GT(breakdown.causeFraction(
+                  core::MispredictCause::Interference),
+              0.15);
+}
+
+TEST(MispredictTaxonomy, PcsFoldingToOneKeyAreDistinctContexts)
+{
+    // 0x1 and 0x1'0000'0000 share every PHT index (pc >> 2 masks to 0)
+    // and fold to the same (pc ^ pc >> 32) << 32 key. With a 1-bit
+    // history, A (always taken) and B (always not taken) in the order
+    // A B B A hit each shared counter alternately, so every warm miss
+    // is the other branch's write: interference, never training or
+    // noise.
+    const uint64_t a = 0x1;
+    const uint64_t b = uint64_t(1) << 32;
+    trace::Trace trace("fold");
+    for (int i = 0; i < 200; ++i) {
+        trace.append(cond(a, true));
+        trace.append(cond(b, false));
+        trace.append(cond(b, false));
+        trace.append(cond(a, true));
+    }
+    auto breakdown = core::classifyMispredicts(trace, 1);
+    auto count = [&](core::MispredictCause cause) {
+        return breakdown.byCause[static_cast<size_t>(cause)];
+    };
+    EXPECT_GT(count(core::MispredictCause::Interference), 300u);
+    EXPECT_EQ(count(core::MispredictCause::Training), 0u);
+    EXPECT_EQ(count(core::MispredictCause::Noise), 0u);
+}
+
+TEST(MispredictTaxonomy, DeterministicBranchHasOnlyWarmupLosses)
+{
+    auto trace = workload::periodicTrace(0x100, {true, true, false},
+                                         5000);
+    auto breakdown = core::classifyMispredicts(trace, 12);
+    // A fully deterministic pattern: after warmup, zero mispredicts;
+    // every loss is cold or training, none is noise.
+    EXPECT_GT(breakdown.accuracyPercent(), 99.0);
+    EXPECT_EQ(breakdown.byCause[static_cast<size_t>(
+                  core::MispredictCause::Noise)],
+              0u);
 }
 
 } // namespace

@@ -182,45 +182,5 @@ INSTANTIATE_TEST_SUITE_P(PaperLengths, HistoryLengths,
                          ::testing::Values(1u, 8u, 12u, 16u, 20u, 24u, 28u,
                                            32u, 63u, 64u));
 
-TEST(PathRegister, RecordsSuccessiveAddressPieces)
-{
-    PathRegister p(4, 2);
-    p.push(0x100); // (0x100 >> 2) & 3 = 0
-    p.push(0x104); // 1
-    p.push(0x108); // 2
-    p.push(0x10c); // 3
-    EXPECT_EQ(p.value(), 0b00011011u);
-    EXPECT_EQ(p.width(), 8u);
-}
-
-TEST(PathRegister, OldEntriesShiftOut)
-{
-    PathRegister p(2, 2);
-    p.push(0x104); // 1
-    p.push(0x108); // 2
-    p.push(0x10c); // 3
-    EXPECT_EQ(p.value(), 0b1011u); // only the last two remain
-}
-
-TEST(PathRegister, DistinguishesPathsWithSameOutcomePattern)
-{
-    // Two different branch addresses leading to the same point must
-    // produce different path values — the property outcome histories
-    // lack (paper §3.1, in-path correlation).
-    PathRegister a(4, 4);
-    PathRegister b(4, 4);
-    a.push(0x104);
-    b.push(0x108);
-    EXPECT_NE(a.value(), b.value());
-}
-
-TEST(PathRegister, ClearResets)
-{
-    PathRegister p(4, 2);
-    p.push(0xabc);
-    p.clear();
-    EXPECT_EQ(p.value(), 0u);
-}
-
 } // namespace
 } // namespace copra

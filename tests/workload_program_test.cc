@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "trace/trace_stats.hpp"
+#include "workload/frontier.hpp"
+#include "workload/profiles.hpp"
 #include "workload/program.hpp"
 
 namespace copra::workload {
@@ -55,6 +57,20 @@ TEST(ProgramModel, BudgetStopsExactly)
     Program prog = singleIfProgram(ConditionSpec::biased(0.5));
     trace::Trace t = prog.run("budget", 1234, 7);
     EXPECT_EQ(t.conditionalCount(), 1234u);
+}
+
+TEST(ProgramModel, ZeroBudgetEmitsNothing)
+{
+    // A budget of 0 conditionals is an empty trace, not one branch
+    // emitted before the budget is first checked.
+    Program prog = singleIfProgram(ConditionSpec::biased(0.5));
+    EXPECT_TRUE(prog.run("zero", 0, 7).empty());
+    EXPECT_TRUE(prog.runParallel("zero", 0, 7).empty());
+    std::vector<std::string> names = benchmarkNames();
+    names.insert(names.end(), frontierNames().begin(),
+                 frontierNames().end());
+    for (const std::string &name : names)
+        EXPECT_TRUE(makeBenchmarkTrace(name, 0, 0).empty()) << name;
 }
 
 TEST(ProgramModel, DeterministicPerSeed)
