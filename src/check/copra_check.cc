@@ -6,10 +6,15 @@
  * every predictor pair (optimized vs reference) and exits non-zero on
  * any per-branch prediction mismatch, printing a minimized reproducer.
  *
+ * The same campaign diffs the oracle's record phase against its
+ * collect-and-probe reference (pair "oracle-record", on its own fuzzed
+ * traces; check/record_check.hpp).
+ *
  * --inject <bug|all> flips into self-test mode: a deliberately broken
- * predictor is swapped in, and the exit code is zero only if the suite
- * *does* catch the bug and shrinks it to a small reproducer — proving
- * the harness can actually detect the class of defect it exists for.
+ * predictor (or record window) is swapped in, and the exit code is
+ * zero only if the suite *does* catch the bug and shrinks it to a small
+ * reproducer — proving the harness can actually detect the class of
+ * defect it exists for.
  *
  * --state-gates replays fuzzed traces through the whole factory roster
  * and checks the state contract instead: byte-stable snapshots,
@@ -52,6 +57,7 @@
 #include "check/fuzz.hpp"
 #include "check/hot_gates.hpp"
 #include "check/ingest_gates.hpp"
+#include "check/record_check.hpp"
 #include "check/state_gates.hpp"
 #include "obs/manifest.hpp"
 #include "obs/registry.hpp"
@@ -63,6 +69,9 @@
 namespace {
 
 using namespace copra;
+
+/** The --pairs name of the record-phase differential. */
+constexpr const char *kRecordPairs = "oracle-record";
 
 /** Write one failure's reproducer as a text trace under @p dir. */
 void
@@ -115,7 +124,7 @@ runShadowStateSelfTest(const check::SuiteOptions &options)
         return false;
     }
     const check::StateGateFailure &first = report.failures.front();
-    std::printf("caught  %-28s gate=%-14s seed=%llu\n",
+    std::printf("caught  %-30s gate=%-14s seed=%llu\n",
                 "tage-shadow-state", first.gate.c_str(),
                 static_cast<unsigned long long>(first.seed));
     return true;
@@ -152,7 +161,7 @@ runHotAllocSelfTest(const check::SuiteOptions &options)
         return false;
     }
     const check::HotGateFailure &first = report.failures.front();
-    std::printf("caught  %-28s gate=%-14s seed=%llu\n",
+    std::printf("caught  %-30s gate=%-14s seed=%llu\n",
                 "hot-path-alloc", first.gate.c_str(),
                 static_cast<unsigned long long>(first.seed));
     return true;
@@ -179,9 +188,10 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
                 ++failed;
             continue;
         }
-        check::CheckPair pair = check::injectedBugPair(bug);
         check::SuiteReport report =
-            check::runCheckSuite(options, {pair});
+            bug == check::InjectedBug::OracleRecordLinkOffByOne
+            ? check::runRecordSuite(options, check::injectedRecord(bug))
+            : check::runCheckSuite(options, {check::injectedBugPair(bug)});
         if (report.ok()) {
             std::printf("MISSED  %s: %llu traces found nothing — the "
                         "harness failed its self-test\n",
@@ -191,7 +201,7 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
             continue;
         }
         const check::SuiteFailure &first = report.failures.front();
-        std::printf("caught  %-28s path=%-8s reproducer=%llu records\n",
+        std::printf("caught  %-30s path=%-8s reproducer=%llu records\n",
                     check::injectedBugName(bug), first.first.path.c_str(),
                     static_cast<unsigned long long>(
                         first.reproducer.size()));
@@ -285,6 +295,7 @@ main(int argc, char **argv)
     if (list_pairs) {
         for (const check::CheckPair &pair : check::defaultCheckPairs())
             std::printf("%s\n", pair.name.c_str());
+        std::printf("%s\n", kRecordPairs);
         for (unsigned i = 0; i < check::kInjectedBugCount; ++i) {
             std::printf("injected:%s\n", check::injectedBugName(
                 static_cast<check::InjectedBug>(i)));
@@ -353,10 +364,21 @@ main(int argc, char **argv)
             pair.name.find(pairs_filter) != std::string::npos)
             pairs.push_back(std::move(pair));
     }
-    fatalIf(pairs.empty(),
+    const bool check_record = std::string(kRecordPairs).find(pairs_filter) !=
+        std::string::npos;
+    fatalIf(pairs.empty() && !check_record,
             "no check pairs match filter '" + pairs_filter + "'");
 
     check::SuiteReport report = check::runCheckSuite(options, pairs);
+    if (check_record) {
+        // The oracle's record phase against its collect-and-probe
+        // reference, on its own fuzzed traces.
+        check::SuiteReport record =
+            check::runRecordSuite(options, core::recordStates<>);
+        report.comparisons += record.comparisons;
+        for (check::SuiteFailure &failure : record.failures)
+            report.failures.push_back(std::move(failure));
+    }
     std::fputs(check::formatReport(report).c_str(), stdout);
     if (!repro_dir.empty()) {
         for (const check::SuiteFailure &failure : report.failures)

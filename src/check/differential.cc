@@ -868,6 +868,8 @@ injectedBugName(InjectedBug bug)
         return "tage-shadow-state";
       case InjectedBug::HotPathAlloc:
         return "hot-path-alloc";
+      case InjectedBug::OracleRecordLinkOffByOne:
+        return "oracle-record-link-off-by-one";
     }
     return "unknown";
 }
@@ -950,6 +952,9 @@ injectedBugPair(InjectedBug bug)
                 },
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
       }
+      case InjectedBug::OracleRecordLinkOffByOne:
+        panic("oracle-record-link-off-by-one is a record-phase bug; "
+              "build it with injectedRecord()");
     }
     panic("unknown injected bug");
 }

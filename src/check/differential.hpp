@@ -177,15 +177,23 @@ enum class InjectedBug : uint8_t
                              //!< (it lives under src/check/), so only
                              //!< the runtime allocation gate
                              //!< (check/hot_gates.hpp) can catch it
+    OracleRecordLinkOffByOne, //!< the oracle's record window follows
+                              //!< one method-A link too few; no
+                              //!< predictor is involved, so only the
+                              //!< record differential
+                              //!< (check/record_check.hpp) can catch it
 };
 
 /** Number of InjectedBug values. */
-inline constexpr unsigned kInjectedBugCount = 9;
+inline constexpr unsigned kInjectedBugCount = 10;
 
 /** Stable name of an injected bug (CLI selector). */
 const char *injectedBugName(InjectedBug bug);
 
-/** Pair whose optimized side carries the planted defect. */
+/**
+ * Pair whose optimized side carries the planted defect. Record-phase
+ * bugs have no predictor pair: check::injectedRecord() builds those.
+ */
 CheckPair injectedBugPair(InjectedBug bug);
 
 } // namespace copra::check

@@ -1,6 +1,7 @@
 #include "core/oracle.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -21,13 +22,6 @@ inline unsigned
 stateBits(uint32_t row, unsigned i)
 {
     return (row >> (2 * i)) & 0x3u;
-}
-
-/** Home slot of a packed tag in a branch's 32-slot candidate index. */
-inline unsigned
-candidateHome(uint64_t packed)
-{
-    return static_cast<unsigned>((packed * 0x9e3779b97f4a7c15ull) >> 59);
 }
 
 /** 2-bit counter successor, [taken][counter], matching Counter2. */
@@ -90,11 +84,19 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     miner.mine(trace, config.mineConditionals);
     double mined = cpu_now();
     const trace::SoABlocks &soa = trace.soa();
-    std::vector<BranchData> data(soa.staticCount());
+    const std::vector<RecordedBranch> recorded =
+        recordStates(soa, miner, config_);
     std::vector<BranchSelection> selections(soa.staticCount());
-    record(soa, miner, data, selections);
-    double recorded = cpu_now();
-    double select_cpu = select(data, selections, timed);
+    for (size_t id = 0; id < recorded.size(); ++id) {
+        const std::vector<uint32_t> &rows = recorded[id].rows;
+        BranchSelection &sel = selections[id];
+        sel.pc = soa.staticPcs()[id];
+        sel.execs = rows.size();
+        for (uint32_t row : rows)
+            sel.taken += row >> kOutcomeBit;
+    }
+    double recorded_at = cpu_now();
+    double select_cpu = select(recorded, selections, timed);
     branches_ = rowsFromIds(
         soa.staticPcs(), selections,
         [](const BranchSelection &sel) { return sel.execs != 0; });
@@ -102,88 +104,59 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
         obs::observe(obs::ids().simPhaseOracleMineCpuSeconds,
                      mined - start);
         obs::observe(obs::ids().simPhaseOracleRecordCpuSeconds,
-                     recorded - mined);
+                     recorded_at - mined);
         obs::observe(obs::ids().simPhaseOracleSelectCpuSeconds,
                      select_cpu);
     }
 }
 
-void
-SelectiveOracle::record(const trace::SoABlocks &soa,
-                        const CandidateMiner &miner,
-                        std::vector<BranchData> &data_by_id,
-                        std::vector<BranchSelection> &selections) const
+std::vector<Tag>
+candidatePool(const CandidateMiner &miner, uint64_t pc,
+              const OracleConfig &config)
 {
-    static_assert(kCandidateSlots == 32,
-                  "candidateHome() indexes with the top 5 hash bits");
-    HistoryWindow window(config_.historyDepth);
-    std::vector<TagState> collected;
-
-    for (size_t i = 0; i < soa.size(); ++i) {
-        const trace::BranchRecord rec = soa.record(i);
-        if (!rec.isConditional()) {
-            window.push(rec);
+    std::vector<Tag> pool;
+    // Over-fetch so a method filter still fills the pool.
+    for (const ScoredCandidate &cand :
+         miner.topCandidates(pc, 2 * config.candidatePool)) {
+        bool is_occurrence = cand.tag.method() == TagMethod::Occurrence;
+        if (config.tagFilter == OracleConfig::TagFilter::OccurrenceOnly &&
+            !is_occurrence)
             continue;
-        }
-
-        const uint32_t id = soa.staticIndex()[i];
-        BranchData &data = data_by_id[id];
-        BranchSelection &sel = selections[id];
-        if (sel.execs == 0) {
-            // First execution: index the branch's mined candidates.
-            sel.pc = rec.pc;
-            // Over-fetch so a method filter still fills the pool.
-            for (const ScoredCandidate &cand :
-                 miner.topCandidates(rec.pc, 2 * config_.candidatePool)) {
-                bool is_occurrence =
-                    cand.tag.method() == TagMethod::Occurrence;
-                if (config_.tagFilter ==
-                        OracleConfig::TagFilter::OccurrenceOnly &&
-                    !is_occurrence)
-                    continue;
-                if (config_.tagFilter ==
-                        OracleConfig::TagFilter::BackwardOnly &&
-                    is_occurrence)
-                    continue;
-                unsigned slot = candidateHome(cand.tag.packed);
-                while (data.slotField[slot] != 0)
-                    slot = (slot + 1) % kCandidateSlots;
-                data.slotKey[slot] = cand.tag.packed;
-                data.slotField[slot] =
-                    static_cast<uint8_t>(data.candidates.size() + 1);
-                data.candidates.push_back(cand.tag);
-                if (data.candidates.size() >= config_.candidatePool)
-                    break;
-            }
-        }
-        ++sel.execs;
-        if (rec.taken)
-            ++sel.taken;
-
-        // One index lookup per collected tag sets that candidate's
-        // field. A collected window never repeats a tag, so each field
-        // is written at most once, exactly as stateOf() would read it.
-        uint32_t row = rec.taken ? (1u << kOutcomeBit) : 0u;
-        if (!data.candidates.empty()) {
-            window.collect(collected);
-            for (const TagState &ts : collected) {
-                unsigned slot = candidateHome(ts.tag.packed);
-                for (; data.slotField[slot] != 0;
-                     slot = (slot + 1) % kCandidateSlots) {
-                    if (data.slotKey[slot] != ts.tag.packed)
-                        continue;
-                    TagOutcome state =
-                        ts.taken ? TagOutcome::Taken : TagOutcome::NotTaken;
-                    row |= static_cast<uint32_t>(state)
-                        << (2 * (data.slotField[slot] - 1));
-                    break;
-                }
-            }
-        }
-        data.rows.push_back(row);
-
-        window.push(rec);
+        if (config.tagFilter == OracleConfig::TagFilter::BackwardOnly &&
+            is_occurrence)
+            continue;
+        pool.push_back(cand.tag);
+        if (pool.size() >= config.candidatePool)
+            break;
     }
+    return pool;
+}
+
+std::vector<std::vector<IdTag>>
+assignCandidatePools(const trace::SoABlocks &soa,
+                     const CandidateMiner &miner, const OracleConfig &config,
+                     std::vector<RecordedBranch> &branches)
+{
+    // Every mined tag names a branch of this trace, so each pc resolves.
+    std::vector<uint32_t> id_of(soa.staticCount());
+    std::iota(id_of.begin(), id_of.end(), 0u);
+    const PcRows<uint32_t> ids = rowsFromIds(soa.staticPcs(), id_of,
+                                             [](uint32_t) { return true; });
+
+    std::vector<std::vector<IdTag>> pools(soa.staticCount());
+    for (size_t id = 0; id < soa.staticCount(); ++id) {
+        const std::vector<Tag> &candidates = branches[id].candidates =
+            candidatePool(miner, soa.staticPcs()[id], config);
+        for (size_t c = 0; c < candidates.size(); ++c) {
+            const uint32_t *tag_id = findRow(ids, candidates[c].pc());
+            panicIf(tag_id == nullptr, "oracle candidate outside the trace");
+            pools[id].push_back({*tag_id, candidates[c].method(),
+                                 candidates[c].num(),
+                                 static_cast<uint8_t>(c)});
+        }
+        sortForWalk(pools[id]);
+    }
+    return pools;
 }
 
 uint64_t
@@ -251,7 +224,7 @@ SelectiveOracle::greedySelect(const std::vector<uint32_t> &rows, unsigned k,
 }
 
 void
-SelectiveOracle::selectGreedy(const BranchData &data,
+SelectiveOracle::selectGreedy(const RecordedBranch &data,
                               BranchSelection &out) const
 {
     GreedySelection greedy = greedySelect(
@@ -266,7 +239,7 @@ SelectiveOracle::selectGreedy(const BranchData &data,
 }
 
 void
-SelectiveOracle::selectExhaustive(const BranchData &data,
+SelectiveOracle::selectExhaustive(const RecordedBranch &data,
                                   BranchSelection &out) const
 {
     unsigned n = static_cast<unsigned>(data.candidates.size());
@@ -314,7 +287,7 @@ SelectiveOracle::selectExhaustive(const BranchData &data,
 }
 
 double
-SelectiveOracle::select(const std::vector<BranchData> &data_by_id,
+SelectiveOracle::select(const std::vector<RecordedBranch> &recorded,
                         std::vector<BranchSelection> &selections,
                         bool timed) const
 {
@@ -329,9 +302,9 @@ SelectiveOracle::select(const std::vector<BranchData> &data_by_id,
             return;
         double start = timed ? obs::threadCpuSeconds() : 0.0;
         if (config_.exhaustive)
-            selectExhaustive(data_by_id[id], selections[id]);
+            selectExhaustive(recorded[id], selections[id]);
         else
-            selectGreedy(data_by_id[id], selections[id]);
+            selectGreedy(recorded[id], selections[id]);
         if (timed)
             task_cpu[id] = obs::threadCpuSeconds() - start;
     });

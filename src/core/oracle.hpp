@@ -19,14 +19,17 @@
  *
  * Cost per dynamic conditional branch, at window depth n and pool K:
  *
- *  - Mine and record each walk the window once (HistoryWindow::collect
- *    is O(n): one newest-first pass with a small per-pc table) and get
- *    up to 2n tagged instances back.
- *  - Mine charges each instance with one probe of the branch's flat
- *    contingency table (TagTable).
- *  - Record looks each instance up once in the branch's 32-slot
- *    candidate index and sets that candidate's 2-bit field, instead of
- *    scanning the window once per candidate.
+ *  - Mine walks the window once (HistoryWindow::collect is O(n): one
+ *    newest-first pass with a small per-pc table), gets up to 2n tagged
+ *    instances back and charges each with one probe of the branch's
+ *    flat contingency table (TagTable).
+ *  - Record collects nothing. Each branch's K candidates are resolved
+ *    once to (static id, method, num) and sorted, and RecordWindow
+ *    answers them by walking each candidate branch's occurrence chain
+ *    once per method: method A counts links, method B stops at the
+ *    first occurrence num or more backward transfers old. A row costs
+ *    O(K) short walks (about five distinct candidate branches per row
+ *    on the suite traces), not an O(n) collect plus 2n probes.
  *  - Select makes one pass over a branch's rows per size and scores all
  *    K extensions of the current set in it, with K counter tables side
  *    by side: 3 passes per branch instead of K + (K-1) + (K-2) subset
@@ -117,6 +120,68 @@ struct GreedySelection
     std::array<uint64_t, 3> correct{};
 };
 
+/** One static branch's candidate pool and recorded state rows. */
+struct RecordedBranch
+{
+    /** Candidate tags, best first; candidate i owns row bits 2i..2i+1. */
+    std::vector<Tag> candidates;
+
+    /**
+     * One row per execution: each candidate's TagOutcome in its 2-bit
+     * field, the branch outcome in bit 31.
+     */
+    std::vector<uint32_t> rows;
+};
+
+/**
+ * The candidate pool of the branch at @p pc: the miner's best tags by
+ * information gain that pass @p config's method filter, at most
+ * candidatePool of them.
+ */
+std::vector<Tag> candidatePool(const CandidateMiner &miner, uint64_t pc,
+                               const OracleConfig &config);
+
+/**
+ * Set every static branch's candidatePool() into @p branches (indexed
+ * by static id) and return the same pools with each tag's pc resolved
+ * to its static id in @p soa and its row field set, in sortForWalk()
+ * order.
+ */
+std::vector<std::vector<IdTag>>
+assignCandidatePools(const trace::SoABlocks &soa,
+                     const CandidateMiner &miner, const OracleConfig &config,
+                     std::vector<RecordedBranch> &branches);
+
+/**
+ * The record phase: replay @p soa once and append, per execution of
+ * each conditional branch, the state of each of its candidates in a
+ * config.historyDepth-deep window. Returns one RecordedBranch per
+ * static id. @p Window answers the states (RecordWindow; the check
+ * module substitutes planted defects).
+ */
+template <typename Window = RecordWindow>
+std::vector<RecordedBranch>
+recordStates(const trace::SoABlocks &soa, const CandidateMiner &miner,
+             const OracleConfig &config)
+{
+    std::vector<RecordedBranch> branches(soa.staticCount());
+    const std::vector<std::vector<IdTag>> pools =
+        assignCandidatePools(soa, miner, config, branches);
+    Window window(config.historyDepth, soa.staticCount());
+    for (size_t i = 0; i < soa.size(); ++i) {
+        const trace::BranchRecord rec = soa.record(i);
+        const uint32_t id = soa.staticIndex()[i];
+        if (rec.isConditional()) {
+            const std::vector<IdTag> &pool = pools[id];
+            branches[id].rows.push_back(
+                (rec.taken ? (1u << 31) : 0u) |
+                window.states(pool.data(), pool.size()));
+        }
+        window.push(rec, id);
+    }
+    return branches;
+}
+
 /** Runs the three oracle phases over one trace. */
 class SelectiveOracle
 {
@@ -174,27 +239,12 @@ class SelectiveOracle
                                         unsigned k, unsigned max_select);
 
   private:
-    /** Open-addressed slots indexing a branch's candidate tags. */
-    static constexpr unsigned kCandidateSlots = 32;
-
-    struct BranchData
-    {
-        std::vector<Tag> candidates;      // at most K
-        std::vector<uint32_t> rows;       // packed states + outcome
-        // Candidate index by tag: slotField[s] is 1 + the candidate's
-        // 2-bit field number (0 = empty slot), slotKey[s] its packed tag.
-        std::array<uint64_t, kCandidateSlots> slotKey{};
-        std::array<uint8_t, kCandidateSlots> slotField{};
-    };
-
-    void record(const trace::SoABlocks &soa, const CandidateMiner &miner,
-                std::vector<BranchData> &data_by_id,
-                std::vector<BranchSelection> &selections) const;
-    double select(const std::vector<BranchData> &data_by_id,
+    double select(const std::vector<RecordedBranch> &recorded,
                   std::vector<BranchSelection> &selections,
                   bool timed) const;
-    void selectGreedy(const BranchData &data, BranchSelection &out) const;
-    void selectExhaustive(const BranchData &data,
+    void selectGreedy(const RecordedBranch &data,
+                      BranchSelection &out) const;
+    void selectExhaustive(const RecordedBranch &data,
                           BranchSelection &out) const;
 
     OracleConfig config_;

@@ -1,13 +1,99 @@
 #include "core/pa_class.hpp"
 
+#include <bit>
 #include <vector>
 
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
 #include "predictor/block_pattern.hpp"
 #include "predictor/fixed_pattern.hpp"
-#include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
+#include "util/logging.hpp"
+#include "util/sat_counter.hpp"
 
 namespace copra::core {
+
+namespace {
+
+/**
+ * Interference-free PAs counters of every branch in one flat table
+ * keyed by (static id, history): open addressing with linear probing
+ * over a power-of-two slot array, doubled at half load. A branch holds
+ * only the patterns its history actually produced, so the table grows
+ * with the trace's distinct (branch, pattern) pairs, not with
+ * branches * 2^h.
+ */
+class IfPasCounters
+{
+  public:
+    IfPasCounters() { resize(1u << 12); }
+
+    /**
+     * The counter of (@p id, @p history), inserted weakly not-taken on
+     * first use, as IfPas's map does.
+     */
+    Counter2 &
+    counter(uint32_t id, uint32_t history)
+    {
+        // id + 1 keeps every key non-zero; 0 marks an empty slot.
+        const uint64_t key = (uint64_t(id) + 1) << 32 | history;
+        size_t slot = home(key);
+        while (keys_[slot] != key) {
+            if (keys_[slot] == 0) {
+                if (2 * (size_ + 1) > keys_.size()) {
+                    grow();
+                    return counter(id, history);
+                }
+                keys_[slot] = key;
+                ++size_;
+                break;
+            }
+            slot = (slot + 1) & mask_;
+        }
+        return counters_[slot];
+    }
+
+  private:
+    size_t
+    home(uint64_t key) const
+    {
+        return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+
+    void
+    resize(size_t slots)
+    {
+        keys_.assign(slots, 0);
+        counters_.assign(slots, Counter2{});
+        mask_ = slots - 1;
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+    }
+
+    void
+    grow()
+    {
+        std::vector<uint64_t> keys = std::move(keys_);
+        std::vector<Counter2> counters = std::move(counters_);
+        resize(2 * keys.size());
+        for (size_t i = 0; i < keys.size(); ++i) {
+            if (keys[i] == 0)
+                continue;
+            size_t slot = home(keys[i]);
+            while (keys_[slot] != 0)
+                slot = (slot + 1) & mask_;
+            keys_[slot] = keys[i];
+            counters_[slot] = counters[i];
+        }
+    }
+
+    std::vector<uint64_t> keys_;
+    std::vector<Counter2> counters_;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+    unsigned shift_ = 0; // 64 - log2(slots): home() keeps the top bits
+};
+
+} // namespace
 
 const char *
 paClassName(PaClass cls)
@@ -27,44 +113,59 @@ paClassName(PaClass cls)
 
 PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
 {
-    predictor::LoopPredictor loop;
-    predictor::BlockPatternPredictor block;
-    predictor::FixedPatternBank fixed;
-    predictor::IfPas ifpas(ifpas_history);
+    fatalIf(ifpas_history == 0 || ifpas_history > 32,
+            "IF PAs history bits must be in 1..32");
+    const bool timed = obs::enabled();
+    const double start = timed ? obs::threadCpuSeconds() : 0.0;
 
+    // One slot per static id for every class predictor: the same
+    // transitions as LoopPredictor, BlockPatternPredictor and IfPas with
+    // a perfect BTB, minus their pc-keyed lookups.
+    struct BranchState
+    {
+        predictor::LoopState loop;
+        predictor::BlockState block;
+        uint32_t history = 0; //!< IF-PAs private history register
+    };
     const trace::SoABlocks &soa = trace.soa();
+    std::vector<BranchState> state(soa.staticCount());
     std::vector<PaBranchResult> table(soa.staticCount());
+    predictor::FixedPatternBank fixed(soa.staticCount());
+    IfPasCounters ifpas;
+    const uint32_t history_mask =
+        static_cast<uint32_t>((uint64_t(1) << ifpas_history) - 1);
+
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
-            const trace::BranchRecord rec = soa.record(i);
-            PaBranchResult &res = table[soa.staticIndex()[i]];
-            res.pc = rec.pc;
+            const uint32_t id = soa.staticIndex()[i];
+            const bool taken = soa.taken()[i] != 0;
+            PaBranchResult &res = table[id];
+            BranchState &st = state[id];
             ++res.execs;
-            if (rec.taken)
-                ++res.taken;
+            res.taken += taken;
 
-            if (loop.predict(rec) == rec.taken)
-                ++res.loopCorrect;
-            loop.update(rec, rec.taken);
+            res.loopCorrect += st.loop.predict() == taken;
+            st.loop.update(taken);
 
-            if (block.predict(rec) == rec.taken)
-                ++res.blockCorrect;
-            block.update(rec, rec.taken);
+            res.blockCorrect += st.block.predict() == taken;
+            st.block.update(taken);
 
-            if (ifpas.predict(rec) == rec.taken)
-                ++res.ifPasCorrect;
-            ifpas.update(rec, rec.taken);
+            Counter2 &counter = ifpas.counter(id, st.history);
+            res.ifPasCorrect += counter.taken() == taken;
+            counter.update(taken);
+            st.history = ((st.history << 1) | taken) & history_mask;
 
-            fixed.observe(rec.pc, rec.taken);
+            fixed.observe(id, taken);
         }
     }
 
-    rows_ = rowsFromIds(soa.staticPcs(), table, [](const PaBranchResult &res) {
-        return res.execs != 0;
-    });
-    for (auto &[pc, res] : rows_) {
-        res.fixedCorrect = fixed.bestCorrect(pc);
-        res.bestFixedK = fixed.bestK(pc);
+    for (uint32_t id = 0; id < table.size(); ++id) {
+        PaBranchResult &res = table[id];
+        if (res.execs == 0)
+            continue;
+        res.pc = soa.staticPcs()[id];
+        res.fixedCorrect = fixed.bestCorrect(id);
+        res.bestFixedK = fixed.bestK(id);
         uint64_t not_taken = res.execs - res.taken;
         res.staticCorrect = res.taken > not_taken ? res.taken : not_taken;
 
@@ -81,6 +182,12 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
             res.cls = PaClass::NonRepeating;
         }
     }
+    rows_ = rowsFromIds(soa.staticPcs(), table, [](const PaBranchResult &res) {
+        return res.execs != 0;
+    });
+    if (timed)
+        obs::observe(obs::ids().simPhasePaClassifierCpuSeconds,
+                     obs::threadCpuSeconds() - start);
 }
 
 const PaBranchResult *

@@ -25,14 +25,6 @@
 
 namespace copra::core {
 
-/** Three-valued state of a tagged instance relative to a prediction. */
-enum class TagOutcome : uint8_t
-{
-    NotInPath = 0,
-    NotTaken = 1,
-    Taken = 2,
-};
-
 /** Encode a collected window against one watched tag. */
 TagOutcome stateOf(const std::vector<TagState> &collected, const Tag &tag) noexcept;
 

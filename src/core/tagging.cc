@@ -1,5 +1,7 @@
 #include "core/tagging.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace copra::core {
@@ -15,24 +17,14 @@ HistoryWindow::HistoryWindow(unsigned depth)
 void
 HistoryWindow::push(const trace::BranchRecord &rec) noexcept
 {
-    switch (rec.kind) {
-      case trace::BranchKind::Conditional:
+    if (rec.isConditional()) {
         ring_[head_] = {rec.pc, backwardEpoch_, rec.taken};
         head_ = (head_ + 1) % depth_;
         if (count_ < depth_)
             ++count_;
-        if (rec.taken && rec.isBackward())
-            ++backwardEpoch_;
-        break;
-      case trace::BranchKind::Jump:
-        if (rec.isBackward())
-            ++backwardEpoch_;
-        break;
-      case trace::BranchKind::Call:
-      case trace::BranchKind::Return:
-        // Calls and returns are not iteration boundaries.
-        break;
     }
+    if (advancesBackwardEpoch(rec))
+        ++backwardEpoch_;
 }
 
 void
@@ -109,6 +101,77 @@ HistoryWindow::clear()
     count_ = 0;
     head_ = 0;
     backwardEpoch_ = 0;
+}
+
+RecordWindow::RecordWindow(unsigned depth, size_t static_count)
+    : depth_(depth), newest_(static_count, 0)
+{
+    panicIf(depth == 0 || depth > HistoryWindow::kMaxDepth,
+            "history window depth must be 1..64");
+    size_t slots = 1;
+    while (slots < depth)
+        slots *= 2;
+    ring_.resize(slots);
+    mask_ = slots - 1;
+}
+
+void
+RecordWindow::push(const trace::BranchRecord &rec, uint32_t id) noexcept
+{
+    if (rec.isConditional()) {
+        uint64_t seq = ++pushed_;
+        ring_[seq & mask_] = {backwardEpoch_, newest_[id], rec.taken};
+        newest_[id] = seq;
+    }
+    if (advancesBackwardEpoch(rec))
+        ++backwardEpoch_;
+}
+
+uint32_t
+RecordWindow::states(const IdTag *pool, size_t n) const noexcept
+{
+    uint32_t fields = 0;
+    size_t i = 0;
+    while (i < n) {
+        const uint32_t id = pool[i].id;
+        // Method A, ascending num: walk down the chain, counting links.
+        uint64_t seq = newest_[id];
+        unsigned occurrence = 0;
+        for (; i < n && pool[i].id == id &&
+             pool[i].method == TagMethod::Occurrence;
+             ++i) {
+            for (; occurrence < pool[i].num && held(seq); ++occurrence)
+                seq = entry(seq).prev;
+            if (held(seq))
+                fields |= stateBits(entry(seq)) << (2 * pool[i].field);
+        }
+        // Method B, ascending num: backward distances never shrink
+        // along the chain, so the walk stops at the first occurrence at
+        // least num transfers old, the tag's newest instance if the
+        // distance is exactly num.
+        seq = newest_[id];
+        for (; i < n && pool[i].id == id; ++i) {
+            while (held(seq) &&
+                   backwardEpoch_ - entry(seq).epoch < pool[i].num)
+                seq = entry(seq).prev;
+            if (held(seq) && backwardEpoch_ - entry(seq).epoch ==
+                    pool[i].num)
+                fields |= stateBits(entry(seq)) << (2 * pool[i].field);
+        }
+    }
+    return fields;
+}
+
+void
+sortForWalk(std::vector<IdTag> &pool)
+{
+    std::sort(pool.begin(), pool.end(), [](const IdTag &x, const IdTag &y) {
+        if (x.id != y.id)
+            return x.id < y.id;
+        if (x.method != y.method)
+            return x.method < y.method;
+        return x.num < y.num;
+    });
 }
 
 } // namespace copra::core

@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,34 @@ struct TagState
     Tag tag;
     bool taken = false;
 };
+
+/** Three-valued state of a tagged instance relative to a prediction. */
+enum class TagOutcome : uint8_t
+{
+    NotInPath = 0,
+    NotTaken = 1,
+    Taken = 2,
+};
+
+/**
+ * The method-B iteration boundary: a taken backward conditional branch
+ * or a backward unconditional jump. Calls and returns never are. Both
+ * windows below advance their epoch by this one rule.
+ */
+inline bool
+advancesBackwardEpoch(const trace::BranchRecord &rec) noexcept
+{
+    switch (rec.kind) {
+      case trace::BranchKind::Conditional:
+        return rec.taken && rec.isBackward();
+      case trace::BranchKind::Jump:
+        return rec.isBackward();
+      case trace::BranchKind::Call:
+      case trace::BranchKind::Return:
+        break;
+    }
+    return false;
+}
 
 /**
  * Sliding window over the last n conditional branches, maintaining the
@@ -126,6 +155,96 @@ class HistoryWindow
     unsigned head_ = 0; // ring index of the next slot to write
     uint64_t backwardEpoch_ = 0;
     std::vector<Entry> ring_;
+};
+
+/**
+ * A candidate tag whose branch is named by its static id instead of its
+ * pc, with the 2-bit row field its state goes to.
+ */
+struct IdTag
+{
+    uint32_t id = 0;
+    TagMethod method = TagMethod::Occurrence;
+    uint8_t num = 0;
+    uint8_t field = 0;
+};
+
+/**
+ * Sort @p pool into walk order, by (id, method, num), the order
+ * RecordWindow::states() reads it in.
+ */
+void sortForWalk(std::vector<IdTag> &pool);
+
+/**
+ * The same n-deep window as HistoryWindow, laid out to answer a few
+ * tags instead of listing every tag in the path. Each conditional keeps
+ * its epoch and outcome plus a link to the previous occurrence of the
+ * same static id, and a per-id slot holds the newest occurrence. A tag
+ * is answered by walking its id's chain, newest first:
+ *
+ *  - method A: the occurrence num links down the chain is the instance;
+ *  - method B: the first occurrence at backward distance num is the
+ *    instance; reaching a larger distance means it is not in the path.
+ *
+ * states() answers all of a pool's method-A tags on one id in one walk
+ * and its method-B tags in another, each at most n steps, independent
+ * of how many other branches share the window. Every tag's state
+ * equals core::stateOf(collected, tag) for the window HistoryWindow
+ * would hold after the same pushes.
+ */
+class RecordWindow
+{
+  public:
+    /**
+     * @param depth Window depth n (1..HistoryWindow::kMaxDepth).
+     * @param static_count Number of static ids pushes may carry.
+     */
+    RecordWindow(unsigned depth, size_t static_count);
+
+    /** Advance past a record whose static id is @p id. */
+    void push(const trace::BranchRecord &rec, uint32_t id) noexcept;
+
+    /**
+     * The TagOutcome of each of the @p n tags at @p pool (in
+     * sortForWalk() order), each shifted to its 2-bit field and OR-ed
+     * together.
+     */
+    uint32_t states(const IdTag *pool, size_t n) const noexcept;
+
+  private:
+    struct Entry
+    {
+        uint64_t epoch; // backward epoch when this branch executed
+        uint64_t prev;  // sequence number of the id's previous occurrence
+        bool taken;
+    };
+
+    /** Whether sequence number @p seq (1-based; 0 = none) is held. */
+    bool
+    held(uint64_t seq) const noexcept
+    {
+        return seq != 0 && seq + depth_ > pushed_;
+    }
+
+    const Entry &entry(uint64_t seq) const noexcept
+    {
+        return ring_[seq & mask_];
+    }
+
+    /** The TagOutcome bits of a held occurrence. */
+    static uint32_t
+    stateBits(const Entry &e) noexcept
+    {
+        return static_cast<uint32_t>(e.taken ? TagOutcome::Taken
+                                             : TagOutcome::NotTaken);
+    }
+
+    unsigned depth_;
+    uint64_t mask_;        // ring size - 1; the ring holds >= depth_
+    uint64_t pushed_ = 0;  // conditionals pushed = newest sequence number
+    uint64_t backwardEpoch_ = 0;
+    std::vector<Entry> ring_;
+    std::vector<uint64_t> newest_; // per id: newest sequence number
 };
 
 } // namespace copra::core

@@ -129,6 +129,10 @@ buildCatalog()
             "CPU time of one SelectiveOracle's subset selection, summed "
             "over the pool threads that ran it",
             "core");
+    addHist(c, i.simPhasePaClassifierCpuSeconds,
+            "sim.phase.pa_classifier.cpu_seconds", "seconds",
+            "thread CPU time of one PaClassifier's class-predictor pass",
+            "core");
 
     // --- util: thread pool ------------------------------------------
     add(c, i.poolTaskQueued, "pool.task.queued", Kind::Counter, "tasks",

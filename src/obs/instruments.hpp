@@ -58,6 +58,9 @@ struct Ids
     InstrumentId simPhaseOracleRecordCpuSeconds = 0;
     InstrumentId simPhaseOracleSelectCpuSeconds = 0;
 
+    // core: the per-address class engine (src/core/pa_class.cc).
+    InstrumentId simPhasePaClassifierCpuSeconds = 0;
+
     // util: the thread pool (src/util/thread_pool.cc, via hooks).
     InstrumentId poolTaskQueued = 0;
     InstrumentId poolTaskExecuted = 0;

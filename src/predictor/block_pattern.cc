@@ -9,36 +9,37 @@ BlockPatternPredictor::state(uint64_t pc) const
     return st ? *st : BlockState{};
 }
 
+void
+BlockState::update(bool taken) noexcept
+{
+    if (!seen) {
+        seen = true;
+        curDir = taken;
+        curRun = 1;
+        return;
+    }
+    if (taken == curDir) {
+        if (curRun < 255)
+            ++curRun;
+    } else {
+        lastRun[curDir ? 1 : 0] = curRun;
+        curDir = taken;
+        curRun = 1;
+    }
+}
+
 bool
 BlockPatternPredictor::predict(const trace::BranchRecord &br) noexcept
 {
     const BlockState *st = table_.find(br.pc);
-    if (st == nullptr || !st->seen)
-        return true; // cold: default taken
-    // Continue the current block until it reaches the length of the last
-    // completed block in the same direction, then switch.
-    return st->curRun < st->lastRun[st->curDir ? 1 : 0] ? st->curDir
-                                                        : !st->curDir;
+    return st == nullptr || st->predict(); // absent: cold, taken
 }
 
 void
-BlockPatternPredictor::update(const trace::BranchRecord &br, bool taken) noexcept
+BlockPatternPredictor::update(const trace::BranchRecord &br,
+                              bool taken) noexcept
 {
-    BlockState &st = table_.access(br.pc);
-    if (!st.seen) {
-        st.seen = true;
-        st.curDir = taken;
-        st.curRun = 1;
-        return;
-    }
-    if (taken == st.curDir) {
-        if (st.curRun < kMaxRun)
-            ++st.curRun;
-    } else {
-        st.lastRun[st.curDir ? 1 : 0] = st.curRun;
-        st.curDir = taken;
-        st.curRun = 1;
-    }
+    table_.access(br.pc).update(taken);
 }
 
 void

@@ -21,7 +21,10 @@
 
 namespace copra::predictor {
 
-/** Per-branch block tracking state (exposed for tests). */
+/**
+ * Per-branch block tracking state and its one transition function,
+ * shared by BlockPatternPredictor and the per-address classifier.
+ */
 struct BlockState
 {
     bool seen = false;
@@ -29,6 +32,22 @@ struct BlockState
     uint8_t curRun = 0;     //!< length of the in-progress block so far
     uint8_t lastRun[2] = {255, 255}; //!< last completed block length per
                                      //!< direction, [0]=not-taken [1]=taken
+
+    /**
+     * Continue the current block until it reaches the length of the
+     * last completed block in the same direction, then switch; taken
+     * while cold.
+     */
+    bool
+    predict() const noexcept
+    {
+        if (!seen)
+            return true;
+        return curRun < lastRun[curDir ? 1 : 0] ? curDir : !curDir;
+    }
+
+    /** Train on one outcome (block lengths saturate at 255). */
+    void update(bool taken) noexcept;
 };
 
 /** The paper's block-pattern class predictor. */
@@ -85,8 +104,6 @@ class BlockPatternPredictor : public Predictor
     COPRA_STATE_FIELDS(table_);
 
   private:
-    static constexpr uint8_t kMaxRun = 255;
-
     BtbTable<BlockState> table_;
 };
 

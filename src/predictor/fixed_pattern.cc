@@ -5,44 +5,37 @@
 namespace copra::predictor {
 
 void
-FixedPatternBank::observe(uint64_t pc, bool taken) noexcept
+FixedPatternBank::observe(uint32_t id, bool taken) noexcept
 {
-    BranchCounts &bc = table_[pc];
-    for (unsigned k = 1; k <= kMaxK; ++k)
-        if (bc.ring.kAgo(k) == taken)
-            ++bc.correct[k - 1];
+    BranchCounts &bc = table_[id];
+    if (bc.ring.count >= kMaxK) {
+        // Warm ring: bit k-1 of `agree` says whether the outcome k ago
+        // matches, the same answer as kAgo(k) == taken for every k.
+        const uint32_t agree = taken ? bc.ring.bits : ~bc.ring.bits;
+        for (unsigned k = 0; k < kMaxK; ++k)
+            bc.correct[k] += (agree >> k) & 1u;
+    } else {
+        for (unsigned k = 1; k <= kMaxK; ++k)
+            if (bc.ring.kAgo(k) == taken)
+                ++bc.correct[k - 1];
+    }
     bc.ring.push(taken);
     ++bc.execs;
 }
 
 uint64_t
-FixedPatternBank::bestCorrect(uint64_t pc) const
+FixedPatternBank::bestCorrect(uint32_t id) const
 {
-    auto it = table_.find(pc);
-    if (it == table_.end())
-        return 0;
-    uint64_t best = 0;
-    for (uint64_t c : it->second.correct)
-        best = std::max(best, c);
-    return best;
+    const std::array<uint64_t, kMaxK> &correct = table_[id].correct;
+    return *std::max_element(correct.begin(), correct.end());
 }
 
 unsigned
-FixedPatternBank::bestK(uint64_t pc) const
+FixedPatternBank::bestK(uint32_t id) const
 {
-    auto it = table_.find(pc);
-    if (it == table_.end())
-        return 1;
-    unsigned best_k = 1;
-    uint64_t best = 0;
-    for (unsigned k = 1; k <= kMaxK; ++k) {
-        uint64_t c = it->second.correct[k - 1];
-        if (c > best) {
-            best = c;
-            best_k = k;
-        }
-    }
-    return best_k;
+    const std::array<uint64_t, kMaxK> &correct = table_[id].correct;
+    return static_cast<unsigned>(
+        std::max_element(correct.begin(), correct.end()) - correct.begin()) + 1;
 }
 
 } // namespace copra::predictor

@@ -12,8 +12,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace copra::predictor {
 
@@ -47,9 +48,10 @@ struct OutcomeRing
 
 /**
  * All 32 fixed-length-pattern predictors evaluated simultaneously, with
- * per-branch per-k correct counts. Not a Predictor (it makes 32
- * predictions per branch); used by the per-address classification engine,
- * which needs max-over-k accuracy per branch.
+ * per-branch per-k correct counts, in a table indexed by the trace's
+ * dense static id (trace::SoABlocks::staticIndex()). Not a Predictor
+ * (it makes 32 predictions per branch); used by the per-address
+ * classification engine, which needs max-over-k accuracy per branch.
  */
 class FixedPatternBank
 {
@@ -64,23 +66,23 @@ class FixedPatternBank
         std::array<uint64_t, kMaxK> correct{};
     };
 
-    /** Observe one execution of the branch at @p pc. */
-    void observe(uint64_t pc, bool taken) noexcept;
+    /** @param static_count Number of static ids observe() may carry. */
+    explicit FixedPatternBank(size_t static_count) : table_(static_count) {}
 
-    /** Best correct-count over k for @p pc (0 if unseen). */
-    uint64_t bestCorrect(uint64_t pc) const;
+    /** Observe one execution of the branch with static id @p id. */
+    void observe(uint32_t id, bool taken) noexcept;
 
-    /** The k achieving bestCorrect for @p pc (1 if unseen). */
-    unsigned bestK(uint64_t pc) const;
+    /** Best correct-count over k for @p id (0 if unseen). */
+    uint64_t bestCorrect(uint32_t id) const;
 
-    /** Per-branch table (for iteration by the classifier). */
-    const std::unordered_map<uint64_t, BranchCounts> &table() const
-    {
-        return table_;
-    }
+    /** The smallest k achieving bestCorrect for @p id (1 if unseen). */
+    unsigned bestK(uint32_t id) const;
+
+    /** Per-branch counts, indexed by static id. */
+    const std::vector<BranchCounts> &table() const { return table_; }
 
   private:
-    std::unordered_map<uint64_t, BranchCounts> table_;
+    std::vector<BranchCounts> table_;
 };
 
 } // namespace copra::predictor

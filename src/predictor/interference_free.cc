@@ -60,27 +60,30 @@ IfPas::IfPas(unsigned history_bits)
 }
 
 uint64_t
-IfPas::keyOf(uint64_t pc) const noexcept
+IfPas::keyOf(const BranchHistory &branch) const noexcept
 {
-    auto it = histories_.find(pc);
-    uint64_t hist = it == histories_.end() ? 0 : it->second;
-    // Exact (pc, history) key; see IfGshare::keyOf.
-    return ((pc ^ (pc >> 32)) << 32) ^ hist;
+    // Exact: histories are at most 32 bits, tables are numbered densely.
+    return (uint64_t(branch.table) << 32) | branch.history;
 }
 
 bool
 IfPas::predict(const trace::BranchRecord &br) noexcept
 {
-    auto it = pht_.find(keyOf(br.pc));
+    auto branch = histories_.find(br.pc);
+    if (branch == histories_.end())
+        return Counter2{}.taken();
+    auto it = pht_.find(keyOf(branch->second));
     return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
 }
 
 void
 IfPas::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    pht_[keyOf(br.pc)].update(taken);
-    uint64_t &hist = histories_[br.pc];
-    hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask_;
+    BranchHistory &branch = histories_[br.pc];
+    if (branch.table == 0)
+        branch.table = static_cast<uint32_t>(histories_.size());
+    pht_[keyOf(branch)].update(taken);
+    branch.history = ((branch.history << 1) | (taken ? 1 : 0)) & historyMask_;
 }
 
 void

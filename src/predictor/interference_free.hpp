@@ -79,6 +79,9 @@ class IfGshare : public Predictor
 /**
  * Interference-free PAs: a private history register per static branch
  * (a "very large BTB", paper §4.1.3) and a private PHT per branch.
+ * Each branch gets a table number on first update, and its counters
+ * are keyed by the exact (table, history) pair, so no two branches
+ * ever share one, whatever their pcs.
  */
 class IfPas : public Predictor
 {
@@ -107,7 +110,10 @@ class IfPas : public Predictor
     snapshotState(state::Writer &w) const override
     {
         state::writeMap(w, histories_,
-                        [](state::Writer &out, uint64_t h) { out.u64(h); });
+                        [](state::Writer &out, const BranchHistory &h) {
+                            out.u64(h.history);
+                            out.u32(h.table);
+                        });
         state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
             out.u8(c.v);
         });
@@ -117,7 +123,10 @@ class IfPas : public Predictor
     restoreState(state::Reader &r) override
     {
         state::readMap(r, histories_,
-                       [](state::Reader &in, uint64_t &h) { h = in.u64(); });
+                       [](state::Reader &in, BranchHistory &h) {
+                           h.history = in.u64();
+                           h.table = in.u32();
+                       });
         state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
             c.v = in.u8();
         });
@@ -127,11 +136,19 @@ class IfPas : public Predictor
     COPRA_STATE_FIELDS(histories_, pht_);
 
   private:
-    uint64_t keyOf(uint64_t pc) const noexcept;
+    /** One tracked branch: its history and its private PHT's number. */
+    struct BranchHistory
+    {
+        uint64_t history = 0;
+        uint32_t table = 0; //!< 1 + first-update order; 0 = unassigned
+    };
+
+    /** Counter key of @p branch's current pattern. */
+    uint64_t keyOf(const BranchHistory &branch) const noexcept;
 
     unsigned historyBits_;
     uint64_t historyMask_;
-    std::unordered_map<uint64_t, uint64_t> histories_;
+    std::unordered_map<uint64_t, BranchHistory> histories_;
     std::unordered_map<uint64_t, Counter2> pht_;
 };
 

@@ -9,45 +9,46 @@ LoopPredictor::state(uint64_t pc) const
     return st ? *st : LoopState{};
 }
 
+void
+LoopState::update(bool taken) noexcept
+{
+    if (!seen) {
+        seen = true;
+        dir = taken;
+        run = 1;
+        trip = 255;
+        return;
+    }
+    if (taken == dir) {
+        if (run < 255)
+            ++run;
+    } else {
+        if (run == 0) {
+            // Two consecutive opposite outcomes: the roles are inverted
+            // (e.g. a for-type loop whose body direction we guessed
+            // wrong, or a while-type branch). Flip the body direction.
+            dir = taken;
+            run = 1;
+            trip = 255;
+        } else {
+            // The run ended: remember its length as the trip count.
+            trip = run;
+            run = 0;
+        }
+    }
+}
+
 bool
 LoopPredictor::predict(const trace::BranchRecord &br) noexcept
 {
     const LoopState *st = table_.find(br.pc);
-    if (st == nullptr || !st->seen)
-        return true; // cold: default taken
-    // Predict the body direction for the learned trip count, then one
-    // prediction of the exit direction.
-    return st->run < st->trip ? st->dir : !st->dir;
+    return st == nullptr || st->predict(); // absent: cold, taken
 }
 
 void
 LoopPredictor::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    LoopState &st = table_.access(br.pc);
-    if (!st.seen) {
-        st.seen = true;
-        st.dir = taken;
-        st.run = 1;
-        st.trip = 255;
-        return;
-    }
-    if (taken == st.dir) {
-        if (st.run < kMaxRun)
-            ++st.run;
-    } else {
-        if (st.run == 0) {
-            // Two consecutive opposite outcomes: the roles are inverted
-            // (e.g. a for-type loop whose body direction we guessed
-            // wrong, or a while-type branch). Flip the body direction.
-            st.dir = taken;
-            st.run = 1;
-            st.trip = 255;
-        } else {
-            // The run ended: remember its length as the trip count.
-            st.trip = st.run;
-            st.run = 0;
-        }
-    }
+    table_.access(br.pc).update(taken);
 }
 
 void

@@ -24,13 +24,31 @@
 
 namespace copra::predictor {
 
-/** Per-branch loop tracking state (exposed for tests). */
+/**
+ * Per-branch loop tracking state and its one transition function,
+ * shared by LoopPredictor and the per-address classifier.
+ */
 struct LoopState
 {
     bool seen = false;   //!< any outcome observed yet
     bool dir = true;     //!< the repeated ("body") direction
     uint8_t run = 0;     //!< length of the current same-direction run
     uint8_t trip = 255;  //!< learned n: previous run length of `dir`
+
+    /**
+     * The body direction for the learned trip count, then one
+     * prediction of the exit direction; taken while cold.
+     */
+    bool
+    predict() const noexcept
+    {
+        if (!seen)
+            return true;
+        return run < trip ? dir : !dir;
+    }
+
+    /** Train on one outcome (run lengths saturate at 255). */
+    void update(bool taken) noexcept;
 };
 
 /** The paper's loop-class predictor. */
@@ -84,8 +102,6 @@ class LoopPredictor : public Predictor
     COPRA_STATE_FIELDS(table_);
 
   private:
-    static constexpr uint8_t kMaxRun = 255;
-
     BtbTable<LoopState> table_;
 };
 

@@ -35,7 +35,10 @@ struct BranchRecord
     bool taken = false;  //!< actual outcome (always true for Jump/Call/Return)
 
     /** True for conditional branches, the only kind predictors predict. */
-    bool isConditional() const { return kind == BranchKind::Conditional; }
+    bool isConditional() const noexcept
+    {
+        return kind == BranchKind::Conditional;
+    }
 
     /**
      * True when the taken target precedes the branch: the loop-closing

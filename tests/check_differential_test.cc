@@ -19,6 +19,7 @@
 
 #include "check/differential.hpp"
 #include "check/fuzz.hpp"
+#include "check/record_check.hpp"
 #include "check/ref_models.hpp"
 #include "predictor/two_level.hpp"
 
@@ -71,8 +72,12 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
         options.conditionals = 1500;
         options.minimize = true;
         options.checkParallel = true;
+        // The record-phase bug has no predictor pair: the record
+        // differential over its own fuzzed traces owns it.
         SuiteReport report =
-            runCheckSuite(options, {injectedBugPair(bug)});
+            bug == InjectedBug::OracleRecordLinkOffByOne
+            ? runRecordSuite(options, injectedRecord(bug))
+            : runCheckSuite(options, {injectedBugPair(bug)});
         if (bug == InjectedBug::HotPathAlloc) {
             // Predicts bit-identically while heap-allocating per SoA
             // batch: invisible to every differential path by

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "check/fuzz.hpp"
 #include "check/ref_models.hpp"
 #include "predictor/bimodal.hpp"
@@ -190,18 +193,25 @@ TEST(RefFixedPattern, MatchesTheBankThePaClassifierReads)
     uint64_t long_branches = 0;
     for (uint64_t seed = 0; seed < 20; ++seed) {
         trace::Trace t = fuzzTrace(seed, 1500);
-        predictor::FixedPatternBank bank;
-        for (const BranchRecord &rec : t.records())
+        const trace::SoABlocks &soa = t.soa();
+        predictor::FixedPatternBank bank(soa.staticCount());
+        std::map<uint64_t, uint32_t> id_of;
+        for (size_t i = 0; i < soa.size(); ++i) {
+            const BranchRecord rec = soa.record(i);
+            id_of[rec.pc] = soa.staticIndex()[i];
             if (rec.isConditional())
-                bank.observe(rec.pc, rec.taken);
+                bank.observe(soa.staticIndex()[i], rec.taken);
+        }
+        const size_t executed = static_cast<size_t>(std::count_if(
+            bank.table().begin(), bank.table().end(),
+            [](const auto &counts) { return counts.execs != 0; }));
         for (unsigned k : {1u, 2u, 3u, 31u, 32u}) {
             RefFixedPattern ref(k);
             sim::Ledger ledger;
             sim::run(t, ref, &ledger);
-            ASSERT_EQ(ledger.table().size(), bank.table().size())
-                << "seed=" << seed;
+            ASSERT_EQ(ledger.table().size(), executed) << "seed=" << seed;
             for (const auto &[pc, tally] : ledger.table()) {
-                const auto &counts = bank.table().at(pc);
+                const auto &counts = bank.table()[id_of.at(pc)];
                 ASSERT_EQ(counts.execs, tally.execs) << "pc=" << pc;
                 ASSERT_EQ(counts.correct[k - 1], tally.correct)
                     << "seed=" << seed << " pc=" << pc << " k=" << k;

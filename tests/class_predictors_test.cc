@@ -207,11 +207,11 @@ TEST_P(FixedK, PerfectOnPeriodKPattern)
     std::vector<bool> pattern;
     for (unsigned i = 0; i < k; ++i)
         pattern.push_back((i * 7 + 1) % 3 != 0);
-    FixedPatternBank bank;
+    FixedPatternBank bank(1); // one branch: static id 0
     auto trace = workload::periodicTrace(0x100, pattern, 200);
     for (const auto &rec : trace.records())
-        bank.observe(rec.pc, rec.taken);
-    const auto &counts = bank.table().at(0x100);
+        bank.observe(0, rec.taken);
+    const auto &counts = bank.table()[0];
     // Only the first k predictions (cold ring) may miss.
     EXPECT_GE(counts.correct[k - 1] + k, counts.execs) << "k=" << k;
 }
@@ -225,32 +225,32 @@ TEST(FixedPatternBank, WrongKFailsOnPrimePeriod)
     // Period-7 pattern with alternating-ish content: k=3 must do poorly.
     std::vector<bool> pattern = {true, false, true, true, false, false,
                                  true};
-    FixedPatternBank bank;
+    FixedPatternBank bank(1); // one branch: static id 0
     auto trace = workload::periodicTrace(0x100, pattern, 300);
     for (const auto &rec : trace.records())
-        bank.observe(rec.pc, rec.taken);
-    const auto &counts = bank.table().at(0x100);
+        bank.observe(0, rec.taken);
+    const auto &counts = bank.table()[0];
     EXPECT_LT(100.0 * counts.correct[2] / counts.execs, 80.0);
 }
 
 TEST(FixedPatternBank, FindsTheTruePeriod)
 {
     std::vector<bool> pattern = {true, true, false, true, false};
-    FixedPatternBank bank;
+    FixedPatternBank bank(1); // one branch: static id 0
     auto trace = workload::periodicTrace(0x100, pattern, 200);
     for (const auto &rec : trace.records())
-        bank.observe(rec.pc, rec.taken);
+        bank.observe(0, rec.taken);
     // k = 5 (or a multiple: 10, ...) is optimal; bestK returns the
     // smallest best, which must be a multiple of 5.
-    EXPECT_EQ(bank.bestK(0x100) % 5, 0u);
-    EXPECT_GE(bank.bestCorrect(0x100) + 32, 1000u);
+    EXPECT_EQ(bank.bestK(0) % 5, 0u);
+    EXPECT_GE(bank.bestCorrect(0) + 32, 1000u);
 }
 
 TEST(FixedPatternBank, UnseenBranchDefaults)
 {
-    FixedPatternBank bank;
-    EXPECT_EQ(bank.bestCorrect(0x100), 0u);
-    EXPECT_EQ(bank.bestK(0x100), 1u);
+    FixedPatternBank bank(1);
+    EXPECT_EQ(bank.bestCorrect(0), 0u);
+    EXPECT_EQ(bank.bestK(0), 1u);
 }
 
 } // namespace

@@ -1,9 +1,14 @@
 #!/bin/sh
-# copra_report's CLI contract, on two crafted manifests: perf_base.json
+# copra_report's CLI contract, on crafted manifests: perf_base.json
 # (100M branches/s) and perf_slow.json (10M branches/s, a 90%
-# throughput regression against it).
+# throughput regression against it); perf_oracle_base.json and
+# perf_oracle_slow.json add the selective oracle's phase CPU times
+# (1.0 s and 2.0 s summed, at equal throughput).
 #   - perf-gate exits 0 within the bound, 1 beyond it, and 1 for a
 #     manifest that records no sim.run.branches;
+#   - when both manifests carry the oracle phases, their summed CPU
+#     time is gated by the same bound; when either lacks them, only
+#     throughput is;
 #   - a --max-regress or --threshold that is not a whole number in
 #     [0, 1) ("15%", "abc", "1") is a usage error, exit 2 — never a
 #     silently different bound.
@@ -16,6 +21,8 @@ BIN="$1"
 DATA="$2"
 BASE="$DATA/perf_base.json"
 SLOW="$DATA/perf_slow.json"
+ORACLE_BASE="$DATA/perf_oracle_base.json"
+ORACLE_SLOW="$DATA/perf_oracle_slow.json"
 
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
@@ -55,6 +62,16 @@ expect 2 "negative bound" \
 expect 1 "manifest without sim.run.branches" perf-gate "$DIR/no_branches.json"
 expect 1 "baseline without sim.run.branches" \
     perf-gate "$BASE" --baseline "$DIR/no_branches.json"
+expect 0 "oracle unchanged" \
+    perf-gate "$ORACLE_BASE" --baseline "$ORACLE_BASE"
+expect 0 "oracle speed-up" \
+    perf-gate "$ORACLE_BASE" --baseline "$ORACLE_SLOW"
+expect 1 "oracle CPU doubled beyond the default bound" \
+    perf-gate "$ORACLE_SLOW" --baseline "$ORACLE_BASE"
+expect 0 "oracle CPU doubled within a 0.6 bound" \
+    perf-gate "$ORACLE_SLOW" --baseline "$ORACLE_BASE" --max-regress 0.6
+expect 0 "baseline without oracle phases gates throughput only" \
+    perf-gate "$ORACLE_SLOW" --baseline "$BASE"
 expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
 expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
 expect 2 "diff with a non-numeric threshold" \

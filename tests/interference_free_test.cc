@@ -131,6 +131,17 @@ TEST(IfPas, SeesExitOfShortLoops)
     EXPECT_GT(100.0 * ledger.branch(0x100).accuracy(), 98.0);
 }
 
+TEST(IfPas, PcsFoldingToOneKeyAreDistinctBranches)
+{
+    // pc 0x3 and 0xffff'ffff'ffff'fffc fold to one value under
+    // pc ^ (pc >> 32); each still owns a private PHT. Training the first
+    // must leave the second's cold counter weakly not-taken.
+    IfPas pred(12);
+    pred.update(cond(0x3), true);
+    EXPECT_FALSE(pred.predict(cond(0xffff'ffff'ffff'fffcull)));
+    EXPECT_EQ(pred.branchesTracked(), 1u);
+}
+
 TEST(IfPas, ResetClearsState)
 {
     IfPas pred(8);

@@ -6,9 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "check/fuzz.hpp"
+#include "check/ref_models.hpp"
 #include "core/pa_class.hpp"
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
+#include "predictor/block_pattern.hpp"
+#include "predictor/fixed_pattern.hpp"
+#include "predictor/interference_free.hpp"
+#include "predictor/loop_predictor.hpp"
+#include "sim/driver.hpp"
 #include "util/rng.hpp"
+#include "workload/frontier.hpp"
 #include "workload/patterns.hpp"
+#include "workload/profiles.hpp"
 
 namespace copra::core {
 namespace {
@@ -239,6 +253,88 @@ TEST(PaClassifier, MixedWorkloadCoversAllClasses)
     EXPECT_EQ(classifier.branch(0x200)->cls, PaClass::Repeating);
     EXPECT_EQ(classifier.branch(0x300)->cls, PaClass::IdealStatic);
     EXPECT_EQ(classifier.branch(0x400)->cls, PaClass::NonRepeating);
+}
+
+/**
+ * The classifier keeps its class predictors' state in id-indexed
+ * tables; its witnesses are the public predictors themselves. Replay
+ * @p trace through LoopPredictor, BlockPatternPredictor, IfPas and
+ * RefFixedPattern for every k, and require every branch's counts, the
+ * best fixed k included, to match the classifier's.
+ */
+void
+expectClassifierMatchesWitnesses(const trace::Trace &trace)
+{
+    PaClassifier classifier(trace);
+    auto ledger_of = [&trace](predictor::Predictor &&pred) {
+        sim::Ledger ledger;
+        sim::run(trace, pred, &ledger);
+        return ledger;
+    };
+    const sim::Ledger loop = ledger_of(predictor::LoopPredictor());
+    const sim::Ledger block = ledger_of(predictor::BlockPatternPredictor());
+    const sim::Ledger ifpas = ledger_of(predictor::IfPas(12));
+    std::vector<sim::Ledger> fixed;
+    for (unsigned k = 1; k <= predictor::FixedPatternBank::kMaxK; ++k)
+        fixed.push_back(ledger_of(check::RefFixedPattern(k)));
+
+    const PcRows<PaBranchResult> &rows = classifier.branches();
+    ASSERT_EQ(rows.size(), loop.table().size()) << trace.name();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const auto &[pc, res] = rows[i];
+        ASSERT_EQ(loop.table()[i].first, pc) << trace.name();
+        EXPECT_EQ(res.pc, pc);
+        EXPECT_EQ(res.execs, loop.table()[i].second.execs);
+        EXPECT_EQ(res.loopCorrect, loop.table()[i].second.correct)
+            << trace.name() << " pc=" << pc;
+        EXPECT_EQ(res.blockCorrect, block.table()[i].second.correct)
+            << trace.name() << " pc=" << pc;
+        EXPECT_EQ(res.ifPasCorrect, ifpas.table()[i].second.correct)
+            << trace.name() << " pc=" << pc;
+        uint64_t best = 0;
+        unsigned best_k = 1;
+        for (unsigned k = 1; k <= fixed.size(); ++k) {
+            if (fixed[k - 1].table()[i].second.correct > best) {
+                best = fixed[k - 1].table()[i].second.correct;
+                best_k = k;
+            }
+        }
+        EXPECT_EQ(res.fixedCorrect, best) << trace.name() << " pc=" << pc;
+        EXPECT_EQ(res.bestFixedK, best_k) << trace.name() << " pc=" << pc;
+    }
+}
+
+TEST(PaClassifier, MatchesPublicPredictorsOnFuzzedTraces)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed)
+        expectClassifierMatchesWitnesses(check::fuzzTrace(seed, 2000));
+}
+
+TEST(PaClassifier, MatchesPublicPredictorsOnTheSuite)
+{
+    for (const std::string &name : workload::workloadSuiteNames())
+        expectClassifierMatchesWitnesses(
+            workload::makeBenchmarkTrace(name, 20000, 0));
+}
+
+TEST(PaClassifier, TelemetryTimesEachClassifierOnce)
+{
+    // With telemetry on, each classifier adds one CPU-time sample and
+    // classifies exactly what an untimed one does.
+    auto trace = workload::makeBenchmarkTrace("xlisp", 20000, 0);
+    PaClassifier quiet(trace);
+    obs::Registry::instance().reset();
+    obs::setEnabled(true);
+    PaClassifier timed(trace);
+    PaClassifier again(trace);
+    obs::Snapshot snap = obs::Registry::instance().snapshot();
+    obs::setEnabled(false);
+    obs::Registry::instance().reset();
+
+    const obs::InstrumentId id = obs::ids().simPhasePaClassifierCpuSeconds;
+    EXPECT_EQ(snap.values.at(id).count, 2u);
+    EXPECT_GT(snap.values.at(id).sum, 0.0);
+    EXPECT_EQ(quiet.classFractions(), timed.classFractions());
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
+#include "core/selective.hpp"
 #include "core/tagging.hpp"
 #include "util/rng.hpp"
 
@@ -371,6 +373,56 @@ TEST(HistoryWindow, CollectMatchesReferenceElementByElement)
             }
             EXPECT_TRUE(saw_wide_back) << "depth=" << depth
                                        << " pcs=" << pcs;
+        }
+    }
+}
+
+TEST(RecordWindow, StatesMatchCollectForEveryTag)
+{
+    // RecordWindow answers tags by walking an id's occurrence chain.
+    // Asked one tag at a time, for every tag collect() lists it must report
+    // the same outcome, and for the next instance number of each
+    // listed tag's method (one occurrence older, one transfer further)
+    // it must report whatever collect() says, usually not-in-path.
+    Rng rng(77);
+    for (unsigned depth : {1u, 2u, 16u, 64u}) {
+        for (unsigned pcs : {1u, 5u, 40u}) {
+            HistoryWindow window(depth);
+            RecordWindow record(depth, pcs);
+            std::map<uint64_t, uint32_t> id_of;
+            std::vector<TagState> collected;
+            uint64_t in_path = 0;
+            for (int step = 0; step < 2000; ++step) {
+                for (const BranchRecord &rec : randomRecords(rng, pcs)) {
+                    uint32_t id = id_of
+                        .emplace(rec.pc, static_cast<uint32_t>(id_of.size()))
+                        .first->second;
+                    if (rec.isConditional()) {
+                        window.collect(collected);
+                        for (const TagState &ts : collected) {
+                            for (unsigned extra : {0u, 1u}) {
+                                unsigned num = ts.tag.num() + extra;
+                                if (num > 0xff)
+                                    continue;
+                                Tag tag(ts.tag.pc(), ts.tag.method(),
+                                        static_cast<uint8_t>(num));
+                                const IdTag one{id_of.at(tag.pc()),
+                                                tag.method(),
+                                                static_cast<uint8_t>(num), 0};
+                                ASSERT_EQ(static_cast<TagOutcome>(
+                                              record.states(&one, 1)),
+                                          stateOf(collected, tag))
+                                    << "depth=" << depth << " pcs=" << pcs
+                                    << " step=" << step << " num=" << num;
+                                in_path += extra == 0;
+                            }
+                        }
+                    }
+                    window.push(rec);
+                    record.push(rec, id);
+                }
+            }
+            EXPECT_GT(in_path, 0u);
         }
     }
 }

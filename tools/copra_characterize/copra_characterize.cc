@@ -32,6 +32,7 @@
 #include "trace/trace_io.hpp"
 #include "util/cli.hpp"
 #include "util/env.hpp"
+#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/frontier.hpp"
 #include "workload/profiles.hpp"
@@ -147,6 +148,7 @@ main(int argc, char **argv)
                      "($COPRA_METRICS_OUT; empty = off)");
     if (!parser.parse(argc, argv))
         return 0;
+    fatalIf(branches == 0, "--branches must be at least 1");
     setGlobalPoolThreads(static_cast<unsigned>(threads));
     obs::setEnabled(!metrics_out.empty());
 

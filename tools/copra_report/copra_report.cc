@@ -23,9 +23,12 @@
  *       (sim.run.branches over the summed sim.phase.predictor.seconds
  *       wall time). With --baseline, exit non-zero when throughput
  *       regressed by more than --max-regress (default 0.15) — the CI
- *       bench-perf hard gate. With --json, print a small snapshot
- *       object (committed as BENCH_<n>.json to track the perf
- *       trajectory in-repo).
+ *       bench-perf hard gate. When both manifests also carry the
+ *       selective oracle's sim.phase.oracle.{mine,record,select}
+ *       .cpu_seconds, their summed CPU time is gated the same way
+ *       (baseline seconds over current seconds below 1 - bound
+ *       fails). With --json, print a small snapshot object (committed
+ *       as BENCH_<n>.json to track the perf trajectory in-repo).
  *
  * Exit status: 0 on success, 1 for a failed gate or an unusable
  * manifest, 2 for a usage error — including a --max-regress or
@@ -115,6 +118,33 @@ branchesPerSecond(const obs::Json &manifest)
     return branches / seconds;
 }
 
+/**
+ * The selective oracle's summed phase CPU time in @p manifest (mine +
+ * record + select), or 0 when any of the three is missing: manifests
+ * of harnesses that never run the oracle carry none of them.
+ */
+double
+oracleCpuSeconds(const obs::Json &manifest)
+{
+    static const char *const kPhases[] = {
+        "sim.phase.oracle.mine.cpu_seconds",
+        "sim.phase.oracle.record.cpu_seconds",
+        "sim.phase.oracle.select.cpu_seconds",
+    };
+    double seconds = 0.0;
+    unsigned found = 0;
+    for (const obs::Json &entry : manifest.at("instruments").items()) {
+        const std::string &key = entry.at("key").asString();
+        for (const char *phase : kPhases) {
+            if (key == phase) {
+                seconds += entry.at("sum").asNumber();
+                ++found;
+            }
+        }
+    }
+    return found == 3 ? seconds : 0.0;
+}
+
 int
 runPerfGate(int argc, char **argv)
 {
@@ -164,14 +194,32 @@ runPerfGate(int argc, char **argv)
         std::printf("baseline: %12.0f branches/s (%s)\n"
                     "ratio:    %.3fx\n",
                     base, baseline_path.c_str(), ratio);
+    int status = 0;
     if (ratio < 1.0 - max_regress) {
         std::fprintf(stderr,
                      "copra_report: throughput regressed %.1f%% "
                      "(limit %.1f%%)\n",
                      (1.0 - ratio) * 100.0, max_regress * 100.0);
-        return 1;
+        status = 1;
     }
-    return 0;
+
+    double oracle_now = oracleCpuSeconds(current);
+    double oracle_base = oracleCpuSeconds(baseline);
+    if (oracle_now > 0.0 && oracle_base > 0.0) {
+        double oracle_ratio = oracle_base / oracle_now;
+        if (!as_json)
+            std::printf("oracle:   %12.3f s CPU (baseline %.3f s), "
+                        "speed ratio %.3fx\n",
+                        oracle_now, oracle_base, oracle_ratio);
+        if (oracle_ratio < 1.0 - max_regress) {
+            std::fprintf(stderr,
+                         "copra_report: oracle CPU time regressed %.1f%% "
+                         "(limit %.1f%%)\n",
+                         (1.0 - oracle_ratio) * 100.0, max_regress * 100.0);
+            status = 1;
+        }
+    }
+    return status;
 }
 
 int
