@@ -188,10 +188,7 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
                 ++failed;
             continue;
         }
-        check::SuiteReport report =
-            bug == check::InjectedBug::OracleRecordLinkOffByOne
-            ? check::runRecordSuite(options, check::injectedRecord(bug))
-            : check::runCheckSuite(options, {check::injectedBugPair(bug)});
+        check::SuiteReport report = check::runInjectedSuite(options, bug);
         if (report.ok()) {
             std::printf("MISSED  %s: %llu traces found nothing — the "
                         "harness failed its self-test\n",
@@ -369,12 +366,15 @@ main(int argc, char **argv)
     fatalIf(pairs.empty() && !check_record,
             "no check pairs match filter '" + pairs_filter + "'");
 
-    check::SuiteReport report = check::runCheckSuite(options, pairs);
+    check::SuiteReport report;
+    if (!pairs.empty())
+        report = check::runCheckSuite(options, pairs);
     if (check_record) {
         // The oracle's record phase against its collect-and-probe
         // reference, on its own fuzzed traces.
         check::SuiteReport record =
             check::runRecordSuite(options, core::recordStates<>);
+        report.tracesRun += record.tracesRun;
         report.comparisons += record.comparisons;
         for (check::SuiteFailure &failure : record.failures)
             report.failures.push_back(std::move(failure));

@@ -953,10 +953,9 @@ injectedBugPair(InjectedBug bug)
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
       }
       case InjectedBug::OracleRecordLinkOffByOne:
-        panic("oracle-record-link-off-by-one is a record-phase bug; "
-              "build it with injectedRecord()");
+        break;
     }
-    panic("unknown injected bug");
+    panic(std::string(injectedBugName(bug)) + " has no predictor pair");
 }
 
 } // namespace copra::check

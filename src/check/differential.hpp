@@ -192,7 +192,8 @@ const char *injectedBugName(InjectedBug bug);
 
 /**
  * Pair whose optimized side carries the planted defect. Record-phase
- * bugs have no predictor pair: check::injectedRecord() builds those.
+ * bugs have no predictor pair: check::runInjectedSuite() (in
+ * check/record_check.hpp) runs every bug in the campaign that owns it.
  */
 CheckPair injectedBugPair(InjectedBug bug);
 

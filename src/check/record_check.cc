@@ -353,4 +353,12 @@ injectedRecord(InjectedBug bug)
     };
 }
 
+SuiteReport
+runInjectedSuite(const SuiteOptions &options, InjectedBug bug)
+{
+    if (bug == InjectedBug::OracleRecordLinkOffByOne)
+        return runRecordSuite(options, injectedRecord(bug));
+    return runCheckSuite(options, {injectedBugPair(bug)});
+}
+
 } // namespace copra::check

@@ -89,4 +89,11 @@ SuiteReport runRecordSuite(const SuiteOptions &options,
  */
 RecordFn injectedRecord(InjectedBug bug);
 
+/**
+ * Run the campaign that owns @p bug: the record differential for a
+ * record-phase bug, the predictor suite over injectedBugPair(bug) for
+ * every other.
+ */
+SuiteReport runInjectedSuite(const SuiteOptions &options, InjectedBug bug);
+
 } // namespace copra::check

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.hpp"
 
@@ -19,73 +18,6 @@ entropyOf(double p)
 }
 
 } // namespace
-
-size_t
-TagTable::home(uint64_t key) const
-{
-    // Fibonacci hashing: the product's top bits index the slot array.
-    unsigned bits = static_cast<unsigned>(__builtin_ctzll(slots_.size()));
-    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> (64 - bits));
-}
-
-const Contingency *
-TagTable::find(Tag tag) const
-{
-    if (tag.packed == 0)
-        return hasZero_ ? &zero_ : nullptr;
-    if (slots_.empty())
-        return nullptr;
-    size_t mask = slots_.size() - 1;
-    for (size_t i = home(tag.packed);; i = (i + 1) & mask) {
-        const Slot &slot = slots_[i];
-        if (slot.key == tag.packed)
-            return &slot.counts;
-        if (slot.key == 0)
-            return nullptr;
-    }
-}
-
-Contingency *
-TagTable::find(Tag tag)
-{
-    return const_cast<Contingency *>(std::as_const(*this).find(tag));
-}
-
-Contingency &
-TagTable::insert(Tag tag)
-{
-    ++size_;
-    if (tag.packed == 0) {
-        hasZero_ = true;
-        return zero_;
-    }
-    if (4 * size_ > 3 * slots_.size())
-        grow();
-    size_t mask = slots_.size() - 1;
-    size_t i = home(tag.packed);
-    while (slots_[i].key != 0)
-        i = (i + 1) & mask;
-    slots_[i].key = tag.packed;
-    return slots_[i].counts;
-}
-
-void
-TagTable::grow()
-{
-    // Start at 16 slots: most branches hold a few dozen tags, and a
-    // branch's table only grows as far as its own tag count needs.
-    std::vector<Slot> old(std::max<size_t>(16, 2 * slots_.size()));
-    old.swap(slots_);
-    size_t mask = slots_.size() - 1;
-    for (const Slot &slot : old) {
-        if (slot.key == 0)
-            continue;
-        size_t i = home(slot.key);
-        while (slots_[i].key != 0)
-            i = (i + 1) & mask;
-        slots_[i] = slot;
-    }
-}
 
 CandidateMiner::CandidateMiner(unsigned depth, size_t per_branch_cap)
     : depth_(depth), perBranchCap_(per_branch_cap)
@@ -127,13 +59,13 @@ CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
                 "candidate mining: a branch ran more than 2^32 times; "
                 "mine a shorter prefix");
         for (const TagState &ts : collected) {
-            Contingency *counts = bc.tags.find(ts.tag);
+            Contingency *counts = bc.tags.find(ts.tag.packed);
             if (counts == nullptr) {
                 if (bc.tags.size() >= perBranchCap_) {
                     bc.capped = true;
                     continue;
                 }
-                counts = &bc.tags.insert(ts.tag);
+                counts = &bc.tags.insert(ts.tag.packed);
             }
             ++counts->present[ts.taken ? 1 : 0][rec.taken ? 1 : 0];
         }
@@ -186,7 +118,9 @@ CandidateMiner::topCandidates(uint64_t pc, unsigned k) const
         return scored;
 
     scored.reserve(bc->tags.size());
-    bc->tags.forEach([&](Tag tag, const Contingency &contingency) {
+    bc->tags.forEach([&](uint64_t packed, const Contingency &contingency) {
+        Tag tag;
+        tag.packed = packed;
         scored.push_back({tag, informationGain(*bc, contingency)});
     });
 

@@ -17,6 +17,7 @@
 
 #include "core/tagging.hpp"
 #include "trace/trace.hpp"
+#include "util/flat_map.hpp"
 #include "util/pc_rows.hpp"
 
 namespace copra::core {
@@ -43,58 +44,10 @@ struct ScoredCandidate
 };
 
 /**
- * Open-addressed table of contingencies keyed by Tag::packed: linear
- * probing over a power-of-two slot array that starts small and doubles
- * at 3/4 load. Key 0 marks an empty slot, so the one tag whose packed
- * value is 0 lives in a side slot. Iteration order is the slot order,
- * which callers must not rely on.
+ * A branch's contingencies keyed by Tag::packed. Iteration order is
+ * the slot order, which callers must not rely on.
  */
-class TagTable
-{
-  public:
-    /** Distinct tags held. */
-    size_t size() const { return size_; }
-
-    /** Counts for @p tag, or nullptr when the tag is absent. */
-    const Contingency *find(Tag tag) const;
-
-    /** Counts for @p tag, or nullptr when the tag is absent. */
-    Contingency *find(Tag tag);
-
-    /** Insert @p tag (which must be absent) with zero counts. */
-    Contingency &insert(Tag tag);
-
-    /** Call @p fn(tag, contingency) for every held tag. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        if (hasZero_)
-            fn(Tag{}, zero_);
-        for (const Slot &slot : slots_) {
-            if (slot.key != 0) {
-                Tag tag;
-                tag.packed = slot.key;
-                fn(tag, slot.counts);
-            }
-        }
-    }
-
-  private:
-    struct Slot
-    {
-        uint64_t key = 0;
-        Contingency counts;
-    };
-
-    size_t home(uint64_t key) const;
-    void grow();
-
-    std::vector<Slot> slots_;
-    size_t size_ = 0;
-    bool hasZero_ = false;
-    Contingency zero_;
-};
+using TagTable = FlatMap<Contingency>;
 
 /**
  * Per-static-branch candidate statistics accumulated during mining.

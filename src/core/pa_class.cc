@@ -1,99 +1,18 @@
 #include "core/pa_class.hpp"
 
-#include <bit>
 #include <vector>
 
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "predictor/block_pattern.hpp"
 #include "predictor/fixed_pattern.hpp"
+#include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
+#include "util/flat_map.hpp"
 #include "util/logging.hpp"
 #include "util/sat_counter.hpp"
 
 namespace copra::core {
-
-namespace {
-
-/**
- * Interference-free PAs counters of every branch in one flat table
- * keyed by (static id, history): open addressing with linear probing
- * over a power-of-two slot array, doubled at half load. A branch holds
- * only the patterns its history actually produced, so the table grows
- * with the trace's distinct (branch, pattern) pairs, not with
- * branches * 2^h.
- */
-class IfPasCounters
-{
-  public:
-    IfPasCounters() { resize(1u << 12); }
-
-    /**
-     * The counter of (@p id, @p history), inserted weakly not-taken on
-     * first use, as IfPas's map does.
-     */
-    Counter2 &
-    counter(uint32_t id, uint32_t history)
-    {
-        // id + 1 keeps every key non-zero; 0 marks an empty slot.
-        const uint64_t key = (uint64_t(id) + 1) << 32 | history;
-        size_t slot = home(key);
-        while (keys_[slot] != key) {
-            if (keys_[slot] == 0) {
-                if (2 * (size_ + 1) > keys_.size()) {
-                    grow();
-                    return counter(id, history);
-                }
-                keys_[slot] = key;
-                ++size_;
-                break;
-            }
-            slot = (slot + 1) & mask_;
-        }
-        return counters_[slot];
-    }
-
-  private:
-    size_t
-    home(uint64_t key) const
-    {
-        return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
-    }
-
-    void
-    resize(size_t slots)
-    {
-        keys_.assign(slots, 0);
-        counters_.assign(slots, Counter2{});
-        mask_ = slots - 1;
-        shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-    }
-
-    void
-    grow()
-    {
-        std::vector<uint64_t> keys = std::move(keys_);
-        std::vector<Counter2> counters = std::move(counters_);
-        resize(2 * keys.size());
-        for (size_t i = 0; i < keys.size(); ++i) {
-            if (keys[i] == 0)
-                continue;
-            size_t slot = home(keys[i]);
-            while (keys_[slot] != 0)
-                slot = (slot + 1) & mask_;
-            keys_[slot] = keys[i];
-            counters_[slot] = counters[i];
-        }
-    }
-
-    std::vector<uint64_t> keys_;
-    std::vector<Counter2> counters_;
-    size_t size_ = 0;
-    size_t mask_ = 0;
-    unsigned shift_ = 0; // 64 - log2(slots): home() keeps the top bits
-};
-
-} // namespace
 
 const char *
 paClassName(PaClass cls)
@@ -125,15 +44,17 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
     {
         predictor::LoopState loop;
         predictor::BlockState block;
-        uint32_t history = 0; //!< IF-PAs private history register
+        predictor::PasHistory history; //!< IF-PAs private history
     };
     const trace::SoABlocks &soa = trace.soa();
     std::vector<BranchState> state(soa.staticCount());
     std::vector<PaBranchResult> table(soa.staticCount());
     predictor::FixedPatternBank fixed(soa.staticCount());
-    IfPasCounters ifpas;
-    const uint32_t history_mask =
-        static_cast<uint32_t>((uint64_t(1) << ifpas_history) - 1);
+    // Every branch's IF-PAs counters in one table keyed by (table,
+    // pattern), table = id + 1: it grows with the trace's distinct
+    // (branch, pattern) pairs, not with branches * 2^h.
+    FlatMap<Counter2> ifpas;
+    const uint64_t history_mask = (uint64_t(1) << ifpas_history) - 1;
 
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
@@ -150,10 +71,13 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
             res.blockCorrect += st.block.predict() == taken;
             st.block.update(taken);
 
-            Counter2 &counter = ifpas.counter(id, st.history);
-            res.ifPasCorrect += counter.taken() == taken;
-            counter.update(taken);
-            st.history = ((st.history << 1) | taken) & history_mask;
+            const uint64_t key = st.history.key(id + 1);
+            Counter2 *counter = ifpas.find(key);
+            if (counter == nullptr)
+                counter = &ifpas.insert(key);
+            res.ifPasCorrect += counter->taken() == taken;
+            counter->update(taken);
+            st.history.push(taken, history_mask);
 
             fixed.observe(id, taken);
         }

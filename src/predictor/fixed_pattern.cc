@@ -8,17 +8,15 @@ void
 FixedPatternBank::observe(uint32_t id, bool taken) noexcept
 {
     BranchCounts &bc = table_[id];
-    if (bc.ring.count >= kMaxK) {
-        // Warm ring: bit k-1 of `agree` says whether the outcome k ago
-        // matches, the same answer as kAgo(k) == taken for every k.
-        const uint32_t agree = taken ? bc.ring.bits : ~bc.ring.bits;
-        for (unsigned k = 0; k < kMaxK; ++k)
-            bc.correct[k] += (agree >> k) & 1u;
-    } else {
-        for (unsigned k = 1; k <= kMaxK; ++k)
-            if (bc.ring.kAgo(k) == taken)
-                ++bc.correct[k - 1];
-    }
+    // Bit k-1 of `agree` says whether the outcome k ago matches
+    // `taken`. Before k outcomes are recorded (k > count) the predictor
+    // for k says taken, so that bit agrees iff `taken`.
+    const uint32_t known =
+        bc.ring.count >= kMaxK ? ~0u : (1u << bc.ring.count) - 1;
+    const uint32_t agree = ((taken ? bc.ring.bits : ~bc.ring.bits) & known) |
+        (taken ? ~known : 0u);
+    for (unsigned k = 0; k < kMaxK; ++k)
+        bc.correct[k] += (agree >> k) & 1u;
     bc.ring.push(taken);
     ++bc.execs;
 }

@@ -33,17 +33,6 @@ struct OutcomeRing
             ++count;
     }
 
-    /**
-     * Outcome @p k executions ago (k = 1..32). Returns @p cold_default
-     * when fewer than k outcomes have been recorded.
-     */
-    bool
-    kAgo(unsigned k, bool cold_default = true) const noexcept
-    {
-        if (count < k)
-            return cold_default;
-        return (bits >> (k - 1)) & 1u;
-    }
 };
 
 /**

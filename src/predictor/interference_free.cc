@@ -59,20 +59,14 @@ IfPas::IfPas(unsigned history_bits)
     pht_.reserve(1 << 16);
 }
 
-uint64_t
-IfPas::keyOf(const BranchHistory &branch) const noexcept
-{
-    // Exact: histories are at most 32 bits, tables are numbered densely.
-    return (uint64_t(branch.table) << 32) | branch.history;
-}
-
 bool
 IfPas::predict(const trace::BranchRecord &br) noexcept
 {
     auto branch = histories_.find(br.pc);
     if (branch == histories_.end())
         return Counter2{}.taken();
-    auto it = pht_.find(keyOf(branch->second));
+    const BranchHistory &state = branch->second;
+    auto it = pht_.find(state.history.key(state.table));
     return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
 }
 
@@ -82,8 +76,8 @@ IfPas::update(const trace::BranchRecord &br, bool taken) noexcept
     BranchHistory &branch = histories_[br.pc];
     if (branch.table == 0)
         branch.table = static_cast<uint32_t>(histories_.size());
-    pht_[keyOf(branch)].update(taken);
-    branch.history = ((branch.history << 1) | (taken ? 1 : 0)) & historyMask_;
+    pht_[branch.history.key(branch.table)].update(taken);
+    branch.history.push(taken, historyMask_);
 }
 
 void

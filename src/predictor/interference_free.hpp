@@ -77,6 +77,33 @@ class IfGshare : public Predictor
 };
 
 /**
+ * One branch's interference-free PAs history register: the transition
+ * IfPas and the per-address classifier share.
+ */
+struct PasHistory
+{
+    uint64_t bits = 0; //!< newest outcome in bit 0
+
+    /**
+     * Counter key of the current pattern in private table @p table.
+     * Tables are numbered from 1, so no key is 0; histories are at
+     * most 32 bits, so no two (table, pattern) pairs share a key.
+     */
+    uint64_t
+    key(uint32_t table) const noexcept
+    {
+        return (uint64_t(table) << 32) | bits;
+    }
+
+    /** Shift in @p taken, keeping the bits of @p mask. */
+    void
+    push(bool taken, uint64_t mask) noexcept
+    {
+        bits = ((bits << 1) | (taken ? 1 : 0)) & mask;
+    }
+};
+
+/**
  * Interference-free PAs: a private history register per static branch
  * (a "very large BTB", paper §4.1.3) and a private PHT per branch.
  * Each branch gets a table number on first update, and its counters
@@ -111,7 +138,7 @@ class IfPas : public Predictor
     {
         state::writeMap(w, histories_,
                         [](state::Writer &out, const BranchHistory &h) {
-                            out.u64(h.history);
+                            out.u64(h.history.bits);
                             out.u32(h.table);
                         });
         state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
@@ -124,7 +151,7 @@ class IfPas : public Predictor
     {
         state::readMap(r, histories_,
                        [](state::Reader &in, BranchHistory &h) {
-                           h.history = in.u64();
+                           h.history.bits = in.u64();
                            h.table = in.u32();
                        });
         state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
@@ -139,12 +166,9 @@ class IfPas : public Predictor
     /** One tracked branch: its history and its private PHT's number. */
     struct BranchHistory
     {
-        uint64_t history = 0;
+        PasHistory history;
         uint32_t table = 0; //!< 1 + first-update order; 0 = unassigned
     };
-
-    /** Counter key of @p branch's current pattern. */
-    uint64_t keyOf(const BranchHistory &branch) const noexcept;
 
     unsigned historyBits_;
     uint64_t historyMask_;

@@ -153,8 +153,8 @@ TEST(CandidateMiner, PerBranchCapStopsNewTags)
     }
     ASSERT_EQ(first.size(), 17u);
     for (size_t i = 0; i < 16; ++i)
-        EXPECT_NE(bc->tags.find(first[i]), nullptr) << "tag " << i;
-    EXPECT_EQ(bc->tags.find(first[16]), nullptr);
+        EXPECT_NE(bc->tags.find(first[i].packed), nullptr) << "tag " << i;
+    EXPECT_EQ(bc->tags.find(first[16].packed), nullptr);
 }
 
 TEST(TagTable, InsertFindAndVisitEveryTag)
@@ -166,19 +166,20 @@ TEST(TagTable, InsertFindAndVisitEveryTag)
     for (uint64_t i = 1; i < 300; ++i)
         tags.push_back(Tag(0x40 * i, TagMethod(i & 1), uint8_t(i)));
     for (size_t i = 0; i < tags.size(); ++i) {
-        EXPECT_EQ(table.find(tags[i]), nullptr);
-        table.insert(tags[i]).present[1][0] = static_cast<uint32_t>(i);
+        EXPECT_EQ(table.find(tags[i].packed), nullptr);
+        table.insert(tags[i].packed).present[1][0] = static_cast<uint32_t>(i);
         EXPECT_EQ(table.size(), i + 1);
     }
     for (size_t i = 0; i < tags.size(); ++i) {
-        const Contingency *counts = std::as_const(table).find(tags[i]);
+        const Contingency *counts = std::as_const(table).find(tags[i].packed);
         ASSERT_NE(counts, nullptr);
         EXPECT_EQ(counts->present[1][0], i);
     }
-    EXPECT_EQ(table.find(Tag(0x40, TagMethod::BackwardCount, 9)), nullptr);
+    EXPECT_EQ(table.find(Tag(0x40, TagMethod::BackwardCount, 9).packed),
+              nullptr);
     size_t visited = 0;
-    table.forEach([&](Tag tag, const Contingency &counts) {
-        EXPECT_EQ(tags[counts.present[1][0]], tag);
+    table.forEach([&](uint64_t packed, const Contingency &counts) {
+        EXPECT_EQ(tags[counts.present[1][0]].packed, packed);
         ++visited;
     });
     EXPECT_EQ(visited, tags.size());

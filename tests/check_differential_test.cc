@@ -72,12 +72,7 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
         options.conditionals = 1500;
         options.minimize = true;
         options.checkParallel = true;
-        // The record-phase bug has no predictor pair: the record
-        // differential over its own fuzzed traces owns it.
-        SuiteReport report =
-            bug == InjectedBug::OracleRecordLinkOffByOne
-            ? runRecordSuite(options, injectedRecord(bug))
-            : runCheckSuite(options, {injectedBugPair(bug)});
+        SuiteReport report = runInjectedSuite(options, bug);
         if (bug == InjectedBug::HotPathAlloc) {
             // Predicts bit-identically while heap-allocating per SoA
             // batch: invisible to every differential path by

@@ -182,20 +182,6 @@ TEST(BlockPattern, ResetForgets)
     EXPECT_FALSE(pred.state(0x100).seen);
 }
 
-TEST(OutcomeRing, KAgoIndexing)
-{
-    OutcomeRing ring;
-    ring.push(true);  // 3 ago
-    ring.push(false); // 2 ago
-    ring.push(true);  // 1 ago
-    EXPECT_TRUE(ring.kAgo(1));
-    EXPECT_FALSE(ring.kAgo(2));
-    EXPECT_TRUE(ring.kAgo(3));
-    // Cold beyond recorded depth: returns the default.
-    EXPECT_TRUE(ring.kAgo(4, true));
-    EXPECT_FALSE(ring.kAgo(4, false));
-}
-
 class FixedK : public ::testing::TestWithParam<unsigned>
 {
 };
