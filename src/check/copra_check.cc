@@ -6,12 +6,12 @@
  * every predictor pair (optimized vs reference) and exits non-zero on
  * any per-branch prediction mismatch, printing a minimized reproducer.
  *
- * The same campaign diffs the oracle's record phase against its
- * collect-and-probe reference (pair "oracle-record", on its own fuzzed
- * traces; check/record_check.hpp).
+ * The same campaign diffs the oracle's mine and record phases against
+ * their collect-and-probe references (pairs "oracle-mine" and
+ * "oracle-record", on their own fuzzed traces; check/record_check.hpp).
  *
  * --inject <bug|all> flips into self-test mode: a deliberately broken
- * predictor (or record window) is swapped in, and the exit code is
+ * predictor (or oracle window walk) is swapped in, and the exit code is
  * zero only if the suite *does* catch the bug and shrinks it to a small
  * reproducer — proving the harness can actually detect the class of
  * defect it exists for.
@@ -70,7 +70,8 @@ namespace {
 
 using namespace copra;
 
-/** The --pairs name of the record-phase differential. */
+/** The --pairs names of the oracle-phase differentials. */
+constexpr const char *kMinePairs = "oracle-mine";
 constexpr const char *kRecordPairs = "oracle-record";
 
 /** Write one failure's reproducer as a text trace under @p dir. */
@@ -292,7 +293,7 @@ main(int argc, char **argv)
     if (list_pairs) {
         for (const check::CheckPair &pair : check::defaultCheckPairs())
             std::printf("%s\n", pair.name.c_str());
-        std::printf("%s\n", kRecordPairs);
+        std::printf("%s\n%s\n", kMinePairs, kRecordPairs);
         for (unsigned i = 0; i < check::kInjectedBugCount; ++i) {
             std::printf("injected:%s\n", check::injectedBugName(
                 static_cast<check::InjectedBug>(i)));
@@ -361,22 +362,24 @@ main(int argc, char **argv)
             pair.name.find(pairs_filter) != std::string::npos)
             pairs.push_back(std::move(pair));
     }
-    const bool check_record = std::string(kRecordPairs).find(pairs_filter) !=
-        std::string::npos;
-    fatalIf(pairs.empty() && !check_record,
+    check::OraclePhases oracle = check::oraclePhases();
+    if (std::string(kMinePairs).find(pairs_filter) == std::string::npos)
+        oracle.mine = nullptr;
+    if (std::string(kRecordPairs).find(pairs_filter) == std::string::npos)
+        oracle.record = nullptr;
+    fatalIf(pairs.empty() && !oracle.mine && !oracle.record,
             "no check pairs match filter '" + pairs_filter + "'");
 
     check::SuiteReport report;
     if (!pairs.empty())
         report = check::runCheckSuite(options, pairs);
-    if (check_record) {
-        // The oracle's record phase against its collect-and-probe
-        // reference, on its own fuzzed traces.
-        check::SuiteReport record =
-            check::runRecordSuite(options, core::recordStates<>);
-        report.tracesRun += record.tracesRun;
-        report.comparisons += record.comparisons;
-        for (check::SuiteFailure &failure : record.failures)
+    if (oracle.mine || oracle.record) {
+        // The oracle's mine and record phases against their
+        // collect-and-probe references, on their own fuzzed traces.
+        check::SuiteReport diffs = check::runOracleSuite(options, oracle);
+        report.tracesRun += diffs.tracesRun;
+        report.comparisons += diffs.comparisons;
+        for (check::SuiteFailure &failure : diffs.failures)
             report.failures.push_back(std::move(failure));
     }
     std::fputs(check::formatReport(report).c_str(), stdout);

@@ -868,8 +868,8 @@ injectedBugName(InjectedBug bug)
         return "tage-shadow-state";
       case InjectedBug::HotPathAlloc:
         return "hot-path-alloc";
-      case InjectedBug::OracleRecordLinkOffByOne:
-        return "oracle-record-link-off-by-one";
+      case InjectedBug::OracleWindowBack255:
+        return "oracle-window-back-255";
     }
     return "unknown";
 }
@@ -952,7 +952,7 @@ injectedBugPair(InjectedBug bug)
                 },
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
       }
-      case InjectedBug::OracleRecordLinkOffByOne:
+      case InjectedBug::OracleWindowBack255:
         break;
     }
     panic(std::string(injectedBugName(bug)) + " has no predictor pair");

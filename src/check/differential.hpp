@@ -177,11 +177,13 @@ enum class InjectedBug : uint8_t
                              //!< (it lives under src/check/), so only
                              //!< the runtime allocation gate
                              //!< (check/hot_gates.hpp) can catch it
-    OracleRecordLinkOffByOne, //!< the oracle's record window follows
-                              //!< one method-A link too few; no
-                              //!< predictor is involved, so only the
-                              //!< record differential
-                              //!< (check/record_check.hpp) can catch it
+    OracleWindowBack255,     //!< the oracle's window walk caps
+                             //!< backward distances at 255, so windows
+                             //!< whose entries differ only in 255 vs
+                             //!< 256+ share one id; no predictor is
+                             //!< involved, so only the mine and record
+                             //!< differentials (check/record_check.hpp)
+                             //!< can catch it
 };
 
 /** Number of InjectedBug values. */
@@ -191,7 +193,7 @@ inline constexpr unsigned kInjectedBugCount = 10;
 const char *injectedBugName(InjectedBug bug);
 
 /**
- * Pair whose optimized side carries the planted defect. Record-phase
+ * Pair whose optimized side carries the planted defect. Oracle-phase
  * bugs have no predictor pair: check::runInjectedSuite() (in
  * check/record_check.hpp) runs every bug in the campaign that owns it.
  */

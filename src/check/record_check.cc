@@ -10,8 +10,9 @@
 
 namespace copra::check {
 
+using core::BranchCandidates;
 using core::CandidateMiner;
-using core::IdTag;
+using core::Contingency;
 using core::OracleConfig;
 using core::RecordedBranch;
 using core::Tag;
@@ -20,6 +21,62 @@ using core::TagOutcome;
 using trace::BranchKind;
 using trace::BranchRecord;
 using trace::Trace;
+
+OraclePhases
+oraclePhases()
+{
+    return {[](const Trace &trace, const OracleConfig &config) {
+                CandidateMiner miner(config.historyDepth,
+                                     config.perBranchTagCap);
+                miner.mine(trace, config.mineConditionals);
+                return miner;
+            },
+            [](const trace::SoABlocks &soa, const CandidateMiner &miner,
+               const OracleConfig &config) {
+                core::WindowWalk walk(soa, config.historyDepth);
+                return core::recordStates(walk, miner, config);
+            }};
+}
+
+std::vector<BranchCandidates>
+referenceMine(const Trace &trace, const OracleConfig &config)
+{
+    core::HistoryWindow window(config.historyDepth);
+    std::vector<core::TagState> collected;
+    uint64_t seen = 0;
+    const trace::SoABlocks &soa = trace.soa();
+    std::vector<BranchCandidates> table(soa.staticCount());
+    for (size_t i = 0; i < soa.size(); ++i) {
+        const BranchRecord rec = soa.record(i);
+        if (!rec.isConditional()) {
+            window.push(rec);
+            continue;
+        }
+        if (config.mineConditionals != 0 && seen >= config.mineConditionals)
+            break;
+        ++seen;
+
+        window.collect(collected);
+        BranchCandidates &bc = table[soa.staticIndex()[i]];
+        if (rec.taken)
+            ++bc.execsTaken;
+        else
+            ++bc.execsNotTaken;
+        for (const core::TagState &ts : collected) {
+            Contingency *counts = bc.tags.find(ts.tag.packed);
+            if (counts == nullptr) {
+                if (bc.tags.size() >= config.perBranchTagCap) {
+                    bc.capped = true;
+                    continue;
+                }
+                counts = &bc.tags.insert(ts.tag.packed);
+            }
+            ++counts->present[ts.taken ? 1 : 0][rec.taken ? 1 : 0];
+        }
+        window.push(rec);
+    }
+    return table;
+}
 
 std::vector<RecordedBranch>
 referenceRecordStates(const trace::SoABlocks &soa,
@@ -94,6 +151,28 @@ recordConfigLabel(const OracleConfig &config)
     else if (config.tagFilter == OracleConfig::TagFilter::BackwardOnly)
         filter = "backward";
     return "depth=" + std::to_string(config.historyDepth) + "," + filter;
+}
+
+std::string
+mineConfigLabel(const OracleConfig &config)
+{
+    return "depth=" + std::to_string(config.historyDepth) +
+        ",cap=" + std::to_string(config.perBranchTagCap);
+}
+
+std::vector<OracleConfig>
+mineCheckConfigs()
+{
+    std::vector<OracleConfig> configs;
+    for (unsigned depth : {1u, 16u, 64u}) {
+        for (size_t cap : {OracleConfig{}.perBranchTagCap, size_t{24}}) {
+            OracleConfig config;
+            config.historyDepth = depth;
+            config.perBranchTagCap = cap;
+            configs.push_back(config);
+        }
+    }
+    return configs;
 }
 
 std::vector<OracleConfig>
@@ -240,7 +319,82 @@ firstDifference(const RecordedBranch &want, const RecordedBranch &got)
     return "";
 }
 
+/**
+ * Describe the first difference between a branch's reference mining
+ * statistics and the miner's (nullptr: the miner has no row for it).
+ */
+std::string
+mineDifference(const BranchCandidates &want, const BranchCandidates *got)
+{
+    if (got == nullptr)
+        return want.execs() == 0 ? "" : "not mined";
+    if (want.execs() == 0)
+        return "mined but never ran in the prefix";
+    std::ostringstream os;
+    if (want.execsTaken != got->execsTaken ||
+        want.execsNotTaken != got->execsNotTaken) {
+        os << "executions T/N expected " << want.execsTaken << "/"
+           << want.execsNotTaken << " got " << got->execsTaken << "/"
+           << got->execsNotTaken;
+        return os.str();
+    }
+    if (want.capped != got->capped)
+        return want.capped ? "expected capped" : "capped unexpectedly";
+    if (want.tags.size() != got->tags.size()) {
+        os << "expected " << want.tags.size() << " tags, got "
+           << got->tags.size();
+        return os.str();
+    }
+    // The smallest differing tag, so the report does not depend on the
+    // tables' slot order.
+    bool found = false;
+    Tag first;
+    want.tags.forEach([&](uint64_t packed, const Contingency &counts) {
+        const Contingency *other = got->tags.find(packed);
+        bool same = other != nullptr;
+        for (unsigned t = 0; same && t < 2; ++t)
+            for (unsigned x = 0; x < 2; ++x)
+                same = same && counts.present[t][x] == other->present[t][x];
+        if (!same && (!found || packed < first.packed)) {
+            found = true;
+            first.packed = packed;
+        }
+    });
+    if (!found)
+        return "";
+    os << "tag " << tagName(first)
+       << (got->tags.find(first.packed) == nullptr ? " missing"
+                                                   : " counts differ");
+    return os.str();
+}
+
 } // namespace
+
+DiffResult
+diffMine(const Trace &trace, const OracleConfig &config, const MineFn &mine)
+{
+    const CandidateMiner miner = mine(trace, config);
+    const std::vector<BranchCandidates> want = referenceMine(trace, config);
+    const trace::SoABlocks &soa = trace.soa();
+
+    DiffResult result;
+    Mismatch m;
+    m.pair = "oracle-mine(" + mineConfigLabel(config) + ")";
+    m.path = "mine";
+    m.index = Mismatch::kAggregate;
+    for (size_t id = 0; id < want.size(); ++id) {
+        m.pc = soa.staticPcs()[id];
+        std::string diff = mineDifference(want[id], miner.branch(m.pc));
+        if (diff.empty())
+            continue;
+        std::ostringstream os;
+        os << "branch 0x" << std::hex << m.pc << std::dec << " " << diff;
+        m.detail = os.str();
+        result.mismatches.push_back(m);
+        return result;
+    }
+    return result;
+}
 
 DiffResult
 diffRecord(const Trace &trace, const OracleConfig &config,
@@ -278,19 +432,34 @@ diffRecord(const Trace &trace, const OracleConfig &config,
 }
 
 SuiteReport
-runRecordSuite(const SuiteOptions &options, const RecordFn &record)
+runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
 {
+    // One diff per (phase, config): each checks a trace and says
+    // whether it diverges.
+    std::vector<std::function<DiffResult(const Trace &)>> diffs;
+    if (phases.mine) {
+        for (const OracleConfig &config : mineCheckConfigs())
+            diffs.push_back([config, &phases](const Trace &trace) {
+                return diffMine(trace, config, phases.mine);
+            });
+    }
+    if (phases.record) {
+        for (const OracleConfig &config : recordCheckConfigs())
+            diffs.push_back([config, &phases](const Trace &trace) {
+                return diffRecord(trace, config, phases.record);
+            });
+    }
+
     SuiteReport report;
-    const std::vector<OracleConfig> configs = recordCheckConfigs();
     for (uint64_t t = 0; t < options.traces; ++t) {
         uint64_t seed = options.seedBase + t;
         Trace trace = recordFuzzTrace(seed, options.conditionals);
         ++report.tracesRun;
         obs::count(obs::ids().checkDiffTraces);
-        for (const OracleConfig &config : configs) {
+        for (const auto &diff_of : diffs) {
             ++report.comparisons;
             obs::count(obs::ids().checkDiffComparisons);
-            DiffResult diff = diffRecord(trace, config, record);
+            DiffResult diff = diff_of(trace);
             if (diff.ok())
                 continue;
             obs::count(obs::ids().checkDiffMismatches);
@@ -301,9 +470,7 @@ runRecordSuite(const SuiteOptions &options, const RecordFn &record)
             failure.reproducer = options.minimize
                 ? minimizeTrace(trace,
                                 [&](const Trace &candidate) {
-                                    return !diffRecord(candidate, config,
-                                                       record)
-                                                .ok();
+                                    return !diff_of(candidate).ok();
                                 })
                 : trace;
             report.failures.push_back(std::move(failure));
@@ -312,52 +479,36 @@ runRecordSuite(const SuiteOptions &options, const RecordFn &record)
     return report;
 }
 
-namespace {
-
-/**
- * A RecordWindow whose method-A walk follows one link too few: the
- * newest occurrence answers for num 0 and for num 1, every deeper
- * instance is read one occurrence too new. Method B and the window
- * bookkeeping are inherited intact, so only a branch that recurs in
- * the window can expose it.
- */
-class LinkOffByOneWindow : public core::RecordWindow
+OraclePhases
+injectedOracle(InjectedBug bug)
 {
-  public:
-    using RecordWindow::RecordWindow;
-
-    uint32_t
-    states(const IdTag *pool, size_t n) const noexcept
-    {
-        std::array<IdTag, 15> shifted;
-        for (size_t i = 0; i < n; ++i) {
-            shifted[i] = pool[i];
-            if (shifted[i].method == TagMethod::Occurrence &&
-                shifted[i].num > 0)
-                --shifted[i].num; // BUG: one link short
-        }
-        return RecordWindow::states(shifted.data(), n);
-    }
-};
-
-} // namespace
-
-RecordFn
-injectedRecord(InjectedBug bug)
-{
-    panicIf(bug != InjectedBug::OracleRecordLinkOffByOne,
-            "injectedRecord: not a record-phase bug");
-    return [](const trace::SoABlocks &soa, const CandidateMiner &miner,
-              const OracleConfig &config) {
-        return core::recordStates<LinkOffByOneWindow>(soa, miner, config);
-    };
+    panicIf(bug != InjectedBug::OracleWindowBack255,
+            "injectedOracle: not an oracle bug");
+    // BUG: backward distances cap at 255 instead of 256, so an entry
+    // 255 transfers old (method-B number 255) and one 256 or more old
+    // (no method-B tag) key the same window. Whichever is seen first
+    // decides the tags of both.
+    constexpr uint32_t kBuggyCap = 255;
+    return {[](const Trace &trace, const OracleConfig &config) {
+                CandidateMiner miner(config.historyDepth,
+                                     config.perBranchTagCap);
+                core::WindowWalk walk(trace.soa(), config.historyDepth,
+                                      kBuggyCap);
+                miner.mine(walk, config.mineConditionals);
+                return miner;
+            },
+            [](const trace::SoABlocks &soa, const CandidateMiner &miner,
+               const OracleConfig &config) {
+                core::WindowWalk walk(soa, config.historyDepth, kBuggyCap);
+                return core::recordStates(walk, miner, config);
+            }};
 }
 
 SuiteReport
 runInjectedSuite(const SuiteOptions &options, InjectedBug bug)
 {
-    if (bug == InjectedBug::OracleRecordLinkOffByOne)
-        return runRecordSuite(options, injectedRecord(bug));
+    if (bug == InjectedBug::OracleWindowBack255)
+        return runOracleSuite(options, injectedOracle(bug));
     return runCheckSuite(options, {injectedBugPair(bug)});
 }
 

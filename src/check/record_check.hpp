@@ -1,16 +1,18 @@
 /**
  * @file
- * The selective-history oracle's record phase, checked.
+ * The selective-history oracle's mine and record phases, checked.
  *
- * core::recordStates answers each mined candidate by walking one static
- * id's occurrence chain in a RecordWindow. The reference here is the
- * record phase as first written: per conditional, list every tagged
- * instance in the window (HistoryWindow::collect) and look each one up
- * in the branch's candidate index. The differential campaign replays
- * fuzzed traces through both, at window depths 1, 16 and 64 and under
- * every TagFilter, and diffs the candidate pools and every packed row.
- * A divergent trace is shrunk with the same delta-debugging minimizer
- * the predictor pairs use (check/differential.hpp).
+ * core::CandidateMiner and core::recordStates work per distinct
+ * window of a core::WindowWalk. The references here are both phases
+ * as first written, per conditional: list every tagged instance in the
+ * window (HistoryWindow::collect), then probe each one in the branch's
+ * tag table (mine) or candidate index (record). The differential
+ * campaign replays fuzzed traces through both sides: mine at window
+ * depths 1, 16 and 64 and at the default and a small tag cap, tag for
+ * tag with `capped`; record at the same depths under every TagFilter,
+ * candidate pool and packed row for row. A divergent trace is shrunk
+ * with the same delta-debugging minimizer the predictor pairs use
+ * (check/differential.hpp).
  */
 
 #pragma once
@@ -26,10 +28,33 @@
 
 namespace copra::check {
 
+/** A mine phase under test: the miner after mining under the config. */
+using MineFn = std::function<core::CandidateMiner(
+    const trace::Trace &, const core::OracleConfig &)>;
+
 /** A record phase under test: one RecordedBranch per static id. */
 using RecordFn = std::function<std::vector<core::RecordedBranch>(
     const trace::SoABlocks &, const core::CandidateMiner &,
     const core::OracleConfig &)>;
+
+/** The oracle phases a campaign checks; an empty one is skipped. */
+struct OraclePhases
+{
+    MineFn mine;
+    RecordFn record;
+};
+
+/** Both phases as the oracle runs them, over one core::WindowWalk. */
+OraclePhases oraclePhases();
+
+/**
+ * The collect-and-probe mine phase: for every conditional of the
+ * prefix, collect the window's tagged instances and charge each one in
+ * the branch's tag table, admitting new tags while the table is below
+ * config.perBranchTagCap. One BranchCandidates per static id.
+ */
+std::vector<core::BranchCandidates>
+referenceMine(const trace::Trace &trace, const core::OracleConfig &config);
 
 /**
  * The collect-and-probe record phase: for every conditional, collect
@@ -45,6 +70,9 @@ referenceRecordStates(const trace::SoABlocks &soa,
 /** Display label of a record configuration, e.g. "depth=16,both". */
 std::string recordConfigLabel(const core::OracleConfig &config);
 
+/** Display label of a mine configuration, e.g. "depth=16,cap=24". */
+std::string mineConfigLabel(const core::OracleConfig &config);
+
 /**
  * The configurations a record campaign covers: window depths 1, 16 and
  * 64, each under the Both, OccurrenceOnly and BackwardOnly filters.
@@ -52,16 +80,33 @@ std::string recordConfigLabel(const core::OracleConfig &config);
 std::vector<core::OracleConfig> recordCheckConfigs();
 
 /**
- * An adversarial trace for the record phase, built from three episode
+ * The configurations a mine campaign covers: window depths 1, 16 and
+ * 64, each at the default tag cap and at a cap of 24, small enough that
+ * first-seen admission decides which tags a busy branch keeps.
+ */
+std::vector<core::OracleConfig> mineCheckConfigs();
+
+/**
+ * An adversarial trace for the oracle phases, built from three episode
  * kinds over a small pc pool:
  *  - tight self-loops of 1..80 iterations, so one branch fills the
- *    window and its occurrence chain runs past the oldest entry;
+ *    window and its occurrences run past the oldest entry;
  *  - a branch, then 253..257 backward jumps, then a branch that copies
  *    its outcome, so method-B distances land at and just past 0xff;
  *  - a random mix of conditionals in both directions, forward and
  *    backward jumps, calls and returns.
  */
 trace::Trace recordFuzzTrace(uint64_t seed, uint64_t conditionals);
+
+/**
+ * Mine @p trace with @p mine and with referenceMine() under @p config
+ * and compare, per static branch, the execution counts, `capped` and
+ * every tag's contingency. Returns the first divergence, in static-id
+ * order, as an aggregate Mismatch whose detail names the branch and
+ * the tag; ok() when none.
+ */
+DiffResult diffMine(const trace::Trace &trace,
+                    const core::OracleConfig &config, const MineFn &mine);
 
 /**
  * Mine @p trace at @p config's depth, run @p record and the reference
@@ -75,24 +120,25 @@ DiffResult diffRecord(const trace::Trace &trace,
                       const RecordFn &record);
 
 /**
- * Replay recordFuzzTrace(seed) for the seed range of @p options under
- * every recordCheckConfigs() entry. A failure's pair is
- * "oracle-record(<label>)" and its reproducer is minimized when
- * options.minimize is set.
+ * Replay recordFuzzTrace(seed) for the seed range of @p options through
+ * every phase @p phases holds: mine under every mineCheckConfigs()
+ * entry (pair "oracle-mine(<label>)"), record under every
+ * recordCheckConfigs() entry ("oracle-record(<label>)"). A failure's
+ * reproducer is minimized when options.minimize is set.
  */
-SuiteReport runRecordSuite(const SuiteOptions &options,
-                           const RecordFn &record);
+SuiteReport runOracleSuite(const SuiteOptions &options,
+                           const OraclePhases &phases);
 
 /**
- * The record phase with @p bug planted (only bugs that live in the
- * record phase; see InjectedBug::OracleRecordLinkOffByOne).
+ * Both oracle phases with @p bug planted (only bugs that live in the
+ * oracle; see InjectedBug::OracleWindowBack255).
  */
-RecordFn injectedRecord(InjectedBug bug);
+OraclePhases injectedOracle(InjectedBug bug);
 
 /**
- * Run the campaign that owns @p bug: the record differential for a
- * record-phase bug, the predictor suite over injectedBugPair(bug) for
- * every other.
+ * Run the campaign that owns @p bug: the oracle differentials for an
+ * oracle bug, the predictor suite over injectedBugPair(bug) for every
+ * other.
  */
 SuiteReport runInjectedSuite(const SuiteOptions &options, InjectedBug bug);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/logging.hpp"
 
@@ -28,49 +29,101 @@ CandidateMiner::CandidateMiner(unsigned depth, size_t per_branch_cap)
 void
 CandidateMiner::mine(const trace::Trace &trace, uint64_t max_conditionals)
 {
+    WindowWalk walk(trace.soa(), depth_);
+    mine(walk, max_conditionals);
+}
+
+void
+CandidateMiner::mine(WindowWalk &walk, uint64_t max_conditionals)
+{
     panicIf(mined_, "CandidateMiner::mine called twice");
     mined_ = true;
+    panicIf(walk.depth() != depth_, "candidate mining: walk depth differs");
+    panicIf(max_conditionals != 0 && walk.walked() > max_conditionals,
+            "candidate mining: the walk is past the prefix");
+    walk.walkTo(max_conditionals);
+    const std::vector<uint32_t> &steps = walk.steps();
+    // No window or branch runs more often than the prefix holds
+    // conditionals, so this one compare keeps every 32-bit count below
+    // from wrapping.
+    fatalIf(steps.size() > UINT32_MAX,
+            "candidate mining: more than 2^32 conditionals in the mine "
+            "prefix; mine a shorter prefix");
 
-    HistoryWindow window(depth_);
-    std::vector<TagState> collected;
-    uint64_t seen = 0;
-    const trace::SoABlocks &soa = trace.soa();
-    std::vector<BranchCandidates> table(soa.staticCount());
-
-    for (size_t i = 0; i < soa.size(); ++i) {
-        const trace::BranchRecord rec = soa.record(i);
-        if (!rec.isConditional()) {
-            window.push(rec);
-            continue;
+    // Window ids count up in order of first appearance, so the prefix
+    // saw exactly windows 0..windowCount()-1. Per window and outcome a
+    // block of 8-bit counts: the executions, then per entry position
+    // how many saw it taken; a step's block is step * half (a step is
+    // window << 1 | outcome). No count passes its block's executions,
+    // so a block about to pass 0xff of them first spills its counts
+    // into 32-bit totals. Most windows run a few times, so narrow
+    // blocks keep this table near one byte per entry.
+    const size_t windows = walk.windowCount();
+    const unsigned depth = depth_;
+    const size_t half = depth + 1;
+    std::vector<uint8_t> sums(windows * 2 * half);
+    FlatMap<uint32_t> spilled; // block -> offset of its totals in wide
+    std::vector<uint32_t> wide;
+    uint64_t outcomes = 0; // bit p: outcome of the (p+1)-th last conditional
+    for (uint32_t step : steps) {
+        uint8_t *sum = &sums[step * half];
+        if (sum[0] == UINT8_MAX) {
+            uint32_t *offset = spilled.find(step);
+            if (offset == nullptr) {
+                offset = &spilled.insert(step);
+                *offset = static_cast<uint32_t>(wide.size());
+                wide.resize(wide.size() + half);
+            }
+            for (size_t i = 0; i < half; ++i) {
+                wide[*offset + i] += sum[i];
+                sum[i] = 0;
+            }
         }
-        if (max_conditionals != 0 && seen >= max_conditionals)
-            break;
-        ++seen;
+        ++sum[0];
+        for (unsigned p = 0; p < depth; ++p)
+            sum[1 + p] += static_cast<uint8_t>((outcomes >> p) & 1);
+        outcomes = outcomes << 1 | (step & 1);
+    }
 
-        window.collect(collected);
-        BranchCandidates &bc = table[soa.staticIndex()[i]];
-        if (rec.taken)
-            ++bc.execsTaken;
-        else
-            ++bc.execsNotTaken;
-        // A tag's counts never exceed its branch's executions, so this
-        // one compare keeps every 32-bit Contingency count from wrapping.
-        fatalIf(bc.execs() > UINT32_MAX,
-                "candidate mining: a branch ran more than 2^32 times; "
-                "mine a shorter prefix");
-        for (const TagState &ts : collected) {
-            Contingency *counts = bc.tags.find(ts.tag.packed);
+    // Expand branch by branch, so one branch's tag table stays in cache
+    // across its windows; a branch's windows keep their first-seen
+    // order, the only order its tag admission depends on.
+    const trace::SoABlocks &soa = walk.soa();
+    const std::span<const uint64_t> pcs = soa.staticPcs();
+    std::vector<BranchCandidates> table(soa.staticCount());
+    std::vector<uint32_t> total(2 * half); // the window's counts, widened
+    for (uint32_t w : walk.byBranch(windows)) {
+        for (uint32_t x = 0; x < 2; ++x) {
+            const uint32_t block = w << 1 | x;
+            const uint32_t *offset = spilled.find(block);
+            for (size_t i = 0; i < half; ++i) {
+                total[x * half + i] = sums[block * half + i] +
+                    (offset != nullptr ? wide[*offset + i] : 0);
+            }
+        }
+        BranchCandidates &bc = table[walk.branch(w)];
+        bc.execsNotTaken += total[0];
+        bc.execsTaken += total[half];
+        walk.forEachTag(w, [&](unsigned position, uint64_t id,
+                               TagMethod method, uint8_t num) {
+            const uint64_t packed = Tag(pcs[id], method, num).packed;
+            Contingency *counts = bc.tags.find(packed);
             if (counts == nullptr) {
                 if (bc.tags.size() >= perBranchCap_) {
                     bc.capped = true;
-                    continue;
+                    return;
                 }
-                counts = &bc.tags.insert(ts.tag.packed);
+                counts = &bc.tags.insert(packed);
             }
-            ++counts->present[ts.taken ? 1 : 0][rec.taken ? 1 : 0];
-        }
-        window.push(rec);
+            for (unsigned x = 0; x < 2; ++x) {
+                const uint32_t execs = total[x * half];
+                const uint32_t entry_taken = total[x * half + 1 + position];
+                counts->present[1][x] += entry_taken;
+                counts->present[0][x] += execs - entry_taken;
+            }
+        });
     }
+    std::vector<uint8_t>().swap(sums);
     table_ = rowsFromIds(
         soa.staticPcs(), table,
         [](const BranchCandidates &bc) { return bc.execs() != 0; });

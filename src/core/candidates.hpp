@@ -66,9 +66,23 @@ struct BranchCandidates
 };
 
 /**
- * Mining pass over a trace. Tracks an n-deep HistoryWindow and, for each
- * dynamic conditional branch, charges every tagged instance in the
- * window against the branch's outcome.
+ * Mining pass over a trace. For each dynamic conditional branch it
+ * charges every tagged instance in its n-deep window against the
+ * branch's outcome, one window at a time: a WindowWalk gives every
+ * conditional a window id, the pass sums per window the executions by
+ * outcome and, per window entry, how many of them saw the entry taken,
+ * and only then expands each distinct window into its tags (in order
+ * of first appearance, through forEachWindowTag) and adds the sums to
+ * the branch's table. A window that recurs a thousand times costs one
+ * expansion and one probe per tag; the per-conditional cost is the
+ * walk plus n + 1 counter adds into 8-bit counts that spill to 32-bit
+ * totals every 255 executions of a window. The tags, their counts,
+ * `capped` and which tags a capped branch keeps are those the
+ * per-conditional collect-and-probe miner (check::referenceMine)
+ * produces: a branch's windows expand in first-seen order, the order
+ * that miner first meets their tags in. On the suite traces at 250k
+ * branches, depth 16, mining costs 82-128 ns per mined conditional
+ * with the walk, against 334-441 for collect-and-probe.
  */
 class CandidateMiner
 {
@@ -84,6 +98,13 @@ class CandidateMiner
      * @p trace (0 = the whole trace). May be called once per miner.
      */
     void mine(const trace::Trace &trace, uint64_t max_conditionals = 0);
+
+    /**
+     * The same over @p walk, which must be at this miner's depth and
+     * not yet past the prefix: walks it to the prefix's end, so a
+     * record pass can resume it there.
+     */
+    void mine(WindowWalk &walk, uint64_t max_conditionals = 0);
 
     /**
      * The top @p k candidates for @p pc by information gain, best first.

@@ -80,12 +80,25 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     auto cpu_now = [timed] { return timed ? obs::threadCpuSeconds() : 0.0; };
 
     double start = cpu_now();
-    CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
-    miner.mine(trace, config.mineConditionals);
-    double mined = cpu_now();
+    double mined = 0.0;
     const trace::SoABlocks &soa = trace.soa();
-    const std::vector<RecordedBranch> recorded =
-        recordStates(soa, miner, config_);
+    std::vector<RecordedBranch> recorded(soa.staticCount());
+    {
+        // One walk serves both phases: mine walks the prefix, record
+        // resumes it to the end of the trace.
+        WindowWalk walk(soa, config.historyDepth);
+        std::vector<std::vector<IdTag>> pools;
+        {
+            CandidateMiner miner(config.historyDepth,
+                                 config.perBranchTagCap);
+            miner.mine(walk, config.mineConditionals);
+            mined = cpu_now();
+            pools = assignCandidatePools(soa, miner, config_, recorded);
+        } // the miner's tag tables are freed before the rows grow
+        recordRows(walk, pools, recorded);
+        obs::count(obs::ids().oracleWindows, walk.windowCount());
+        obs::count(obs::ids().oracleConditionals, soa.conditionalCount());
+    } // and the walk before selection
     std::vector<BranchSelection> selections(soa.staticCount());
     for (size_t id = 0; id < recorded.size(); ++id) {
         const std::vector<uint32_t> &rows = recorded[id].rows;
@@ -154,9 +167,124 @@ assignCandidatePools(const trace::SoABlocks &soa,
                                  candidates[c].num(),
                                  static_cast<uint8_t>(c)});
         }
-        sortForWalk(pools[id]);
     }
     return pools;
+}
+
+void
+recordRows(WindowWalk &walk, const std::vector<std::vector<IdTag>> &pools,
+           std::vector<RecordedBranch> &branches)
+{
+    // Each branch's rows are allocated once, at its execution count.
+    const trace::SoABlocks &soa = walk.soa();
+    std::vector<uint64_t> execs(branches.size());
+    for (size_t i = 0; i < soa.size(); ++i) {
+        if (soa.kind()[i] ==
+            static_cast<uint8_t>(trace::BranchKind::Conditional))
+            ++execs[soa.staticIndex()[i]];
+    }
+    for (size_t id = 0; id < branches.size(); ++id)
+        branches[id].rows.reserve(execs[id]);
+
+    // Per window: its branch, which candidates are in its path and,
+    // per in-path candidate, the window entry it reads. base sets every
+    // in-path field to NotTaken (01); a taken entry flips its field to
+    // Taken (10). Filled in at each window's first step.
+    struct WindowFields
+    {
+        uint32_t branch = 0;
+        uint32_t base = 0;
+        uint16_t inPath = 0;
+        std::array<uint8_t, 15> position{};
+    };
+    std::vector<WindowFields> fields;
+    fields.reserve(walk.windowCount());
+
+    // The window's pool by tag, in 32 open-addressed slots (0 = empty,
+    // else 1 + the candidate's field).
+    constexpr unsigned kSlots = 32;
+    auto tag_key = [](uint64_t id, TagMethod method, uint8_t num) {
+        return static_cast<uint32_t>(id << 9 |
+                                     static_cast<uint32_t>(method) << 8 |
+                                     num);
+    };
+    auto home = [](uint32_t key) {
+        return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ull) >> 59);
+    };
+    std::array<uint32_t, kSlots> slot_key{};
+    std::array<uint8_t, kSlots> slot_field{};
+    auto fields_of = [&](uint32_t w) {
+        WindowFields f;
+        f.branch = walk.branch(w);
+        const std::vector<IdTag> &pool = pools[f.branch];
+        if (pool.empty())
+            return f;
+        slot_field.fill(0);
+        uint64_t pool_ids = 0; // bit id % 64 set for each candidate's id
+        for (const IdTag &candidate : pool) {
+            pool_ids |= uint64_t(1) << (candidate.id & 63);
+            const uint32_t key =
+                tag_key(candidate.id, candidate.method, candidate.num);
+            unsigned slot = home(key);
+            while (slot_field[slot] != 0)
+                slot = (slot + 1) % kSlots;
+            slot_key[slot] = key;
+            slot_field[slot] = static_cast<uint8_t>(candidate.field + 1);
+        }
+        // A window lists each tag once, so each field is set once.
+        walk.forEachTag(w, [&](unsigned position, uint64_t id,
+                               TagMethod method, uint8_t num) {
+            if ((pool_ids >> (id & 63) & 1) == 0)
+                return;
+            const uint32_t key = tag_key(id, method, num);
+            for (unsigned slot = home(key); slot_field[slot] != 0;
+                 slot = (slot + 1) % kSlots) {
+                if (slot_key[slot] != key)
+                    continue;
+                const unsigned field = slot_field[slot] - 1u;
+                f.base |= 1u << (2 * field);
+                f.inPath |= static_cast<uint16_t>(1u << field);
+                f.position[field] = static_cast<uint8_t>(position);
+                break;
+            }
+        });
+        return f;
+    };
+
+    uint64_t outcomes = 0; // bit p: outcome of the (p+1)-th last conditional
+    auto record = [&](uint32_t step) {
+        // Window ids count up in order of first appearance, so a new
+        // window's id is the number of windows seen so far.
+        const uint32_t w = step >> 1;
+        if (w == fields.size())
+            fields.push_back(fields_of(w));
+        const WindowFields &f = fields[w];
+        uint32_t row = (step & 1u) << kOutcomeBit | f.base;
+        for (unsigned in_path = f.inPath; in_path != 0;
+             in_path &= in_path - 1) {
+            const unsigned c = static_cast<unsigned>(__builtin_ctz(in_path));
+            const uint32_t taken =
+                static_cast<uint32_t>(outcomes >> f.position[c]) & 1;
+            row ^= taken * 3u << (2 * c);
+        }
+        branches[f.branch].rows.push_back(row);
+        outcomes = outcomes << 1 | (step & 1u);
+    };
+    // The steps the walk kept (mine's prefix), then the rest streamed.
+    for (uint32_t step : walk.steps())
+        record(step);
+    walk.forgetSteps();
+    walk.walkOn(record);
+}
+
+std::vector<RecordedBranch>
+recordStates(WindowWalk &walk, const CandidateMiner &miner,
+             const OracleConfig &config)
+{
+    std::vector<RecordedBranch> branches(walk.soa().staticCount());
+    recordRows(walk, assignCandidatePools(walk.soa(), miner, config, branches),
+               branches);
+    return branches;
 }
 
 uint64_t

@@ -17,26 +17,38 @@
  *     of the selective predictor, as replaying the recorded states
  *     through a fresh 3^m-entry 2-bit-counter table would score it.
  *
- * Cost per dynamic conditional branch, at window depth n and pool K:
+ * Cost per dynamic conditional branch, at window depth n and pool K.
+ * Mine and record share one WindowWalk (core/tagging.hpp): it gives
+ * every conditional a window id, the exact identity of (its static id,
+ * its window's newest-first (static id, capped backward distance)
+ * entries), for one hash probe and one (n + 1)-word key compare. Mine
+ * walks the prefix; record resumes the same walk to the end.
  *
- *  - Mine walks the window once (HistoryWindow::collect is O(n): one
- *    newest-first pass with a small per-pc table), gets up to 2n tagged
- *    instances back and charges each with one probe of the branch's
- *    flat contingency table (TagTable).
- *  - Record collects nothing. Each branch's K candidates are resolved
- *    once to (static id, method, num) and sorted, and RecordWindow
- *    answers them by walking each candidate branch's occurrence chain
- *    once per method: method A counts links, method B stops at the
- *    first occurrence num or more backward transfers old. A row costs
- *    O(K) short walks, not an O(n) collect plus 2n probes: on the
- *    suite traces at fig4's default budgets a row's candidates name
- *    3.2-8.2 distinct branches (mean 4.9), whose walks follow 4.2-16.4
- *    links (mean 10.0).
+ *  - Mine adds n + 1 narrow counts per conditional into its window's
+ *    block (executions by outcome, taken count per entry position),
+ *    then expands each distinct window once into its tags
+ *    (forEachWindowTag, the rule HistoryWindow::collect uses) and
+ *    charges them in the branch's flat contingency table (TagTable):
+ *    2n probes per distinct window, not per conditional.
+ *  - Record matches each distinct window's tags against its branch's
+ *    K candidates once, giving the window entry each in-path candidate
+ *    reads; a row is then the window's base bits plus one outcome bit
+ *    per in-path candidate, read from the last n outcomes.
  *  - Select makes one pass over a branch's rows per size and scores all
  *    K extensions of the current set in it, with K counter tables side
  *    by side: 3 passes per branch instead of K + (K-1) + (K-2) subset
  *    replays. replayScore() stays the reference scorer and scores the
  *    exhaustive mode.
+ *
+ * Windows recur, so the per-window work is small. At depth 16 the
+ * share of conditionals that see a new window is 0.0-9.0% per suite
+ * trace at fig4's 2M branches (1.6% overall) and 0.0-19.2% at 250k
+ * (3.4%); depth 32 roughly triples it (go: 32% at 2M). Single-
+ * threaded on the 11 suite traces at 250k branches (mine 125k, seed 1,
+ * shared 4-core x86-64 VM), mine costs 82-128 ns per mined conditional
+ * (walk included; the collect-and-probe miner took 334-441) and record
+ * 66-97 ns per branch (pools, walk and rows; the chain-walk record
+ * took 106-134).
  *
  * All three phases index their tables by static id; the result is
  * pc-sorted rows (util/pc_rows.hpp).
@@ -146,8 +158,7 @@ std::vector<Tag> candidatePool(const CandidateMiner &miner, uint64_t pc,
 /**
  * Set every static branch's candidatePool() into @p branches (indexed
  * by static id) and return the same pools with each tag's pc resolved
- * to its static id in @p soa and its row field set, in sortForWalk()
- * order.
+ * to its static id in @p soa and its row field set.
  */
 std::vector<std::vector<IdTag>>
 assignCandidatePools(const trace::SoABlocks &soa,
@@ -155,34 +166,27 @@ assignCandidatePools(const trace::SoABlocks &soa,
                      std::vector<RecordedBranch> &branches);
 
 /**
- * The record phase: replay @p soa once and append, per execution of
- * each conditional branch, the state of each of its candidates in a
- * config.historyDepth-deep window. Returns one RecordedBranch per
- * static id. @p Window answers the states (RecordWindow; the check
- * module substitutes planted defects).
+ * The record phase's rows: walk @p walk to the end of its trace and
+ * append, per execution of each conditional branch, the state of each
+ * of its candidates in @p pools to @p branches (both indexed by static
+ * id). Each distinct window's tags are matched against its branch's
+ * pool once, giving the window entry each in-path candidate reads; a
+ * row then reads those entries' outcomes from the last n outcomes.
+ * Reads the steps the walk kept, frees them, and streams the rest of
+ * the trace.
  */
-template <typename Window = RecordWindow>
-std::vector<RecordedBranch>
-recordStates(const trace::SoABlocks &soa, const CandidateMiner &miner,
-             const OracleConfig &config)
-{
-    std::vector<RecordedBranch> branches(soa.staticCount());
-    const std::vector<std::vector<IdTag>> pools =
-        assignCandidatePools(soa, miner, config, branches);
-    Window window(config.historyDepth, soa.staticCount());
-    for (size_t i = 0; i < soa.size(); ++i) {
-        const trace::BranchRecord rec = soa.record(i);
-        const uint32_t id = soa.staticIndex()[i];
-        if (rec.isConditional()) {
-            const std::vector<IdTag> &pool = pools[id];
-            branches[id].rows.push_back(
-                (rec.taken ? (1u << 31) : 0u) |
-                window.states(pool.data(), pool.size()));
-        }
-        window.push(rec, id);
-    }
-    return branches;
-}
+void recordRows(WindowWalk &walk,
+                const std::vector<std::vector<IdTag>> &pools,
+                std::vector<RecordedBranch> &branches);
+
+/**
+ * The whole record phase over @p walk (a walk at config.historyDepth):
+ * assignCandidatePools(), then recordRows(). Returns one RecordedBranch
+ * per static id.
+ */
+std::vector<RecordedBranch> recordStates(WindowWalk &walk,
+                                         const CandidateMiner &miner,
+                                         const OracleConfig &config);
 
 /** Runs the three oracle phases over one trace. */
 class SelectiveOracle

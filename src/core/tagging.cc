@@ -1,6 +1,7 @@
 #include "core/tagging.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/logging.hpp"
 
@@ -39,60 +40,19 @@ HistoryWindow::collect(std::vector<TagState> &out) const noexcept
     // copra-lint: allow(hot-alloc) -- analysis-side, capacity stabilizes
     out.reserve(2 * count_);
 
-    // One newest-first walk of the ring with a per-pc table of what the
-    // walk has seen so far. For method A, the occurrence index of an
-    // entry is how many newer entries share its pc: the pc's running
-    // count. For method B, the instance number is the backward-transfer
-    // count since the entry executed, and only the newest entry per
-    // (pc, num) is reported. `back` never decreases along a newest-first
-    // walk, so a pc's method-B tags come out in nondecreasing num order
-    // and a duplicate can only repeat the pc's previous num: one compare
-    // against the table's last back count replaces a scan of the output.
-    // Depth <= 64 keeps every occurrence index below 0xff.
-    constexpr unsigned kIndexSlots = 2 * kMaxDepth;
-    static_assert(kIndexSlots == 128, "the probe takes 7 hash bits");
-    constexpr uint64_t kNoBack = UINT64_MAX;
-    struct Seen
-    {
-        uint64_t pc;
-        uint64_t lastBack;
-        unsigned occurrences;
-    };
-    // seen[d] is written before index[] first points at it, so only the
-    // small index is zeroed per call.
-    Seen seen[kMaxDepth];
-    uint8_t index[kIndexSlots] = {}; // 0 = empty, else 1 + seen position
-    unsigned distinct = 0;
-
     unsigned slot = head_;
-    for (unsigned i = 0; i < count_; ++i) {
-        slot = (slot == 0 ? depth_ : slot) - 1;
-        const Entry &entry = ring_[slot];
-
-        unsigned probe = static_cast<unsigned>(
-            (entry.pc * 0x9e3779b97f4a7c15ull) >> 57);
-        while (index[probe] != 0 && seen[index[probe] - 1].pc != entry.pc)
-            probe = (probe + 1) & (kIndexSlots - 1);
-        if (index[probe] == 0) {
-            seen[distinct] = {entry.pc, kNoBack, 0};
-            index[probe] = static_cast<uint8_t>(++distinct);
-        }
-        Seen &pc_seen = seen[index[probe] - 1];
-
-        // copra-lint: allow(hot-alloc) -- within the reserve() above
-        out.push_back({Tag(entry.pc, TagMethod::Occurrence,
-                           static_cast<uint8_t>(pc_seen.occurrences++)),
-                       entry.taken});
-
-        uint64_t back = backwardEpoch_ - entry.epoch;
-        if (back <= 0xff && back != pc_seen.lastBack) {
-            pc_seen.lastBack = back;
+    const Entry *entry = nullptr;
+    forEachWindowTag(
+        count_,
+        [&] {
+            slot = (slot == 0 ? depth_ : slot) - 1;
+            entry = &ring_[slot];
+            return WindowEntry{entry->pc, backwardEpoch_ - entry->epoch};
+        },
+        [&](unsigned, uint64_t pc, TagMethod method, uint8_t num) {
             // copra-lint: allow(hot-alloc) -- within the reserve() above
-            out.push_back({Tag(entry.pc, TagMethod::BackwardCount,
-                               static_cast<uint8_t>(back)),
-                           entry.taken});
-        }
-    }
+            out.push_back({Tag(pc, method, num), entry->taken});
+        });
 }
 
 void
@@ -103,75 +63,204 @@ HistoryWindow::clear()
     backwardEpoch_ = 0;
 }
 
-RecordWindow::RecordWindow(unsigned depth, size_t static_count)
-    : depth_(depth), newest_(static_count, 0)
+namespace {
+
+/** The polynomial base of the key hash (odd, so every power is too). */
+constexpr uint64_t kKeyBase = 0x9e3779b97f4a7c15ull;
+
+/** The header's weight in the key hash. */
+constexpr uint64_t kHeaderMix = 0xd6e8feb86659fd93ull;
+
+/** Words below the window kept free, so a window moves rarely. */
+constexpr size_t kBufferSlack = 4096;
+
+/** The mixed hash of a raw key hash. */
+inline uint64_t
+mixHash(uint64_t raw) noexcept
+{
+    raw ^= raw >> 29;
+    raw *= 0xbf58476d1ce4e5b9ull;
+    return raw ^ (raw >> 32);
+}
+
+} // namespace
+
+WindowWalk::WindowWalk(const trace::SoABlocks &soa, unsigned depth,
+                       uint32_t back_cap)
+    : soa_(soa), depth_(depth), backCap_(back_cap), stride_(depth + 1)
 {
     panicIf(depth == 0 || depth > HistoryWindow::kMaxDepth,
             "history window depth must be 1..64");
-    size_t slots = 1;
-    while (slots < depth)
-        slots *= 2;
-    ring_.resize(slots);
-    mask_ = slots - 1;
+    panicIf(back_cap == 0 || back_cap > kBackCap,
+            "window walk distance cap must be 1..256");
+    fatalIf(soa.staticCount() >= (size_t(1) << 23),
+            "window walk: a trace with 2^23 or more static branches does "
+            "not fit a packed window entry");
+    slots_.assign(64, 0);
+    buf_.assign(kBufferSlack + depth, 0);
+    pos_ = kBufferSlack;
+    power_.resize(depth + 1);
+    prefix_.resize(depth + 1);
+    uint64_t power = 1;
+    uint64_t sum = 0;
+    for (unsigned j = 0; j <= depth; ++j) {
+        power_[j] = power;
+        prefix_[j] = sum;
+        sum += power;
+        power *= kKeyBase;
+    }
 }
 
-void
-RecordWindow::push(const trace::BranchRecord &rec, uint32_t id) noexcept
+uint64_t
+WindowWalk::rawHash(const uint32_t *key) const noexcept
 {
-    if (rec.isConditional()) {
-        uint64_t seq = ++pushed_;
-        ring_[seq & mask_] = {backwardEpoch_, newest_[id], rec.taken};
-        newest_[id] = seq;
-    }
-    if (advancesBackwardEpoch(rec))
-        ++backwardEpoch_;
+    const unsigned fill = key[0] & 0x7f;
+    uint64_t sum = key[0] * kHeaderMix;
+    for (unsigned j = 0; j < fill; ++j)
+        sum += key[1 + j] * power_[j];
+    return sum;
 }
 
 uint32_t
-RecordWindow::states(const IdTag *pool, size_t n) const noexcept
+WindowWalk::findOrAdd(const uint32_t *want, uint64_t raw)
 {
-    uint32_t fields = 0;
-    size_t i = 0;
-    while (i < n) {
-        const uint32_t id = pool[i].id;
-        // Method A, ascending num: walk down the chain, counting links.
-        uint64_t seq = newest_[id];
-        unsigned occurrence = 0;
-        for (; i < n && pool[i].id == id &&
-             pool[i].method == TagMethod::Occurrence;
-             ++i) {
-            for (; occurrence < pool[i].num && held(seq); ++occurrence)
-                seq = entry(seq).prev;
-            if (held(seq))
-                fields |= stateBits(entry(seq)) << (2 * pool[i].field);
-        }
-        // Method B, ascending num: backward distances never shrink
-        // along the chain, so the walk stops at the first occurrence at
-        // least num transfers old, the tag's newest instance if the
-        // distance is exactly num.
-        seq = newest_[id];
-        for (; i < n && pool[i].id == id; ++i) {
-            while (held(seq) &&
-                   backwardEpoch_ - entry(seq).epoch < pool[i].num)
-                seq = entry(seq).prev;
-            if (held(seq) && backwardEpoch_ - entry(seq).epoch ==
-                    pool[i].num)
-                fields |= stateBits(entry(seq)) << (2 * pool[i].field);
+    const uint64_t hash = mixHash(raw);
+    const size_t words = 1 + (want[0] & 0x7f);
+    const uint64_t tag = hash >> 32 << 32;
+    size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(hash) & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+        if ((slots_[i] & ~uint64_t(UINT32_MAX)) != tag)
+            continue;
+        const uint32_t window = static_cast<uint32_t>(slots_[i]) - 1;
+        if (std::equal(want, want + words, storedKey(window)))
+            return window;
+    }
+    fatalIf(windows_ >= (size_t(1) << 31),
+            "window walk: 2^31 distinct windows");
+    const uint32_t window = static_cast<uint32_t>(windows_++);
+    slots_[i] = tag | (window + 1);
+    if ((window & (kChunkWindows - 1)) == 0) {
+        keys_.push_back(
+            std::make_unique<uint32_t[]>(kChunkWindows * stride_));
+    }
+    std::copy(want, want + words,
+              &keys_.back()[(window & (kChunkWindows - 1)) * stride_]);
+    if (2 * windows_ > slots_.size()) {
+        // Double at half load; a slot keeps only the hash's top half,
+        // so re-derive each window's hash from its stored key.
+        std::vector<uint64_t> old(2 * slots_.size());
+        old.swap(slots_);
+        mask = slots_.size() - 1;
+        for (uint64_t slot : old) {
+            if (slot == 0)
+                continue;
+            size_t j = static_cast<size_t>(mixHash(rawHash(
+                           storedKey(static_cast<uint32_t>(slot) - 1)))) &
+                mask;
+            while (slots_[j] != 0)
+                j = (j + 1) & mask;
+            slots_[j] = slot;
         }
     }
-    return fields;
+    return window;
 }
 
 void
-sortForWalk(std::vector<IdTag> &pool)
+WindowWalk::age(uint64_t delta) noexcept
 {
-    std::sort(pool.begin(), pool.end(), [](const IdTag &x, const IdTag &y) {
-        if (x.id != y.id)
-            return x.id < y.id;
-        if (x.method != y.method)
-            return x.method < y.method;
-        return x.num < y.num;
-    });
+    // Distances never shrink newest to oldest, so the entries still
+    // below the cap are the newest young_ ones, and those this step
+    // carries to the cap are the oldest of them.
+    uint32_t *entry = &buf_[pos_];
+    const uint32_t step =
+        static_cast<uint32_t>(std::min<uint64_t>(delta, backCap_));
+    unsigned young = young_;
+    while (young > 0 && entryBack(entry[young - 1]) + step >= backCap_) {
+        const uint32_t back = entryBack(entry[young - 1]);
+        entry[young - 1] += backCap_ - back;
+        entryHash_ += (backCap_ - back) * power_[young - 1];
+        --young;
+    }
+    for (unsigned j = 0; j < young; ++j)
+        entry[j] += step;
+    entryHash_ += step * prefix_[young];
+    young_ = young;
+}
+
+std::vector<uint32_t>
+WindowWalk::byBranch(size_t windows) const
+{
+    std::vector<uint32_t> start(soa_.staticCount() + 1);
+    for (uint32_t w = 0; w < windows; ++w)
+        ++start[branch(w) + 1];
+    for (size_t b = 1; b < start.size(); ++b)
+        start[b] += start[b - 1];
+    std::vector<uint32_t> order(windows);
+    for (uint32_t w = 0; w < windows; ++w)
+        order[start[branch(w)]++] = w;
+    return order;
+}
+
+void
+WindowWalk::walkTo(uint64_t conditionals)
+{
+    panicIf(steps_.size() != walked_,
+            "window walk: walkTo() after walkOn()");
+    const uint64_t stop = conditionals == 0
+        ? soa_.conditionalCount()
+        : std::min<uint64_t>(conditionals, soa_.conditionalCount());
+    if (walked_ >= stop)
+        return;
+    steps_.reserve(stop);
+    while (walked_ < stop)
+        steps_.push_back(advance());
+}
+
+uint32_t
+WindowWalk::advance()
+{
+    for (;;) {
+        const size_t i = next_++;
+        const trace::BranchRecord rec = soa_.record(i);
+        if (!rec.isConditional()) {
+            if (advancesBackwardEpoch(rec))
+                ++epoch_;
+            continue;
+        }
+        if (agedTo_ != epoch_) {
+            age(epoch_ - agedTo_);
+            agedTo_ = epoch_;
+        }
+        // The key: the header word just below the entries.
+        const uint32_t id = soa_.staticIndex()[i];
+        uint32_t *key = &buf_[pos_ - 1];
+        key[0] = id << 7 | fill_;
+        const uint32_t window =
+            findOrAdd(key, entryHash_ + key[0] * kHeaderMix);
+
+        // Enter the window at distance 0, over the header; the oldest
+        // entry leaves a full window.
+        const uint32_t entry = id << 9;
+        entryHash_ *= kKeyBase;
+        if (fill_ == depth_)
+            entryHash_ -= buf_[pos_ + depth_ - 1] * power_[depth_];
+        else
+            ++fill_;
+        entryHash_ += entry;
+        buf_[--pos_] = entry;
+        young_ = std::min(young_ + 1, fill_);
+        if (pos_ == 0) {
+            // Move the window to the top of the buffer.
+            std::copy(buf_.begin(), buf_.begin() + fill_,
+                      buf_.end() - fill_);
+            pos_ = buf_.size() - fill_;
+        }
+        if (advancesBackwardEpoch(rec))
+            ++epoch_;
+        ++walked_;
+        return window << 1 | (rec.taken ? 1u : 0u);
+    }
 }
 
 } // namespace copra::core

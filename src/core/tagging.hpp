@@ -22,9 +22,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "trace/branch_record.hpp"
+#include "trace/trace_soa.hpp"
 
 namespace copra::core {
 
@@ -82,7 +84,7 @@ enum class TagOutcome : uint8_t
 /**
  * The method-B iteration boundary: a taken backward conditional branch
  * or a backward unconditional jump. Calls and returns never are. Both
- * windows below advance their epoch by this one rule.
+ * HistoryWindow and WindowWalk advance their epoch by this one rule.
  */
 inline bool
 advancesBackwardEpoch(const trace::BranchRecord &rec) noexcept
@@ -97,6 +99,76 @@ advancesBackwardEpoch(const trace::BranchRecord &rec) noexcept
         break;
     }
     return false;
+}
+
+/** One window entry as the tag rule reads it. */
+struct WindowEntry
+{
+    uint64_t key;  //!< names the entry's branch (its pc or its static id)
+    uint64_t back; //!< backward transfers since the entry executed
+};
+
+/**
+ * The tag rule (§3.2), the one enumeration HistoryWindow::collect and
+ * the oracle's per-window expansion share. Walks @p count entries
+ * newest first, each returned by one call of @p next() as a
+ * WindowEntry, and calls @p emit(i, key, method, num) for entry i
+ * (0 = newest):
+ *
+ *  - method A, always: num = how many newer entries share its key;
+ *  - method B, then, when back <= 0xff and no newer entry with the same
+ *    key had the same back: num = back. The newest instance of a
+ *    (key, num) pair is the one reported.
+ *
+ * One pass with a 128-slot table by key of each key's running
+ * occurrence count and last back. `back` never decreases along a
+ * newest-first walk, so a key's method-B numbers come out
+ * nondecreasing and a duplicate can only repeat the key's previous
+ * one: one compare replaces a scan. Depth <= 64 keeps every
+ * occurrence number below 0xff. O(count).
+ */
+inline void
+forEachWindowTag(unsigned count, auto next, auto emit) noexcept
+{
+    constexpr unsigned kMaxEntries = 64;
+    constexpr unsigned kIndexSlots = 2 * kMaxEntries;
+    static_assert(kIndexSlots == 128, "the probe takes 7 hash bits");
+    constexpr uint64_t kNoBack = UINT64_MAX;
+    struct Seen
+    {
+        uint64_t key;
+        uint64_t lastBack;
+        unsigned occurrences;
+    };
+    // seen[d] is written before index[] first points at it, so only the
+    // small index is zeroed per call.
+    Seen seen[kMaxEntries];
+    uint8_t index[kIndexSlots] = {}; // 0 = empty, else 1 + seen position
+    unsigned distinct = 0;
+
+    for (unsigned i = 0; i < count; ++i) {
+        // copra-lint: allow(hot-unresolved) -- the caller's lambda, scanned in its body
+        const WindowEntry entry = next();
+        unsigned probe = static_cast<unsigned>(
+            (entry.key * 0x9e3779b97f4a7c15ull) >> 57);
+        while (index[probe] != 0 && seen[index[probe] - 1].key != entry.key)
+            probe = (probe + 1) & (kIndexSlots - 1);
+        if (index[probe] == 0) {
+            seen[distinct] = {entry.key, kNoBack, 0};
+            index[probe] = static_cast<uint8_t>(++distinct);
+        }
+        Seen &key_seen = seen[index[probe] - 1];
+
+        // copra-lint: allow(hot-unresolved) -- the caller's lambda, scanned in its body
+        emit(i, entry.key, TagMethod::Occurrence,
+             static_cast<uint8_t>(key_seen.occurrences++));
+        if (entry.back <= 0xff && entry.back != key_seen.lastBack) {
+            key_seen.lastBack = entry.back;
+            // copra-lint: allow(hot-unresolved) -- the caller's lambda, scanned in its body
+            emit(i, entry.key, TagMethod::BackwardCount,
+                 static_cast<uint8_t>(entry.back));
+        }
+    }
 }
 
 /**
@@ -123,8 +195,8 @@ class HistoryWindow
     /**
      * Enumerate the tagged instances of the branches in the path,
      * newest first, both tagging methods per entry (method B entries
-     * deduplicated keeping the most recent). Clears and fills @p out.
-     * One pass over the window: O(depth).
+     * deduplicated keeping the most recent): forEachWindowTag() over
+     * the window's pcs. Clears and fills @p out. O(depth).
      */
     void collect(std::vector<TagState> &out) const noexcept;
 
@@ -170,81 +242,190 @@ struct IdTag
 };
 
 /**
- * Sort @p pool into walk order, by (id, method, num), the order
- * RecordWindow::states() reads it in.
- */
-void sortForWalk(std::vector<IdTag> &pool);
-
-/**
- * The same n-deep window as HistoryWindow, laid out to answer a few
- * tags instead of listing every tag in the path. Each conditional keeps
- * its epoch and outcome plus a link to the previous occurrence of the
- * same static id, and a per-id slot holds the newest occurrence. A tag
- * is answered by walking its id's chain, newest first:
+ * The oracle's one walk over a trace: every conditional gets a window
+ * id, the identity of (its static id, the newest-first list of its
+ * window's entries). An entry is packed as `id << 9 | min(back, 256)`,
+ * the static id of a branch in the window and the backward transfers
+ * since it executed, capped one past the largest method-B number. The
+ * key determines the window's tags exactly (forEachWindowTag over the
+ * entries), so mining and recording can work per distinct window and
+ * read each execution's outcomes from the last n outcomes alone.
  *
- *  - method A: the occurrence num links down the chain is the instance;
- *  - method B: the first occurrence at backward distance num is the
- *    instance; reaching a larger distance means it is not in the path.
+ * Window ids count up from 0 in order of first appearance. Ids are
+ * exact: a hash hit is confirmed by comparing the whole key. Cost per
+ * conditional: one probe and one key compare (n + 1 words); the key is
+ * kept in place and its hash updated in O(1) per push, and a backward
+ * transfer costs one pass over the entries still below the cap. A new
+ * window also copies its key. Windows recur: at depth 16, 1.6% of the
+ * suite's conditionals at fig4's 2M branches (0.0-9.0% per trace) and
+ * 3.4% at 250k (0.0-19.2%) see a window their trace has not produced
+ * before. Memory is per distinct window: n + 1 key words and a 64-bit
+ * hash slot at most half full, plus 4 bytes per conditional that
+ * walkTo() keeps.
  *
- * states() answers all of a pool's method-A tags on one id in one walk
- * and its method-B tags in another, each at most n steps, independent
- * of how many other branches share the window. Every tag's state
- * equals core::stateOf(collected, tag) for the window HistoryWindow
- * would hold after the same pushes.
+ * The walk may stop after a prefix (walkTo()) and resume from there,
+ * keeping the prefix's steps or streaming the rest (walkOn()).
  */
-class RecordWindow
+class WindowWalk
 {
   public:
+    /** Backward distances at or past this share one key value. */
+    static constexpr uint32_t kBackCap = 256;
+
     /**
+     * @param soa Trace to walk; must outlive the walk.
      * @param depth Window depth n (1..HistoryWindow::kMaxDepth).
-     * @param static_count Number of static ids pushes may carry.
+     * @param back_cap Entry distance cap. Ids are exact only above
+     *     0xff; the check module plants a lower one as a defect.
      */
-    RecordWindow(unsigned depth, size_t static_count);
-
-    /** Advance past a record whose static id is @p id. */
-    void push(const trace::BranchRecord &rec, uint32_t id) noexcept;
+    WindowWalk(const trace::SoABlocks &soa, unsigned depth,
+               uint32_t back_cap = kBackCap);
 
     /**
-     * The TagOutcome of each of the @p n tags at @p pool (in
-     * sortForWalk() order), each shifted to its 2-bit field and OR-ed
-     * together.
+     * Walk on until @p conditionals conditionals have a window id
+     * (0 = the whole trace), keeping each one's step in steps(). Never
+     * walks back.
      */
-    uint32_t states(const IdTag *pool, size_t n) const noexcept;
+    void walkTo(uint64_t conditionals);
+
+    /**
+     * Walk on to the end of the trace without keeping steps: call
+     * @p visit(step) for each conditional, in trace order. steps()
+     * keeps what walkTo() walked; walkTo() may not follow.
+     */
+    void
+    walkOn(auto &&visit)
+    {
+        while (walked_ < soa_.conditionalCount())
+            visit(advance());
+    }
+
+    /** The trace walked. */
+    const trace::SoABlocks &soa() const { return soa_; }
+
+    /** Window depth n. */
+    unsigned depth() const { return depth_; }
+
+    /** Conditionals walked so far. */
+    uint64_t walked() const { return walked_; }
+
+    /**
+     * One step per conditional walkTo() walked, in trace order: its
+     * window id << 1 | its outcome.
+     */
+    const std::vector<uint32_t> &steps() const { return steps_; }
+
+    /** Free steps(), once nothing reads them. */
+    void
+    forgetSteps()
+    {
+        std::vector<uint32_t>().swap(steps_);
+    }
+
+    /** Distinct windows seen so far. */
+    size_t windowCount() const { return windows_; }
+
+    /** Static id of the branch that sees @p window. */
+    uint32_t
+    branch(uint32_t window) const
+    {
+        return storedKey(window)[0] >> 7;
+    }
+
+    /** Entries in @p window (< depth only at the trace start). */
+    unsigned
+    fill(uint32_t window) const
+    {
+        return storedKey(window)[0] & 0x7f;
+    }
+
+    /** The fill() entries of @p window, newest first. */
+    const uint32_t *
+    entries(uint32_t window) const
+    {
+        return storedKey(window) + 1;
+    }
+
+    /**
+     * Windows 0..@p windows-1 grouped by branch, in static-id order,
+     * each branch's in first-seen order.
+     */
+    std::vector<uint32_t> byBranch(size_t windows) const;
+
+    /** Static id of a packed entry. */
+    static uint32_t entryId(uint32_t entry) { return entry >> 9; }
+
+    /** Capped backward distance of a packed entry. */
+    static uint32_t entryBack(uint32_t entry) { return entry & 0x1ff; }
+
+    /**
+     * Call @p emit(position, id, method, num) for every tag of
+     * @p window, in forEachWindowTag() order.
+     */
+    void
+    forEachTag(uint32_t window, auto &&emit) const
+    {
+        const uint32_t *entry = entries(window);
+        forEachWindowTag(
+            fill(window),
+            [&entry] {
+                const uint32_t e = *entry++;
+                return WindowEntry{entryId(e), entryBack(e)};
+            },
+            emit);
+    }
 
   private:
-    struct Entry
+    /** The stored key of @p window: header word, then its entries. */
+    const uint32_t *
+    storedKey(uint32_t window) const noexcept
     {
-        uint64_t epoch; // backward epoch when this branch executed
-        uint64_t prev;  // sequence number of the id's previous occurrence
-        bool taken;
-    };
-
-    /** Whether sequence number @p seq (1-based; 0 = none) is held. */
-    bool
-    held(uint64_t seq) const noexcept
-    {
-        return seq != 0 && seq + depth_ > pushed_;
+        return &keys_[window >> kChunkShift]
+                     [(window & (kChunkWindows - 1)) * stride_];
     }
 
-    const Entry &entry(uint64_t seq) const noexcept
-    {
-        return ring_[seq & mask_];
-    }
+    /**
+     * The hash of a key before mixing: the header plus the entries as
+     * a polynomial, entry j weighted by the j-th power of an odd
+     * constant, so a push and a uniform distance step update it in
+     * O(1).
+     */
+    uint64_t rawHash(const uint32_t *key) const noexcept;
 
-    /** The TagOutcome bits of a held occurrence. */
-    static uint32_t
-    stateBits(const Entry &e) noexcept
-    {
-        return static_cast<uint32_t>(e.taken ? TagOutcome::Taken
-                                             : TagOutcome::NotTaken);
-    }
+    /** Id of the window @p want names (raw hash @p raw), added if new. */
+    uint32_t findOrAdd(const uint32_t *want, uint64_t raw);
 
+    /** Add @p delta backward transfers to the window's entries. */
+    void age(uint64_t delta) noexcept;
+
+    /** Walk through the next conditional and return its step. */
+    uint32_t advance();
+
+    const trace::SoABlocks &soa_;
     unsigned depth_;
-    uint64_t mask_;        // ring size - 1; the ring holds >= depth_
-    uint64_t pushed_ = 0;  // conditionals pushed = newest sequence number
-    uint64_t backwardEpoch_ = 0;
-    std::vector<Entry> ring_;
-    std::vector<uint64_t> newest_; // per id: newest sequence number
+    uint32_t backCap_;
+    size_t stride_;          // key words per window: header + depth
+    size_t next_ = 0;        // next record to walk
+    uint64_t walked_ = 0;    // conditionals walked
+    uint64_t epoch_ = 0;     // backward transfers walked
+    uint64_t agedTo_ = 0;    // epoch_ the entries' distances count to
+    // The window, newest first, at buf_[pos_, pos_ + fill_): each push
+    // moves pos_ down one, and the key's header goes just below it.
+    std::vector<uint32_t> buf_;
+    size_t pos_ = 0;
+    unsigned fill_ = 0;
+    unsigned young_ = 0;     // newest entries with a distance below the cap
+    uint64_t entryHash_ = 0; // sum of entry j * power_[j]
+    std::vector<uint64_t> power_;  // B^j, j = 0..depth
+    std::vector<uint64_t> prefix_; // sum of B^i for i < j, j = 0..depth
+    // Keys in fixed chunks of kChunkWindows, so storing one never
+    // copies the others.
+    static constexpr unsigned kChunkShift = 10;
+    static constexpr uint32_t kChunkWindows = 1u << kChunkShift;
+    std::vector<std::unique_ptr<uint32_t[]>> keys_;
+    size_t windows_ = 0;
+    std::vector<uint64_t> slots_;  // hash tag << 32 | window + 1; 0 = empty
+    std::vector<uint32_t> steps_;
 };
 
 } // namespace copra::core

@@ -129,6 +129,17 @@ buildCatalog()
             "CPU time of one SelectiveOracle's subset selection, summed "
             "over the pool threads that ran it",
             "core");
+    add(c, i.oracleWindows, "oracle.windows", Kind::Counter, "windows",
+        "distinct (branch, window) pairs the SelectiveOracle window walk "
+        "found, summed over oracle runs; mine and record work once per "
+        "window",
+        "core");
+    add(c, i.oracleConditionals, "oracle.conditionals", Kind::Counter,
+        "branches",
+        "conditional branches the SelectiveOracle window walk gave a "
+        "window id, summed over oracle runs (the oracle.windows "
+        "denominator)",
+        "core");
     addHist(c, i.simPhasePaClassifierCpuSeconds,
             "sim.phase.pa_classifier.cpu_seconds", "seconds",
             "thread CPU time of one PaClassifier's class-predictor pass",

@@ -1,5 +1,9 @@
 #include "predictor/interference_free.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -10,16 +14,6 @@ IfGshare::IfGshare(unsigned history_bits)
     fatalIf(history_bits == 0 || history_bits > 32,
             "IF gshare history bits must be in 1..32");
     pht_.reserve(1 << 16);
-}
-
-uint64_t
-IfGshare::keyOf(uint64_t pc) const noexcept
-{
-    // A private PHT per branch == counters keyed by the exact
-    // (pc, history) pair. pc values fit in 32 bits for every workload in
-    // this repo, so the packed key is collision-free; wider pcs fold
-    // their high bits in and merely degrade to (excellent) hashing.
-    return ((pc ^ (pc >> 32)) << 32) ^ history_.value();
 }
 
 bool
@@ -34,6 +28,42 @@ IfGshare::update(const trace::BranchRecord &br, bool taken) noexcept
 {
     pht_[keyOf(br.pc)].update(taken);
     history_.push(taken);
+}
+
+void
+IfGshare::snapshotState(state::Writer &w) const
+{
+    w.u64(history_.value());
+    std::vector<std::pair<Key, uint8_t>> counters;
+    counters.reserve(pht_.size());
+    // copra-lint: allow(unordered-iter) -- sorted below before writing
+    for (const auto &[key, counter] : pht_)
+        counters.emplace_back(key, counter.v);
+    std::sort(counters.begin(), counters.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first.pc != b.first.pc
+                      ? a.first.pc < b.first.pc
+                      : a.first.history < b.first.history;
+              });
+    w.u64(counters.size());
+    for (const auto &[key, v] : counters) {
+        w.u64(key.pc);
+        w.u64(key.history);
+        w.u8(v);
+    }
+}
+
+void
+IfGshare::restoreState(state::Reader &r)
+{
+    history_.set(r.u64());
+    pht_.clear();
+    for (uint64_t n = r.u64(); n > 0; --n) {
+        Key key;
+        key.pc = r.u64();
+        key.history = r.u64();
+        pht_[key].v = r.u8();
+    }
 }
 
 void

@@ -23,7 +23,8 @@ namespace copra::predictor {
 /**
  * Interference-free gshare: a global history register, with a private
  * pattern history table per static branch (realized as a hash map keyed
- * by (pc, history)). Identical inputs to gshare, zero aliasing.
+ * by the exact (pc, history) pair). Identical inputs to gshare, zero
+ * aliasing.
  */
 class IfGshare : public Predictor
 {
@@ -47,33 +48,38 @@ class IfGshare : public Predictor
         return historyBits_ + uint64_t(2) * pht_.size();
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        w.u64(history_.value());
-        state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
-            out.u8(c.v);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        history_.set(r.u64());
-        state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
-            c.v = in.u8();
-        });
-    }
+    void snapshotState(state::Writer &w) const override;
+    void restoreState(state::Reader &r) override;
 
     COPRA_CONFIG_FIELDS(historyBits_);
     COPRA_STATE_FIELDS(history_, pht_);
 
   private:
-    uint64_t keyOf(uint64_t pc) const noexcept;
+    /** A counter's key: the exact (branch, history) pair. */
+    struct Key
+    {
+        uint64_t pc = 0;
+        uint64_t history = 0;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        size_t
+        operator()(const Key &key) const noexcept
+        {
+            return static_cast<size_t>(
+                (key.pc * 0x9e3779b97f4a7c15ull) ^
+                (key.history * 0xc2b2ae3d27d4eb4full));
+        }
+    };
+
+    Key keyOf(uint64_t pc) const noexcept { return {pc, history_.value()}; }
 
     unsigned historyBits_;
     HistoryRegister history_;
-    std::unordered_map<uint64_t, Counter2> pht_;
+    std::unordered_map<Key, Counter2, KeyHash> pht_;
 };
 
 /**

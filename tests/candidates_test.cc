@@ -10,7 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "check/record_check.hpp"
 #include "core/candidates.hpp"
+#include "core/oracle.hpp"
 #include "util/rng.hpp"
 #include "workload/patterns.hpp"
 
@@ -219,12 +221,96 @@ TEST(CandidateMiner, InPathCandidateIsMined)
     EXPECT_TRUE(found_v);
 }
 
+/** Whether two branches' mining statistics agree tag for tag. */
+void
+expectSameCandidates(const BranchCandidates &want,
+                     const BranchCandidates &got)
+{
+    EXPECT_EQ(got.execsTaken, want.execsTaken);
+    EXPECT_EQ(got.execsNotTaken, want.execsNotTaken);
+    EXPECT_EQ(got.capped, want.capped);
+    ASSERT_EQ(got.tags.size(), want.tags.size());
+    want.tags.forEach([&](uint64_t packed, const Contingency &counts) {
+        const Contingency *other = got.tags.find(packed);
+        ASSERT_NE(other, nullptr) << "tag " << packed;
+        for (unsigned t = 0; t < 2; ++t)
+            for (unsigned x = 0; x < 2; ++x)
+                EXPECT_EQ(other->present[t][x], counts.present[t][x])
+                    << "tag " << packed << " [" << t << "][" << x << "]";
+    });
+}
+
+TEST(CandidateMiner, WindowsRunningThousandsOfTimesKeepExactCounts)
+{
+    // A self-loop repeats one window thousands of times, far past what
+    // a narrow per-window count holds before it spills; every
+    // contingency must still equal the collect-and-probe reference's.
+    trace::Trace t("hot-loop");
+    Rng rng(12);
+    for (int round = 0; round < 3; ++round) {
+        for (int trip = 0; trip < 2000; ++trip)
+            t.append({0x200, 0x1c0, trace::BranchKind::Conditional, true});
+        t.append({0x200, 0x1c0, trace::BranchKind::Conditional, false});
+        for (int i = 0; i < 40; ++i) {
+            t.append({0x300, 0x340, trace::BranchKind::Conditional,
+                      rng.bernoulli(0.5)});
+        }
+    }
+    for (unsigned depth : {1u, 4u, 16u}) {
+        OracleConfig config;
+        config.historyDepth = depth;
+        CandidateMiner miner(depth);
+        miner.mine(t);
+        const std::vector<BranchCandidates> want =
+            check::referenceMine(t, config);
+        for (size_t id = 0; id < want.size(); ++id) {
+            const BranchCandidates *got =
+                miner.branch(t.soa().staticPcs()[id]);
+            ASSERT_NE(got, nullptr);
+            expectSameCandidates(want[id], *got);
+        }
+        EXPECT_GT(miner.branch(0x200)->execs(), 6000u);
+    }
+}
+
+TEST(CandidateMiner, MiningAWalkEqualsMiningTheTrace)
+{
+    // The oracle mines through a walk it then resumes for recording;
+    // mining that walk must equal mining the trace, and leave the walk
+    // at the prefix's end.
+    auto trace = workload::inPathTrace(0x100, 0.5, 0.5, 0.5, 5000, 3);
+    CandidateMiner direct(16);
+    direct.mine(trace, 3000);
+    CandidateMiner walked(16);
+    WindowWalk walk(trace.soa(), 16);
+    walked.mine(walk, 3000);
+    EXPECT_EQ(walk.walked(), 3000u);
+    for (uint64_t pc : trace.soa().staticPcs()) {
+        const BranchCandidates *want = direct.branch(pc);
+        const BranchCandidates *got = walked.branch(pc);
+        ASSERT_EQ(want == nullptr, got == nullptr);
+        if (want != nullptr)
+            expectSameCandidates(*want, *got);
+    }
+}
+
 TEST(CandidateMinerDeath, MiningTwiceIsABug)
 {
     auto trace = workload::biasedTrace(0x100, 0.5, 10, 1);
     CandidateMiner miner(8);
     miner.mine(trace);
     EXPECT_DEATH(miner.mine(trace), "twice");
+}
+
+TEST(CandidateMinerDeath, AWalkPastThePrefixIsABug)
+{
+    auto trace = workload::biasedTrace(0x100, 0.5, 100, 1);
+    WindowWalk walk(trace.soa(), 8);
+    walk.walkTo(50);
+    CandidateMiner miner(8);
+    EXPECT_DEATH(miner.mine(walk, 20), "past the prefix");
+    CandidateMiner deeper(16);
+    EXPECT_DEATH(deeper.mine(walk, 60), "depth differs");
 }
 
 } // namespace

@@ -1,16 +1,16 @@
 /**
- * @file
- * The record-phase differential: core::recordStates against the
- * collect-and-probe reference (check/record_check.hpp), row for row,
- * over fuzzed traces at window depths 1, 16 and 64 under every tag
- * filter, plus proof that the fuzzed traces reach the edges the
- * occurrence-chain walk has to get right and that the planted
- * link-off-by-one bug is caught and shrunk.
+ * The oracle-phase differentials: core::CandidateMiner and
+ * core::recordStates against the collect-and-probe references
+ * (check/record_check.hpp), tag for tag and row for row, over fuzzed
+ * traces at window depths 1, 16 and 64, plus proof that the fuzzed
+ * traces reach the edges the window walk has to get right and that the
+ * planted window-id defect is caught and shrunk by both phases.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 
 #include "check/record_check.hpp"
@@ -39,30 +39,61 @@ TEST(RecordCheck, ConfigsCoverEveryDepthAndFilter)
     }
 }
 
-TEST(RecordCheck, RecordMatchesReferenceOnFuzzedTraces)
+TEST(RecordCheck, MineConfigsCoverEveryDepthAndCap)
+{
+    std::set<std::pair<unsigned, size_t>> seen;
+    for (const OracleConfig &config : mineCheckConfigs())
+        seen.emplace(config.historyDepth, config.perBranchTagCap);
+    for (unsigned depth : {1u, 16u, 64u}) {
+        EXPECT_TRUE(seen.count({depth, OracleConfig{}.perBranchTagCap}))
+            << "depth " << depth;
+        EXPECT_TRUE(seen.count({depth, 24})) << "depth " << depth;
+    }
+}
+
+TEST(RecordCheck, OraclePhasesMatchReferencesOnFuzzedTraces)
 {
     SuiteOptions options;
     options.seedBase = 1;
     options.traces = 30;
     options.conditionals = 3000;
-    SuiteReport report = runRecordSuite(options, core::recordStates<>);
+    SuiteReport report = runOracleSuite(options, oraclePhases());
     EXPECT_EQ(report.tracesRun, 30u);
-    EXPECT_EQ(report.comparisons, 30u * recordCheckConfigs().size());
+    EXPECT_EQ(report.comparisons,
+              30u * (mineCheckConfigs().size() + recordCheckConfigs().size()));
     EXPECT_TRUE(report.ok()) << formatReport(report);
+}
+
+TEST(RecordCheck, EachPhaseRunsAlone)
+{
+    SuiteOptions options;
+    options.seedBase = 1;
+    options.traces = 2;
+    options.conditionals = 500;
+    OraclePhases mine_only = oraclePhases();
+    mine_only.record = nullptr;
+    EXPECT_EQ(runOracleSuite(options, mine_only).comparisons,
+              2u * mineCheckConfigs().size());
+    OraclePhases record_only = oraclePhases();
+    record_only.mine = nullptr;
+    EXPECT_EQ(runOracleSuite(options, record_only).comparisons,
+              2u * recordCheckConfigs().size());
 }
 
 TEST(RecordCheck, FuzzedTracesReachTheWalkEdges)
 {
-    // The chain walk has three edges the reference handles implicitly:
+    // The window walk has four edges the references handle implicitly:
     // a method-B candidate near the 0xff limit, both in the path (its
     // distance hit) and out of it (the distance went one past); a
-    // deeper method-A instance in the path; and a branch that runs
-    // more than the deepest window's worth of times in a row, so its
-    // chain outlives the window.
+    // deeper method-A instance in the path; a branch that runs more
+    // than the deepest window's worth of times in a row, so its
+    // occurrences outlive the window; and a branch with more distinct
+    // tags than the small cap, so first-seen admission decides.
     uint64_t b_edge_in = 0;
     uint64_t b_edge_out = 0;
     uint64_t a_deep_in = 0;
     uint64_t longest_run = 0;
+    uint64_t capped = 0;
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         trace::Trace trace = recordFuzzTrace(seed, 3000);
         const trace::SoABlocks &soa = trace.soa();
@@ -77,6 +108,10 @@ TEST(RecordCheck, FuzzedTracesReachTheWalkEdges)
         }
         OracleConfig config;
         config.historyDepth = 16;
+        config.perBranchTagCap = 24;
+        for (const core::BranchCandidates &bc : referenceMine(trace, config))
+            capped += bc.capped;
+        config.perBranchTagCap = OracleConfig{}.perBranchTagCap;
         core::CandidateMiner miner(config.historyDepth);
         miner.mine(trace);
         for (const RecordedBranch &branch :
@@ -102,39 +137,50 @@ TEST(RecordCheck, FuzzedTracesReachTheWalkEdges)
     EXPECT_GT(b_edge_out, 0u);
     EXPECT_GT(a_deep_in, 0u);
     EXPECT_GT(longest_run, 64u);
+    EXPECT_GT(capped, 0u);
 }
 
-TEST(RecordCheck, LinkOffByOneIsCaughtAndShrunk)
+TEST(RecordCheck, WindowBack255IsCaughtAndShrunkByBothPhases)
 {
     SuiteOptions options;
     options.seedBase = 1;
     options.traces = 4;
     options.conditionals = 1000;
-    SuiteReport report = runRecordSuite(
-        options, injectedRecord(InjectedBug::OracleRecordLinkOffByOne));
-    ASSERT_FALSE(report.ok()) << "planted record bug was not caught";
+    const OraclePhases buggy =
+        injectedOracle(InjectedBug::OracleWindowBack255);
+    SuiteReport report = runOracleSuite(options, buggy);
+    ASSERT_FALSE(report.ok()) << "planted window-id bug was not caught";
+    std::set<std::string> paths;
     for (const SuiteFailure &failure : report.failures) {
-        EXPECT_EQ(failure.first.path, "record");
+        paths.insert(failure.first.path);
         EXPECT_GT(failure.reproducer.size(), 0u);
         EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
         // The shrunk trace still fails under the same configuration.
         bool still_fails = false;
+        for (const OracleConfig &config : mineCheckConfigs()) {
+            if (failure.pair == "oracle-mine(" + mineConfigLabel(config) +
+                    ")")
+                still_fails = !diffMine(failure.reproducer, config,
+                                        buggy.mine)
+                                   .ok();
+        }
         for (const OracleConfig &config : recordCheckConfigs()) {
             if (failure.pair == "oracle-record(" +
                     recordConfigLabel(config) + ")")
-                still_fails = !diffRecord(
-                    failure.reproducer, config,
-                    injectedRecord(InjectedBug::OracleRecordLinkOffByOne))
+                still_fails = !diffRecord(failure.reproducer, config,
+                                          buggy.record)
                                    .ok();
         }
         EXPECT_TRUE(still_fails) << failure.pair;
     }
+    EXPECT_TRUE(paths.count("mine")) << "mine missed the bug";
+    EXPECT_TRUE(paths.count("record")) << "record missed the bug";
 }
 
-TEST(RecordCheckDeath, PredictorBugsHaveNoRecordForm)
+TEST(RecordCheckDeath, PredictorBugsHaveNoOracleForm)
 {
-    EXPECT_DEATH(injectedRecord(InjectedBug::LoopTripOffByOne),
-                 "not a record-phase bug");
+    EXPECT_DEATH(injectedOracle(InjectedBug::LoopTripOffByOne),
+                 "not an oracle bug");
 }
 
 } // namespace

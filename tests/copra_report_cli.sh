@@ -9,6 +9,9 @@
 #   - when both manifests carry the oracle phases, their summed CPU
 #     time is gated by the same bound; when either lacks them, only
 #     throughput is;
+#   - a manifest with the oracle phases and no throughput (fig5) gates
+#     its oracle CPU time alone; one with neither, or two that share
+#     no gated quantity, exit 1;
 #   - a --max-regress or --threshold that is not a whole number in
 #     [0, 1) ("15%", "abc", "1") is a usage error, exit 2 — never a
 #     silently different bound.
@@ -27,6 +30,8 @@ ORACLE_SLOW="$DATA/perf_oracle_slow.json"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 grep -v '"sim.run.branches"' "$BASE" > "$DIR/no_branches.json"
+grep -v '"sim.run.branches"' "$ORACLE_BASE" > "$DIR/oracle_only_base.json"
+grep -v '"sim.run.branches"' "$ORACLE_SLOW" > "$DIR/oracle_only_slow.json"
 
 failures=0
 
@@ -72,6 +77,14 @@ expect 0 "oracle CPU doubled within a 0.6 bound" \
     perf-gate "$ORACLE_SLOW" --baseline "$ORACLE_BASE" --max-regress 0.6
 expect 0 "baseline without oracle phases gates throughput only" \
     perf-gate "$ORACLE_SLOW" --baseline "$BASE"
+expect 0 "oracle-only manifest unchanged" \
+    perf-gate "$DIR/oracle_only_base.json" \
+    --baseline "$DIR/oracle_only_base.json"
+expect 1 "oracle-only manifest with its CPU doubled" \
+    perf-gate "$DIR/oracle_only_slow.json" \
+    --baseline "$DIR/oracle_only_base.json"
+expect 1 "oracle-only manifest against a throughput-only baseline" \
+    perf-gate "$DIR/oracle_only_base.json" --baseline "$BASE"
 expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
 expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
 expect 2 "diff with a non-numeric threshold" \

@@ -65,6 +65,20 @@ TEST(IfGshare, ResetClearsState)
     EXPECT_EQ(pred.countersAllocated(), 0u);
 }
 
+TEST(IfGshare, PcsFoldingToOneKeyAreDistinctBranches)
+{
+    // pc 0x3 and 0xffff'ffff'ffff'fffc fold to one value under
+    // pc ^ (pc >> 32). Train the first taken at history 0, bring the
+    // history back to 0, and the second's counter must still be cold
+    // (weakly not-taken) while the first predicts taken.
+    IfGshare pred(1);
+    pred.update(cond(0x3), true);
+    pred.update(cond(0x100, false), false);
+    EXPECT_FALSE(pred.predict(cond(0xffff'ffff'ffff'fffcull)));
+    EXPECT_TRUE(pred.predict(cond(0x3)));
+    EXPECT_EQ(pred.countersAllocated(), 2u);
+}
+
 TEST(IfGshare, NameMentionsHistory)
 {
     EXPECT_EQ(IfGshare(16).name(), "IF-gshare(h=16)");

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "core/selective.hpp"
 #include "core/tagging.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace copra::core {
@@ -377,54 +379,217 @@ TEST(HistoryWindow, CollectMatchesReferenceElementByElement)
     }
 }
 
-TEST(RecordWindow, StatesMatchCollectForEveryTag)
+/** A trace holding @p records, in order. */
+trace::Trace
+traceOf(const std::vector<BranchRecord> &records)
 {
-    // RecordWindow answers tags by walking an id's occurrence chain.
-    // Asked one tag at a time, for every tag collect() lists it must report
-    // the same outcome, and for the next instance number of each
-    // listed tag's method (one occurrence older, one transfer further)
-    // it must report whatever collect() says, usually not-in-path.
+    trace::Trace t("window-walk");
+    for (const BranchRecord &rec : records)
+        t.append(rec);
+    return t;
+}
+
+/** @p n backward jumps: each advances the method-B epoch once. */
+std::vector<BranchRecord>
+jumps(size_t n)
+{
+    return std::vector<BranchRecord>(n, {0x900, 0x800, BranchKind::Jump,
+                                         true});
+}
+
+/** The window ids of a walk's steps, in trace order. */
+std::vector<uint32_t>
+windowIds(const WindowWalk &walk)
+{
+    std::vector<uint32_t> ids;
+    for (uint32_t step : walk.steps())
+        ids.push_back(step >> 1);
+    return ids;
+}
+
+TEST(WindowWalk, EveryFillLevelIsItsOwnWindow)
+{
+    // One forward branch, over and over: the windows differ only in
+    // how many entries they hold until the window fills, then repeat.
+    for (unsigned depth : {1u, 4u, 16u}) {
+        std::vector<BranchRecord> records(3 * depth, cond(0x100, true));
+        trace::Trace t = traceOf(records);
+        WindowWalk walk(t.soa(), depth);
+        walk.walkTo(0);
+        ASSERT_EQ(walk.steps().size(), records.size());
+        EXPECT_EQ(walk.windowCount(), depth + 1u) << "depth=" << depth;
+        const std::vector<uint32_t> ids = windowIds(walk);
+        for (size_t k = 0; k < ids.size(); ++k) {
+            const uint32_t want = static_cast<uint32_t>(
+                std::min<size_t>(k, depth));
+            EXPECT_EQ(ids[k], want) << "depth=" << depth << " k=" << k;
+            EXPECT_EQ(walk.fill(ids[k]), want);
+            EXPECT_EQ(walk.branch(ids[k]), 0u);
+        }
+    }
+}
+
+TEST(WindowWalk, BackDistance255IsNot256)
+{
+    // B sees A 255, 256 and 257 backward transfers old. At 255 A has a
+    // method-B tag; at 256 and past it has none, so those two windows
+    // are one window and the 255 one is another.
+    std::vector<BranchRecord> records;
+    for (size_t n : {255u, 256u, 257u, 255u}) {
+        records.push_back(cond(0x100, true));
+        for (const BranchRecord &j : jumps(n))
+            records.push_back(j);
+        records.push_back(cond(0x200, true));
+    }
+    trace::Trace t = traceOf(records);
+    WindowWalk walk(t.soa(), 1);
+    walk.walkTo(0);
+    const std::vector<uint32_t> ids = windowIds(walk);
+    ASSERT_EQ(ids.size(), 8u);
+    // B's windows are steps 1, 3, 5 and 7.
+    EXPECT_NE(ids[1], ids[3]);
+    EXPECT_EQ(ids[3], ids[5]);
+    EXPECT_EQ(ids[1], ids[7]);
+    EXPECT_EQ(WindowWalk::entryBack(walk.entries(ids[1])[0]), 255u);
+    EXPECT_EQ(WindowWalk::entryBack(walk.entries(ids[3])[0]), 256u);
+
+    // A distance cap of 255 (the planted check defect) merges them.
+    WindowWalk capped(t.soa(), 1, 255);
+    capped.walkTo(0);
+    const std::vector<uint32_t> merged = windowIds(capped);
+    EXPECT_EQ(merged[1], merged[3]);
+}
+
+TEST(WindowWalk, EqualIdListsWithOtherDistancesDiffer)
+{
+    // C sees the same branches, A then B, in the same order each time;
+    // only the loop closings between them differ.
+    std::vector<BranchRecord> records;
+    for (size_t between : {0u, 1u, 0u, 2u}) {
+        records.push_back(cond(0x100, true));
+        for (const BranchRecord &j : jumps(between))
+            records.push_back(j);
+        records.push_back(cond(0x200, false));
+        records.push_back(cond(0x300, true));
+    }
+    trace::Trace t = traceOf(records);
+    WindowWalk walk(t.soa(), 2);
+    walk.walkTo(0);
+    const std::vector<uint32_t> ids = windowIds(walk);
+    ASSERT_EQ(ids.size(), 12u);
+    // C's windows are steps 2, 5, 8 and 11: [B, A] each time.
+    std::vector<uint32_t> c = {ids[2], ids[5], ids[8], ids[11]};
+    for (uint32_t w : c) {
+        ASSERT_EQ(walk.fill(w), 2u);
+        EXPECT_EQ(WindowWalk::entryId(walk.entries(w)[0]), 1u);
+        EXPECT_EQ(WindowWalk::entryId(walk.entries(w)[1]), 0u);
+    }
+    EXPECT_NE(c[0], c[1]);
+    EXPECT_EQ(c[0], c[2]);
+    EXPECT_NE(c[0], c[3]);
+    EXPECT_NE(c[1], c[3]);
+}
+
+TEST(WindowWalk, ResumingEqualsOneWalk)
+{
+    Rng rng(5);
+    std::vector<BranchRecord> records;
+    for (int step = 0; step < 2000; ++step)
+        for (const BranchRecord &rec : randomRecords(rng, 12))
+            records.push_back(rec);
+    trace::Trace t = traceOf(records);
+    WindowWalk whole(t.soa(), 16);
+    whole.walkTo(0);
+    WindowWalk parts(t.soa(), 16);
+    for (uint64_t stop : {1u, 17u, 500u, 501u})
+        parts.walkTo(stop);
+    EXPECT_EQ(parts.steps().size(), 501u);
+    parts.walkTo(0);
+    EXPECT_EQ(parts.steps(), whole.steps());
+    EXPECT_EQ(parts.windowCount(), whole.windowCount());
+}
+
+TEST(WindowWalk, TagsMatchCollectForEveryWindow)
+{
+    // A window id stands for every execution that sees it, the first
+    // one included: the tags forEachTag() lists from the stored key,
+    // with each entry's outcome read from the outcome history, must be
+    // collect()'s list for each execution, element by element.
     Rng rng(77);
     for (unsigned depth : {1u, 2u, 16u, 64u}) {
         for (unsigned pcs : {1u, 5u, 40u}) {
-            HistoryWindow window(depth);
-            RecordWindow record(depth, pcs);
-            std::map<uint64_t, uint32_t> id_of;
-            std::vector<TagState> collected;
-            uint64_t in_path = 0;
+            // Random records, and every so often a self-loop longer
+            // than the deepest window, where windows recur.
+            std::vector<BranchRecord> records;
             for (int step = 0; step < 2000; ++step) {
-                for (const BranchRecord &rec : randomRecords(rng, pcs)) {
-                    uint32_t id = id_of
-                        .emplace(rec.pc, static_cast<uint32_t>(id_of.size()))
-                        .first->second;
-                    if (rec.isConditional()) {
-                        window.collect(collected);
-                        for (const TagState &ts : collected) {
-                            for (unsigned extra : {0u, 1u}) {
-                                unsigned num = ts.tag.num() + extra;
-                                if (num > 0xff)
-                                    continue;
-                                Tag tag(ts.tag.pc(), ts.tag.method(),
-                                        static_cast<uint8_t>(num));
-                                const IdTag one{id_of.at(tag.pc()),
-                                                tag.method(),
-                                                static_cast<uint8_t>(num), 0};
-                                ASSERT_EQ(static_cast<TagOutcome>(
-                                              record.states(&one, 1)),
-                                          stateOf(collected, tag))
-                                    << "depth=" << depth << " pcs=" << pcs
-                                    << " step=" << step << " num=" << num;
-                                in_path += extra == 0;
-                            }
-                        }
-                    }
-                    window.push(rec);
-                    record.push(rec, id);
+                for (const BranchRecord &rec : randomRecords(rng, pcs))
+                    records.push_back(rec);
+                if (step % 200 == 0) {
+                    const size_t trips = rng.range(70, 100);
+                    for (size_t trip = 0; trip < trips; ++trip)
+                        records.push_back(cond(0x2000, true, 0x1f00));
+                    records.push_back(cond(0x2000, false, 0x1f00));
                 }
             }
-            EXPECT_GT(in_path, 0u);
+            trace::Trace t = traceOf(records);
+            const trace::SoABlocks &soa = t.soa();
+            WindowWalk walk(soa, depth);
+            walk.walkTo(0);
+
+            HistoryWindow window(depth);
+            std::vector<TagState> collected;
+            std::vector<TagState> listed;
+            uint64_t outcomes = 0;
+            size_t k = 0;
+            for (size_t i = 0; i < soa.size(); ++i) {
+                const BranchRecord rec = soa.record(i);
+                if (rec.isConditional()) {
+                    window.collect(collected);
+                    const uint32_t step = walk.steps()[k++];
+                    listed.clear();
+                    walk.forEachTag(step >> 1, [&](unsigned position,
+                                                   uint64_t id,
+                                                   TagMethod method,
+                                                   uint8_t num) {
+                        listed.push_back(
+                            {Tag(soa.staticPcs()[id], method, num),
+                             ((outcomes >> position) & 1) != 0});
+                    });
+                    ASSERT_EQ(listed.size(), collected.size())
+                        << "depth=" << depth << " pcs=" << pcs
+                        << " conditional " << k;
+                    for (size_t e = 0; e < listed.size(); ++e) {
+                        ASSERT_EQ(listed[e].tag, collected[e].tag)
+                            << "depth=" << depth << " pcs=" << pcs
+                            << " conditional " << k << " tag " << e;
+                        ASSERT_EQ(listed[e].taken, collected[e].taken);
+                    }
+                    outcomes = outcomes << 1 | (step & 1);
+                }
+                window.push(rec);
+            }
+            EXPECT_EQ(k, walk.steps().size());
+            // One id per distinct key, however the hash table grew.
+            std::set<std::vector<uint32_t>> keys;
+            for (uint32_t w = 0; w < walk.windowCount(); ++w) {
+                std::vector<uint32_t> key = {walk.branch(w), walk.fill(w)};
+                key.insert(key.end(), walk.entries(w),
+                           walk.entries(w) + walk.fill(w));
+                keys.insert(key);
+            }
+            EXPECT_EQ(keys.size(), walk.windowCount());
+            EXPECT_LT(walk.windowCount(), walk.steps().size())
+                << "depth=" << depth << " pcs=" << pcs
+                << ": no window recurred";
         }
     }
+}
+
+TEST(WindowWalkDeath, DepthOutOfRange)
+{
+    trace::Trace t = traceOf({cond(0x100, true)});
+    EXPECT_DEATH(WindowWalk(t.soa(), 0), "depth");
+    EXPECT_DEATH(WindowWalk(t.soa(), 65), "depth");
 }
 
 class WindowDepths : public ::testing::TestWithParam<unsigned>

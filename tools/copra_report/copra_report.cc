@@ -21,14 +21,17 @@
  *                [--max-regress <frac>] [--json]
  *       Compute simulated branches/s from a run manifest
  *       (sim.run.branches over the summed sim.phase.predictor.seconds
- *       wall time). With --baseline, exit non-zero when throughput
- *       regressed by more than --max-regress (default 0.15) — the CI
- *       bench-perf hard gate. When both manifests also carry the
- *       selective oracle's sim.phase.oracle.{mine,record,select}
- *       .cpu_seconds, their summed CPU time is gated the same way
- *       (baseline seconds over current seconds below 1 - bound
- *       fails). With --json, print a small snapshot object (committed
- *       as BENCH_<n>.json to track the perf trajectory in-repo).
+ *       wall time) and the selective oracle's summed
+ *       sim.phase.oracle.{mine,record,select}.cpu_seconds, whichever
+ *       it records (a manifest with neither is unusable). With
+ *       --baseline, exit non-zero when throughput regressed by more
+ *       than --max-regress (default 0.15) — the CI bench-perf hard
+ *       gate — and gate the oracle CPU time the same way (baseline
+ *       seconds over current seconds below 1 - bound fails); each is
+ *       gated when both manifests record it, and manifests sharing
+ *       neither are an error. With --json, print a small snapshot
+ *       object (committed as BENCH_<n>.json to track the perf
+ *       trajectory in-repo).
  *
  * Exit status: 0 on success, 1 for a failed gate or an unusable
  * manifest, 2 for a usage error — including a --max-regress or
@@ -89,33 +92,22 @@ parseFraction(const char *option, const char *text, double *out)
 /**
  * Simulated branch throughput recorded in @p manifest: total dynamic
  * branches fed to predictors over the summed predictor-phase wall
- * time. Throws when the manifest lacks either instrument — a manifest
- * from a binary that never ran a simulation has no throughput.
+ * time, or 0 when the manifest lacks either instrument (a binary that
+ * never ran a predictor simulation has no throughput).
  */
 double
 branchesPerSecond(const obs::Json &manifest)
 {
     double branches = 0.0;
     double seconds = 0.0;
-    bool have_branches = false;
-    bool have_seconds = false;
     for (const obs::Json &entry : manifest.at("instruments").items()) {
         const std::string &key = entry.at("key").asString();
-        if (key == "sim.run.branches") {
+        if (key == "sim.run.branches")
             branches = entry.at("value").asNumber();
-            have_branches = true;
-        } else if (key == "sim.phase.predictor.seconds") {
+        else if (key == "sim.phase.predictor.seconds")
             seconds = entry.at("sum").asNumber();
-            have_seconds = true;
-        }
     }
-    if (!have_branches || !have_seconds || seconds <= 0.0 ||
-        branches <= 0.0) {
-        throw std::runtime_error(
-            "manifest records no simulated-branch throughput "
-            "(sim.run.branches / sim.phase.predictor.seconds)");
-    }
-    return branches / seconds;
+    return seconds > 0.0 && branches > 0.0 ? branches / seconds : 0.0;
 }
 
 /**
@@ -170,42 +162,66 @@ runPerfGate(int argc, char **argv)
     if (current_path.empty())
         return usage(argv[0]);
 
+    // A manifest is gated on what it records: predictor throughput,
+    // the oracle's summed phase CPU time, or both.
     obs::Json current = obs::loadManifest(current_path);
-    double now = branchesPerSecond(current);
+    const double now = branchesPerSecond(current);
+    const double oracle_now = oracleCpuSeconds(current);
+    if (now <= 0.0 && oracle_now <= 0.0) {
+        throw std::runtime_error(
+            "manifest records neither simulated-branch throughput "
+            "(sim.run.branches / sim.phase.predictor.seconds) nor the "
+            "oracle phases (sim.phase.oracle.{mine,record,select}"
+            ".cpu_seconds): " + current_path);
+    }
     if (as_json) {
         std::printf("{\n"
                     "  \"tool\": \"%s\",\n"
-                    "  \"git_sha\": \"%s\",\n"
-                    "  \"branches_per_second\": %.0f\n"
-                    "}\n",
+                    "  \"git_sha\": \"%s\"",
                     current.at("tool").asString().c_str(),
-                    current.at("git_sha").asString().c_str(), now);
+                    current.at("git_sha").asString().c_str());
+        if (now > 0.0)
+            std::printf(",\n  \"branches_per_second\": %.0f", now);
+        if (oracle_now > 0.0)
+            std::printf(",\n  \"oracle_cpu_seconds\": %.3f", oracle_now);
+        std::printf("\n}\n");
     } else {
-        std::printf("current:  %12.0f branches/s (%s)\n", now,
-                    current_path.c_str());
+        if (now > 0.0)
+            std::printf("current:  %12.0f branches/s (%s)\n", now,
+                        current_path.c_str());
+        if (oracle_now > 0.0)
+            std::printf("current:  %12.3f s oracle CPU (%s)\n", oracle_now,
+                        current_path.c_str());
     }
     if (baseline_path.empty())
         return 0;
 
     obs::Json baseline = obs::loadManifest(baseline_path);
-    double base = branchesPerSecond(baseline);
-    double ratio = now / base;
-    if (!as_json)
-        std::printf("baseline: %12.0f branches/s (%s)\n"
-                    "ratio:    %.3fx\n",
-                    base, baseline_path.c_str(), ratio);
-    int status = 0;
-    if (ratio < 1.0 - max_regress) {
-        std::fprintf(stderr,
-                     "copra_report: throughput regressed %.1f%% "
-                     "(limit %.1f%%)\n",
-                     (1.0 - ratio) * 100.0, max_regress * 100.0);
-        status = 1;
+    const double base = branchesPerSecond(baseline);
+    const double oracle_base = oracleCpuSeconds(baseline);
+    const bool gate_throughput = now > 0.0 && base > 0.0;
+    const bool gate_oracle = oracle_now > 0.0 && oracle_base > 0.0;
+    if (!gate_throughput && !gate_oracle) {
+        throw std::runtime_error(
+            "the manifests share no gated quantity (throughput or "
+            "oracle CPU): " + current_path + ", " + baseline_path);
     }
-
-    double oracle_now = oracleCpuSeconds(current);
-    double oracle_base = oracleCpuSeconds(baseline);
-    if (oracle_now > 0.0 && oracle_base > 0.0) {
+    int status = 0;
+    if (gate_throughput) {
+        double ratio = now / base;
+        if (!as_json)
+            std::printf("baseline: %12.0f branches/s (%s)\n"
+                        "ratio:    %.3fx\n",
+                        base, baseline_path.c_str(), ratio);
+        if (ratio < 1.0 - max_regress) {
+            std::fprintf(stderr,
+                         "copra_report: throughput regressed %.1f%% "
+                         "(limit %.1f%%)\n",
+                         (1.0 - ratio) * 100.0, max_regress * 100.0);
+            status = 1;
+        }
+    }
+    if (gate_oracle) {
         double oracle_ratio = oracle_base / oracle_now;
         if (!as_json)
             std::printf("oracle:   %12.3f s CPU (baseline %.3f s), "
