@@ -18,6 +18,24 @@ entropyOf(double p)
     return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
+/**
+ * Windows 0..@p windows-1 of @p walk grouped by branch, in static-id
+ * order, each branch's in first-seen order.
+ */
+std::vector<uint32_t>
+windowsByBranch(const WindowWalk &walk, size_t windows)
+{
+    std::vector<uint32_t> start(walk.soa().staticCount() + 1);
+    for (uint32_t w = 0; w < windows; ++w)
+        ++start[walk.branch(w) + 1];
+    for (size_t b = 1; b < start.size(); ++b)
+        start[b] += start[b - 1];
+    std::vector<uint32_t> order(windows);
+    for (uint32_t w = 0; w < windows; ++w)
+        order[start[walk.branch(w)]++] = w;
+    return order;
+}
+
 } // namespace
 
 CandidateMiner::CandidateMiner(unsigned depth, size_t per_branch_cap)
@@ -92,7 +110,7 @@ CandidateMiner::mine(WindowWalk &walk, uint64_t max_conditionals)
     const std::span<const uint64_t> pcs = soa.staticPcs();
     std::vector<BranchCandidates> table(soa.staticCount());
     std::vector<uint32_t> total(2 * half); // the window's counts, widened
-    for (uint32_t w : walk.byBranch(windows)) {
+    for (uint32_t w : windowsByBranch(walk, windows)) {
         for (uint32_t x = 0; x < 2; ++x) {
             const uint32_t block = w << 1 | x;
             const uint32_t *offset = spilled.find(block);

@@ -188,20 +188,6 @@ WindowWalk::age(uint64_t delta) noexcept
     young_ = young;
 }
 
-std::vector<uint32_t>
-WindowWalk::byBranch(size_t windows) const
-{
-    std::vector<uint32_t> start(soa_.staticCount() + 1);
-    for (uint32_t w = 0; w < windows; ++w)
-        ++start[branch(w) + 1];
-    for (size_t b = 1; b < start.size(); ++b)
-        start[b] += start[b - 1];
-    std::vector<uint32_t> order(windows);
-    for (uint32_t w = 0; w < windows; ++w)
-        order[start[branch(w)]++] = w;
-    return order;
-}
-
 void
 WindowWalk::walkTo(uint64_t conditionals)
 {

@@ -346,12 +346,6 @@ class WindowWalk
         return storedKey(window) + 1;
     }
 
-    /**
-     * Windows 0..@p windows-1 grouped by branch, in static-id order,
-     * each branch's in first-seen order.
-     */
-    std::vector<uint32_t> byBranch(size_t windows) const;
-
     /** Static id of a packed entry. */
     static uint32_t entryId(uint32_t entry) { return entry >> 9; }
 

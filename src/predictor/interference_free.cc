@@ -1,9 +1,5 @@
 #include "predictor/interference_free.hpp"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -16,54 +12,36 @@ IfGshare::IfGshare(unsigned history_bits)
     pht_.reserve(1 << 16);
 }
 
+const Counter2 *
+IfGshare::find(uint64_t pc) const noexcept
+{
+    if (packs(pc)) {
+        auto it = pht_.find(packedKey(pc));
+        return it == pht_.end() ? nullptr : &it->second;
+    }
+    auto it = widePht_.find({pc, history_.value()});
+    return it == widePht_.end() ? nullptr : &it->second;
+}
+
+Counter2 &
+IfGshare::counter(uint64_t pc) noexcept
+{
+    return packs(pc) ? pht_[packedKey(pc)]
+                     : widePht_[{pc, history_.value()}];
+}
+
 bool
 IfGshare::predict(const trace::BranchRecord &br) noexcept
 {
-    auto it = pht_.find(keyOf(br.pc));
-    return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
+    const Counter2 *counter = find(br.pc);
+    return counter == nullptr ? Counter2{}.taken() : counter->taken();
 }
 
 void
 IfGshare::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    pht_[keyOf(br.pc)].update(taken);
+    counter(br.pc).update(taken);
     history_.push(taken);
-}
-
-void
-IfGshare::snapshotState(state::Writer &w) const
-{
-    w.u64(history_.value());
-    std::vector<std::pair<Key, uint8_t>> counters;
-    counters.reserve(pht_.size());
-    // copra-lint: allow(unordered-iter) -- sorted below before writing
-    for (const auto &[key, counter] : pht_)
-        counters.emplace_back(key, counter.v);
-    std::sort(counters.begin(), counters.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first.pc != b.first.pc
-                      ? a.first.pc < b.first.pc
-                      : a.first.history < b.first.history;
-              });
-    w.u64(counters.size());
-    for (const auto &[key, v] : counters) {
-        w.u64(key.pc);
-        w.u64(key.history);
-        w.u8(v);
-    }
-}
-
-void
-IfGshare::restoreState(state::Reader &r)
-{
-    history_.set(r.u64());
-    pht_.clear();
-    for (uint64_t n = r.u64(); n > 0; --n) {
-        Key key;
-        key.pc = r.u64();
-        key.history = r.u64();
-        pht_[key].v = r.u8();
-    }
 }
 
 void
@@ -71,6 +49,7 @@ IfGshare::reset()
 {
     history_.clear();
     pht_.clear();
+    widePht_.clear();
 }
 
 std::string

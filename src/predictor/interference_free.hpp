@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "predictor/predictor.hpp"
 #include "predictor/state.hpp"
@@ -22,7 +24,7 @@ namespace copra::predictor {
 
 /**
  * Interference-free gshare: a global history register, with a private
- * pattern history table per static branch (realized as a hash map keyed
+ * pattern history table per static branch (realized as hash maps keyed
  * by the exact (pc, history) pair). Identical inputs to gshare, zero
  * aliasing.
  */
@@ -38,48 +40,81 @@ class IfGshare : public Predictor
     std::string name() const override;
 
     /** Number of distinct (pc, history) counters allocated so far. */
-    size_t countersAllocated() const { return pht_.size(); }
+    size_t
+    countersAllocated() const
+    {
+        return pht_.size() + widePht_.size();
+    }
 
     // State contract (DESIGN.md §14). Unbounded instrument: reports
     // the dynamically allocated counter population, not a budget.
     uint64_t
     stateBits() const override
     {
-        return historyBits_ + uint64_t(2) * pht_.size();
+        return historyBits_ + uint64_t(2) * countersAllocated();
     }
 
-    void snapshotState(state::Writer &w) const override;
-    void restoreState(state::Reader &r) override;
+    void
+    snapshotState(state::Writer &w) const override
+    {
+        w.u64(history_.value());
+        state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
+            out.u8(c.v);
+        });
+        w.u64(widePht_.size());
+        for (const auto &[key, counter] : widePht_) {
+            w.u64(key.first);
+            w.u64(key.second);
+            w.u8(counter.v);
+        }
+    }
+
+    void
+    restoreState(state::Reader &r) override
+    {
+        history_.set(r.u64());
+        state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
+            c.v = in.u8();
+        });
+        widePht_.clear();
+        for (uint64_t n = r.u64(); n > 0; --n) {
+            const uint64_t pc = r.u64();
+            const uint64_t history = r.u64();
+            widePht_[{pc, history}].v = r.u8();
+        }
+    }
 
     COPRA_CONFIG_FIELDS(historyBits_);
-    COPRA_STATE_FIELDS(history_, pht_);
+    COPRA_STATE_FIELDS(history_, pht_, widePht_);
 
   private:
-    /** A counter's key: the exact (branch, history) pair. */
-    struct Key
+    /**
+     * The counter of (@p pc, the current history), nullptr if it was
+     * never trained. A 32-bit pc and the history (at most 32 bits)
+     * pack exactly into one 64-bit key; wider pcs, which no generated
+     * trace has, key an ordered map by the pair. Either way one lookup.
+     */
+    const Counter2 *find(uint64_t pc) const noexcept;
+
+    /** The counter of (@p pc, the current history), made if new. */
+    Counter2 &counter(uint64_t pc) noexcept;
+
+    bool
+    packs(uint64_t pc) const noexcept
     {
-        uint64_t pc = 0;
-        uint64_t history = 0;
+        return (pc >> 32) == 0;
+    }
 
-        bool operator==(const Key &) const = default;
-    };
-
-    struct KeyHash
+    uint64_t
+    packedKey(uint64_t pc) const noexcept
     {
-        size_t
-        operator()(const Key &key) const noexcept
-        {
-            return static_cast<size_t>(
-                (key.pc * 0x9e3779b97f4a7c15ull) ^
-                (key.history * 0xc2b2ae3d27d4eb4full));
-        }
-    };
-
-    Key keyOf(uint64_t pc) const noexcept { return {pc, history_.value()}; }
+        return pc << 32 | history_.value();
+    }
 
     unsigned historyBits_;
     HistoryRegister history_;
-    std::unordered_map<Key, Counter2, KeyHash> pht_;
+    std::unordered_map<uint64_t, Counter2> pht_; // pc << 32 | history
+    std::map<std::pair<uint64_t, uint64_t>, Counter2> widePht_;
 };
 
 /**
