@@ -68,13 +68,15 @@ TEST(IfGshare, ResetClearsState)
 TEST(IfGshare, PcsFoldingToOneKeyAreDistinctBranches)
 {
     // pc 0x3 and 0xffff'ffff'ffff'fffc fold to one value under
-    // pc ^ (pc >> 32). Train the first taken at history 0, bring the
-    // history back to 0, and the second's counter must still be cold
-    // (weakly not-taken) while the first predicts taken.
+    // pc ^ (pc >> 32); 0x3 and 0x1'0000'0003 share their low 32 bits.
+    // Train 0x3 taken at history 0, bring the history back to 0, and
+    // each other pc's counter must still be cold (weakly not-taken)
+    // while 0x3 predicts taken.
     IfGshare pred(1);
     pred.update(cond(0x3), true);
     pred.update(cond(0x100, false), false);
     EXPECT_FALSE(pred.predict(cond(0xffff'ffff'ffff'fffcull)));
+    EXPECT_FALSE(pred.predict(cond(0x1'0000'0003ull)));
     EXPECT_TRUE(pred.predict(cond(0x3)));
     EXPECT_EQ(pred.countersAllocated(), 2u);
 }
