@@ -1,7 +1,6 @@
 #include "core/tagging.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "util/logging.hpp"
 
