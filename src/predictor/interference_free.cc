@@ -12,35 +12,17 @@ IfGshare::IfGshare(unsigned history_bits)
     pht_.reserve(1 << 16);
 }
 
-const Counter2 *
-IfGshare::find(uint64_t pc) const noexcept
-{
-    if (packs(pc)) {
-        auto it = pht_.find(packedKey(pc));
-        return it == pht_.end() ? nullptr : &it->second;
-    }
-    auto it = widePht_.find({pc, history_.value()});
-    return it == widePht_.end() ? nullptr : &it->second;
-}
-
-Counter2 &
-IfGshare::counter(uint64_t pc) noexcept
-{
-    return packs(pc) ? pht_[packedKey(pc)]
-                     : widePht_[{pc, history_.value()}];
-}
-
 bool
 IfGshare::predict(const trace::BranchRecord &br) noexcept
 {
-    const Counter2 *counter = find(br.pc);
-    return counter == nullptr ? Counter2{}.taken() : counter->taken();
+    auto it = pht_.find(keyOf(br.pc));
+    return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
 }
 
 void
 IfGshare::update(const trace::BranchRecord &br, bool taken) noexcept
 {
-    counter(br.pc).update(taken);
+    pht_[keyOf(br.pc)].update(taken);
     history_.push(taken);
 }
 
@@ -49,7 +31,6 @@ IfGshare::reset()
 {
     history_.clear();
     pht_.clear();
-    widePht_.clear();
 }
 
 std::string

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +23,7 @@ namespace copra::predictor {
 
 /**
  * Interference-free gshare: a global history register, with a private
- * pattern history table per static branch (realized as hash maps keyed
+ * pattern history table per static branch (realized as a hash map keyed
  * by the exact (pc, history) pair). Identical inputs to gshare, zero
  * aliasing.
  */
@@ -40,18 +39,14 @@ class IfGshare : public Predictor
     std::string name() const override;
 
     /** Number of distinct (pc, history) counters allocated so far. */
-    size_t
-    countersAllocated() const
-    {
-        return pht_.size() + widePht_.size();
-    }
+    size_t countersAllocated() const { return pht_.size(); }
 
     // State contract (DESIGN.md §14). Unbounded instrument: reports
     // the dynamically allocated counter population, not a budget.
     uint64_t
     stateBits() const override
     {
-        return historyBits_ + uint64_t(2) * countersAllocated();
+        return historyBits_ + uint64_t(2) * pht_.size();
     }
 
     void
@@ -61,12 +56,6 @@ class IfGshare : public Predictor
         state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
             out.u8(c.v);
         });
-        w.u64(widePht_.size());
-        for (const auto &[key, counter] : widePht_) {
-            w.u64(key.first);
-            w.u64(key.second);
-            w.u8(counter.v);
-        }
     }
 
     void
@@ -76,45 +65,28 @@ class IfGshare : public Predictor
         state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
             c.v = in.u8();
         });
-        widePht_.clear();
-        for (uint64_t n = r.u64(); n > 0; --n) {
-            const uint64_t pc = r.u64();
-            const uint64_t history = r.u64();
-            widePht_[{pc, history}].v = r.u8();
-        }
     }
 
     COPRA_CONFIG_FIELDS(historyBits_);
-    COPRA_STATE_FIELDS(history_, pht_, widePht_);
+    COPRA_STATE_FIELDS(history_, pht_);
 
   private:
-    /**
-     * The counter of (@p pc, the current history), nullptr if it was
-     * never trained. A 32-bit pc and the history (at most 32 bits)
-     * pack exactly into one 64-bit key; wider pcs, which no generated
-     * trace has, key an ordered map by the pair. Either way one lookup.
-     */
-    const Counter2 *find(uint64_t pc) const noexcept;
+    using Key = std::pair<uint64_t, uint64_t>; //!< (pc, history)
 
-    /** The counter of (@p pc, the current history), made if new. */
-    Counter2 &counter(uint64_t pc) noexcept;
-
-    bool
-    packs(uint64_t pc) const noexcept
+    struct KeyHash
     {
-        return (pc >> 32) == 0;
-    }
+        size_t
+        operator()(const Key &key) const noexcept
+        {
+            return key.first * 0x9e3779b97f4a7c15ull ^ key.second;
+        }
+    };
 
-    uint64_t
-    packedKey(uint64_t pc) const noexcept
-    {
-        return pc << 32 | history_.value();
-    }
+    Key keyOf(uint64_t pc) const noexcept { return {pc, history_.value()}; }
 
     unsigned historyBits_;
     HistoryRegister history_;
-    std::unordered_map<uint64_t, Counter2> pht_; // pc << 32 | history
-    std::map<std::pair<uint64_t, uint64_t>, Counter2> widePht_;
+    std::unordered_map<Key, Counter2, KeyHash> pht_;
 };
 
 /**

@@ -157,11 +157,38 @@ readVec(Reader &r, std::vector<T> &vec, Fn &&item)
         item(r, x);
 }
 
+/** A map key: an integer, or a pair of them, first then second. */
+template <typename Key>
+void
+writeKey(Writer &w, const Key &key)
+{
+    if constexpr (requires { key.first; key.second; }) {
+        writeKey(w, key.first);
+        writeKey(w, key.second);
+    } else {
+        w.u64(static_cast<uint64_t>(key));
+    }
+}
+
+template <typename Key>
+Key
+readKey(Reader &r)
+{
+    if constexpr (requires(Key key) { key.first; key.second; }) {
+        Key key;
+        key.first = readKey<decltype(key.first)>(r);
+        key.second = readKey<decltype(key.second)>(r);
+        return key;
+    } else {
+        return static_cast<Key>(r.u64());
+    }
+}
+
 /**
- * Serialize an unordered map with integral keys in sorted key order.
- * Sorting is the whole point: two predictors holding equal state must
- * produce byte-identical snapshots regardless of hash-table history,
- * or stateHash() comparisons would be meaningless.
+ * Serialize an unordered map with integral or integer-pair keys in
+ * sorted key order. Sorting is the whole point: two predictors holding
+ * equal state must produce byte-identical snapshots regardless of
+ * hash-table history, or stateHash() comparisons would be meaningless.
  */
 template <typename Map, typename Fn>
 void
@@ -174,7 +201,7 @@ writeMap(Writer &w, const Map &map, Fn &&value)
     std::sort(keys.begin(), keys.end());
     w.u64(keys.size());
     for (const auto &k : keys) {
-        w.u64(static_cast<uint64_t>(k));
+        writeKey(w, k);
         value(w, map.at(k));
     }
 }
@@ -186,7 +213,7 @@ readMap(Reader &r, Map &map, Fn &&value)
     map.clear();
     uint64_t n = r.u64();
     for (uint64_t i = 0; i < n; ++i) {
-        auto key = static_cast<typename Map::key_type>(r.u64());
+        const auto key = readKey<typename Map::key_type>(r);
         value(r, map[key]);
     }
 }
