@@ -97,7 +97,6 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
         } // the miner's tag tables are freed before the rows grow
         recordRows(walk, pools, recorded);
         obs::count(obs::ids().oracleWindows, walk.windowCount());
-        obs::count(obs::ids().oracleConditionals, soa.conditionalCount());
     } // and the walk before selection
     std::vector<BranchSelection> selections(soa.staticCount());
     for (size_t id = 0; id < recorded.size(); ++id) {

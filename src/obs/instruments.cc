@@ -134,12 +134,6 @@ buildCatalog()
         "found, summed over oracle runs; mine and record work once per "
         "window",
         "core");
-    add(c, i.oracleConditionals, "oracle.conditionals", Kind::Counter,
-        "branches",
-        "conditional branches the SelectiveOracle window walk gave a "
-        "window id, summed over oracle runs (the oracle.windows "
-        "denominator)",
-        "core");
     addHist(c, i.simPhasePaClassifierCpuSeconds,
             "sim.phase.pa_classifier.cpu_seconds", "seconds",
             "thread CPU time of one PaClassifier's class-predictor pass",

@@ -58,7 +58,6 @@ struct Ids
     InstrumentId simPhaseOracleRecordCpuSeconds = 0;
     InstrumentId simPhaseOracleSelectCpuSeconds = 0;
     InstrumentId oracleWindows = 0;
-    InstrumentId oracleConditionals = 0;
 
     // core: the per-address class engine (src/core/pa_class.cc).
     InstrumentId simPhasePaClassifierCpuSeconds = 0;

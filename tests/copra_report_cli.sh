@@ -6,12 +6,12 @@
 # (1.0 s and 2.0 s summed, at equal throughput).
 #   - perf-gate exits 0 within the bound, 1 beyond it, and 1 for a
 #     manifest that records no sim.run.branches;
-#   - when both manifests carry the oracle phases, their summed CPU
-#     time is gated by the same bound; when either lacks them, only
-#     throughput is;
+#   - every quantity the baseline records is gated by the same bound:
+#     the oracle phases' summed CPU time too when it carries them, and
+#     throughput alone when it does not;
 #   - a manifest with the oracle phases and no throughput (fig5) gates
-#     its oracle CPU time alone; one with neither, or two that share
-#     no gated quantity, exit 1;
+#     its oracle CPU time alone; one with neither, or a current manifest
+#     lacking a quantity its baseline records, exits 1;
 #   - a --max-regress or --threshold that is not a whole number in
 #     [0, 1) ("15%", "abc", "1") is a usage error, exit 2 — never a
 #     silently different bound.
@@ -85,6 +85,10 @@ expect 1 "oracle-only manifest with its CPU doubled" \
     --baseline "$DIR/oracle_only_base.json"
 expect 1 "oracle-only manifest against a throughput-only baseline" \
     perf-gate "$DIR/oracle_only_base.json" --baseline "$BASE"
+expect 1 "oracle-only manifest against a baseline with both" \
+    perf-gate "$DIR/oracle_only_base.json" --baseline "$ORACLE_BASE"
+expect 1 "throughput-only manifest against a baseline with both" \
+    perf-gate "$BASE" --baseline "$ORACLE_BASE"
 expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
 expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
 expect 2 "diff with a non-numeric threshold" \

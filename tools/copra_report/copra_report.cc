@@ -27,11 +27,11 @@
  *       --baseline, exit non-zero when throughput regressed by more
  *       than --max-regress (default 0.15) — the CI bench-perf hard
  *       gate — and gate the oracle CPU time the same way (baseline
- *       seconds over current seconds below 1 - bound fails); each is
- *       gated when both manifests record it, and manifests sharing
- *       neither are an error. With --json, print a small snapshot
- *       object (committed as BENCH_<n>.json to track the perf
- *       trajectory in-repo).
+ *       seconds over current seconds below 1 - bound fails); every
+ *       quantity the baseline records is gated, and a current
+ *       manifest that lacks one fails. With --json, print a small
+ *       snapshot object (committed as BENCH_<n>.json to track the
+ *       perf trajectory in-repo).
  *
  * Exit status: 0 on success, 1 for a failed gate or an unusable
  * manifest, 2 for a usage error — including a --max-regress or
@@ -199,15 +199,25 @@ runPerfGate(int argc, char **argv)
     obs::Json baseline = obs::loadManifest(baseline_path);
     const double base = branchesPerSecond(baseline);
     const double oracle_base = oracleCpuSeconds(baseline);
-    const bool gate_throughput = now > 0.0 && base > 0.0;
-    const bool gate_oracle = oracle_now > 0.0 && oracle_base > 0.0;
-    if (!gate_throughput && !gate_oracle) {
+    // Every quantity the baseline records is gated, so a run that
+    // stops recording one fails instead of passing on the other.
+    if (base <= 0.0 && oracle_base <= 0.0) {
         throw std::runtime_error(
-            "the manifests share no gated quantity (throughput or "
-            "oracle CPU): " + current_path + ", " + baseline_path);
+            "baseline records neither simulated-branch throughput nor "
+            "the oracle phases: " + baseline_path);
+    }
+    if (base > 0.0 && now <= 0.0) {
+        throw std::runtime_error(
+            "the baseline records simulated-branch throughput and the "
+            "current manifest does not: " + current_path);
+    }
+    if (oracle_base > 0.0 && oracle_now <= 0.0) {
+        throw std::runtime_error(
+            "the baseline records the oracle phases and the current "
+            "manifest does not: " + current_path);
     }
     int status = 0;
-    if (gate_throughput) {
+    if (base > 0.0) {
         double ratio = now / base;
         if (!as_json)
             std::printf("baseline: %12.0f branches/s (%s)\n"
@@ -221,7 +231,7 @@ runPerfGate(int argc, char **argv)
             status = 1;
         }
     }
-    if (gate_oracle) {
+    if (oracle_base > 0.0) {
         double oracle_ratio = oracle_base / oracle_now;
         if (!as_json)
             std::printf("oracle:   %12.3f s CPU (baseline %.3f s), "
