@@ -5,6 +5,7 @@
 #include <span>
 
 #include "util/logging.hpp"
+#include "util/page_vector.hpp"
 
 namespace copra::core {
 
@@ -57,34 +58,37 @@ CandidateMiner::mine(WindowWalk &walk, uint64_t max_conditionals)
     panicIf(mined_, "CandidateMiner::mine called twice");
     mined_ = true;
     panicIf(walk.depth() != depth_, "candidate mining: walk depth differs");
-    panicIf(max_conditionals != 0 && walk.walked() > max_conditionals,
-            "candidate mining: the walk is past the prefix");
-    walk.walkTo(max_conditionals);
-    const std::vector<uint32_t> &steps = walk.steps();
+    panicIf(walk.walked() != 0, "candidate mining: the walk has started");
     // No window or branch runs more often than the prefix holds
     // conditionals, so this one compare keeps every 32-bit count below
     // from wrapping.
-    fatalIf(steps.size() > UINT32_MAX,
+    const uint64_t all = walk.soa().conditionalCount();
+    const uint64_t prefix =
+        max_conditionals == 0 ? all : std::min(max_conditionals, all);
+    fatalIf(prefix > UINT32_MAX,
             "candidate mining: more than 2^32 conditionals in the mine "
             "prefix; mine a shorter prefix");
 
-    // Window ids count up in order of first appearance, so the prefix
-    // saw exactly windows 0..windowCount()-1. Per window and outcome a
-    // block of 8-bit counts: the executions, then per entry position
-    // how many saw it taken; a step's block is step * half (a step is
-    // window << 1 | outcome). No count passes its block's executions,
-    // so a block about to pass 0xff of them first spills its counts
-    // into 32-bit totals. Most windows run a few times, so narrow
-    // blocks keep this table near one byte per entry.
-    const size_t windows = walk.windowCount();
+    // Per window and outcome a block of 8-bit counts: the executions,
+    // then per entry position how many saw it taken; a step's block is
+    // step * half (a step is window << 1 | outcome), and window ids
+    // count up in order of first appearance, so a new window's blocks
+    // go at the end. No count passes its block's executions, so a
+    // block about to pass 0xff of them first spills its counts into
+    // 32-bit totals. Most windows run a few times, so narrow blocks
+    // keep this table near one byte per entry.
     const unsigned depth = depth_;
     const size_t half = depth + 1;
-    std::vector<uint8_t> sums(windows * 2 * half);
+    PageVector<uint8_t> sums;
+    sums.reserve(4096); // a page to start
     FlatMap<uint32_t> spilled; // block -> offset of its totals in wide
     std::vector<uint32_t> wide;
     uint64_t outcomes = 0; // bit p: outcome of the (p+1)-th last conditional
-    for (uint32_t step : steps) {
-        uint8_t *sum = &sums[step * half];
+    walk.walkTo(max_conditionals, [&](uint32_t step) {
+        const size_t block = step * half;
+        if (block >= sums.size())
+            sums.resize(sums.size() + 2 * half);
+        uint8_t *sum = &sums[block];
         if (sum[0] == UINT8_MAX) {
             uint32_t *offset = spilled.find(step);
             if (offset == nullptr) {
@@ -101,7 +105,8 @@ CandidateMiner::mine(WindowWalk &walk, uint64_t max_conditionals)
         for (unsigned p = 0; p < depth; ++p)
             sum[1 + p] += static_cast<uint8_t>((outcomes >> p) & 1);
         outcomes = outcomes << 1 | (step & 1);
-    }
+    });
+    const size_t windows = walk.windowCount();
 
     // Expand branch by branch, so one branch's tag table stays in cache
     // across its windows; a branch's windows keep their first-seen
@@ -141,7 +146,7 @@ CandidateMiner::mine(WindowWalk &walk, uint64_t max_conditionals)
             }
         });
     }
-    std::vector<uint8_t>().swap(sums);
+    PageVector<uint8_t>().swap(sums);
     table_ = rowsFromIds(
         soa.staticPcs(), table,
         [](const BranchCandidates &bc) { return bc.execs() != 0; });
@@ -197,14 +202,16 @@ CandidateMiner::topCandidates(uint64_t pc, unsigned k) const
 
     // Deterministic order: gain descending, then packed tag ascending so
     // equal-gain candidates do not depend on the table's slot order.
-    std::sort(scored.begin(), scored.end(),
-              [](const ScoredCandidate &a, const ScoredCandidate &b) {
-                  if (a.gain != b.gain)
-                      return a.gain > b.gain;
-                  return a.tag.packed < b.tag.packed;
-              });
-    if (scored.size() > k)
-        scored.resize(k);
+    // Tags are distinct, so the order is total and sorting only the
+    // best k gives the same k.
+    const size_t keep = std::min<size_t>(k, scored.size());
+    std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                      [](const ScoredCandidate &a, const ScoredCandidate &b) {
+                          if (a.gain != b.gain)
+                              return a.gain > b.gain;
+                          return a.tag.packed < b.tag.packed;
+                      });
+    scored.resize(keep);
     return scored;
 }
 

@@ -81,8 +81,8 @@ struct BranchCandidates
  * per-conditional collect-and-probe miner (check::referenceMine)
  * produces: a branch's windows expand in first-seen order, the order
  * that miner first meets their tags in. On the suite traces at 250k
- * branches, depth 16, mining costs 82-128 ns per mined conditional
- * with the walk, against 334-441 for collect-and-probe.
+ * branches, depth 16, mining costs 80-124 ns per mined conditional
+ * with the walk, against 291-436 for collect-and-probe.
  */
 class CandidateMiner
 {
@@ -100,9 +100,9 @@ class CandidateMiner
     void mine(const trace::Trace &trace, uint64_t max_conditionals = 0);
 
     /**
-     * The same over @p walk, which must be at this miner's depth and
-     * not yet past the prefix: walks it to the prefix's end, so a
-     * record pass can resume it there.
+     * The same over @p walk, a walk at this miner's depth that has not
+     * started: walks it to the prefix's end. The check module mines
+     * through a walk it plants a defect in.
      */
     void mine(WindowWalk &walk, uint64_t max_conditionals = 0);
 

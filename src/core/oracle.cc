@@ -8,6 +8,7 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "util/logging.hpp"
+#include "util/page_vector.hpp"
 #include "util/thread_pool.hpp"
 
 namespace copra::core {
@@ -84,20 +85,21 @@ SelectiveOracle::SelectiveOracle(const trace::Trace &trace,
     const trace::SoABlocks &soa = trace.soa();
     std::vector<RecordedBranch> recorded(soa.staticCount());
     {
-        // One walk serves both phases: mine walks the prefix, record
-        // resumes it to the end of the trace.
-        WindowWalk walk(soa, config.historyDepth);
+        // Each phase walks the trace itself, so neither phase's walk
+        // and per-window tables outlive it, and the miner's tag tables
+        // are freed before the rows grow.
         std::vector<std::vector<IdTag>> pools;
         {
             CandidateMiner miner(config.historyDepth,
                                  config.perBranchTagCap);
-            miner.mine(walk, config.mineConditionals);
+            miner.mine(trace, config.mineConditionals);
             mined = cpu_now();
             pools = assignCandidatePools(soa, miner, config_, recorded);
-        } // the miner's tag tables are freed before the rows grow
+        }
+        WindowWalk walk(soa, config.historyDepth);
         recordRows(walk, pools, recorded);
         obs::count(obs::ids().oracleWindows, walk.windowCount());
-    } // and the walk before selection
+    }
     std::vector<BranchSelection> selections(soa.staticCount());
     for (size_t id = 0; id < recorded.size(); ++id) {
         const std::vector<uint32_t> &rows = recorded[id].rows;
@@ -174,6 +176,7 @@ void
 recordRows(WindowWalk &walk, const std::vector<std::vector<IdTag>> &pools,
            std::vector<RecordedBranch> &branches)
 {
+    panicIf(walk.walked() != 0, "record: the walk has started");
     // Each branch's rows are allocated once, at its execution count.
     const trace::SoABlocks &soa = walk.soa();
     std::vector<uint64_t> execs(branches.size());
@@ -196,8 +199,8 @@ recordRows(WindowWalk &walk, const std::vector<std::vector<IdTag>> &pools,
         uint16_t inPath = 0;
         std::array<uint8_t, 15> position{};
     };
-    std::vector<WindowFields> fields;
-    fields.reserve(walk.windowCount());
+    PageVector<WindowFields> fields;
+    fields.reserve(4096 / sizeof(WindowFields)); // a page to start
 
     // The window's pool by tag, in 32 open-addressed slots (0 = empty,
     // else 1 + the candidate's field).
@@ -269,11 +272,7 @@ recordRows(WindowWalk &walk, const std::vector<std::vector<IdTag>> &pools,
         branches[f.branch].rows.push_back(row);
         outcomes = outcomes << 1 | (step & 1u);
     };
-    // The steps the walk kept (mine's prefix), then the rest streamed.
-    for (uint32_t step : walk.steps())
-        record(step);
-    walk.forgetSteps();
-    walk.walkOn(record);
+    walk.walkTo(0, record);
 }
 
 std::vector<RecordedBranch>

@@ -18,11 +18,13 @@
  *     through a fresh 3^m-entry 2-bit-counter table would score it.
  *
  * Cost per dynamic conditional branch, at window depth n and pool K.
- * Mine and record share one WindowWalk (core/tagging.hpp): it gives
+ * Mine and record each run a WindowWalk (core/tagging.hpp): it gives
  * every conditional a window id, the exact identity of (its static id,
  * its window's newest-first (static id, capped backward distance)
  * entries), for one hash probe and one (n + 1)-word key compare. Mine
- * walks the prefix; record resumes the same walk to the end.
+ * walks the prefix and record the whole trace, each with a walk of its
+ * own, so one phase's walk and per-window tables are gone before the
+ * other's grow.
  *
  *  - Mine adds n + 1 narrow counts per conditional into its window's
  *    block (executions by outcome, taken count per entry position),
@@ -45,10 +47,14 @@
  * trace at fig4's 2M branches (1.6% overall) and 0.0-19.2% at 250k
  * (3.4%); depth 32 roughly triples it (go: 32% at 2M). Single-
  * threaded on the 11 suite traces at 250k branches (mine 125k, seed 1,
- * shared 4-core x86-64 VM), mine costs 82-128 ns per mined conditional
- * (walk included; the collect-and-probe miner took 334-441) and record
- * 66-97 ns per branch (pools, walk and rows; the chain-walk record
- * took 106-134).
+ * shared 4-core x86-64 VM), mine costs 80-124 ns per mined conditional
+ * (walk included; the collect-and-probe miner took 291-436) and record
+ * 76-116 ns per branch (pools, walk and rows; the chain-walk record
+ * took 87-124). Record walks the mine prefix again, about 0.07 s of
+ * record's 0.21-0.32 s there: a walk shared by both phases had to keep
+ * a step per mined conditional and keep its windows alive through
+ * both, and the allocator's per-thread arenas kept that memory after
+ * each job.
  *
  * All three phases index their tables by static id; the result is
  * pc-sorted rows (util/pc_rows.hpp).
@@ -172,8 +178,7 @@ assignCandidatePools(const trace::SoABlocks &soa,
  * id). Each distinct window's tags are matched against its branch's
  * pool once, giving the window entry each in-path candidate reads; a
  * row then reads those entries' outcomes from the last n outcomes.
- * Reads the steps the walk kept, frees them, and streams the rest of
- * the trace.
+ * @p walk must not have started.
  */
 void recordRows(WindowWalk &walk,
                 const std::vector<std::vector<IdTag>> &pools,

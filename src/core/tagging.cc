@@ -95,7 +95,7 @@ WindowWalk::WindowWalk(const trace::SoABlocks &soa, unsigned depth,
     fatalIf(soa.staticCount() >= (size_t(1) << 23),
             "window walk: a trace with 2^23 or more static branches does "
             "not fit a packed window entry");
-    slots_.assign(64, 0);
+    slots_.assign(512, 0); // one page
     buf_.assign(kBufferSlack + depth, 0);
     pos_ = kBufferSlack;
     power_.resize(depth + 1);
@@ -139,16 +139,14 @@ WindowWalk::findOrAdd(const uint32_t *want, uint64_t raw)
             "window walk: 2^31 distinct windows");
     const uint32_t window = static_cast<uint32_t>(windows_++);
     slots_[i] = tag | (window + 1);
-    if ((window & (kChunkWindows - 1)) == 0) {
-        keys_.push_back(
-            std::make_unique<uint32_t[]>(kChunkWindows * stride_));
-    }
+    if ((window & (kChunkWindows - 1)) == 0)
+        keys_.emplace_back(kChunkWindows * stride_);
     std::copy(want, want + words,
               &keys_.back()[(window & (kChunkWindows - 1)) * stride_]);
     if (2 * windows_ > slots_.size()) {
         // Double at half load; a slot keeps only the hash's top half,
         // so re-derive each window's hash from its stored key.
-        std::vector<uint64_t> old(2 * slots_.size());
+        PageVector<uint64_t> old(2 * slots_.size());
         old.swap(slots_);
         mask = slots_.size() - 1;
         for (uint64_t slot : old) {
@@ -185,21 +183,6 @@ WindowWalk::age(uint64_t delta) noexcept
         entry[j] += step;
     entryHash_ += step * prefix_[young];
     young_ = young;
-}
-
-void
-WindowWalk::walkTo(uint64_t conditionals)
-{
-    panicIf(steps_.size() != walked_,
-            "window walk: walkTo() after walkOn()");
-    const uint64_t stop = conditionals == 0
-        ? soa_.conditionalCount()
-        : std::min<uint64_t>(conditionals, soa_.conditionalCount());
-    if (walked_ >= stop)
-        return;
-    steps_.reserve(stop);
-    while (walked_ < stop)
-        steps_.push_back(advance());
 }
 
 uint32_t

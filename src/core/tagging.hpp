@@ -22,11 +22,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "trace/branch_record.hpp"
 #include "trace/trace_soa.hpp"
+#include "util/page_vector.hpp"
 
 namespace copra::core {
 
@@ -256,15 +256,18 @@ struct IdTag
  * conditional: one probe and one key compare (n + 1 words); the key is
  * kept in place and its hash updated in O(1) per push, and a backward
  * transfer costs one pass over the entries still below the cap. A new
- * window also copies its key. Windows recur: at depth 16, 1.6% of the
- * suite's conditionals at fig4's 2M branches (0.0-9.0% per trace) and
- * 3.4% at 250k (0.0-19.2%) see a window their trace has not produced
- * before. Memory is per distinct window: n + 1 key words and a 64-bit
- * hash slot at most half full, plus 4 bytes per conditional that
- * walkTo() keeps.
+ * window also copies its key. Single-threaded over the suite at 2M
+ * branches, depth 16, that is 33-40 ns per conditional; building and
+ * hashing the key afresh for each conditional measured 73-88 ns, and
+ * 10.6% more CPU on the benchmark's oracle workload. Windows recur: at
+ * depth 16, 1.6% of the suite's conditionals at fig4's 2M branches
+ * (0.0-9.0% per trace) and 3.4% at 250k (0.0-19.2%) see a window their
+ * trace has not produced before. Memory is per distinct window: n + 1 key words and a 64-bit
+ * hash slot at most half full, both in mapped pages
+ * (util/page_vector.hpp).
  *
- * The walk may stop after a prefix (walkTo()) and resume from there,
- * keeping the prefix's steps or streaming the rest (walkOn()).
+ * The walk hands each conditional's step to a visitor and keeps none;
+ * it may stop after a prefix and resume from there (walkTo()).
  */
 class WindowWalk
 {
@@ -283,20 +286,17 @@ class WindowWalk
 
     /**
      * Walk on until @p conditionals conditionals have a window id
-     * (0 = the whole trace), keeping each one's step in steps(). Never
-     * walks back.
-     */
-    void walkTo(uint64_t conditionals);
-
-    /**
-     * Walk on to the end of the trace without keeping steps: call
-     * @p visit(step) for each conditional, in trace order. steps()
-     * keeps what walkTo() walked; walkTo() may not follow.
+     * (0 = the whole trace), calling @p visit(step) for each one walked,
+     * in trace order. A step is the conditional's window id << 1 | its
+     * outcome. Never walks back.
      */
     void
-    walkOn(auto &&visit)
+    walkTo(uint64_t conditionals, auto &&visit)
     {
-        while (walked_ < soa_.conditionalCount())
+        const uint64_t total = soa_.conditionalCount();
+        const uint64_t stop =
+            conditionals == 0 || conditionals > total ? total : conditionals;
+        while (walked_ < stop)
             visit(advance());
     }
 
@@ -308,19 +308,6 @@ class WindowWalk
 
     /** Conditionals walked so far. */
     uint64_t walked() const { return walked_; }
-
-    /**
-     * One step per conditional walkTo() walked, in trace order: its
-     * window id << 1 | its outcome.
-     */
-    const std::vector<uint32_t> &steps() const { return steps_; }
-
-    /** Free steps(), once nothing reads them. */
-    void
-    forgetSteps()
-    {
-        std::vector<uint32_t>().swap(steps_);
-    }
 
     /** Distinct windows seen so far. */
     size_t windowCount() const { return windows_; }
@@ -416,10 +403,9 @@ class WindowWalk
     // copies the others.
     static constexpr unsigned kChunkShift = 10;
     static constexpr uint32_t kChunkWindows = 1u << kChunkShift;
-    std::vector<std::unique_ptr<uint32_t[]>> keys_;
+    std::vector<PageVector<uint32_t>> keys_;
     size_t windows_ = 0;
-    std::vector<uint64_t> slots_;  // hash tag << 32 | window + 1; 0 = empty
-    std::vector<uint32_t> steps_;
+    PageVector<uint64_t> slots_;  // hash tag << 32 | window + 1; 0 = empty
 };
 
 } // namespace copra::core

@@ -275,9 +275,9 @@ TEST(CandidateMiner, WindowsRunningThousandsOfTimesKeepExactCounts)
 
 TEST(CandidateMiner, MiningAWalkEqualsMiningTheTrace)
 {
-    // The oracle mines through a walk it then resumes for recording;
-    // mining that walk must equal mining the trace, and leave the walk
-    // at the prefix's end.
+    // The check module mines through a walk it builds; mining that
+    // walk must equal mining the trace, and leave the walk at the
+    // prefix's end.
     auto trace = workload::inPathTrace(0x100, 0.5, 0.5, 0.5, 5000, 3);
     CandidateMiner direct(16);
     direct.mine(trace, 3000);
@@ -302,13 +302,14 @@ TEST(CandidateMinerDeath, MiningTwiceIsABug)
     EXPECT_DEATH(miner.mine(trace), "twice");
 }
 
-TEST(CandidateMinerDeath, AWalkPastThePrefixIsABug)
+TEST(CandidateMinerDeath, AStartedWalkIsABug)
 {
+    // Mining counts every window from the walk's first one.
     auto trace = workload::biasedTrace(0x100, 0.5, 100, 1);
     WindowWalk walk(trace.soa(), 8);
-    walk.walkTo(50);
+    walk.walkTo(50, [](uint32_t) {});
     CandidateMiner miner(8);
-    EXPECT_DEATH(miner.mine(walk, 20), "past the prefix");
+    EXPECT_DEATH(miner.mine(walk, 60), "the walk has started");
     CandidateMiner deeper(16);
     EXPECT_DEATH(deeper.mine(walk, 60), "depth differs");
 }

@@ -397,12 +397,21 @@ jumps(size_t n)
                                          true});
 }
 
-/** The window ids of a walk's steps, in trace order. */
+/** The steps @p walk walks to @p conditionals (0 = the end). */
 std::vector<uint32_t>
-windowIds(const WindowWalk &walk)
+stepsOf(WindowWalk &walk, uint64_t conditionals = 0)
+{
+    std::vector<uint32_t> steps;
+    walk.walkTo(conditionals, [&](uint32_t step) { steps.push_back(step); });
+    return steps;
+}
+
+/** The window ids of the rest of a walk, in trace order. */
+std::vector<uint32_t>
+windowIds(WindowWalk &walk)
 {
     std::vector<uint32_t> ids;
-    for (uint32_t step : walk.steps())
+    for (uint32_t step : stepsOf(walk))
         ids.push_back(step >> 1);
     return ids;
 }
@@ -415,10 +424,9 @@ TEST(WindowWalk, EveryFillLevelIsItsOwnWindow)
         std::vector<BranchRecord> records(3 * depth, cond(0x100, true));
         trace::Trace t = traceOf(records);
         WindowWalk walk(t.soa(), depth);
-        walk.walkTo(0);
-        ASSERT_EQ(walk.steps().size(), records.size());
-        EXPECT_EQ(walk.windowCount(), depth + 1u) << "depth=" << depth;
         const std::vector<uint32_t> ids = windowIds(walk);
+        ASSERT_EQ(ids.size(), records.size());
+        EXPECT_EQ(walk.windowCount(), depth + 1u) << "depth=" << depth;
         for (size_t k = 0; k < ids.size(); ++k) {
             const uint32_t want = static_cast<uint32_t>(
                 std::min<size_t>(k, depth));
@@ -443,7 +451,6 @@ TEST(WindowWalk, BackDistance255IsNot256)
     }
     trace::Trace t = traceOf(records);
     WindowWalk walk(t.soa(), 1);
-    walk.walkTo(0);
     const std::vector<uint32_t> ids = windowIds(walk);
     ASSERT_EQ(ids.size(), 8u);
     // B's windows are steps 1, 3, 5 and 7.
@@ -455,7 +462,6 @@ TEST(WindowWalk, BackDistance255IsNot256)
 
     // A distance cap of 255 (the planted check defect) merges them.
     WindowWalk capped(t.soa(), 1, 255);
-    capped.walkTo(0);
     const std::vector<uint32_t> merged = windowIds(capped);
     EXPECT_EQ(merged[1], merged[3]);
 }
@@ -474,7 +480,6 @@ TEST(WindowWalk, EqualIdListsWithOtherDistancesDiffer)
     }
     trace::Trace t = traceOf(records);
     WindowWalk walk(t.soa(), 2);
-    walk.walkTo(0);
     const std::vector<uint32_t> ids = windowIds(walk);
     ASSERT_EQ(ids.size(), 12u);
     // C's windows are steps 2, 5, 8 and 11: [B, A] each time.
@@ -499,13 +504,18 @@ TEST(WindowWalk, ResumingEqualsOneWalk)
             records.push_back(rec);
     trace::Trace t = traceOf(records);
     WindowWalk whole(t.soa(), 16);
-    whole.walkTo(0);
+    const std::vector<uint32_t> want = stepsOf(whole);
     WindowWalk parts(t.soa(), 16);
-    for (uint64_t stop : {1u, 17u, 500u, 501u})
-        parts.walkTo(stop);
-    EXPECT_EQ(parts.steps().size(), 501u);
-    parts.walkTo(0);
-    EXPECT_EQ(parts.steps(), whole.steps());
+    std::vector<uint32_t> got;
+    for (uint64_t stop : {1u, 17u, 500u, 500u, 501u}) {
+        for (uint32_t step : stepsOf(parts, stop))
+            got.push_back(step);
+    }
+    EXPECT_EQ(got.size(), 501u);
+    EXPECT_EQ(parts.walked(), 501u);
+    for (uint32_t step : stepsOf(parts))
+        got.push_back(step);
+    EXPECT_EQ(got, want);
     EXPECT_EQ(parts.windowCount(), whole.windowCount());
 }
 
@@ -534,7 +544,7 @@ TEST(WindowWalk, TagsMatchCollectForEveryWindow)
             trace::Trace t = traceOf(records);
             const trace::SoABlocks &soa = t.soa();
             WindowWalk walk(soa, depth);
-            walk.walkTo(0);
+            const std::vector<uint32_t> steps = stepsOf(walk);
 
             HistoryWindow window(depth);
             std::vector<TagState> collected;
@@ -545,7 +555,7 @@ TEST(WindowWalk, TagsMatchCollectForEveryWindow)
                 const BranchRecord rec = soa.record(i);
                 if (rec.isConditional()) {
                     window.collect(collected);
-                    const uint32_t step = walk.steps()[k++];
+                    const uint32_t step = steps[k++];
                     listed.clear();
                     walk.forEachTag(step >> 1, [&](unsigned position,
                                                    uint64_t id,
@@ -568,7 +578,7 @@ TEST(WindowWalk, TagsMatchCollectForEveryWindow)
                 }
                 window.push(rec);
             }
-            EXPECT_EQ(k, walk.steps().size());
+            EXPECT_EQ(k, steps.size());
             // One id per distinct key, however the hash table grew.
             std::set<std::vector<uint32_t>> keys;
             for (uint32_t w = 0; w < walk.windowCount(); ++w) {
@@ -578,7 +588,7 @@ TEST(WindowWalk, TagsMatchCollectForEveryWindow)
                 keys.insert(key);
             }
             EXPECT_EQ(keys.size(), walk.windowCount());
-            EXPECT_LT(walk.windowCount(), walk.steps().size())
+            EXPECT_LT(walk.windowCount(), steps.size())
                 << "depth=" << depth << " pcs=" << pcs
                 << ": no window recurred";
         }
