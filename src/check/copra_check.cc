@@ -24,10 +24,10 @@
  * drift).
  *
  * --ingest-gates verifies the foreign-trace path end to end over a
- * committed sample (--sample): reference ingest, stream-vs-mmap SoA
- * identity of the emitted cache-v3 file, record round-trip,
- * cross-format (text/CSV) agreement, corruption fuzz through both
- * loaders, and re-sealed forgeries (check/ingest_gates.hpp).
+ * committed sample (--sample): reference ingest, emit-then-load SoA
+ * identity of the cache-v3 file, record round-trip, cross-format
+ * (text/CSV) agreement, corruption fuzz through the loader, and
+ * re-sealed forgeries (check/ingest_gates.hpp).
  *
  * --hot-gates replays fuzzed traces through the roster's SoA hot path
  * and asserts a steady-state replay performs zero heap allocations
@@ -258,7 +258,7 @@ main(int argc, char **argv)
     bool ingest_gates = false;
     parser.addFlag("ingest-gates", &ingest_gates,
                    "run the foreign-trace ingestion gates (sample "
-                   "ingest, stream/mmap identity, round-trip, "
+                   "ingest, emit/load identity, round-trip, "
                    "corruption fuzz, forgeries) over --sample");
     std::string sample_path;
     parser.addString("sample", &sample_path,

@@ -228,8 +228,10 @@ minimizeTrace(const Trace &trace,
               const std::function<bool(const Trace &)> &still_fails,
               unsigned max_rounds)
 {
-    std::vector<BranchRecord> records(trace.records().begin(),
-                                      trace.records().end());
+    std::vector<BranchRecord> records;
+    records.reserve(trace.size());
+    for (const BranchRecord &rec : trace.records())
+        records.push_back(rec);
     size_t chunk = std::max<size_t>(1, records.size() / 2);
     unsigned rounds = 0;
     while (rounds < max_rounds) {

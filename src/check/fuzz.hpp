@@ -78,7 +78,7 @@ trace::Trace fuzzTrace(uint64_t seed, uint64_t conditionals = 2000);
  * Return a corrupted copy of @p bytes (a serialized binary trace). The
  * mutation is chosen from the seed; the result is guaranteed to differ
  * from the input. Mutations targeting the header (magic, version,
- * record count, kind bytes, truncation) make readBinary() throw; a
+ * record count, kind bytes, truncation) make loadBinary() throw; a
  * payload bit flip fails the checksum; a re-sealed forgery (see
  * forgeImage) passes the checksum and must fail verification. Where a
  * forgery does not apply (e.g. @p bytes is not a cache-v3 image) a

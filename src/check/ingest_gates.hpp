@@ -8,26 +8,24 @@
  *
  *  - reference-ingest: the committed sample foreign trace parses, has
  *    conditionals, and normalization is idempotent.
- *  - stream-mmap-identity: the ingested trace, emitted as a cache-v3
- *    file, loads byte-identically through loadBinary (stream) and
- *    loadBinaryMapped (mmap) — every column, the static index, the
- *    static pcs, the conditional segments, the name, and the seed.
- *    This is the "SoA replay is byte-identical between the stream and
- *    mmap paths" contract the simulator's determinism rests on.
+ *  - emit-load-identity: the ingested trace, emitted as a cache-v3
+ *    file and loaded back (trace::loadBinary), is byte-identical to
+ *    the ingested one — every column, the static index, the static
+ *    pcs, the conditional segments, the name, and the seed.
  *  - round-trip: records out of the v3 file equal the ingested records
  *    one-for-one.
  *  - cross-format: re-rendering the sample as native text and as CSV
  *    (with an explicit index column) and re-ingesting yields the same
  *    record sequence — the three grammars describe one trace.
- *  - corruption-fuzz: seed-ranged corrupted copies of the v3 bytes go
- *    through both loaders (the mapped one from a temp file), which
- *    must both reject them or both load identical traces that are
- *    structurally valid from first principles (static index, static
- *    pcs and segments rebuilt from the pc and kind columns). Corrupted
- *    copies of the text rendering must throw or ingest validly. Never
- *    crash, never silently truncate past validation.
+ *  - corruption-fuzz: seed-ranged corrupted copies of the v3 bytes,
+ *    written to a temp file, must be rejected by the loader or load
+ *    a trace that is structurally valid from first principles (static
+ *    index, static pcs and segments rebuilt from the pc and kind
+ *    columns). Corrupted copies of the text rendering must throw or
+ *    ingest validly. Never crash, never silently truncate past
+ *    validation.
  *  - forgery: each re-sealed forgery of check/fuzz.hpp (valid
- *    checksum, one broken invariant) is rejected by both loaders.
+ *    checksum, one broken invariant) is rejected by the loader.
  */
 
 #pragma once
@@ -49,7 +47,7 @@ struct IngestGateOptions
 /** One gate violation. */
 struct IngestGateFailure
 {
-    std::string gate; //!< "reference-ingest", "stream-mmap-identity",
+    std::string gate; //!< "reference-ingest", "emit-load-identity",
                       //!< "round-trip", "cross-format",
                       //!< "corruption-fuzz", "forgery"
     uint64_t seed = 0; //!< corruption seed (0 for deterministic gates)

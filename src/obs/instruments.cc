@@ -42,16 +42,6 @@ buildCatalog()
     add(c, i.simRunMispredicts, "sim.run.mispredicts", Kind::Counter,
         "branches", "mispredicted conditional branches across all "
         "sim::run passes", "sim");
-    add(c, i.simKernelBatches, "sim.kernel.batches", Kind::Counter,
-        "batches",
-        "SoA conditional runs handed to specialized predictor batch "
-        "loops",
-        "sim");
-    add(c, i.simKernelBranches, "sim.kernel.branches", Kind::Counter,
-        "branches",
-        "conditional branches simulated through specialized SoA batch "
-        "loops (subset of sim.run.branches)",
-        "sim");
 
     // --- predictor: modern-roster internals -------------------------
     add(c, i.tageAllocations, "tage.alloc", Kind::Counter, "entries",
@@ -172,11 +162,6 @@ buildCatalog()
     // --- trace: on-disk cache ---------------------------------------
     add(c, i.traceCacheHit, "trace.cache.hit", Kind::Counter, "entries",
         "trace cache lookups served from disk", "trace");
-    add(c, i.traceCacheMmapHit, "trace.cache.mmap_hit", Kind::Counter,
-        "entries",
-        "cache hits served in place by the mmap fast path (subset of "
-        "trace.cache.hit)",
-        "trace");
     add(c, i.traceCacheMiss, "trace.cache.miss", Kind::Counter,
         "entries",
         "trace cache lookups that fell through to generation", "trace");

@@ -26,11 +26,6 @@ struct Ids
     InstrumentId simRunBranches = 0;
     InstrumentId simRunMispredicts = 0;
 
-    // predictor: column batch loops (src/predictor/two_level.cc,
-    // bimodal.cc via predictor/kernels.hpp).
-    InstrumentId simKernelBatches = 0;
-    InstrumentId simKernelBranches = 0;
-
     // predictor: modern-roster internals (src/predictor/tage.cc,
     // perceptron.cc).
     InstrumentId tageAllocations = 0;
@@ -76,7 +71,6 @@ struct Ids
 
     // trace: the on-disk trace cache (src/trace/trace_cache.cc).
     InstrumentId traceCacheHit = 0;
-    InstrumentId traceCacheMmapHit = 0;
     InstrumentId traceCacheMiss = 0;
     InstrumentId traceCacheEvict = 0;
     InstrumentId traceCacheReadBytes = 0;

@@ -36,10 +36,6 @@ Bimodal::update(const trace::BranchRecord &br, bool taken) noexcept
 uint64_t
 Bimodal::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    if (batch.count == 0)
-        return 0;
-    kernelCounts_.note(batch.count);
-
     uint64_t n_correct = 0;
     for (size_t i = 0; i < batch.count; ++i) {
         Counter2 &counter = table_[indexOf(batch.pc[i])];

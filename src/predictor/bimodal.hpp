@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "predictor/kernels.hpp"
 #include "predictor/predictor.hpp"
 #include "predictor/state.hpp"
 #include "util/sat_counter.hpp"
@@ -65,14 +64,12 @@ class Bimodal : public Predictor
 
     COPRA_CONFIG_FIELDS(tableBits_);
     COPRA_STATE_FIELDS(table_);
-    COPRA_TRANSIENT_FIELDS(kernelCounts_);
 
   private:
     size_t indexOf(uint64_t pc) const noexcept;
 
     unsigned tableBits_;
     std::vector<Counter2> table_;
-    kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
 };
 
 } // namespace copra::predictor

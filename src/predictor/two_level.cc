@@ -161,7 +161,6 @@ TwoLevel::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
     if (batch.count == 0)
         return 0;
-    kernelCounts_.note(batch.count);
     return config_.scope == TwoLevelConfig::Scope::Global
         ? runGlobalSoa(batch, correct_out)
         : runPerAddressSoa(batch, correct_out);

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "predictor/kernels.hpp"
 #include "predictor/predictor.hpp"
 #include "predictor/state.hpp"
 #include "util/sat_counter.hpp"
@@ -144,7 +143,6 @@ class TwoLevel : public Predictor
     COPRA_CONFIG_FIELDS(config_, historyMask_, phtMask_, counterMax_,
                         counterInit_);
     COPRA_STATE_FIELDS(histories_, pht_);
-    COPRA_TRANSIENT_FIELDS(kernelCounts_);
 
   private:
     uint64_t &historyFor(uint64_t pc) noexcept;
@@ -186,7 +184,6 @@ class TwoLevel : public Predictor
     uint8_t counterInit_;
     std::vector<uint64_t> histories_; // size 1 (global) or 2^bhtBits
     std::vector<uint8_t> pht_;        // counterBits-wide counters
-    kernels::BatchCounters kernelCounts_; // flushes to obs on destroy
 };
 
 } // namespace copra::predictor

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "obs/instruments.hpp"
@@ -59,20 +58,9 @@ TraceCache::load(const TraceCacheKey &key) const
     if (ec)
         bytes = 0;
     try {
-        // Fast path: mmap the entry and view its columns in place.
-        // Anything the mapped loader rejects is retried through the
-        // stream loader (the only loader where mmap is unavailable);
-        // what both reject, e.g. a wrong-version header, is evicted.
-        Trace trace;
-        bool mapped = false;
-        try {
-            trace = loadBinaryMapped(path);
-            mapped = true;
-        } catch (const std::exception &) {
-            trace = loadBinary(path);
-        }
-        if (mapped)
-            obs::count(obs::ids().traceCacheMmapHit);
+        // The trace views the mapped entry in place; an entry the
+        // loader rejects, e.g. a wrong-version header, is evicted.
+        Trace trace = loadBinary(path);
         if (trace.name() != key.benchmark) {
             warn("trace cache: entry " + path +
                  " is labeled '" + trace.name() + "', dropping it");

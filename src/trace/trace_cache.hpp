@@ -7,14 +7,12 @@
  * version); the key is encoded in the file name, so bumping
  * kTraceFormatVersion invalidates every existing entry without any
  * bookkeeping (old files are simply never looked up). Hits are served
- * by memory-mapping the cache-v3 file (loadBinaryMapped): the trace
- * views its columns and static index in the mapping after a checksum
- * and one verification pass — no column copy, no per-record hashing.
- * A file the mapped loader rejects is retried through the stream
- * loader (the only path on platforms without mmap; it shares the
- * mapped loader's checks); corrupt, unreadable or wrong-version
- * entries are treated as misses and removed. Stores replace entries
- * by rename, so a trace still mapping the old file stays valid.
+ * by memory-mapping the cache-v3 file (loadBinary): the trace views
+ * its columns and static index in the mapping after a checksum and one
+ * verification pass — no column copy, no per-record hashing. Corrupt,
+ * unreadable or wrong-version entries are treated as misses and
+ * removed. Stores replace entries by rename, so a trace still mapping
+ * the old file stays valid.
  *
  * The cache directory defaults to ".copra-cache/" and is overridable
  * with the COPRA_CACHE_DIR environment variable. Stores are atomic

@@ -8,12 +8,10 @@
 #include <memory>
 #include <stdexcept>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "trace/trace_soa.hpp"
 
@@ -145,9 +143,8 @@ section(const unsigned char *base, size_t offset, uint64_t count)
 }
 
 /**
- * The one decode path of both loaders: check the image at @p base
- * (@p bytes long, 8-aligned, kept alive by @p owner) and adopt its
- * sections as the trace's columns in place.
+ * Check the image at @p base (@p bytes long, 8-aligned, kept alive by
+ * @p owner) and adopt its sections as the trace's columns in place.
  */
 Trace
 adoptImage(std::shared_ptr<const void> owner, const unsigned char *base,
@@ -251,38 +248,6 @@ writeBinary(const Trace &trace, std::ostream &os)
     }
 }
 
-Trace
-readBinary(std::istream &is)
-{
-    std::istream::pos_type start = is.tellg();
-    std::array<unsigned char, kHeaderBytes> header{};
-    is.read(reinterpret_cast<char *>(header.data()), kHeaderBytes);
-    auto have = static_cast<size_t>(is.gcount());
-    is.clear();
-    is.seekg(0, std::ios::end);
-    std::istream::pos_type end = is.tellg();
-    if (start == std::istream::pos_type(-1) ||
-        end == std::istream::pos_type(-1))
-        throw std::runtime_error("copra trace: input is not seekable");
-    auto bytes = static_cast<uint64_t>(end - start);
-    parseHeader(header.data(), have, bytes);
-
-    // One buffer holds the whole image and the trace views it in place.
-    // operator new aligns it for u64 and implicitly creates the column
-    // objects the views read.
-    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(uint64_t));
-    std::shared_ptr<void> buffer(::operator new(static_cast<size_t>(bytes)),
-                                 [](void *p) { ::operator delete(p); });
-    auto *base = static_cast<unsigned char *>(buffer.get());
-    std::memcpy(base, header.data(), kHeaderBytes);
-    is.seekg(start + std::streamoff(kHeaderBytes));
-    is.read(reinterpret_cast<char *>(base) + kHeaderBytes,
-            static_cast<std::streamsize>(bytes - kHeaderBytes));
-    if (!is)
-        throw std::runtime_error("copra trace: truncated input");
-    return adoptImage(std::move(buffer), base, static_cast<size_t>(bytes));
-}
-
 void
 saveBinary(const Trace &trace, const std::string &path)
 {
@@ -301,18 +266,6 @@ saveBinary(const Trace &trace, const std::string &path)
 Trace
 loadBinary(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("copra trace: cannot open for read: " +
-                                 path);
-    return readBinary(is);
-}
-
-#ifndef _WIN32
-
-Trace
-loadBinaryMapped(const std::string &path)
-{
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         throw std::runtime_error("copra trace: cannot open for read: " +
@@ -323,9 +276,10 @@ loadBinaryMapped(const std::string &path)
         throw std::runtime_error("copra trace: cannot stat: " + path);
     }
     auto bytes = static_cast<size_t>(st.st_size);
-    if (bytes < kHeaderBytes) {
+    if (bytes == 0) {
+        // Nothing to map; the header check names what is missing.
         ::close(fd);
-        throw std::runtime_error("copra trace: truncated header");
+        return adoptImage(nullptr, nullptr, 0);
     }
     int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
@@ -341,18 +295,6 @@ loadBinaryMapped(const std::string &path)
     return adoptImage(std::move(image),
                       static_cast<const unsigned char *>(map), bytes);
 }
-
-#else // _WIN32
-
-Trace
-loadBinaryMapped(const std::string &path)
-{
-    // No mmap on this platform; callers fall back to loadBinary.
-    throw std::runtime_error("copra trace: mapped load unsupported: " +
-                             path);
-}
-
-#endif
 
 void
 writeText(const Trace &trace, std::ostream &os)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace serialization: a versioned binary format for bulk storage and a
- * line-oriented text writer for inspection (trace/ingest.hpp reads the
- * text back).
+ * Trace serialization: a versioned binary format for bulk storage,
+ * loaded by mapping the file (loadBinary), and a line-oriented text
+ * writer for inspection (trace/ingest.hpp reads the text back).
  */
 
 #pragma once
@@ -78,41 +78,29 @@ uint64_t imageChecksum(const unsigned char *image, size_t bytes);
 void writeBinary(const Trace &trace, std::ostream &os);
 
 /**
- * Read a cache-v3 trace: the stream is read into one 8-aligned buffer
- * that the trace then views in place (the same adoption and checks as
- * loadBinaryMapped). @p is must be seekable, so the image size can be
- * checked before it is allocated.
- *
- * @throws std::runtime_error on bad magic, unsupported version, a size
- * that disagrees with the header, a checksum mismatch, or columns that
- * fail verification (see SoABlocks::adopt).
- */
-Trace readBinary(std::istream &is);
-
-/**
  * Write @p trace to the file at @p path in binary format. An existing
  * file is unlinked first, never rewritten in place, so traces mapped
  * from it stay valid.
  */
 void saveBinary(const Trace &trace, const std::string &path);
 
-/** Load a binary-format trace from the file at @p path (readBinary). */
-Trace loadBinary(const std::string &path);
-
 /**
- * Load a cache-v3 trace by memory-mapping @p path read-only. The trace
- * views its columns in the mapping, which it shares with its copies
- * and releases with the last of them: the load maps the file, checks
- * the header against the exact file size, verifies the checksum and
- * the stored static index, and derives the conditional segments. No
- * column is copied. Replace a mapped file by rename (as TraceCache
- * and saveBinary do); truncating it in place would fault the traces
- * that view it.
+ * Load the cache-v3 trace at @p path, the one loader of that format,
+ * by memory-mapping it read-only. The trace views its columns in the
+ * mapping, which it shares with its copies and releases with the last
+ * of them: the load maps the file, checks the header against the exact
+ * file size, verifies the checksum and the stored static index, and
+ * derives the conditional segments. No column is copied. Replace a
+ * mapped file by rename (as TraceCache and saveBinary do); truncating
+ * it in place would fault the traces that view it.
  *
- * @throws std::runtime_error when the file cannot be mapped or fails
- * any check readBinary makes.
+ * @throws std::runtime_error when the file cannot be opened or
+ * mapped, on bad magic (also for any file too short to hold the
+ * magic), unsupported version, a truncated header, an implausible
+ * name length, a size that disagrees with the header, a checksum
+ * mismatch, or columns that fail verification (see SoABlocks::adopt).
  */
-Trace loadBinaryMapped(const std::string &path);
+Trace loadBinary(const std::string &path);
 
 /**
  * Write @p trace as text: a "# name <name>" / "# seed <seed>" header, then

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace copra::trace {
@@ -19,27 +18,6 @@ reject(const std::string &why)
 }
 
 } // namespace
-
-SoABlocks::SoABlocks(std::vector<uint64_t> pc, std::vector<uint64_t> target,
-                     std::vector<uint8_t> kind, std::vector<uint8_t> taken)
-{
-    panicIf(pc.size() != target.size() || pc.size() != kind.size() ||
-            pc.size() != taken.size(),
-            "SoABlocks columns must have equal length");
-    for (uint8_t k : kind)
-        panicIf(k > static_cast<uint8_t>(BranchKind::Return),
-                "SoABlocks: invalid branch kind in column");
-    for (uint8_t &t : taken)
-        t = t != 0 ? 1 : 0;
-    owned_.pc = std::move(pc);
-    owned_.target = std::move(target);
-    owned_.kind = std::move(kind);
-    owned_.taken = std::move(taken);
-    owned_.staticIndex.reserve(owned_.pc.size());
-    for (size_t i = 0; i < owned_.pc.size(); ++i)
-        indexRecord(i);
-    bind();
-}
 
 SoABlocks
 SoABlocks::adopt(std::shared_ptr<const void> image, const Columns &c)

@@ -13,11 +13,11 @@
  * Each column is a read-only view over one owner. Traces built in
  * memory (the generator, ingest) own their columns as vectors and
  * extend both indices as records arrive. Traces loaded from a cache-v3
- * file view the file image itself (a shared read-only mapping or one
- * aligned buffer): adopt() verifies the stored static index against
- * the pc column and derives the segments in one pass, copying no
- * column. A copy of an adopted trace shares its image; the first
- * mutation copies the image once into owned columns.
+ * file view the file image itself (a shared read-only mapping):
+ * adopt() verifies the stored static index against the pc column and
+ * derives the segments in one pass, copying no column. A copy of an
+ * adopted trace shares its image; the first mutation copies the image
+ * once into owned columns.
  *
  * BranchRecord is a value materialized on demand (record(), records())
  * for the consumers that want whole records.
@@ -25,10 +25,8 @@
 
 #pragma once
 
-#include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,23 +38,16 @@ namespace copra::trace {
 class SoABlocks;
 
 /**
- * Random-access iterator over a column image that yields BranchRecord
- * values (not references): each dereference materializes the record
- * from the four columns.
+ * Iterator over a trace's records for range-for: each dereference
+ * materializes a BranchRecord value (not a reference) from the four
+ * columns.
  */
 class RecordIterator
 {
   public:
-    using value_type = BranchRecord;
-    using difference_type = std::ptrdiff_t;
-    using iterator_concept = std::random_access_iterator_tag;
-    using iterator_category = std::input_iterator_tag;
-
-    RecordIterator() = default;
     RecordIterator(const SoABlocks *soa, size_t i) : soa_(soa), i_(i) {}
 
     BranchRecord operator*() const;
-    BranchRecord operator[](difference_type n) const;
 
     RecordIterator &
     operator++()
@@ -65,93 +56,21 @@ class RecordIterator
         return *this;
     }
 
-    RecordIterator
-    operator++(int)
-    {
-        RecordIterator before = *this;
-        ++i_;
-        return before;
-    }
-
-    RecordIterator &
-    operator--()
-    {
-        --i_;
-        return *this;
-    }
-
-    RecordIterator
-    operator--(int)
-    {
-        RecordIterator before = *this;
-        --i_;
-        return before;
-    }
-
-    RecordIterator &
-    operator+=(difference_type n)
-    {
-        i_ += static_cast<size_t>(n);
-        return *this;
-    }
-
-    RecordIterator &
-    operator-=(difference_type n)
-    {
-        i_ -= static_cast<size_t>(n);
-        return *this;
-    }
-
-    friend RecordIterator
-    operator+(RecordIterator it, difference_type n)
-    {
-        return it += n;
-    }
-
-    friend RecordIterator
-    operator+(difference_type n, RecordIterator it)
-    {
-        return it += n;
-    }
-
-    friend RecordIterator
-    operator-(RecordIterator it, difference_type n)
-    {
-        return it -= n;
-    }
-
-    friend difference_type
-    operator-(const RecordIterator &a, const RecordIterator &b)
-    {
-        return static_cast<difference_type>(a.i_ - b.i_);
-    }
-
-    friend bool
-    operator==(const RecordIterator &a, const RecordIterator &b)
-    {
-        return a.i_ == b.i_;
-    }
-
-    friend auto
-    operator<=>(const RecordIterator &a, const RecordIterator &b)
-    {
-        return a.i_ <=> b.i_;
-    }
+    bool operator==(const RecordIterator &) const = default;
 
   private:
-    const SoABlocks *soa_ = nullptr;
-    size_t i_ = 0;
+    const SoABlocks *soa_;
+    size_t i_;
 };
 
-/** A sized range of materialized records over [begin, end). */
+/** Every record of one trace, in order, materialized on dereference. */
 struct RecordRange
 {
-    RecordIterator first;
-    RecordIterator last;
+    const SoABlocks *soa;
 
-    RecordIterator begin() const { return first; }
-    RecordIterator end() const { return last; }
-    size_t size() const { return static_cast<size_t>(last - first); }
+    RecordIterator begin() const { return {soa, 0}; }
+    RecordIterator end() const { return {soa, size()}; }
+    size_t size() const;
 };
 
 /** Column-major (structure-of-arrays) storage of one branch trace. */
@@ -177,16 +96,6 @@ class SoABlocks
     };
 
     SoABlocks() = default;
-
-    /**
-     * Take ownership of in-memory columns (tests, in-process builders)
-     * and index them. All four vectors must have equal length and kind
-     * values must be valid BranchKind encodings (both panic otherwise);
-     * any non-zero taken byte is canonicalized to 1. File loaders do
-     * not come through here: they adopt() and reject such bytes.
-     */
-    SoABlocks(std::vector<uint64_t> pc, std::vector<uint64_t> target,
-              std::vector<uint8_t> kind, std::vector<uint8_t> taken);
 
     /**
      * View @p columns in place; @p image owns the memory they point
@@ -275,11 +184,7 @@ class SoABlocks
     }
 
     /** Every record, materialized on dereference. */
-    RecordRange
-    records() const noexcept
-    {
-        return {RecordIterator(this, 0), RecordIterator(this, size())};
-    }
+    RecordRange records() const noexcept { return {this}; }
 
   private:
     /** Columns this object owns (used when image_ is null). */
@@ -328,10 +233,10 @@ RecordIterator::operator*() const
     return soa_->record(i_);
 }
 
-inline BranchRecord
-RecordIterator::operator[](difference_type n) const
+inline size_t
+RecordRange::size() const
 {
-    return soa_->record(i_ + static_cast<size_t>(n));
+    return soa->size();
 }
 
 } // namespace copra::trace

@@ -9,14 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
+#include <string>
 
 #include "check/fuzz.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 #include "util/rng.hpp"
 
 namespace copra::check {
 namespace {
+
+using test_support::binaryBytes;
+using test_support::loadBytes;
 
 TEST(Fuzz, SameSeedSameTrace)
 {
@@ -103,13 +106,9 @@ TEST(Fuzz, FuzzedTracesRoundTripBitEqual)
     // every fuzzed trace; this is the strongest trace_io contract.
     for (uint64_t seed = 1; seed <= 50; ++seed) {
         trace::Trace t = fuzzTrace(seed, 600);
-        std::ostringstream first;
-        trace::writeBinary(t, first);
-        std::istringstream in(first.str());
-        trace::Trace back = trace::readBinary(in);
-        std::ostringstream second;
-        trace::writeBinary(back, second);
-        ASSERT_EQ(first.str(), second.str()) << "seed " << seed;
+        std::string first = binaryBytes(t);
+        trace::Trace back = loadBytes(first);
+        ASSERT_EQ(first, binaryBytes(back)) << "seed " << seed;
         ASSERT_EQ(back.size(), t.size());
         for (size_t i = 0; i < t.size(); ++i)
             ASSERT_EQ(back[i], t[i]) << "seed " << seed << " rec " << i;
@@ -119,9 +118,7 @@ TEST(Fuzz, FuzzedTracesRoundTripBitEqual)
 TEST(Fuzz, CorruptBytesIsDeterministicAndAlwaysDiffers)
 {
     trace::Trace t = fuzzTrace(3, 300);
-    std::ostringstream os;
-    trace::writeBinary(t, os);
-    const std::string clean = os.str();
+    const std::string clean = binaryBytes(t);
     for (uint64_t seed = 0; seed < 64; ++seed) {
         std::string a = corruptBytes(clean, seed);
         std::string b = corruptBytes(clean, seed);
@@ -137,18 +134,12 @@ TEST(Fuzz, CorruptBytesNeverRoundTripsSilentlyWrong)
     // in ways that change decoded content (i.e. decode(corrupt) is
     // stable: encode(decode(x)) == encode(decode(encode(decode(x))))).
     trace::Trace t = fuzzTrace(11, 200);
-    std::ostringstream os;
-    trace::writeBinary(t, os);
-    const std::string clean = os.str();
+    const std::string clean = binaryBytes(t);
     for (uint64_t seed = 0; seed < 128; ++seed) {
         std::string bad = corruptBytes(clean, seed);
         try {
-            std::istringstream in(bad);
-            trace::Trace decoded = trace::readBinary(in);
-            std::ostringstream re;
-            trace::writeBinary(decoded, re);
-            std::istringstream in2(re.str());
-            trace::Trace decoded2 = trace::readBinary(in2);
+            trace::Trace decoded = loadBytes(bad);
+            trace::Trace decoded2 = loadBytes(binaryBytes(decoded));
             ASSERT_EQ(decoded2.size(), decoded.size()) << "seed " << seed;
             for (size_t i = 0; i < decoded.size(); ++i)
                 ASSERT_EQ(decoded2[i], decoded[i])
@@ -165,13 +156,10 @@ TEST(Fuzz, ReaderRejectsImplausibleHeaderWithoutHugeAllocation)
     // driving a multi-gigabyte string allocation.
     trace::Trace t("n", 1);
     t.append({0x10, 0x20, trace::BranchKind::Conditional, true});
-    std::ostringstream os;
-    trace::writeBinary(t, os);
-    std::string bytes = os.str();
+    std::string bytes = binaryBytes(t);
     // v2 name_len field lives at offset 12..15 (little-endian).
     bytes[12] = bytes[13] = bytes[14] = bytes[15] = char(0xff);
-    std::istringstream in(bytes);
-    EXPECT_THROW(trace::readBinary(in), std::runtime_error);
+    EXPECT_THROW(loadBytes(bytes), std::runtime_error);
 }
 
 } // namespace

@@ -357,14 +357,14 @@ TEST_F(TraceCacheTest, WarmLoadViewsTheMappedFileInPlace)
     obs::Registry::instance().reset();
     obs::setEnabled(true);
     std::optional<Trace> loaded = cache.load(key);
-    uint64_t mmap_hits = obs::Registry::instance()
-                             .snapshot()
-                             .values.at(obs::ids().traceCacheMmapHit)
-                             .scalar;
+    uint64_t hits = obs::Registry::instance()
+                        .snapshot()
+                        .values.at(obs::ids().traceCacheHit)
+                        .scalar;
     obs::setEnabled(false);
     obs::Registry::instance().reset();
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(mmap_hits, 1u) << "a warm load must be served by the mapping";
+    EXPECT_EQ(hits, 1u) << "a warm load must be a hit";
 
     // The pc column lies inside the mapping of the cache file: the load
     // viewed it in place instead of copying it out.
@@ -431,8 +431,8 @@ v2Bytes(const Trace &t)
 
 TEST_F(TraceCacheTest, V2EntryInACacheSlotIsEvictedAndRegenerated)
 {
-    // A well-formed v2 file copied by hand into a v3 cache slot: both
-    // loaders reject its version, the cache evicts it, and the next
+    // A well-formed v2 file copied by hand into a v3 cache slot: the
+    // loader rejects its version, the cache evicts it, and the next
     // loadOrGenerate regenerates and stores a v3 entry.
     TraceCache cache(dir_.string());
     TraceCacheKey key{"sample", 4, 1};

@@ -1,12 +1,12 @@
 /**
  * @file
  * Property test for the column store: every way of building a trace —
- * per-record append, the bulk column constructor, appendTrace of split
- * halves, and a saveBinary round trip through both loaders — must
- * produce identical columns, conditional segments, static index,
- * static pcs and conditional count. Covers the fuzz corpus, a chunked
- * Program::runParallel trace (whose chunks are spliced by appendTrace)
- * and a trace with enough distinct pcs to grow the intern table.
+ * per-record append, appendTrace of split halves, and a saveBinary /
+ * loadBinary round trip — must produce identical columns, conditional
+ * segments, static index, static pcs and conditional count. Covers the
+ * fuzz corpus, a chunked Program::runParallel trace (whose chunks are
+ * spliced by appendTrace) and a trace with enough distinct pcs to grow
+ * the intern table.
  */
 
 #include <gtest/gtest.h>
@@ -107,11 +107,6 @@ checkAllConstructions(const Trace &t, const std::string &label)
 
     const SoABlocks &src = t.soa();
     size_t n = src.size();
-    SoABlocks bulk(std::vector<uint64_t>(src.pc(), src.pc() + n),
-                   std::vector<uint64_t>(src.target(), src.target() + n),
-                   std::vector<uint8_t>(src.kind(), src.kind() + n),
-                   std::vector<uint8_t>(src.taken(), src.taken() + n));
-    expectSameColumns(by_append.soa(), bulk, "bulk constructor");
 
     // Cut points at both ends, in the middle, and inside a conditional
     // run, so the splice must merge the segments it joins.
@@ -132,8 +127,6 @@ checkAllConstructions(const Trace &t, const std::string &label)
     std::string path =
         (fs::path(::testing::TempDir()) / "copra-columns.trc").string();
     saveBinary(t, path);
-    expectSameColumns(by_append.soa(), loadBinaryMapped(path).soa(),
-                      "loadBinaryMapped");
     expectSameColumns(by_append.soa(), loadBinary(path).soa(),
                       "loadBinary");
     fs::remove(path);

@@ -17,7 +17,7 @@
 #include "predictor/factory.hpp"
 #include "sim/driver.hpp"
 #include "trace/ingest.hpp"
-#include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 
 namespace copra::trace {
 namespace {
@@ -352,7 +352,7 @@ TEST(IngestSniff, AutoDetectsAllThreeFormats)
     EXPECT_EQ(report.format, IngestFormat::Cbp);
 }
 
-TEST(IngestRoundTrip, SurvivesCacheV2AndSoA)
+TEST(IngestRoundTrip, SurvivesCacheV3AndSoA)
 {
     IngestReport report;
     std::ostringstream src;
@@ -366,9 +366,8 @@ TEST(IngestRoundTrip, SurvivesCacheV2AndSoA)
     }
     Trace ingested = ingestString(src.str(), report);
 
-    std::stringstream buf;
-    writeBinary(ingested, buf);
-    Trace loaded = readBinary(buf);
+    Trace loaded =
+        test_support::loadBytes(test_support::binaryBytes(ingested));
     ASSERT_EQ(loaded.size(), ingested.size());
     for (size_t i = 0; i < ingested.size(); ++i)
         EXPECT_EQ(loaded[i], ingested[i]) << "record " << i;

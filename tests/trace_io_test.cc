@@ -10,10 +10,14 @@
 
 #include "trace/ingest.hpp"
 #include "trace/trace_io.hpp"
+#include "trace_bytes.hpp"
 #include "workload/patterns.hpp"
 
 namespace copra::trace {
 namespace {
+
+using test_support::binaryBytes;
+using test_support::loadBytes;
 
 Trace
 sampleTrace()
@@ -30,9 +34,7 @@ sampleTrace()
 TEST(TraceIoBinary, RoundTripsExactly)
 {
     Trace original = sampleTrace();
-    std::stringstream buf;
-    writeBinary(original, buf);
-    Trace loaded = readBinary(buf);
+    Trace loaded = loadBytes(binaryBytes(original));
 
     EXPECT_EQ(loaded.name(), original.name());
     EXPECT_EQ(loaded.seed(), original.seed());
@@ -45,9 +47,7 @@ TEST(TraceIoBinary, RoundTripsExactly)
 TEST(TraceIoBinary, EmptyTraceRoundTrips)
 {
     Trace empty("nothing", 1);
-    std::stringstream buf;
-    writeBinary(empty, buf);
-    Trace loaded = readBinary(buf);
+    Trace loaded = loadBytes(binaryBytes(empty));
     EXPECT_EQ(loaded.name(), "nothing");
     EXPECT_TRUE(loaded.empty());
 }
@@ -55,9 +55,7 @@ TEST(TraceIoBinary, EmptyTraceRoundTrips)
 TEST(TraceIoBinary, LargeGeneratedTraceRoundTrips)
 {
     Trace original = workload::biasedTrace(0x400, 0.7, 5000, 42);
-    std::stringstream buf;
-    writeBinary(original, buf);
-    Trace loaded = readBinary(buf);
+    Trace loaded = loadBytes(binaryBytes(original));
     ASSERT_EQ(loaded.size(), original.size());
     for (size_t i = 0; i < original.size(); i += 97)
         EXPECT_EQ(loaded[i], original[i]);
@@ -65,41 +63,31 @@ TEST(TraceIoBinary, LargeGeneratedTraceRoundTrips)
 
 TEST(TraceIoBinary, BadMagicThrows)
 {
-    std::stringstream buf("NOTATRACE-AT-ALL............");
-    EXPECT_THROW(readBinary(buf), std::runtime_error);
+    EXPECT_THROW(loadBytes("NOTATRACE-AT-ALL............"),
+                 std::runtime_error);
 }
 
 TEST(TraceIoBinary, TruncatedInputThrows)
 {
-    Trace original = sampleTrace();
-    std::stringstream buf;
-    writeBinary(original, buf);
-    std::string bytes = buf.str();
-    std::stringstream cut(bytes.substr(0, bytes.size() - 5));
-    EXPECT_THROW(readBinary(cut), std::runtime_error);
+    std::string bytes = binaryBytes(sampleTrace());
+    EXPECT_THROW(loadBytes(bytes.substr(0, bytes.size() - 5)),
+                 std::runtime_error);
 }
 
 TEST(TraceIoBinary, FutureVersionRejected)
 {
-    Trace original("v", 0);
-    std::stringstream buf;
-    writeBinary(original, buf);
-    std::string bytes = buf.str();
+    std::string bytes = binaryBytes(Trace("v", 0));
     bytes[8] = 99; // bump the version field
-    std::stringstream bad(bytes);
-    EXPECT_THROW(readBinary(bad), std::runtime_error);
+    EXPECT_THROW(loadBytes(bytes), std::runtime_error);
 }
 
 TEST(TraceIoBinary, InvalidKindRejected)
 {
     Trace original;
     original.append({0x100, 0x104, BranchKind::Conditional, true});
-    std::stringstream buf;
-    writeBinary(original, buf);
-    std::string bytes = buf.str();
+    std::string bytes = binaryBytes(original);
     bytes[imageLayout(0, 1, 1).kind] = 42; // corrupt the kind byte
-    std::stringstream bad(bytes);
-    EXPECT_THROW(readBinary(bad), std::runtime_error);
+    EXPECT_THROW(loadBytes(bytes), std::runtime_error);
 }
 
 TEST(TraceIoText, WriteTextIngestsBackRecordExact)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the column store and the cache-v3 loaders: record
+ * Tests for the column store and the cache-v3 loader: record
  * materialization against the columns over fuzzed traces,
  * conditional-segment and static-index invariants, the rejection of
- * truncated / garbage / wrong-version files by both loaders (with the
- * trace cache evicting what neither can read), and the rejection of
+ * truncated / garbage / wrong-version files by the loader (with the
+ * trace cache evicting what it cannot read), and the rejection of
  * re-sealed forgeries that only the verification pass can catch.
  */
 
@@ -15,23 +15,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <ranges>
-#include <sstream>
 
 #include "check/fuzz.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_cache.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_soa.hpp"
+#include "trace_bytes.hpp"
 
 namespace copra::trace {
 namespace {
 
 namespace fs = std::filesystem;
-
-static_assert(std::random_access_iterator<RecordIterator>);
-static_assert(std::ranges::sized_range<RecordRange>);
+using test_support::binaryBytes;
 
 TEST(TraceSoa, RecordsMaterializeFromTheColumns)
 {
@@ -92,6 +89,19 @@ TEST(TraceSoa, SegmentsCoverExactlyTheConditionalRuns)
     }
 }
 
+/** The message loadBinary gives for the file at @p path, or "" if it
+ * loads. */
+std::string
+rejection(const std::string &path)
+{
+    try {
+        loadBinary(path);
+        return "";
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+}
+
 class MappedLoadTest : public ::testing::Test
 {
   protected:
@@ -116,15 +126,6 @@ class MappedLoadTest : public ::testing::Test
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
         return path;
-    }
-
-    /** Serialize @p t in the current (v3) binary format. */
-    std::string
-    v3Bytes(const Trace &t)
-    {
-        std::ostringstream os;
-        writeBinary(t, os);
-        return os.str();
     }
 
     /** Serialize @p t in the retired v1 record-interleaved format. */
@@ -157,21 +158,20 @@ class MappedLoadTest : public ::testing::Test
     fs::path dir_;
 };
 
-TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheStreamLoader)
+TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheSavedTrace)
 {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         Trace t = check::fuzzTrace(seed, 400);
-        std::string path = writeFile("t.trc", v3Bytes(t));
-        Trace mapped = loadBinaryMapped(path);
-        Trace streamed = loadBinary(path);
+        std::string path = writeFile("t.trc", binaryBytes(t));
+        Trace mapped = loadBinary(path);
         EXPECT_EQ(mapped.name(), t.name());
         EXPECT_EQ(mapped.seed(), t.seed());
-        ASSERT_EQ(mapped.size(), streamed.size());
+        ASSERT_EQ(mapped.size(), t.size());
         for (size_t i = 0; i < mapped.size(); ++i)
-            ASSERT_EQ(mapped[i], streamed[i]) << "seed " << seed;
+            ASSERT_EQ(mapped[i], t[i]) << "seed " << seed;
         EXPECT_EQ(mapped.conditionalCount(), t.conditionalCount());
         ASSERT_TRUE(std::ranges::equal(mapped.soa().staticPcs(),
-                                       streamed.soa().staticPcs()));
+                                       t.soa().staticPcs()));
         EXPECT_TRUE(std::equal(mapped.soa().staticIndex(),
                                mapped.soa().staticIndex() + mapped.size(),
                                t.soa().staticIndex()));
@@ -183,7 +183,7 @@ TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheStreamLoader)
 TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
 {
     Trace t = check::fuzzTrace(2, 200);
-    std::string clean = v3Bytes(t);
+    std::string clean = binaryBytes(t);
 
     // Truncations at every structurally interesting point: mid-magic,
     // mid-header, mid-name, and mid-column.
@@ -191,68 +191,33 @@ TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
                        size_t(45), clean.size() - 1}) {
         std::string path =
             writeFile("cut.trc", clean.substr(0, cut));
-        EXPECT_THROW(loadBinaryMapped(path), std::runtime_error)
+        EXPECT_THROW(loadBinary(path), std::runtime_error)
             << "cut at " << cut;
     }
 
     // Trailing garbage breaks the exact-size check.
-    EXPECT_THROW(loadBinaryMapped(writeFile("fat.trc", clean + "xx")),
+    EXPECT_THROW(loadBinary(writeFile("fat.trc", clean + "xx")),
                  std::runtime_error);
 
-    // Arbitrary garbage and a smashed magic are rejected up front.
-    EXPECT_THROW(loadBinaryMapped(writeFile("junk.trc",
-                                            "not a trace at all")),
-                 std::runtime_error);
+    // Arbitrary garbage, even shorter than a header, and a smashed
+    // magic are rejected up front as not being a trace.
+    EXPECT_EQ(rejection(writeFile("junk.trc", "not a trace at all")),
+              "copra trace: bad magic");
     std::string bad_magic = clean;
     bad_magic[0] ^= 0x20;
-    EXPECT_THROW(loadBinaryMapped(writeFile("magic.trc", bad_magic)),
-                 std::runtime_error);
+    EXPECT_EQ(rejection(writeFile("magic.trc", bad_magic)),
+              "copra trace: bad magic");
 
-    // A well-formed v1 file is rejected by both loaders.
-    std::string v1_path = writeFile("v1.trc", v1Bytes(t));
-    for (auto load : {&loadBinaryMapped, &loadBinary}) {
-        try {
-            load(v1_path);
-            ADD_FAILURE() << "a v1 file must not load";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
+    // A well-formed v1 file is rejected by its version.
+    std::string why = rejection(writeFile("v1.trc", v1Bytes(t)));
+    EXPECT_NE(why.find("unsupported version 1"), std::string::npos) << why;
 
     // A missing file cannot be mapped at all.
-    EXPECT_THROW(loadBinaryMapped((dir_ / "absent.trc").string()),
+    EXPECT_THROW(loadBinary((dir_ / "absent.trc").string()),
                  std::runtime_error);
 }
 
-/** The message both loaders give for @p bytes, or "" if one loads. */
-std::string
-rejection(const std::string &bytes, const std::string &path)
-{
-    std::string messages[2];
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    try {
-        loadBinaryMapped(path);
-        return "";
-    } catch (const std::runtime_error &e) {
-        messages[0] = e.what();
-    }
-    try {
-        std::istringstream in(bytes);
-        readBinary(in);
-        return "";
-    } catch (const std::runtime_error &e) {
-        messages[1] = e.what();
-    }
-    EXPECT_EQ(messages[0], messages[1]) << "the loaders share one check";
-    return messages[0];
-}
-
-TEST_F(MappedLoadTest, BothLoadersRejectEveryResealedForgery)
+TEST_F(MappedLoadTest, LoaderRejectsEveryResealedForgery)
 {
     // Each forgery carries a valid checksum and breaks one invariant,
     // so the check that names it is the one that must fire.
@@ -263,10 +228,9 @@ TEST_F(MappedLoadTest, BothLoadersRejectEveryResealedForgery)
         {check::Forgery::DuplicateStaticPc, "duplicate static pc"},
         {check::Forgery::TakenTwo, "taken byte"},
     };
-    std::string path = (dir_ / "forged.trc").string();
     size_t forged_images = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-        std::string clean = v3Bytes(check::fuzzTrace(seed, 300));
+        std::string clean = binaryBytes(check::fuzzTrace(seed, 300));
         for (const auto &[forgery, message] : expected) {
             // A trace hammering one pc has no second branch to forge.
             std::string forged = check::forgeImage(clean, forgery, seed);
@@ -282,7 +246,7 @@ TEST_F(MappedLoadTest, BothLoadersRejectEveryResealedForgery)
                                         forged.data()),
                                     forged.size()))
                 << "the forgery must be re-sealed";
-            std::string why = rejection(forged, path);
+            std::string why = rejection(writeFile("forged.trc", forged));
             EXPECT_NE(why.find(message), std::string::npos)
                 << "seed " << seed << ": " << why;
         }
@@ -295,20 +259,16 @@ TEST_F(MappedLoadTest, TakenBytesAboveOneAreRejectedNotRewritten)
     // A file loads exactly what it holds or fails: a non-canonical
     // taken byte is an error, never silently read as taken.
     Trace t = check::fuzzTrace(4, 200);
-    std::string bytes = v3Bytes(t);
+    std::string bytes = binaryBytes(t);
     auto *image = reinterpret_cast<unsigned char *>(bytes.data());
     ImageLayout at = imageLayout(static_cast<uint32_t>(t.name().size()),
                                  t.size(), t.soa().staticCount());
     image[at.taken + 17] = 0xff;
     uint64_t checksum = imageChecksum(image, bytes.size());
     std::memcpy(image + header_offset::kChecksum, &checksum, sizeof checksum);
-    EXPECT_NE(rejection(bytes, (dir_ / "taken.trc").string())
+    EXPECT_NE(rejection(writeFile("taken.trc", bytes))
                   .find("taken byte at record 17"),
               std::string::npos);
-
-    // In-memory callers keep the canonicalizing constructor.
-    SoABlocks canonical({0x10, 0x20}, {0x14, 0x24}, {0, 0}, {0, 7});
-    EXPECT_EQ(canonical.taken()[1], 1);
 }
 
 TEST_F(MappedLoadTest, CacheEvictsV1ContentAsAMiss)
