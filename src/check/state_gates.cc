@@ -6,6 +6,7 @@
 
 #include "check/state_gates.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include "check/fuzz.hpp"
@@ -265,17 +266,25 @@ renderStateBudgets()
           "whose tables fill on demand (the interference-free instruments\n"
           "and the BTB-backed loop, block and tournament tables).\n"
           "Inter-call latches and telemetry are serialized by snapshots\n"
-          "but not counted (DESIGN.md §14).\n"
+          "but not counted (DESIGN.md §14). The last two columns pin the\n"
+          "warm snapshot itself: its size in bytes and its `stateHash()`\n"
+          "(FNV-1a over the bytes), so any change to the snapshot encoding\n"
+          "of a factory default shows up here as drift.\n"
           "\n"
-          "| spec | name | cold bits | warm bits |\n"
-          "|---|---|---:|---:|\n";
+          "| spec | name | cold bits | warm bits | warm snapshot bytes "
+          "| warm state hash |\n"
+          "|---|---|---:|---:|---:|---|\n";
     trace::Trace warmup = fuzzTrace(7, 4000);
     for (const std::string &spec : predictor::knownPredictors()) {
         predictor::PredictorPtr pred = predictor::makePredictor(spec);
         uint64_t cold = pred->stateBits();
         replayRange(warmup, 0, warmup.size(), *pred);
+        char hash[19];
+        std::snprintf(hash, sizeof hash, "0x%016llx",
+                      static_cast<unsigned long long>(pred->stateHash()));
         os << "| " << spec << " | " << pred->name() << " | " << cold
-           << " | " << pred->stateBits() << " |\n";
+           << " | " << pred->stateBits() << " | "
+           << pred->snapshot().size() << " | `" << hash << "` |\n";
     }
     return os.str();
 }
