@@ -64,18 +64,6 @@ class BiasClassifyingHybrid : public Predictor
     // component.
     uint64_t stateBits() const override { return dynamic_->stateBits(); }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        dynamic_->snapshotState(w);
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        dynamic_->restoreState(r);
-    }
-
     COPRA_CONFIG_FIELDS(profile_, label_);
     COPRA_STATE_FIELDS(dynamic_);
 

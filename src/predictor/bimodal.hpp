@@ -46,22 +46,6 @@ class Bimodal : public Predictor
     // State contract (DESIGN.md §14): 2 bits per counter.
     uint64_t stateBits() const override { return uint64_t(2) * table_.size(); }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        state::writeVec(w, table_, [](state::Writer &out, Counter2 c) {
-            out.u8(c.v);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        state::readVec(r, table_, [](state::Reader &in, Counter2 &c) {
-            c.v = in.u8();
-        });
-    }
-
     COPRA_CONFIG_FIELDS(tableBits_);
     COPRA_STATE_FIELDS(table_);
 

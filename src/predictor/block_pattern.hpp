@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "predictor/btb.hpp"
 #include "predictor/predictor.hpp"
@@ -48,6 +49,14 @@ struct BlockState
 
     /** Train on one outcome (block lengths saturate at 255). */
     void update(bool taken) noexcept;
+
+    /** Snapshot members, in order (predictor/state.hpp). */
+    static auto
+    stateFields(auto &s)
+    {
+        return std::tie(s.seen, s.curDir, s.curRun, s.lastRun[0],
+                        s.lastRun[1]);
+    }
 };
 
 /** The paper's block-pattern class predictor. */
@@ -76,30 +85,6 @@ class BlockPatternPredictor : public Predictor
     // plus three 8-bit run counts (26 payload bits), on top of the
     // BTB's own tag/bookkeeping accounting.
     uint64_t stateBits() const override { return table_.stateBits(26); }
-
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        table_.snapshot(w, [](state::Writer &out, const BlockState &s) {
-            out.b(s.seen);
-            out.b(s.curDir);
-            out.u8(s.curRun);
-            out.u8(s.lastRun[0]);
-            out.u8(s.lastRun[1]);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        table_.restore(r, [](state::Reader &in, BlockState &s) {
-            s.seen = in.b();
-            s.curDir = in.b();
-            s.curRun = in.u8();
-            s.lastRun[0] = in.u8();
-            s.lastRun[1] = in.u8();
-        });
-    }
 
     COPRA_STATE_FIELDS(table_);
 

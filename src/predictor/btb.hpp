@@ -14,13 +14,18 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "predictor/state.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
+
+namespace state {
+template <typename T>
+struct Codec;
+} // namespace state
 
 /** Geometry of a finite BTB. setBits = 0 and ways = 0 mean "perfect". */
 struct BtbConfig
@@ -158,61 +163,6 @@ class BtbTable
         return uint64_t(size()) * per;
     }
 
-    /**
-     * Serialize the table through @p write_state, one call per live
-     * payload. Perfect-mode entries are written in sorted pc order so
-     * snapshots never depend on hash-table iteration order.
-     */
-    template <typename WriteState>
-    void
-    snapshot(state::Writer &w, WriteState &&write_state) const
-    {
-        w.u64(evictions_);
-        w.u64(tick_);
-        if (config_.isPerfect()) {
-            state::writeMap(w, perfect_, write_state);
-            return;
-        }
-        w.u64(sets_.size());
-        for (const auto &set : sets_) {
-            w.u64(set.size());
-            for (const Entry &entry : set) {
-                w.u64(entry.pc);
-                w.u64(entry.lastUse);
-                write_state(w, entry.state);
-            }
-        }
-    }
-
-    /** Restore a snapshot() stream; geometry mismatches panic. */
-    template <typename ReadState>
-    void
-    restore(state::Reader &r, ReadState &&read_state)
-    {
-        evictions_ = r.u64();
-        tick_ = r.u64();
-        if (config_.isPerfect()) {
-            state::readMap(r, perfect_, read_state);
-            return;
-        }
-        uint64_t n_sets = r.u64();
-        panicIf(n_sets != sets_.size(),
-                "BtbTable restore: set-count mismatch");
-        for (auto &set : sets_) {
-            set.clear();
-            uint64_t n = r.u64();
-            panicIf(n > config_.ways,
-                    "BtbTable restore: overfull set in snapshot");
-            for (uint64_t i = 0; i < n; ++i) {
-                Entry entry{};
-                entry.pc = r.u64();
-                entry.lastUse = r.u64();
-                read_state(r, entry.state);
-                set.push_back(entry);
-            }
-        }
-    }
-
     /** Drop all entries and statistics. */
     void
     clear()
@@ -225,11 +175,20 @@ class BtbTable
     }
 
   private:
+    /** The snapshot (predictor/state.hpp) reads the table directly. */
+    friend struct state::Codec<BtbTable>;
+
     struct Entry
     {
         uint64_t pc;
         uint64_t lastUse;
         State state;
+
+        static auto
+        stateFields(auto &e)
+        {
+            return std::tie(e.pc, e.lastUse, e.state);
+        }
     };
 
     size_t

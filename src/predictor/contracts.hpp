@@ -2,10 +2,10 @@
  * @file
  * Compile-time predictor contracts.
  *
- * PR 1 devirtualized the hot path on the promise that every predictor
- * honours the Predictor interface shape; PR 2 diffs each one against a
- * reference model. This header makes the *structural* half of those
- * promises a build failure instead of a convention: every type the
+ * The hot path relies on every predictor honouring the Predictor
+ * interface shape, and copra_check diffs each one against a reference
+ * model. This header makes the *structural* half of those promises a
+ * build failure instead of a convention: every type the
  * factory can construct is checked, and adding a predictor to the
  * roster without meeting the contract stops the compile with a message
  * that names the broken clause.
@@ -86,7 +86,11 @@ struct PredictorContract
     // State contract (DESIGN.md §14). The base-class defaults panic at
     // runtime; the roster is held to the stricter compile-time bar so a
     // predictor cannot reach copra_check's differential state gates
-    // without exact bit accounting and a byte-stable snapshot.
+    // without exact bit accounting and a byte-stable snapshot. The
+    // snapshot half needs no clause of its own: COPRA_STATE_FIELDS in
+    // P's own scope defines the snapshot and restore overrides over the
+    // listed members, and a listed name that is not a member does not
+    // compile.
     static_assert(detail::DeclaresStateFields<P>::value,
                   "copra predictor contract: roster types must declare "
                   "COPRA_STATE_FIELDS(...) naming every mutable member "
@@ -97,16 +101,6 @@ struct PredictorContract
         "copra predictor contract: roster types must override "
         "stateBits() themselves — inheriting the panicking base default "
         "leaves the predictor without exact state accounting");
-    static_assert(std::is_same_v<decltype(&P::snapshotState),
-                                 void (P::*)(state::Writer &) const>,
-                  "copra predictor contract: roster types must override "
-                  "snapshotState(state::Writer&) so copra_check can "
-                  "capture their architectural state byte-stably");
-    static_assert(std::is_same_v<decltype(&P::restoreState),
-                                 void (P::*)(state::Reader &)>,
-                  "copra predictor contract: roster types must override "
-                  "restoreState(state::Reader&) so snapshots round-trip "
-                  "through the differential state gates");
 
     /** Instantiation hook: naming this member forces the checks. */
     static constexpr bool ok = true;

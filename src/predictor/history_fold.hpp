@@ -15,18 +15,22 @@
  * cancel the outcome leaving the window at bit L % C, and wrap bit C
  * back to bit 0. That places outcome j at bit j % C exactly as fold()
  * does, so the registers and the definition cannot disagree without a
- * differential mismatch (DESIGN.md §13). restore() rebuilds the
- * registers from the history words through fold().
+ * differential mismatch (DESIGN.md §13). A snapshot holds only the
+ * history words; loading one rebuilds the registers through fold().
  */
 
 #pragma once
 
 #include <cstdint>
 
-#include "predictor/state.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
+
+namespace state {
+template <typename T>
+struct Codec;
+} // namespace state
 
 /**
  * The newest kMaxBits outcomes of the global branch history, packed into
@@ -131,26 +135,11 @@ class FoldedHistory
         return out;
     }
 
-    /** Serialize the packed history words (state contract). */
-    void
-    snapshot(state::Writer &w) const
-    {
-        w.u64(words_[0]);
-        w.u64(words_[1]);
-    }
-
-    /** Restore history words written by snapshot(); refold the tracks. */
-    void
-    restore(state::Reader &r)
-    {
-        words_[0] = r.u64();
-        words_[1] = r.u64();
-        for (unsigned id = 0; id < count_; ++id)
-            regs_[id] = static_cast<uint32_t>(
-                fold(tracks_[id].length, tracks_[id].width));
-    }
-
   private:
+    /** The snapshot (predictor/state.hpp) saves the history words and
+     *  refolds the tracked registers on load. */
+    friend struct state::Codec<FoldedHistory>;
+
     /** Geometry of one tracked fold, precomputed for push(). */
     struct Tracked
     {

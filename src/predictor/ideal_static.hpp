@@ -41,8 +41,6 @@ class IdealStatic : public Predictor
     // State contract (DESIGN.md §14): the profile table is frozen at
     // construction and never mutated — configuration, not mutable state.
     uint64_t stateBits() const override { return 0; }
-    void snapshotState(state::Writer &) const override {}
-    void restoreState(state::Reader &) override {}
 
     COPRA_CONFIG_FIELDS(majority_);
     COPRA_STATE_FIELDS();

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -47,24 +48,6 @@ class IfGshare : public Predictor
     stateBits() const override
     {
         return historyBits_ + uint64_t(2) * pht_.size();
-    }
-
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        w.u64(history_.value());
-        state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
-            out.u8(c.v);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        history_.set(r.u64());
-        state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
-            c.v = in.u8();
-        });
     }
 
     COPRA_CONFIG_FIELDS(historyBits_);
@@ -146,32 +129,6 @@ class IfPas : public Predictor
             uint64_t(2) * pht_.size();
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        state::writeMap(w, histories_,
-                        [](state::Writer &out, const BranchHistory &h) {
-                            out.u64(h.history.bits);
-                            out.u32(h.table);
-                        });
-        state::writeMap(w, pht_, [](state::Writer &out, Counter2 c) {
-            out.u8(c.v);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        state::readMap(r, histories_,
-                       [](state::Reader &in, BranchHistory &h) {
-                           h.history.bits = in.u64();
-                           h.table = in.u32();
-                       });
-        state::readMap(r, pht_, [](state::Reader &in, Counter2 &c) {
-            c.v = in.u8();
-        });
-    }
-
     COPRA_CONFIG_FIELDS(historyBits_, historyMask_);
     COPRA_STATE_FIELDS(histories_, pht_);
 
@@ -181,6 +138,13 @@ class IfPas : public Predictor
     {
         PasHistory history;
         uint32_t table = 0; //!< 1 + first-update order; 0 = unassigned
+
+        /** Snapshot members, in order (predictor/state.hpp). */
+        static auto
+        stateFields(auto &h)
+        {
+            return std::tie(h.history.bits, h.table);
+        }
     };
 
     unsigned historyBits_;

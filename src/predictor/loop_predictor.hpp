@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "predictor/btb.hpp"
 #include "predictor/predictor.hpp"
@@ -49,6 +50,13 @@ struct LoopState
 
     /** Train on one outcome (run lengths saturate at 255). */
     void update(bool taken) noexcept;
+
+    /** Snapshot members, in order (predictor/state.hpp). */
+    static auto
+    stateFields(auto &s)
+    {
+        return std::tie(s.seen, s.dir, s.run, s.trip);
+    }
 };
 
 /** The paper's loop-class predictor. */
@@ -76,28 +84,6 @@ class LoopPredictor : public Predictor
     // plus two 8-bit run counts (18 payload bits), on top of the BTB's
     // own tag/bookkeeping accounting.
     uint64_t stateBits() const override { return table_.stateBits(18); }
-
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        table_.snapshot(w, [](state::Writer &out, const LoopState &s) {
-            out.b(s.seen);
-            out.b(s.dir);
-            out.u8(s.run);
-            out.u8(s.trip);
-        });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        table_.restore(r, [](state::Reader &in, LoopState &s) {
-            s.seen = in.b();
-            s.dir = in.b();
-            s.run = in.u8();
-            s.trip = in.u8();
-        });
-    }
 
     COPRA_STATE_FIELDS(table_);
 

@@ -88,33 +88,6 @@ class Perceptron : public Predictor
         return weights * weight_bits + config_.historyBits() + 16 + 16;
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        w.u64(tables_.size());
-        for (const auto &table : tables_)
-            state::writeVec(w, table, [](state::Writer &out, int16_t v) {
-                out.i16(v);
-            });
-        history_.snapshot(w);
-        w.i32(theta_);
-        w.i32(thetaCtr_);
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        panicIf(r.u64() != tables_.size(),
-                "Perceptron restore: weight-table count mismatch");
-        for (auto &table : tables_)
-            state::readVec(r, table, [](state::Reader &in, int16_t &v) {
-                v = in.i16();
-            });
-        history_.restore(r);
-        theta_ = r.i32();
-        thetaCtr_ = r.i32();
-    }
-
     COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(tables_, history_, theta_, thetaCtr_);
     COPRA_TRANSIENT_FIELDS(stats_);

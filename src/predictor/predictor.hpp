@@ -124,12 +124,14 @@ class Predictor
 
     // --- State contract (DESIGN.md §14) ----------------------------
     //
-    // Roster predictors implement exact bit accounting and byte-stable
-    // snapshot/restore; the copra_lint sema pass proves every member
-    // field is covered by the contract, and copra_check's differential
-    // state gates prove the snapshot is complete. The defaults panic
-    // rather than being pure virtual so analysis-side helpers and test
-    // stubs that are never snapshotted keep compiling unchanged.
+    // Roster predictors implement exact bit accounting and declare
+    // COPRA_STATE_FIELDS, which defines snapshotState()/restoreState()
+    // over the listed members (predictor/state.hpp); the copra_lint
+    // sema pass proves every member field is covered by the contract,
+    // and copra_check's differential state gates prove the snapshot is
+    // complete. The defaults panic rather than being pure virtual so
+    // analysis-side helpers and test stubs that are never snapshotted
+    // keep compiling unchanged.
 
     /**
      * Architectural state budget in bits at the current occupancy:
@@ -145,7 +147,8 @@ class Predictor
               "contract (stateBits); roster predictors must");
     }
 
-    /** Serialize every COPRA_STATE_FIELDS member, byte-stably. */
+    /** Serialize every COPRA_STATE_FIELDS member, byte-stably, in
+     *  list order. */
     virtual void
     snapshotState(state::Writer &) const
     {

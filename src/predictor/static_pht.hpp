@@ -53,14 +53,6 @@ class StaticPhtTwoLevel : public Predictor
     // adaptive; the profiled direction table is frozen configuration.
     uint64_t stateBits() const override { return indexer_.stateBits(); }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        indexer_.snapshotState(w);
-    }
-
-    void restoreState(state::Reader &r) override { indexer_.restoreState(r); }
-
     COPRA_CONFIG_FIELDS(directions_, covered_);
     COPRA_STATE_FIELDS(indexer_);
 

@@ -26,8 +26,6 @@ class AlwaysTaken : public Predictor
 
     COPRA_STATE_FIELDS();
     uint64_t stateBits() const override { return 0; }
-    void snapshotState(state::Writer &) const override {}
-    void restoreState(state::Reader &) override {}
 };
 
 /** Predicts every branch not-taken. */
@@ -41,8 +39,6 @@ class AlwaysNotTaken : public Predictor
 
     COPRA_STATE_FIELDS();
     uint64_t stateBits() const override { return 0; }
-    void snapshotState(state::Writer &) const override {}
-    void restoreState(state::Reader &) override {}
 };
 
 /**
@@ -63,8 +59,6 @@ class Btfnt : public Predictor
 
     COPRA_STATE_FIELDS();
     uint64_t stateBits() const override { return 0; }
-    void snapshotState(state::Writer &) const override {}
-    void restoreState(state::Reader &) override {}
 };
 
 } // namespace copra::predictor

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "predictor/history_fold.hpp"
@@ -96,40 +97,6 @@ class Tage : public Predictor
         return bits;
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        state::writeVec(w, base_,
-                        [](state::Writer &out, uint8_t c) { out.u8(c); });
-        w.u64(tables_.size());
-        for (const auto &table : tables_)
-            state::writeVec(w, table,
-                            [](state::Writer &out, const Entry &e) {
-                                out.u16(e.tag);
-                                out.u8(e.ctr);
-                                out.u8(e.useful);
-                            });
-        history_.snapshot(w);
-        w.u64(updates_);
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        state::readVec(r, base_,
-                       [](state::Reader &in, uint8_t &c) { c = in.u8(); });
-        panicIf(r.u64() != tables_.size(),
-                "Tage restore: tagged-table count mismatch");
-        for (auto &table : tables_)
-            state::readVec(r, table, [](state::Reader &in, Entry &e) {
-                e.tag = in.u16();
-                e.ctr = in.u8();
-                e.useful = in.u8();
-            });
-        history_.restore(r);
-        updates_ = r.u64();
-    }
-
     COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(base_, tables_, history_, updates_);
     COPRA_TRANSIENT_FIELDS(stats_);
@@ -141,6 +108,13 @@ class Tage : public Predictor
         uint16_t tag = 0;
         uint8_t ctr = 0;    //!< prediction counter; taken iff MSB set
         uint8_t useful = 0; //!< replacement protection
+
+        /** Snapshot members, in order (predictor/state.hpp). */
+        static auto
+        stateFields(auto &e)
+        {
+            return std::tie(e.tag, e.ctr, e.useful);
+        }
     };
 
     /**

@@ -92,44 +92,6 @@ class Tournament : public Predictor
             uint64_t(64) * returnStack_.size();
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        global_.snapshotState(w);
-        local_.snapshotState(w);
-        state::writeVec(w, chooser_, [](state::Writer &out, Counter2 c) {
-            out.u8(c.v);
-        });
-        btb_.snapshot(w, [](state::Writer &out, const uint64_t &target) {
-            out.u64(target);
-        });
-        state::writeVec(w, returnStack_,
-                        [](state::Writer &out, uint64_t addr) {
-                            out.u64(addr);
-                        });
-        w.u64(rasTop_);
-        w.u64(rasSize_);
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        global_.restoreState(r);
-        local_.restoreState(r);
-        state::readVec(r, chooser_, [](state::Reader &in, Counter2 &c) {
-            c.v = in.u8();
-        });
-        btb_.restore(r, [](state::Reader &in, uint64_t &target) {
-            target = in.u64();
-        });
-        state::readVec(r, returnStack_,
-                       [](state::Reader &in, uint64_t &addr) {
-                           addr = in.u64();
-                       });
-        rasTop_ = size_t(r.u64());
-        rasSize_ = size_t(r.u64());
-    }
-
     COPRA_CONFIG_FIELDS(config_);
     COPRA_STATE_FIELDS(global_, local_, chooser_, btb_, returnStack_,
                        rasTop_, rasSize_);

@@ -122,24 +122,6 @@ class TwoLevel : public Predictor
             uint64_t(config_.counterBits) * pht_.size();
     }
 
-    void
-    snapshotState(state::Writer &w) const override
-    {
-        state::writeVec(w, histories_,
-                        [](state::Writer &out, uint64_t h) { out.u64(h); });
-        state::writeVec(w, pht_,
-                        [](state::Writer &out, uint8_t c) { out.u8(c); });
-    }
-
-    void
-    restoreState(state::Reader &r) override
-    {
-        state::readVec(r, histories_,
-                       [](state::Reader &in, uint64_t &h) { h = in.u64(); });
-        state::readVec(r, pht_,
-                       [](state::Reader &in, uint8_t &c) { c = in.u8(); });
-    }
-
     COPRA_CONFIG_FIELDS(config_, historyMask_, phtMask_, counterMax_,
                         counterInit_);
     COPRA_STATE_FIELDS(histories_, pht_);

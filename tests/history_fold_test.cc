@@ -17,6 +17,7 @@
 #include "check/ref_models.hpp"
 #include "predictor/history_fold.hpp"
 #include "predictor/perceptron.hpp"
+#include "predictor/state.hpp"
 #include "predictor/tage.hpp"
 #include "util/rng.hpp"
 
@@ -120,10 +121,10 @@ TEST(FoldedHistory, RestoreRebuildsRegistersInAFreshInstance)
         pushAndCheck(original, ref, rng, 130 + rng.index(300));
 
         state::Writer w;
-        original.history.snapshot(w);
+        state::save(w, original.history);
         TrackedSet clone(group);
         state::Reader r(w.bytes());
-        clone.history.restore(r);
+        state::load(r, clone.history);
         EXPECT_EQ(r.remaining(), 0u);
         expectRegistersExact(clone, ref, 0);
 
@@ -139,7 +140,7 @@ TEST(FoldedHistory, SnapshotFormatIsTheTwoHistoryWords)
 {
     TrackedSet t({{80, 10}, {128, 32}});
     state::Writer w;
-    t.history.snapshot(w);
+    state::save(w, t.history);
     EXPECT_EQ(w.bytes().size(), 16u);
 }
 

@@ -37,8 +37,6 @@ class PlantedConfigMut : public Predictor
     void reset() override;
 
     uint64_t stateBits() const override;
-    void snapshotState(state::Writer &w) const override;
-    void restoreState(state::Reader &r) override;
 
     COPRA_CONFIG_FIELDS(width_);
     COPRA_STATE_FIELDS(table_);

@@ -5,8 +5,8 @@
 /**
  * Corpus: two state-decl shapes. PlantedStale's field list names a
  * member the class does not have (fires at the macro); PlantedHalf
- * declares the list but only a third of the method trio (fires at the
- * class).
+ * declares the list, which defines its snapshot/restore pair, but not
+ * stateBits() (fires at the class).
  */
 
 namespace copra::predictor {
@@ -19,8 +19,6 @@ class PlantedStale : public Predictor
     void reset() override;
 
     uint64_t stateBits() const override;
-    void snapshotState(state::Writer &w) const override;
-    void restoreState(state::Reader &r) override;
 
     COPRA_STATE_FIELDS(table_, ghost_);          // expect: state-decl
 
@@ -34,8 +32,6 @@ class PlantedHalf : public Predictor             // expect: state-decl
     bool predict(const trace::BranchRecord &br) override;
     void update(const trace::BranchRecord &br, bool taken) override;
     void reset() override;
-
-    uint64_t stateBits() const override;
 
     COPRA_STATE_FIELDS(table_);
 

@@ -18,8 +18,6 @@ class PlantedUncovered : public Predictor
     void reset() override;
 
     uint64_t stateBits() const override;
-    void snapshotState(state::Writer &w) const override;
-    void restoreState(state::Reader &r) override;
 
     COPRA_CONFIG_FIELDS(count_);
     COPRA_STATE_FIELDS(count_, table_);

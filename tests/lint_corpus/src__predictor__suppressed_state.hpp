@@ -25,8 +25,6 @@ class SuppressedState : public Predictor
     void reset() override;
 
     uint64_t stateBits() const override;
-    void snapshotState(state::Writer &w) const override;
-    void restoreState(state::Reader &r) override;
 
     COPRA_CONFIG_FIELDS(width_);
     COPRA_STATE_FIELDS(table_, ghost_); // copra-lint: allow(state-decl) -- corpus: member mid-migration

@@ -499,8 +499,8 @@ ruleCatalog()
          "copra-lint comments must parse and carry reasons"},
         {"state-decl",
          "Predictor-derived classes under src/predictor declare "
-         "COPRA_STATE_FIELDS(...) plus stateBits/snapshotState/"
-         "restoreState, and field lists name only real members"},
+         "COPRA_STATE_FIELDS(...) plus stateBits(), and field lists "
+         "name only real members"},
         {"state-coverage",
          "every member field of a contracted predictor appears in "
          "exactly one of the state/config/transient lists"},

@@ -11,9 +11,11 @@
  * to its class across translation units. Three rules run on top:
  *
  *  - state-decl: every Predictor-derived class under src/predictor/
- *    must declare COPRA_STATE_FIELDS(...) and the stateBits() /
- *    snapshotState() / restoreState() trio, and every name a field
- *    list mentions must be a real member (no stale entries).
+ *    must declare COPRA_STATE_FIELDS(...) (which also defines its
+ *    snapshot/restore pair) plus stateBits(), and every name a field
+ *    list mentions must be a real member (no stale entries; for the
+ *    state list the compiler agrees, the config and transient lists
+ *    are only ever stringized).
  *  - state-coverage: every parsed member field must appear in exactly
  *    one of the three lists — an unlisted field is exactly the hidden
  *    state the snapshot gates exist to catch.
@@ -524,16 +526,12 @@ ruleStateDecl(const SemaClass &cls, std::vector<Finding> &out)
                        "config, or transient list (DESIGN.md §14)",
                        1});
     }
-    const char *trio[] = {"stateBits", "snapshotState", "restoreState"};
-    for (const char *m : trio) {
-        if (!cls.methods.count(m))
-            out.push_back({cls.rel, cls.line, "state-decl",
-                           "class '" + cls.name + "' does not declare " +
-                           std::string(m) + "(): the state contract "
-                           "needs exact bit accounting and a byte-"
-                           "stable snapshot/restore pair",
-                           1});
-    }
+    if (!cls.methods.count("stateBits"))
+        out.push_back({cls.rel, cls.line, "state-decl",
+                       "class '" + cls.name + "' does not declare "
+                       "stateBits(): the state contract needs exact "
+                       "bit accounting",
+                       1});
 
     std::set<std::string> memberNames;
     for (const SemaField &f : cls.fields)
