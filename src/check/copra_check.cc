@@ -20,7 +20,7 @@
  * and checks the state contract instead: byte-stable snapshots,
  * reset-replay determinism, and snapshot round-trip completeness
  * (check/state_gates.hpp). --doc-state-budgets regenerates
- * docs/STATE_BUDGETS.md from the same roster (--check FILE gates
+ * docs/STATE_BUDGETS.md from the same roster (tests/doc_drift.sh gates
  * drift).
  *
  * --ingest-gates verifies the foreign-trace path end to end over a
@@ -44,14 +44,12 @@
  *   copra_check --state-gates --traces 8
  *   copra_check --ingest-gates --sample tests/data/sample_foreign.trace
  *   copra_check --hot-gates --traces 3
- *   copra_check --doc-state-budgets --check docs/STATE_BUDGETS.md
+ *   copra_check --doc-state-budgets > docs/STATE_BUDGETS.md
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-
-#include <sstream>
 
 #include "check/differential.hpp"
 #include "check/fuzz.hpp"
@@ -101,69 +99,36 @@ dumpReproducer(const std::string &dir, const check::SuiteFailure &failure)
 }
 
 /**
- * Self-test of the state gates: the tage-shadow-state bug keeps live
- * state outside the registered snapshot fields, so the round-trip
- * (snapshot-completeness) gate — not a reference-model diff — is what
- * must catch it. Returns true when caught.
+ * Self-test of a gate campaign: run it over the planted @p bug alone
+ * and return true when it fails. Two bugs only a gate can see:
+ * tage-shadow-state keeps live state outside the registered snapshot
+ * fields, so the state gates' round-trip (snapshot-completeness) gate
+ * must catch it; hot-path-alloc predicts bit-identically but allocates
+ * per batch, so only the hot gates' steady-state allocation probe can.
  */
+template <typename GateOptions, typename RunGates>
 bool
-runShadowStateSelfTest(const check::SuiteOptions &options)
+runGateSelfTest(check::InjectedBug bug, const check::SuiteOptions &options,
+                RunGates run_gates, const char *gates, const char *probe)
 {
-    check::CheckPair pair =
-        check::injectedBugPair(check::InjectedBug::TageShadowState);
-    check::StateGateOptions gate_options;
+    check::CheckPair pair = check::injectedBugPair(bug);
+    GateOptions gate_options;
     gate_options.seedBase = options.seedBase;
     gate_options.traces = options.traces;
     gate_options.conditionals = options.conditionals;
-    check::StateGateReport report = check::runStateGates(
-        gate_options, {{pair.name, pair.optimized}});
+    check::GateReport report =
+        run_gates(gate_options, {{pair.name, pair.optimized}});
+    const char *name = check::injectedBugName(bug);
     if (report.ok()) {
-        std::printf("MISSED  tage-shadow-state: %llu state-gate checks "
-                    "found nothing — the completeness probe failed its "
-                    "self-test\n",
-                    static_cast<unsigned long long>(report.gatesRun));
+        std::printf("MISSED  %s: %llu %s checks found nothing — the %s "
+                    "failed its self-test\n",
+                    name, static_cast<unsigned long long>(report.gatesRun),
+                    gates, probe);
         return false;
     }
-    const check::StateGateFailure &first = report.failures.front();
-    std::printf("caught  %-30s gate=%-14s seed=%llu\n",
-                "tage-shadow-state", first.gate.c_str(),
-                static_cast<unsigned long long>(first.seed));
-    return true;
-}
-
-/**
- * Self-test of the hot gates: the hot-path-alloc bug predicts
- * bit-identically, so no differential path can see it — only the
- * steady-state allocation gate can. Returns true when caught (or when
- * the allocation probe is unavailable: sanitizer builds own the
- * allocator, and the Release CI leg carries this proof).
- */
-bool
-runHotAllocSelfTest(const check::SuiteOptions &options)
-{
-    if (!check::allocProbeLinked()) {
-        std::printf("skipped hot-path-alloc: allocation probe absent "
-                    "(sanitizer build owns the allocator)\n");
-        return true;
-    }
-    check::CheckPair pair =
-        check::injectedBugPair(check::InjectedBug::HotPathAlloc);
-    check::HotGateOptions gate_options;
-    gate_options.seedBase = options.seedBase;
-    gate_options.traces = options.traces;
-    gate_options.conditionals = options.conditionals;
-    check::HotGateReport report = check::runHotGates(
-        gate_options, {{pair.name, pair.optimized}});
-    if (report.ok()) {
-        std::printf("MISSED  hot-path-alloc: %llu hot-gate checks "
-                    "found nothing — the allocation probe failed its "
-                    "self-test\n",
-                    static_cast<unsigned long long>(report.gatesRun));
-        return false;
-    }
-    const check::HotGateFailure &first = report.failures.front();
-    std::printf("caught  %-30s gate=%-14s seed=%llu\n",
-                "hot-path-alloc", first.gate.c_str(),
+    const check::GateFailure &first = report.failures.front();
+    std::printf("caught  %-30s gate=%-14s seed=%llu\n", name,
+                first.gate.c_str(),
                 static_cast<unsigned long long>(first.seed));
     return true;
 }
@@ -180,13 +145,24 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
             continue;
         ++matched;
         if (bug == check::InjectedBug::TageShadowState) {
-            if (!runShadowStateSelfTest(options))
+            if (!runGateSelfTest<check::StateGateOptions>(
+                    bug, options, check::runStateGates, "state-gate",
+                    "completeness probe"))
                 ++failed;
             continue;
         }
         if (bug == check::InjectedBug::HotPathAlloc) {
-            if (!runHotAllocSelfTest(options))
+            // Sanitizer builds own the allocator; the Release CI leg
+            // carries this proof.
+            if (!check::allocProbeLinked()) {
+                std::printf("skipped hot-path-alloc: allocation probe "
+                            "absent (sanitizer build owns the "
+                            "allocator)\n");
+            } else if (!runGateSelfTest<check::HotGateOptions>(
+                           bug, options, check::runHotGates, "hot-gate",
+                           "allocation probe")) {
                 ++failed;
+            }
             continue;
         }
         check::SuiteReport report = check::runInjectedSuite(options, bug);
@@ -268,10 +244,6 @@ main(int argc, char **argv)
     parser.addFlag("doc-state-budgets", &doc_budgets,
                    "print docs/STATE_BUDGETS.md regenerated from the "
                    "factory roster and exit");
-    std::string budgets_check;
-    parser.addString("check", &budgets_check,
-                     "with --doc-state-budgets: compare against this "
-                     "file and exit non-zero on drift");
     std::string metrics_out =
         util::envString("COPRA_METRICS_OUT", "");
     bool metrics_summary = false;
@@ -302,21 +274,8 @@ main(int argc, char **argv)
     }
 
     if (doc_budgets) {
-        std::string doc = check::renderStateBudgets();
-        if (budgets_check.empty()) {
-            std::fputs(doc.c_str(), stdout);
-            return 0;
-        }
-        std::ifstream in(budgets_check, std::ios::binary);
-        std::ostringstream committed;
-        committed << in.rdbuf();
-        if (in && committed.str() == doc)
-            return 0;
-        std::fprintf(stderr,
-                     "%s is stale (or unreadable); regenerate with\n"
-                     "  copra_check --doc-state-budgets > %s\n",
-                     budgets_check.c_str(), budgets_check.c_str());
-        return 1;
+        std::fputs(check::renderStateBudgets().c_str(), stdout);
+        return 0;
     }
 
     if (ingest_gates) {
@@ -325,9 +284,8 @@ main(int argc, char **argv)
         check::IngestGateOptions gate_options;
         gate_options.samplePath = sample_path;
         gate_options.seedBase = seed_base;
-        check::IngestGateReport report =
-            check::runIngestGates(gate_options);
-        std::fputs(check::formatIngestGateReport(report).c_str(),
+        check::GateReport report = check::runIngestGates(gate_options);
+        std::fputs(check::formatGateReport("ingest gates", report).c_str(),
                    stdout);
         return report.ok() ? 0 : 1;
     }
@@ -337,9 +295,9 @@ main(int argc, char **argv)
         gate_options.seedBase = seed_base;
         gate_options.traces = traces;
         gate_options.conditionals = branches;
-        check::StateGateReport report =
-            check::runStateGates(gate_options);
-        std::fputs(check::formatStateGateReport(report).c_str(), stdout);
+        check::GateReport report = check::runStateGates(gate_options);
+        std::fputs(check::formatGateReport("state gates", report).c_str(),
+                   stdout);
         return report.ok() ? 0 : 1;
     }
 
@@ -348,8 +306,9 @@ main(int argc, char **argv)
         gate_options.seedBase = seed_base;
         gate_options.traces = traces;
         gate_options.conditionals = branches;
-        check::HotGateReport report = check::runHotGates(gate_options);
-        std::fputs(check::formatHotGateReport(report).c_str(), stdout);
+        check::GateReport report = check::runHotGates(gate_options);
+        std::fputs(check::formatGateReport("hot gates", report).c_str(),
+                   stdout);
         return report.ok() ? 0 : 1;
     }
 

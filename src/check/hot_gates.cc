@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <sstream>
 
 #include "check/fuzz.hpp"
 #include "sim/driver.hpp"
@@ -81,12 +80,15 @@ hotAllocCount() noexcept
     return g_hotAllocs.load(std::memory_order_relaxed);
 }
 
-HotGateReport
+GateReport
 runHotGates(const HotGateOptions &options,
             const std::vector<StatePredictor> &roster)
 {
-    HotGateReport report;
-    report.allocProbe = allocProbeLinked();
+    GateReport report;
+    const bool alloc_probe = allocProbeLinked();
+    if (!alloc_probe)
+        report.note = "alloc probe absent: sanitizer build owns the "
+                      "allocator, only the lock gate ran";
     TerminateGuard terminate_guard;
 
     for (const StatePredictor &entry : roster) {
@@ -124,7 +126,7 @@ runHotGates(const HotGateOptions &options,
                 uint64_t lock_delta =
                     util::lockAcquisitionCount() - locks_before;
 
-                if (report.allocProbe) {
+                if (alloc_probe) {
                     ++report.gatesRun;
                     if (alloc_delta != 0) {
                         report.failures.push_back(
@@ -150,23 +152,6 @@ runHotGates(const HotGateOptions &options,
         }
     }
     return report;
-}
-
-std::string
-formatHotGateReport(const HotGateReport &report)
-{
-    std::ostringstream os;
-    os << "hot gates: " << report.gatesRun << " checks, "
-       << report.failures.size() << " failure(s)";
-    if (!report.allocProbe)
-        os << " [alloc probe absent: sanitizer build owns the "
-              "allocator, only the lock gate ran]";
-    os << "\n";
-    for (const HotGateFailure &f : report.failures) {
-        os << "  FAIL " << f.spec << " [" << f.gate
-           << "] seed=" << f.seed << ": " << f.detail << "\n";
-    }
-    return os.str();
 }
 
 } // namespace copra::check

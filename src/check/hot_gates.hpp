@@ -68,35 +68,17 @@ struct HotGateOptions
     uint64_t warmupPasses = 16;
 };
 
-/** One gate violation. */
-struct HotGateFailure
-{
-    std::string spec;  //!< roster entry
-    std::string gate;  //!< "hot-alloc" or "hot-lock"
-    uint64_t seed = 0; //!< fuzz seed of the offending trace
-    std::string detail;
-};
-
-/** Aggregate outcome of a campaign. */
-struct HotGateReport
-{
-    uint64_t gatesRun = 0;   //!< (spec, gate, pass) checks performed
-    bool allocProbe = false; //!< operator-new hook linked and active
-    std::vector<HotGateFailure> failures;
-    bool ok() const { return failures.empty(); }
-};
-
 /**
  * Run the steady-state allocation and lock gates over @p roster (the
  * state-gate roster by default, so every predictor family is covered
- * at allocation-prone small geometries).
+ * at allocation-prone small geometries). Failures name the spec, the
+ * gate "hot-alloc" or "hot-lock", and the offending trace's seed; the
+ * report's note says when the allocation probe is absent. Print with
+ * formatGateReport("hot gates", report).
  */
-HotGateReport runHotGates(const HotGateOptions &options,
-                          const std::vector<StatePredictor> &roster
-                          = defaultStateRoster());
-
-/** Human-readable campaign summary (one line per failure). */
-std::string formatHotGateReport(const HotGateReport &report);
+GateReport runHotGates(const HotGateOptions &options,
+                       const std::vector<StatePredictor> &roster
+                       = defaultStateRoster());
 
 /**
  * Allocation-probe plumbing. The counter and registration flag live in

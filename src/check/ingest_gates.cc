@@ -210,13 +210,13 @@ loadImage(const std::string &bytes, const std::string &temp)
 
 } // namespace
 
-IngestGateReport
+GateReport
 runIngestGates(const IngestGateOptions &options)
 {
-    IngestGateReport report;
+    GateReport report;
     auto fail = [&](const std::string &gate, uint64_t seed,
                     const std::string &detail) {
-        report.failures.push_back({gate, seed, detail});
+        report.failures.push_back({"", gate, seed, detail});
     };
 
     // Gate 1: the committed sample ingests, with conditionals to
@@ -330,21 +330,6 @@ runIngestGates(const IngestGateOptions &options)
     std::error_code ec;
     std::filesystem::remove(temp, ec);
     return report;
-}
-
-std::string
-formatIngestGateReport(const IngestGateReport &report)
-{
-    std::ostringstream os;
-    os << "ingest gates: " << report.gatesRun << " checks, "
-       << report.failures.size() << " failure(s)\n";
-    for (const IngestGateFailure &f : report.failures) {
-        os << "  FAIL [" << f.gate << "]";
-        if (f.seed != 0)
-            os << " seed=" << f.seed;
-        os << ": " << f.detail << "\n";
-    }
-    return os.str();
 }
 
 } // namespace copra::check

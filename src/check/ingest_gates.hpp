@@ -32,7 +32,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "check/gate_report.hpp"
 
 namespace copra::check {
 
@@ -44,28 +45,14 @@ struct IngestGateOptions
     uint64_t seedBase = 1;        //!< first corruption seed
 };
 
-/** One gate violation. */
-struct IngestGateFailure
-{
-    std::string gate; //!< "reference-ingest", "emit-load-identity",
-                      //!< "round-trip", "cross-format",
-                      //!< "corruption-fuzz", "forgery"
-    uint64_t seed = 0; //!< corruption seed (0 for deterministic gates)
-    std::string detail;
-};
-
-/** Aggregate outcome of a run. */
-struct IngestGateReport
-{
-    uint64_t gatesRun = 0; //!< individual checks performed
-    std::vector<IngestGateFailure> failures;
-    bool ok() const { return failures.empty(); }
-};
-
-/** Run every ingestion gate over the sample of @p options. */
-IngestGateReport runIngestGates(const IngestGateOptions &options);
-
-/** Human-readable report (one line per failure). */
-std::string formatIngestGateReport(const IngestGateReport &report);
+/**
+ * Run every ingestion gate over the sample of @p options. Failures
+ * carry no subject, one of the gates "reference-ingest",
+ * "emit-load-identity", "round-trip", "cross-format",
+ * "corruption-fuzz" or "forgery", and the corruption seed (0 for the
+ * deterministic gates); print with formatGateReport("ingest gates",
+ * report).
+ */
+GateReport runIngestGates(const IngestGateOptions &options);
 
 } // namespace copra::check

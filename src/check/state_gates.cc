@@ -52,7 +52,7 @@ firstDiff(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
 
 /** The once-per-spec gates: cold snapshots and cold restore. */
 void
-coldGates(const StatePredictor &entry, StateGateReport &report)
+coldGates(const StatePredictor &entry, GateReport &report)
 {
     predictor::PredictorPtr a = entry.make();
     predictor::PredictorPtr b = entry.make();
@@ -88,7 +88,7 @@ coldGates(const StatePredictor &entry, StateGateReport &report)
 /** reset() must reproduce the cold state and the full replay. */
 void
 resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
-                uint64_t seed, StateGateReport &report)
+                uint64_t seed, GateReport &report)
 {
     ++report.gatesRun;
     predictor::PredictorPtr a = entry.make();
@@ -133,7 +133,7 @@ resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
  */
 void
 roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
-              uint64_t seed, StateGateReport &report)
+              uint64_t seed, GateReport &report)
 {
     ++report.gatesRun;
     size_t half = trace.size() / 2;
@@ -213,11 +213,11 @@ defaultStateRoster()
     return roster;
 }
 
-StateGateReport
+GateReport
 runStateGates(const StateGateOptions &options,
               const std::vector<StatePredictor> &roster)
 {
-    StateGateReport report;
+    GateReport report;
     for (const StatePredictor &entry : roster) {
         coldGates(entry, report);
         for (uint64_t seed = options.seedBase;
@@ -228,21 +228,6 @@ runStateGates(const StateGateOptions &options,
         }
     }
     return report;
-}
-
-std::string
-formatStateGateReport(const StateGateReport &report)
-{
-    std::ostringstream os;
-    os << "state gates: " << report.gatesRun << " checks, "
-       << report.failures.size() << " failure(s)\n";
-    for (const StateGateFailure &f : report.failures) {
-        os << "  FAIL " << f.spec << " [" << f.gate << "]";
-        if (f.seed != 0)
-            os << " seed=" << f.seed;
-        os << ": " << f.detail << "\n";
-    }
-    return os.str();
 }
 
 std::string

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "check/differential.hpp"
+#include "check/gate_report.hpp"
 
 namespace copra::check {
 
@@ -59,31 +60,15 @@ struct StateGateOptions
     uint64_t conditionals = 2000; //!< conditional branches per trace
 };
 
-/** One gate violation. */
-struct StateGateFailure
-{
-    std::string spec; //!< roster entry
-    std::string gate; //!< "byte-stability", "reset-replay",
-                      //!< "round-trip", or "cold-restore"
-    uint64_t seed = 0; //!< fuzz seed (0 for the cold gates)
-    std::string detail;
-};
-
-/** Aggregate outcome of a campaign. */
-struct StateGateReport
-{
-    uint64_t gatesRun = 0; //!< (spec, gate, trace) checks performed
-    std::vector<StateGateFailure> failures;
-    bool ok() const { return failures.empty(); }
-};
-
-/** Run every gate over @p roster for the seed range of @p options. */
-StateGateReport runStateGates(const StateGateOptions &options,
-                              const std::vector<StatePredictor> &roster
-                              = defaultStateRoster());
-
-/** Human-readable campaign summary (one line per failure). */
-std::string formatStateGateReport(const StateGateReport &report);
+/**
+ * Run every gate over @p roster for the seed range of @p options.
+ * Failures name the spec and one of the gates "byte-stability",
+ * "reset-replay", "round-trip" or "cold-restore" (seed 0 for the cold
+ * gates); print with formatGateReport("state gates", report).
+ */
+GateReport runStateGates(const StateGateOptions &options,
+                         const std::vector<StatePredictor> &roster
+                         = defaultStateRoster());
 
 /**
  * docs/STATE_BUDGETS.md, regenerated: a markdown table of every

@@ -27,10 +27,27 @@ TEST(StateGates, WholeRosterPasses)
     options.seedBase = 11;
     options.traces = 3;
     options.conditionals = 800;
-    StateGateReport report = runStateGates(options);
-    EXPECT_TRUE(report.ok()) << formatStateGateReport(report);
+    GateReport report = runStateGates(options);
+    EXPECT_TRUE(report.ok()) << formatGateReport("state gates", report);
     // 2 cold gates per spec + 2 per (spec, trace).
     EXPECT_EQ(report.gatesRun, defaultStateRoster().size() * (2 + 2 * 3));
+}
+
+TEST(GateReport, FormatNamesSubjectSeedAndNote)
+{
+    // The seed prints only when set, the subject only when the gate has
+    // one (the ingest gates do not), and the note after the counts.
+    GateReport report;
+    report.gatesRun = 7;
+    report.note = "alloc probe absent";
+    report.failures = {{"gshare:h=7", "round-trip", 3, "diverges"},
+                       {"gshare:h=7", "cold-restore", 0, "hash changed"},
+                       {"", "forgery", 0, "accepted"}};
+    EXPECT_EQ(formatGateReport("state gates", report),
+              "state gates: 7 checks, 3 failure(s) [alloc probe absent]\n"
+              "  FAIL gshare:h=7 [round-trip] seed=3: diverges\n"
+              "  FAIL gshare:h=7 [cold-restore]: hash changed\n"
+              "  FAIL [forgery]: accepted\n");
 }
 
 TEST(StateGates, RosterNamesEveryFactoryPredictorOnce)
@@ -64,10 +81,10 @@ TEST(StateGates, ShadowStateBugCaughtByRoundTripOnly)
     options.seedBase = 1;
     options.traces = 6;
     options.conditionals = 1500;
-    StateGateReport report =
+    GateReport report =
         runStateGates(options, {{pair.name, pair.optimized}});
     ASSERT_FALSE(report.ok());
-    for (const StateGateFailure &failure : report.failures)
+    for (const GateFailure &failure : report.failures)
         EXPECT_EQ(failure.gate, "round-trip") << failure.detail;
 }
 

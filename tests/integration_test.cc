@@ -56,8 +56,9 @@ TEST(Integration, TwoLevelNeverLosesBadlyToBimodal)
         double best_two_level =
             std::max(accuracy("gshare", trace), accuracy("pas", trace));
         EXPECT_GT(best_two_level + 3.5, bimodal) << name;
-        if (name == "m88ksim" || name == "vortex")
+        if (name == "m88ksim" || name == "vortex") {
             EXPECT_GT(best_two_level, bimodal) << name;
+        }
     }
 }
 

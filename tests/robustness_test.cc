@@ -143,10 +143,12 @@ TEST(OracleTagFilter, EachMethodAloneStillWorks)
             << static_cast<int>(filter);
         // The filter is actually enforced on the chosen tags.
         for (const auto &tag : x->chosen[0]) {
-            if (filter == Filter::OccurrenceOnly)
+            if (filter == Filter::OccurrenceOnly) {
                 EXPECT_EQ(tag.method(), core::TagMethod::Occurrence);
-            if (filter == Filter::BackwardOnly)
+            }
+            if (filter == Filter::BackwardOnly) {
                 EXPECT_EQ(tag.method(), core::TagMethod::BackwardCount);
+            }
         }
     }
 }

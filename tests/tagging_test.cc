@@ -205,9 +205,11 @@ TEST(HistoryWindow, EpochOverflowPastWindowClampsTag)
         w.push({0x200, 0x100, BranchKind::Jump, true});
     std::vector<TagState> collected;
     w.collect(collected);
-    for (const auto &ts : collected)
-        if (ts.tag.method() == TagMethod::BackwardCount)
+    for (const auto &ts : collected) {
+        if (ts.tag.method() == TagMethod::BackwardCount) {
             EXPECT_NE(ts.tag.pc(), 0xB0u);
+        }
+    }
     // Method A is unaffected by the elapsed iterations.
     EXPECT_NE(find(collected, Tag(0xB0, TagMethod::Occurrence, 0)),
               nullptr);

@@ -74,8 +74,9 @@ TEST(Patterns, CorrelatedPairImpliesX)
         ASSERT_EQ(t[i].pc, 0x100u);
         ASSERT_EQ(t[i + 1].pc, 0x200u);
         // X = cond1 AND cond2, so Y not-taken forces X not-taken.
-        if (!t[i].taken)
+        if (!t[i].taken) {
             EXPECT_FALSE(t[i + 1].taken);
+        }
     }
 }
 

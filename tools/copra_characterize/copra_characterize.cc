@@ -10,14 +10,15 @@
  *
  * --doc-workloads regenerates docs/WORKLOADS.md from the live workload
  * registry at a pinned budget; the workloads_doc_drift ctest gate runs
- * it with --check so the committed doc can never go stale (the house
- * pattern of METRICS.md / STATE_BUDGETS.md / HOT_PATH.md).
+ * it through tests/doc_drift.sh so the committed doc can never go
+ * stale (the house pattern of METRICS.md / STATE_BUDGETS.md /
+ * HOT_PATH.md).
  *
  * Examples:
  *   copra_characterize --workloads gcc,interp --branches 200000
  *   copra_characterize --all --json fingerprints.json
  *   copra_characterize --trace mine.trc
- *   copra_characterize --doc-workloads --check docs/WORKLOADS.md
+ *   copra_characterize --doc-workloads > docs/WORKLOADS.md
  */
 
 #include <climits>
@@ -134,10 +135,6 @@ main(int argc, char **argv)
     parser.addFlag("doc-workloads", &doc_workloads,
                    "print docs/WORKLOADS.md regenerated from the "
                    "workload registry and exit");
-    std::string doc_check;
-    parser.addString("check", &doc_check,
-                     "with --doc-workloads: compare against this file "
-                     "and exit non-zero on drift");
     uint64_t threads = 0;
     parser.addUint("threads", &threads,
                    "worker threads (0 = COPRA_THREADS or hardware)",
@@ -158,21 +155,9 @@ main(int argc, char **argv)
     if (doc_workloads) {
         std::vector<core::WorkloadFingerprint> fps = fingerprintSuite(
             workload::workloadSuiteNames(), kDocBranches, 0, options);
-        std::string doc = core::renderWorkloadsDoc(fps, kDocBranches);
-        if (doc_check.empty()) {
-            std::fputs(doc.c_str(), stdout);
-            return 0;
-        }
-        std::ifstream in(doc_check, std::ios::binary);
-        std::ostringstream committed;
-        committed << in.rdbuf();
-        if (in && committed.str() == doc)
-            return 0;
-        std::fprintf(stderr,
-                     "%s is stale (or unreadable); regenerate with\n"
-                     "  copra_characterize --doc-workloads > %s\n",
-                     doc_check.c_str(), doc_check.c_str());
-        return 1;
+        std::fputs(core::renderWorkloadsDoc(fps, kDocBranches).c_str(),
+                   stdout);
+        return 0;
     }
 
     std::vector<std::string> names = splitNames(workloads);

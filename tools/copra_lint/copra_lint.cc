@@ -17,7 +17,6 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,7 +39,7 @@ usage(const char *argv0)
         << " [--root DIR] [--self-test CORPUS_DIR] [--list-rules]\n"
         << "       [--json] [--sarif FILE] [--graph-dot FILE]\n"
         << "       [--baseline FILE] [--write-baseline FILE]\n"
-        << "       [--doc-hot-path [--check FILE]] [PATH...]\n\n"
+        << "       [--doc-hot-path] [PATH...]\n\n"
         << "Lints PATHs (default: src bench tests tools) relative to\n"
         << "--root (default: .) against copra's determinism contract,\n"
         << "the module-layering DAG, the predictor state contract, and\n"
@@ -54,9 +53,8 @@ usage(const char *argv0)
         << "(one 'rel:line:rule' per line, '#' comments) so new rules\n"
         << "can land warn-only; --write-baseline records the current\n"
         << "findings in that format; --doc-hot-path prints the\n"
-        << "generated docs/HOT_PATH.md (--check FILE exits 1 on\n"
-        << "drift). Missing or unreadable PATHs are a hard error\n"
-        << "(exit 2), never a silent skip.\n";
+        << "generated docs/HOT_PATH.md. Missing or unreadable PATHs\n"
+        << "are a hard error (exit 2), never a silent skip.\n";
     return 2;
 }
 
@@ -227,7 +225,6 @@ main(int argc, char **argv)
     std::string sarifPath;
     std::string baselinePath;
     std::string writeBaselinePath;
-    std::string checkPath;
     std::vector<std::string> paths;
     bool listRules = false;
     bool json = false;
@@ -249,8 +246,6 @@ main(int argc, char **argv)
             writeBaselinePath = argv[++i];
         } else if (arg == "--doc-hot-path") {
             docHotPath = true;
-        } else if (arg == "--check" && i + 1 < argc) {
-            checkPath = argv[++i];
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--list-rules") {
@@ -296,24 +291,7 @@ main(int argc, char **argv)
     }
 
     if (docHotPath) {
-        if (checkPath.empty()) {
-            std::cout << tree.hotPathDoc;
-            return 0;
-        }
-        std::ifstream in(checkPath, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (!in || buf.str() != tree.hotPathDoc) {
-            std::cerr << "copra_lint: " << checkPath
-                      << " is out of date; regenerate with\n  "
-                      << argv[0] << " --root " << root
-                      << " --doc-hot-path";
-            for (const std::string &p : paths)
-                std::cerr << " " << p;
-            std::cerr << " > " << checkPath << "\n";
-            return 1;
-        }
-        std::cout << checkPath << " is up to date\n";
+        std::cout << tree.hotPathDoc;
         return 0;
     }
 

@@ -7,10 +7,10 @@
  *       Print a Markdown regression report comparing two run manifests
  *       (as written by any bench or CLI via --metrics-out).
  *
- *   copra_report --doc-registry [--check <file>]
+ *   copra_report --doc-registry
  *       Print docs/METRICS.md regenerated from the live instrument
- *       registry; with --check, compare against <file> instead and exit
- *       non-zero on drift (the metrics_doc_drift ctest gate).
+ *       registry (the metrics_doc_drift ctest gate compares it with the
+ *       committed file through tests/doc_drift.sh).
  *
  *   copra_report --summary <manifest.json>
  *       Print a header line, then the non-zero instruments of a
@@ -41,8 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -60,7 +58,7 @@ usage(const char *prog)
         stderr,
         "usage:\n"
         "  %s diff <before.json> <after.json> [--threshold <frac>]\n"
-        "  %s --doc-registry [--check <file>]\n"
+        "  %s --doc-registry\n"
         "  %s --summary <manifest.json>\n"
         "  %s perf-gate <current.json> [--baseline <before.json>]\n"
         "     [--max-regress <frac>] [--json]\n",
@@ -281,37 +279,10 @@ runDiff(int argc, char **argv)
 int
 runDocRegistry(int argc, char **argv)
 {
-    std::string check_path;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc)
-            check_path = argv[++i];
-        else
-            return usage(argv[0]);
-    }
-    std::string doc = obs::renderRegistryDoc();
-    if (check_path.empty()) {
-        std::fputs(doc.c_str(), stdout);
-        return 0;
-    }
-    std::ifstream in(check_path);
-    if (!in) {
-        std::fprintf(stderr, "copra_report: cannot open %s\n",
-                     check_path.c_str());
-        return 1;
-    }
-    std::ostringstream slurp;
-    slurp << in.rdbuf();
-    if (slurp.str() == doc) {
-        std::printf("%s matches the instrument registry\n",
-                    check_path.c_str());
-        return 0;
-    }
-    std::fprintf(stderr,
-                 "copra_report: %s has drifted from the instrument "
-                 "registry.\nRegenerate it with:\n"
-                 "  copra_report --doc-registry > %s\n",
-                 check_path.c_str(), check_path.c_str());
-    return 1;
+    if (argc != 2)
+        return usage(argv[0]);
+    std::fputs(obs::renderRegistryDoc().c_str(), stdout);
+    return 0;
 }
 
 int
