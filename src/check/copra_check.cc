@@ -7,12 +7,15 @@
  * any per-branch prediction mismatch, printing a minimized reproducer.
  *
  * The same campaign diffs the oracle's mine and record phases against
- * their collect-and-probe references (pairs "oracle-mine" and
- * "oracle-record", on their own fuzzed traces; check/record_check.hpp).
+ * their collect-and-probe references and its greedy selection against
+ * a one-subset-at-a-time replay (pairs "oracle-mine", "oracle-record"
+ * and "oracle-select", on their own fuzzed traces;
+ * check/record_check.hpp).
  *
  * --inject <bug|all> flips into self-test mode: a deliberately broken
- * predictor (or oracle window walk) is swapped in, and the exit code is
- * zero only if the suite *does* catch the bug and shrinks it to a small
+ * predictor (or oracle window walk or run scorer) is swapped in, and
+ * the exit code is zero only if the suite *does* catch the bug and
+ * shrinks it to a small
  * reproducer — proving the harness can actually detect the class of
  * defect it exists for.
  *
@@ -71,6 +74,7 @@ using namespace copra;
 /** The --pairs names of the oracle-phase differentials. */
 constexpr const char *kMinePairs = "oracle-mine";
 constexpr const char *kRecordPairs = "oracle-record";
+constexpr const char *kSelectPairs = "oracle-select";
 
 /** Write one failure's reproducer as a text trace under @p dir. */
 void
@@ -265,7 +269,8 @@ main(int argc, char **argv)
     if (list_pairs) {
         for (const check::CheckPair &pair : check::defaultCheckPairs())
             std::printf("%s\n", pair.name.c_str());
-        std::printf("%s\n%s\n", kMinePairs, kRecordPairs);
+        std::printf("%s\n%s\n%s\n", kMinePairs, kRecordPairs,
+                    kSelectPairs);
         for (unsigned i = 0; i < check::kInjectedBugCount; ++i) {
             std::printf("injected:%s\n", check::injectedBugName(
                 static_cast<check::InjectedBug>(i)));
@@ -326,15 +331,18 @@ main(int argc, char **argv)
         oracle.mine = nullptr;
     if (std::string(kRecordPairs).find(pairs_filter) == std::string::npos)
         oracle.record = nullptr;
-    fatalIf(pairs.empty() && !oracle.mine && !oracle.record,
+    if (std::string(kSelectPairs).find(pairs_filter) == std::string::npos)
+        oracle.select = nullptr;
+    const bool any_oracle = oracle.mine || oracle.record || oracle.select;
+    fatalIf(pairs.empty() && !any_oracle,
             "no check pairs match filter '" + pairs_filter + "'");
 
     check::SuiteReport report;
     if (!pairs.empty())
         report = check::runCheckSuite(options, pairs);
-    if (oracle.mine || oracle.record) {
-        // The oracle's mine and record phases against their
-        // collect-and-probe references, on their own fuzzed traces.
+    if (any_oracle) {
+        // The oracle's phases against their references, on their own
+        // fuzzed traces.
         check::SuiteReport diffs = check::runOracleSuite(options, oracle);
         report.tracesRun += diffs.tracesRun;
         report.comparisons += diffs.comparisons;

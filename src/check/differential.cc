@@ -872,6 +872,8 @@ injectedBugName(InjectedBug bug)
         return "hot-path-alloc";
       case InjectedBug::OracleWindowBack255:
         return "oracle-window-back-255";
+      case InjectedBug::OracleSelectRunShort:
+        return "oracle-select-run-short";
     }
     return "unknown";
 }
@@ -955,6 +957,7 @@ injectedBugPair(InjectedBug bug)
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
       }
       case InjectedBug::OracleWindowBack255:
+      case InjectedBug::OracleSelectRunShort:
         break;
     }
     panic(std::string(injectedBugName(bug)) + " has no predictor pair");

@@ -184,10 +184,14 @@ enum class InjectedBug : uint8_t
                              //!< involved, so only the mine and record
                              //!< differentials (check/record_check.hpp)
                              //!< can catch it
+    OracleSelectRunShort,    //!< greedy selection steps a run of
+                             //!< identical rows at most twice, one step
+                             //!< short of counter saturation; only the
+                             //!< select differential can catch it
 };
 
 /** Number of InjectedBug values. */
-inline constexpr unsigned kInjectedBugCount = 10;
+inline constexpr unsigned kInjectedBugCount = 11;
 
 /** Stable name of an injected bug (CLI selector). */
 const char *injectedBugName(InjectedBug bug);

@@ -1,5 +1,6 @@
 #include "check/record_check.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 
@@ -35,6 +36,11 @@ oraclePhases()
                const OracleConfig &config) {
                 core::WindowWalk walk(soa, config.historyDepth);
                 return core::recordStates(walk, miner, config);
+            },
+            [](const std::vector<uint32_t> &rows, unsigned k,
+               unsigned max_select) {
+                return core::SelectiveOracle::greedySelect(rows, k,
+                                                           max_select);
             }};
 }
 
@@ -138,6 +144,37 @@ referenceRecordStates(const trace::SoABlocks &soa,
         }
         branch.rows.push_back(row);
         window.push(rec);
+    }
+    return out;
+}
+
+core::GreedySelection
+referenceGreedySelect(const std::vector<uint32_t> &rows, unsigned k,
+                      unsigned max_select)
+{
+    core::GreedySelection out;
+    std::vector<unsigned> chosen;
+    uint64_t last_score = core::SelectiveOracle::replayScore(rows, chosen);
+    for (unsigned size = 1; size <= max_select; ++size) {
+        unsigned best_candidate = k;
+        uint64_t best_score = 0;
+        for (unsigned c = 0; c < k; ++c) {
+            if (std::find(chosen.begin(), chosen.end(), c) != chosen.end())
+                continue;
+            std::vector<unsigned> trial = chosen;
+            trial.push_back(c);
+            uint64_t score = core::SelectiveOracle::replayScore(rows, trial);
+            if (best_candidate == k || score > best_score) {
+                best_candidate = c;
+                best_score = score;
+            }
+        }
+        if (best_candidate != k) {
+            out.order[out.picked++] = best_candidate;
+            chosen.push_back(best_candidate);
+            last_score = best_score;
+        }
+        out.correct[size - 1] = last_score;
     }
     return out;
 }
@@ -431,6 +468,65 @@ diffRecord(const Trace &trace, const OracleConfig &config,
     return result;
 }
 
+namespace {
+
+/** "[a b] correct N": the first @p size picks of @p greedy and its count. */
+std::string
+selectionName(const core::GreedySelection &greedy, unsigned size)
+{
+    std::ostringstream os;
+    os << "[";
+    for (unsigned i = 0; i < std::min(size, greedy.picked); ++i)
+        os << (i == 0 ? "" : " ") << greedy.order[i];
+    os << "] correct " << greedy.correct[size - 1];
+    return os.str();
+}
+
+} // namespace
+
+DiffResult
+diffSelect(const Trace &trace, const OracleConfig &config,
+           const SelectFn &select)
+{
+    CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
+    miner.mine(trace, config.mineConditionals);
+    const trace::SoABlocks &soa = trace.soa();
+    core::WindowWalk walk(soa, config.historyDepth);
+    const std::vector<RecordedBranch> branches =
+        core::recordStates(walk, miner, config);
+
+    DiffResult result;
+    Mismatch m;
+    m.pair = "oracle-select(" + recordConfigLabel(config) + ")";
+    m.path = "select";
+    m.index = Mismatch::kAggregate;
+    for (size_t id = 0; id < branches.size(); ++id) {
+        const RecordedBranch &branch = branches[id];
+        if (branch.rows.empty())
+            continue;
+        const auto k = static_cast<unsigned>(branch.candidates.size());
+        const core::GreedySelection want =
+            referenceGreedySelect(branch.rows, k, config.maxSelect);
+        const core::GreedySelection got =
+            select(branch.rows, k, config.maxSelect);
+        for (unsigned size = 1; size <= config.maxSelect; ++size) {
+            const std::string want_name = selectionName(want, size);
+            const std::string got_name = selectionName(got, size);
+            if (want_name == got_name)
+                continue;
+            m.pc = soa.staticPcs()[id];
+            std::ostringstream os;
+            os << "branch 0x" << std::hex << m.pc << std::dec << " size "
+               << size << ": expected " << want_name << " got "
+               << got_name;
+            m.detail = os.str();
+            result.mismatches.push_back(m);
+            return result;
+        }
+    }
+    return result;
+}
+
 SuiteReport
 runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
 {
@@ -447,6 +543,12 @@ runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
         for (const OracleConfig &config : recordCheckConfigs())
             diffs.push_back([config, &phases](const Trace &trace) {
                 return diffRecord(trace, config, phases.record);
+            });
+    }
+    if (phases.select) {
+        for (const OracleConfig &config : recordCheckConfigs())
+            diffs.push_back([config, &phases](const Trace &trace) {
+                return diffSelect(trace, config, phases.select);
             });
     }
 
@@ -479,35 +581,61 @@ runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
     return report;
 }
 
+namespace {
+
+/** Whether @p bug lives in the oracle rather than in a predictor. */
+bool
+isOracleBug(InjectedBug bug)
+{
+    return bug == InjectedBug::OracleWindowBack255 ||
+        bug == InjectedBug::OracleSelectRunShort;
+}
+
+} // namespace
+
 OraclePhases
 injectedOracle(InjectedBug bug)
 {
-    panicIf(bug != InjectedBug::OracleWindowBack255,
-            "injectedOracle: not an oracle bug");
+    panicIf(!isOracleBug(bug), "injectedOracle: not an oracle bug");
+    if (bug == InjectedBug::OracleSelectRunShort) {
+        // BUG: a run of identical rows steps its counters at most twice,
+        // one step short of saturation: a run of three or more taken rows
+        // from weakly-not-taken leaves the counters weakly taken, not
+        // strongly.
+        OraclePhases phases;
+        phases.select = [](const std::vector<uint32_t> &rows, unsigned k,
+                           unsigned max_select) {
+            return core::SelectiveOracle::greedySelect(
+                rows, k, max_select,
+                core::SelectiveOracle::kSaturationSteps - 1);
+        };
+        return phases;
+    }
     // BUG: backward distances cap at 255 instead of 256, so an entry
     // 255 transfers old (method-B number 255) and one 256 or more old
     // (no method-B tag) key the same window. Whichever is seen first
     // decides the tags of both.
     constexpr uint32_t kBuggyCap = 255;
-    return {[](const Trace &trace, const OracleConfig &config) {
-                CandidateMiner miner(config.historyDepth,
-                                     config.perBranchTagCap);
-                core::WindowWalk walk(trace.soa(), config.historyDepth,
-                                      kBuggyCap);
-                miner.mine(walk, config.mineConditionals);
-                return miner;
-            },
-            [](const trace::SoABlocks &soa, const CandidateMiner &miner,
-               const OracleConfig &config) {
-                core::WindowWalk walk(soa, config.historyDepth, kBuggyCap);
-                return core::recordStates(walk, miner, config);
-            }};
+    OraclePhases phases;
+    phases.mine = [](const Trace &trace, const OracleConfig &config) {
+        CandidateMiner miner(config.historyDepth, config.perBranchTagCap);
+        core::WindowWalk walk(trace.soa(), config.historyDepth, kBuggyCap);
+        miner.mine(walk, config.mineConditionals);
+        return miner;
+    };
+    phases.record = [](const trace::SoABlocks &soa,
+                       const CandidateMiner &miner,
+                       const OracleConfig &config) {
+        core::WindowWalk walk(soa, config.historyDepth, kBuggyCap);
+        return core::recordStates(walk, miner, config);
+    };
+    return phases;
 }
 
 SuiteReport
 runInjectedSuite(const SuiteOptions &options, InjectedBug bug)
 {
-    if (bug == InjectedBug::OracleWindowBack255)
+    if (isOracleBug(bug))
         return runOracleSuite(options, injectedOracle(bug));
     return runCheckSuite(options, {injectedBugPair(bug)});
 }

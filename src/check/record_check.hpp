@@ -1,18 +1,22 @@
 /**
  * @file
- * The selective-history oracle's mine and record phases, checked.
+ * The selective-history oracle's mine, record and select phases,
+ * checked.
  *
  * core::CandidateMiner and core::recordStates work per distinct
  * window of a core::WindowWalk. The references here are both phases
  * as first written, per conditional: list every tagged instance in the
  * window (HistoryWindow::collect), then probe each one in the branch's
- * tag table (mine) or candidate index (record). The differential
+ * tag table (mine) or candidate index (record). Greedy selection scores
+ * runs of interned rows with bit-sliced counters; its reference scores
+ * one candidate subset at a time through replayScore. The differential
  * campaign replays fuzzed traces through both sides: mine at window
  * depths 1, 16 and 64 and at the default and a small tag cap, tag for
  * tag with `capped`; record at the same depths under every TagFilter,
- * candidate pool and packed row for row. A divergent trace is shrunk
- * with the same delta-debugging minimizer the predictor pairs use
- * (check/differential.hpp).
+ * candidate pool and packed row for row; select under the same
+ * configurations, greedy picks and correct counts per size. A
+ * divergent trace is shrunk with the same delta-debugging minimizer
+ * the predictor pairs use (check/differential.hpp).
  */
 
 #pragma once
@@ -37,14 +41,22 @@ using RecordFn = std::function<std::vector<core::RecordedBranch>(
     const trace::SoABlocks &, const core::CandidateMiner &,
     const core::OracleConfig &)>;
 
+/** A select phase under test: greedy selection over one branch. */
+using SelectFn = std::function<core::GreedySelection(
+    const std::vector<uint32_t> &rows, unsigned k, unsigned max_select)>;
+
 /** The oracle phases a campaign checks; an empty one is skipped. */
 struct OraclePhases
 {
     MineFn mine;
     RecordFn record;
+    SelectFn select;
 };
 
-/** Both phases as the oracle runs them, over one core::WindowWalk. */
+/**
+ * The phases as the oracle runs them: mine and record over one
+ * core::WindowWalk, select by SelectiveOracle::greedySelect.
+ */
 OraclePhases oraclePhases();
 
 /**
@@ -66,6 +78,15 @@ std::vector<core::RecordedBranch>
 referenceRecordStates(const trace::SoABlocks &soa,
                       const core::CandidateMiner &miner,
                       const core::OracleConfig &config);
+
+/**
+ * Greedy selection scored one candidate subset at a time: for sizes
+ * 1..@p max_select, replayScore() every one-candidate extension of the
+ * previous size's set and keep the best, ties to the lowest index.
+ * K + (K-1) + (K-2) replays of every row.
+ */
+core::GreedySelection referenceGreedySelect(const std::vector<uint32_t> &rows,
+                                            unsigned k, unsigned max_select);
 
 /** Display label of a record configuration, e.g. "depth=16,both". */
 std::string recordConfigLabel(const core::OracleConfig &config);
@@ -120,18 +141,31 @@ DiffResult diffRecord(const trace::Trace &trace,
                       const RecordFn &record);
 
 /**
+ * Mine and record @p trace under @p config as the oracle does, then
+ * run @p select and referenceGreedySelect() over every branch's rows
+ * and compare the picks and correct counts of every size. Returns the
+ * first divergence, in static-id order, as an aggregate Mismatch whose
+ * detail names the branch and the size; ok() when none.
+ */
+DiffResult diffSelect(const trace::Trace &trace,
+                      const core::OracleConfig &config,
+                      const SelectFn &select);
+
+/**
  * Replay recordFuzzTrace(seed) for the seed range of @p options through
  * every phase @p phases holds: mine under every mineCheckConfigs()
- * entry (pair "oracle-mine(<label>)"), record under every
- * recordCheckConfigs() entry ("oracle-record(<label>)"). A failure's
- * reproducer is minimized when options.minimize is set.
+ * entry (pair "oracle-mine(<label>)"), record and select under every
+ * recordCheckConfigs() entry ("oracle-record(<label>)",
+ * "oracle-select(<label>)"). A failure's reproducer is minimized when
+ * options.minimize is set.
  */
 SuiteReport runOracleSuite(const SuiteOptions &options,
                            const OraclePhases &phases);
 
 /**
- * Both oracle phases with @p bug planted (only bugs that live in the
- * oracle; see InjectedBug::OracleWindowBack255).
+ * The oracle phases @p bug lives in, with it planted, and no other
+ * phase (only bugs that live in the oracle; see
+ * InjectedBug::OracleWindowBack255 and OracleSelectRunShort).
  */
 OraclePhases injectedOracle(InjectedBug bug);
 

@@ -98,11 +98,9 @@ BenchmarkExperiment::oracle()
 const PaClassifier &
 BenchmarkExperiment::classifier()
 {
-    if (!classifier_) {
-        obs::PhaseTimer guard(obs::ids().simPhaseOracleSeconds,
-                              obs::ids().simPhaseOracleCpuSeconds);
+    // PaClassifier times itself (sim.phase.pa_classifier.*).
+    if (!classifier_)
         classifier_ = std::make_unique<PaClassifier>(trace_);
-    }
     return *classifier_;
 }
 

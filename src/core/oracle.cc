@@ -7,6 +7,7 @@
 
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
+#include "util/flat_map.hpp"
 #include "util/logging.hpp"
 #include "util/page_vector.hpp"
 #include "util/thread_pool.hpp"
@@ -25,39 +26,148 @@ stateBits(uint32_t row, unsigned i)
     return (row >> (2 * i)) & 0x3u;
 }
 
-/** 2-bit counter successor, [taken][counter], matching Counter2. */
-constexpr uint8_t kNextCounter[2][4] = {{0, 0, 1, 2}, {1, 2, 3, 3}};
+/**
+ * One distinct row of a branch. Lane c of a 16-bit plane is candidate
+ * c; each mask covers both planes of a counter cell (bits c and 16 + c).
+ */
+struct DistinctRow
+{
+    /** lanes[s]: the candidates whose state in the row is s. */
+    std::array<uint32_t, 3> lanes;
+    uint32_t row;
+    /** Per pass: the row's first (prefix, state) cell, 3 * prefix. */
+    uint32_t cell;
+};
 
 /**
- * Score every one-candidate extension of a chosen set in one pass:
- * afterwards correct[c] equals replayScore(rows, chosen + {c}) for each
- * c < @p k. The k tables of 3^(m+1) counters sit side by side, and
- * entries for candidates already in @p chosen are meaningless.
+ * A branch's rows as runs of consecutive identical rows: each distinct
+ * row once, and per run its distinct id << 2 | min(length, steps).
+ */
+struct RowRuns
+{
+    std::vector<DistinctRow> distinct;
+    std::vector<uint32_t> runs;
+};
+
+/**
+ * Intern @p rows and cut them into runs. A run's length is kept up to
+ * @p steps only: after that many same-outcome steps a 2-bit counter is
+ * saturated toward the outcome, so later steps neither miss nor move it.
+ */
+RowRuns
+internRuns(const std::vector<uint32_t> &rows, unsigned steps)
+{
+    RowRuns out;
+    size_t run_count = rows.empty() ? 0 : 1;
+    for (size_t i = 1; i < rows.size(); ++i)
+        run_count += rows[i] != rows[i - 1];
+    out.runs.reserve(run_count);
+
+    FlatMap<uint32_t> ids; // row -> distinct id
+    for (size_t i = 0; i < rows.size();) {
+        const uint32_t row = rows[i];
+        size_t end = i + 1;
+        while (end < rows.size() && rows[end] == row)
+            ++end;
+        uint32_t *id = ids.find(row);
+        if (id == nullptr) {
+            id = &ids.insert(row);
+            *id = static_cast<uint32_t>(out.distinct.size());
+            DistinctRow d{{}, row, 0};
+            for (unsigned c = 0; c < 15; ++c) {
+                const unsigned state = stateBits(row, c);
+                panicIf(state > 2, "oracle row holds an invalid tag state");
+                d.lanes[state] |= 0x10001u << c;
+            }
+            out.distinct.push_back(d);
+        }
+        const auto length =
+            static_cast<uint32_t>(std::min<size_t>(end - i, steps));
+        out.runs.push_back(*id << 2 | length);
+        i = end;
+    }
+    return out;
+}
+
+/** spread[b] has byte i set to bit i of b. */
+constexpr std::array<uint64_t, 256> kSpread = [] {
+    std::array<uint64_t, 256> spread{};
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned i = 0; i < 8; ++i)
+            spread[b] |= uint64_t{(b >> i) & 1u} << (8 * i);
+    return spread;
+}();
+
+/**
+ * Score every one-candidate extension of a chosen set in one pass over
+ * @p runs: afterwards misses[c] is the number of rows that
+ * replayScore(rows, chosen + {c}) predicts wrong, for each c < 15.
+ * Entries for candidates already in @p chosen are meaningless.
+ *
+ * Each (prefix, state) cell holds one 2-bit counter per candidate, bit
+ * sliced: the high bits H in the low 16 bits of the cell, the low bits
+ * L in the high 16. A run gathers its row's counters from the three
+ * cells of its prefix, steps them all at once and scatters them back.
  */
 void
-scoreExtensions(const std::vector<uint32_t> &rows, const unsigned *chosen,
-                unsigned m, unsigned k, uint64_t *correct)
+scoreRuns(RowRuns &runs, const unsigned *chosen, unsigned m,
+          uint64_t *misses)
 {
-    const uint32_t radix = pow3(m); // weight of the extending candidate
-    const uint32_t table_size = 3 * radix;
-    // Initialized weakly-not-taken, as in replayScore.
-    std::array<uint8_t, 15 * pow3(3)> counters;
-    std::fill_n(counters.begin(), k * table_size, uint8_t{1});
-    std::fill_n(correct, k, uint64_t{0});
-
-    for (uint32_t row : rows) {
+    for (DistinctRow &d : runs.distinct) {
         uint32_t prefix = 0;
-        uint32_t weight = 1;
-        for (unsigned j = 0; j < m; ++j) {
-            prefix += stateBits(row, chosen[j]) * weight;
-            weight *= 3;
+        for (unsigned j = m; j-- > 0;)
+            prefix = 3 * prefix + stateBits(d.row, chosen[j]);
+        d.cell = 3 * prefix;
+    }
+    // Initialized weakly-not-taken (H = 0, L = 1), as in replayScore.
+    std::array<uint32_t, 3 * pow3(2)> cells;
+    cells.fill(0xffff0000u);
+    std::fill_n(misses, 15, uint64_t{0});
+
+    // A run misses at most twice per lane, so 127 runs fit a byte lane.
+    constexpr size_t kFlushRuns = 127;
+    const uint32_t *run = runs.runs.data();
+    const uint32_t *const last = run + runs.runs.size();
+    while (run != last) {
+        const uint32_t *const flush =
+            run + std::min<size_t>(kFlushRuns, last - run);
+        uint64_t low = 0;  // lanes 0-7, one byte each
+        uint64_t high = 0; // lanes 8-15
+        for (; run != flush; ++run) {
+            const DistinctRow &d = runs.distinct[*run >> 2];
+            const uint32_t steps = *run & 3u;
+            uint32_t *cell = cells.data() + d.cell;
+            // A not-taken step is a taken step on the complemented
+            // counter (3 - v), so flip not-taken rows' counters in and
+            // out and step toward taken.
+            const uint32_t flip = (d.row >> kOutcomeBit) - 1u;
+            const uint32_t gathered = ((cell[0] & d.lanes[0]) |
+                                       (cell[1] & d.lanes[1]) |
+                                       (cell[2] & d.lanes[2])) ^ flip;
+            const uint32_t h = gathered & 0xffffu;
+            const uint32_t l = gathered >> 16;
+            // Closed form of min(length, 3) taken steps from (h, l):
+            // step 1 misses where h = 0 and gives (h|l, h|~l); step 2
+            // misses where h = l = 0 and gives (1, h|l); step 3 gives
+            // (1, 1) and never misses.
+            const uint32_t two = 0u - uint32_t{steps >= 2};
+            const uint32_t three = 0u - uint32_t{steps >= 3};
+            const uint32_t miss1 = ~h;
+            const uint32_t miss2 = two & ~(h | l);
+            const uint32_t h_next = h | l | two;
+            const uint32_t l_next = three | h | (~l ^ two);
+            const uint32_t stepped =
+                ((h_next & 0xffffu) | l_next << 16) ^ flip;
+            for (unsigned s = 0; s < 3; ++s)
+                cell[s] = (cell[s] & ~d.lanes[s]) | (stepped & d.lanes[s]);
+            low += kSpread[miss1 & 0xffu] + kSpread[miss2 & 0xffu];
+            high += kSpread[(miss1 >> 8) & 0xffu] +
+                kSpread[(miss2 >> 8) & 0xffu];
         }
-        unsigned taken = row >> kOutcomeBit;
-        uint8_t *table = counters.data() + prefix;
-        for (unsigned c = 0; c < k; ++c, table += table_size) {
-            uint8_t &counter = table[stateBits(row, c) * radix];
-            correct[c] += (counter >> 1) == taken;
-            counter = kNextCounter[taken][counter];
+        for (unsigned c = 0; c < 8; ++c) {
+            misses[c] += (low >> (8 * c)) & 0xffu;
+            if (c < 7)
+                misses[8 + c] += (high >> (8 * c)) & 0xffu;
         }
     }
 }
@@ -321,26 +431,32 @@ SelectiveOracle::replayScore(const std::vector<uint32_t> &rows,
 
 GreedySelection
 SelectiveOracle::greedySelect(const std::vector<uint32_t> &rows, unsigned k,
-                              unsigned max_select)
+                              unsigned max_select, unsigned saturation_steps)
 {
     panicIf(k > 15 || max_select > 3, "greedySelect out of range");
+    panicIf(saturation_steps == 0 || saturation_steps > kSaturationSteps,
+            "greedySelect saturation steps out of range");
     GreedySelection out;
+    if (k == 0) {
+        std::fill_n(out.correct.begin(), max_select, replayScore(rows, {}));
+        return out;
+    }
+    RowRuns runs = internRuns(rows, saturation_steps);
     bool in_set[15] = {};
-    std::array<uint64_t, 15> correct{};
-    uint64_t last_score = k == 0 ? replayScore(rows, {}) : 0;
+    std::array<uint64_t, 15> misses{};
+    uint64_t last_score = 0;
 
     for (unsigned size = 1; size <= max_select; ++size) {
         if (out.picked < k) {
-            scoreExtensions(rows, out.order.data(), out.picked, k,
-                            correct.data());
+            scoreRuns(runs, out.order.data(), out.picked, misses.data());
             unsigned best = k;
             for (unsigned c = 0; c < k; ++c) {
-                if (!in_set[c] && (best == k || correct[c] > correct[best]))
+                if (!in_set[c] && (best == k || misses[c] < misses[best]))
                     best = c;
             }
             out.order[out.picked++] = best;
             in_set[best] = true;
-            last_score = correct[best];
+            last_score = rows.size() - misses[best];
         }
         // When candidates run out, larger sizes inherit the best smaller
         // set (there is nothing more to include in the history).

@@ -36,10 +36,20 @@
  *    K candidates once, giving the window entry each in-path candidate
  *    reads; a row is then the window's base bits plus one outcome bit
  *    per in-path candidate, read from the last n outcomes.
- *  - Select makes one pass over a branch's rows per size and scores all
- *    K extensions of the current set in it, with K counter tables side
- *    by side: 3 passes per branch instead of K + (K-1) + (K-2) subset
- *    replays. replayScore() stays the reference scorer and scores the
+ *  - Select interns each branch's rows once and cuts them into runs of
+ *    identical consecutive rows, (distinct row, min(length, 3))
+ *    pairs: three same-outcome steps saturate a 2-bit counter, so a
+ *    longer run changes nothing more. Per distinct row it keeps three
+ *    lane masks, the candidates whose state is NotInPath, NotTaken or
+ *    Taken. Each size makes one pass over the runs and scores all K
+ *    extensions of the current set at once. The counters are bit
+ *    sliced: per (chosen-set prefix, state) cell, a 16-bit plane of
+ *    high bits and one of low bits, a lane per candidate. A run gathers
+ *    its lanes from its prefix's three cells under the masks, applies
+ *    the closed-form 2-bit step up to three times, counts misses in
+ *    byte lanes and scatters the counters back: a few dozen word
+ *    operations per run instead of K dependent counter updates per
+ *    row. replayScore() stays the reference scorer and scores the
  *    exhaustive mode.
  *
  * Windows recur, so the per-window work is small. At depth 16 the
@@ -238,16 +248,26 @@ class SelectiveOracle
     static uint64_t replayScore(const std::vector<uint32_t> &rows,
                                 const std::vector<unsigned> &subset);
 
+    /** Same-outcome steps after which a 2-bit counter is saturated. */
+    static constexpr unsigned kSaturationSteps = 3;
+
     /**
      * Greedy forward selection over @p k candidates: for sizes
      * 1..@p max_select, extend the previous size's set with the
      * candidate whose extension scores best under replayScore(), ties
      * going to the lowest index. All extensions of one size are scored
-     * in a single pass over @p rows. Once the candidates run out, larger
-     * sizes inherit the best smaller set. Exposed for tests.
+     * in a single pass over the runs of @p rows. Once the candidates run
+     * out, larger sizes inherit the best smaller set. Exposed for tests.
+     *
+     * @param saturation_steps Counter steps a run of identical rows
+     *     applies at most (1..kSaturationSteps). Exact only at
+     *     kSaturationSteps; the check module plants a lower one as a
+     *     defect.
      */
-    static GreedySelection greedySelect(const std::vector<uint32_t> &rows,
-                                        unsigned k, unsigned max_select);
+    static GreedySelection
+    greedySelect(const std::vector<uint32_t> &rows, unsigned k,
+                 unsigned max_select,
+                 unsigned saturation_steps = kSaturationSteps);
 
   private:
     double select(const std::vector<RecordedBranch> &recorded,

@@ -34,8 +34,10 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
 {
     fatalIf(ifpas_history == 0 || ifpas_history > 32,
             "IF PAs history bits must be in 1..32");
-    const bool timed = obs::enabled();
-    const double start = timed ? obs::threadCpuSeconds() : 0.0;
+    // The classifier's one wall/CPU pair; the clocks are not read when
+    // telemetry is off.
+    obs::PhaseTimer timer(obs::ids().simPhasePaClassifierSeconds,
+                          obs::ids().simPhasePaClassifierCpuSeconds);
 
     // One slot per static id for every class predictor: the same
     // transitions as LoopPredictor, BlockPatternPredictor and IfPas with
@@ -109,9 +111,6 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
     rows_ = rowsFromIds(soa.staticPcs(), table, [](const PaBranchResult &res) {
         return res.execs != 0;
     });
-    if (timed)
-        obs::observe(obs::ids().simPhasePaClassifierCpuSeconds,
-                     obs::threadCpuSeconds() - start);
 }
 
 const PaBranchResult *

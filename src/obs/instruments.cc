@@ -99,11 +99,10 @@ buildCatalog()
             "thread CPU time per predictor-simulation phase", "core");
     addHist(c, i.simPhaseOracleSeconds, "sim.phase.oracle.seconds",
             "seconds",
-            "wall time per selective-oracle / classifier phase", "core");
+            "wall time per selective-oracle phase", "core");
     addHist(c, i.simPhaseOracleCpuSeconds,
             "sim.phase.oracle.cpu_seconds", "seconds",
-            "thread CPU time per selective-oracle / classifier phase",
-            "core");
+            "thread CPU time per selective-oracle phase", "core");
     addHist(c, i.simPhaseOracleMineCpuSeconds,
             "sim.phase.oracle.mine.cpu_seconds", "seconds",
             "thread CPU time of one SelectiveOracle's candidate-mining "
@@ -124,6 +123,9 @@ buildCatalog()
         "found, summed over oracle runs; mine and record work once per "
         "window",
         "core");
+    addHist(c, i.simPhasePaClassifierSeconds,
+            "sim.phase.pa_classifier.seconds", "seconds",
+            "wall time of one PaClassifier's class-predictor pass", "core");
     addHist(c, i.simPhasePaClassifierCpuSeconds,
             "sim.phase.pa_classifier.cpu_seconds", "seconds",
             "thread CPU time of one PaClassifier's class-predictor pass",

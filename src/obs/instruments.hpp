@@ -55,6 +55,7 @@ struct Ids
     InstrumentId oracleWindows = 0;
 
     // core: the per-address class engine (src/core/pa_class.cc).
+    InstrumentId simPhasePaClassifierSeconds = 0;
     InstrumentId simPhasePaClassifierCpuSeconds = 0;
 
     // util: the thread pool (src/util/thread_pool.cc, via hooks).

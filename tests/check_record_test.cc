@@ -1,14 +1,18 @@
 /**
  * The oracle-phase differentials: core::CandidateMiner and
- * core::recordStates against the collect-and-probe references
- * (check/record_check.hpp), tag for tag and row for row, over fuzzed
- * traces at window depths 1, 16 and 64, plus proof that the fuzzed
- * traces reach the edges the window walk has to get right and that the
- * planted window-id defect is caught and shrunk by both phases.
+ * core::recordStates against the collect-and-probe references, and
+ * greedy selection against the one-subset-at-a-time replay
+ * (check/record_check.hpp), over fuzzed traces at window depths 1, 16
+ * and 64, plus proof that the fuzzed traces reach the edges the window
+ * walk and the run scorer have to get right, that the planted
+ * window-id defect is caught and shrunk by both mine and record, and
+ * that the planted run-step defect is caught and shrunk by select.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 #include <string>
 #include <utility>
@@ -60,7 +64,8 @@ TEST(RecordCheck, OraclePhasesMatchReferencesOnFuzzedTraces)
     SuiteReport report = runOracleSuite(options, oraclePhases());
     EXPECT_EQ(report.tracesRun, 30u);
     EXPECT_EQ(report.comparisons,
-              30u * (mineCheckConfigs().size() + recordCheckConfigs().size()));
+              30u * (mineCheckConfigs().size() +
+                     2 * recordCheckConfigs().size()));
     EXPECT_TRUE(report.ok()) << formatReport(report);
 }
 
@@ -72,11 +77,18 @@ TEST(RecordCheck, EachPhaseRunsAlone)
     options.conditionals = 500;
     OraclePhases mine_only = oraclePhases();
     mine_only.record = nullptr;
+    mine_only.select = nullptr;
     EXPECT_EQ(runOracleSuite(options, mine_only).comparisons,
               2u * mineCheckConfigs().size());
     OraclePhases record_only = oraclePhases();
     record_only.mine = nullptr;
+    record_only.select = nullptr;
     EXPECT_EQ(runOracleSuite(options, record_only).comparisons,
+              2u * recordCheckConfigs().size());
+    OraclePhases select_only = oraclePhases();
+    select_only.mine = nullptr;
+    select_only.record = nullptr;
+    EXPECT_EQ(runOracleSuite(options, select_only).comparisons,
               2u * recordCheckConfigs().size());
 }
 
@@ -175,6 +187,68 @@ TEST(RecordCheck, WindowBack255IsCaughtAndShrunkByBothPhases)
     }
     EXPECT_TRUE(paths.count("mine")) << "mine missed the bug";
     EXPECT_TRUE(paths.count("record")) << "record missed the bug";
+}
+
+TEST(RecordCheck, FuzzedRowsHoldRunsPastSaturation)
+{
+    // The run scorer's edge: runs of three or more identical rows, the
+    // length at which a 2-bit counter saturates, and runs of one and
+    // two, which stop short of it.
+    std::array<uint64_t, 4> runs{}; // by min(length, 3); [0] unused
+    OracleConfig config;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        trace::Trace trace = recordFuzzTrace(seed, 1000);
+        core::CandidateMiner miner(config.historyDepth);
+        miner.mine(trace);
+        core::WindowWalk walk(trace.soa(), config.historyDepth);
+        for (const RecordedBranch &branch :
+             core::recordStates(walk, miner, config)) {
+            for (size_t r = 0; r < branch.rows.size();) {
+                size_t end = r + 1;
+                while (end < branch.rows.size() &&
+                       branch.rows[end] == branch.rows[r])
+                    ++end;
+                ++runs[std::min<size_t>(end - r, 3)];
+                r = end;
+            }
+        }
+    }
+    EXPECT_GT(runs[1], 0u);
+    EXPECT_GT(runs[2], 0u);
+    EXPECT_GT(runs[3], 0u);
+}
+
+TEST(RecordCheck, SelectRunShortIsCaughtAndShrunk)
+{
+    SuiteOptions options;
+    options.seedBase = 1;
+    options.traces = 4;
+    options.conditionals = 1000;
+    const OraclePhases buggy =
+        injectedOracle(InjectedBug::OracleSelectRunShort);
+    EXPECT_FALSE(buggy.mine);
+    EXPECT_FALSE(buggy.record);
+    SuiteReport report = runOracleSuite(options, buggy);
+    ASSERT_FALSE(report.ok()) << "planted run-step bug was not caught";
+    for (const SuiteFailure &failure : report.failures) {
+        EXPECT_EQ(failure.first.path, "select");
+        EXPECT_GT(failure.reproducer.size(), 0u);
+        EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
+        // The shrunk trace still fails under the same configuration,
+        // and the shipped scorer passes on it.
+        bool still_fails = false;
+        for (const OracleConfig &config : recordCheckConfigs()) {
+            if (failure.pair != "oracle-select(" +
+                    recordConfigLabel(config) + ")")
+                continue;
+            still_fails =
+                !diffSelect(failure.reproducer, config, buggy.select).ok();
+            EXPECT_TRUE(diffSelect(failure.reproducer, config,
+                                   oraclePhases().select)
+                            .ok());
+        }
+        EXPECT_TRUE(still_fails) << failure.pair;
+    }
 }
 
 TEST(RecordCheckDeath, PredictorBugsHaveNoOracleForm)

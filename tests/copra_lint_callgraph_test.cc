@@ -211,9 +211,11 @@ TEST(CallGraph, UnresolvableCalleeIsReportedNotIgnored)
     std::vector<Finding> findings =
         runCallGraphRules(cg, model, scans);
     ASSERT_EQ(countRule(findings, "hot-unresolved"), 1);
-    for (const Finding &f : findings)
-        if (f.rule == "hot-unresolved")
+    for (const Finding &f : findings) {
+        if (f.rule == "hot-unresolved") {
             EXPECT_NE(f.message.find("mysteryCall"), std::string::npos);
+        }
+    }
 }
 
 TEST(CallGraph, MarkBindingNothingIsReported)

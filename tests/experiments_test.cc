@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "core/experiments.hpp"
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
@@ -168,6 +171,34 @@ TEST(Experiments, Fig5SeriesCoversRequestedDepths)
         EXPECT_GT(acc, 50.0);
         EXPECT_LE(acc, 100.0);
     }
+}
+
+TEST(Experiments, Fig6TimesTheClassifierNotTheOracle)
+{
+    // fig6 runs the PA classifier and no oracle: its time lands in one
+    // sim.phase.pa_classifier pair and in no sim.phase.oracle.* sample.
+    ExperimentConfig config = smallConfig();
+    config.branches = 20000;
+    BenchmarkExperiment experiment("xlisp", config);
+    obs::Registry &registry = obs::Registry::instance();
+    registry.reset();
+    obs::setEnabled(true);
+    experiment.fig6Row();
+    experiment.fig6Row(); // cached: no second classifier run
+    obs::Snapshot snap = registry.snapshot();
+    obs::setEnabled(false);
+    registry.reset();
+
+    for (const obs::InstrumentValue &value : snap.values) {
+        const std::string key = registry.describe(value.id).key;
+        if (key.rfind("sim.phase.oracle.", 0) == 0) {
+            EXPECT_EQ(value.count, 0u) << key;
+        }
+    }
+    EXPECT_EQ(snap.values.at(obs::ids().simPhasePaClassifierSeconds).count,
+              1u);
+    EXPECT_EQ(
+        snap.values.at(obs::ids().simPhasePaClassifierCpuSeconds).count, 1u);
 }
 
 TEST(Experiments, DeterministicAcrossInstances)

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/record_check.hpp"
 #include "core/oracle.hpp"
 #include "core/selective.hpp"
 #include "obs/instruments.hpp"
@@ -85,61 +86,24 @@ TEST(ReplayScore, SubsetSelectsTheRightBits)
     EXPECT_LT(with_noise, 140u);
 }
 
-/** Greedy selection scored one subset at a time through replayScore. */
-struct ReferenceGreedy
-{
-    std::array<uint64_t, 3> correct{};
-    std::array<std::vector<unsigned>, 3> chosen{};
-};
-
-ReferenceGreedy
-referenceGreedy(const std::vector<uint32_t> &rows, unsigned k,
-                unsigned max_select)
-{
-    ReferenceGreedy out;
-    std::vector<unsigned> chosen;
-    uint64_t last_score = SelectiveOracle::replayScore(rows, chosen);
-
-    for (unsigned size = 1; size <= max_select; ++size) {
-        unsigned best_candidate = UINT32_MAX;
-        uint64_t best_score = 0;
-        for (unsigned c = 0; c < k; ++c) {
-            if (std::find(chosen.begin(), chosen.end(), c) != chosen.end())
-                continue;
-            std::vector<unsigned> trial = chosen;
-            trial.push_back(c);
-            uint64_t score = SelectiveOracle::replayScore(rows, trial);
-            if (best_candidate == UINT32_MAX || score > best_score) {
-                best_candidate = c;
-                best_score = score;
-            }
-        }
-        if (best_candidate != UINT32_MAX) {
-            chosen.push_back(best_candidate);
-            last_score = best_score;
-        }
-        out.correct[size - 1] = last_score;
-        out.chosen[size - 1] = chosen;
-    }
-    return out;
-}
-
-/** Assert greedySelect() matches the one-subset-at-a-time reference. */
+/**
+ * Assert greedySelect() matches the one-subset-at-a-time reference
+ * (check::referenceGreedySelect, every extension through replayScore).
+ */
 void
 expectGreedyMatchesReference(const std::vector<uint32_t> &rows, unsigned k,
                              unsigned max_select, const std::string &what)
 {
-    ReferenceGreedy ref = referenceGreedy(rows, k, max_select);
+    GreedySelection ref = check::referenceGreedySelect(rows, k, max_select);
     GreedySelection got = SelectiveOracle::greedySelect(rows, k, max_select);
+    EXPECT_EQ(got.picked, ref.picked) << what;
     for (unsigned size = 1; size <= max_select; ++size) {
         SCOPED_TRACE(what + " k=" + std::to_string(k) +
                      " max_select=" + std::to_string(max_select) +
                      " size=" + std::to_string(size));
         EXPECT_EQ(got.correct[size - 1], ref.correct[size - 1]);
-        std::vector<unsigned> chosen(
-            got.order.begin(),
-            got.order.begin() + std::min(size, got.picked));
-        EXPECT_EQ(chosen, ref.chosen[size - 1]);
+        for (unsigned i = 0; i < std::min(size, got.picked); ++i)
+            EXPECT_EQ(got.order[i], ref.order[i]) << "pick " << i;
     }
 }
 
@@ -228,6 +192,177 @@ TEST(GreedySelect, LargerSizesInheritWhenCandidatesRunOut)
                       k == 0 ? SelectiveOracle::replayScore(rows, {})
                              : got.correct[k - 1]);
         }
+    }
+}
+
+/**
+ * A row with candidate @p lane in @p state, every other candidate not
+ * in the path.
+ */
+uint32_t
+laneRow(unsigned lane, TagOutcome state, bool taken)
+{
+    return (taken ? 1u << 31 : 0u) | static_cast<uint32_t>(state)
+        << (2 * lane);
+}
+
+TEST(GreedySelect, RunsOfEveryLengthFromEveryCounterState)
+{
+    // Candidate `lane` reads one counter cell (state Taken) throughout.
+    // Its counter is driven from weakly-not-taken to each state v, then
+    // sees one run of identical rows, then a probe of three rows of one
+    // outcome that exposes the run's end state. Rows with every
+    // candidate out of the path separate the three parts, so the run
+    // is exactly `length` rows long. The other candidates never enter
+    // the path; they score the bare counter and tie among themselves.
+    for (unsigned lane : {0u, 7u, 8u, 14u}) {
+        const unsigned k = lane + 1;
+        for (unsigned v = 0; v < 4; ++v) {
+            for (unsigned length = 1; length <= 6; ++length) {
+                for (bool taken : {true, false}) {
+                    for (bool probe : {true, false}) {
+                        std::vector<uint32_t> rows;
+                        // From 1: one N to 0, one T to 2, two T to 3.
+                        for (unsigned i = 0; i < (v == 3 ? 2u : v / 2); ++i)
+                            rows.push_back(
+                                laneRow(lane, TagOutcome::Taken, true));
+                        if (v == 0)
+                            rows.push_back(
+                                laneRow(lane, TagOutcome::Taken, false));
+                        rows.push_back(laneRow(0, TagOutcome::NotInPath,
+                                               false));
+                        for (unsigned i = 0; i < length; ++i)
+                            rows.push_back(
+                                laneRow(lane, TagOutcome::Taken, taken));
+                        rows.push_back(laneRow(0, TagOutcome::NotInPath,
+                                               true));
+                        for (unsigned i = 0; i < 3; ++i)
+                            rows.push_back(
+                                laneRow(lane, TagOutcome::Taken, probe));
+                        const std::string what = "lane=" +
+                            std::to_string(lane) + " v=" +
+                            std::to_string(v) + " length=" +
+                            std::to_string(length) +
+                            (taken ? " T" : " N") + " probe " +
+                            (probe ? "T" : "N");
+                        for (unsigned max_select = 1; max_select <= 3;
+                             ++max_select)
+                            expectGreedyMatchesReference(rows, k,
+                                                         max_select, what);
+                        if (lane == 0) {
+                            EXPECT_EQ(SelectiveOracle::greedySelect(rows, 1,
+                                                                    1)
+                                          .correct[0],
+                                      SelectiveOracle::replayScore(rows,
+                                                                   {0}))
+                                << what;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(GreedySelect, AlternatingRowsCrossTheByteLaneFlush)
+{
+    // Every candidate sits in one state throughout and the outcome
+    // alternates, so each candidate's counter swings between 1 and 2
+    // and misses on every row: 700 misses per lane in each pass, more
+    // than one byte lane holds.
+    constexpr unsigned k = 15;
+    std::vector<uint32_t> rows;
+    for (unsigned r = 0; r < 700; ++r) {
+        uint32_t packed = r % 2 == 0 ? 1u << 31 : 0u;
+        for (unsigned c = 0; c < k; ++c)
+            packed |= (c % 3) << (2 * c);
+        rows.push_back(packed);
+    }
+    for (unsigned c = 0; c < k; ++c)
+        EXPECT_EQ(SelectiveOracle::replayScore(rows, {c}), 0u) << c;
+    for (unsigned max_select = 1; max_select <= 3; ++max_select)
+        expectGreedyMatchesReference(rows, k, max_select, "alternating");
+    // A pattern that only candidate 14 tells apart, after 600 rows on
+    // which every lane misses: the count must survive the flushes.
+    for (unsigned r = 0; r < 600; ++r) {
+        const bool taken = r % 3 != 0;
+        uint32_t packed = taken ? 1u << 31 : 0u;
+        packed |= static_cast<uint32_t>(taken ? TagOutcome::Taken
+                                              : TagOutcome::NotTaken)
+            << (2 * 14);
+        rows.push_back(packed);
+    }
+    GreedySelection got = SelectiveOracle::greedySelect(rows, k, 3);
+    EXPECT_EQ(got.order[0], 14u);
+    EXPECT_EQ(got.correct[0], SelectiveOracle::replayScore(rows, {14}));
+    expectGreedyMatchesReference(rows, k, 3, "lane 14 informative");
+}
+
+TEST(GreedySelect, RunsMissingTwiceFillTheByteLanes)
+{
+    // Runs of three taken then three not-taken rows swing every
+    // counter between its saturated ends, two misses per run: the most
+    // a run can add to a byte lane, so the flush interval must keep
+    // 2 * runs per flush within 255.
+    constexpr unsigned k = 15;
+    std::vector<uint32_t> rows;
+    for (unsigned r = 0; r < 6 * 200; ++r) {
+        uint32_t packed = r % 6 < 3 ? 1u << 31 : 0u;
+        for (unsigned c = 0; c < k; ++c)
+            packed |= (c % 3) << (2 * c);
+        rows.push_back(packed);
+    }
+    // The first run misses once, from weakly not-taken; every later
+    // run misses twice.
+    for (unsigned c = 0; c < k; ++c) {
+        EXPECT_EQ(SelectiveOracle::replayScore(rows, {c}),
+                  rows.size() - (2 * 400 - 1))
+            << c;
+    }
+    for (unsigned max_select = 1; max_select <= 3; ++max_select)
+        expectGreedyMatchesReference(rows, k, max_select, "three and three");
+}
+
+TEST(GreedySelect, FifteenCandidatesAndNone)
+{
+    Rng rng(31);
+    std::vector<uint32_t> rows = randomRows(15, 2000, 0.5, rng);
+    for (uint32_t &packed : rows) {
+        // The outcome is candidate 13's state XOR candidate 2's.
+        const bool a = ((packed >> (2 * 13)) & 3u) == 2u;
+        const bool b = ((packed >> (2 * 2)) & 3u) == 2u;
+        packed = (packed & ~(1u << 31)) | ((a != b) ? 1u << 31 : 0u);
+    }
+    expectGreedyMatchesReference(rows, 15, 3, "k=15 xor");
+    GreedySelection all = SelectiveOracle::greedySelect(rows, 15, 3);
+    EXPECT_EQ(all.picked, 3u);
+
+    GreedySelection none = SelectiveOracle::greedySelect(rows, 0, 3);
+    EXPECT_EQ(none.picked, 0u);
+    for (uint64_t correct : none.correct)
+        EXPECT_EQ(correct, SelectiveOracle::replayScore(rows, {}));
+}
+
+TEST(GreedySelect, RunsLongerThanANarrowCountAreExact)
+{
+    // A run keeps its length only up to saturation, so one longer than
+    // any narrow count field (16 bits here) needs no split; it must
+    // still score every row.
+    for (bool taken : {true, false}) {
+        std::vector<uint32_t> rows;
+        for (unsigned r = 0; r < 70000; ++r)
+            rows.push_back(laneRow(1, TagOutcome::NotTaken, taken));
+        for (unsigned r = 0; r < 5; ++r) {
+            rows.push_back(laneRow(1, TagOutcome::NotTaken, !taken));
+            rows.push_back(laneRow(1, TagOutcome::Taken, taken));
+        }
+        for (unsigned r = 0; r < 70001; ++r)
+            rows.push_back(laneRow(1, TagOutcome::Taken, !taken));
+        const std::string what = taken ? "taken" : "not taken";
+        expectGreedyMatchesReference(rows, 2, 3, what);
+        GreedySelection got = SelectiveOracle::greedySelect(rows, 2, 1);
+        EXPECT_EQ(got.correct[0], SelectiveOracle::replayScore(rows, {1}))
+            << what;
     }
 }
 

@@ -319,8 +319,8 @@ TEST(PaClassifier, MatchesPublicPredictorsOnTheSuite)
 
 TEST(PaClassifier, TelemetryTimesEachClassifierOnce)
 {
-    // With telemetry on, each classifier adds one CPU-time sample and
-    // classifies exactly what an untimed one does.
+    // With telemetry on, each classifier adds one wall-time and one
+    // CPU-time sample and classifies exactly what an untimed one does.
     auto trace = workload::makeBenchmarkTrace("xlisp", 20000, 0);
     PaClassifier quiet(trace);
     obs::Registry::instance().reset();
@@ -334,6 +334,8 @@ TEST(PaClassifier, TelemetryTimesEachClassifierOnce)
     const obs::InstrumentId id = obs::ids().simPhasePaClassifierCpuSeconds;
     EXPECT_EQ(snap.values.at(id).count, 2u);
     EXPECT_GT(snap.values.at(id).sum, 0.0);
+    EXPECT_EQ(
+        snap.values.at(obs::ids().simPhasePaClassifierSeconds).count, 2u);
     EXPECT_EQ(quiet.classFractions(), timed.classFractions());
 }
 
