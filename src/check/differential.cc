@@ -1,6 +1,8 @@
 #include "check/differential.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -29,18 +31,18 @@ using trace::Trace;
 // Prediction streams
 
 std::vector<uint8_t>
-scalarPredictions(const Trace &trace, predictor::Predictor &pred)
+scalarPredictions(const Trace &trace, predictor::Predictor &pred,
+                  size_t begin, size_t end)
 {
     std::vector<uint8_t> out;
     out.reserve(trace.conditionalCount());
-    for (const BranchRecord &rec : trace.records()) {
+    for (size_t i = begin; i < std::min(end, trace.size()); ++i) {
+        BranchRecord rec = trace[i];
         if (!rec.isConditional()) {
             pred.observe(rec);
             continue;
         }
-        bool p = pred.predict(rec);
-        pred.update(rec, rec.taken);
-        out.push_back(p ? 1 : 0);
+        out.push_back(pred.step(rec, rec.taken) ? 1 : 0);
     }
     return out;
 }
@@ -49,8 +51,9 @@ std::vector<uint8_t>
 soaPredictions(const Trace &trace, predictor::Predictor &pred)
 {
     // Mirror sim::run exactly: conditional segments of the column store
-    // go through predictUpdateSoa (the specialized batch loops),
-    // non-conditionals through observe() in trace order.
+    // go through predictUpdateSoa (TwoLevel's hand-written loops, every
+    // other class's stepBatch), non-conditionals through observe() in
+    // trace order.
     const trace::SoABlocks &soa = trace.soa();
     std::vector<uint8_t> out;
     out.reserve(trace.conditionalCount());
@@ -455,42 +458,61 @@ defaultCheckPairs()
 // Campaign driver
 
 SuiteReport
-runCheckSuite(const SuiteOptions &options,
-              const std::vector<CheckPair> &pairs)
+runCampaign(const SuiteOptions &options,
+            const std::function<Trace(uint64_t seed)> &trace_of,
+            const std::vector<TraceDiff> &diffs)
 {
     SuiteReport report;
+    std::set<std::string> shrunk_pairs;
     for (uint64_t t = 0; t < options.traces; ++t) {
         uint64_t seed = options.seedBase + t;
-        Trace trace = fuzzTrace(seed, options.conditionals);
+        Trace trace = trace_of(seed);
         ++report.tracesRun;
         obs::count(obs::ids().checkDiffTraces);
-        for (const CheckPair &pair : pairs) {
+        for (const TraceDiff &diff_of : diffs) {
             ++report.comparisons;
             obs::count(obs::ids().checkDiffComparisons);
-            DiffResult diff =
-                diffPair(trace, pair, options.checkParallel);
+            DiffResult diff = diff_of(trace, true);
             if (diff.ok())
                 continue;
             obs::count(obs::ids().checkDiffMismatches,
                        diff.mismatches.size());
             SuiteFailure failure;
-            failure.pair = pair.name;
+            failure.pair = diff.mismatches.front().pair;
             failure.seed = seed;
             failure.first = diff.mismatches.front();
-            if (options.minimize) {
-                // Shrink against the serial paths only (scalar, soa, run);
-                // the parallel path adds nothing to localization.
-                failure.reproducer = minimizeTrace(
-                    trace, [&pair](const Trace &candidate) {
-                        return !diffPair(candidate, pair, false).ok();
-                    });
-            } else {
-                failure.reproducer = trace;
-            }
+            failure.shrunk = options.minimize &&
+                shrunk_pairs.insert(failure.pair).second;
+            failure.reproducer = failure.shrunk
+                ? minimizeTrace(trace,
+                                [&diff_of](const Trace &candidate) {
+                                    return !diff_of(candidate, false).ok();
+                                })
+                : trace;
             report.failures.push_back(std::move(failure));
         }
     }
     return report;
+}
+
+SuiteReport
+runCheckSuite(const SuiteOptions &options,
+              const std::vector<CheckPair> &pairs)
+{
+    std::vector<TraceDiff> diffs;
+    for (const CheckPair &pair : pairs) {
+        // Shrink against the serial paths only (scalar, soa, run); the
+        // parallel path adds nothing to localization.
+        diffs.push_back([&pair, &options](const Trace &trace, bool full) {
+            return diffPair(trace, pair, full && options.checkParallel);
+        });
+    }
+    return runCampaign(
+        options,
+        [&options](uint64_t seed) {
+            return fuzzTrace(seed, options.conditionals);
+        },
+        diffs);
 }
 
 std::string
@@ -511,7 +533,8 @@ formatReport(const SuiteReport &report)
                << (f.first.expected ? 'T' : 'N') << " got="
                << (f.first.got ? 'T' : 'N');
         }
-        os << " reproducer=" << f.reproducer.size() << " records\n";
+        os << " reproducer=" << f.reproducer.size() << " records"
+           << (f.shrunk ? "" : " (not shrunk)") << "\n";
     }
     return os.str();
 }
@@ -522,74 +545,25 @@ formatReport(const SuiteReport &report)
 namespace {
 
 /**
- * PAs with the classic off-by-one: predictions read the right BHT row,
- * but update() trains the history of the *neighboring* row.
+ * PAs with an off-by-one in training: predictions read the right BHT
+ * row and PHT set, but training indexes the next branch's, pc + 4.
  */
-class BuggyPas : public predictor::Predictor
+class BuggyPas : public RefTwoLevel
 {
   public:
-    explicit BuggyPas(const TwoLevelConfig &config)
-        : config_(config)
-    {
-        historyMask_ = (uint64_t(1) << config.historyBits) - 1;
-        phtMask_ = (uint64_t(1) << config.phtBits) - 1;
-        histories_.assign(uint64_t(1) << config.bhtBits, 0);
-        pht_.assign(uint64_t(1) << config.phtBits, 1);
-    }
+    using RefTwoLevel::RefTwoLevel;
 
-    bool
-    predict(const trace::BranchRecord &br) noexcept override
-    {
-        return pht_[index(br.pc, row(br.pc))] > 1;
-    }
-
+  protected:
     void
-    update(const trace::BranchRecord &br, bool taken) noexcept override
+    train(const BranchRecord &br, bool taken) override
     {
-        uint8_t &counter = pht_[index(br.pc, row(br.pc))];
-        if (taken && counter < 3)
-            ++counter;
-        else if (!taken && counter > 0)
-            --counter;
-        // BUG: trains the neighboring history row.
-        uint64_t wrong = (row(br.pc) + 1) % histories_.size();
-        histories_[wrong] =
-            ((histories_[wrong] << 1) | (taken ? 1 : 0)) & historyMask_;
+        BranchRecord next = br;
+        next.pc += 4; // BUG: trains the neighboring branch's row
+        RefTwoLevel::train(next, taken);
     }
-
-    void
-    reset() override
-    {
-        std::fill(histories_.begin(), histories_.end(), 0);
-        std::fill(pht_.begin(), pht_.end(), 1);
-    }
-
-    std::string name() const override { return "buggy-" + config_.label; }
-
-  private:
-    uint64_t
-    row(uint64_t pc) const
-    {
-        return (pc >> 2) & (histories_.size() - 1);
-    }
-
-    uint64_t
-    index(uint64_t pc, uint64_t r) const
-    {
-        uint64_t hist = histories_[r] & historyMask_;
-        uint64_t select =
-            (pc >> 2) & ((uint64_t(1) << config_.pcSelectBits) - 1);
-        return ((select << config_.historyBits) | hist) & phtMask_;
-    }
-
-    TwoLevelConfig config_;
-    uint64_t historyMask_;
-    uint64_t phtMask_;
-    std::vector<uint64_t> histories_;
-    std::vector<uint8_t> pht_;
 };
 
-/** Branch @p i of @p batch as the record predict()/update() receive. */
+/** Branch @p i of @p batch as the record step() receives. */
 BranchRecord
 batchRecord(const predictor::SoaBatch &batch, size_t i)
 {
@@ -599,13 +573,13 @@ batchRecord(const predictor::SoaBatch &batch, size_t i)
 
 /**
  * gshare whose SoA batch path predicts each branch *before* applying
- * the previous branch's update — the scalar path is untouched, so only
- * the soa/run/parallel comparisons can catch it.
+ * the previous branch's training — step() is untouched, so only the
+ * soa/run/parallel comparisons can catch it.
  */
-class SoaStaleHistoryGshare : public predictor::TwoLevel
+class SoaStaleHistoryGshare : public RefTwoLevel
 {
   public:
-    using TwoLevel::TwoLevel;
+    SoaStaleHistoryGshare() : RefTwoLevel(TwoLevelConfig::gshare(8)) {}
 
     uint64_t
     predictUpdateSoa(const predictor::SoaBatch &batch,
@@ -614,19 +588,19 @@ class SoaStaleHistoryGshare : public predictor::TwoLevel
         uint64_t n_correct = 0;
         for (size_t i = 0; i < batch.count; ++i) {
             BranchRecord br = batchRecord(batch, i);
-            bool prediction = predict(br); // BUG: pending update missing
+            bool predicted = prediction(br); // BUG: stale history
             if (i > 0) {
                 BranchRecord prev = batchRecord(batch, i - 1);
-                update(prev, prev.taken);
+                train(prev, prev.taken);
             }
-            bool correct = prediction == br.taken;
+            bool correct = predicted == br.taken;
             n_correct += correct ? 1 : 0;
             if (correct_out)
                 correct_out[i] = correct ? 1 : 0;
         }
         if (batch.count > 0) {
             BranchRecord last = batchRecord(batch, batch.count - 1);
-            update(last, last.taken);
+            train(last, last.taken);
         }
         return n_correct;
     }
@@ -634,15 +608,15 @@ class SoaStaleHistoryGshare : public predictor::TwoLevel
 
 /**
  * gshare whose SoA batch path trains the counter and history *before*
- * predicting each branch. The scalar path inherits correct TwoLevel
- * behaviour, so only the "soa" stream (and the sim::run aggregates
- * built on it) can catch this — the self-test that proves the harness
- * actually exercises the column batch path.
+ * predicting each branch. step() is faithful, so only the "soa" stream
+ * (and the sim::run aggregates built on it) can catch this — the
+ * self-test that proves the harness actually exercises the column
+ * batch path.
  */
-class SoaPrematureTrainGshare : public predictor::TwoLevel
+class SoaPrematureTrainGshare : public RefTwoLevel
 {
   public:
-    using TwoLevel::TwoLevel;
+    SoaPrematureTrainGshare() : RefTwoLevel(TwoLevelConfig::gshare(8)) {}
 
     uint64_t
     predictUpdateSoa(const predictor::SoaBatch &batch,
@@ -651,9 +625,8 @@ class SoaPrematureTrainGshare : public predictor::TwoLevel
         uint64_t n_correct = 0;
         for (size_t i = 0; i < batch.count; ++i) {
             BranchRecord br = batchRecord(batch, i);
-            update(br, br.taken); // BUG: trains before predicting
-            bool prediction = predict(br);
-            bool correct = prediction == br.taken;
+            train(br, br.taken); // BUG: trains before predicting
+            bool correct = prediction(br) == br.taken;
             n_correct += correct ? 1 : 0;
             if (correct_out)
                 correct_out[i] = correct ? 1 : 0;
@@ -663,50 +636,17 @@ class SoaPrematureTrainGshare : public predictor::TwoLevel
 };
 
 /** Loop predictor that learns trip counts one too large. */
-class BuggyLoop : public predictor::Predictor
+class BuggyLoop : public RefLoop
 {
-  public:
-    bool
-    predict(const trace::BranchRecord &br) noexcept override
-    {
-        auto it = table_.find(br.pc);
-        if (it == table_.end())
-            return true;
-        const State &st = it->second;
-        return st.run < st.trip ? st.dir : !st.dir;
-    }
-
+  protected:
     void
-    update(const trace::BranchRecord &br, bool taken) noexcept override
+    train(const BranchRecord &br, bool taken) override
     {
-        auto it = table_.find(br.pc);
-        if (it == table_.end()) {
-            table_[br.pc] = State{taken, 1, 255};
-            return;
-        }
-        State &st = it->second;
-        if (taken == st.dir) {
-            if (st.run < 255)
-                ++st.run;
-        } else if (st.run == 0) {
-            st = State{taken, 1, 255};
-        } else {
-            st.trip = st.run + 1; // BUG: off by one
-            st.run = 0;
-        }
+        RefLoop::train(br, taken);
+        State &st = table_.at(br.pc);
+        if (st.run == 0) // a run just ended and set the trip count
+            ++st.trip;   // BUG: off by one
     }
-
-    void reset() override { table_.clear(); }
-    std::string name() const override { return "buggy-loop"; }
-
-  private:
-    struct State
-    {
-        bool dir;
-        int run;
-        int trip;
-    };
-    std::unordered_map<uint64_t, State> table_;
 };
 
 /**
@@ -755,6 +695,29 @@ class PerceptronWeightWrapBug : public predictor::Perceptron
         if (next < config().weightMin)
             return config().weightMax;
         return next;
+    }
+};
+
+/**
+ * Perceptron whose step() peeks at the outcome: on a weak sum (|sum| at
+ * or below the training threshold) it returns `taken` instead of the
+ * sum's sign. It inherits Perceptron's batch loop, which calls
+ * Perceptron::step, so only the scalar path sees the peek: the
+ * evidence that a step() reading `taken` is caught.
+ */
+class StepPeeksOutcomeBug : public predictor::Perceptron
+{
+  public:
+    using Perceptron::Perceptron;
+
+    bool
+    step(const trace::BranchRecord &br, bool taken) noexcept override
+    {
+        size_t index[kMaxTables];
+        int sum = sumOf(br.pc, index);
+        bool weak = std::abs(sum) <= theta();
+        bool predicted = Perceptron::step(br, taken);
+        return weak ? taken : predicted; // BUG: reads the outcome
     }
 };
 
@@ -874,6 +837,8 @@ injectedBugName(InjectedBug bug)
         return "oracle-window-back-255";
       case InjectedBug::OracleSelectRunShort:
         return "oracle-select-run-short";
+      case InjectedBug::StepPeeksOutcome:
+        return "step-peeks-outcome";
     }
     return "unknown";
 }
@@ -888,27 +853,24 @@ injectedBugPair(InjectedBug bug)
                 [config] { return std::make_unique<BuggyPas>(config); },
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
       }
-      case InjectedBug::GshareSoaStaleHistory: {
-        TwoLevelConfig config = TwoLevelConfig::gshare(8);
+      case InjectedBug::GshareSoaStaleHistory:
         return {std::string("injected:") + injectedBugName(bug),
-                [config] {
-                    return std::make_unique<SoaStaleHistoryGshare>(config);
-                },
-                [config] { return std::make_unique<RefTwoLevel>(config); }};
-      }
+                [] { return std::make_unique<SoaStaleHistoryGshare>(); },
+                [] {
+                    return std::make_unique<RefTwoLevel>(
+                        TwoLevelConfig::gshare(8));
+                }};
       case InjectedBug::LoopTripOffByOne:
         return {std::string("injected:") + injectedBugName(bug),
                 [] { return std::make_unique<BuggyLoop>(); },
                 [] { return std::make_unique<RefLoop>(); }};
-      case InjectedBug::GshareSoaPrematureTrain: {
-        TwoLevelConfig config = TwoLevelConfig::gshare(8);
+      case InjectedBug::GshareSoaPrematureTrain:
         return {std::string("injected:") + injectedBugName(bug),
-                [config] {
-                    return std::make_unique<SoaPrematureTrainGshare>(
-                        config);
-                },
-                [config] { return std::make_unique<RefTwoLevel>(config); }};
-      }
+                [] { return std::make_unique<SoaPrematureTrainGshare>(); },
+                [] {
+                    return std::make_unique<RefTwoLevel>(
+                        TwoLevelConfig::gshare(8));
+                }};
       case InjectedBug::TageAllocWrongDirection: {
         predictor::TageConfig config = smallTageConfig();
         return {std::string("injected:") + injectedBugName(bug),
@@ -955,6 +917,16 @@ injectedBugPair(InjectedBug bug)
                     return std::make_unique<HotPathAllocBug>(config);
                 },
                 [config] { return std::make_unique<RefTwoLevel>(config); }};
+      }
+      case InjectedBug::StepPeeksOutcome: {
+        predictor::PerceptronConfig config = smallPerceptronConfig();
+        return {std::string("injected:") + injectedBugName(bug),
+                [config] {
+                    return std::make_unique<StepPeeksOutcomeBug>(config);
+                },
+                [config] {
+                    return std::make_unique<RefPerceptron>(config);
+                }};
       }
       case InjectedBug::OracleWindowBack255:
       case InjectedBug::OracleSelectRunShort:

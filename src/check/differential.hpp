@@ -2,8 +2,8 @@
  * @file
  * The differential runner: replays a trace through an optimized
  * predictor along every execution path the simulator offers — the
- * classic scalar predict()/update() sequence, the column batch path
- * (predictUpdateSoa, what sim::run actually feeds), sim::run(), and
+ * scalar step() sequence, the column batch path (predictUpdateSoa,
+ * what sim::run actually feeds), sim::run(), and
  * sim::runAllParallel() — and diffs each against a clarity-first
  * reference model (check/ref_models.hpp) on a per-branch basis.
  *
@@ -74,16 +74,19 @@ struct DiffResult
 };
 
 /**
- * Per-conditional prediction stream of @p pred over @p trace using the
- * scalar predict()/update() path (observe() for non-conditionals).
+ * Per-conditional prediction stream of @p pred over records
+ * [@p begin, @p end) of @p trace (all of them by default) using the
+ * scalar step() path (observe() for non-conditionals).
  */
 std::vector<uint8_t> scalarPredictions(const trace::Trace &trace,
-                                       predictor::Predictor &pred);
+                                       predictor::Predictor &pred,
+                                       size_t begin = 0,
+                                       size_t end = SIZE_MAX);
 
 /**
  * Per-conditional prediction stream using predictUpdateSoa() over the
- * trace's conditional segments — the batch path sim::run() drives.
- * Covers the TwoLevel and Bimodal fused batch loops.
+ * trace's conditional segments — the batch path sim::run() drives:
+ * TwoLevel's fused loops and every class's stepBatch() loop.
  */
 std::vector<uint8_t> soaPredictions(const trace::Trace &trace,
                                     predictor::Predictor &pred);
@@ -113,17 +116,22 @@ struct SuiteOptions
     uint64_t seedBase = 1;       //!< first fuzz seed (inclusive)
     uint64_t traces = 100;       //!< fuzzed traces to replay
     uint64_t conditionals = 2000; //!< conditional branches per trace
-    bool minimize = true;        //!< shrink mismatching traces
+    bool minimize = true;        //!< shrink each pair's first failure
     bool checkParallel = true;   //!< include the runAllParallel path
 };
 
-/** One failing (pair, trace) combination, with its shrunk reproducer. */
+/**
+ * One failing (pair, trace) combination. Only a pair's first failure
+ * is shrunk: one reproducer per bug is what a reader needs, and
+ * shrinking replays the pair hundreds of times per failing trace.
+ */
 struct SuiteFailure
 {
     std::string pair;
     uint64_t seed = 0;
     Mismatch first;          //!< first mismatch on the original trace
-    trace::Trace reproducer; //!< minimized (or original if !minimize)
+    trace::Trace reproducer; //!< minimized when shrunk, else the original
+    bool shrunk = false;     //!< the pair's first failure, minimized
 };
 
 /** Aggregate outcome of a campaign. */
@@ -135,7 +143,25 @@ struct SuiteReport
     bool ok() const { return failures.empty(); }
 };
 
-/** Run @p pairs over the seed range of @p options. */
+/**
+ * A campaign's check of one trace: the full check, or with @p full
+ * false the cheaper one the shrinker replays. Mismatches name their
+ * pair.
+ */
+using TraceDiff =
+    std::function<DiffResult(const trace::Trace &, bool full)>;
+
+/**
+ * Run every diff of @p diffs over trace_of(seed) for the seed range of
+ * @p options. When options.minimize is set, each pair's first failure
+ * is shrunk; later ones keep the original trace.
+ */
+SuiteReport runCampaign(const SuiteOptions &options,
+                        const std::function<trace::Trace(uint64_t seed)>
+                            &trace_of,
+                        const std::vector<TraceDiff> &diffs);
+
+/** runCampaign() of @p pairs over fuzzTrace(seed). */
 SuiteReport runCheckSuite(const SuiteOptions &options,
                           const std::vector<CheckPair> &pairs
                           = defaultCheckPairs());
@@ -150,7 +176,8 @@ std::string formatReport(const SuiteReport &report);
  */
 enum class InjectedBug : uint8_t
 {
-    PasHistoryOffByOne = 0, //!< PAs update trains the neighboring BHT row
+    PasHistoryOffByOne = 0, //!< PAs training indexes the next branch
+                            //!< (pc + 4): its BHT row and PHT set
     GshareSoaStaleHistory,   //!< SoA batch path predicts before applying
                              //!< the previous branch's history update
     LoopTripOffByOne,        //!< learned trip count is run + 1
@@ -188,10 +215,14 @@ enum class InjectedBug : uint8_t
                              //!< identical rows at most twice, one step
                              //!< short of counter saturation; only the
                              //!< select differential can catch it
+    StepPeeksOutcome,        //!< perceptron step() returns the outcome
+                             //!< itself on a weak sum; its inherited
+                             //!< batch loop calls the clean step(), so
+                             //!< only the scalar path sees the peek
 };
 
 /** Number of InjectedBug values. */
-inline constexpr unsigned kInjectedBugCount = 11;
+inline constexpr unsigned kInjectedBugCount = 12;
 
 /** Stable name of an injected bug (CLI selector). */
 const char *injectedBugName(InjectedBug bug);

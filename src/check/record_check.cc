@@ -530,55 +530,33 @@ diffSelect(const Trace &trace, const OracleConfig &config,
 SuiteReport
 runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
 {
-    // One diff per (phase, config): each checks a trace and says
-    // whether it diverges.
-    std::vector<std::function<DiffResult(const Trace &)>> diffs;
+    // One diff per (phase, config); each is as cheap as it gets, so
+    // the shrinker replays the full check.
+    std::vector<TraceDiff> diffs;
     if (phases.mine) {
         for (const OracleConfig &config : mineCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace) {
+            diffs.push_back([config, &phases](const Trace &trace, bool) {
                 return diffMine(trace, config, phases.mine);
             });
     }
     if (phases.record) {
         for (const OracleConfig &config : recordCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace) {
+            diffs.push_back([config, &phases](const Trace &trace, bool) {
                 return diffRecord(trace, config, phases.record);
             });
     }
     if (phases.select) {
         for (const OracleConfig &config : recordCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace) {
+            diffs.push_back([config, &phases](const Trace &trace, bool) {
                 return diffSelect(trace, config, phases.select);
             });
     }
-
-    SuiteReport report;
-    for (uint64_t t = 0; t < options.traces; ++t) {
-        uint64_t seed = options.seedBase + t;
-        Trace trace = recordFuzzTrace(seed, options.conditionals);
-        ++report.tracesRun;
-        obs::count(obs::ids().checkDiffTraces);
-        for (const auto &diff_of : diffs) {
-            ++report.comparisons;
-            obs::count(obs::ids().checkDiffComparisons);
-            DiffResult diff = diff_of(trace);
-            if (diff.ok())
-                continue;
-            obs::count(obs::ids().checkDiffMismatches);
-            SuiteFailure failure;
-            failure.pair = diff.mismatches.front().pair;
-            failure.seed = seed;
-            failure.first = diff.mismatches.front();
-            failure.reproducer = options.minimize
-                ? minimizeTrace(trace,
-                                [&](const Trace &candidate) {
-                                    return !diff_of(candidate).ok();
-                                })
-                : trace;
-            report.failures.push_back(std::move(failure));
-        }
-    }
-    return report;
+    return runCampaign(
+        options,
+        [&options](uint64_t seed) {
+            return recordFuzzTrace(seed, options.conditionals);
+        },
+        diffs);
 }
 
 namespace {

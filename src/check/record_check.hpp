@@ -156,8 +156,8 @@ DiffResult diffSelect(const trace::Trace &trace,
  * every phase @p phases holds: mine under every mineCheckConfigs()
  * entry (pair "oracle-mine(<label>)"), record and select under every
  * recordCheckConfigs() entry ("oracle-record(<label>)",
- * "oracle-select(<label>)"). A failure's reproducer is minimized when
- * options.minimize is set.
+ * "oracle-select(<label>)"). When options.minimize is set, each
+ * pair's first failure is shrunk (SuiteFailure::shrunk).
  */
 SuiteReport runOracleSuite(const SuiteOptions &options,
                            const OraclePhases &phases);

@@ -77,7 +77,7 @@ RefTwoLevel::counterOf(uint64_t index) const
 }
 
 bool
-RefTwoLevel::predict(const trace::BranchRecord &br) noexcept
+RefTwoLevel::prediction(const trace::BranchRecord &br) const
 {
     // Taken iff the counter is past the weakly-not-taken init value,
     // i.e. its most significant bit is set.
@@ -85,7 +85,7 @@ RefTwoLevel::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefTwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
+RefTwoLevel::train(const trace::BranchRecord &br, bool taken)
 {
     // Train the counter selected under the *pre-update* history, then
     // shift the outcome into the first-level history.
@@ -136,7 +136,7 @@ RefBimodal::RefBimodal(unsigned table_bits)
 }
 
 bool
-RefBimodal::predict(const trace::BranchRecord &br) noexcept
+RefBimodal::prediction(const trace::BranchRecord &br) const
 {
     uint64_t index = (br.pc >> 2) % (uint64_t(1) << tableBits_);
     auto it = counters_.find(index);
@@ -145,7 +145,7 @@ RefBimodal::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefBimodal::update(const trace::BranchRecord &br, bool taken) noexcept
+RefBimodal::train(const trace::BranchRecord &br, bool taken)
 {
     uint64_t index = (br.pc >> 2) % (uint64_t(1) << tableBits_);
     auto it = counters_.find(index);
@@ -174,7 +174,7 @@ RefBimodal::name() const
 // RefLoop
 
 bool
-RefLoop::predict(const trace::BranchRecord &br) noexcept
+RefLoop::prediction(const trace::BranchRecord &br) const
 {
     auto it = table_.find(br.pc);
     if (it == table_.end())
@@ -188,7 +188,7 @@ RefLoop::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefLoop::update(const trace::BranchRecord &br, bool taken) noexcept
+RefLoop::train(const trace::BranchRecord &br, bool taken)
 {
     auto it = table_.find(br.pc);
     if (it == table_.end()) {
@@ -226,7 +226,7 @@ RefLoop::reset()
 // RefBlockPattern
 
 bool
-RefBlockPattern::predict(const trace::BranchRecord &br) noexcept
+RefBlockPattern::prediction(const trace::BranchRecord &br) const
 {
     auto it = table_.find(br.pc);
     if (it == table_.end())
@@ -238,7 +238,7 @@ RefBlockPattern::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefBlockPattern::update(const trace::BranchRecord &br, bool taken) noexcept
+RefBlockPattern::train(const trace::BranchRecord &br, bool taken)
 {
     auto it = table_.find(br.pc);
     if (it == table_.end()) {
@@ -275,7 +275,7 @@ RefFixedPattern::RefFixedPattern(unsigned k)
 }
 
 bool
-RefFixedPattern::predict(const trace::BranchRecord &br) noexcept
+RefFixedPattern::prediction(const trace::BranchRecord &br) const
 {
     auto it = outcomes_.find(br.pc);
     if (it == outcomes_.end())
@@ -287,7 +287,7 @@ RefFixedPattern::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefFixedPattern::update(const trace::BranchRecord &br, bool taken) noexcept
+RefFixedPattern::train(const trace::BranchRecord &br, bool taken)
 {
     outcomes_[br.pc].push_back(taken);
 }
@@ -380,13 +380,13 @@ RefTage::lookup(uint64_t pc) const
 }
 
 bool
-RefTage::predict(const trace::BranchRecord &br) noexcept
+RefTage::prediction(const trace::BranchRecord &br) const
 {
     return lookup(br.pc).prediction;
 }
 
 void
-RefTage::update(const trace::BranchRecord &br, bool taken) noexcept
+RefTage::train(const trace::BranchRecord &br, bool taken)
 {
     Lookup l = lookup(br.pc);
     bool mispredict = l.prediction != taken;
@@ -517,13 +517,13 @@ RefPerceptron::sumOf(uint64_t pc) const
 }
 
 bool
-RefPerceptron::predict(const trace::BranchRecord &br) noexcept
+RefPerceptron::prediction(const trace::BranchRecord &br) const
 {
     return sumOf(br.pc) >= 0;
 }
 
 void
-RefPerceptron::update(const trace::BranchRecord &br, bool taken) noexcept
+RefPerceptron::train(const trace::BranchRecord &br, bool taken)
 {
     int yout = sumOf(br.pc);
     bool predicted = yout >= 0;
@@ -634,10 +634,10 @@ RefTournament::btbAccess(uint64_t pc)
 }
 
 bool
-RefTournament::predict(const trace::BranchRecord &br) noexcept
+RefTournament::prediction(const trace::BranchRecord &br) const
 {
-    bool global_pred = global_.predict(br);
-    bool local_pred = local_.predict(br);
+    bool global_pred = global_.prediction(br);
+    bool local_pred = local_.prediction(br);
     uint64_t index = (br.pc >> 2) % (uint64_t(1) << config_.chooserBits);
     auto it = chooser_.find(index);
     int counter = it == chooser_.end() ? 1 : it->second;
@@ -650,10 +650,11 @@ RefTournament::predict(const trace::BranchRecord &br) noexcept
 }
 
 void
-RefTournament::update(const trace::BranchRecord &br, bool taken) noexcept
+RefTournament::train(const trace::BranchRecord &br, bool taken)
 {
-    bool global_pred = global_.predict(br);
-    bool local_pred = local_.predict(br);
+    // Each component's step() returns its pre-training prediction.
+    bool global_pred = global_.step(br, taken);
+    bool local_pred = local_.step(br, taken);
     if (global_pred != local_pred) {
         uint64_t index =
             (br.pc >> 2) % (uint64_t(1) << config_.chooserBits);
@@ -666,8 +667,6 @@ RefTournament::update(const trace::BranchRecord &br, bool taken) noexcept
             counter = 3;
         chooser_[index] = counter;
     }
-    global_.update(br, taken);
-    local_.update(br, taken);
     if (taken)
         btbAccess(br.pc);
 }

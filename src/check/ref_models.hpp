@@ -6,12 +6,14 @@
  * predictor that already exists under src/predictor/, written for
  * *obvious correctness* rather than speed: tables are std::map (sparse,
  * no masking tricks beyond what the semantics demand), counters are
- * plain ints clamped explicitly, and there are no batch overrides — a
- * reference model only ever sees the classic predict()/update() call
- * sequence. The differential runner (check/differential.hpp) replays
- * the same trace through the optimized predictor and its reference and
- * diffs the per-branch prediction streams, so any divergence in the
- * optimized scalar, SoA batch, or parallel paths is caught mechanically.
+ * plain ints clamped explicitly, and there are no batch overrides.
+ * Every model predicts and then trains as two calls (RefModel) where
+ * the optimized step() fuses both into one lookup, so an optimized
+ * prediction that peeks at the outcome diverges. The differential
+ * runner (check/differential.hpp) replays the same trace through the
+ * optimized predictor and its reference and diffs the per-branch
+ * prediction streams, so any divergence in the optimized scalar, SoA
+ * batch, or parallel paths is caught mechanically.
  *
  * The semantics replicated here are the *documented* semantics of the
  * optimized models (weakly-not-taken counter init, pc >> 2 word
@@ -47,20 +49,48 @@ uint64_t refFold(const std::vector<bool> &history, unsigned length,
                  unsigned width);
 
 /**
+ * Base of every reference model: step() calls prediction(), which
+ * never sees the outcome, and only then train(). Several planted bugs
+ * (check/differential.cc) derive from a reference and break one call.
+ */
+class RefModel : public predictor::Predictor
+{
+  public:
+    bool
+    step(const trace::BranchRecord &br, bool taken) noexcept final
+    {
+        bool predicted = prediction(br);
+        train(br, taken);
+        return predicted;
+    }
+
+  protected:
+    /** The direction predicted for @p br (its pc and target only). */
+    virtual bool prediction(const trace::BranchRecord &br) const = 0;
+
+    /** Train on @p br's outcome @p taken. */
+    virtual void train(const trace::BranchRecord &br, bool taken) = 0;
+};
+
+/**
  * Reference two-level adaptive predictor covering the whole
  * gshare / GAg / GAs / PAs / PAg family via the same TwoLevelConfig the
  * optimized engine consumes (the config is shared *data*; none of the
  * optimized logic is reused).
  */
-class RefTwoLevel : public predictor::Predictor
+class RefTwoLevel : public RefModel
 {
   public:
     explicit RefTwoLevel(const predictor::TwoLevelConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override;
+
+  protected:
+    friend class RefTournament; // consults its components' predictions
+
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
 
   private:
     uint64_t historyOf(uint64_t pc) const;
@@ -77,17 +107,18 @@ class RefTwoLevel : public predictor::Predictor
 };
 
 /** Reference bimodal predictor: per-index 2-bit counter, init weakly-NT. */
-class RefBimodal : public predictor::Predictor
+class RefBimodal : public RefModel
 {
   public:
     explicit RefBimodal(unsigned table_bits = 12);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override;
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     unsigned tableBits_;
     std::map<uint64_t, int> counters_; // table index -> counter 0..3
 };
@@ -97,15 +128,16 @@ class RefBimodal : public predictor::Predictor
  * predict the learned body direction for the learned trip count, then
  * one opposite prediction; cold branches predict taken.
  */
-class RefLoop : public predictor::Predictor
+class RefLoop : public RefModel
 {
   public:
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override { return "ref-loop"; }
 
-  private:
+  protected:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     struct State
     {
         bool dir = true;   // repeated ("body") direction
@@ -120,15 +152,16 @@ class RefLoop : public predictor::Predictor
  * same-direction block until it reaches the length of the last completed
  * block in that direction, then switch; cold branches predict taken.
  */
-class RefBlockPattern : public predictor::Predictor
+class RefBlockPattern : public RefModel
 {
   public:
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override { return "ref-block"; }
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     struct State
     {
         bool dir = true;        // direction of the in-progress block
@@ -144,17 +177,18 @@ class RefBlockPattern : public predictor::Predictor
  * It is the single-k definition that FixedPatternBank, the PA
  * classifier's 32-way instrument, is checked against per branch.
  */
-class RefFixedPattern : public predictor::Predictor
+class RefFixedPattern : public RefModel
 {
   public:
     explicit RefFixedPattern(unsigned k);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override;
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     unsigned k_;
     // Full outcome history per branch, newest last. Clarity over
     // space: the reference keeps everything and indexes from the end.
@@ -168,17 +202,18 @@ class RefFixedPattern : public predictor::Predictor
  * — which for a tagged table is a *real* entry with tag 0, counter 0,
  * useful 0, exactly as the optimized dense arrays initialize.
  */
-class RefTage : public predictor::Predictor
+class RefTage : public RefModel
 {
   public:
     explicit RefTage(const predictor::TageConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override;
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     struct Entry
     {
         int tag = 0;
@@ -211,17 +246,18 @@ class RefTage : public predictor::Predictor
  * PerceptronConfig as data: sparse weight maps, the refFold history
  * hash, and explicit integer clamping.
  */
-class RefPerceptron : public predictor::Predictor
+class RefPerceptron : public RefModel
 {
   public:
     explicit RefPerceptron(const predictor::PerceptronConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void reset() override;
     std::string name() const override;
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     uint64_t indexOf(unsigned table, uint64_t pc) const;
     int weightOf(unsigned table, uint64_t index) const;
     int sumOf(uint64_t pc) const;
@@ -241,18 +277,19 @@ class RefPerceptron : public predictor::Predictor
  * first index on ties). The return-address stack is stats-only in the
  * optimized model, so the reference omits it.
  */
-class RefTournament : public predictor::Predictor
+class RefTournament : public RefModel
 {
   public:
     explicit RefTournament(const predictor::TournamentConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
     void observe(const trace::BranchRecord &br) noexcept override;
     void reset() override;
     std::string name() const override;
 
   private:
+    bool prediction(const trace::BranchRecord &br) const override;
+    void train(const trace::BranchRecord &br, bool taken) override;
+
     struct BtbEntry
     {
         uint64_t pc = 0;

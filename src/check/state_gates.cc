@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "check/differential.hpp"
 #include "check/fuzz.hpp"
 #include "predictor/factory.hpp"
 #include "trace/trace.hpp"
@@ -16,28 +17,6 @@
 namespace copra::check {
 
 namespace {
-
-/**
- * Scalar replay of records [@p begin, @p end) of @p trace; returns the
- * prediction stream.
- */
-std::vector<uint8_t>
-replayRange(const trace::Trace &trace, size_t begin, size_t end,
-            predictor::Predictor &pred)
-{
-    std::vector<uint8_t> out;
-    for (size_t i = begin; i < end; ++i) {
-        trace::BranchRecord rec = trace[i];
-        if (!rec.isConditional()) {
-            pred.observe(rec);
-            continue;
-        }
-        bool p = pred.predict(rec);
-        pred.update(rec, rec.taken);
-        out.push_back(p ? 1 : 0);
-    }
-    return out;
-}
 
 /** Index of the first difference, or npos when equal. */
 size_t
@@ -93,7 +72,7 @@ resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
     ++report.gatesRun;
     predictor::PredictorPtr a = entry.make();
     uint64_t cold_hash = a->stateHash();
-    std::vector<uint8_t> first = replayRange(trace, 0, trace.size(), *a);
+    std::vector<uint8_t> first = scalarPredictions(trace, *a);
     uint64_t warm_hash = a->stateHash();
 
     if (a->snapshot() != a->snapshot()) {
@@ -110,7 +89,7 @@ resetReplayGate(const StatePredictor &entry, const trace::Trace &trace,
              "reset() does not reproduce the cold state hash"});
         return;
     }
-    std::vector<uint8_t> second = replayRange(trace, 0, trace.size(), *a);
+    std::vector<uint8_t> second = scalarPredictions(trace, *a);
     size_t diff = firstDiff(first, second);
     if (diff != std::string::npos) {
         report.failures.push_back(
@@ -139,7 +118,7 @@ roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
     size_t half = trace.size() / 2;
 
     predictor::PredictorPtr original = entry.make();
-    replayRange(trace, 0, half, *original);
+    scalarPredictions(trace, *original, 0, half);
 
     std::vector<uint8_t> snap = original->snapshot();
     predictor::PredictorPtr clone = entry.make();
@@ -159,9 +138,9 @@ roundTripGate(const StatePredictor &entry, const trace::Trace &trace,
     }
 
     std::vector<uint8_t> suffix_original =
-        replayRange(trace, half, trace.size(), *original);
+        scalarPredictions(trace, *original, half);
     std::vector<uint8_t> suffix_clone =
-        replayRange(trace, half, trace.size(), *clone);
+        scalarPredictions(trace, *clone, half);
     size_t diff = firstDiff(suffix_original, suffix_clone);
     if (diff != std::string::npos) {
         report.failures.push_back(
@@ -263,7 +242,7 @@ renderStateBudgets()
     for (const std::string &spec : predictor::knownPredictors()) {
         predictor::PredictorPtr pred = predictor::makePredictor(spec);
         uint64_t cold = pred->stateBits();
-        replayRange(warmup, 0, warmup.size(), *pred);
+        scalarPredictions(warmup, *pred);
         char hash[19];
         std::snprintf(hash, sizeof hash, "0x%016llx",
                       static_cast<unsigned long long>(pred->stateHash()));

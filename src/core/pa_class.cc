@@ -67,11 +67,8 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
             ++res.execs;
             res.taken += taken;
 
-            res.loopCorrect += st.loop.predict() == taken;
-            st.loop.update(taken);
-
-            res.blockCorrect += st.block.predict() == taken;
-            st.block.update(taken);
+            res.loopCorrect += st.loop.step(taken) == taken;
+            res.blockCorrect += st.block.step(taken) == taken;
 
             const uint64_t key = st.history.key(id + 1);
             Counter2 *counter = ifpas.find(key);

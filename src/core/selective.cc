@@ -33,17 +33,13 @@ SelectiveTable::patternOf(const TagOutcome *states, unsigned arity) noexcept
 }
 
 bool
-SelectiveTable::predict(uint32_t pattern) const noexcept
+SelectiveTable::step(uint32_t pattern, bool taken) noexcept
 {
     panicIf(pattern >= counters_.size(), "selective pattern out of range");
-    return counters_[pattern].taken();
-}
-
-void
-SelectiveTable::update(uint32_t pattern, bool taken) noexcept
-{
-    panicIf(pattern >= counters_.size(), "selective pattern out of range");
-    counters_[pattern].update(taken);
+    Counter2 &counter = counters_[pattern];
+    bool prediction = counter.taken();
+    counter.update(taken);
+    return prediction;
 }
 
 SelectivePredictor::SelectivePredictor(
@@ -73,25 +69,7 @@ SelectivePredictor::currentPattern(uint64_t pc) noexcept
 }
 
 bool
-SelectivePredictor::predict(const trace::BranchRecord &br) noexcept
-{
-    auto sel = selections_.find(br.pc);
-    unsigned arity = sel == selections_.end()
-        ? 1 : static_cast<unsigned>(sel->second.size());
-    auto table = tables_.find(br.pc);
-    if (table == tables_.end())
-        return Counter2{}.taken();
-    uint32_t pattern = sel == selections_.end()
-        ? 0 : currentPattern(br.pc);
-    // Tables are created on first update with the branch's arity; the
-    // arity can never change afterwards.
-    panicIf(table->second.arity() != arity,
-            "selective predictor arity changed");
-    return table->second.predict(pattern);
-}
-
-void
-SelectivePredictor::update(const trace::BranchRecord &br, bool taken) noexcept
+SelectivePredictor::step(const trace::BranchRecord &br, bool taken) noexcept
 {
     auto sel = selections_.find(br.pc);
     unsigned arity = sel == selections_.end()
@@ -103,8 +81,12 @@ SelectivePredictor::update(const trace::BranchRecord &br, bool taken) noexcept
     // perf roster and the runtime hot gates.
     // copra-lint: allow(hot-alloc) -- analysis instrument, unbounded tables
     auto [it, inserted] = tables_.try_emplace(br.pc, arity);
-    it->second.update(pattern, taken);
+    // A table is created on the branch's first step with its arity;
+    // the arity can never change afterwards.
+    panicIf(it->second.arity() != arity, "selective predictor arity changed");
+    bool prediction = it->second.step(pattern, taken);
     window_.push(br);
+    return prediction;
 }
 
 void

@@ -51,11 +51,8 @@ class SelectiveTable
     /** Pattern index of a state vector (radix-3 little-endian). */
     static uint32_t patternOf(const TagOutcome *states, unsigned arity) noexcept;
 
-    /** Predict for the pattern @p pattern. */
-    bool predict(uint32_t pattern) const noexcept;
-
-    /** Train the counter for @p pattern with @p taken. */
-    void update(uint32_t pattern, bool taken) noexcept;
+    /** Predict for @p pattern, then train its counter with @p taken. */
+    bool step(uint32_t pattern, bool taken) noexcept;
 
     unsigned arity() const noexcept { return arity_; }
 
@@ -85,8 +82,13 @@ class SelectivePredictor : public predictor::Predictor
         std::unordered_map<uint64_t, std::vector<Tag>> selections,
         unsigned depth);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const predictor::SoaBatch &batch,
+                     uint8_t *out) noexcept override
+    {
+        return predictor::stepBatch(*this, batch, out);
+    }
     void observe(const trace::BranchRecord &br) noexcept override;
     void reset() override;
     std::string name() const override;

@@ -54,16 +54,8 @@ BiasClassifyingHybrid::entry(uint64_t pc) const noexcept
 }
 
 bool
-BiasClassifyingHybrid::predict(const trace::BranchRecord &br) noexcept
-{
-    const BiasProfile *e = entry(br.pc);
-    if (e != nullptr && e->strongly)
-        return e->majority;
-    return dynamic_->predict(br);
-}
-
-void
-BiasClassifyingHybrid::update(const trace::BranchRecord &br, bool taken) noexcept
+BiasClassifyingHybrid::step(const trace::BranchRecord &br,
+                            bool taken) noexcept
 {
     const BiasProfile *e = entry(br.pc);
     // Strongly biased branches neither consult nor train the dynamic
@@ -72,8 +64,8 @@ BiasClassifyingHybrid::update(const trace::BranchRecord &br, bool taken) noexcep
     // reach the component's *history* via observe-like shifting in real
     // designs; we follow Chang et al. in excluding them entirely.
     if (e != nullptr && e->strongly)
-        return;
-    dynamic_->update(br, taken);
+        return e->majority;
+    return dynamic_->step(br, taken);
 }
 
 void

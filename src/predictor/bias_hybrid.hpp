@@ -50,8 +50,12 @@ class BiasClassifyingHybrid : public Predictor
     static std::unordered_map<uint64_t, BiasProfile>
     profileTrace(const trace::Trace &trace, double threshold = 0.95);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void observe(const trace::BranchRecord &br) noexcept override;
     void reset() override;
     std::string name() const override;

@@ -22,32 +22,12 @@ Bimodal::indexOf(uint64_t pc) const noexcept
 }
 
 bool
-Bimodal::predict(const trace::BranchRecord &br) noexcept
+Bimodal::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    return table_[indexOf(br.pc)].taken();
-}
-
-void
-Bimodal::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    table_[indexOf(br.pc)].update(taken);
-}
-
-uint64_t
-Bimodal::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
-{
-    uint64_t n_correct = 0;
-    for (size_t i = 0; i < batch.count; ++i) {
-        Counter2 &counter = table_[indexOf(batch.pc[i])];
-        bool prediction = counter.taken();
-        bool taken = batch.taken[i] != 0;
-        counter.update(taken);
-        bool correct = prediction == taken;
-        n_correct += correct ? 1 : 0;
-        if (correct_out)
-            correct_out[i] = correct ? 1 : 0;
-    }
-    return n_correct;
+    Counter2 &counter = table_[indexOf(br.pc)];
+    bool prediction = counter.taken();
+    counter.update(taken);
+    return prediction;
 }
 
 void

@@ -27,15 +27,12 @@ class Bimodal : public Predictor
     /** @param table_bits log2 of the number of counters (1..30). */
     explicit Bimodal(unsigned table_bits = 12);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
-
-    /**
-     * Column batch path: one loop indexes, predicts and trains each
-     * branch in turn, so aliasing branches see each other's updates.
-     */
-    uint64_t predictUpdateSoa(const SoaBatch &batch,
-                              uint8_t *correct_out) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
 
     void reset() override;
     std::string name() const override;

@@ -9,15 +9,17 @@ BlockPatternPredictor::state(uint64_t pc) const
     return st ? *st : BlockState{};
 }
 
-void
-BlockState::update(bool taken) noexcept
+bool
+BlockState::step(bool taken) noexcept
 {
     if (!seen) {
         seen = true;
         curDir = taken;
         curRun = 1;
-        return;
+        return true;
     }
+    bool prediction =
+        curRun < lastRun[curDir ? 1 : 0] ? curDir : !curDir;
     if (taken == curDir) {
         if (curRun < 255)
             ++curRun;
@@ -26,20 +28,14 @@ BlockState::update(bool taken) noexcept
         curDir = taken;
         curRun = 1;
     }
+    return prediction;
 }
 
 bool
-BlockPatternPredictor::predict(const trace::BranchRecord &br) noexcept
+BlockPatternPredictor::step(const trace::BranchRecord &br,
+                            bool taken) noexcept
 {
-    const BlockState *st = table_.find(br.pc);
-    return st == nullptr || st->predict(); // absent: cold, taken
-}
-
-void
-BlockPatternPredictor::update(const trace::BranchRecord &br,
-                              bool taken) noexcept
-{
-    table_.access(br.pc).update(taken);
+    return table_.access(br.pc).step(taken); // absent: cold, taken
 }
 
 void

@@ -35,20 +35,12 @@ struct BlockState
                                      //!< direction, [0]=not-taken [1]=taken
 
     /**
-     * Continue the current block until it reaches the length of the
-     * last completed block in the same direction, then switch; taken
-     * while cold.
+     * Predict, train on @p taken (block lengths saturate at 255) and
+     * return the prediction: continue the current block until it
+     * reaches the length of the last completed block in the same
+     * direction, then switch; taken while cold.
      */
-    bool
-    predict() const noexcept
-    {
-        if (!seen)
-            return true;
-        return curRun < lastRun[curDir ? 1 : 0] ? curDir : !curDir;
-    }
-
-    /** Train on one outcome (block lengths saturate at 255). */
-    void update(bool taken) noexcept;
+    bool step(bool taken) noexcept;
 
     /** Snapshot members, in order (predictor/state.hpp). */
     static auto
@@ -70,8 +62,12 @@ class BlockPatternPredictor : public Predictor
     {
     }
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 

@@ -102,6 +102,21 @@ struct PredictorContract
         "stateBits() themselves — inheriting the panicking base default "
         "leaves the predictor without exact state accounting");
 
+    // A class that declares step() also declares its own batch loop:
+    // an inherited predictUpdateSoa() is stepBatch() over the base's
+    // step(), a qualified call that would silently bypass P's step().
+    static_assert(
+        !std::is_same_v<decltype(&P::step),
+                        bool (P::*)(const trace::BranchRecord &,
+                                    bool) noexcept> ||
+            std::is_same_v<decltype(&P::predictUpdateSoa),
+                           uint64_t (P::*)(const SoaBatch &,
+                                           uint8_t *) noexcept>,
+        "copra predictor contract: a roster type that declares step() "
+        "must declare its own predictUpdateSoa() (one line: return "
+        "stepBatch(*this, batch, out)) — the inherited batch "
+        "loop calls the base class's step() and bypasses this one");
+
     /** Instantiation hook: naming this member forces the checks. */
     static constexpr bool ok = true;
 };

@@ -33,7 +33,7 @@ IdealStatic::fromTrace(const trace::Trace &trace)
 }
 
 bool
-IdealStatic::predict(const trace::BranchRecord &br) noexcept
+IdealStatic::step(const trace::BranchRecord &br, bool) noexcept
 {
     auto it = majority_.find(br.pc);
     return it == majority_.end() ? true : it->second;

@@ -30,8 +30,12 @@ class IdealStatic : public Predictor
     /** Profile @p trace and build the ideal static predictor for it. */
     static IdealStatic fromTrace(const trace::Trace &trace);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &, bool) noexcept override {}
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override {} // profile knowledge is not adaptive state
     std::string name() const override { return "ideal-static"; }
 

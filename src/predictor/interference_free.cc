@@ -13,17 +13,13 @@ IfGshare::IfGshare(unsigned history_bits)
 }
 
 bool
-IfGshare::predict(const trace::BranchRecord &br) noexcept
+IfGshare::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    auto it = pht_.find(keyOf(br.pc));
-    return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
-}
-
-void
-IfGshare::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    pht_[keyOf(br.pc)].update(taken);
+    Counter2 &counter = pht_[keyOf(br.pc)];
+    bool prediction = counter.taken();
+    counter.update(taken);
     history_.push(taken);
+    return prediction;
 }
 
 void
@@ -50,24 +46,16 @@ IfPas::IfPas(unsigned history_bits)
 }
 
 bool
-IfPas::predict(const trace::BranchRecord &br) noexcept
-{
-    auto branch = histories_.find(br.pc);
-    if (branch == histories_.end())
-        return Counter2{}.taken();
-    const BranchHistory &state = branch->second;
-    auto it = pht_.find(state.history.key(state.table));
-    return it == pht_.end() ? Counter2{}.taken() : it->second.taken();
-}
-
-void
-IfPas::update(const trace::BranchRecord &br, bool taken) noexcept
+IfPas::step(const trace::BranchRecord &br, bool taken) noexcept
 {
     BranchHistory &branch = histories_[br.pc];
     if (branch.table == 0)
         branch.table = static_cast<uint32_t>(histories_.size());
-    pht_[branch.history.key(branch.table)].update(taken);
+    Counter2 &counter = pht_[branch.history.key(branch.table)];
+    bool prediction = counter.taken();
+    counter.update(taken);
     branch.history.push(taken, historyMask_);
+    return prediction;
 }
 
 void

@@ -34,8 +34,12 @@ class IfGshare : public Predictor
     /** @param history_bits Global history length (paper uses 16). */
     explicit IfGshare(unsigned history_bits = 16);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 
@@ -102,7 +106,7 @@ struct PasHistory
 /**
  * Interference-free PAs: a private history register per static branch
  * (a "very large BTB", paper §4.1.3) and a private PHT per branch.
- * Each branch gets a table number on first update, and its counters
+ * Each branch gets a table number on its first step, and its counters
  * are keyed by the exact (table, history) pair, so no two branches
  * ever share one, whatever their pcs.
  */
@@ -112,8 +116,12 @@ class IfPas : public Predictor
     /** @param history_bits Per-branch history length. */
     explicit IfPas(unsigned history_bits = 12);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 
@@ -137,7 +145,7 @@ class IfPas : public Predictor
     struct BranchHistory
     {
         PasHistory history;
-        uint32_t table = 0; //!< 1 + first-update order; 0 = unassigned
+        uint32_t table = 0; //!< 1 + first-step order; 0 = unassigned
 
         /** Snapshot members, in order (predictor/state.hpp). */
         static auto

@@ -9,16 +9,17 @@ LoopPredictor::state(uint64_t pc) const
     return st ? *st : LoopState{};
 }
 
-void
-LoopState::update(bool taken) noexcept
+bool
+LoopState::step(bool taken) noexcept
 {
     if (!seen) {
         seen = true;
         dir = taken;
         run = 1;
         trip = 255;
-        return;
+        return true;
     }
+    bool prediction = run < trip ? dir : !dir;
     if (taken == dir) {
         if (run < 255)
             ++run;
@@ -36,19 +37,13 @@ LoopState::update(bool taken) noexcept
             run = 0;
         }
     }
+    return prediction;
 }
 
 bool
-LoopPredictor::predict(const trace::BranchRecord &br) noexcept
+LoopPredictor::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    const LoopState *st = table_.find(br.pc);
-    return st == nullptr || st->predict(); // absent: cold, taken
-}
-
-void
-LoopPredictor::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    table_.access(br.pc).update(taken);
+    return table_.access(br.pc).step(taken); // absent: cold, taken
 }
 
 void

@@ -37,19 +37,12 @@ struct LoopState
     uint8_t trip = 255;  //!< learned n: previous run length of `dir`
 
     /**
-     * The body direction for the learned trip count, then one
-     * prediction of the exit direction; taken while cold.
+     * Predict, train on @p taken (run lengths saturate at 255) and
+     * return the prediction: the body direction for the learned trip
+     * count, then one prediction of the exit direction; taken while
+     * cold.
      */
-    bool
-    predict() const noexcept
-    {
-        if (!seen)
-            return true;
-        return run < trip ? dir : !dir;
-    }
-
-    /** Train on one outcome (run lengths saturate at 255). */
-    void update(bool taken) noexcept;
+    bool step(bool taken) noexcept;
 
     /** Snapshot members, in order (predictor/state.hpp). */
     static auto
@@ -69,8 +62,12 @@ class LoopPredictor : public Predictor
     {
     }
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 

@@ -12,7 +12,7 @@ Perceptron::Perceptron(const PerceptronConfig &config)
 {
     fatalIf(config_.tableBits == 0 || config_.tableBits > 24,
             "perceptron table bits must be in 1..24");
-    fatalIf(config_.numTables < 2 || config_.numTables > 16,
+    fatalIf(config_.numTables < 2 || config_.numTables > kMaxTables,
             "perceptron needs 2..16 tables (one is the bias table)");
     fatalIf(config_.segmentBits == 0 || config_.segmentBits > 32,
             "perceptron segment bits must be in 1..32");
@@ -57,18 +57,14 @@ Perceptron::indexOf(unsigned table, uint64_t pc) const noexcept
 }
 
 int
-Perceptron::sumOf(uint64_t pc) const noexcept
+Perceptron::sumOf(uint64_t pc, size_t *index) const noexcept
 {
     int sum = 0;
-    for (unsigned t = 0; t < config_.numTables; ++t)
-        sum += tables_[t][indexOf(t, pc)];
+    for (unsigned t = 0; t < config_.numTables; ++t) {
+        index[t] = indexOf(t, pc);
+        sum += tables_[t][index[t]];
+    }
     return sum;
-}
-
-bool
-Perceptron::predict(const trace::BranchRecord &br) noexcept
-{
-    return sumOf(br.pc) >= 0;
 }
 
 int
@@ -82,20 +78,18 @@ Perceptron::clampWeight(int weight, bool taken) const noexcept
     return next;
 }
 
-void
-Perceptron::update(const trace::BranchRecord &br, bool taken) noexcept
+bool
+Perceptron::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    // Indices depend only on pc and history, both unchanged since
-    // predict(), so recomputing here (instead of caching) keeps batch
-    // and scalar paths trivially equivalent.
-    int yout = sumOf(br.pc);
+    size_t index[kMaxTables];
+    int yout = sumOf(br.pc, index);
     bool predicted = yout >= 0;
     bool mispredict = predicted != taken;
     bool weak = std::abs(yout) <= theta_;
 
     if (mispredict || weak) {
         for (unsigned t = 0; t < config_.numTables; ++t) {
-            int16_t &w = tables_[t][indexOf(t, br.pc)];
+            int16_t &w = tables_[t][index[t]];
             w = static_cast<int16_t>(clampWeight(w, taken));
         }
         ++stats_.trainEvents;
@@ -121,6 +115,7 @@ Perceptron::update(const trace::BranchRecord &br, bool taken) noexcept
     }
 
     history_.push(taken);
+    return predicted;
 }
 
 void

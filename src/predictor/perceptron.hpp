@@ -56,8 +56,12 @@ class Perceptron : public Predictor
     explicit Perceptron(const PerceptronConfig &config);
     ~Perceptron() override;
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 
@@ -93,6 +97,12 @@ class Perceptron : public Predictor
     COPRA_TRANSIENT_FIELDS(stats_);
 
   protected:
+    static constexpr unsigned kMaxTables = 16;
+
+    /** The weighted sum for @p pc under the current history; each
+     *  table's index goes to @p index (kMaxTables entries). */
+    int sumOf(uint64_t pc, size_t *index) const noexcept;
+
     /**
      * Saturate @p weight one step toward @p taken. Virtual as the seam
      * for the differential harness's wraparound planted bug
@@ -101,7 +111,6 @@ class Perceptron : public Predictor
     virtual int clampWeight(int weight, bool taken) const noexcept;
 
   private:
-    int sumOf(uint64_t pc) const noexcept;
     size_t indexOf(unsigned table, uint64_t pc) const noexcept;
 
     PerceptronConfig config_;

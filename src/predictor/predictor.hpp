@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "predictor/state.hpp"
@@ -36,19 +37,59 @@ struct SoaBatch
     size_t count = 0;
 };
 
+class Predictor;
+
+/**
+ * The one batch loop: step() each branch of @p batch in order; returns
+ * the correct count and, when @p correct_out is non-null, stores 0/1
+ * per branch. Classes instantiate it in a one-line predictUpdateSoa(),
+ * where the qualified p.P::step call is direct, and inlined when step()
+ * is small (virtual only in the base default, P = Predictor). The
+ * columns live in locals: a correct_out byte store may alias anything,
+ * batch fields included.
+ */
+template <typename P>
+uint64_t
+stepBatch(P &p, const SoaBatch &batch, uint8_t *correct_out) noexcept
+{
+    const uint64_t *pc = batch.pc;
+    const uint64_t *target = batch.target;
+    const uint8_t *outcome = batch.taken;
+    const size_t count = batch.count;
+    uint64_t n_correct = 0;
+    for (size_t i = 0; i < count; ++i) {
+        bool taken = outcome[i] != 0;
+        trace::BranchRecord br{pc[i], target[i],
+                               trace::BranchKind::Conditional, taken};
+        bool predicted;
+        if constexpr (std::is_same_v<P, Predictor>)
+            predicted = p.step(br, taken);
+        else
+            predicted = p.P::step(br, taken);
+        bool correct = predicted == taken;
+        n_correct += correct ? 1 : 0;
+        if (correct_out)
+            correct_out[i] = correct ? 1 : 0;
+    }
+    return n_correct;
+}
+
 /**
  * Abstract branch direction predictor.
  *
- * Contract: the driver calls predict() then update() exactly once per
- * dynamic conditional branch, in trace order. predict() must not examine
- * the record's `taken` field — the outcome is delivered via update().
+ * Contract: the driver calls step() exactly once per dynamic
+ * conditional branch, in trace order: one lookup, then training, and
+ * the prediction made before training is returned. It must not depend
+ * on `taken`; the differential suite holds every predictor to
+ * reference models that predict before they train (and must catch the
+ * planted step-peeks-outcome bug).
  *
- * The four prediction-path virtuals (predict, update, observe, and the
- * batch entry point) are `noexcept`: they sit inside the
- * COPRA_HOT region, which is exception-free, allocation-free, and
- * lock-free per branch after warm-up (DESIGN.md §15). Contract
- * violations still die loudly through the [[noreturn]] panic/fatal
- * frontier — that is termination, not unwinding.
+ * The three prediction-path virtuals (step, observe, and the batch
+ * entry point) are `noexcept`: they sit inside the COPRA_HOT region,
+ * which is exception-free, allocation-free, and lock-free per branch
+ * after warm-up (DESIGN.md §15). Contract violations still die loudly
+ * through the [[noreturn]] panic/fatal frontier — that is
+ * termination, not unwinding.
  */
 class Predictor
 {
@@ -56,23 +97,14 @@ class Predictor
     virtual ~Predictor() = default;
 
     /**
-     * Predict the direction of a conditional branch.
+     * Predict a conditional branch, then train on its outcome.
      *
-     * @param br The branch about to execute. Implementations may use the
-     *           pc and target fields only.
-     * @return true for predicted taken.
+     * @param br The branch. The prediction may use its pc and target
+     *           only.
+     * @param taken The actual outcome, for training.
+     * @return The prediction made before training: true for taken.
      */
-    virtual bool predict(const trace::BranchRecord &br) noexcept = 0;
-
-    /**
-     * Train on the resolved outcome of the branch most recently passed to
-     * predict().
-     *
-     * @param br The same record passed to predict().
-     * @param taken The actual outcome.
-     */
-    virtual void update(const trace::BranchRecord &br,
-                        bool taken) noexcept = 0;
+    virtual bool step(const trace::BranchRecord &br, bool taken) noexcept = 0;
 
     /**
      * Observe a non-conditional control transfer (jump, call, return).
@@ -84,15 +116,12 @@ class Predictor
     virtual void observe(const trace::BranchRecord &) noexcept {}
 
     /**
-     * Predict-and-train a run of consecutive conditional branches in
-     * one call, equivalent to predict(); update(rec, rec.taken) per
-     * branch in order — the only batch entry point. The simulation
-     * driver hands each conditional run as SoA columns so hot
-     * predictors can override this with one tight loop over the
-     * contiguous pc/taken arrays (TwoLevel, Bimodal). The
-     * default loops the scalar calls, so overriding is purely an
-     * optimization and never changes results — the differential suite
-     * compares every overriding predictor against the scalar path.
+     * step() a run of consecutive conditional branches in one call —
+     * the only batch entry point, fed SoA columns by the driver. Every
+     * class that declares step() overrides it with stepBatch() over its
+     * own step() (predictor/contracts.hpp enforces it for the roster);
+     * TwoLevel alone keeps hand-written loops. The differential suite
+     * compares every batch path against the scalar step() path.
      *
      * @param batch Consecutive conditional branches, in trace order.
      * @param correct_out When non-null, receives one 0/1 entry per
@@ -102,18 +131,7 @@ class Predictor
     COPRA_HOT virtual uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
     {
-        uint64_t n_correct = 0;
-        for (size_t i = 0; i < batch.count; ++i) {
-            trace::BranchRecord br{batch.pc[i], batch.target[i],
-                                   trace::BranchKind::Conditional,
-                                   batch.taken[i] != 0};
-            bool correct = predict(br) == br.taken;
-            update(br, br.taken);
-            n_correct += correct ? 1 : 0;
-            if (correct_out)
-                correct_out[i] = correct ? 1 : 0;
-        }
-        return n_correct;
+        return stepBatch(*this, batch, correct_out);
     }
 
     /** Forget all adaptive state. */

@@ -31,7 +31,7 @@ StaticPhtTwoLevel::profile(const trace::Trace &trace,
             ++tally.taken;
         // Advance the first-level history exactly as the adaptive
         // predictor would (the PHT it trains internally is unused).
-        walker.update(rec, rec.taken);
+        walker.step(rec, rec.taken);
     }
 
     std::vector<uint8_t> directions(tallies.size(), 1);
@@ -46,15 +46,11 @@ StaticPhtTwoLevel::profile(const trace::Trace &trace,
 }
 
 bool
-StaticPhtTwoLevel::predict(const trace::BranchRecord &br) noexcept
+StaticPhtTwoLevel::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    return directions_[indexer_.phtIndex(br.pc)] != 0;
-}
-
-void
-StaticPhtTwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    indexer_.update(br, taken);
+    bool prediction = directions_[indexer_.phtIndex(br.pc)] != 0;
+    indexer_.step(br, taken);
+    return prediction;
 }
 
 void

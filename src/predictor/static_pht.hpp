@@ -41,8 +41,12 @@ class StaticPhtTwoLevel : public Predictor
     static StaticPhtTwoLevel profile(const trace::Trace &trace,
                                      const TwoLevelConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 

@@ -19,8 +19,16 @@ namespace copra::predictor {
 class AlwaysTaken : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &) noexcept override { return true; }
-    void update(const trace::BranchRecord &, bool) noexcept override {}
+    bool
+    step(const trace::BranchRecord &, bool) noexcept override
+    {
+        return true;
+    }
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override {}
     std::string name() const override { return "always-taken"; }
 
@@ -32,8 +40,16 @@ class AlwaysTaken : public Predictor
 class AlwaysNotTaken : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &) noexcept override { return false; }
-    void update(const trace::BranchRecord &, bool) noexcept override {}
+    bool
+    step(const trace::BranchRecord &, bool) noexcept override
+    {
+        return false;
+    }
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override {}
     std::string name() const override { return "always-not-taken"; }
 
@@ -49,11 +65,15 @@ class Btfnt : public Predictor
 {
   public:
     bool
-    predict(const trace::BranchRecord &br) noexcept override
+    step(const trace::BranchRecord &br, bool) noexcept override
     {
         return br.isBackward();
     }
-    void update(const trace::BranchRecord &, bool) noexcept override {}
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override {}
     std::string name() const override { return "btfnt"; }
 

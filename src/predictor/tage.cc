@@ -34,7 +34,7 @@ Tage::Tage(const TageConfig &config) : config_(config)
             "TAGE counter bits must be in 2..8");
     fatalIf(config_.usefulBits == 0 || config_.usefulBits > 8,
             "TAGE useful bits must be in 1..8");
-    fatalIf(config_.numTables == 0 || config_.numTables > 8,
+    fatalIf(config_.numTables == 0 || config_.numTables > kMaxTables,
             "TAGE needs 1..8 tagged tables");
     fatalIf(config_.minHistory == 0, "TAGE min history must be > 0");
     fatalIf(config_.maxHistory < config_.minHistory,
@@ -109,8 +109,10 @@ Tage::lookup(uint64_t pc) const noexcept
     out.prediction = base_pred;
     out.altPrediction = base_pred;
     for (int t = static_cast<int>(config_.numTables) - 1; t >= 0; --t) {
-        const Entry &e = tables_[t][indexOf(t, pc)];
-        if (e.tag != tagOf(t, pc))
+        out.index[t] = indexOf(t, pc);
+        out.tag[t] = tagOf(t, pc);
+        const Entry &e = tables_[t][out.index[t]];
+        if (e.tag != out.tag[t])
             continue;
         bool pred = counterTaken(e.ctr, config_.counterBits);
         if (out.provider < 0) {
@@ -118,23 +120,11 @@ Tage::lookup(uint64_t pc) const noexcept
             out.prediction = pred;
             out.altPrediction = base_pred; // until a lower match appears
         } else {
-            out.alt = t;
             out.altPrediction = pred;
             break; // only the next-longest match matters
         }
     }
     return out;
-}
-
-bool
-Tage::predict(const trace::BranchRecord &br) noexcept
-{
-    Lookup l = lookup(br.pc);
-    if (l.provider >= 0)
-        ++stats_.providerTagged;
-    else
-        ++stats_.providerBase;
-    return l.prediction;
 }
 
 void
@@ -148,17 +138,18 @@ Tage::allocateEntry(Entry &slot, uint16_t tag, bool taken) noexcept
     slot.useful = 0;
 }
 
-void
-Tage::update(const trace::BranchRecord &br, bool taken) noexcept
+bool
+Tage::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    // Recompute the provider from pre-update state rather than caching
-    // it in predict(): batch and scalar paths then trivially agree, and
-    // stats-only predict() stays side-effect free.
     Lookup l = lookup(br.pc);
+    if (l.provider >= 0)
+        ++stats_.providerTagged;
+    else
+        ++stats_.providerBase;
     bool mispredict = l.prediction != taken;
 
     if (l.provider >= 0) {
-        Entry &e = tables_[l.provider][indexOf(l.provider, br.pc)];
+        Entry &e = tables_[l.provider][l.index[l.provider]];
         bumpCounter(e.ctr, config_.counterBits, taken);
         // The useful counter tracks whether the provider beats its
         // alternate — only meaningful when they disagree.
@@ -177,9 +168,9 @@ Tage::update(const trace::BranchRecord &br, bool taken) noexcept
         l.provider < static_cast<int>(config_.numTables) - 1) {
         bool allocated = false;
         for (unsigned t = l.provider + 1; t < config_.numTables; ++t) {
-            Entry &cand = tables_[t][indexOf(t, br.pc)];
+            Entry &cand = tables_[t][l.index[t]];
             if (cand.useful == 0) {
-                allocateEntry(cand, tagOf(t, br.pc), taken);
+                allocateEntry(cand, l.tag[t], taken);
                 ++stats_.allocations;
                 obs::count(obs::ids().tageAllocations);
                 allocated = true;
@@ -190,7 +181,7 @@ Tage::update(const trace::BranchRecord &br, bool taken) noexcept
             // All candidates are protected: decay them so a future
             // mispredict can get in (full TAGE decrements u here too).
             for (unsigned t = l.provider + 1; t < config_.numTables; ++t) {
-                Entry &cand = tables_[t][indexOf(t, br.pc)];
+                Entry &cand = tables_[t][l.index[t]];
                 if (cand.useful > 0)
                     --cand.useful;
             }
@@ -207,6 +198,7 @@ Tage::update(const trace::BranchRecord &br, bool taken) noexcept
                 e.useful >>= 1;
         ++stats_.agingEvents;
     }
+    return l.prediction;
 }
 
 void

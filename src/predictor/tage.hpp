@@ -69,8 +69,12 @@ class Tage : public Predictor
     explicit Tage(const TageConfig &config);
     ~Tage() override;
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
     void reset() override;
     std::string name() const override;
 
@@ -126,13 +130,18 @@ class Tage : public Predictor
     virtual void allocateEntry(Entry &slot, uint16_t tag, bool taken) noexcept;
 
   private:
+    static constexpr unsigned kMaxTables = 8;
+
     /** Provider/alternate selection for one pc under current history. */
     struct Lookup
     {
         int provider = -1;   //!< tagged table index, -1 = base
-        int alt = -1;        //!< next-longest match below provider
         bool prediction = false;
         bool altPrediction = false;
+        /** Per tagged table, from the longest down to the alternate
+         *  match: the entry index and tag the lookup compared. */
+        size_t index[kMaxTables];
+        uint16_t tag[kMaxTables];
     };
 
     /** One tagged table's FoldedHistory ids, all over its length. */

@@ -34,12 +34,15 @@ Tournament::btbHit(uint64_t pc) const noexcept
 }
 
 bool
-Tournament::predict(const trace::BranchRecord &br) noexcept
+Tournament::step(const trace::BranchRecord &br, bool taken) noexcept
 {
-    bool global_pred = global_.predict(br);
-    bool local_pred = local_.predict(br);
-    bool use_global = chooser_[chooserIndex(br.pc)].taken();
-    bool direction = use_global ? global_pred : local_pred;
+    // Both components always train — the Alpha 21264 policy; training
+    // only the selected one starves the loser and locks the chooser in.
+    bool global_pred = global_.step(br, taken);
+    bool local_pred = local_.step(br, taken);
+    Counter2 &chooser = chooser_[chooserIndex(br.pc)];
+    bool use_global = chooser.taken();
+    bool prediction = use_global ? global_pred : local_pred;
     if (use_global)
         ++stats_.choseGlobal;
     else
@@ -47,37 +50,22 @@ Tournament::predict(const trace::BranchRecord &br) noexcept
     // BTB miss model: a taken prediction without a buffered target
     // cannot redirect fetch, so the effective prediction collapses to
     // not-taken (fall-through is the only fetchable path).
-    if (direction && !btbHit(br.pc)) {
+    if (prediction && !btbHit(br.pc)) {
         ++stats_.btbMissSquashes;
-        return false;
+        prediction = false;
     }
-    return direction;
-}
-
-void
-Tournament::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    // Component predictions are recomputed from pre-update state
-    // (TwoLevel::predict is side-effect free) rather than cached in
-    // predict(), keeping batch and scalar paths trivially equivalent.
-    bool global_pred = global_.predict(br);
-    bool local_pred = local_.predict(br);
 
     // The chooser learns only from disagreement: move toward the
     // component that was right when exactly one of them was.
     if (global_pred != local_pred) {
-        chooser_[chooserIndex(br.pc)].update(global_pred == taken);
+        chooser.update(global_pred == taken);
         ++stats_.chooserTrains;
     }
-
-    // Both components always train — the Alpha 21264 policy; training
-    // only the selected one starves the loser and locks the chooser in.
-    global_.update(br, taken);
-    local_.update(br, taken);
 
     // A taken conditional installs (or refreshes) its BTB entry.
     if (taken)
         btb_.access(br.pc) = br.target;
+    return prediction;
 }
 
 void
@@ -112,7 +100,7 @@ Tournament::observe(const trace::BranchRecord &br) noexcept
         }
         break;
       case BranchKind::Conditional:
-        break; // delivered via predict/update, never here
+        break; // delivered via step, never here
     }
 }
 

@@ -66,8 +66,12 @@ class Tournament : public Predictor
     Tournament(Tournament &&) = default;
     ~Tournament() override;
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    bool step(const trace::BranchRecord &br, bool taken) noexcept override;
+    uint64_t
+    predictUpdateSoa(const SoaBatch &batch, uint8_t *out) noexcept override
+    {
+        return stepBatch(*this, batch, out);
+    }
 
     /** Tracks calls/returns for the RAS and jump targets for the BTB. */
     void observe(const trace::BranchRecord &br) noexcept override;

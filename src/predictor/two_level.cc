@@ -97,67 +97,9 @@ TwoLevel::TwoLevel(const TwoLevelConfig &config)
     pht_.assign(size_t(1) << config.phtBits, counterInit_);
 }
 
-uint64_t &
-TwoLevel::historyFor(uint64_t pc) noexcept
-{
-    if (config_.scope == TwoLevelConfig::Scope::Global)
-        return histories_[0];
-    size_t idx = (pc >> 2) & ((size_t(1) << config_.bhtBits) - 1);
-    return histories_[idx];
-}
-
 uint64_t
-TwoLevel::historyFor(uint64_t pc) const noexcept
-{
-    return const_cast<TwoLevel *>(this)->historyFor(pc);
-}
-
-size_t
-TwoLevel::phtIndex(uint64_t pc) const noexcept
-{
-    uint64_t hist = historyFor(pc) & historyMask_;
-    uint64_t pc_bits = pc >> 2;
-    switch (config_.index) {
-      case TwoLevelConfig::Index::HistoryOnly:
-        return historyIndex(hist);
-      case TwoLevelConfig::Index::Concat:
-        return concatIndex(pc_bits, hist);
-      case TwoLevelConfig::Index::Xor:
-        return xorIndex(pc_bits, hist);
-    }
-    return 0;
-}
-
-bool
-TwoLevel::trainCounter(uint8_t &counter, bool taken) const noexcept
-{
-    bool prediction = counter > counterInit_;
-    if (taken) {
-        if (counter < counterMax_)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
-    return prediction == taken;
-}
-
-bool
-TwoLevel::predict(const trace::BranchRecord &br) noexcept
-{
-    return pht_[phtIndex(br.pc)] > counterInit_;
-}
-
-void
-TwoLevel::update(const trace::BranchRecord &br, bool taken) noexcept
-{
-    trainCounter(pht_[phtIndex(br.pc)], taken);
-    uint64_t &hist = historyFor(br.pc);
-    hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask_;
-}
-
-uint64_t
-TwoLevel::predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
+TwoLevel::predictUpdateSoa(const SoaBatch &batch,
+                           uint8_t *correct_out) noexcept
 {
     if (batch.count == 0)
         return 0;

@@ -94,13 +94,24 @@ class TwoLevel : public Predictor
   public:
     explicit TwoLevel(const TwoLevelConfig &config);
 
-    bool predict(const trace::BranchRecord &br) noexcept override;
-    void update(const trace::BranchRecord &br, bool taken) noexcept override;
+    /** Defined inline so Tournament's component steps inline too. */
+    bool
+    step(const trace::BranchRecord &br, bool taken) noexcept override
+    {
+        uint64_t &hist = histories_[historyRow(br.pc)];
+        // trainCounter reports whether the prediction was right.
+        bool correct = trainCounter(
+            pht_[phtIndexFor(br.pc >> 2, hist & historyMask_)], taken);
+        hist = ((hist << 1) | (taken ? 1 : 0)) & historyMask_;
+        return correct == taken;
+    }
 
     /**
-     * Column batch path (same results as predict + update): one fused
-     * loop per scope and index flavour computes each branch's PHT
-     * index inline, trains its counter and shifts the history.
+     * Column batch path (same results as step): one fused loop per
+     * scope and index flavour computes each branch's PHT index inline,
+     * trains its counter and shifts the history. Hand-written rather
+     * than stepBatch(): the global loops keep the history in a
+     * register for the whole batch, which stepBatch() cannot.
      */
     uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept override;
@@ -110,8 +121,13 @@ class TwoLevel : public Predictor
 
     const TwoLevelConfig &config() const { return config_; }
 
-    /** PHT index used for @p pc under the current history (for tests). */
-    size_t phtIndex(uint64_t pc) const noexcept;
+    /** PHT index used for @p pc under the current history. */
+    size_t
+    phtIndex(uint64_t pc) const noexcept
+    {
+        return phtIndexFor(pc >> 2,
+                           histories_[historyRow(pc)] & historyMask_);
+    }
 
     // State contract (DESIGN.md §14): historyBits per first-level
     // register plus counterBits per second-level counter.
@@ -127,11 +143,32 @@ class TwoLevel : public Predictor
     COPRA_STATE_FIELDS(histories_, pht_);
 
   private:
-    uint64_t &historyFor(uint64_t pc) noexcept;
-    uint64_t historyFor(uint64_t pc) const noexcept;
+    /** The first-level register @p pc reads: 0 under global scope. */
+    size_t
+    historyRow(uint64_t pc) const noexcept
+    {
+        if (config_.scope == TwoLevelConfig::Scope::Global)
+            return 0;
+        return (pc >> 2) & ((size_t(1) << config_.bhtBits) - 1);
+    }
+
+    /** The configured index flavour over pc >> 2 and a masked history. */
+    size_t
+    phtIndexFor(uint64_t pc_bits, uint64_t hist) const noexcept
+    {
+        switch (config_.index) {
+          case TwoLevelConfig::Index::HistoryOnly:
+            return historyIndex(hist);
+          case TwoLevelConfig::Index::Concat:
+            return concatIndex(pc_bits, hist);
+          case TwoLevelConfig::Index::Xor:
+            return xorIndex(pc_bits, hist);
+        }
+        return 0;
+    }
 
     // The three PHT index flavours over a masked history and pc >> 2;
-    // phtIndex() and the batch loops share them.
+    // phtIndexFor() and the batch loops share them.
     size_t
     historyIndex(uint64_t hist) const noexcept
     {
@@ -154,7 +191,19 @@ class TwoLevel : public Predictor
 
     /** Predict from @p counter, then train it toward @p taken; returns
      * whether the prediction was correct. */
-    bool trainCounter(uint8_t &counter, bool taken) const noexcept;
+    bool
+    trainCounter(uint8_t &counter, bool taken) const noexcept
+    {
+        bool prediction = counter > counterInit_;
+        if (taken) {
+            if (counter < counterMax_)
+                ++counter;
+        } else {
+            if (counter > 0)
+                --counter;
+        }
+        return prediction == taken;
+    }
 
     uint64_t runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;
     uint64_t runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept;

@@ -107,11 +107,11 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     result.predictorName = pred.name();
 
     // Feed maximal runs of consecutive conditional branches through the
-    // batch entry point: predictors with specialized loops (TwoLevel,
-    // Bimodal) consume the contiguous pc/taken columns directly, and
-    // everything else falls back to the default, which reproduces the
-    // classic predict/update call sequence exactly. Non-conditional
-    // records between runs are delivered to observe() in trace order.
+    // batch entry point: TwoLevel's hand-written loops consume the
+    // contiguous pc/taken columns directly, and every other predictor
+    // runs stepBatch() over its own step(), the scalar call sequence
+    // exactly. Non-conditional records between runs are delivered to
+    // observe() in trace order.
     //
     // Every buffer the loop touches is allocated here, before runLoop:
     // the loop itself is the COPRA_HOT region and performs no heap

@@ -78,7 +78,7 @@ inform(const std::string &msg)
  * panic() unless a condition holds.
  *
  * The const char* overload matters: assertion checks sit on the hot
- * prediction path (e.g. SelectiveTable::predict checks its pattern
+ * prediction path (e.g. SelectiveTable::step checks its pattern
  * bound on every branch), and a std::string parameter would
  * heap-allocate the message at every call even when the condition is
  * false — a per-branch allocation the

@@ -18,15 +18,19 @@
 namespace copra::predictor {
 namespace {
 
-/** Probe counting how many updates reach the dynamic component. */
+/** Probe counting how many steps reach the dynamic component. */
 class CountingProbe : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &) noexcept override { return true; }
-    void update(const trace::BranchRecord &, bool) noexcept override { ++updates; }
-    void reset() override { updates = 0; }
+    bool
+    step(const trace::BranchRecord &, bool) noexcept override
+    {
+        ++steps;
+        return true;
+    }
+    void reset() override { steps = 0; }
     std::string name() const override { return "probe"; }
-    int updates = 0;
+    int steps = 0;
 };
 
 TEST(BiasProfile, ThresholdSplitsBranches)
@@ -65,7 +69,7 @@ TEST(BiasHybrid, StronglyBiasedBranchesBypassDynamicComponent)
 
     sim::run(trace, hybrid);
     // Only the weak branch's 1000 executions reach the component.
-    EXPECT_EQ(probe_ptr->updates, 1000);
+    EXPECT_EQ(probe_ptr->steps, 1000);
 }
 
 TEST(BiasHybrid, StaticSideIsExactOnItsBranches)

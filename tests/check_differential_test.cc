@@ -6,9 +6,9 @@
  *    SoA batch, sim::run, runAllParallel) and the clarity-first reference
  *    models over 100 fuzzed traces at a fixed seed range.
  * 2. Self-test: each deliberately-injected predictor bug is caught by
- *    the same harness and shrunk to a reproducer of at most 1000
- *    branches — a differential suite that cannot catch a planted
- *    off-by-one proves nothing.
+ *    the same harness and its first failure per pair shrunk to a
+ *    reproducer of at most 1000 branches — a differential suite that
+ *    cannot catch a planted off-by-one proves nothing.
  * 3. The delta-debugging minimizer is sound (output still fails),
  *    effective (output is much smaller), and deterministic.
  */
@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "check/differential.hpp"
 #include "check/fuzz.hpp"
@@ -88,10 +90,16 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
         }
         ASSERT_FALSE(report.ok())
             << injectedBugName(bug) << " was not caught";
+        std::set<std::string> seen;
         for (const SuiteFailure &failure : report.failures) {
-            EXPECT_LE(failure.reproducer.size(), 1000u)
-                << injectedBugName(bug)
-                << ": reproducer not shrunk below 1000 branches";
+            // Each pair's first failure is the one shrunk.
+            EXPECT_EQ(failure.shrunk, seen.insert(failure.pair).second)
+                << injectedBugName(bug) << " " << failure.pair;
+            if (failure.shrunk) {
+                EXPECT_LE(failure.reproducer.size(), 1000u)
+                    << injectedBugName(bug)
+                    << ": reproducer not shrunk below 1000 branches";
+            }
             EXPECT_GT(failure.reproducer.size(), 0u);
         }
     }
@@ -122,6 +130,27 @@ TEST(Differential, SoaOnlyBugEscapesScalarPathButNotSoa)
         << "the soa path must expose the stale-history bug";
     EXPECT_TRUE(run_caught)
         << "sim::run's aggregates must expose the stale-history bug";
+}
+
+TEST(Differential, PeekingStepIsCaughtOnTheScalarPath)
+{
+    // StepPeeksOutcome's step() returns the outcome on weak sums, but
+    // it inherits Perceptron's batch loop, which calls the clean
+    // Perceptron::step: the scalar path must catch the peek, and no
+    // batch path may see it.
+    CheckPair pair = injectedBugPair(InjectedBug::StepPeeksOutcome);
+    bool scalar_caught = false;
+    bool batch_diverged = false;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        DiffResult result = diffPair(fuzzTrace(seed, 1500), pair, false);
+        for (const Mismatch &m : result.mismatches) {
+            scalar_caught |= m.path == "scalar";
+            batch_diverged |= m.path != "scalar";
+        }
+    }
+    EXPECT_TRUE(scalar_caught) << "the scalar path missed the peek";
+    EXPECT_FALSE(batch_diverged)
+        << "the inherited batch loop must call the clean step()";
 }
 
 TEST(Differential, ScalarAndSoaStreamsAgreeForCleanPredictor)

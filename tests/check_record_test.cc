@@ -5,14 +5,16 @@
  * (check/record_check.hpp), over fuzzed traces at window depths 1, 16
  * and 64, plus proof that the fuzzed traces reach the edges the window
  * walk and the run scorer have to get right, that the planted
- * window-id defect is caught and shrunk by both mine and record, and
- * that the planted run-step defect is caught and shrunk by select.
+ * window-id defect is caught and shrunk by both mine and record, that
+ * the planted run-step defect is caught and shrunk by select, and that
+ * a campaign shrinks only each pair's first failure.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -166,8 +168,10 @@ TEST(RecordCheck, WindowBack255IsCaughtAndShrunkByBothPhases)
     for (const SuiteFailure &failure : report.failures) {
         paths.insert(failure.first.path);
         EXPECT_GT(failure.reproducer.size(), 0u);
-        EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
-        // The shrunk trace still fails under the same configuration.
+        if (failure.shrunk) {
+            EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
+        }
+        // The reproducer still fails under the same configuration.
         bool still_fails = false;
         for (const OracleConfig &config : mineCheckConfigs()) {
             if (failure.pair == "oracle-mine(" + mineConfigLabel(config) +
@@ -233,9 +237,11 @@ TEST(RecordCheck, SelectRunShortIsCaughtAndShrunk)
     for (const SuiteFailure &failure : report.failures) {
         EXPECT_EQ(failure.first.path, "select");
         EXPECT_GT(failure.reproducer.size(), 0u);
-        EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
-        // The shrunk trace still fails under the same configuration,
-        // and the shipped scorer passes on it.
+        if (failure.shrunk) {
+            EXPECT_LE(failure.reproducer.size(), 1000u) << failure.pair;
+        }
+        // The reproducer still fails under the same configuration, and
+        // the shipped scorer passes on it.
         bool still_fails = false;
         for (const OracleConfig &config : recordCheckConfigs()) {
             if (failure.pair != "oracle-select(" +
@@ -249,6 +255,40 @@ TEST(RecordCheck, SelectRunShortIsCaughtAndShrunk)
         }
         EXPECT_TRUE(still_fails) << failure.pair;
     }
+}
+
+TEST(RecordCheck, OnlyEachPairsFirstFailureIsShrunk)
+{
+    // Shrinking replays a pair hundreds of times per failing trace, and
+    // a reader needs one reproducer per bug: a pair's later failures
+    // keep their seed, first mismatch and unshrunk trace.
+    SuiteOptions options;
+    options.seedBase = 1;
+    options.traces = 4;
+    options.conditionals = 1000;
+    SuiteReport report = runOracleSuite(
+        options, injectedOracle(InjectedBug::OracleSelectRunShort));
+    std::map<std::string, std::vector<const SuiteFailure *>> by_pair;
+    for (const SuiteFailure &failure : report.failures)
+        by_pair[failure.pair].push_back(&failure);
+    size_t most = 0;
+    for (const auto &[pair, failures] : by_pair) {
+        most = std::max(most, failures.size());
+        ASSERT_TRUE(failures.front()->shrunk) << pair;
+        const size_t original =
+            recordFuzzTrace(failures.front()->seed, options.conditionals)
+                .size();
+        EXPECT_LT(failures.front()->reproducer.size(), original) << pair;
+        for (size_t i = 1; i < failures.size(); ++i) {
+            EXPECT_FALSE(failures[i]->shrunk) << pair;
+            EXPECT_EQ(failures[i]->reproducer.size(),
+                      recordFuzzTrace(failures[i]->seed,
+                                      options.conditionals)
+                          .size())
+                << pair;
+        }
+    }
+    EXPECT_GE(most, 3u) << "no pair failed on three traces";
 }
 
 TEST(RecordCheckDeath, PredictorBugsHaveNoOracleForm)

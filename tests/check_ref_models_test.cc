@@ -41,7 +41,7 @@ TEST(RefTwoLevel, ColdStartPredictsNotTaken)
         TwoLevelConfig config = TwoLevelConfig::gshare(8);
         config.counterBits = cbits;
         RefTwoLevel ref(config);
-        EXPECT_FALSE(ref.predict(cond(0x100, true)))
+        EXPECT_FALSE(ref.step(cond(0x100, true), true))
             << "cbits=" << cbits;
     }
 }
@@ -55,8 +55,7 @@ TEST(RefTwoLevel, LearnsAlternationThroughHistory)
     bool taken = true;
     int correct_tail = 0;
     for (int i = 0; i < 200; ++i) {
-        bool p = ref.predict(cond(0x40, taken));
-        ref.update(cond(0x40, taken), taken);
+        bool p = ref.step(cond(0x40, taken), taken);
         if (i >= 150 && p == taken)
             ++correct_tail;
         taken = !taken;
@@ -71,11 +70,11 @@ TEST(RefTwoLevel, PerAddressScopeKeepsHistoriesSeparate)
     TwoLevelConfig config = TwoLevelConfig::pas(6, 4, 2);
     RefTwoLevel ref(config);
     for (int i = 0; i < 64; ++i)
-        ref.update(cond(0x100, true), true);
+        ref.step(cond(0x100, true), true);
     // 0x100 >> 2 = 0x40 -> row 0; 0x104 >> 2 = 0x41 -> row 1.
     // Row 1's history is still zero; its pattern counter is untouched
     // only if the PHT index differs, which the pc select bits ensure.
-    EXPECT_FALSE(ref.predict(cond(0x104, true)));
+    EXPECT_FALSE(ref.step(cond(0x104, true), true));
 }
 
 TEST(RefTwoLevel, AgreesWithOptimizedOnShortStream)
@@ -91,10 +90,8 @@ TEST(RefTwoLevel, AgreesWithOptimizedOnShortStream)
             uint64_t pc = (splitmix64(state) % 32) * 4;
             bool taken = splitmix64(state) & 1;
             BranchRecord br = cond(pc, taken);
-            EXPECT_EQ(ref.predict(br), opt.predict(br))
+            EXPECT_EQ(ref.step(br, taken), opt.step(br, taken))
                 << config.label << " diverged at branch " << i;
-            ref.update(br, taken);
-            opt.update(br, taken);
         }
     }
 }
@@ -103,16 +100,13 @@ TEST(RefBimodal, MatchesTwoBitCounterSemantics)
 {
     RefBimodal ref(4);
     BranchRecord br = cond(0x20, true);
-    EXPECT_FALSE(ref.predict(br)); // init weakly-not-taken
-    ref.update(br, true);
-    EXPECT_TRUE(ref.predict(br)); // 1 -> 2 crosses the threshold
-    ref.update(br, false);
-    EXPECT_FALSE(ref.predict(br)); // back to 1
+    EXPECT_FALSE(ref.step(br, true)); // init weakly-not-taken; 1 -> 2
+    EXPECT_TRUE(ref.step(br, false)); // 2 crosses the threshold; -> 1
+    EXPECT_FALSE(ref.step(br, true)); // back to 1; -> 2
     // Saturation at 3: two not-takens needed to flip after 2 takens.
-    ref.update(br, true);
-    ref.update(br, true);
-    ref.update(br, false);
-    EXPECT_TRUE(ref.predict(br));
+    ref.step(br, true);
+    ref.step(br, false);
+    EXPECT_TRUE(ref.step(br, true));
 }
 
 TEST(RefBimodal, AliasesExactlyLikeOptimized)
@@ -125,9 +119,7 @@ TEST(RefBimodal, AliasesExactlyLikeOptimized)
         uint64_t pc = (splitmix64(state) % 16) * 4;
         bool taken = splitmix64(state) & 1;
         BranchRecord br = cond(pc, taken);
-        ASSERT_EQ(ref.predict(br), opt.predict(br)) << "branch " << i;
-        ref.update(br, taken);
-        opt.update(br, taken);
+        ASSERT_EQ(ref.step(br, taken), opt.step(br, taken)) << "branch " << i;
     }
 }
 
@@ -140,8 +132,7 @@ TEST(RefLoop, PerfectOnFixedTripLoopAfterOneTrip)
         for (int i = 0; i < trip + 1; ++i) {
             bool taken = i < trip; // for-type: taken trip times, then exit
             BranchRecord br = cond(0x500, taken);
-            bool p = ref.predict(br);
-            ref.update(br, taken);
+            bool p = ref.step(br, taken);
             if (iter >= 2 && p != taken)
                 ++mispredicts_after_warmup;
         }
@@ -158,10 +149,8 @@ TEST(RefLoop, MatchesOptimizedOnWhileTypeBranch)
         for (int i = 0; i <= n; ++i) {
             bool taken = i == n;
             BranchRecord br = cond(0x700, taken);
-            ASSERT_EQ(ref.predict(br), opt.predict(br))
+            ASSERT_EQ(ref.step(br, taken), opt.step(br, taken))
                 << "n=" << n << " i=" << i;
-            ref.update(br, taken);
-            opt.update(br, taken);
         }
     }
 }
@@ -173,13 +162,12 @@ TEST(RefFixedPattern, ReplaysOutcomeFromKAgo)
     BranchRecord br = cond(0x900, true);
     // Cold default: taken until 3 outcomes recorded.
     for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(ref.predict(br));
-        ref.update(br, pattern[i % 3]);
+        EXPECT_TRUE(ref.step(br, pattern[i % 3]));
     }
     // Warm: perfect on the period-3 pattern.
     for (int i = 3; i < 60; ++i) {
-        EXPECT_EQ(ref.predict(br), pattern[i % 3]) << "i=" << i;
-        ref.update(br, pattern[i % 3]);
+        EXPECT_EQ(ref.step(br, pattern[i % 3]), pattern[i % 3])
+            << "i=" << i;
     }
 }
 
@@ -235,19 +223,17 @@ TEST(RefModels, ResetRestoresColdState)
     const std::vector<predictor::Predictor *> all = {&two, &bim, &loop,
                                                      &fixed};
     for (int i = 0; i < 30; ++i) {
-        for (predictor::Predictor *p : all) {
-            p->predict(br);
-            p->update(br, true);
-        }
+        for (predictor::Predictor *p : all)
+            p->step(br, true);
     }
     two.reset();
     bim.reset();
     loop.reset();
     fixed.reset();
-    EXPECT_FALSE(two.predict(br));
-    EXPECT_FALSE(bim.predict(br));
-    EXPECT_TRUE(loop.predict(br));  // cold loop default: taken
-    EXPECT_TRUE(fixed.predict(br)); // cold fixed default: taken
+    EXPECT_FALSE(two.step(br, true));
+    EXPECT_FALSE(bim.step(br, true));
+    EXPECT_TRUE(loop.step(br, true));  // cold loop default: taken
+    EXPECT_TRUE(fixed.step(br, true)); // cold fixed default: taken
 }
 
 } // namespace

@@ -107,7 +107,7 @@ TEST(LoopPredictor, StateAccessorReflectsTraining)
 TEST(LoopPredictor, ResetForgets)
 {
     LoopPredictor pred;
-    pred.update(cond(0x100, true), true);
+    pred.step(cond(0x100, true), true);
     pred.reset();
     EXPECT_FALSE(pred.state(0x100).seen);
 }
@@ -116,7 +116,7 @@ TEST(LoopPredictor, RunLengthSaturatesAt255)
 {
     LoopPredictor pred;
     for (int i = 0; i < 1000; ++i)
-        pred.update(cond(0x100, true), true);
+        pred.step(cond(0x100, true), true);
     EXPECT_EQ(pred.state(0x100).run, 255u);
 }
 
@@ -177,7 +177,7 @@ TEST(BlockPattern, StateAccessor)
 TEST(BlockPattern, ResetForgets)
 {
     BlockPatternPredictor pred;
-    pred.update(cond(0x100, true), true);
+    pred.step(cond(0x100, true), true);
     pred.reset();
     EXPECT_FALSE(pred.state(0x100).seen);
 }

@@ -3,13 +3,16 @@
  * Deliberately non-conforming predictors, compiled (and expected to
  * FAIL) by contracts_negative.cmake. Never part of any build target.
  *
- * Two violation flavours, selected by preprocessor define:
+ * Three violation flavours, selected by preprocessor define:
  *
  *  - default: a type that does not derive from Predictor and exposes
  *    none of the interface (breaks the structural clauses).
  *  - COPRA_BREAK_STATE_CONTRACT: a well-formed roster predictor that
  *    declares no COPRA_STATE_FIELDS and inherits the panicking state
  *    defaults instead of overriding them (breaks the state clauses).
+ *  - COPRA_BREAK_STEP_BATCH: a contracted predictor that declares
+ *    step() but inherits the base batch loop instead of declaring its
+ *    own predictUpdateSoa() (breaks the batch-loop clause).
  *
  * The test asserts the build stops AND that the diagnostic contains
  * the human-readable "copra predictor contract" clause text.
@@ -25,8 +28,15 @@ namespace copra::predictor {
 class StatelessRosterPredictor : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &) override { return true; }
-    void update(const trace::BranchRecord &, bool) override {}
+    bool step(const trace::BranchRecord &, bool) noexcept override
+    {
+        return true;
+    }
+    uint64_t predictUpdateSoa(const SoaBatch &batch,
+                              uint8_t *correct_out) noexcept override
+    {
+        return stepBatch(*this, batch, correct_out);
+    }
     void reset() override {}
     std::string name() const override { return "stateless"; }
 };
@@ -37,6 +47,32 @@ static_assert(
     copra::predictor::contracts::PredictorContract<
         copra::predictor::StatelessRosterPredictor>::ok,
     "unreachable: the state contract must reject this type first");
+
+#elif defined(COPRA_BREAK_STEP_BATCH)
+
+namespace copra::predictor {
+
+/** State contract complete; the batch loop is inherited. */
+class InheritedBatchPredictor : public Predictor
+{
+  public:
+    bool step(const trace::BranchRecord &, bool) noexcept override
+    {
+        return true;
+    }
+    void reset() override {}
+    std::string name() const override { return "inherited-batch"; }
+    uint64_t stateBits() const override { return 0; }
+
+    COPRA_STATE_FIELDS();
+};
+
+} // namespace copra::predictor
+
+static_assert(
+    copra::predictor::contracts::PredictorContract<
+        copra::predictor::InheritedBatchPredictor>::ok,
+    "unreachable: the batch-loop clause must reject this type first");
 
 #else // structural violation
 

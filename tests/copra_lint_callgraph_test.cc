@@ -218,6 +218,40 @@ TEST(CallGraph, UnresolvableCalleeIsReportedNotIgnored)
     }
 }
 
+TEST(CallGraph, TemplateQualifiedMemberCallResolvesByName)
+{
+    // stepBatch's `p.P::step(...)`: P is a template parameter, not a
+    // class, so the call resolves like `p.step(...)` — to every step
+    // body — and `if constexpr` is not a callee.
+    std::vector<FileScan> scans = scanAll({
+        {"src/predictor/loop.hpp",
+         "#pragma once\n"
+         "class Leaf\n"
+         "{\n"
+         "  public:\n"
+         "    bool\n"
+         "    step(int x) noexcept\n"
+         "    {\n"
+         "        return x > 0;\n"
+         "    }\n"
+         "};\n"
+         "template <typename P>\n"
+         "COPRA_HOT int\n"
+         "loopAll(P &p) noexcept\n"
+         "{\n"
+         "    if constexpr (sizeof(P) > 0)\n"
+         "        return p.P::step(1);\n"
+         "    return 0;\n"
+         "}\n"},
+    });
+    SemaModel model = buildSemaModel(scans);
+    CallGraph cg = buildCallGraph(model, scans);
+    std::vector<Finding> findings =
+        runCallGraphRules(cg, model, scans);
+    EXPECT_EQ(countRule(findings, "hot-unresolved"), 0);
+    EXPECT_TRUE(isHot(cg, "Leaf::step"));
+}
+
 TEST(CallGraph, MarkBindingNothingIsReported)
 {
     std::vector<FileScan> scans = scanAll({

@@ -26,22 +26,21 @@ TEST(IfGshare, NoCrossBranchInterference)
     // so each sees the same history at prediction time eventually.
     IfGshare pred(4);
     for (int i = 0; i < 50; ++i) {
-        pred.update(cond(0x100, true), true);
-        pred.update(cond(0x200, false), false);
+        pred.step(cond(0x100, true), true);
+        pred.step(cond(0x200, false), false);
     }
     // The history preceding A is ...TNTN (B last); preceding B is ...T.
-    EXPECT_TRUE(pred.predict(cond(0x100)));
-    pred.update(cond(0x100, true), true);
-    EXPECT_FALSE(pred.predict(cond(0x200)));
+    EXPECT_TRUE(pred.step(cond(0x100), true));
+    EXPECT_FALSE(pred.step(cond(0x200), false));
 }
 
 TEST(IfGshare, AllocatesPerPatternCounters)
 {
     IfGshare pred(4);
     EXPECT_EQ(pred.countersAllocated(), 0u);
-    pred.update(cond(0x100), true);
+    pred.step(cond(0x100), true);
     EXPECT_EQ(pred.countersAllocated(), 1u);
-    pred.update(cond(0x100), true); // history changed -> new counter
+    pred.step(cond(0x100), true); // history changed -> new counter
     EXPECT_EQ(pred.countersAllocated(), 2u);
 }
 
@@ -60,7 +59,7 @@ TEST(IfGshare, LearnsCorrelationExactly)
 TEST(IfGshare, ResetClearsState)
 {
     IfGshare pred(8);
-    pred.update(cond(0x100), true);
+    pred.step(cond(0x100), true);
     pred.reset();
     EXPECT_EQ(pred.countersAllocated(), 0u);
 }
@@ -71,14 +70,16 @@ TEST(IfGshare, PcsFoldingToOneKeyAreDistinctBranches)
     // pc ^ (pc >> 32); 0x3 and 0x1'0000'0003 share their low 32 bits.
     // Train 0x3 taken at history 0, bring the history back to 0, and
     // each other pc's counter must still be cold (weakly not-taken)
-    // while 0x3 predicts taken.
+    // while 0x3 predicts taken. Not-taken steps keep the 1-bit history
+    // at 0.
     IfGshare pred(1);
-    pred.update(cond(0x3), true);
-    pred.update(cond(0x100, false), false);
-    EXPECT_FALSE(pred.predict(cond(0xffff'ffff'ffff'fffcull)));
-    EXPECT_FALSE(pred.predict(cond(0x1'0000'0003ull)));
-    EXPECT_TRUE(pred.predict(cond(0x3)));
-    EXPECT_EQ(pred.countersAllocated(), 2u);
+    pred.step(cond(0x3), true);
+    pred.step(cond(0x100, false), false);
+    EXPECT_FALSE(pred.step(cond(0xffff'ffff'ffff'fffcull), false));
+    EXPECT_FALSE(pred.step(cond(0x1'0000'0003ull), false));
+    EXPECT_TRUE(pred.step(cond(0x3), true));
+    // (0x3, 0), (0x100, 1) and one counter for each folding pc.
+    EXPECT_EQ(pred.countersAllocated(), 4u);
 }
 
 TEST(IfGshare, NameMentionsHistory)
@@ -119,8 +120,8 @@ TEST(IfPas, TracksBranchesIndependently)
 {
     IfPas pred(8);
     EXPECT_EQ(pred.branchesTracked(), 0u);
-    pred.update(cond(0x100), true);
-    pred.update(cond(0x200), false);
+    pred.step(cond(0x100), true);
+    pred.step(cond(0x200), false);
     EXPECT_EQ(pred.branchesTracked(), 2u);
 }
 
@@ -153,15 +154,15 @@ TEST(IfPas, PcsFoldingToOneKeyAreDistinctBranches)
     // pc ^ (pc >> 32); each still owns a private PHT. Training the first
     // must leave the second's cold counter weakly not-taken.
     IfPas pred(12);
-    pred.update(cond(0x3), true);
-    EXPECT_FALSE(pred.predict(cond(0xffff'ffff'ffff'fffcull)));
-    EXPECT_EQ(pred.branchesTracked(), 1u);
+    pred.step(cond(0x3), true);
+    EXPECT_FALSE(pred.step(cond(0xffff'ffff'ffff'fffcull), true));
+    EXPECT_EQ(pred.branchesTracked(), 2u);
 }
 
 TEST(IfPas, ResetClearsState)
 {
     IfPas pred(8);
-    pred.update(cond(0x100), true);
+    pred.step(cond(0x100), true);
     pred.reset();
     EXPECT_EQ(pred.branchesTracked(), 0u);
 }

@@ -1,21 +1,27 @@
 /**
- * Corpus: the cross-TU half of planted_state_mutation.hpp — PlantedBare
- * has no state contract, so mutating a member in an out-of-line
- * prediction-path body fires state-mutation here, not in the header.
+ * Corpus: the cross-TU half of planted_state_mutation.hpp. Out-of-line
+ * step() bodies: PlantedBare has no state contract, so mutating any
+ * member fires state-mutation here, not in the header; PlantedStepConfig
+ * is contracted, and only its write to the config-listed mask_ fires.
  */
 
 namespace copra::predictor {
 
 bool
-PlantedBare::predict(const trace::BranchRecord &br)
+PlantedBare::step(const trace::BranchRecord &br, bool taken)
 {
-    return hits_ > 0;
+    bool prediction = hits_ > 0;
+    ++hits_;                                     // expect: state-mutation
+    return prediction;
 }
 
-void
-PlantedBare::update(const trace::BranchRecord &br, bool taken)
+bool
+PlantedStepConfig::step(const trace::BranchRecord &br, bool taken)
 {
-    ++hits_;                                     // expect: state-mutation
+    bool prediction = counter_ > 0;
+    counter_ += taken ? 1 : -1;
+    mask_ = (mask_ << 1) | 1;                    // expect: state-mutation
+    return prediction;
 }
 
 } // namespace copra::predictor

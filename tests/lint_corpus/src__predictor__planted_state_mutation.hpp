@@ -3,11 +3,12 @@
 #include <cstdint>
 
 /**
- * Corpus: the mutation rule's two modes. PlantedBare has no state
- * contract at all (state-decl at the class; its cross-TU update body
- * in planted_state_mutation.cc fires state-mutation there).
- * PlantedConfigMut is contracted but mutates a config-listed member in
- * a prediction-path method.
+ * Corpus: the mutation rule's two modes, on step(), the prediction
+ * entry point. PlantedBare has no state contract at all (state-decl at
+ * the class; its cross-TU step body in planted_state_mutation.cc fires
+ * state-mutation there). PlantedConfigMut and PlantedStepConfig are
+ * contracted but mutate a config-listed member in step(): in the
+ * header and out of line in planted_state_mutation.cc.
  */
 
 namespace copra::predictor {
@@ -15,8 +16,7 @@ namespace copra::predictor {
 class PlantedBare : public Predictor             // expect: state-decl
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-    void update(const trace::BranchRecord &br, bool taken) override;
+    bool step(const trace::BranchRecord &br, bool taken) override;
     void reset() override;
 
   private:
@@ -26,12 +26,11 @@ class PlantedBare : public Predictor             // expect: state-decl
 class PlantedConfigMut : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-
-    void
-    update(const trace::BranchRecord &br, bool taken)
+    bool
+    step(const trace::BranchRecord &br, bool taken) override
     {
         width_ += 1;                             // expect: state-mutation
+        return table_ > 0;
     }
 
     void reset() override;
@@ -44,6 +43,22 @@ class PlantedConfigMut : public Predictor
   private:
     int width_ = 0;
     int table_ = 0;
+};
+
+class PlantedStepConfig : public Predictor
+{
+  public:
+    bool step(const trace::BranchRecord &br, bool taken) override;
+    void reset() override;
+
+    uint64_t stateBits() const override;
+
+    COPRA_CONFIG_FIELDS(mask_);
+    COPRA_STATE_FIELDS(counter_);
+
+  private:
+    uint64_t mask_ = 0;
+    int counter_ = 0;
 };
 
 } // namespace copra::predictor

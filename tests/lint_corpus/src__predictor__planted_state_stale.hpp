@@ -14,8 +14,7 @@ namespace copra::predictor {
 class PlantedStale : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-    void update(const trace::BranchRecord &br, bool taken) override;
+    bool step(const trace::BranchRecord &br, bool taken) override;
     void reset() override;
 
     uint64_t stateBits() const override;
@@ -29,8 +28,7 @@ class PlantedStale : public Predictor
 class PlantedHalf : public Predictor             // expect: state-decl
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-    void update(const trace::BranchRecord &br, bool taken) override;
+    bool step(const trace::BranchRecord &br, bool taken) override;
     void reset() override;
 
     COPRA_STATE_FIELDS(table_);

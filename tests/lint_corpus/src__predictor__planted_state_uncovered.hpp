@@ -13,8 +13,7 @@ namespace copra::predictor {
 class PlantedUncovered : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-    void update(const trace::BranchRecord &br, bool taken) override;
+    bool step(const trace::BranchRecord &br, bool taken) override;
     void reset() override;
 
     uint64_t stateBits() const override;

@@ -5,7 +5,7 @@
 /**
  * Corpus: every state rule in suppressed form. A scratch member kept
  * out of the lists, a list entry for a member that migrated away, and
- * a deliberate config write in update() — each justified with an
+ * a deliberate config write in step() — each justified with an
  * allow() on its line.
  */
 
@@ -14,12 +14,11 @@ namespace copra::predictor {
 class SuppressedState : public Predictor
 {
   public:
-    bool predict(const trace::BranchRecord &br) override;
-
-    void
-    update(const trace::BranchRecord &br, bool taken)
+    bool
+    step(const trace::BranchRecord &br, bool taken) override
     {
         width_ += 1; // copra-lint: allow(state-mutation) -- corpus: adaptive geometry experiment
+        return table_ > 0;
     }
 
     void reset() override;

@@ -43,20 +43,20 @@ TEST(Perceptron, WeightsStayInsideRails)
     // A fully biased branch drives every consulted weight toward the
     // positive rail; training must clamp there, never wrap.
     for (int i = 0; i < 2000; ++i)
-        pred.update(cond(0x100, true), true);
+        pred.step(cond(0x100, true), true);
     EXPECT_LE(pred.maxAbsWeight(), 8);
-    EXPECT_TRUE(pred.predict(cond(0x100, true)));
+    EXPECT_TRUE(pred.step(cond(0x100, true), true));
 
     // Anti-saturation: reversing the outcome walks the weights off the
     // rail instead of wrapping to the opposite extreme. After a handful
-    // of flipped updates the prediction must not yet have moved (a wrap
+    // of flipped steps the prediction must not yet have moved (a wrap
     // would flip it instantly), and after many it must follow.
     for (int i = 0; i < 3; ++i)
-        pred.update(cond(0x100, true), false);
-    EXPECT_TRUE(pred.predict(cond(0x100, true)));
+        pred.step(cond(0x100, true), false);
+    EXPECT_TRUE(pred.step(cond(0x100, true), false));
     for (int i = 0; i < 2000; ++i)
-        pred.update(cond(0x100, true), false);
-    EXPECT_FALSE(pred.predict(cond(0x100, true)));
+        pred.step(cond(0x100, true), false);
+    EXPECT_FALSE(pred.step(cond(0x100, true), false));
     EXPECT_LE(pred.maxAbsWeight(), 8);
 }
 
@@ -114,7 +114,7 @@ TEST(Tage, UsefulCountersBoundedAndAgedOnSchedule)
     for (int i = 0; i < 20000; ++i) {
         uint64_t pc = 0x400 + 4 * (rng.next() % 64);
         bool taken = (pc >> 2) % 3 != 0;
-        pred.update(cond(pc, taken), taken);
+        pred.step(cond(pc, taken), taken);
         ++updates;
         ASSERT_LE(pred.maxUseful(), useful_cap);
         ASSERT_EQ(pred.stats().agingEvents, updates / config.agingPeriod);
@@ -304,7 +304,7 @@ TEST(ModernRoster, ResetRestoresInitialPredictions)
         PredictorPtr fresh = makePredictor(spec);
         for (int i = 0; i < 32; ++i) {
             trace::BranchRecord br = cond(0x100 + 4 * i, true);
-            EXPECT_EQ(pred->predict(br), fresh->predict(br)) << spec;
+            EXPECT_EQ(pred->step(br, true), fresh->step(br, true)) << spec;
         }
     }
 }

@@ -134,7 +134,7 @@ TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)
 {
     trace::Trace trace = testTrace();
 
-    // Scalar reference: the classic two-virtual-calls-per-branch loop.
+    // Scalar reference: one virtual step() call per branch.
     predictor::TwoLevel scalar(predictor::TwoLevelConfig::gshare(12));
     std::map<uint64_t, BranchTally> scalar_tallies;
     uint64_t scalar_correct = 0;
@@ -144,9 +144,7 @@ TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)
             scalar.observe(rec);
             continue;
         }
-        bool prediction = scalar.predict(rec);
-        scalar.update(rec, rec.taken);
-        bool correct = prediction == rec.taken;
+        bool correct = scalar.step(rec, rec.taken) == rec.taken;
         ++scalar_dynamic;
         scalar_correct += correct ? 1 : 0;
         BranchTally &tally = scalar_tallies[rec.pc];

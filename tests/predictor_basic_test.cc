@@ -28,20 +28,18 @@ TEST(StaticPredictors, AlwaysTakenAndNotTaken)
 {
     AlwaysTaken t;
     AlwaysNotTaken n;
-    EXPECT_TRUE(t.predict(cond(0x100)));
-    EXPECT_FALSE(n.predict(cond(0x100)));
-    // Updates have no effect.
-    t.update(cond(0x100), false);
-    n.update(cond(0x100), true);
-    EXPECT_TRUE(t.predict(cond(0x100)));
-    EXPECT_FALSE(n.predict(cond(0x100)));
+    // Training has no effect.
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_TRUE(t.step(cond(0x100), false));
+        EXPECT_FALSE(n.step(cond(0x100), true));
+    }
 }
 
 TEST(StaticPredictors, BtfntFollowsDirection)
 {
     Btfnt b;
-    EXPECT_TRUE(b.predict(cond(0x200, true, 0x100)));  // backward
-    EXPECT_FALSE(b.predict(cond(0x100, true, 0x200))); // forward
+    EXPECT_TRUE(b.step(cond(0x200, true, 0x100), false)); // backward
+    EXPECT_FALSE(b.step(cond(0x100, true, 0x200), true)); // forward
 }
 
 TEST(Bimodal, LearnsABiasedBranch)
@@ -56,9 +54,9 @@ TEST(Bimodal, HysteresisSurvivesSingleAnomaly)
 {
     Bimodal pred(8);
     for (int i = 0; i < 4; ++i)
-        pred.update(cond(0x100), true);
-    pred.update(cond(0x100), false); // one not-taken
-    EXPECT_TRUE(pred.predict(cond(0x100))); // still predicts taken
+        pred.step(cond(0x100), true);
+    pred.step(cond(0x100), false); // one not-taken
+    EXPECT_TRUE(pred.step(cond(0x100), true)); // still predicts taken
 }
 
 TEST(Bimodal, AliasingIsReal)
@@ -68,20 +66,20 @@ TEST(Bimodal, AliasingIsReal)
     uint64_t pc_a = 0x100;
     uint64_t pc_b = 0x100 + (1u << 4) * 4; // same index after >> 2
     for (int i = 0; i < 4; ++i)
-        pred.update(cond(pc_a), true);
-    EXPECT_TRUE(pred.predict(cond(pc_b)));
+        pred.step(cond(pc_a), true);
+    EXPECT_TRUE(pred.step(cond(pc_b), false)); // 3 -> 2
     for (int i = 0; i < 4; ++i)
-        pred.update(cond(pc_b), false);
-    EXPECT_FALSE(pred.predict(cond(pc_a)));
+        pred.step(cond(pc_b), false);
+    EXPECT_FALSE(pred.step(cond(pc_a), false));
 }
 
 TEST(Bimodal, ResetForgets)
 {
     Bimodal pred(8);
     for (int i = 0; i < 4; ++i)
-        pred.update(cond(0x100), true);
+        pred.step(cond(0x100), true);
     pred.reset();
-    EXPECT_FALSE(pred.predict(cond(0x100))); // back to weakly-not-taken
+    EXPECT_FALSE(pred.step(cond(0x100), true)); // back to weakly-not-taken
 }
 
 TEST(Bimodal, TableSizeMatchesBits)
@@ -107,10 +105,10 @@ TEST(IdealStatic, PredictsMajorityDirection)
 
     IdealStatic pred = IdealStatic::fromTrace(t);
     EXPECT_EQ(pred.branches(), 2u);
-    EXPECT_TRUE(pred.predict(cond(0x100, true)));
-    EXPECT_FALSE(pred.predict(cond(0x200, true)));
+    EXPECT_TRUE(pred.step(cond(0x100, true), true));
+    EXPECT_FALSE(pred.step(cond(0x200, true), true));
     // Unprofiled branches default to taken.
-    EXPECT_TRUE(pred.predict(cond(0x999, true)));
+    EXPECT_TRUE(pred.step(cond(0x999, true), true));
 }
 
 TEST(IdealStatic, AccuracyEqualsPerBranchMajority)
@@ -128,7 +126,7 @@ TEST(IdealStatic, TieGoesToTaken)
     t.append(cond(0x100, true));
     t.append(cond(0x100, false));
     IdealStatic pred = IdealStatic::fromTrace(t);
-    EXPECT_TRUE(pred.predict(cond(0x100, false)));
+    EXPECT_TRUE(pred.step(cond(0x100, false), false));
 }
 
 class FactoryNames : public ::testing::TestWithParam<std::string>

@@ -4,7 +4,7 @@
  * static_asserts in predictor/contracts.hpp prove the roster's shape;
  * these tests prove the behavioural half on live instances — every
  * factory spec constructs, names itself, resets, and keeps the batch
- * entry point equivalent to the scalar predict/update loop.
+ * entry point equivalent to the scalar step() loop.
  */
 
 #include <gtest/gtest.h>
@@ -75,8 +75,7 @@ TEST(PredictorContracts, BatchEntryPointMatchesScalarLoop)
             copra::trace::BranchRecord rec{
                 pc[i], target[i], copra::trace::BranchKind::Conditional,
                 taken[i] != 0};
-            bool correct = scalar->predict(rec) == rec.taken;
-            scalar->update(rec, rec.taken);
+            bool correct = scalar->step(rec, rec.taken) == rec.taken;
             scalar_total += correct ? 1 : 0;
             ASSERT_EQ(batch_correct[i], correct ? 1 : 0)
                 << spec << " conditional " << i;

@@ -52,12 +52,11 @@ TEST(SelectiveTable, PatternIsRadixThree)
 TEST(SelectiveTable, TrainsPerPattern)
 {
     SelectiveTable table(1);
-    EXPECT_FALSE(table.predict(0)); // weakly not taken initially
-    table.update(0, true);
-    EXPECT_TRUE(table.predict(0));
+    EXPECT_FALSE(table.step(0, true)); // weakly not taken initially
+    EXPECT_TRUE(table.step(0, true));
     // Other patterns unaffected.
-    EXPECT_FALSE(table.predict(1));
-    EXPECT_FALSE(table.predict(2));
+    EXPECT_FALSE(table.step(1, false));
+    EXPECT_FALSE(table.step(2, false));
 }
 
 TEST(SelectiveTableDeath, ArityAndPatternBounds)
@@ -65,7 +64,7 @@ TEST(SelectiveTableDeath, ArityAndPatternBounds)
     EXPECT_DEATH(SelectiveTable(0), "arity");
     EXPECT_DEATH(SelectiveTable(9), "arity");
     SelectiveTable table(1);
-    EXPECT_DEATH(table.predict(3), "out of range");
+    EXPECT_DEATH(table.step(3, true), "out of range");
 }
 
 TEST(SelectivePredictor, ExploitsPerfectCorrelation)
@@ -176,12 +175,12 @@ TEST(SelectivePredictor, ResetForgets)
     BranchRecord y{0x100, 0x180, BranchKind::Conditional, true};
     BranchRecord x{0x200, 0x280, BranchKind::Conditional, true};
     for (int i = 0; i < 10; ++i) {
-        pred.update(y, true);
-        pred.update(x, true);
+        pred.step(y, true);
+        pred.step(x, true);
     }
-    EXPECT_TRUE(pred.predict(x));
+    EXPECT_TRUE(pred.step(x, true));
     pred.reset();
-    EXPECT_FALSE(pred.predict(x));
+    EXPECT_FALSE(pred.step(x, true));
 }
 
 TEST(SelectivePredictor, NameMentionsDepth)

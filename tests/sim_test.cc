@@ -25,26 +25,20 @@ class Probe : public predictor::Predictor
 {
   public:
     bool
-    predict(const BranchRecord &) noexcept override
+    step(const BranchRecord &, bool taken) noexcept override
     {
-        ++predicts;
+        ++steps;
+        if (taken)
+            ++taken_steps;
         return true;
     }
-    void
-    update(const BranchRecord &, bool taken) noexcept override
-    {
-        ++updates;
-        if (taken)
-            ++taken_updates;
-    }
     void observe(const BranchRecord &) noexcept override { ++observes; }
-    void reset() override { predicts = updates = observes = 0; }
+    void reset() override { steps = observes = 0; }
     std::string name() const override { return "probe"; }
 
-    int predicts = 0;
-    int updates = 0;
+    int steps = 0;
     int observes = 0;
-    int taken_updates = 0;
+    int taken_steps = 0;
 };
 
 trace::Trace
@@ -64,8 +58,8 @@ TEST(Driver, PredictsOnlyConditionals)
 {
     Probe probe;
     auto result = run(mixedTrace(), probe);
-    EXPECT_EQ(probe.predicts, 3);
-    EXPECT_EQ(probe.updates, 3);
+    EXPECT_EQ(probe.steps, 3);
+    EXPECT_EQ(probe.taken_steps, 2);
     EXPECT_EQ(probe.observes, 3);
     EXPECT_EQ(result.dynamicBranches, 3u);
 }

@@ -48,12 +48,12 @@ TEST(TwoLevelConfig, FactoriesSetGeometry)
 TEST(TwoLevel, XorIndexMatchesDefinition)
 {
     TwoLevel pred(TwoLevelConfig::gshare(8));
-    // Drive history to a known value through updates of one branch.
+    // Drive history to a known value through steps of one branch.
     // History after T,N,T,T = 0b1011.
-    pred.update(cond(0x0, true), true);
-    pred.update(cond(0x0, true), false);
-    pred.update(cond(0x0, true), true);
-    pred.update(cond(0x0, true), true);
+    pred.step(cond(0x0, true), true);
+    pred.step(cond(0x0, true), false);
+    pred.step(cond(0x0, true), true);
+    pred.step(cond(0x0, true), true);
     uint64_t pc = 0x40; // pc >> 2 = 0x10
     EXPECT_EQ(pred.phtIndex(pc), (0b1011u ^ 0x10u) & 0xFFu);
 }
@@ -61,7 +61,7 @@ TEST(TwoLevel, XorIndexMatchesDefinition)
 TEST(TwoLevel, HistoryOnlyIndexIgnoresPc)
 {
     TwoLevel pred(TwoLevelConfig::gag(6));
-    pred.update(cond(0x0), true);
+    pred.step(cond(0x0), true);
     EXPECT_EQ(pred.phtIndex(0x100), pred.phtIndex(0x2000));
     EXPECT_EQ(pred.phtIndex(0x100), 0b1u);
 }
@@ -70,7 +70,7 @@ TEST(TwoLevel, ConcatIndexSelectsPerAddressSet)
 {
     // GAs with 4-bit history, 2 pc-select bits.
     TwoLevel pred(TwoLevelConfig::gas(4, 2));
-    pred.update(cond(0x0), true); // history = 0b0001
+    pred.step(cond(0x0), true); // history = 0b0001
     // pc >> 2 low 2 bits select the PHT.
     EXPECT_EQ(pred.phtIndex(0x0), 0b000001u);
     EXPECT_EQ(pred.phtIndex(0x4), 0b010001u);
@@ -81,7 +81,7 @@ TEST(TwoLevel, GlobalHistoryIsSharedAcrossBranches)
 {
     TwoLevel pred(TwoLevelConfig::gshare(8));
     size_t before = pred.phtIndex(0x100);
-    pred.update(cond(0x999), true); // another branch shifts the history
+    pred.step(cond(0x999), true); // another branch shifts the history
     EXPECT_NE(pred.phtIndex(0x100), before);
 }
 
@@ -89,11 +89,11 @@ TEST(TwoLevel, PerAddressHistoriesAreIsolated)
 {
     TwoLevel pred(TwoLevelConfig::pas(8, 6, 2));
     size_t before = pred.phtIndex(0x100);
-    // Updating a branch with a different BHT slot leaves 0x100 alone.
-    pred.update(cond(0x104), true);
+    // Stepping a branch with a different BHT slot leaves 0x100 alone.
+    pred.step(cond(0x104), true);
     EXPECT_EQ(pred.phtIndex(0x100), before);
-    // Updating 0x100 itself moves it.
-    pred.update(cond(0x100), true);
+    // Stepping 0x100 itself moves it.
+    pred.step(cond(0x100), true);
     EXPECT_NE(pred.phtIndex(0x100), before);
 }
 
@@ -158,9 +158,9 @@ TEST(TwoLevel, ResetRestoresColdState)
     TwoLevel pred(TwoLevelConfig::gshare(10));
     auto trace = workload::biasedTrace(0x100, 1.0, 100, 1);
     sim::run(trace, pred);
-    EXPECT_TRUE(pred.predict(cond(0x100)));
+    EXPECT_TRUE(pred.step(cond(0x100), true));
     pred.reset();
-    EXPECT_FALSE(pred.predict(cond(0x100)));
+    EXPECT_FALSE(pred.step(cond(0x100), true));
 }
 
 class HistoryLengthSweep : public ::testing::TestWithParam<unsigned>
@@ -193,11 +193,11 @@ TEST(TwoLevelCounters, OneBitHasNoHysteresisTwoBitDoes)
         config.counterBits = bits;
         TwoLevel pred(config);
         for (int i = 0; i < 4; ++i)
-            pred.update(cond(0x100, true), true);
-        pred.update(cond(0x100, true), false); // one deviation at ctx 11
-        pred.update(cond(0x100, true), true);  // ctx 10
-        pred.update(cond(0x100, true), true);  // ctx 01 -> history 11
-        return pred.predict(cond(0x100, true)); // back at ctx 11
+            pred.step(cond(0x100, true), true);
+        pred.step(cond(0x100, true), false); // one deviation at ctx 11
+        pred.step(cond(0x100, true), true);  // ctx 10
+        pred.step(cond(0x100, true), true);  // ctx 01 -> history 11
+        return pred.step(cond(0x100, true), true); // back at ctx 11
     };
     EXPECT_FALSE(run_sequence(1));
     EXPECT_TRUE(run_sequence(2));

@@ -119,7 +119,7 @@ const std::set<std::string> kKeywords = {
     "const_cast", "dynamic_cast", "static_assert", "alignas", "typeid",
     "case", "catch", "new", "delete", "co_await", "co_yield",
     "co_return", "requires", "throw", "assert", "else", "do", "try",
-    "template", "typename", "operator", "goto",
+    "template", "typename", "operator", "goto", "constexpr",
 };
 
 /** Builtin value types: `uint64_t(x)` is a cast, not a call. */
@@ -358,6 +358,11 @@ scanBody(const CallGraph &cg, const Resolver &rsv, const SemaModel &model,
         bool member = prev &&
             (*prev == "." || (*prev == ">" && prev2 && *prev2 == "-"));
         bool qualified = prev && *prev == "::" && prev2;
+        // `obj.P::m(...)`, P a template parameter: a member call by name.
+        if (qualified && !model.classes.count(*prev2) && j > 3 &&
+            (toks[j - 3].text == "." ||
+             (toks[j - 3].text == ">" && toks[j - 4].text == "-")))
+            member = true;
 
         if (member) {
             if (inSet(kBenignCalls, t) || lambdaNames.count(t))

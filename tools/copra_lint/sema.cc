@@ -19,7 +19,7 @@
  *  - state-coverage: every parsed member field must appear in exactly
  *    one of the three lists — an unlisted field is exactly the hidden
  *    state the snapshot gates exist to catch.
- *  - state-mutation: prediction-path bodies (predict, update, observe,
+ *  - state-mutation: prediction-path bodies (step, observe,
  *    predictUpdateSoa) may not mutate config-listed
  *    members; classes without the contract may not mutate any member
  *    there at all.
@@ -392,8 +392,7 @@ findMutations(const std::vector<Token> &toks, size_t begin, size_t end,
 bool
 isPredictPathMethod(const std::string &m)
 {
-    return m == "predict" || m == "update" || m == "observe" ||
-        m == "predictUpdateSoa";
+    return m == "step" || m == "observe" || m == "predictUpdateSoa";
 }
 
 } // namespace
