@@ -58,16 +58,12 @@ main(int argc, char **argv)
     copra::predictor::Tournament tournament(
         copra::predictor::TournamentConfig{});
 
-    // 3. Run them all over the trace, one pass per predictor, sharded
-    //    across the thread pool.
-    std::vector<copra::predictor::Predictor *> preds = {
-        &bimodal, &gshare, &pas, &tournament,
-    };
-    auto results = copra::sim::runAllParallel(trace, preds);
-
-    // 4. Report.
+    // 3. Run each over the trace and report.
     copra::Table table({"predictor", "accuracy %", "mispredict %"});
-    for (const auto &res : results) {
+    copra::predictor::Predictor *preds[] = {&bimodal, &gshare, &pas,
+                                            &tournament};
+    for (copra::predictor::Predictor *pred : preds) {
+        copra::sim::RunResult res = copra::sim::run(trace, *pred);
         table.row()
             .cell(res.predictorName)
             .cell(res.accuracyPercent(), 2)

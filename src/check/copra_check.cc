@@ -203,7 +203,6 @@ main(int argc, char **argv)
     std::string repro_dir;
     bool list_pairs = false;
     bool no_minimize = false;
-    bool no_parallel = false;
     uint64_t traces = options.traces;
     uint64_t branches = options.conditionals;
     uint64_t seed_base = options.seedBase;
@@ -225,8 +224,6 @@ main(int argc, char **argv)
     parser.addFlag("list-pairs", &list_pairs, "list pair names and exit");
     parser.addFlag("no-minimize", &no_minimize,
                    "report raw failing traces without shrinking");
-    parser.addFlag("no-parallel", &no_parallel,
-                   "skip the sim::runAllParallel comparison path");
     bool state_gates = false;
     parser.addFlag("state-gates", &state_gates,
                    "run the snapshot/restore state gates over the whole "
@@ -264,7 +261,6 @@ main(int argc, char **argv)
     options.conditionals = branches;
     options.seedBase = seed_base;
     options.minimize = !no_minimize;
-    options.checkParallel = !no_parallel;
 
     if (list_pairs) {
         for (const check::CheckPair &pair : check::defaultCheckPairs())
@@ -355,10 +351,8 @@ main(int argc, char **argv)
             dumpReproducer(repro_dir, failure);
     }
 
-    // The differential suite runs sim::runAllParallel on the global
-    // pool unless --no-parallel.
     obs::finishRun(obs::runInfo("copra_check", argc, argv,
-                                options.seedBase, options.checkParallel),
+                                options.seedBase, false),
                    metrics_out, metrics_summary);
     return report.ok() ? 0 : 1;
 }

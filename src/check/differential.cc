@@ -166,7 +166,7 @@ aggregateMismatch(const std::string &pair, const std::string &path,
 } // namespace
 
 DiffResult
-diffPair(const Trace &trace, const CheckPair &pair, bool check_parallel)
+diffPair(const Trace &trace, const CheckPair &pair)
 {
     DiffResult result;
 
@@ -190,22 +190,6 @@ diffPair(const Trace &trace, const CheckPair &pair, bool check_parallel)
                       result.mismatches);
     aggregateMismatch(pair.name, "run", trace.conditionalCount(),
                       run.dynamicBranches, result.mismatches);
-
-    if (check_parallel) {
-        // Several fresh instances sharded across the pool must all land
-        // on the reference count (and on each other).
-        PredictorPtr p1 = pair.optimized();
-        PredictorPtr p2 = pair.optimized();
-        PredictorPtr pr = pair.reference();
-        std::vector<predictor::Predictor *> preds{p1.get(), p2.get(),
-                                                  pr.get()};
-        std::vector<sim::RunResult> results =
-            sim::runAllParallel(trace, preds);
-        for (const sim::RunResult &r : results) {
-            aggregateMismatch(pair.name, "parallel", want_correct,
-                              r.correct, result.mismatches);
-        }
-    }
     return result;
 }
 
@@ -472,7 +456,7 @@ runCampaign(const SuiteOptions &options,
         for (const TraceDiff &diff_of : diffs) {
             ++report.comparisons;
             obs::count(obs::ids().checkDiffComparisons);
-            DiffResult diff = diff_of(trace, true);
+            DiffResult diff = diff_of(trace);
             if (diff.ok())
                 continue;
             obs::count(obs::ids().checkDiffMismatches,
@@ -486,7 +470,7 @@ runCampaign(const SuiteOptions &options,
             failure.reproducer = failure.shrunk
                 ? minimizeTrace(trace,
                                 [&diff_of](const Trace &candidate) {
-                                    return !diff_of(candidate, false).ok();
+                                    return !diff_of(candidate).ok();
                                 })
                 : trace;
             report.failures.push_back(std::move(failure));
@@ -501,11 +485,8 @@ runCheckSuite(const SuiteOptions &options,
 {
     std::vector<TraceDiff> diffs;
     for (const CheckPair &pair : pairs) {
-        // Shrink against the serial paths only (scalar, soa, run); the
-        // parallel path adds nothing to localization.
-        diffs.push_back([&pair, &options](const Trace &trace, bool full) {
-            return diffPair(trace, pair, full && options.checkParallel);
-        });
+        diffs.push_back(
+            [&pair](const Trace &trace) { return diffPair(trace, pair); });
     }
     return runCampaign(
         options,
@@ -574,7 +555,7 @@ batchRecord(const predictor::SoaBatch &batch, size_t i)
 /**
  * gshare whose SoA batch path predicts each branch *before* applying
  * the previous branch's training — step() is untouched, so only the
- * soa/run/parallel comparisons can catch it.
+ * soa and run comparisons can catch it.
  */
 class SoaStaleHistoryGshare : public RefTwoLevel
 {

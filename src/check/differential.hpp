@@ -3,9 +3,11 @@
  * The differential runner: replays a trace through an optimized
  * predictor along every execution path the simulator offers — the
  * scalar step() sequence, the column batch path (predictUpdateSoa,
- * what sim::run actually feeds), sim::run(), and
- * sim::runAllParallel() — and diffs each against a clarity-first
- * reference model (check/ref_models.hpp) on a per-branch basis.
+ * what sim::run actually feeds) and sim::run() itself — and diffs each
+ * against a clarity-first reference model (check/ref_models.hpp) on a
+ * per-branch basis. Each path replays a fresh instance built after the
+ * previous one ran, so state shared across instances shows as a
+ * mismatch too.
  *
  * A mismatch is localized to the first diverging conditional branch,
  * and the offending trace is shrunk by a delta-debugging minimizer to a
@@ -55,7 +57,9 @@ std::vector<CheckPair> defaultCheckPairs();
 struct Mismatch
 {
     std::string pair;   //!< CheckPair name
-    std::string path;   //!< "scalar", "soa", "run" or "parallel"
+    std::string path;   //!< "scalar", "soa" or "run"; the oracle
+                        //!< differentials use "mine", "record"
+                        //!< and "select"
     size_t index = 0;   //!< conditional-branch index (or ~0 = aggregate)
     uint64_t pc = 0;    //!< pc of the diverging branch
     bool expected = false; //!< reference prediction
@@ -93,11 +97,9 @@ std::vector<uint8_t> soaPredictions(const trace::Trace &trace,
 
 /**
  * Replay @p trace through every path of @p pair and diff against the
- * reference. @p check_parallel additionally runs sim::runAllParallel
- * over several fresh instances (slower; the suite enables it).
+ * reference.
  */
-DiffResult diffPair(const trace::Trace &trace, const CheckPair &pair,
-                    bool check_parallel = true);
+DiffResult diffPair(const trace::Trace &trace, const CheckPair &pair);
 
 /**
  * Delta-debugging trace shrinker: repeatedly deletes record chunks
@@ -117,7 +119,6 @@ struct SuiteOptions
     uint64_t traces = 100;       //!< fuzzed traces to replay
     uint64_t conditionals = 2000; //!< conditional branches per trace
     bool minimize = true;        //!< shrink each pair's first failure
-    bool checkParallel = true;   //!< include the runAllParallel path
 };
 
 /**
@@ -144,12 +145,10 @@ struct SuiteReport
 };
 
 /**
- * A campaign's check of one trace: the full check, or with @p full
- * false the cheaper one the shrinker replays. Mismatches name their
- * pair.
+ * A campaign's check of one trace; the shrinker replays the same
+ * check. Mismatches name their pair.
  */
-using TraceDiff =
-    std::function<DiffResult(const trace::Trace &, bool full)>;
+using TraceDiff = std::function<DiffResult(const trace::Trace &)>;
 
 /**
  * Run every diff of @p diffs over trace_of(seed) for the seed range of

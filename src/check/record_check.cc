@@ -530,24 +530,22 @@ diffSelect(const Trace &trace, const OracleConfig &config,
 SuiteReport
 runOracleSuite(const SuiteOptions &options, const OraclePhases &phases)
 {
-    // One diff per (phase, config); each is as cheap as it gets, so
-    // the shrinker replays the full check.
     std::vector<TraceDiff> diffs;
     if (phases.mine) {
         for (const OracleConfig &config : mineCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace, bool) {
+            diffs.push_back([config, &phases](const Trace &trace) {
                 return diffMine(trace, config, phases.mine);
             });
     }
     if (phases.record) {
         for (const OracleConfig &config : recordCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace, bool) {
+            diffs.push_back([config, &phases](const Trace &trace) {
                 return diffRecord(trace, config, phases.record);
             });
     }
     if (phases.select) {
         for (const OracleConfig &config : recordCheckConfigs())
-            diffs.push_back([config, &phases](const Trace &trace, bool) {
+            diffs.push_back([config, &phases](const Trace &trace) {
                 return diffSelect(trace, config, phases.select);
             });
     }

@@ -12,8 +12,8 @@
  * prediction that peeks at the outcome diverges. The differential
  * runner (check/differential.hpp) replays the same trace through the
  * optimized predictor and its reference and diffs the per-branch
- * prediction streams, so any divergence in the optimized scalar, SoA
- * batch, or parallel paths is caught mechanically.
+ * prediction streams, so any divergence in the optimized scalar or
+ * SoA batch paths is caught mechanically.
  *
  * The semantics replicated here are the *documented* semantics of the
  * optimized models (weakly-not-taken counter init, pc >> 2 word

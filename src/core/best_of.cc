@@ -6,11 +6,11 @@ namespace copra::core {
 
 BestOfSplit
 bestOfSplit(const sim::Ledger &a, const sim::Ledger &b,
-            const sim::Ledger &ideal_static, double bias_threshold)
+            const sim::Ledger &static_ledger, double bias_threshold)
 {
     const char *mismatch = "bestOfSplit: ledgers cover different traces";
     requireAligned(a.table(), b.table(), mismatch);
-    requireAligned(a.table(), ideal_static.table(), mismatch);
+    requireAligned(a.table(), static_ledger.table(), mismatch);
 
     uint64_t total = 0;
     uint64_t execs_a = 0;
@@ -21,7 +21,7 @@ bestOfSplit(const sim::Ledger &a, const sim::Ledger &b,
     for (size_t i = 0; i < a.table().size(); ++i) {
         const sim::BranchTally &ta = a.table()[i].second;
         const sim::BranchTally &tb = b.table()[i].second;
-        const sim::BranchTally &ts = ideal_static.table()[i].second;
+        const sim::BranchTally &ts = static_ledger.table()[i].second;
         total += ta.execs;
 
         uint64_t best_dynamic = std::max(ta.correct, tb.correct);

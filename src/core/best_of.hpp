@@ -42,11 +42,11 @@ struct BestOfSplit
  *
  * @param a First dynamic predictor's ledger (e.g. gshare).
  * @param b Second dynamic predictor's ledger (e.g. PAs).
- * @param ideal_static The ideal static predictor's ledger.
+ * @param static_ledger The ideal static ledger (idealStaticLedger()).
  * @param bias_threshold Bias level for staticBiasedFraction.
  */
 BestOfSplit bestOfSplit(const sim::Ledger &a, const sim::Ledger &b,
-                        const sim::Ledger &ideal_static,
+                        const sim::Ledger &static_ledger,
                         double bias_threshold = 0.99);
 
 /**

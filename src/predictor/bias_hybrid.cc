@@ -1,5 +1,6 @@
 #include "predictor/bias_hybrid.hpp"
 
+#include "trace/trace_stats.hpp"
 #include "util/logging.hpp"
 
 namespace copra::predictor {
@@ -17,30 +18,15 @@ std::unordered_map<uint64_t, BiasProfile>
 BiasClassifyingHybrid::profileTrace(const trace::Trace &trace,
                                     double threshold)
 {
-    struct Counts
-    {
-        uint64_t taken = 0;
-        uint64_t total = 0;
-    };
-    std::unordered_map<uint64_t, Counts> counts;
-    for (const auto &rec : trace.records()) {
-        if (!rec.isConditional())
-            continue;
-        auto &c = counts[rec.pc];
-        ++c.total;
-        if (rec.taken)
-            ++c.taken;
-    }
+    const trace::TraceStats stats(trace);
     std::unordered_map<uint64_t, BiasProfile> profile;
-    profile.reserve(counts.size());
-    // copra-lint: allow(unordered-iter) -- per-key transform into a keyed container; no cross-key order dependence
-    for (const auto &[pc, c] : counts) {
+    profile.reserve(stats.staticBranches());
+    for (const auto &[pc, branch] : stats.perBranch()) {
         BiasProfile entry;
-        entry.majority = 2 * c.taken >= c.total;
-        uint64_t majority_count =
-            entry.majority ? c.taken : c.total - c.taken;
-        entry.strongly = static_cast<double>(majority_count) >=
-            threshold * static_cast<double>(c.total);
+        entry.majority = 2 * branch.taken >= branch.execs;
+        entry.strongly =
+            static_cast<double>(branch.idealStaticCorrect()) >=
+            threshold * static_cast<double>(branch.execs);
         profile.emplace(pc, entry);
     }
     return profile;

@@ -25,7 +25,6 @@
 #include "predictor/bias_hybrid.hpp"
 #include "predictor/bimodal.hpp"
 #include "predictor/block_pattern.hpp"
-#include "predictor/ideal_static.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "predictor/perceptron.hpp"
@@ -137,7 +136,7 @@ inline constexpr bool kRosterValidated = validateRoster<
     IfPas, LoopPredictor, BlockPatternPredictor, Tage, Perceptron,
     Tournament,
     // analysis-side predictors constructed outside the factory:
-    BiasClassifyingHybrid, IdealStatic, StaticPhtTwoLevel>;
+    BiasClassifyingHybrid, StaticPhtTwoLevel>;
 
 static_assert(kRosterValidated,
               "copra predictor contract: roster validation failed");

@@ -2,7 +2,8 @@
  * @file
  * Static (non-adaptive) predictors: always-taken, always-not-taken, and
  * backward-taken/forward-not-taken. The profile-based "ideal static"
- * predictor lives in predictor/ideal_static.hpp.
+ * predictor needs no predictor object: core::idealStaticLedger derives
+ * its per-branch counts from any ledger of the trace.
  */
 
 #pragma once

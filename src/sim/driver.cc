@@ -6,9 +6,6 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "trace/trace_soa.hpp"
-#include "util/logging.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace copra::sim {
 
@@ -135,31 +132,6 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     obs::count(obs::ids().simRunMispredicts,
                result.dynamicBranches - result.correct);
     return result;
-}
-
-std::vector<RunResult>
-runAllParallel(const trace::Trace &trace,
-               const std::vector<predictor::Predictor *> &preds,
-               std::vector<Ledger> *ledgers, ThreadPool *pool)
-{
-    for (auto *p : preds)
-        panicIf(p == nullptr, "runAllParallel: null predictor");
-    if (ledgers) {
-        ledgers->clear();
-        ledgers->resize(preds.size());
-    }
-
-    // Each predictor owns its adaptive state and writes only its own
-    // result slot and ledger; the trace is shared read-only. Sharding by
-    // predictor index is therefore race-free, and because run() itself
-    // is deterministic the outcome is bit-identical to the serial path
-    // for every thread count.
-    std::vector<RunResult> results(preds.size());
-    parallelFor(pool ? *pool : globalPool(), preds.size(), [&](size_t i) {
-        results[i] = run(trace, *preds[i],
-                         ledgers ? &(*ledgers)[i] : nullptr);
-    });
-    return results;
 }
 
 } // namespace copra::sim

@@ -8,13 +8,14 @@
  * exist for path/backward bookkeeping in the analyses).
  *
  * Concurrency contract (DESIGN.md §10): the driver holds no shared
- * mutable state of its own — runAllParallel shards by predictor index,
- * each task owning its predictor, result slot, and ledger outright,
- * with the trace shared strictly read-only (its column store has no
- * lazily built state, so reading it takes no lock). There is deliberately
- * nothing here for a mutex to guard; the statically checked locking
- * discipline lives in the pool (util/thread_pool.hpp) and the bench
- * timing accumulator (bench_common.hpp) that feed this layer.
+ * mutable state of its own. A run() owns its predictor, result and
+ * ledger outright and reads the trace strictly read-only (its column
+ * store has no lazily built state, so reading it takes no lock), so
+ * callers may shard run() calls across a pool by predictor or by
+ * trace. There is deliberately nothing here for a mutex to guard; the
+ * statically checked locking discipline lives in the pool
+ * (util/thread_pool.hpp) and the bench timing accumulator
+ * (bench_common.hpp) that feed this layer.
  */
 
 #pragma once
@@ -29,7 +30,6 @@
 #include "trace/trace.hpp"
 #include "trace/trace_soa.hpp"
 #include "util/hot.hpp"
-#include "util/thread_pool.hpp"
 
 namespace copra::sim {
 
@@ -104,23 +104,6 @@ runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
  * @p soa (the correct_scratch length a ledger pass needs).
  */
 size_t maxSegmentCount(const trace::SoABlocks &soa);
-
-/**
- * Run several predictors over the same trace concurrently, sharding
- * predictors across a thread pool: one full trace pass per predictor.
- * Each pass is independent, so results and ledgers are bit-identical
- * to serial run() calls for every thread count — predictors own all
- * their adaptive state and there is no shared RNG.
- *
- * @param preds Predictors to drive (all receive every branch).
- * @param ledgers Optional ledger sink; resized to preds.size().
- * @param pool Pool to shard across (nullptr = the global pool).
- */
-std::vector<RunResult> runAllParallel(
-    const trace::Trace &trace,
-    const std::vector<predictor::Predictor *> &preds,
-    std::vector<Ledger> *ledgers = nullptr,
-    ThreadPool *pool = nullptr);
 
 } // namespace copra::sim
 

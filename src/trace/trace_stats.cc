@@ -1,7 +1,5 @@
 #include "trace/trace_stats.hpp"
 
-#include <algorithm>
-
 namespace copra::trace {
 
 TraceStats::TraceStats(const Trace &trace)
@@ -49,24 +47,6 @@ TraceStats::idealStaticCorrect() const
     for (const auto &[pc, stats] : perBranch_)
         correct += stats.idealStaticCorrect();
     return correct;
-}
-
-std::vector<StaticBranchStats>
-TraceStats::hottest(size_t n) const
-{
-    std::vector<StaticBranchStats> all;
-    all.reserve(perBranch_.size());
-    for (const auto &[pc, stats] : perBranch_)
-        all.push_back(stats);
-    // Rows are in pc order, so a stable sort breaks ties by pc.
-    std::stable_sort(
-        all.begin(), all.end(),
-        [](const StaticBranchStats &a, const StaticBranchStats &b) {
-            return a.execs > b.execs;
-        });
-    if (all.size() > n)
-        all.resize(n);
-    return all;
 }
 
 } // namespace copra::trace

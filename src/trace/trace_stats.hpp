@@ -89,9 +89,6 @@ class TraceStats
      */
     uint64_t idealStaticCorrect() const;
 
-    /** Branches sorted by descending execution count. */
-    std::vector<StaticBranchStats> hottest(size_t n) const;
-
   private:
     uint64_t dynamic_ = 0;
     uint64_t taken_ = 0;

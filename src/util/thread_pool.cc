@@ -19,7 +19,7 @@ namespace copra {
 
 namespace {
 
-// copra-lint: sanctioned-global(per-thread marker so nested runAllParallel calls degrade to inline execution; never crosses threads)
+// copra-lint: sanctioned-global(per-thread marker so a parallelFor nested in a pool task, like the oracle select inside a bench suite task, degrades to inline execution; never crosses threads)
 thread_local bool t_on_worker_thread = false;
 
 } // namespace

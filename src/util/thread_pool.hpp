@@ -2,12 +2,13 @@
  * @file
  * A fixed-size task pool for the parallel experiment engine.
  *
- * Every unit of parallel work in copra — predictors sharded by
- * sim::runAllParallel, static branches partitioned by the selective
- * oracle, benchmarks fanned out by the bench harnesses — is independent
- * and owns its state, so the pool needs no work stealing and no task
- * priorities: a mutex-protected FIFO queue drained by a fixed set of
- * workers is enough, and keeps the scheduling easy to reason about.
+ * Every unit of parallel work in copra — trace chunks generated by
+ * workload::Program::runParallel, static branches partitioned by the
+ * selective oracle, benchmarks fanned out by the bench harnesses — is
+ * independent and owns its state, so the pool needs no work stealing
+ * and no task priorities: a mutex-protected FIFO queue drained by a
+ * fixed set of workers is enough, and keeps the scheduling easy to
+ * reason about.
  *
  * Determinism contract: the pool never introduces nondeterminism by
  * itself. Callers submit index-addressed tasks and collect results by

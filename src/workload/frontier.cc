@@ -292,13 +292,6 @@ frontierNames()
     return names;
 }
 
-const std::vector<std::string> &
-frontierShortNames()
-{
-    static const std::vector<std::string> names = {"itp", "dat", "nst"};
-    return names;
-}
-
 bool
 isFrontierWorkload(const std::string &name)
 {
@@ -312,18 +305,6 @@ workloadSuiteNames()
     static const std::vector<std::string> names = [] {
         std::vector<std::string> all = benchmarkNames();
         const auto &frontier = frontierNames();
-        all.insert(all.end(), frontier.begin(), frontier.end());
-        return all;
-    }();
-    return names;
-}
-
-const std::vector<std::string> &
-workloadSuiteShortNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> all = benchmarkShortNames();
-        const auto &frontier = frontierShortNames();
         all.insert(all.end(), frontier.begin(), frontier.end());
         return all;
     }();

@@ -48,9 +48,6 @@ namespace copra::workload {
 /** Names of the frontier families: interp, datadep, nestloop. */
 const std::vector<std::string> &frontierNames();
 
-/** Short display names aligned with frontierNames() (itp, dat, nst). */
-const std::vector<std::string> &frontierShortNames();
-
 /** True when @p name is one of frontierNames(). */
 bool isFrontierWorkload(const std::string &name);
 
@@ -61,9 +58,6 @@ bool isFrontierWorkload(const std::string &name);
  * have published reference rows.
  */
 const std::vector<std::string> &workloadSuiteNames();
-
-/** Short display names aligned with workloadSuiteNames(). */
-const std::vector<std::string> &workloadSuiteShortNames();
 
 /**
  * Generate a frontier-family trace with exactly @p branches conditional

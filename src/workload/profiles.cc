@@ -17,15 +17,6 @@ benchmarkNames()
     return names;
 }
 
-const std::vector<std::string> &
-benchmarkShortNames()
-{
-    static const std::vector<std::string> names = {
-        "com", "gcc", "go", "ijp", "m88", "per", "vor", "xli",
-    };
-    return names;
-}
-
 namespace {
 
 /**

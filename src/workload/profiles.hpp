@@ -24,9 +24,6 @@ namespace copra::workload {
 /** Names of the eight synthetic benchmarks, in the paper's order. */
 const std::vector<std::string> &benchmarkNames();
 
-/** Short display names used in the paper's figures (com, gcc, go, ...). */
-const std::vector<std::string> &benchmarkShortNames();
-
 /**
  * Profile for one of the eight named benchmarks.
  * Calls fatal() for unknown names.

@@ -3,8 +3,8 @@
  * The differential-verification acceptance gate.
  *
  * 1. Zero mismatches between every optimized predictor path (scalar,
- *    SoA batch, sim::run, runAllParallel) and the clarity-first reference
- *    models over 100 fuzzed traces at a fixed seed range.
+ *    SoA batch, sim::run) and the clarity-first reference models over
+ *    100 fuzzed traces at a fixed seed range.
  * 2. Self-test: each deliberately-injected predictor bug is caught by
  *    the same harness and its first failure per pair shrunk to a
  *    reproducer of at most 1000 branches — a differential suite that
@@ -36,8 +36,7 @@ TEST(Differential, OptimizedMatchesReferenceOver100FuzzedTraces)
     options.seedBase = 1;
     options.traces = 100;
     options.conditionals = 2000;
-    options.minimize = true;     // no-op when nothing fails
-    options.checkParallel = true;
+    options.minimize = true; // no-op when nothing fails
     SuiteReport report = runCheckSuite(options);
     EXPECT_EQ(report.tracesRun, 100u);
     EXPECT_GT(report.comparisons, 100u);
@@ -60,7 +59,7 @@ TEST(Differential, DetectsGeometryMismatchImmediately)
         }};
     bool caught = false;
     for (uint64_t seed = 1; seed <= 5 && !caught; ++seed)
-        caught = !diffPair(fuzzTrace(seed, 2000), wrong, false).ok();
+        caught = !diffPair(fuzzTrace(seed, 2000), wrong).ok();
     EXPECT_TRUE(caught);
 }
 
@@ -73,7 +72,6 @@ TEST(Differential, EveryInjectedBugIsCaughtAndShrunk)
         options.traces = 6;
         options.conditionals = 1500;
         options.minimize = true;
-        options.checkParallel = true;
         SuiteReport report = runInjectedSuite(options, bug);
         if (bug == InjectedBug::HotPathAlloc) {
             // Predicts bit-identically while heap-allocating per SoA
@@ -117,7 +115,7 @@ TEST(Differential, SoaOnlyBugEscapesScalarPathButNotSoa)
     bool run_caught = false;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         trace::Trace t = fuzzTrace(seed, 1500);
-        DiffResult result = diffPair(t, pair, false);
+        DiffResult result = diffPair(t, pair);
         for (const Mismatch &m : result.mismatches) {
             scalar_diverged |= m.path == "scalar";
             soa_caught |= m.path == "soa";
@@ -142,7 +140,7 @@ TEST(Differential, PeekingStepIsCaughtOnTheScalarPath)
     bool scalar_caught = false;
     bool batch_diverged = false;
     for (uint64_t seed = 1; seed <= 6; ++seed) {
-        DiffResult result = diffPair(fuzzTrace(seed, 1500), pair, false);
+        DiffResult result = diffPair(fuzzTrace(seed, 1500), pair);
         for (const Mismatch &m : result.mismatches) {
             scalar_caught |= m.path == "scalar";
             batch_diverged |= m.path != "scalar";

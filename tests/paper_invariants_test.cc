@@ -6,11 +6,14 @@
  * Two of the three are theorems and hold exactly on every trace:
  * per-pc-majority ideal static dominates any per-pc-constant rule
  * (always-taken, always-not-taken, and — when conditional targets are
- * per-pc constant — BTFNT). The third family (IF gshare vs gshare,
- * selective-history growth) is *not* a pointwise theorem — DESIGN.md §6
- * documents the training-time and greedy-selection caveats — so those
- * are pinned as suite-level empirical facts on the deterministic
- * benchmark traces, where they are stable run-to-run by construction.
+ * per-pc constant — BTFNT). The ideal static floor there is
+ * core::idealStaticLedger over the compared predictor's own ledger,
+ * and it must equal trace::TraceStats' count on every trace. The
+ * third family (IF gshare vs gshare, selective-history growth) is
+ * *not* a pointwise theorem — DESIGN.md §6 documents the training-time
+ * and greedy-selection caveats — so those are pinned as suite-level
+ * empirical facts on the deterministic benchmark traces, where they
+ * are stable run-to-run by construction.
  */
 
 #include <gtest/gtest.h>
@@ -18,13 +21,14 @@
 #include <map>
 
 #include "check/fuzz.hpp"
+#include "core/best_of.hpp"
 #include "core/experiments.hpp"
 #include "core/oracle.hpp"
-#include "predictor/ideal_static.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/static_pred.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
+#include "trace/trace_stats.hpp"
 #include "workload/profiles.hpp"
 
 namespace copra {
@@ -42,6 +46,42 @@ double
 accuracyOf(const trace::Trace &t, predictor::Predictor &&pred)
 {
     return sim::run(t, pred).accuracyPercent();
+}
+
+/** Ten fuzzed adversarial traces, then the eight benchmark traces. */
+std::vector<trace::Trace>
+fuzzAndSuiteTraces()
+{
+    std::vector<trace::Trace> traces;
+    for (uint64_t seed = 1; seed <= 10; ++seed)
+        traces.push_back(check::fuzzTrace(seed, 2000));
+    for (const std::string &name : workload::benchmarkNames())
+        traces.push_back(
+            core::makeExperimentTrace(name, smallConfig(5000)));
+    return traces;
+}
+
+/**
+ * The ideal static ledger, derived from @p pred's own ledger over @p t,
+ * must get every branch right at least as often as @p pred does.
+ */
+void
+expectIdealStaticDominates(const trace::Trace &t,
+                           predictor::Predictor &&pred)
+{
+    sim::Ledger ledger;
+    sim::run(t, pred, &ledger);
+    const sim::Ledger ideal = core::idealStaticLedger(ledger);
+    ASSERT_EQ(ideal.table().size(), ledger.table().size()) << t.name();
+    size_t beaten = 0;
+    for (size_t i = 0; i < ledger.table().size(); ++i) {
+        if (ideal.table()[i].second.correct <
+            ledger.table()[i].second.correct)
+            ++beaten;
+    }
+    EXPECT_EQ(beaten, 0u) << t.name() << ": " << pred.name()
+                          << " beat ideal static on some branches";
+    EXPECT_GE(ideal.correct(), ledger.correct()) << t.name();
 }
 
 /** Do all conditional records at each pc share one target? */
@@ -64,21 +104,9 @@ TEST(PaperInvariants, IdealStaticDominatesAlwaysTakenAndNotTaken)
     // Theorem: per-pc majority beats any fixed direction, per pc, hence
     // in aggregate. Must hold on *every* trace, including adversarial
     // fuzz streams.
-    std::vector<trace::Trace> traces;
-    for (uint64_t seed = 1; seed <= 10; ++seed)
-        traces.push_back(check::fuzzTrace(seed, 2000));
-    for (const std::string &name : workload::benchmarkNames())
-        traces.push_back(
-            core::makeExperimentTrace(name, smallConfig(5000)));
-
-    for (const trace::Trace &t : traces) {
-        predictor::IdealStatic ideal =
-            predictor::IdealStatic::fromTrace(t);
-        double ideal_acc = sim::run(t, ideal).accuracyPercent();
-        EXPECT_GE(ideal_acc, accuracyOf(t, predictor::AlwaysTaken()))
-            << t.name();
-        EXPECT_GE(ideal_acc, accuracyOf(t, predictor::AlwaysNotTaken()))
-            << t.name();
+    for (const trace::Trace &t : fuzzAndSuiteTraces()) {
+        expectIdealStaticDominates(t, predictor::AlwaysTaken());
+        expectIdealStaticDominates(t, predictor::AlwaysNotTaken());
     }
 }
 
@@ -93,14 +121,29 @@ TEST(PaperInvariants, IdealStaticDominatesBtfntOnConstantTargetTraces)
         if (!conditionalTargetsArePerPcConstant(t))
             continue; // precondition violated -> theorem does not apply
         ++checked;
-        predictor::IdealStatic ideal =
-            predictor::IdealStatic::fromTrace(t);
-        double ideal_acc = sim::run(t, ideal).accuracyPercent();
-        EXPECT_GE(ideal_acc, accuracyOf(t, predictor::Btfnt()))
-            << t.name();
+        expectIdealStaticDominates(t, predictor::Btfnt());
     }
     EXPECT_GT(checked, 0u)
         << "no benchmark trace had per-pc-constant conditional targets";
+}
+
+TEST(PaperInvariants, IdealStaticLedgerMatchesTraceStats)
+{
+    // The two ways copra computes the ideal static floor agree: from
+    // the taken counts of any predictor's ledger, and from the trace's
+    // own per-branch statistics.
+    for (const trace::Trace &t : fuzzAndSuiteTraces()) {
+        const uint64_t want = trace::TraceStats(t).idealStaticCorrect();
+        predictor::AlwaysTaken taken;
+        predictor::TwoLevel gshare(predictor::TwoLevelConfig::gshare(10));
+        predictor::Predictor *preds[] = {&taken, &gshare};
+        for (predictor::Predictor *pred : preds) {
+            sim::Ledger ledger;
+            sim::run(t, *pred, &ledger);
+            EXPECT_EQ(core::idealStaticLedger(ledger).correct(), want)
+                << t.name() << " " << pred->name();
+        }
+    }
 }
 
 TEST(PaperInvariants, IfGshareBeatsGshareAtEqualHistoryOnSuite)

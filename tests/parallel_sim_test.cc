@@ -1,21 +1,20 @@
 /**
  * @file
- * Determinism tests for the parallel experiment engine: the parallel
- * paths (runAllParallel, the oracle's partitioned greedy selection, the
- * batched driver loop) must produce results bit-identical to the serial
- * paths for every thread count. Also the test the TSan ctest target
- * runs to catch data races in the sharding.
+ * Determinism tests for the parallel experiment engine: the oracle's
+ * greedy selection, partitioned across the pool by static branch, must
+ * be bit-identical for every thread count, and the batched driver loop
+ * must match the scalar step() loop. Also the test the TSan ctest
+ * target runs to catch data races in the sharding: the oracle's pool
+ * workers share one trace's recorded rows read-only and write only
+ * their own branch's selection.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/oracle.hpp"
-#include "predictor/bimodal.hpp"
-#include "predictor/interference_free.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
 #include "util/thread_pool.hpp"
@@ -28,57 +27,6 @@ trace::Trace
 testTrace()
 {
     return workload::makeBenchmarkTrace("gcc", 30000, 0);
-}
-
-std::vector<predictor::PredictorPtr>
-predictorZoo()
-{
-    std::vector<predictor::PredictorPtr> zoo;
-    zoo.push_back(std::make_unique<predictor::TwoLevel>(
-        predictor::TwoLevelConfig::gshare(12)));
-    zoo.push_back(std::make_unique<predictor::TwoLevel>(
-        predictor::TwoLevelConfig::pas(10, 10, 4)));
-    zoo.push_back(std::make_unique<predictor::TwoLevel>(
-        predictor::TwoLevelConfig::gag(10)));
-    zoo.push_back(std::make_unique<predictor::IfGshare>(12));
-    zoo.push_back(std::make_unique<predictor::Bimodal>(12));
-    return zoo;
-}
-
-std::vector<predictor::Predictor *>
-raw(const std::vector<predictor::PredictorPtr> &zoo)
-{
-    std::vector<predictor::Predictor *> out;
-    for (const auto &pred : zoo)
-        out.push_back(pred.get());
-    return out;
-}
-
-/** The serial reference: one explicit run() per predictor. */
-std::vector<RunResult>
-serialRuns(const trace::Trace &trace,
-           const std::vector<predictor::Predictor *> &preds,
-           std::vector<Ledger> *ledgers = nullptr)
-{
-    if (ledgers)
-        ledgers->resize(preds.size());
-    std::vector<RunResult> results;
-    for (size_t i = 0; i < preds.size(); ++i)
-        results.push_back(
-            run(trace, *preds[i], ledgers ? &(*ledgers)[i] : nullptr));
-    return results;
-}
-
-void
-expectSameResults(const std::vector<RunResult> &a,
-                  const std::vector<RunResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].predictorName, b[i].predictorName) << i;
-        EXPECT_EQ(a[i].dynamicBranches, b[i].dynamicBranches) << i;
-        EXPECT_EQ(a[i].correct, b[i].correct) << i;
-    }
 }
 
 void
@@ -99,35 +47,6 @@ expectSameLedgers(const std::vector<Ledger> &a,
             EXPECT_EQ(tally.taken, tb[r].second.taken) << pc;
         }
     }
-}
-
-TEST(RunAllParallel, MatchesSerialRunsAcrossThreadCounts)
-{
-    trace::Trace trace = testTrace();
-
-    auto serial_zoo = predictorZoo();
-    std::vector<Ledger> serial_ledgers;
-    auto serial = serialRuns(trace, raw(serial_zoo), &serial_ledgers);
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        ThreadPool pool(threads);
-        auto parallel_zoo = predictorZoo();
-        std::vector<Ledger> parallel_ledgers;
-        auto parallel = runAllParallel(trace, raw(parallel_zoo),
-                                       &parallel_ledgers, &pool);
-        expectSameResults(serial, parallel);
-        expectSameLedgers(serial_ledgers, parallel_ledgers);
-    }
-}
-
-TEST(RunAllParallel, UsesGlobalPoolByDefault)
-{
-    trace::Trace trace = testTrace();
-    auto zoo_a = predictorZoo();
-    auto zoo_b = predictorZoo();
-    auto serial = serialRuns(trace, raw(zoo_a));
-    auto parallel = runAllParallel(trace, raw(zoo_b));
-    expectSameResults(serial, parallel);
 }
 
 TEST(BatchedDriver, TwoLevelBatchMatchesScalarVirtualLoop)

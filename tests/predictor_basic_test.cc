@@ -1,17 +1,15 @@
 /**
  * @file
- * Unit tests for static predictors, the ideal static predictor, the
- * bimodal predictor, and the predictor factory.
+ * Unit tests for static predictors, the bimodal predictor, and the
+ * predictor factory.
  */
 
 #include <gtest/gtest.h>
 
 #include "predictor/bimodal.hpp"
 #include "predictor/factory.hpp"
-#include "predictor/ideal_static.hpp"
 #include "predictor/static_pred.hpp"
 #include "sim/driver.hpp"
-#include "trace/trace_stats.hpp"
 #include "workload/patterns.hpp"
 
 namespace copra::predictor {
@@ -91,42 +89,6 @@ TEST(Bimodal, TableSizeMatchesBits)
 TEST(Bimodal, NameMentionsGeometry)
 {
     EXPECT_EQ(Bimodal(12).name(), "bimodal(12b)");
-}
-
-TEST(IdealStatic, PredictsMajorityDirection)
-{
-    trace::Trace t;
-    for (int i = 0; i < 7; ++i)
-        t.append(cond(0x100, true));
-    for (int i = 0; i < 3; ++i)
-        t.append(cond(0x100, false));
-    for (int i = 0; i < 9; ++i)
-        t.append(cond(0x200, false));
-
-    IdealStatic pred = IdealStatic::fromTrace(t);
-    EXPECT_EQ(pred.branches(), 2u);
-    EXPECT_TRUE(pred.step(cond(0x100, true), true));
-    EXPECT_FALSE(pred.step(cond(0x200, true), true));
-    // Unprofiled branches default to taken.
-    EXPECT_TRUE(pred.step(cond(0x999, true), true));
-}
-
-TEST(IdealStatic, AccuracyEqualsPerBranchMajority)
-{
-    auto trace = workload::biasedTrace(0x100, 0.8, 10000, 7);
-    IdealStatic pred = IdealStatic::fromTrace(trace);
-    auto result = sim::run(trace, pred);
-    trace::TraceStats stats(trace);
-    EXPECT_EQ(result.correct, stats.idealStaticCorrect());
-}
-
-TEST(IdealStatic, TieGoesToTaken)
-{
-    trace::Trace t;
-    t.append(cond(0x100, true));
-    t.append(cond(0x100, false));
-    IdealStatic pred = IdealStatic::fromTrace(t);
-    EXPECT_TRUE(pred.step(cond(0x100, false), false));
 }
 
 class FactoryNames : public ::testing::TestWithParam<std::string>

@@ -10,12 +10,10 @@
 #include "predictor/static_pred.hpp"
 #include "sim/driver.hpp"
 #include "sim/ledger.hpp"
-#include "workload/patterns.hpp"
 
 namespace copra::sim {
 namespace {
 
-using predictor::AlwaysNotTaken;
 using predictor::AlwaysTaken;
 using trace::BranchKind;
 using trace::BranchRecord;
@@ -102,35 +100,6 @@ TEST(Driver, LedgerHoldsOneRowPerExecutedConditional)
     EXPECT_EQ(ledger.table()[0].first, 0x100u);
     EXPECT_EQ(ledger.table()[1].first, 0x108u);
     EXPECT_EQ(ledger.dynamic(), 3u);
-}
-
-TEST(Driver, RunAllParallelMatchesIndividualRuns)
-{
-    auto trace = workload::biasedTrace(0x100, 0.7, 2000, 3);
-    AlwaysTaken t1, t2;
-    AlwaysNotTaken n1, n2;
-
-    auto res_t = run(trace, t1);
-    auto res_n = run(trace, n1);
-
-    std::vector<predictor::Predictor *> preds = {&t2, &n2};
-    std::vector<Ledger> ledgers;
-    auto all = runAllParallel(trace, preds, &ledgers);
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0].correct, res_t.correct);
-    EXPECT_EQ(all[1].correct, res_n.correct);
-    EXPECT_EQ(ledgers[0].correct(), res_t.correct);
-    // Complementary predictors cover every branch exactly once.
-    EXPECT_EQ(all[0].correct + all[1].correct, all[0].dynamicBranches);
-}
-
-TEST(Driver, RunAllParallelDeliversObserves)
-{
-    Probe a, b;
-    std::vector<predictor::Predictor *> preds = {&a, &b};
-    runAllParallel(mixedTrace(), preds);
-    EXPECT_EQ(a.observes, 3);
-    EXPECT_EQ(b.observes, 3);
 }
 
 TEST(Driver, EmptyTraceGivesUndefinedAccuracy)

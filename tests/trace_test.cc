@@ -154,30 +154,5 @@ TEST(TraceStats, IdealStaticCorrectSumsPerBranchMajorities)
     EXPECT_EQ(stats.idealStaticCorrect(), 3u + 2u);
 }
 
-TEST(TraceStats, HottestSortsByExecsThenPc)
-{
-    Trace t;
-    for (int i = 0; i < 5; ++i)
-        t.append(cond(0x300, true));
-    for (int i = 0; i < 9; ++i)
-        t.append(cond(0x100, true));
-    for (int i = 0; i < 5; ++i)
-        t.append(cond(0x200, true));
-
-    auto hottest = TraceStats(t).hottest(10);
-    ASSERT_EQ(hottest.size(), 3u);
-    EXPECT_EQ(hottest[0].pc, 0x100u);
-    EXPECT_EQ(hottest[1].pc, 0x200u); // tie broken by pc
-    EXPECT_EQ(hottest[2].pc, 0x300u);
-}
-
-TEST(TraceStats, HottestTruncates)
-{
-    Trace t;
-    for (uint64_t pc = 0; pc < 20; ++pc)
-        t.append(cond(0x100 + pc * 4, true));
-    EXPECT_EQ(TraceStats(t).hottest(5).size(), 5u);
-}
-
 } // namespace
 } // namespace copra::trace
