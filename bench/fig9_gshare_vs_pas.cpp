@@ -27,8 +27,13 @@ main(int argc, char **argv)
     const std::vector<double> percentiles = {0,  5,  10, 25, 50,
                                              75, 90, 95, 100};
     std::vector<std::string> headers = {"benchmark"};
-    for (double p : percentiles)
-        headers.push_back("p" + std::to_string(static_cast<int>(p)));
+    for (double p : percentiles) {
+        // Appended, not "p" + ...: GCC 12 at -O3 reports a false
+        // -Wrestrict on operator+ of a literal and a temporary string.
+        std::string header = "p";
+        header += std::to_string(static_cast<int>(p));
+        headers.push_back(header);
+    }
     copra::Table table(headers);
 
     copra::bench::SuiteTiming timing;

@@ -17,14 +17,8 @@
  * the exit code is zero only if the suite *does* catch the bug and
  * shrinks it to a small
  * reproducer — proving the harness can actually detect the class of
- * defect it exists for.
- *
- * --state-gates replays fuzzed traces through the whole factory roster
- * and checks the state contract instead: byte-stable snapshots,
- * reset-replay determinism, and snapshot round-trip completeness
- * (check/state_gates.hpp). --doc-state-budgets regenerates
- * docs/STATE_BUDGETS.md from the same roster (tests/doc_drift.sh gates
- * drift).
+ * defect it exists for. Of the 11 planted bugs, hot-path-alloc is
+ * caught by the hot gates below, the rest by the differentials.
  *
  * --ingest-gates verifies the foreign-trace path end to end over a
  * committed sample (--sample): reference ingest, emit-then-load SoA
@@ -44,10 +38,8 @@
  *   copra_check --pairs pas             # only pairs whose name has "pas"
  *   copra_check --inject all            # harness self-test
  *   copra_check --repro-dir /tmp/repro  # dump reproducer .trace files
- *   copra_check --state-gates --traces 8
  *   copra_check --ingest-gates --sample tests/data/sample_foreign.trace
  *   copra_check --hot-gates --traces 3
- *   copra_check --doc-state-budgets > docs/STATE_BUDGETS.md
  */
 
 #include <cstdio>
@@ -59,7 +51,6 @@
 #include "check/hot_gates.hpp"
 #include "check/ingest_gates.hpp"
 #include "check/record_check.hpp"
-#include "check/state_gates.hpp"
 #include "obs/manifest.hpp"
 #include "obs/registry.hpp"
 #include "trace/trace_io.hpp"
@@ -103,31 +94,27 @@ dumpReproducer(const std::string &dir, const check::SuiteFailure &failure)
 }
 
 /**
- * Self-test of a gate campaign: run it over the planted @p bug alone
- * and return true when it fails. Two bugs only a gate can see:
- * tage-shadow-state keeps live state outside the registered snapshot
- * fields, so the state gates' round-trip (snapshot-completeness) gate
- * must catch it; hot-path-alloc predicts bit-identically but allocates
- * per batch, so only the hot gates' steady-state allocation probe can.
+ * Self-test of the hot gates: run them over the planted @p bug alone
+ * and return true when they fail. hot-path-alloc predicts
+ * bit-identically but allocates per batch, so only the hot gates'
+ * steady-state allocation probe can see it.
  */
-template <typename GateOptions, typename RunGates>
 bool
-runGateSelfTest(check::InjectedBug bug, const check::SuiteOptions &options,
-                RunGates run_gates, const char *gates, const char *probe)
+runHotGateSelfTest(check::InjectedBug bug,
+                   const check::SuiteOptions &options)
 {
     check::CheckPair pair = check::injectedBugPair(bug);
-    GateOptions gate_options;
+    check::HotGateOptions gate_options;
     gate_options.seedBase = options.seedBase;
     gate_options.traces = options.traces;
     gate_options.conditionals = options.conditionals;
     check::GateReport report =
-        run_gates(gate_options, {{pair.name, pair.optimized}});
+        check::runHotGates(gate_options, {{pair.name, pair.optimized}});
     const char *name = check::injectedBugName(bug);
     if (report.ok()) {
-        std::printf("MISSED  %s: %llu %s checks found nothing — the %s "
-                    "failed its self-test\n",
-                    name, static_cast<unsigned long long>(report.gatesRun),
-                    gates, probe);
+        std::printf("MISSED  %s: %llu hot-gate checks found nothing — "
+                    "the allocation probe failed its self-test\n",
+                    name, static_cast<unsigned long long>(report.gatesRun));
         return false;
     }
     const check::GateFailure &first = report.failures.front();
@@ -148,13 +135,6 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
         if (which != "all" && which != check::injectedBugName(bug))
             continue;
         ++matched;
-        if (bug == check::InjectedBug::TageShadowState) {
-            if (!runGateSelfTest<check::StateGateOptions>(
-                    bug, options, check::runStateGates, "state-gate",
-                    "completeness probe"))
-                ++failed;
-            continue;
-        }
         if (bug == check::InjectedBug::HotPathAlloc) {
             // Sanitizer builds own the allocator; the Release CI leg
             // carries this proof.
@@ -162,9 +142,7 @@ runInjected(const std::string &which, const check::SuiteOptions &options,
                 std::printf("skipped hot-path-alloc: allocation probe "
                             "absent (sanitizer build owns the "
                             "allocator)\n");
-            } else if (!runGateSelfTest<check::HotGateOptions>(
-                           bug, options, check::runHotGates, "hot-gate",
-                           "allocation probe")) {
+            } else if (!runHotGateSelfTest(bug, options)) {
                 ++failed;
             }
             continue;
@@ -224,10 +202,6 @@ main(int argc, char **argv)
     parser.addFlag("list-pairs", &list_pairs, "list pair names and exit");
     parser.addFlag("no-minimize", &no_minimize,
                    "report raw failing traces without shrinking");
-    bool state_gates = false;
-    parser.addFlag("state-gates", &state_gates,
-                   "run the snapshot/restore state gates over the whole "
-                   "factory roster instead of the differential suite");
     bool hot_gates = false;
     parser.addFlag("hot-gates", &hot_gates,
                    "run the steady-state zero-allocation / zero-lock "
@@ -241,10 +215,6 @@ main(int argc, char **argv)
     parser.addString("sample", &sample_path,
                      "with --ingest-gates: committed sample foreign "
                      "trace to gate on");
-    bool doc_budgets = false;
-    parser.addFlag("doc-state-budgets", &doc_budgets,
-                   "print docs/STATE_BUDGETS.md regenerated from the "
-                   "factory roster and exit");
     std::string metrics_out =
         util::envString("COPRA_METRICS_OUT", "");
     bool metrics_summary = false;
@@ -274,11 +244,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (doc_budgets) {
-        std::fputs(check::renderStateBudgets().c_str(), stdout);
-        return 0;
-    }
-
     if (ingest_gates) {
         fatalIf(sample_path.empty(),
                 "--ingest-gates needs --sample <foreign trace>");
@@ -287,17 +252,6 @@ main(int argc, char **argv)
         gate_options.seedBase = seed_base;
         check::GateReport report = check::runIngestGates(gate_options);
         std::fputs(check::formatGateReport("ingest gates", report).c_str(),
-                   stdout);
-        return report.ok() ? 0 : 1;
-    }
-
-    if (state_gates) {
-        check::StateGateOptions gate_options;
-        gate_options.seedBase = seed_base;
-        gate_options.traces = traces;
-        gate_options.conditionals = branches;
-        check::GateReport report = check::runStateGates(gate_options);
-        std::fputs(check::formatGateReport("state gates", report).c_str(),
                    stdout);
         return report.ok() ? 0 : 1;
     }

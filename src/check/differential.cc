@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "check/fuzz.hpp"
 #include "check/ref_models.hpp"
@@ -722,44 +721,6 @@ class TournamentBtbIgnoreMissBug : public predictor::Tournament
 };
 
 /**
- * TAGE with hidden state: allocation consults a per-tag ledger kept in
- * an unregistered member, biasing repeat allocations against the
- * observed outcome. reset() remembers to clear the ledger — so the
- * reset-replay gate holds — but the inherited snapshotState() cannot
- * see it, so a clone restored from a snapshot allocates differently
- * from the original. This is the defect class the round-trip
- * (snapshot-completeness) state gate exists to catch; the lint sema
- * pass would flag the member too, had the class lived under
- * src/predictor/.
- */
-class TageShadowStateBug : public predictor::Tage
-{
-  public:
-    using Tage::Tage;
-
-    void
-    reset() override
-    {
-        Tage::reset();
-        shadow_.clear();
-    }
-
-  protected:
-    void
-    allocateEntry(Entry &slot, uint16_t tag, bool taken) noexcept override
-    {
-        uint8_t &n = shadow_[tag];
-        if (n < 255)
-            ++n;
-        // BUG: repeat allocations consult the unregistered ledger.
-        Tage::allocateEntry(slot, tag, n > 1 ? !taken : taken);
-    }
-
-  private:
-    std::unordered_map<uint16_t, uint8_t> shadow_; //!< hidden state
-};
-
-/**
  * Gshare whose SoA batch path heap-allocates a scratch buffer per
  * batch while predicting bit-identically to the clean implementation.
  * No differential path can see it, and copra_lint's hot-region pass
@@ -810,8 +771,6 @@ injectedBugName(InjectedBug bug)
         return "perceptron-weight-wrap";
       case InjectedBug::TournamentBtbIgnoreMiss:
         return "tournament-btb-ignore-miss";
-      case InjectedBug::TageShadowState:
-        return "tage-shadow-state";
       case InjectedBug::HotPathAlloc:
         return "hot-path-alloc";
       case InjectedBug::OracleWindowBack255:
@@ -882,14 +841,6 @@ injectedBugPair(InjectedBug bug)
                 [config] {
                     return std::make_unique<RefTournament>(config);
                 }};
-      }
-      case InjectedBug::TageShadowState: {
-        predictor::TageConfig config = smallTageConfig();
-        return {std::string("injected:") + injectedBugName(bug),
-                [config] {
-                    return std::make_unique<TageShadowStateBug>(config);
-                },
-                [config] { return std::make_unique<RefTage>(config); }};
       }
       case InjectedBug::HotPathAlloc: {
         TwoLevelConfig config = TwoLevelConfig::gshare(8);

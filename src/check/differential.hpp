@@ -190,12 +190,6 @@ enum class InjectedBug : uint8_t
                              //!< instead of clamping
     TournamentBtbIgnoreMiss, //!< tournament BTB miss model disabled:
                              //!< taken predictions survive BTB misses
-    TageShadowState,         //!< TAGE allocation consults a per-tag
-                             //!< ledger kept outside the registered
-                             //!< state fields: reset() clears it, but
-                             //!< snapshots miss it — the hidden-state
-                             //!< defect the round-trip gate
-                             //!< (check/state_gates.hpp) exists for
     HotPathAlloc,            //!< the SoA batch path reallocates scratch
                              //!< per batch while predicting perfectly:
                              //!< invisible to every differential path
@@ -221,7 +215,7 @@ enum class InjectedBug : uint8_t
 };
 
 /** Number of InjectedBug values. */
-inline constexpr unsigned kInjectedBugCount = 12;
+inline constexpr unsigned kInjectedBugCount = 11;
 
 /** Stable name of an injected bug (CLI selector). */
 const char *injectedBugName(InjectedBug bug);

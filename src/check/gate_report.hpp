@@ -1,9 +1,8 @@
 /**
  * @file
- * The outcome of a gate campaign: the state, hot-path and ingestion
- * gates (state_gates.hpp, hot_gates.hpp, ingest_gates.hpp) all report
- * failures and counts in this one shape and print through one
- * formatter.
+ * The outcome of a gate campaign: the hot-path and ingestion gates
+ * (hot_gates.hpp, ingest_gates.hpp) both report failures and counts in
+ * this one shape and print through one formatter.
  */
 
 #pragma once
@@ -19,7 +18,7 @@ namespace copra::check {
 struct GateFailure
 {
     std::string subject; //!< roster spec, or empty for the ingest gates
-    std::string gate;    //!< the violated gate, e.g. "round-trip"
+    std::string gate;    //!< the violated gate, e.g. "hot-alloc"
     uint64_t seed = 0;   //!< fuzz seed (0 for deterministic gates)
     std::string detail;
 };

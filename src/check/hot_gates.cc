@@ -12,6 +12,7 @@
 #include <exception>
 
 #include "check/fuzz.hpp"
+#include "predictor/factory.hpp"
 #include "sim/driver.hpp"
 #include "trace/trace.hpp"
 #include "util/sync.hpp"
@@ -80,9 +81,42 @@ hotAllocCount() noexcept
     return g_hotAllocs.load(std::memory_order_relaxed);
 }
 
+std::vector<RosterEntry>
+defaultGateRoster()
+{
+    // Small geometries for the same reason defaultCheckPairs uses
+    // them: tiny tables force the aliasing, allocation, and eviction
+    // paths where a steady-state replay could still allocate.
+    std::vector<std::string> specs = {
+        "taken",
+        "nottaken",
+        "btfnt",
+        "bimodal:bits=6",
+        "gshare:h=7",
+        "gag:h=7",
+        "gas:h=6,s=3",
+        "pas:h=6,bht=5,s=3",
+        "pag:h=6,bht=5",
+        "ifgshare:h=7",
+        "ifpas:h=6",
+        "loop",
+        "block",
+        "tage:base=6,tbits=5,tag=7,tables=4,hmin=3,hmax=20",
+        "perceptron:tbits=6,tables=4,seg=6",
+        "tournament:gh=7,lh=6,bht=5,s=3,chooser=6,btbsets=4,btbways=2,"
+        "ras=4",
+    };
+    std::vector<RosterEntry> roster;
+    roster.reserve(specs.size());
+    for (const std::string &spec : specs)
+        roster.push_back(
+            {spec, [spec] { return predictor::makePredictor(spec); }});
+    return roster;
+}
+
 GateReport
 runHotGates(const HotGateOptions &options,
-            const std::vector<StatePredictor> &roster)
+            const std::vector<RosterEntry> &roster)
 {
     GateReport report;
     const bool alloc_probe = allocProbeLinked();
@@ -91,7 +125,7 @@ runHotGates(const HotGateOptions &options,
                       "allocator, only the lock gate ran";
     TerminateGuard terminate_guard;
 
-    for (const StatePredictor &entry : roster) {
+    for (const RosterEntry &entry : roster) {
         for (uint64_t seed = options.seedBase;
              seed < options.seedBase + options.traces; ++seed) {
             trace::Trace trace = fuzzTrace(seed, options.conditionals);

@@ -41,9 +41,25 @@
 #include <string>
 #include <vector>
 
-#include "check/state_gates.hpp"
+#include "check/differential.hpp"
+#include "check/gate_report.hpp"
 
 namespace copra::check {
+
+/** One roster entry the gates run over. */
+struct RosterEntry
+{
+    std::string spec; //!< factory spec, e.g. "pas:h=6,bht=5,s=3"
+    PredictorFactory make;
+};
+
+/**
+ * The default gate roster: every knownPredictors() family at
+ * deliberately small geometries, for the same reason defaultCheckPairs
+ * shrinks its tables — aliasing, allocation, and eviction paths must
+ * actually run or the gates have nothing interesting to see.
+ */
+std::vector<RosterEntry> defaultGateRoster();
 
 /** Configuration of a hot-gate campaign. */
 struct HotGateOptions
@@ -70,15 +86,15 @@ struct HotGateOptions
 
 /**
  * Run the steady-state allocation and lock gates over @p roster (the
- * state-gate roster by default, so every predictor family is covered
- * at allocation-prone small geometries). Failures name the spec, the
+ * default gate roster, so every predictor family is covered at
+ * allocation-prone small geometries). Failures name the spec, the
  * gate "hot-alloc" or "hot-lock", and the offending trace's seed; the
  * report's note says when the allocation probe is absent. Print with
  * formatGateReport("hot gates", report).
  */
 GateReport runHotGates(const HotGateOptions &options,
-                       const std::vector<StatePredictor> &roster
-                       = defaultStateRoster());
+                       const std::vector<RosterEntry> &roster
+                       = defaultGateRoster());
 
 /**
  * Allocation-probe plumbing. The counter and registration flag live in

@@ -112,13 +112,6 @@ RefTwoLevel::train(const trace::BranchRecord &br, bool taken)
     histories_[row] = ((hist << 1) | (taken ? 1 : 0)) & history_mask;
 }
 
-void
-RefTwoLevel::reset()
-{
-    histories_.clear();
-    counters_.clear();
-}
-
 std::string
 RefTwoLevel::name() const
 {
@@ -156,12 +149,6 @@ RefBimodal::train(const trace::BranchRecord &br, bool taken)
     if (counter > 3)
         counter = 3;
     counters_[index] = counter;
-}
-
-void
-RefBimodal::reset()
-{
-    counters_.clear();
 }
 
 std::string
@@ -216,12 +203,6 @@ RefLoop::train(const trace::BranchRecord &br, bool taken)
     }
 }
 
-void
-RefLoop::reset()
-{
-    table_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // RefBlockPattern
 
@@ -259,12 +240,6 @@ RefBlockPattern::train(const trace::BranchRecord &br, bool taken)
     }
 }
 
-void
-RefBlockPattern::reset()
-{
-    table_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // RefFixedPattern
 
@@ -290,12 +265,6 @@ void
 RefFixedPattern::train(const trace::BranchRecord &br, bool taken)
 {
     outcomes_[br.pc].push_back(taken);
-}
-
-void
-RefFixedPattern::reset()
-{
-    outcomes_.clear();
 }
 
 std::string
@@ -459,16 +428,6 @@ RefTage::train(const trace::BranchRecord &br, bool taken)
     }
 }
 
-void
-RefTage::reset()
-{
-    base_.clear();
-    for (auto &table : tables_)
-        table.clear();
-    history_.clear();
-    updates_ = 0;
-}
-
 std::string
 RefTage::name() const
 {
@@ -560,16 +519,6 @@ RefPerceptron::train(const trace::BranchRecord &br, bool taken)
     }
 
     history_.push_back(taken);
-}
-
-void
-RefPerceptron::reset()
-{
-    for (auto &table : tables_)
-        table.clear();
-    history_.clear();
-    theta_ = config_.initialTheta;
-    thetaCtr_ = 0;
 }
 
 std::string
@@ -678,17 +627,6 @@ RefTournament::observe(const trace::BranchRecord &br) noexcept
     if (br.kind == BranchKind::Jump || br.kind == BranchKind::Call)
         btbAccess(br.pc);
     // Returns touch only the (stats-only) return stack; no model state.
-}
-
-void
-RefTournament::reset()
-{
-    global_.reset();
-    local_.reset();
-    chooser_.clear();
-    btbPerfect_.clear();
-    btbSets_.clear();
-    btbTick_ = 0;
 }
 
 std::string

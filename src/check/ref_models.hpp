@@ -83,7 +83,6 @@ class RefTwoLevel : public RefModel
   public:
     explicit RefTwoLevel(const predictor::TwoLevelConfig &config);
 
-    void reset() override;
     std::string name() const override;
 
   protected:
@@ -112,7 +111,6 @@ class RefBimodal : public RefModel
   public:
     explicit RefBimodal(unsigned table_bits = 12);
 
-    void reset() override;
     std::string name() const override;
 
   private:
@@ -131,7 +129,6 @@ class RefBimodal : public RefModel
 class RefLoop : public RefModel
 {
   public:
-    void reset() override;
     std::string name() const override { return "ref-loop"; }
 
   protected:
@@ -155,7 +152,6 @@ class RefLoop : public RefModel
 class RefBlockPattern : public RefModel
 {
   public:
-    void reset() override;
     std::string name() const override { return "ref-block"; }
 
   private:
@@ -182,7 +178,6 @@ class RefFixedPattern : public RefModel
   public:
     explicit RefFixedPattern(unsigned k);
 
-    void reset() override;
     std::string name() const override;
 
   private:
@@ -207,7 +202,6 @@ class RefTage : public RefModel
   public:
     explicit RefTage(const predictor::TageConfig &config);
 
-    void reset() override;
     std::string name() const override;
 
   private:
@@ -251,7 +245,6 @@ class RefPerceptron : public RefModel
   public:
     explicit RefPerceptron(const predictor::PerceptronConfig &config);
 
-    void reset() override;
     std::string name() const override;
 
   private:
@@ -283,7 +276,6 @@ class RefTournament : public RefModel
     explicit RefTournament(const predictor::TournamentConfig &config);
 
     void observe(const trace::BranchRecord &br) noexcept override;
-    void reset() override;
     std::string name() const override;
 
   private:

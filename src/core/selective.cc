@@ -95,13 +95,6 @@ SelectivePredictor::observe(const trace::BranchRecord &br) noexcept
     window_.push(br);
 }
 
-void
-SelectivePredictor::reset()
-{
-    window_.clear();
-    tables_.clear();
-}
-
 std::string
 SelectivePredictor::name() const
 {

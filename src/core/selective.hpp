@@ -90,7 +90,6 @@ class SelectivePredictor : public predictor::Predictor
         return predictor::stepBatch(*this, batch, out);
     }
     void observe(const trace::BranchRecord &br) noexcept override;
-    void reset() override;
     std::string name() const override;
 
   private:

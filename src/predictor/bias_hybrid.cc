@@ -60,12 +60,6 @@ BiasClassifyingHybrid::observe(const trace::BranchRecord &br) noexcept
     dynamic_->observe(br);
 }
 
-void
-BiasClassifyingHybrid::reset()
-{
-    dynamic_->reset(); // the profile is not adaptive state
-}
-
 std::string
 BiasClassifyingHybrid::name() const
 {

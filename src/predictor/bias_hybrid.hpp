@@ -57,17 +57,14 @@ class BiasClassifyingHybrid : public Predictor
         return stepBatch(*this, batch, out);
     }
     void observe(const trace::BranchRecord &br) noexcept override;
-    void reset() override;
     std::string name() const override;
 
     /** Number of profiled branches classified strongly biased. */
     size_t stronglyBiasedBranches() const;
 
-    // State contract (DESIGN.md §14): the classification profile is
+    // Field taxonomy (DESIGN.md §14): the classification profile is
     // frozen at construction; all adaptive state lives in the dynamic
     // component.
-    uint64_t stateBits() const override { return dynamic_->stateBits(); }
-
     COPRA_CONFIG_FIELDS(profile_, label_);
     COPRA_STATE_FIELDS(dynamic_);
 

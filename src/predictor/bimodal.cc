@@ -30,12 +30,6 @@ Bimodal::step(const trace::BranchRecord &br, bool taken) noexcept
     return prediction;
 }
 
-void
-Bimodal::reset()
-{
-    std::fill(table_.begin(), table_.end(), Counter2{});
-}
-
 std::string
 Bimodal::name() const
 {

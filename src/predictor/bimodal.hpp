@@ -34,14 +34,10 @@ class Bimodal : public Predictor
         return stepBatch(*this, batch, out);
     }
 
-    void reset() override;
     std::string name() const override;
 
     /** Number of counters in the table. */
     size_t tableSize() const { return table_.size(); }
-
-    // State contract (DESIGN.md §14): 2 bits per counter.
-    uint64_t stateBits() const override { return uint64_t(2) * table_.size(); }
 
     COPRA_CONFIG_FIELDS(tableBits_);
     COPRA_STATE_FIELDS(table_);

@@ -38,12 +38,6 @@ BlockPatternPredictor::step(const trace::BranchRecord &br,
     return table_.access(br.pc).step(taken); // absent: cold, taken
 }
 
-void
-BlockPatternPredictor::reset()
-{
-    table_.clear();
-}
-
 std::string
 BlockPatternPredictor::name() const
 {

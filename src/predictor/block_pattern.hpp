@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 
 #include "predictor/btb.hpp"
 #include "predictor/predictor.hpp"
@@ -41,14 +40,6 @@ struct BlockState
      * direction, then switch; taken while cold.
      */
     bool step(bool taken) noexcept;
-
-    /** Snapshot members, in order (predictor/state.hpp). */
-    static auto
-    stateFields(auto &s)
-    {
-        return std::tie(s.seen, s.curDir, s.curRun, s.lastRun[0],
-                        s.lastRun[1]);
-    }
 };
 
 /** The paper's block-pattern class predictor. */
@@ -68,7 +59,6 @@ class BlockPatternPredictor : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     /** Current state for @p pc (default state if absent). */
@@ -76,11 +66,6 @@ class BlockPatternPredictor : public Predictor
 
     /** BTB evictions suffered (0 with a perfect BTB). */
     uint64_t btbEvictions() const { return table_.evictions(); }
-
-    // State contract (DESIGN.md §14): per tracked branch, 2 flag bits
-    // plus three 8-bit run counts (26 payload bits), on top of the
-    // BTB's own tag/bookkeeping accounting.
-    uint64_t stateBits() const override { return table_.stateBits(26); }
 
     COPRA_STATE_FIELDS(table_);
 

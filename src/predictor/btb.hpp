@@ -14,18 +14,12 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "util/logging.hpp"
 
 namespace copra::predictor {
-
-namespace state {
-template <typename T>
-struct Codec;
-} // namespace state
 
 /** Geometry of a finite BTB. setBits = 0 and ways = 0 mean "perfect". */
 struct BtbConfig
@@ -150,45 +144,12 @@ class BtbTable
         return set[victim].state;
     }
 
-    /**
-     * Architectural bits at the current occupancy: a full-pc tag plus
-     * @p payload_bits per live entry, and an LRU timestamp per entry
-     * for finite tables. Perfect tables grow without bound, so this is
-     * a measurement of the run, not of a hardware budget.
-     */
-    uint64_t
-    stateBits(uint64_t payload_bits) const
-    {
-        uint64_t per = 64 + payload_bits + (config_.isPerfect() ? 0 : 64);
-        return uint64_t(size()) * per;
-    }
-
-    /** Drop all entries and statistics. */
-    void
-    clear()
-    {
-        perfect_.clear();
-        for (auto &set : sets_)
-            set.clear();
-        evictions_ = 0;
-        tick_ = 0;
-    }
-
   private:
-    /** The snapshot (predictor/state.hpp) reads the table directly. */
-    friend struct state::Codec<BtbTable>;
-
     struct Entry
     {
         uint64_t pc;
         uint64_t lastUse;
         State state;
-
-        static auto
-        stateFields(auto &e)
-        {
-            return std::tie(e.pc, e.lastUse, e.state);
-        }
     };
 
     size_t

@@ -82,24 +82,14 @@ struct PredictorContract
         "copra predictor contract: name() must be const-callable and "
         "return std::string — it keys ledgers and golden output");
 
-    // State contract (DESIGN.md §14). The base-class defaults panic at
-    // runtime; the roster is held to the stricter compile-time bar so a
-    // predictor cannot reach copra_check's differential state gates
-    // without exact bit accounting and a byte-stable snapshot. The
-    // snapshot half needs no clause of its own: COPRA_STATE_FIELDS in
-    // P's own scope defines the snapshot and restore overrides over the
-    // listed members, and a listed name that is not a member does not
-    // compile.
+    // Field taxonomy (DESIGN.md §14): the roster declares its
+    // adaptive state in its own scope, so copra_lint's sema pass can
+    // hold every member to exactly one of the three lists.
     static_assert(detail::DeclaresStateFields<P>::value,
                   "copra predictor contract: roster types must declare "
                   "COPRA_STATE_FIELDS(...) naming every mutable member "
                   "(copra_lint's sema pass cross-checks the list against "
                   "the parsed members)");
-    static_assert(
-        std::is_same_v<decltype(&P::stateBits), uint64_t (P::*)() const>,
-        "copra predictor contract: roster types must override "
-        "stateBits() themselves — inheriting the panicking base default "
-        "leaves the predictor without exact state accounting");
 
     // A class that declares step() also declares its own batch loop:
     // an inherited predictUpdateSoa() is stepBatch() over the base's

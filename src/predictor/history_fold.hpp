@@ -15,8 +15,7 @@
  * cancel the outcome leaving the window at bit L % C, and wrap bit C
  * back to bit 0. That places outcome j at bit j % C exactly as fold()
  * does, so the registers and the definition cannot disagree without a
- * differential mismatch (DESIGN.md §13). A snapshot holds only the
- * history words; loading one rebuilds the registers through fold().
+ * differential mismatch (DESIGN.md §13).
  */
 
 #pragma once
@@ -26,11 +25,6 @@
 #include "util/logging.hpp"
 
 namespace copra::predictor {
-
-namespace state {
-template <typename T>
-struct Codec;
-} // namespace state
 
 /**
  * The newest kMaxBits outcomes of the global branch history, packed into
@@ -94,15 +88,6 @@ class FoldedHistory
         words_[0] = (words_[0] << 1) | in;
     }
 
-    /** Forget all recorded outcomes (tracked folds stay registered). */
-    void
-    clear()
-    {
-        words_[0] = words_[1] = 0;
-        for (unsigned id = 0; id < count_; ++id)
-            regs_[id] = 0;
-    }
-
     /** The newest @p bits outcomes (bits <= 64), newest in bit 0. */
     uint64_t
     recent(unsigned bits) const
@@ -136,10 +121,6 @@ class FoldedHistory
     }
 
   private:
-    /** The snapshot (predictor/state.hpp) saves the history words and
-     *  refolds the tracked registers on load. */
-    friend struct state::Codec<FoldedHistory>;
-
     /** Geometry of one tracked fold, precomputed for push(). */
     struct Tracked
     {

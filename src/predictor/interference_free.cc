@@ -22,13 +22,6 @@ IfGshare::step(const trace::BranchRecord &br, bool taken) noexcept
     return prediction;
 }
 
-void
-IfGshare::reset()
-{
-    history_.clear();
-    pht_.clear();
-}
-
 std::string
 IfGshare::name() const
 {
@@ -56,13 +49,6 @@ IfPas::step(const trace::BranchRecord &br, bool taken) noexcept
     counter.update(taken);
     branch.history.push(taken, historyMask_);
     return prediction;
-}
-
-void
-IfPas::reset()
-{
-    histories_.clear();
-    pht_.clear();
 }
 
 std::string

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -40,19 +39,10 @@ class IfGshare : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     /** Number of distinct (pc, history) counters allocated so far. */
     size_t countersAllocated() const { return pht_.size(); }
-
-    // State contract (DESIGN.md §14). Unbounded instrument: reports
-    // the dynamically allocated counter population, not a budget.
-    uint64_t
-    stateBits() const override
-    {
-        return historyBits_ + uint64_t(2) * pht_.size();
-    }
 
     COPRA_CONFIG_FIELDS(historyBits_);
     COPRA_STATE_FIELDS(history_, pht_);
@@ -122,20 +112,10 @@ class IfPas : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     /** Number of static branches tracked so far. */
     size_t branchesTracked() const { return histories_.size(); }
-
-    // State contract (DESIGN.md §14). Unbounded instrument: reports
-    // the dynamically allocated population, not a budget.
-    uint64_t
-    stateBits() const override
-    {
-        return uint64_t(historyBits_) * histories_.size() +
-            uint64_t(2) * pht_.size();
-    }
 
     COPRA_CONFIG_FIELDS(historyBits_, historyMask_);
     COPRA_STATE_FIELDS(histories_, pht_);
@@ -146,13 +126,6 @@ class IfPas : public Predictor
     {
         PasHistory history;
         uint32_t table = 0; //!< 1 + first-step order; 0 = unassigned
-
-        /** Snapshot members, in order (predictor/state.hpp). */
-        static auto
-        stateFields(auto &h)
-        {
-            return std::tie(h.history.bits, h.table);
-        }
     };
 
     unsigned historyBits_;

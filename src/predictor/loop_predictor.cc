@@ -46,12 +46,6 @@ LoopPredictor::step(const trace::BranchRecord &br, bool taken) noexcept
     return table_.access(br.pc).step(taken); // absent: cold, taken
 }
 
-void
-LoopPredictor::reset()
-{
-    table_.clear();
-}
-
 std::string
 LoopPredictor::name() const
 {

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 
 #include "predictor/btb.hpp"
 #include "predictor/predictor.hpp"
@@ -43,13 +42,6 @@ struct LoopState
      * cold.
      */
     bool step(bool taken) noexcept;
-
-    /** Snapshot members, in order (predictor/state.hpp). */
-    static auto
-    stateFields(auto &s)
-    {
-        return std::tie(s.seen, s.dir, s.run, s.trip);
-    }
 };
 
 /** The paper's loop-class predictor. */
@@ -68,7 +60,6 @@ class LoopPredictor : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     /** Current state for @p pc (default state if absent). */
@@ -76,11 +67,6 @@ class LoopPredictor : public Predictor
 
     /** BTB evictions suffered (0 with a perfect BTB). */
     uint64_t btbEvictions() const { return table_.evictions(); }
-
-    // State contract (DESIGN.md §14): per tracked branch, 2 flag bits
-    // plus two 8-bit run counts (18 payload bits), on top of the BTB's
-    // own tag/bookkeeping accounting.
-    uint64_t stateBits() const override { return table_.stateBits(18); }
 
     COPRA_STATE_FIELDS(table_);
 

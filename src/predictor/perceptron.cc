@@ -118,17 +118,6 @@ Perceptron::step(const trace::BranchRecord &br, bool taken) noexcept
     return predicted;
 }
 
-void
-Perceptron::reset()
-{
-    for (auto &table : tables_)
-        table.assign(table.size(), 0);
-    history_.clear();
-    theta_ = config_.initialTheta;
-    thetaCtr_ = 0;
-    stats_ = PerceptronStats{};
-}
-
 std::string
 Perceptron::name() const
 {

@@ -62,7 +62,6 @@ class Perceptron : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     const PerceptronConfig &config() const { return config_; }
@@ -73,24 +72,6 @@ class Perceptron : public Predictor
 
     /** Largest |weight| currently stored (tests: saturation bound). */
     int maxAbsWeight() const;
-
-    // State contract (DESIGN.md §14): enough bits per weight to span
-    // [weightMin, weightMax], plus the folded history and the adaptive
-    // threshold machinery (theta and its fitting counter, 16 bits each
-    // by the O-GEHL convention).
-    uint64_t
-    stateBits() const override
-    {
-        const uint64_t span =
-            uint64_t(config_.weightMax - config_.weightMin) + 1;
-        uint64_t weight_bits = 1;
-        while ((uint64_t(1) << weight_bits) < span)
-            ++weight_bits;
-        uint64_t weights = 0;
-        for (const auto &table : tables_)
-            weights += table.size();
-        return weights * weight_bits + config_.historyBits() + 16 + 16;
-    }
 
     COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(tables_, history_, theta_, thetaCtr_);

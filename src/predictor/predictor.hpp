@@ -13,15 +13,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <type_traits>
-#include <vector>
 
-#include "predictor/state.hpp"
 #include "trace/branch_record.hpp"
 #include "util/hot.hpp"
-#include "util/logging.hpp"
 
 namespace copra::predictor {
 
@@ -134,86 +130,8 @@ class Predictor
         return stepBatch(*this, batch, correct_out);
     }
 
-    /** Forget all adaptive state. */
-    virtual void reset() = 0;
-
     /** Stable display name, e.g. "gshare(h=16)". */
     virtual std::string name() const = 0;
-
-    // --- State contract (DESIGN.md §14) ----------------------------
-    //
-    // Roster predictors implement exact bit accounting and declare
-    // COPRA_STATE_FIELDS, which defines snapshotState()/restoreState()
-    // over the listed members (predictor/state.hpp); the copra_lint
-    // sema pass proves every member field is covered by the contract,
-    // and copra_check's differential state gates prove the snapshot is
-    // complete. The defaults panic rather than being pure virtual so
-    // analysis-side helpers and test stubs that are never snapshotted
-    // keep compiling unchanged.
-
-    /**
-     * Architectural state budget in bits at the current occupancy:
-     * table counters, history registers, and tags. Unbounded
-     * instruments (interference-free predictors, perfect BTBs) report
-     * their dynamically allocated size. Inter-call latches and
-     * telemetry are serialized by snapshotState() but not counted.
-     */
-    virtual uint64_t
-    stateBits() const
-    {
-        panic("predictor '" + name() + "' implements no state "
-              "contract (stateBits); roster predictors must");
-    }
-
-    /** Serialize every COPRA_STATE_FIELDS member, byte-stably, in
-     *  list order. */
-    virtual void
-    snapshotState(state::Writer &) const
-    {
-        panic("predictor '" + name() + "' implements no state "
-              "contract (snapshotState); roster predictors must");
-    }
-
-    /**
-     * Restore state written by snapshotState() on a predictor of the
-     * same configuration. Geometry mismatches panic.
-     */
-    virtual void
-    restoreState(state::Reader &)
-    {
-        panic("predictor '" + name() + "' implements no state "
-              "contract (restoreState); roster predictors must");
-    }
-
-    /** snapshotState() into a fresh byte buffer. */
-    std::vector<uint8_t>
-    snapshot() const
-    {
-        state::Writer w;
-        snapshotState(w);
-        return w.take();
-    }
-
-    /** restoreState() from @p bytes; trailing bytes panic. */
-    void
-    restore(std::span<const uint8_t> bytes)
-    {
-        state::Reader r(bytes);
-        restoreState(r);
-        panicIf(r.remaining() != 0,
-                "predictor '" + name() + "' left " +
-                    std::to_string(r.remaining()) +
-                    " trailing snapshot bytes unconsumed");
-    }
-
-    /** FNV-1a over snapshot(): equal state implies equal hash, and
-     *  the snapshot-completeness gate probes the converse. */
-    uint64_t
-    stateHash() const
-    {
-        std::vector<uint8_t> bytes = snapshot();
-        return state::fnv1a(bytes);
-    }
 };
 
 using PredictorPtr = std::unique_ptr<Predictor>;

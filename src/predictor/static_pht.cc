@@ -53,13 +53,6 @@ StaticPhtTwoLevel::step(const trace::BranchRecord &br, bool taken) noexcept
     return prediction;
 }
 
-void
-StaticPhtTwoLevel::reset()
-{
-    // Histories are adaptive state; the profiled directions are not.
-    indexer_.reset();
-}
-
 std::string
 StaticPhtTwoLevel::name() const
 {

@@ -47,16 +47,14 @@ class StaticPhtTwoLevel : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     /** Fraction of PHT entries that were exercised during profiling. */
     double coverage() const;
 
-    // State contract (DESIGN.md §14): only the first-level histories are
-    // adaptive; the profiled direction table is frozen configuration.
-    uint64_t stateBits() const override { return indexer_.stateBits(); }
-
+    // Field taxonomy (DESIGN.md §14): only the first-level histories
+    // are adaptive; the profiled direction table is frozen
+    // configuration.
     COPRA_CONFIG_FIELDS(directions_, covered_);
     COPRA_STATE_FIELDS(indexer_);
 

@@ -30,11 +30,9 @@ class AlwaysTaken : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override {}
     std::string name() const override { return "always-taken"; }
 
     COPRA_STATE_FIELDS();
-    uint64_t stateBits() const override { return 0; }
 };
 
 /** Predicts every branch not-taken. */
@@ -51,11 +49,9 @@ class AlwaysNotTaken : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override {}
     std::string name() const override { return "always-not-taken"; }
 
     COPRA_STATE_FIELDS();
-    uint64_t stateBits() const override { return 0; }
 };
 
 /**
@@ -75,11 +71,9 @@ class Btfnt : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override {}
     std::string name() const override { return "btfnt"; }
 
     COPRA_STATE_FIELDS();
-    uint64_t stateBits() const override { return 0; }
 };
 
 } // namespace copra::predictor

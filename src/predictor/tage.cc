@@ -201,17 +201,6 @@ Tage::step(const trace::BranchRecord &br, bool taken) noexcept
     return l.prediction;
 }
 
-void
-Tage::reset()
-{
-    base_.assign(base_.size(), 1);
-    for (auto &table : tables_)
-        table.assign(table.size(), Entry{});
-    history_.clear();
-    updates_ = 0;
-    stats_ = TageStats{};
-}
-
 std::string
 Tage::name() const
 {

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "predictor/history_fold.hpp"
@@ -75,7 +74,6 @@ class Tage : public Predictor
     {
         return stepBatch(*this, batch, out);
     }
-    void reset() override;
     std::string name() const override;
 
     const TageConfig &config() const { return config_; }
@@ -86,20 +84,6 @@ class Tage : public Predictor
 
     /** Sum of all useful counters (tests: aging must shrink it). */
     uint64_t usefulSum() const;
-
-    // State contract (DESIGN.md §14): 2 bits per base counter, then
-    // tag + prediction + useful bits per tagged entry, the folded
-    // history, and the aging clock.
-    uint64_t
-    stateBits() const override
-    {
-        uint64_t bits = uint64_t(2) * base_.size();
-        const uint64_t per_entry = uint64_t(config_.tagBits) +
-            config_.counterBits + config_.usefulBits;
-        for (const auto &table : tables_)
-            bits += per_entry * table.size();
-        return bits;
-    }
 
     COPRA_CONFIG_FIELDS(config_, folds_);
     COPRA_STATE_FIELDS(base_, tables_, history_, updates_);
@@ -112,13 +96,6 @@ class Tage : public Predictor
         uint16_t tag = 0;
         uint8_t ctr = 0;    //!< prediction counter; taken iff MSB set
         uint8_t useful = 0; //!< replacement protection
-
-        /** Snapshot members, in order (predictor/state.hpp). */
-        static auto
-        stateFields(auto &e)
-        {
-            return std::tie(e.tag, e.ctr, e.useful);
-        }
     };
 
     /**
@@ -163,7 +140,7 @@ class Tage : public Predictor
     std::vector<std::vector<Entry>> tables_; //!< tagged tables
     std::vector<Folds> folds_;               //!< per-table fold ids
     FoldedHistory history_;
-    uint64_t updates_ = 0; //!< branches trained since reset (drives aging)
+    uint64_t updates_ = 0; //!< branches trained (drives aging)
     TageStats stats_;
 };
 

@@ -104,19 +104,6 @@ Tournament::observe(const trace::BranchRecord &br) noexcept
     }
 }
 
-void
-Tournament::reset()
-{
-    global_.reset();
-    local_.reset();
-    chooser_.assign(chooser_.size(), Counter2{});
-    btb_.clear();
-    returnStack_.assign(returnStack_.size(), 0);
-    rasTop_ = 0;
-    rasSize_ = 0;
-    stats_ = TournamentStats{};
-}
-
 std::string
 Tournament::name() const
 {

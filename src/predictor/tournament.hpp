@@ -76,7 +76,6 @@ class Tournament : public Predictor
     /** Tracks calls/returns for the RAS and jump targets for the BTB. */
     void observe(const trace::BranchRecord &br) noexcept override;
 
-    void reset() override;
     std::string name() const override;
 
     const TournamentConfig &config() const { return config_; }
@@ -84,17 +83,6 @@ class Tournament : public Predictor
 
     /** BTB evictions so far (capacity/conflict pressure, for tests). */
     uint64_t btbEvictions() const { return btb_.evictions(); }
-
-    // State contract (DESIGN.md §14): both direction components, the
-    // chooser counters, the BTB (64-bit target payloads), and the
-    // return-address stack with its cursor registers.
-    uint64_t
-    stateBits() const override
-    {
-        return global_.stateBits() + local_.stateBits() +
-            uint64_t(2) * chooser_.size() + btb_.stateBits(64) +
-            uint64_t(64) * returnStack_.size();
-    }
 
     COPRA_CONFIG_FIELDS(config_);
     COPRA_STATE_FIELDS(global_, local_, chooser_, btb_, returnStack_,

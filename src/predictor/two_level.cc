@@ -189,13 +189,6 @@ TwoLevel::runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
     return n_correct;
 }
 
-void
-TwoLevel::reset()
-{
-    std::fill(histories_.begin(), histories_.end(), 0);
-    std::fill(pht_.begin(), pht_.end(), counterInit_);
-}
-
 std::string
 TwoLevel::name() const
 {

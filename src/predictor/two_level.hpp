@@ -116,7 +116,6 @@ class TwoLevel : public Predictor
     uint64_t
     predictUpdateSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept override;
 
-    void reset() override;
     std::string name() const override;
 
     const TwoLevelConfig &config() const { return config_; }
@@ -127,15 +126,6 @@ class TwoLevel : public Predictor
     {
         return phtIndexFor(pc >> 2,
                            histories_[historyRow(pc)] & historyMask_);
-    }
-
-    // State contract (DESIGN.md §14): historyBits per first-level
-    // register plus counterBits per second-level counter.
-    uint64_t
-    stateBits() const override
-    {
-        return uint64_t(config_.historyBits) * histories_.size() +
-            uint64_t(config_.counterBits) * pht_.size();
     }
 
     COPRA_CONFIG_FIELDS(config_, historyMask_, phtMask_, counterMax_,

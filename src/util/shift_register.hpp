@@ -58,10 +58,6 @@ class HistoryRegister
     /** Clear all recorded history. */
     void clear() { bits_ = 0; }
 
-    /** Replace the recorded pattern (snapshot restore); masked to the
-     *  configured length. */
-    void set(uint64_t bits) { bits_ = bits & mask_; }
-
   private:
     unsigned length_;
     uint64_t mask_;

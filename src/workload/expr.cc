@@ -100,16 +100,27 @@ Pred::variables() const
 std::string
 Pred::nodeString(uint32_t idx) const
 {
+    // Appended piece by piece: GCC 12 at -O3 reports a false
+    // -Wrestrict on operator+ of a literal and a temporary string.
     const Node &node = nodes_[idx];
+    std::string out;
     switch (node.op) {
       case Op::Var:
-        return "v" + std::to_string(node.a);
+        out = "v";
+        out += std::to_string(node.a);
+        return out;
       case Op::Not:
-        return "!" + nodeString(node.a);
+        out = "!";
+        out += nodeString(node.a);
+        return out;
       case Op::And:
-        return "(" + nodeString(node.a) + " & " + nodeString(node.b) + ")";
       case Op::Or:
-        return "(" + nodeString(node.a) + " | " + nodeString(node.b) + ")";
+        out = "(";
+        out += nodeString(node.a);
+        out += node.op == Op::And ? " & " : " | ";
+        out += nodeString(node.b);
+        out += ")";
+        return out;
     }
     return "?";
 }

@@ -28,7 +28,6 @@ class CountingProbe : public Predictor
         ++steps;
         return true;
     }
-    void reset() override { steps = 0; }
     std::string name() const override { return "probe"; }
     int steps = 0;
 };

@@ -84,16 +84,6 @@ TEST(BtbTable, EvictedEntryRestartsCold)
     EXPECT_EQ(table.access(0x100), 0); // default-constructed again
 }
 
-TEST(BtbTable, ClearResetsEverything)
-{
-    BtbTable<int> table(BtbConfig::finite(1, 1));
-    table.access(0x100) = 1;
-    table.access(0x108) = 2;
-    table.clear();
-    EXPECT_EQ(table.size(), 0u);
-    EXPECT_EQ(table.evictions(), 0u);
-}
-
 TEST(LoopPredictorBtb, PerfectMatchesDefaultExactly)
 {
     auto trace = workload::loopTrace(0x100, 7, 200);

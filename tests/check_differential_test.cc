@@ -11,18 +11,23 @@
  *    cannot catch a planted off-by-one proves nothing.
  * 3. The delta-debugging minimizer is sound (output still fails),
  *    effective (output is much smaller), and deterministic.
+ * 4. The hot gates' roster names every factory predictor once, and
+ *    gate reports print in one shape.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "check/differential.hpp"
 #include "check/fuzz.hpp"
+#include "check/hot_gates.hpp"
 #include "check/record_check.hpp"
 #include "check/ref_models.hpp"
+#include "predictor/factory.hpp"
 #include "predictor/two_level.hpp"
 
 namespace copra::check {
@@ -232,6 +237,41 @@ TEST(Differential, DefaultRosterCoversThePaperFamilies)
         ASSERT_TRUE(p.optimized) << p.name;
         ASSERT_TRUE(p.reference) << p.name;
     }
+}
+
+TEST(GateReport, FormatNamesSubjectSeedAndNote)
+{
+    // The seed prints only when set, the subject only when the gate has
+    // one (the ingest gates do not), and the note after the counts.
+    GateReport report;
+    report.gatesRun = 7;
+    report.note = "alloc probe absent";
+    report.failures = {{"gshare:h=7", "hot-alloc", 3, "allocates"},
+                       {"gshare:h=7", "hot-lock", 0, "locks"},
+                       {"", "forgery", 0, "accepted"}};
+    EXPECT_EQ(formatGateReport("hot gates", report),
+              "hot gates: 7 checks, 3 failure(s) [alloc probe absent]\n"
+              "  FAIL gshare:h=7 [hot-alloc] seed=3: allocates\n"
+              "  FAIL gshare:h=7 [hot-lock]: locks\n"
+              "  FAIL [forgery]: accepted\n");
+}
+
+TEST(HotGates, RosterNamesEveryFactoryPredictorOnce)
+{
+    // The hot gates replay this hand-kept list, so a factory predictor
+    // left off it would skip them in silence.
+    std::map<std::string, int> leads;
+    for (const RosterEntry &entry : defaultGateRoster())
+        ++leads[entry.spec.substr(0, entry.spec.find(':'))];
+    for (const std::string &name : predictor::knownPredictors()) {
+        EXPECT_EQ(leads[name], 1)
+            << "factory predictor '" << name << "' should lead exactly "
+            << "one roster spec";
+        leads.erase(name);
+    }
+    for (const auto &[name, count] : leads)
+        ADD_FAILURE() << count << " roster spec(s) name '" << name
+                      << "', which is not a factory predictor";
 }
 
 } // namespace

@@ -213,28 +213,5 @@ TEST(RefFixedPattern, MatchesTheBankThePaClassifierReads)
     EXPECT_GT(long_branches, 20u);
 }
 
-TEST(RefModels, ResetRestoresColdState)
-{
-    RefTwoLevel two(TwoLevelConfig::gshare(6));
-    RefBimodal bim(4);
-    RefLoop loop;
-    RefFixedPattern fixed(2);
-    BranchRecord br = cond(0x40, true);
-    const std::vector<predictor::Predictor *> all = {&two, &bim, &loop,
-                                                     &fixed};
-    for (int i = 0; i < 30; ++i) {
-        for (predictor::Predictor *p : all)
-            p->step(br, true);
-    }
-    two.reset();
-    bim.reset();
-    loop.reset();
-    fixed.reset();
-    EXPECT_FALSE(two.step(br, true));
-    EXPECT_FALSE(bim.step(br, true));
-    EXPECT_TRUE(loop.step(br, true));  // cold loop default: taken
-    EXPECT_TRUE(fixed.step(br, true)); // cold fixed default: taken
-}
-
 } // namespace
 } // namespace copra::check

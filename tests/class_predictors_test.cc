@@ -104,14 +104,6 @@ TEST(LoopPredictor, StateAccessorReflectsTraining)
     EXPECT_EQ(pred.state(0x999).seen, false);
 }
 
-TEST(LoopPredictor, ResetForgets)
-{
-    LoopPredictor pred;
-    pred.step(cond(0x100, true), true);
-    pred.reset();
-    EXPECT_FALSE(pred.state(0x100).seen);
-}
-
 TEST(LoopPredictor, RunLengthSaturatesAt255)
 {
     LoopPredictor pred;
@@ -172,14 +164,6 @@ TEST(BlockPattern, StateAccessor)
     EXPECT_TRUE(st.seen);
     EXPECT_EQ(st.lastRun[1], 3u);
     EXPECT_EQ(st.lastRun[0], 2u);
-}
-
-TEST(BlockPattern, ResetForgets)
-{
-    BlockPatternPredictor pred;
-    pred.step(cond(0x100, true), true);
-    pred.reset();
-    EXPECT_FALSE(pred.state(0x100).seen);
 }
 
 class FixedK : public ::testing::TestWithParam<unsigned>

@@ -8,8 +8,7 @@
  *  - default: a type that does not derive from Predictor and exposes
  *    none of the interface (breaks the structural clauses).
  *  - COPRA_BREAK_STATE_CONTRACT: a well-formed roster predictor that
- *    declares no COPRA_STATE_FIELDS and inherits the panicking state
- *    defaults instead of overriding them (breaks the state clauses).
+ *    declares no COPRA_STATE_FIELDS (breaks the field-list clause).
  *  - COPRA_BREAK_STEP_BATCH: a contracted predictor that declares
  *    step() but inherits the base batch loop instead of declaring its
  *    own predictUpdateSoa() (breaks the batch-loop clause).
@@ -24,7 +23,7 @@
 
 namespace copra::predictor {
 
-/** Runtime interface complete, state contract entirely missing. */
+/** Runtime interface complete, field lists missing. */
 class StatelessRosterPredictor : public Predictor
 {
   public:
@@ -37,7 +36,6 @@ class StatelessRosterPredictor : public Predictor
     {
         return stepBatch(*this, batch, correct_out);
     }
-    void reset() override {}
     std::string name() const override { return "stateless"; }
 };
 
@@ -52,7 +50,7 @@ static_assert(
 
 namespace copra::predictor {
 
-/** State contract complete; the batch loop is inherited. */
+/** Field lists declared; the batch loop is inherited. */
 class InheritedBatchPredictor : public Predictor
 {
   public:
@@ -60,9 +58,7 @@ class InheritedBatchPredictor : public Predictor
     {
         return true;
     }
-    void reset() override {}
     std::string name() const override { return "inherited-batch"; }
-    uint64_t stateBits() const override { return 0; }
 
     COPRA_STATE_FIELDS();
 };

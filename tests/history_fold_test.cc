@@ -4,8 +4,7 @@
  * after every push of a seeded random stream each register must equal
  * fold(L, C) and check::refFold over a plain std::vector<bool>, across
  * windows shorter than, equal to, multiples of and longer than the
- * width, and across the 64-bit word boundary; after clear() and after a
- * snapshot/restore into a fresh instance; plus the track() contract
+ * width, and across the 64-bit word boundary; plus the track() contract
  * (capacity, bad geometry) and the roster's largest geometries.
  */
 
@@ -17,7 +16,6 @@
 #include "check/ref_models.hpp"
 #include "predictor/history_fold.hpp"
 #include "predictor/perceptron.hpp"
-#include "predictor/state.hpp"
 #include "predictor/tage.hpp"
 #include "util/rng.hpp"
 
@@ -93,55 +91,6 @@ TEST(FoldedHistory, TrackedFoldsMatchDefinitionEveryPush)
         Rng rng(seed++);
         pushAndCheck(t, ref, rng, 600);
     }
-}
-
-TEST(FoldedHistory, ClearZeroesRegistersAndRestartsExactly)
-{
-    Rng rng(11);
-    for (const auto &group : pairGroups()) {
-        TrackedSet t(group);
-        std::vector<bool> ref;
-        pushAndCheck(t, ref, rng, 300);
-        t.history.clear();
-        ref.clear();
-        for (unsigned id : t.ids)
-            EXPECT_EQ(t.history.folded(id), 0u);
-        pushAndCheck(t, ref, rng, 300);
-    }
-}
-
-TEST(FoldedHistory, RestoreRebuildsRegistersInAFreshInstance)
-{
-    Rng rng(23);
-    for (const auto &group : pairGroups()) {
-        TrackedSet original(group);
-        std::vector<bool> ref;
-        // A random midpoint past the longest window, so the registers
-        // hold folds of a full 128-bit history.
-        pushAndCheck(original, ref, rng, 130 + rng.index(300));
-
-        state::Writer w;
-        state::save(w, original.history);
-        TrackedSet clone(group);
-        state::Reader r(w.bytes());
-        state::load(r, clone.history);
-        EXPECT_EQ(r.remaining(), 0u);
-        expectRegistersExact(clone, ref, 0);
-
-        // Both continue in lockstep from the restored point.
-        Rng twin = rng;
-        std::vector<bool> ref_clone = ref;
-        pushAndCheck(original, ref, rng, 200);
-        pushAndCheck(clone, ref_clone, twin, 200);
-    }
-}
-
-TEST(FoldedHistory, SnapshotFormatIsTheTwoHistoryWords)
-{
-    TrackedSet t({{80, 10}, {128, 32}});
-    state::Writer w;
-    state::save(w, t.history);
-    EXPECT_EQ(w.bytes().size(), 16u);
 }
 
 TEST(FoldedHistory, TrackStartsFromTheCurrentHistory)

@@ -56,14 +56,6 @@ TEST(IfGshare, LearnsCorrelationExactly)
     EXPECT_GT(100.0 * ledger.branch(0x200).accuracy(), 98.0);
 }
 
-TEST(IfGshare, ResetClearsState)
-{
-    IfGshare pred(8);
-    pred.step(cond(0x100), true);
-    pred.reset();
-    EXPECT_EQ(pred.countersAllocated(), 0u);
-}
-
 TEST(IfGshare, PcsFoldingToOneKeyAreDistinctBranches)
 {
     // pc 0x3 and 0xffff'ffff'ffff'fffc fold to one value under
@@ -157,14 +149,6 @@ TEST(IfPas, PcsFoldingToOneKeyAreDistinctBranches)
     pred.step(cond(0x3), true);
     EXPECT_FALSE(pred.step(cond(0xffff'ffff'ffff'fffcull), true));
     EXPECT_EQ(pred.branchesTracked(), 2u);
-}
-
-TEST(IfPas, ResetClearsState)
-{
-    IfPas pred(8);
-    pred.step(cond(0x100), true);
-    pred.reset();
-    EXPECT_EQ(pred.branchesTracked(), 0u);
 }
 
 TEST(InterferenceContrast, IfPredictorBeatsSharedPhtUnderForcedAliasing)

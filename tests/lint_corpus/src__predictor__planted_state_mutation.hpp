@@ -17,7 +17,6 @@ class PlantedBare : public Predictor             // expect: state-decl
 {
   public:
     bool step(const trace::BranchRecord &br, bool taken) override;
-    void reset() override;
 
   private:
     int hits_ = 0;
@@ -33,10 +32,6 @@ class PlantedConfigMut : public Predictor
         return table_ > 0;
     }
 
-    void reset() override;
-
-    uint64_t stateBits() const override;
-
     COPRA_CONFIG_FIELDS(width_);
     COPRA_STATE_FIELDS(table_);
 
@@ -49,9 +44,6 @@ class PlantedStepConfig : public Predictor
 {
   public:
     bool step(const trace::BranchRecord &br, bool taken) override;
-    void reset() override;
-
-    uint64_t stateBits() const override;
 
     COPRA_CONFIG_FIELDS(mask_);
     COPRA_STATE_FIELDS(counter_);

@@ -14,9 +14,6 @@ class PlantedUncovered : public Predictor
 {
   public:
     bool step(const trace::BranchRecord &br, bool taken) override;
-    void reset() override;
-
-    uint64_t stateBits() const override;
 
     COPRA_CONFIG_FIELDS(count_);
     COPRA_STATE_FIELDS(count_, table_);

@@ -21,10 +21,6 @@ class SuppressedState : public Predictor
         return table_ > 0;
     }
 
-    void reset() override;
-
-    uint64_t stateBits() const override;
-
     COPRA_CONFIG_FIELDS(width_);
     COPRA_STATE_FIELDS(table_, ghost_); // copra-lint: allow(state-decl) -- corpus: member mid-migration
 

@@ -294,20 +294,5 @@ TEST(ModernRoster, FactoryBuildsAllThree)
             << spec;
 }
 
-TEST(ModernRoster, ResetRestoresInitialPredictions)
-{
-    for (const char *spec : {"tage", "perceptron", "tournament"}) {
-        PredictorPtr pred = makePredictor(spec);
-        auto trace = workload::biasedTrace(0x100, 0.0, 2000, 3);
-        sim::run(trace, *pred);
-        pred->reset();
-        PredictorPtr fresh = makePredictor(spec);
-        for (int i = 0; i < 32; ++i) {
-            trace::BranchRecord br = cond(0x100 + 4 * i, true);
-            EXPECT_EQ(pred->step(br, true), fresh->step(br, true)) << spec;
-        }
-    }
-}
-
 } // namespace
 } // namespace copra::predictor

@@ -72,8 +72,10 @@ TEST(ObsReportTest, RegistryDocListsEveryInstrument)
 {
     std::string doc = renderRegistryDoc();
     for (const InstrumentDesc &desc : instrumentCatalog()) {
-        EXPECT_NE(doc.find("`" + std::string(desc.key) + "`"),
-                  std::string::npos)
+        std::string quoted = "`";
+        quoted += desc.key;
+        quoted += '`';
+        EXPECT_NE(doc.find(quoted), std::string::npos)
             << "instrument " << desc.key << " missing from doc";
     }
     EXPECT_NE(doc.find("metrics_doc_drift"), std::string::npos);

@@ -71,15 +71,6 @@ TEST(Bimodal, AliasingIsReal)
     EXPECT_FALSE(pred.step(cond(pc_a), false));
 }
 
-TEST(Bimodal, ResetForgets)
-{
-    Bimodal pred(8);
-    for (int i = 0; i < 4; ++i)
-        pred.step(cond(0x100), true);
-    pred.reset();
-    EXPECT_FALSE(pred.step(cond(0x100), true)); // back to weakly-not-taken
-}
-
 TEST(Bimodal, TableSizeMatchesBits)
 {
     EXPECT_EQ(Bimodal(6).tableSize(), 64u);
@@ -103,7 +94,6 @@ TEST_P(FactoryNames, ConstructsAndRuns)
     auto trace = workload::biasedTrace(0x100, 0.9, 500, 3);
     auto result = sim::run(trace, *pred);
     EXPECT_EQ(result.dynamicBranches, 500u);
-    pred->reset();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKnown, FactoryNames,

@@ -3,7 +3,7 @@
  * Runtime companion to the compile-time predictor contracts: the
  * static_asserts in predictor/contracts.hpp prove the roster's shape;
  * these tests prove the behavioural half on live instances — every
- * factory spec constructs, names itself, resets, and keeps the batch
+ * factory spec constructs, names itself, and keeps the batch
  * entry point equivalent to the scalar step() loop.
  */
 
@@ -37,7 +37,6 @@ TEST(PredictorContracts, EveryFactorySpecConstructsAndNames)
         auto pred = makePredictor(spec);
         ASSERT_NE(pred, nullptr) << spec;
         EXPECT_FALSE(pred->name().empty()) << spec;
-        pred->reset(); // must be callable on a fresh instance
     }
 }
 

@@ -167,22 +167,6 @@ TEST(SelectivePredictor, TwoBranchHistoryRefinesOne)
     EXPECT_GT(acc2, acc1 + 8.0);
 }
 
-TEST(SelectivePredictor, ResetForgets)
-{
-    std::unordered_map<uint64_t, std::vector<Tag>> selections;
-    selections[0x200] = {Tag(0x100, TagMethod::Occurrence, 0)};
-    SelectivePredictor pred(std::move(selections), 8);
-    BranchRecord y{0x100, 0x180, BranchKind::Conditional, true};
-    BranchRecord x{0x200, 0x280, BranchKind::Conditional, true};
-    for (int i = 0; i < 10; ++i) {
-        pred.step(y, true);
-        pred.step(x, true);
-    }
-    EXPECT_TRUE(pred.step(x, true));
-    pred.reset();
-    EXPECT_FALSE(pred.step(x, true));
-}
-
 TEST(SelectivePredictor, NameMentionsDepth)
 {
     SelectivePredictor pred({}, 12);

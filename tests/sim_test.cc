@@ -31,7 +31,6 @@ class Probe : public predictor::Predictor
         return true;
     }
     void observe(const BranchRecord &) noexcept override { ++observes; }
-    void reset() override { steps = observes = 0; }
     std::string name() const override { return "probe"; }
 
     int steps = 0;

@@ -153,16 +153,6 @@ TEST(TwoLevel, PasExploitsPerBranchPatternUnderGlobalNoise)
     EXPECT_GT(100.0 * pas_ledger.branch(0x100).accuracy(), 97.0);
 }
 
-TEST(TwoLevel, ResetRestoresColdState)
-{
-    TwoLevel pred(TwoLevelConfig::gshare(10));
-    auto trace = workload::biasedTrace(0x100, 1.0, 100, 1);
-    sim::run(trace, pred);
-    EXPECT_TRUE(pred.step(cond(0x100), true));
-    pred.reset();
-    EXPECT_FALSE(pred.step(cond(0x100), true));
-}
-
 class HistoryLengthSweep : public ::testing::TestWithParam<unsigned>
 {
 };

@@ -11,8 +11,7 @@
  * --doc-workloads regenerates docs/WORKLOADS.md from the live workload
  * registry at a pinned budget; the workloads_doc_drift ctest gate runs
  * it through tests/doc_drift.sh so the committed doc can never go
- * stale (the house pattern of METRICS.md / STATE_BUDGETS.md /
- * HOT_PATH.md).
+ * stale (the house pattern of METRICS.md / HOT_PATH.md).
  *
  * Examples:
  *   copra_characterize --workloads gcc,interp --branches 200000

@@ -182,9 +182,9 @@ struct SemaBody
 
 /**
  * Lightweight model of one class definition: name, bases, parsed
- * member fields, declared methods, COPRA_*_FIELDS declarations, and
- * every method body the scanned set binds to it (including bodies
- * defined out of line in other translation units).
+ * member fields, COPRA_*_FIELDS declarations, and every method body
+ * the scanned set binds to it (including bodies defined out of line in
+ * other translation units).
  */
 struct SemaClass
 {
@@ -194,7 +194,6 @@ struct SemaClass
     size_t scanIndex = 0;
     std::vector<std::string> bases; ///< unqualified base-class names
     std::vector<SemaField> fields;
-    std::set<std::string> methods;
     std::vector<SemaListEntry> listed;
     bool hasStateFields = false;
     bool hasConfigFields = false;

@@ -1,24 +1,22 @@
 /**
  * @file
- * Cross-TU semantic pass for copra_lint: the predictor state-contract
+ * Cross-TU semantic pass for copra_lint: the predictor field-taxonomy
  * audit (DESIGN.md §14).
  *
  * Where the token rules in rules.cc look at one statement at a time,
  * this pass builds a lightweight symbol table over every scanned file:
- * class definitions with their base classes, member fields, declared
- * methods, and COPRA_{STATE,CONFIG,TRANSIENT}_FIELDS declarations —
- * plus every out-of-line `Class::method(...) { ... }` body, bound back
- * to its class across translation units. Three rules run on top:
+ * class definitions with their base classes, member fields, inline
+ * method bodies, and COPRA_{STATE,CONFIG,TRANSIENT}_FIELDS declarations
+ * — plus every out-of-line `Class::method(...) { ... }` body, bound
+ * back to its class across translation units. Three rules run on top:
  *
  *  - state-decl: every Predictor-derived class under src/predictor/
- *    must declare COPRA_STATE_FIELDS(...) (which also defines its
- *    snapshot/restore pair) plus stateBits(), and every name a field
- *    list mentions must be a real member (no stale entries; for the
- *    state list the compiler agrees, the config and transient lists
- *    are only ever stringized).
+ *    must declare COPRA_STATE_FIELDS(...), and every name a field
+ *    list mentions must be a real member (no stale entries; the lists
+ *    are only ever stringized, so the compiler cannot tell).
  *  - state-coverage: every parsed member field must appear in exactly
- *    one of the three lists — an unlisted field is exactly the hidden
- *    state the snapshot gates exist to catch.
+ *    one of the three lists — state-mutation can only hold a member
+ *    to its class's contract once the member is classified.
  *  - state-mutation: prediction-path bodies (step, observe,
  *    predictUpdateSoa) may not mutate config-listed
  *    members; classes without the contract may not mutate any member
@@ -182,11 +180,9 @@ parseClassBody(const std::vector<Token> &toks, size_t begin, size_t end,
                 // Method definition: name is the identifier before the
                 // parameter list (ctors included).
                 SemaField name;
-                if (fieldNameBackward(toks, stmt, firstParen, name)) {
-                    cls.methods.insert(name.name);
+                if (fieldNameBackward(toks, stmt, firstParen, name))
                     cls.bodies.push_back(
                         {name.name, scanIndex, j, bodyEnd - 1, stmt});
-                }
             } else {
                 // Data member with a braced initializer.
                 SemaField field;
@@ -231,13 +227,10 @@ parseClassBody(const std::vector<Token> &toks, size_t begin, size_t end,
                             firstEq = k;
                     }
                     if (isStatic) {
-                        // Static members are class-wide, not snapshot
+                        // Static members are class-wide, not instance
                         // state; the mutable-global rule polices them.
                     } else if (firstParen < firstEq) {
-                        SemaField name;
-                        if (fieldNameBackward(toks, stmt, firstParen,
-                                              name))
-                            cls.methods.insert(name.name);
+                        // Method declaration: not a member field.
                     } else {
                         SemaField field;
                         size_t term = firstEq != end ? firstEq : j;
@@ -525,12 +518,6 @@ ruleStateDecl(const SemaClass &cls, std::vector<Finding> &out)
                        "config, or transient list (DESIGN.md §14)",
                        1});
     }
-    if (!cls.methods.count("stateBits"))
-        out.push_back({cls.rel, cls.line, "state-decl",
-                       "class '" + cls.name + "' does not declare "
-                       "stateBits(): the state contract needs exact "
-                       "bit accounting",
-                       1});
 
     std::set<std::string> memberNames;
     for (const SemaField &f : cls.fields)
@@ -561,8 +548,8 @@ ruleStateCoverage(const SemaClass &cls, std::vector<Finding> &out)
             out.push_back({cls.rel, f.line, "state-coverage",
                            "member '" + f.name + "' of '" + cls.name +
                            "' appears in no COPRA_*_FIELDS list: "
-                           "unregistered members are exactly the "
-                           "hidden state the snapshot gates catch",
+                           "state-mutation needs every member "
+                           "classified as state, config, or transient",
                            f.col});
         else if (n > 1)
             out.push_back({cls.rel, f.line, "state-coverage",
@@ -604,8 +591,8 @@ ruleStateMutation(const SemaClass &cls,
                   "frozen geometry; if it adapts at runtime it belongs "
                   "in COPRA_STATE_FIELDS"
                 : "member '" + hit->text + "' without a state "
-                  "contract: snapshots cannot see this state, so "
-                  "checkpointed replay diverges silently";
+                  "contract: adaptive state must be declared in "
+                  "COPRA_STATE_FIELDS";
             out.push_back({scans[body.scanIndex].rel, hit->line,
                            "state-mutation",
                            body.method + "() of '" + cls.name +
