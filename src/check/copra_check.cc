@@ -22,7 +22,7 @@
  *
  * --ingest-gates verifies the foreign-trace path end to end over a
  * committed sample (--sample): reference ingest, emit-then-load SoA
- * identity of the cache-v3 file, record round-trip, cross-format
+ * identity of the cache-v4 file, record round-trip, cross-format
  * (text/CSV) agreement, corruption fuzz through the loader, and
  * re-sealed forgeries (check/ingest_gates.hpp).
  *

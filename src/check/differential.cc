@@ -63,9 +63,9 @@ soaPredictions(const Trace &trace, predictor::Predictor &pred)
             pred.observe(soa.record(pos));
         if (correct.size() < seg.count)
             correct.resize(seg.count);
-        predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.target() + seg.begin,
-                                  soa.taken() + seg.begin, seg.count};
+        predictor::SoaBatch batch{soa.site() + seg.begin,
+                                  soa.taken() + seg.begin,
+                                  soa.sites().data(), seg.count};
         pred.predictUpdateSoa(batch, correct.data());
         const uint8_t *taken = batch.taken;
         for (size_t k = 0; k < seg.count; ++k) {
@@ -547,7 +547,8 @@ class BuggyPas : public RefTwoLevel
 BranchRecord
 batchRecord(const predictor::SoaBatch &batch, size_t i)
 {
-    return {batch.pc[i], batch.target[i], trace::BranchKind::Conditional,
+    const trace::Site &site = batch.sites[batch.site[i]];
+    return {site.pc, site.target, trace::BranchKind::Conditional,
             batch.taken[i] != 0};
 }
 

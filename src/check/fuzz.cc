@@ -434,12 +434,13 @@ fuzzTrace(uint64_t seed, uint64_t conditionals)
 
 namespace {
 
-/** A cache-v3 image's header counts and layout; nullopt if @p bytes
- * is not a well-sized v3 image. */
+/** A cache-v4 image's header counts and layout; nullopt if @p bytes
+ * is not a well-sized v4 image. */
 struct ImageShape
 {
+    uint32_t nameLength = 0;
     uint64_t records = 0;
-    uint64_t statics = 0;
+    uint64_t sites = 0;
     trace::ImageLayout at;
 };
 
@@ -455,12 +456,13 @@ imageShape(const std::string &bytes)
         return v;
     };
     uint64_t word = u64(off::kVersion);
-    ImageShape shape{u64(off::kRecords), u64(off::kStaticPcs), {}};
+    ImageShape shape{static_cast<uint32_t>(word >> 32), u64(off::kRecords),
+                     u64(off::kSites), {}};
     if (static_cast<uint32_t>(word) != trace::kTraceFormatVersion ||
-        shape.records > bytes.size() || shape.statics > bytes.size())
+        shape.records > bytes.size() || shape.sites > bytes.size())
         return std::nullopt;
-    shape.at = trace::imageLayout(static_cast<uint32_t>(word >> 32),
-                                  shape.records, shape.statics);
+    shape.at =
+        trace::imageLayout(shape.nameLength, shape.records, shape.sites);
     if (shape.at.end != bytes.size())
         return std::nullopt;
     return shape;
@@ -471,12 +473,14 @@ imageShape(const std::string &bytes)
 std::string
 forgeImage(const std::string &bytes, Forgery forgery, uint64_t seed)
 {
+    namespace off = trace::header_offset;
     std::optional<ImageShape> shape = imageShape(bytes);
-    if (!shape || shape->statics < 2 || shape->records < shape->statics)
+    if (!shape || shape->sites < 2 || shape->records <= shape->sites)
         return {};
     std::string out = bytes;
     const trace::ImageLayout &at = shape->at;
     size_t n = static_cast<size_t>(shape->records);
+    size_t sites = static_cast<size_t>(shape->sites);
     auto get = [&]<typename T>(size_t offset, T value) {
         std::memcpy(&value, out.data() + offset, sizeof value);
         return value;
@@ -484,66 +488,86 @@ forgeImage(const std::string &bytes, Forgery forgery, uint64_t seed)
     auto put = [&]<typename T>(size_t offset, T value) {
         std::memcpy(out.data() + offset, &value, sizeof value);
     };
-    auto id = [&](size_t i) {
-        return get(at.staticIndex + 4 * i, uint32_t{});
-    };
-    auto setId = [&](size_t i, uint32_t v) {
-        put(at.staticIndex + 4 * i, v);
-    };
-    auto staticPc = [&](size_t j) {
-        return get(at.staticPcs + 8 * j, uint64_t{});
-    };
+    auto site = [&](size_t i) { return get(at.site + 4 * i, uint32_t{}); };
+    auto setSite = [&](size_t i, uint32_t v) { put(at.site + 4 * i, v); };
     Rng rng(mix64(seed ^ 0xf0a6e5ull));
 
     switch (forgery) {
-      case Forgery::StaticIdOtherPc: {
-        // A record repeating an id seen before, once two ids are out:
-        // re-pointing it at another seen id stays in range and in
-        // first-appearance order, so only the pc check can catch it.
-        std::vector<std::pair<size_t, uint32_t>> repeats; // (i, ids seen)
+      case Forgery::SiteOutOfRange: {
+        // A record repeating a site seen before: its site stays
+        // referenced, so only the range check can catch it.
+        std::vector<size_t> repeats;
         uint32_t seen = 0;
         for (size_t i = 0; i < n; ++i) {
-            if (id(i) < seen && seen >= 2)
-                repeats.emplace_back(i, seen);
-            seen = std::max(seen, id(i) + 1);
+            if (site(i) < seen)
+                repeats.push_back(i);
+            seen = std::max(seen, site(i) + 1);
         }
-        if (repeats.empty())
-            return {};
-        auto [i, seen_before] = repeats[rng.index(repeats.size())];
-        setId(i, static_cast<uint32_t>(
-                     (id(i) + 1 + rng.index(seen_before - 1)) % seen_before));
+        setSite(repeats[rng.index(repeats.size())],
+                static_cast<uint32_t>(sites + rng.index(16)));
         break;
       }
-      case Forgery::StaticIdOutOfRange:
-        setId(rng.index(n),
-              static_cast<uint32_t>(shape->statics + rng.index(16)));
-        break;
-      case Forgery::StaticIdOrder: {
-        // Swapping ids 0 and 1 everywhere, and their pcs with them,
-        // keeps every id naming its record's pc.
-        uint64_t first = staticPc(0);
-        put(at.staticPcs, staticPc(1));
-        put(at.staticPcs + 8, first);
+      case Forgery::SiteOrder: {
+        // Swapping sites 0 and 1 everywhere, rows and ids alike, keeps
+        // every record's triple.
+        auto swapRows = [&](size_t offset, size_t width) {
+            char *row0 = out.data() + offset;
+            std::swap_ranges(row0, row0 + width, row0 + width);
+        };
+        swapRows(at.sitePc, 8);
+        swapRows(at.siteTarget, 8);
+        swapRows(at.siteKind, 1);
         for (size_t i = 0; i < n; ++i)
-            if (id(i) < 2)
-                setId(i, id(i) ^ 1);
+            if (site(i) < 2)
+                setSite(i, site(i) ^ 1);
         break;
       }
-      case Forgery::DuplicateStaticPc: {
-        // The last static branch takes the first one's pc, and so do
-        // its records: ids stay consistent, only uniqueness breaks.
-        uint32_t last = static_cast<uint32_t>(shape->statics - 1);
-        put(at.staticPcs + 8 * last, staticPc(0));
-        for (size_t i = 0; i < n; ++i)
-            if (id(i) == last)
-                put(at.pc + 8 * i, staticPc(0));
+      case Forgery::DuplicateSite: {
+        // The last site takes the first one's triple; ids stay in
+        // range and in order, only uniqueness breaks.
+        size_t last = sites - 1;
+        put(at.sitePc + 8 * last, get(at.sitePc, uint64_t{}));
+        put(at.siteTarget + 8 * last, get(at.siteTarget, uint64_t{}));
+        out[at.siteKind + last] = out[at.siteKind];
         break;
       }
+      case Forgery::SiteKind:
+        out[at.siteKind + rng.index(sites)] =
+            static_cast<char>(4 + rng.index(252)); // > Return
+        break;
       case Forgery::TakenTwo:
         out[at.taken + rng.index(n)] = 2;
         break;
+      case Forgery::UnreferencedSite: {
+        // One more row, a triple no other site has: the site table
+        // grows, the records are untouched.
+        trace::ImageLayout grown =
+            trace::imageLayout(shape->nameLength, n, sites + 1);
+        std::vector<uint64_t> pcs(sites);
+        for (size_t j = 0; j < sites; ++j)
+            pcs[j] = get(at.sitePc + 8 * j, uint64_t{});
+        uint64_t pc = 0; // a jump to itself, at a pc no site has
+        while (std::find(pcs.begin(), pcs.end(), pc) != pcs.end())
+            pc += 4;
+        out.assign(bytes, 0, at.sitePc);
+        out.resize(grown.end, '\0');
+        auto copyColumn = [&](size_t from, size_t to, size_t width) {
+            std::memcpy(out.data() + to, bytes.data() + from, width * sites);
+        };
+        copyColumn(at.sitePc, grown.sitePc, 8);
+        copyColumn(at.siteTarget, grown.siteTarget, 8);
+        copyColumn(at.siteKind, grown.siteKind, 1);
+        put(grown.sitePc + 8 * sites, pc);
+        put(grown.siteTarget + 8 * sites, pc);
+        out[grown.siteKind + sites] = static_cast<char>(BranchKind::Jump);
+        put(off::kSites, uint64_t{sites + 1});
+        break;
+      }
+      case Forgery::ConditionalCount:
+        put(off::kConditionals, get(off::kConditionals, uint64_t{}) + 1);
+        break;
     }
-    put(trace::header_offset::kChecksum,
+    put(off::kChecksum,
         trace::imageChecksum(
             reinterpret_cast<const unsigned char *>(out.data()), out.size()));
     return out;
@@ -586,10 +610,10 @@ corruptBytes(const std::string &bytes, uint64_t seed)
             mutated[trace::header_offset::kRecords + 7] =
                 char(0x7f); // count |= 2^63-ish
         break;
-      case 4: // poison one byte of the kind column
+      case 4: // poison one byte of the site kind column
         if (std::optional<ImageShape> shape = imageShape(bytes);
-            shape && shape->records != 0)
-            mutated[shape->at.kind + rng.index(shape->records)] =
+            shape && shape->sites != 0)
+            mutated[shape->at.siteKind + rng.index(shape->sites)] =
                 char(4 + rng.index(250)); // > Return
         break;
       default: // flip one payload bit anywhere

@@ -78,36 +78,38 @@ trace::Trace fuzzTrace(uint64_t seed, uint64_t conditionals = 2000);
  * Return a corrupted copy of @p bytes (a serialized binary trace). The
  * mutation is chosen from the seed; the result is guaranteed to differ
  * from the input. Mutations targeting the header (magic, version,
- * record count, kind bytes, truncation) make loadBinary() throw; a
+ * record count, site kind bytes, truncation) make loadBinary() throw; a
  * payload bit flip fails the checksum; a re-sealed forgery (see
  * forgeImage) passes the checksum and must fail verification. Where a
- * forgery does not apply (e.g. @p bytes is not a cache-v3 image) a
+ * forgery does not apply (e.g. @p bytes is not a cache-v4 image) a
  * bit is flipped instead.
  */
 std::string corruptBytes(const std::string &bytes, uint64_t seed);
 
 /**
- * Tampering with a cache-v3 image that forgeImage() re-seals under a
+ * Tampering with a cache-v4 image that forgeImage() re-seals under a
  * valid checksum, so only the loader's verification pass can catch it.
  */
 enum class Forgery : uint8_t
 {
-    StaticIdOtherPc = 0, //!< a repeat record's id names another seen pc
-    StaticIdOutOfRange,  //!< a static id at or past the static pc count
-    StaticIdOrder,       //!< ids 0 and 1 swapped (pcs kept consistent)
-    DuplicateStaticPc,   //!< the last static pc repeats the first one
-    TakenTwo,            //!< one taken byte set to 2
+    SiteOutOfRange = 0, //!< a repeat record's site id at or past the count
+    SiteOrder,          //!< sites 0 and 1 swapped (records kept consistent)
+    DuplicateSite,      //!< the last site repeats the first one's triple
+    SiteKind,           //!< one site kind set past Return
+    TakenTwo,           //!< one taken byte set to 2
+    UnreferencedSite,   //!< one more site row, named by no record
+    ConditionalCount,   //!< the header's conditional count one too high
 };
 
 /** Number of Forgery values. */
-inline constexpr unsigned kForgeryCount = 5;
+inline constexpr unsigned kForgeryCount = 7;
 
 /**
- * Apply @p forgery to the cache-v3 image @p bytes (the record touched
- * is chosen from @p seed) and recompute its checksum. Every other
- * invariant the forgery does not target is kept, so the image fails
- * exactly one check. Returns "" when @p bytes is not a v3 image or
- * has too few static branches for the forgery.
+ * Apply @p forgery to the cache-v4 image @p bytes (the record or site
+ * touched is chosen from @p seed) and recompute its checksum. Every
+ * invariant the loader checks before the targeted one is kept, so the
+ * loader rejects the image for the targeted reason. Returns "" when
+ * @p bytes is not a v4 image or has too few sites for the forgery.
  */
 std::string forgeImage(const std::string &bytes, Forgery forgery,
                        uint64_t seed);

@@ -133,7 +133,7 @@ runHotGates(const HotGateOptions &options,
             // The ledger buffers sim::run hands runLoop, caller-owned
             // here too, so the ledger fold is under the gate as well.
             std::vector<uint8_t> correct(sim::maxSegmentCount(soa));
-            std::vector<uint64_t> packed(soa.staticCount(), 0);
+            std::vector<uint64_t> packed(soa.siteCount(), 0);
             std::vector<sim::BranchTally> tallies(soa.staticCount());
             auto replay = [&](predictor::Predictor &pred) {
                 sim::runLoop(soa, pred, correct.data(), packed.data(),

@@ -7,7 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
+#include <span>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -23,7 +26,7 @@ using trace::Trace;
 
 namespace {
 
-/** Temp path for the emitted cache-v3 file; pid-qualified so
+/** Temp path for the emitted cache-v4 file; pid-qualified so
  * concurrent ctest invocations do not fight over one name. */
 std::string
 gateTempPath()
@@ -41,8 +44,8 @@ sameColumn(const T *a, const T *b, size_t n)
     return n == 0 || std::memcmp(a, b, n * sizeof(T)) == 0;
 }
 
-/** Byte-compare every SoA column and derived index plus identity
- * metadata. */
+/** Byte-compare every SoA column, the site table and the derived
+ * indices plus identity metadata. */
 bool
 soaIdentical(const Trace &a, const Trace &b, std::string &detail)
 {
@@ -59,19 +62,21 @@ soaIdentical(const Trace &a, const Trace &b, std::string &detail)
     const trace::SoABlocks &sb = b.soa();
     if (sa.size() != sb.size() ||
         sa.conditionalCount() != sb.conditionalCount() ||
+        sa.siteCount() != sb.siteCount() ||
         sa.staticCount() != sb.staticCount()) {
         detail = "size mismatch";
         return false;
     }
     size_t n = sa.size();
+    auto sameSite = [](const trace::Site &x, const trace::Site &y) {
+        return x.pc == y.pc && x.target == y.target && x.kind == y.kind &&
+            x.branch == y.branch;
+    };
     const std::pair<const char *, bool> columns[] = {
-        {"pc", sameColumn(sa.pc(), sb.pc(), n)},
-        {"target", sameColumn(sa.target(), sb.target(), n)},
-        {"kind", sameColumn(sa.kind(), sb.kind(), n)},
+        {"site", sameColumn(sa.site(), sb.site(), n)},
         {"taken", sameColumn(sa.taken(), sb.taken(), n)},
-        {"staticIndex", sameColumn(sa.staticIndex(), sb.staticIndex(), n)},
-        {"staticPcs", sameColumn(sa.staticPcs().data(),
-                                 sb.staticPcs().data(), sa.staticCount())},
+        {"sites", std::ranges::equal(sa.sites(), sb.sites(), sameSite)},
+        {"staticPcs", std::ranges::equal(sa.staticPcs(), sb.staticPcs())},
     };
     for (const auto &[column, same] : columns) {
         if (!same) {
@@ -130,40 +135,60 @@ recordsEqual(const Trace &a, const Trace &b)
 /**
  * A loaded-without-throwing corrupt trace must still be structurally
  * valid. Checked from first principles, not through the loader's own
- * verification: every kind decodes and every taken byte is 0/1; the
- * static index equals what interning the pc column in order assigns
- * (in range, naming its record's pc, first-appearance order, distinct
- * static pcs, all referenced); the segments are exactly the maximal
- * conditional runs of the kind column; and the conditional count
- * matches.
+ * verification: every site kind decodes, no two sites share a (pc,
+ * target, kind) triple, and each site's static id is what interning
+ * the site pcs in order assigns; every site id is in range and first
+ * appears in order, every site is referenced and every taken byte is
+ * 0/1; the segments are exactly the maximal conditional runs of the
+ * records; and the conditional count matches.
  */
 bool
 structurallyValid(const Trace &t, std::string &detail)
 {
     const trace::SoABlocks &soa = t.soa();
+    std::span<const trace::Site> sites = soa.sites();
+    std::set<std::tuple<uint64_t, uint64_t, BranchKind>> triples;
     std::unordered_map<uint64_t, uint32_t> ids;
     std::vector<uint64_t> pcs;
-    std::vector<trace::SoABlocks::Segment> runs;
-    uint64_t conditionals = 0;
-    for (size_t i = 0; i < soa.size(); ++i) {
-        if (soa.kind()[i] > static_cast<uint8_t>(BranchKind::Return)) {
+    for (const trace::Site &site : sites) {
+        if (site.kind > BranchKind::Return) {
             detail = "invalid kind escaped validation";
             return false;
         }
+        if (!triples.emplace(site.pc, site.target, site.kind).second) {
+            detail = "duplicate site escaped validation";
+            return false;
+        }
+        auto [it, fresh] =
+            ids.try_emplace(site.pc, static_cast<uint32_t>(ids.size()));
+        if (fresh)
+            pcs.push_back(site.pc);
+        if (site.branch != it->second) {
+            detail = "static id disagrees with the site pcs";
+            return false;
+        }
+    }
+    if (!std::ranges::equal(pcs, soa.staticPcs())) {
+        detail = "static pcs disagree with the site pcs";
+        return false;
+    }
+
+    std::vector<trace::SoABlocks::Segment> runs;
+    uint64_t conditionals = 0;
+    size_t next = 0; // the first site id not yet seen
+    for (size_t i = 0; i < soa.size(); ++i) {
+        uint32_t s = soa.site()[i];
+        if (s > next || s >= sites.size()) {
+            detail = "site id out of range or order at record " +
+                std::to_string(i);
+            return false;
+        }
+        next += s == next ? 1 : 0;
         if (soa.taken()[i] > 1) {
             detail = "taken byte above 1 escaped validation";
             return false;
         }
-        auto [it, fresh] = ids.try_emplace(
-            soa.pc()[i], static_cast<uint32_t>(ids.size()));
-        if (fresh)
-            pcs.push_back(soa.pc()[i]);
-        if (soa.staticIndex()[i] != it->second) {
-            detail = "static index disagrees with the pc column at record " +
-                std::to_string(i);
-            return false;
-        }
-        if (soa.kind()[i] != static_cast<uint8_t>(BranchKind::Conditional))
+        if (sites[s].kind != BranchKind::Conditional)
             continue;
         ++conditionals;
         if (!runs.empty() && runs.back().begin + runs.back().count == i)
@@ -171,8 +196,8 @@ structurallyValid(const Trace &t, std::string &detail)
         else
             runs.push_back({i, 1});
     }
-    if (!std::ranges::equal(pcs, soa.staticPcs())) {
-        detail = "static pcs disagree with the pc column";
+    if (next != sites.size()) {
+        detail = "unreferenced site escaped validation";
         return false;
     }
     auto segments = soa.conditionalSegments();
@@ -180,7 +205,7 @@ structurallyValid(const Trace &t, std::string &detail)
                     segments.end(), [](const auto &x, const auto &y) {
                         return x.begin == y.begin && x.count == y.count;
                     })) {
-        detail = "segments disagree with the kind column";
+        detail = "segments disagree with the site kinds";
         return false;
     }
     if (conditionals != t.conditionalCount()) {
@@ -239,7 +264,7 @@ runIngestGates(const IngestGateOptions &options)
         return report; // everything downstream needs the sample
     }
 
-    // Gate 2: cache-v3 emit, then load: the loaded trace is the
+    // Gate 2: cache-v4 emit, then load: the loaded trace is the
     // ingested one, column for column.
     std::string temp = gateTempPath();
     ++report.gatesRun;
@@ -250,11 +275,11 @@ runIngestGates(const IngestGateOptions &options)
         if (!soaIdentical(ingested, loaded, detail))
             fail("emit-load-identity", 0, detail);
 
-        // Gate 3: record-for-record round trip out of the v3 file.
+        // Gate 3: record-for-record round trip out of the v4 file.
         ++report.gatesRun;
         if (!recordsEqual(ingested, loaded))
             fail("round-trip", 0,
-                 "v3 records differ from ingested records");
+                 "v4 records differ from ingested records");
     } catch (const std::exception &e) {
         fail("emit-load-identity", 0, e.what());
     }
@@ -280,14 +305,14 @@ runIngestGates(const IngestGateOptions &options)
         fail("cross-format", 0, e.what());
     }
 
-    // Gate 5: corruption fuzz over the serialized v3 bytes and over
+    // Gate 5: corruption fuzz over the serialized v4 bytes and over
     // the text rendering — the loader and the ingester must throw or
     // produce a valid trace.
-    std::string v3_bytes;
+    std::string image_bytes;
     {
         std::ostringstream os;
         trace::writeBinary(ingested, os);
-        v3_bytes = os.str();
+        image_bytes = os.str();
     }
     std::string text_bytes = renderText(ingested);
     for (uint64_t s = options.seedBase;
@@ -295,7 +320,7 @@ runIngestGates(const IngestGateOptions &options)
         ++report.gatesRun;
         std::string detail;
         std::optional<Trace> loaded =
-            loadImage(corruptBytes(v3_bytes, s), temp);
+            loadImage(corruptBytes(image_bytes, s), temp);
         if (loaded && !structurallyValid(*loaded, detail))
             fail("corruption-fuzz", s, "binary: " + detail);
         ++report.gatesRun;
@@ -317,7 +342,7 @@ runIngestGates(const IngestGateOptions &options)
     // loader must reject each one.
     for (unsigned f = 0; f < kForgeryCount; ++f) {
         ++report.gatesRun;
-        std::string forged = forgeImage(v3_bytes, static_cast<Forgery>(f),
+        std::string forged = forgeImage(image_bytes, static_cast<Forgery>(f),
                                         options.seedBase);
         std::string name = "forgery " + std::to_string(f);
         if (forged.empty()) {

@@ -1,27 +1,28 @@
 /**
  * @file
  * Ingestion gates: end-to-end verification of the foreign-trace path
- * (trace/ingest.hpp → trace_io cache-v3 → SoA replay) over a committed
+ * (trace/ingest.hpp → trace_io cache-v4 → SoA replay) over a committed
  * reference sample plus fuzzed corruption.
  *
  * The gates prove, on every run:
  *
  *  - reference-ingest: the committed sample foreign trace parses, has
  *    conditionals, and normalization is idempotent.
- *  - emit-load-identity: the ingested trace, emitted as a cache-v3
+ *  - emit-load-identity: the ingested trace, emitted as a cache-v4
  *    file and loaded back (trace::loadBinary), is byte-identical to
- *    the ingested one — every column, the static index, the static
- *    pcs, the conditional segments, the name, and the seed.
- *  - round-trip: records out of the v3 file equal the ingested records
+ *    the ingested one — the site and taken columns, the site table
+ *    with its static ids, the static pcs, the conditional segments,
+ *    the name, and the seed.
+ *  - round-trip: records out of the v4 file equal the ingested records
  *    one-for-one.
  *  - cross-format: re-rendering the sample as native text and as CSV
  *    (with an explicit index column) and re-ingesting yields the same
  *    record sequence — the three grammars describe one trace.
- *  - corruption-fuzz: seed-ranged corrupted copies of the v3 bytes,
+ *  - corruption-fuzz: seed-ranged corrupted copies of the v4 bytes,
  *    written to a temp file, must be rejected by the loader or load
- *    a trace that is structurally valid from first principles (static
- *    index, static pcs and segments rebuilt from the pc and kind
- *    columns). Corrupted copies of the text rendering must throw or
+ *    a trace that is structurally valid from first principles (site
+ *    table, static ids, static pcs and segments rebuilt from the site
+ *    rows and the site column). Corrupted copies of the text rendering must throw or
  *    ingest validly. Never crash, never silently truncate past
  *    validation.
  *  - forgery: each re-sealed forgery of check/fuzz.hpp (valid

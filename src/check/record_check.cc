@@ -63,7 +63,7 @@ referenceMine(const Trace &trace, const OracleConfig &config)
         ++seen;
 
         window.collect(collected);
-        BranchCandidates &bc = table[soa.staticIndex()[i]];
+        BranchCandidates &bc = table[soa.staticIndex(i)];
         if (rec.taken)
             ++bc.execsTaken;
         else
@@ -111,7 +111,7 @@ referenceRecordStates(const trace::SoABlocks &soa,
             window.push(rec);
             continue;
         }
-        const uint32_t id = soa.staticIndex()[i];
+        const uint32_t id = soa.staticIndex(i);
         RecordedBranch &branch = out[id];
         CandidateIndex &idx = index[id];
         if (branch.rows.empty()) {

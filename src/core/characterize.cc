@@ -84,7 +84,6 @@ double
 globalConditionedEntropyBits(const trace::Trace &trace, unsigned depth)
 {
     const trace::SoABlocks &soa = trace.soa();
-    const uint8_t *kind = soa.kind();
     const uint8_t *taken = soa.taken();
     uint64_t mask = depth >= 64 ? ~uint64_t(0)
                                 : (uint64_t(1) << depth) - 1;
@@ -93,12 +92,12 @@ globalConditionedEntropyBits(const trace::Trace &trace, unsigned depth)
     std::vector<std::array<uint64_t, 2>> counts(size_t(1) << depth);
     uint64_t history = 0;
     uint64_t total = 0;
-    for (size_t i = 0; i < soa.size(); ++i) {
-        if (kind[i] != 0)
-            continue;
-        ++counts[history & mask][taken[i]];
-        history = (history << 1) | taken[i];
-        ++total;
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            ++counts[history & mask][taken[i]];
+            history = (history << 1) | taken[i];
+        }
+        total += seg.count;
     }
     if (total == 0)
         return 0.0;
@@ -117,21 +116,27 @@ double
 localConditionedEntropyBits(const trace::Trace &trace, unsigned depth)
 {
     const trace::SoABlocks &soa = trace.soa();
-    const uint8_t *kind = soa.kind();
+    const uint32_t *site = soa.site();
     const uint8_t *taken = soa.taken();
-    const uint32_t *static_index = soa.staticIndex();
+    // Each site's static id, 4 bytes a row: the gather per record
+    // stays in L1 where the 24-byte site rows would not.
+    std::vector<uint32_t> branch_of;
+    branch_of.reserve(soa.siteCount());
+    for (const trace::Site &s : soa.sites())
+        branch_of.push_back(s.branch);
     uint64_t mask = (uint64_t(1) << depth) - 1;
     std::vector<uint64_t> histories(soa.staticCount(), 0);
     std::unordered_map<uint64_t, std::array<uint64_t, 2>> contexts;
     uint64_t total = 0;
-    for (size_t i = 0; i < soa.size(); ++i) {
-        if (kind[i] != 0)
-            continue;
-        uint32_t sidx = static_index[i];
-        uint64_t key = (uint64_t(sidx) << depth) | (histories[sidx] & mask);
-        ++contexts[key][taken[i]];
-        histories[sidx] = (histories[sidx] << 1) | taken[i];
-        ++total;
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            uint32_t sidx = branch_of[site[i]];
+            uint64_t key =
+                (uint64_t(sidx) << depth) | (histories[sidx] & mask);
+            ++contexts[key][taken[i]];
+            histories[sidx] = (histories[sidx] << 1) | taken[i];
+        }
+        total += seg.count;
     }
     return contextEntropyBits(contexts, total);
 }
@@ -395,7 +400,7 @@ renderWorkloadsDoc(const std::vector<WorkloadFingerprint> &fps,
         "\n"
         "`copra_ingest` validates and normalizes foreign traces (text, "
         "CSV, or\nCBP-style binary — grammars and failure semantics "
-        "in docs/TRACES.md)\ninto cache-v3 files, recording provenance "
+        "in docs/TRACES.md)\ninto cache-v4 files, recording provenance "
         "in the run manifest:\n"
         "\n"
         "```\n"

@@ -60,7 +60,7 @@ classifyMispredicts(const trace::Trace &trace, unsigned history_bits)
         size_t index = (hist ^ (rec.pc >> 2)) & hist_mask;
         // Exact context identity: (static id < 2^32, history <= 26 bits).
         uint64_t context =
-            (uint64_t(soa.staticIndex()[i]) << history_bits) | hist;
+            (uint64_t(soa.staticIndex(i)) << history_bits) | hist;
 
         bool predicted = pht[index].taken();
         bool correct = predicted == rec.taken;

@@ -290,11 +290,9 @@ recordRows(WindowWalk &walk, const std::vector<std::vector<IdTag>> &pools,
     // Each branch's rows are allocated once, at its execution count.
     const trace::SoABlocks &soa = walk.soa();
     std::vector<uint64_t> execs(branches.size());
-    for (size_t i = 0; i < soa.size(); ++i) {
-        if (soa.kind()[i] ==
-            static_cast<uint8_t>(trace::BranchKind::Conditional))
-            ++execs[soa.staticIndex()[i]];
-    }
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments())
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i)
+            ++execs[soa.staticIndex(i)];
     for (size_t id = 0; id < branches.size(); ++id)
         branches[id].rows.reserve(execs[id]);
 

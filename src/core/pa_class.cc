@@ -60,7 +60,7 @@ PaClassifier::PaClassifier(const trace::Trace &trace, unsigned ifpas_history)
 
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
-            const uint32_t id = soa.staticIndex()[i];
+            const uint32_t id = soa.staticIndex(i);
             const bool taken = soa.taken()[i] != 0;
             PaBranchResult &res = table[id];
             BranchState &st = state[id];

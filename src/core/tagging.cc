@@ -190,7 +190,9 @@ WindowWalk::advance()
 {
     for (;;) {
         const size_t i = next_++;
-        const trace::BranchRecord rec = soa_.record(i);
+        const trace::Site &site = soa_.siteOf(i);
+        const trace::BranchRecord rec{site.pc, site.target, site.kind,
+                                      soa_.taken()[i] != 0};
         if (!rec.isConditional()) {
             if (advancesBackwardEpoch(rec))
                 ++epoch_;
@@ -201,7 +203,7 @@ WindowWalk::advance()
             agedTo_ = epoch_;
         }
         // The key: the header word just below the entries.
-        const uint32_t id = soa_.staticIndex()[i];
+        const uint32_t id = site.branch;
         uint32_t *key = &buf_[pos_ - 1];
         key[0] = id << 7 | fill_;
         const uint32_t window =

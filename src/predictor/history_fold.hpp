@@ -88,18 +88,6 @@ class FoldedHistory
         words_[0] = (words_[0] << 1) | in;
     }
 
-    /** The newest @p bits outcomes (bits <= 64), newest in bit 0. */
-    uint64_t
-    recent(unsigned bits) const
-    {
-        panicIf(bits > 64, "FoldedHistory::recent supports at most 64 bits");
-        if (bits == 0)
-            return 0;
-        uint64_t mask = bits >= 64 ? ~uint64_t(0)
-                                   : ((uint64_t(1) << bits) - 1);
-        return words_[0] & mask;
-    }
-
     /**
      * Fold the newest @p length outcomes to @p width bits: XOR of
      * consecutive width-bit chunks, newest outcome in bit 0 of the first

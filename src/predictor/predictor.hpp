@@ -23,13 +23,14 @@ namespace copra::predictor {
 
 /**
  * One run of consecutive conditional branches in structure-of-arrays
- * form (columns borrowed from trace::SoABlocks, offset to the run).
+ * form (columns borrowed from trace::SoABlocks, offset to the run):
+ * branch i is sites[site[i]] with outcome taken[i].
  */
 struct SoaBatch
 {
-    const uint64_t *pc = nullptr;     //!< branch addresses
-    const uint64_t *target = nullptr; //!< taken-path targets
-    const uint8_t *taken = nullptr;   //!< outcomes, 0/1
+    const uint32_t *site = nullptr;       //!< site ids, one per branch
+    const uint8_t *taken = nullptr;       //!< outcomes, 0/1
+    const trace::Site *sites = nullptr;   //!< the trace's site table
     size_t count = 0;
 };
 
@@ -48,14 +49,15 @@ template <typename P>
 uint64_t
 stepBatch(P &p, const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
-    const uint64_t *pc = batch.pc;
-    const uint64_t *target = batch.target;
+    const uint32_t *site = batch.site;
     const uint8_t *outcome = batch.taken;
+    const trace::Site *sites = batch.sites;
     const size_t count = batch.count;
     uint64_t n_correct = 0;
     for (size_t i = 0; i < count; ++i) {
         bool taken = outcome[i] != 0;
-        trace::BranchRecord br{pc[i], target[i],
+        const trace::Site &s = sites[site[i]];
+        trace::BranchRecord br{s.pc, s.target,
                                trace::BranchKind::Conditional, taken};
         bool predicted;
         if constexpr (std::is_same_v<P, Predictor>)

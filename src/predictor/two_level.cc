@@ -112,7 +112,10 @@ TwoLevel::predictUpdateSoa(const SoaBatch &batch,
 // takes the flavour as a lambda, so each switch arm is one
 // specialized loop. Counter training is serial by nature — two
 // branches in one batch may alias the same counter, and the second
-// prediction must see the first update.
+// prediction must see the first update. Each branch gathers its pc
+// from the site table, a few thousand rows that stay cache-resident;
+// the columns live in locals, as a counter or correct_out byte store
+// may alias the batch fields.
 
 uint64_t
 TwoLevel::runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
@@ -122,12 +125,15 @@ TwoLevel::runGlobalSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
     // histories_[0] would be reloaded after every counter update.
     uint64_t hist = histories_[0] & historyMask_;
     uint64_t n_correct = 0;
+    const uint32_t *site = batch.site;
+    const uint8_t *taken = batch.taken;
+    const trace::Site *sites = batch.sites;
+    const size_t count = batch.count;
     auto train = [&](auto pht_index_of) {
-        for (size_t i = 0; i < batch.count; ++i) {
-            uint8_t t = batch.taken[i];
-            bool correct =
-                trainCounter(pht_[pht_index_of(batch.pc[i] >> 2, hist)],
-                             t != 0);
+        for (size_t i = 0; i < count; ++i) {
+            uint8_t t = taken[i];
+            bool correct = trainCounter(
+                pht_[pht_index_of(sites[site[i]].pc >> 2, hist)], t != 0);
             hist = ((hist << 1) | t) & historyMask_;
             n_correct += correct ? 1 : 0;
             if (correct_out)
@@ -158,11 +164,15 @@ TwoLevel::runPerAddressSoa(const SoaBatch &batch, uint8_t *correct_out) noexcept
 {
     const uint64_t bht_mask = (uint64_t(1) << config_.bhtBits) - 1;
     uint64_t n_correct = 0;
+    const uint32_t *site = batch.site;
+    const uint8_t *taken = batch.taken;
+    const trace::Site *sites = batch.sites;
+    const size_t count = batch.count;
     auto train = [&](auto pht_index_of) {
-        for (size_t i = 0; i < batch.count; ++i) {
-            uint64_t pc_bits = batch.pc[i] >> 2;
+        for (size_t i = 0; i < count; ++i) {
+            uint64_t pc_bits = sites[site[i]].pc >> 2;
             uint64_t &hist = histories_[pc_bits & bht_mask];
-            uint8_t t = batch.taken[i];
+            uint8_t t = taken[i];
             bool correct = trainCounter(
                 pht_[pht_index_of(pc_bits, hist & historyMask_)], t != 0);
             hist = ((hist << 1) | t) & historyMask_;

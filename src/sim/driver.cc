@@ -1,6 +1,7 @@
 #include "sim/driver.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "obs/instruments.hpp"
@@ -14,25 +15,26 @@ runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
         uint8_t *correct_scratch, uint64_t *packed,
         BranchTally *tallies) noexcept
 {
-    // Ledger path: accumulate per-branch tallies addressed by the
-    // trace's dense static index (maintained by the column store — no
-    // hashing per branch). The hot loop does ONE u64 add per branch
+    // Ledger path: accumulate per-site words addressed by the record's
+    // site id (no hashing, no gather per branch), and reduce sites to
+    // branches in flush(). The hot loop does ONE u64 add per branch
     // into a packed execs/taken/correct word (21 bits each, flushed to
     // the wide tallies well before any field can saturate), keeping the
-    // randomly-addressed array at 8 bytes per static branch — L1-sized
-    // for every benchmark. Folding is additive, so the result is
-    // identical to counting every branch into its tally directly.
+    // randomly-addressed array at 8 bytes per site — L1-sized for every
+    // benchmark. Folding is additive, so the result is identical to
+    // counting every branch into its tally directly.
     constexpr uint64_t kFieldMask = (uint64_t(1) << 21) - 1;
     constexpr uint64_t kFlushEvery = uint64_t(1) << 20;
-    const size_t staticCount = packed ? soa.staticCount() : 0;
+    const std::span<const trace::Site> sites = soa.sites();
+    const size_t siteCount = packed ? sites.size() : 0;
     uint64_t since_flush = 0;
     auto flush = [&]() noexcept {
-        for (size_t id = 0; id < staticCount; ++id) {
-            uint64_t p = packed[id];
+        for (size_t s = 0; s < siteCount; ++s) {
+            uint64_t p = packed[s];
             if (p == 0)
                 continue;
-            packed[id] = 0;
-            BranchTally &t = tallies[id];
+            packed[s] = 0;
+            BranchTally &t = tallies[sites[s].branch];
             t.execs += p & kFieldMask;
             t.taken += (p >> 21) & kFieldMask;
             t.correct += (p >> 42) & kFieldMask;
@@ -44,32 +46,30 @@ runLoop(const trace::SoABlocks &soa, predictor::Predictor &pred,
     size_t pos = 0;
     auto observeUntil = [&](size_t end) noexcept {
         for (; pos < end; ++pos)
-            pred.observe({soa.pc()[pos], soa.target()[pos],
-                          static_cast<trace::BranchKind>(soa.kind()[pos]),
-                          soa.taken()[pos] != 0});
+            pred.observe(soa.record(pos));
     };
 
     LoopTotals totals;
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         observeUntil(seg.begin);
-        predictor::SoaBatch batch{soa.pc() + seg.begin,
-                                  soa.target() + seg.begin,
-                                  soa.taken() + seg.begin, seg.count};
+        predictor::SoaBatch batch{soa.site() + seg.begin,
+                                  soa.taken() + seg.begin, sites.data(),
+                                  seg.count};
         if (packed) {
             totals.correct +=
                 pred.predictUpdateSoa(batch, correct_scratch);
-            const uint32_t *sidx = soa.staticIndex() + seg.begin;
+            const uint32_t *site = batch.site;
             const uint8_t *taken = batch.taken;
             // Accumulate in flush-bounded chunks: a single segment can
             // exceed 2^21 branches (long ingested foreign traces), and
-            // a segment-granular flush would let one pc's 21-bit execs
+            // a segment-granular flush would let one site's 21-bit execs
             // field wrap and carry into the taken field.
             size_t k = 0;
             while (k < seg.count) {
                 size_t chunk = static_cast<size_t>(std::min<uint64_t>(
                     seg.count - k, kFlushEvery - since_flush));
                 for (size_t end = k + chunk; k < end; ++k) {
-                    packed[sidx[k]] += 1 | (uint64_t(taken[k]) << 21) |
+                    packed[site[k]] += 1 | (uint64_t(taken[k]) << 21) |
                         (uint64_t(correct_scratch[k]) << 42);
                 }
                 since_flush += chunk;
@@ -105,7 +105,7 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
 
     // Feed maximal runs of consecutive conditional branches through the
     // batch entry point: TwoLevel's hand-written loops consume the
-    // contiguous pc/taken columns directly, and every other predictor
+    // contiguous site/taken columns directly, and every other predictor
     // runs stepBatch() over its own step(), the scalar call sequence
     // exactly. Non-conditional records between runs are delivered to
     // observe() in trace order.
@@ -115,7 +115,7 @@ run(const trace::Trace &trace, predictor::Predictor &pred, Ledger *ledger)
     // allocation of its own (`copra_check --hot-gates` enforces this).
     const trace::SoABlocks &soa = trace.soa();
     std::vector<BranchTally> tallies(ledger ? soa.staticCount() : 0);
-    std::vector<uint64_t> packed(tallies.size(), 0);
+    std::vector<uint64_t> packed(ledger ? soa.siteCount() : 0, 0);
     std::vector<uint8_t> correct(ledger ? maxSegmentCount(soa) : 0);
 
     LoopTotals totals =

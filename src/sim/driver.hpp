@@ -82,15 +82,17 @@ struct LoopTotals
  * The steady-state inner loop of run(): stream every conditional
  * segment of a trace's column store through the predictor's batch
  * entry point, delivering non-conditional records to observe() in
- * trace order, and — when @p packed is non-null — fold one packed
- * execs/taken/correct word per branch into the ledger accumulators.
+ * trace order, and — when @p packed is non-null — add one packed
+ * execs/taken/correct word per branch into its site's accumulator,
+ * reduced to per-branch tallies at each flush.
  *
  * This is a COPRA_HOT root: between the buffers being handed in and
  * the totals coming back it allocates nothing, takes no locks, and
  * cannot throw (DESIGN.md §15). All buffers are caller-owned: @p
  * correct_scratch must hold the largest segment's count when @p packed
  * is used (it always may be written), and @p packed / @p tallies must
- * hold soa.staticCount() entries or be null together. `copra_check
+ * hold soa.siteCount() / soa.staticCount() entries or be null
+ * together. `copra_check
  * --hot-gates` replays this exact function under the counting
  * allocator and lock counter to prove the claim at runtime.
  */

@@ -54,6 +54,20 @@ struct BranchRecord
     }
 };
 
+/**
+ * One branch site: a distinct (pc, target, kind) triple of a trace.
+ * A trace stores each record as a site id and an outcome; the site
+ * table holds the rest. Most pcs have one site; a return, or a
+ * foreign trace's indirect branch, has one site per target.
+ */
+struct Site
+{
+    uint64_t pc = 0;     //!< address of the branch instruction
+    uint64_t target = 0; //!< taken-path target address
+    BranchKind kind = BranchKind::Conditional;
+    uint32_t branch = 0; //!< dense static id of pc (shared by its sites)
+};
+
 /** Human-readable name of a branch kind. */
 const char *branchKindName(BranchKind kind);
 

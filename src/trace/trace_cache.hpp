@@ -7,8 +7,8 @@
  * version); the key is encoded in the file name, so bumping
  * kTraceFormatVersion invalidates every existing entry without any
  * bookkeeping (old files are simply never looked up). Hits are served
- * by memory-mapping the cache-v3 file (loadBinary): the trace views
- * its columns and static index in the mapping after a checksum and one
+ * by memory-mapping the cache-v4 file (loadBinary): the trace views
+ * its site and taken columns in the mapping after a checksum and one
  * verification pass — no column copy, no per-record hashing. Corrupt,
  * unreadable or wrong-version entries are treated as misses and
  * removed. Stores replace entries by rename, so a trace still mapping
@@ -46,7 +46,7 @@ struct TraceCacheKey
     uint64_t branches = 0;  //!< dynamic conditional branches requested
     uint64_t seed = 0;      //!< execution seed as requested (0 = canonical)
 
-    /** Entry file name, e.g. "gcc-b2000000-s0-v3.trc". */
+    /** Entry file name, e.g. "gcc-b2000000-s0-v4.trc". */
     std::string fileName() const;
 };
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -17,18 +18,20 @@
 
 namespace copra::trace {
 
-// The file's little-endian columns are the trace's columns, viewed in
+// The file's little-endian record columns are the trace's, viewed in
 // place; a big-endian host would need a decode pass.
 static_assert(std::endian::native == std::endian::little,
-              "cache-v3 images are viewed in place on little-endian hosts");
+              "cache-v4 images are viewed in place on little-endian hosts");
 
 namespace {
 
 constexpr char kMagic[8] = {'C', 'O', 'P', 'R', 'A', 'T', 'R', 'C'};
 constexpr size_t kHeaderBytes = header_offset::kName;
 constexpr uint32_t kMaxNameLength = 1u << 16;
-/** Smallest per-record footprint: pc, target, kind, taken, static id. */
-constexpr uint64_t kMinRecordBytes = 8 + 8 + 1 + 1 + 4;
+/** Smallest per-record footprint: site id and taken. */
+constexpr uint64_t kMinRecordBytes = 4 + 1;
+/** Smallest per-site footprint: pc, target and kind. */
+constexpr uint64_t kMinSiteBytes = 8 + 8 + 1;
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
@@ -75,14 +78,14 @@ foldWords(uint64_t h, const void *data, size_t bytes)
     return h;
 }
 
-/** The header fields of a cache-v3 image, checked against its size. */
+/** The header fields of a cache-v4 image, checked against its size. */
 struct Header
 {
     uint32_t nameLength = 0;
     uint64_t seed = 0;
     uint64_t records = 0;
     uint64_t conditionals = 0;
-    uint64_t staticPcs = 0;
+    uint64_t sites = 0;
     uint64_t checksum = 0;
     ImageLayout layout;
 };
@@ -116,15 +119,16 @@ parseHeader(const unsigned char *p, size_t have, uint64_t image_bytes)
     h.seed = loadU64(p + header_offset::kSeed);
     h.records = loadU64(p + header_offset::kRecords);
     h.conditionals = loadU64(p + header_offset::kConditionals);
-    h.staticPcs = loadU64(p + header_offset::kStaticPcs);
+    h.sites = loadU64(p + header_offset::kSites);
     h.checksum = loadU64(p + header_offset::kChecksum);
     if (h.records > image_bytes / kMinRecordBytes ||
-        h.staticPcs > image_bytes / 8)
+        h.sites > image_bytes / kMinSiteBytes)
         throw std::runtime_error(
             "copra trace: size mismatch (file is " +
             std::to_string(image_bytes) + " bytes, too few for " +
-            std::to_string(h.records) + " records)");
-    h.layout = imageLayout(h.nameLength, h.records, h.staticPcs);
+            std::to_string(h.records) + " records and " +
+            std::to_string(h.sites) + " sites)");
+    h.layout = imageLayout(h.nameLength, h.records, h.sites);
     if (h.layout.end != image_bytes)
         throw std::runtime_error(
             "copra trace: size mismatch (file is " +
@@ -144,7 +148,8 @@ section(const unsigned char *base, size_t offset, uint64_t count)
 
 /**
  * Check the image at @p base (@p bytes long, 8-aligned, kept alive by
- * @p owner) and adopt its sections as the trace's columns in place.
+ * @p owner) and adopt its sections: the record columns in place, the
+ * site table decoded.
  */
 Trace
 adoptImage(std::shared_ptr<const void> owner, const unsigned char *base,
@@ -157,18 +162,17 @@ adoptImage(std::shared_ptr<const void> owner, const unsigned char *base,
                      h.nameLength);
     const ImageLayout &at = h.layout;
     SoABlocks::Columns columns{
-        section<uint64_t>(base, at.pc, h.records),
-        section<uint64_t>(base, at.target, h.records),
-        section<uint8_t>(base, at.kind, h.records),
+        section<uint32_t>(base, at.site, h.records),
         section<uint8_t>(base, at.taken, h.records),
-        section<uint32_t>(base, at.staticIndex, h.records),
-        section<uint64_t>(base, at.staticPcs, h.staticPcs),
+        section<uint64_t>(base, at.sitePc, h.sites),
+        section<uint64_t>(base, at.siteTarget, h.sites),
+        section<uint8_t>(base, at.siteKind, h.sites),
     };
     SoABlocks soa = SoABlocks::adopt(std::move(owner), columns);
     if (soa.conditionalCount() != h.conditionals)
         throw std::runtime_error(
             "copra trace: conditional count mismatch (header says " +
-            std::to_string(h.conditionals) + ", columns hold " +
+            std::to_string(h.conditionals) + ", records hold " +
             std::to_string(soa.conditionalCount()) + ")");
     return Trace(std::move(name), h.seed, std::move(soa));
 }
@@ -176,17 +180,17 @@ adoptImage(std::shared_ptr<const void> owner, const unsigned char *base,
 } // namespace
 
 ImageLayout
-imageLayout(uint32_t name_length, uint64_t records, uint64_t static_pcs)
+imageLayout(uint32_t name_length, uint64_t records, uint64_t sites)
 {
     auto n = static_cast<size_t>(records);
+    auto s = static_cast<size_t>(sites);
     ImageLayout at;
-    at.pc = kHeaderBytes + pad8(name_length);
-    at.target = at.pc + 8 * n;
-    at.kind = at.target + 8 * n;
-    at.taken = at.kind + pad8(n);
-    at.staticIndex = at.taken + pad8(n);
-    at.staticPcs = at.staticIndex + pad8(4 * n);
-    at.end = at.staticPcs + 8 * static_cast<size_t>(static_pcs);
+    at.site = kHeaderBytes + pad8(name_length);
+    at.taken = at.site + pad8(4 * n);
+    at.sitePc = at.taken + pad8(n);
+    at.siteTarget = at.sitePc + 8 * s;
+    at.siteKind = at.siteTarget + 8 * s;
+    at.end = at.siteKind + pad8(s);
     return at;
 }
 
@@ -214,9 +218,20 @@ writeBinary(const Trace &trace, std::ostream &os)
     storeU64(header.data() + header_offset::kRecords, n);
     storeU64(header.data() + header_offset::kConditionals,
              soa.conditionalCount());
-    storeU64(header.data() + header_offset::kStaticPcs, soa.staticCount());
+    storeU64(header.data() + header_offset::kSites, soa.siteCount());
 
-    // The name and the six sections in file order; each is padded with
+    // The site table as the three columns the file stores.
+    std::span<const Site> sites = soa.sites();
+    std::vector<uint64_t> site_pc(sites.size());
+    std::vector<uint64_t> site_target(sites.size());
+    std::vector<uint8_t> site_kind(sites.size());
+    for (size_t j = 0; j < sites.size(); ++j) {
+        site_pc[j] = sites[j].pc;
+        site_target[j] = sites[j].target;
+        site_kind[j] = static_cast<uint8_t>(sites[j].kind);
+    }
+
+    // The name and the five sections in file order; each is padded with
     // zeros to an 8-byte boundary on disk.
     struct Section
     {
@@ -225,12 +240,11 @@ writeBinary(const Trace &trace, std::ostream &os)
     };
     const Section sections[] = {
         {name.data(), name.size()},
-        {soa.pc(), 8 * n},
-        {soa.target(), 8 * n},
-        {soa.kind(), n},
+        {soa.site(), 4 * n},
         {soa.taken(), n},
-        {soa.staticIndex(), 4 * n},
-        {soa.staticPcs().data(), 8 * soa.staticCount()},
+        {site_pc.data(), 8 * sites.size()},
+        {site_target.data(), 8 * sites.size()},
+        {site_kind.data(), sites.size()},
     };
     uint64_t h = foldWords(kFnvBasis, header.data(), header_offset::kChecksum);
     for (const Section &s : sections)

@@ -1,6 +1,6 @@
 #include "trace/trace_soa.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,76 +17,109 @@ reject(const std::string &why)
     throw std::runtime_error("copra trace: " + why);
 }
 
+uint64_t
+siteHash(uint64_t pc, uint64_t target, BranchKind kind)
+{
+    return mix64(pc ^ std::rotl(target, 32) ^ static_cast<uint64_t>(kind));
+}
+
+/**
+ * Make the open-addressing table @p slots (slot = id + 1, 0 = empty)
+ * room for one more id past @p count at under 50% load, rehashing the
+ * held ids through @p hash_of when it grows.
+ */
+template <typename HashOf>
+void
+reserveSlot(std::vector<uint32_t> &slots, size_t count, HashOf hash_of)
+{
+    if (count * 2 < slots.size())
+        return;
+    size_t cap = slots.empty() ? 256 : slots.size() * 2;
+    while (count * 2 >= cap)
+        cap *= 2;
+    slots.assign(cap, 0);
+    for (uint32_t id = 0; id < count; ++id) {
+        size_t j = hash_of(id) & (cap - 1);
+        while (slots[j] != 0)
+            j = (j + 1) & (cap - 1);
+        slots[j] = id + 1;
+    }
+}
+
 } // namespace
 
 SoABlocks
 SoABlocks::adopt(std::shared_ptr<const void> image, const Columns &c)
 {
-    size_t n = c.pc.size();
-    if (c.target.size() != n || c.kind.size() != n || c.taken.size() != n ||
-        c.staticIndex.size() != n)
+    size_t n = c.site.size();
+    size_t sites = c.sitePc.size();
+    if (c.taken.size() != n || c.siteTarget.size() != sites ||
+        c.siteKind.size() != sites)
         reject("column lengths differ");
-    size_t statics = c.staticPcs.size();
-    if (statics > n)
-        reject("more static pcs (" + std::to_string(statics) +
-               ") than records (" + std::to_string(n) + ")");
-    {
-        // Distinct static pcs make the id of a pc unique, so the
-        // per-record checks below pin every id to what interning the
-        // pc column would assign — without hashing a record.
-        std::vector<uint64_t> sorted(c.staticPcs.begin(), c.staticPcs.end());
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
-            reject("duplicate static pc");
+    if (sites > n)
+        reject("more sites (" + std::to_string(sites) + ") than records (" +
+               std::to_string(n) + ")");
+
+    // Interning the site rows in order rebuilds the table an append
+    // would have built, and derives each site's static id; a row that
+    // interns to an earlier id repeats that site's triple.
+    SoABlocks out;
+    out.sites_.reserve(sites);
+    // The record pass reads one byte per site, not a 24-byte row.
+    std::vector<uint8_t> conditional(sites);
+    for (size_t j = 0; j < sites; ++j) {
+        uint8_t kind = c.siteKind[j];
+        if (kind > static_cast<uint8_t>(BranchKind::Return))
+            reject("invalid kind " + std::to_string(kind) + " at site " +
+                   std::to_string(j));
+        uint32_t id = out.internSite(c.sitePc[j], c.siteTarget[j],
+                                     static_cast<BranchKind>(kind));
+        if (id != j)
+            reject("site " + std::to_string(j) +
+                   " repeats the pc, target and kind of site " +
+                   std::to_string(id));
+        conditional[j] = kind == static_cast<uint8_t>(BranchKind::Conditional);
     }
 
-    std::vector<Segment> segments;
-    uint64_t conditionals = 0;
-    uint64_t next = 0; // the id the next first-seen static branch carries
+    uint64_t next = 0; // the id the next first-seen site carries
     for (size_t i = 0; i < n; ++i) {
-        uint32_t id = c.staticIndex[i];
-        if (id >= next) [[unlikely]] {
-            if (id >= statics)
-                reject("static id " + std::to_string(id) + " at record " +
+        uint32_t s = c.site[i];
+        if (s >= next) [[unlikely]] {
+            if (s >= sites)
+                reject("site id " + std::to_string(s) + " at record " +
                        std::to_string(i) + " is out of range");
-            if (id != next)
-                reject("static id " + std::to_string(id) + " at record " +
+            if (s != next)
+                reject("site id " + std::to_string(s) + " at record " +
                        std::to_string(i) +
                        " is out of first-appearance order");
             ++next;
         }
-        if (c.staticPcs[id] != c.pc[i]) [[unlikely]]
-            reject("static id at record " + std::to_string(i) +
-                   " names another pc");
-        uint8_t kind = c.kind[i];
-        if (kind > static_cast<uint8_t>(BranchKind::Return) ||
-            c.taken[i] > 1) [[unlikely]]
-            reject("invalid kind or taken byte at record " +
-                   std::to_string(i));
-        if (kind != static_cast<uint8_t>(BranchKind::Conditional))
+        if (c.taken[i] > 1) [[unlikely]]
+            reject("invalid taken byte at record " + std::to_string(i));
+        if (!conditional[s])
             continue;
-        ++conditionals;
-        if (!segments.empty() &&
-            segments.back().begin + segments.back().count == i)
-            ++segments.back().count;
+        ++out.conditionals_;
+        std::vector<Segment> &runs = out.condSegments_;
+        if (!runs.empty() && runs.back().begin + runs.back().count == i)
+            ++runs.back().count;
         else
-            segments.push_back({i, 1});
+            runs.push_back({i, 1});
     }
-    if (next != statics)
-        reject("static pcs " + std::to_string(next) + ".." +
-               std::to_string(statics) + " are never referenced");
+    if (next != sites)
+        reject("site " + std::to_string(next) + " is never referenced");
 
-    SoABlocks out;
     out.image_ = std::move(image);
-    out.view_ = c;
-    out.condSegments_ = std::move(segments);
-    out.conditionals_ = conditionals;
+    out.site_ = c.site;
+    out.taken_ = c.taken;
     return out;
 }
 
 SoABlocks::SoABlocks(const SoABlocks &other)
-    : image_(other.image_), owned_(other.owned_), view_(other.view_),
-      condSegments_(other.condSegments_), slots_(other.slots_),
+    : image_(other.image_), ownedSite_(other.ownedSite_),
+      ownedTaken_(other.ownedTaken_), site_(other.site_),
+      taken_(other.taken_), sites_(other.sites_),
+      staticPcs_(other.staticPcs_), condSegments_(other.condSegments_),
+      siteSlots_(other.siteSlots_), pcSlots_(other.pcSlots_),
       conditionals_(other.conditionals_)
 {
     if (!image_)
@@ -94,10 +127,16 @@ SoABlocks::SoABlocks(const SoABlocks &other)
 }
 
 SoABlocks::SoABlocks(SoABlocks &&other) noexcept
-    : image_(std::move(other.image_)), owned_(std::move(other.owned_)),
-      view_(std::exchange(other.view_, {})),
+    : image_(std::move(other.image_)),
+      ownedSite_(std::move(other.ownedSite_)),
+      ownedTaken_(std::move(other.ownedTaken_)),
+      site_(std::exchange(other.site_, {})),
+      taken_(std::exchange(other.taken_, {})),
+      sites_(std::move(other.sites_)),
+      staticPcs_(std::move(other.staticPcs_)),
       condSegments_(std::move(other.condSegments_)),
-      slots_(std::move(other.slots_)),
+      siteSlots_(std::move(other.siteSlots_)),
+      pcSlots_(std::move(other.pcSlots_)),
       conditionals_(std::exchange(other.conditionals_, 0))
 {
 }
@@ -107,10 +146,15 @@ SoABlocks::operator=(SoABlocks other) noexcept
 {
     // A moved vector keeps its buffer, so the moved views stay valid.
     image_ = std::move(other.image_);
-    owned_ = std::move(other.owned_);
-    view_ = other.view_;
+    ownedSite_ = std::move(other.ownedSite_);
+    ownedTaken_ = std::move(other.ownedTaken_);
+    site_ = other.site_;
+    taken_ = other.taken_;
+    sites_ = std::move(other.sites_);
+    staticPcs_ = std::move(other.staticPcs_);
     condSegments_ = std::move(other.condSegments_);
-    slots_ = std::move(other.slots_);
+    siteSlots_ = std::move(other.siteSlots_);
+    pcSlots_ = std::move(other.pcSlots_);
     conditionals_ = other.conditionals_;
     return *this;
 }
@@ -119,11 +163,10 @@ void
 SoABlocks::append(const BranchRecord &rec)
 {
     own();
-    owned_.pc.push_back(rec.pc);
-    owned_.target.push_back(rec.target);
-    owned_.kind.push_back(static_cast<uint8_t>(rec.kind));
-    owned_.taken.push_back(rec.taken ? 1 : 0);
-    indexRecord(owned_.pc.size() - 1);
+    uint32_t s = internSite(rec.pc, rec.target, rec.kind);
+    ownedSite_.push_back(s);
+    ownedTaken_.push_back(rec.taken ? 1 : 0);
+    indexRecord(ownedSite_.size() - 1, sites_[s]);
     bind();
 }
 
@@ -137,23 +180,20 @@ SoABlocks::append(const SoABlocks &other)
     }
     own();
     size_t base = size();
-    auto extend = [](auto &column, auto view) {
-        column.insert(column.end(), view.begin(), view.end());
-    };
-    extend(owned_.pc, other.view_.pc);
-    extend(owned_.target, other.view_.target);
-    extend(owned_.kind, other.view_.kind);
-    extend(owned_.taken, other.view_.taken);
 
-    // other's ids are in first-appearance order within other, so
-    // interning them in that order reproduces the ids a per-record
+    // other's site ids are in first-appearance order within other, so
+    // interning its rows in that order reproduces the ids a per-record
     // append would have assigned.
-    std::vector<uint32_t> remap(other.staticCount());
-    for (size_t id = 0; id < remap.size(); ++id)
-        remap[id] = intern(other.view_.staticPcs[id]);
-    owned_.staticIndex.reserve(owned_.pc.size());
-    for (uint32_t id : other.view_.staticIndex)
-        owned_.staticIndex.push_back(remap[id]);
+    std::vector<uint32_t> remap(other.siteCount());
+    for (size_t j = 0; j < remap.size(); ++j) {
+        const Site &s = other.sites_[j];
+        remap[j] = internSite(s.pc, s.target, s.kind);
+    }
+    ownedSite_.reserve(base + other.size());
+    for (uint32_t s : other.site_)
+        ownedSite_.push_back(remap[s]);
+    ownedTaken_.insert(ownedTaken_.end(), other.taken_.begin(),
+                       other.taken_.end());
 
     for (Segment seg : other.condSegments_) {
         seg.begin += base;
@@ -172,11 +212,8 @@ void
 SoABlocks::reserve(size_t n)
 {
     own();
-    owned_.pc.reserve(n);
-    owned_.target.reserve(n);
-    owned_.kind.reserve(n);
-    owned_.taken.reserve(n);
-    owned_.staticIndex.reserve(n);
+    ownedSite_.reserve(n);
+    ownedTaken_.reserve(n);
     bind();
 }
 
@@ -191,15 +228,8 @@ SoABlocks::own()
 {
     if (!image_)
         return;
-    auto copy = [](auto &column, auto view) {
-        column.assign(view.begin(), view.end());
-    };
-    copy(owned_.pc, view_.pc);
-    copy(owned_.target, view_.target);
-    copy(owned_.kind, view_.kind);
-    copy(owned_.taken, view_.taken);
-    copy(owned_.staticIndex, view_.staticIndex);
-    copy(owned_.staticPcs, view_.staticPcs);
+    ownedSite_.assign(site_.begin(), site_.end());
+    ownedTaken_.assign(taken_.begin(), taken_.end());
     image_.reset();
     bind();
 }
@@ -207,15 +237,14 @@ SoABlocks::own()
 void
 SoABlocks::bind()
 {
-    view_ = {owned_.pc,    owned_.target,      owned_.kind,
-             owned_.taken, owned_.staticIndex, owned_.staticPcs};
+    site_ = ownedSite_;
+    taken_ = ownedTaken_;
 }
 
 void
-SoABlocks::indexRecord(size_t i)
+SoABlocks::indexRecord(size_t i, const Site &s)
 {
-    owned_.staticIndex.push_back(intern(owned_.pc[i]));
-    if (owned_.kind[i] != static_cast<uint8_t>(BranchKind::Conditional))
+    if (s.kind != BranchKind::Conditional)
         return;
     ++conditionals_;
     if (!condSegments_.empty() &&
@@ -225,43 +254,41 @@ SoABlocks::indexRecord(size_t i)
         condSegments_.push_back({i, 1});
 }
 
-void
-SoABlocks::rehash(size_t cap)
+uint32_t
+SoABlocks::internSite(uint64_t pc, uint64_t target, BranchKind kind)
 {
-    slots_.assign(cap, 0);
-    const std::vector<uint64_t> &pcs = owned_.staticPcs;
-    for (uint32_t id = 0; id < pcs.size(); ++id) {
-        size_t j = mix64(pcs[id]) & (cap - 1);
-        while (slots_[j] != 0)
-            j = (j + 1) & (cap - 1);
-        slots_[j] = id + 1;
+    // Open addressing with linear probing, grown at 50% load: one probe
+    // per appended record, and a pc probe only for a new site.
+    reserveSlot(siteSlots_, sites_.size(), [&](uint32_t id) {
+        const Site &s = sites_[id];
+        return siteHash(s.pc, s.target, s.kind);
+    });
+    size_t mask = siteSlots_.size() - 1;
+    size_t j = siteHash(pc, target, kind) & mask;
+    for (; siteSlots_[j] != 0; j = (j + 1) & mask) {
+        const Site &s = sites_[siteSlots_[j] - 1];
+        if (s.pc == pc && s.target == target && s.kind == kind)
+            return siteSlots_[j] - 1;
     }
+    sites_.push_back({pc, target, kind, internPc(pc)});
+    siteSlots_[j] = static_cast<uint32_t>(sites_.size());
+    return siteSlots_[j] - 1;
 }
 
 uint32_t
-SoABlocks::intern(uint64_t pc)
+SoABlocks::internPc(uint64_t pc)
 {
-    // Open addressing with linear probing, grown at 50% load; each
-    // static branch is hashed once per append, and ledger passes then
-    // accumulate with a plain indexed add. The table starts empty for
-    // columns copied out of an adopted image, so the first growth
-    // sizes it for every static pc already held.
-    std::vector<uint64_t> &pcs = owned_.staticPcs;
-    if (pcs.size() * 2 >= slots_.size()) {
-        size_t cap = slots_.empty() ? 256 : slots_.size() * 2;
-        while (pcs.size() * 2 >= cap)
-            cap *= 2;
-        rehash(cap);
-    }
-    size_t mask = slots_.size() - 1;
+    reserveSlot(pcSlots_, staticPcs_.size(),
+                [&](uint32_t id) { return mix64(staticPcs_[id]); });
+    size_t mask = pcSlots_.size() - 1;
     size_t j = mix64(pc) & mask;
-    while (slots_[j] != 0 && pcs[slots_[j] - 1] != pc)
+    while (pcSlots_[j] != 0 && staticPcs_[pcSlots_[j] - 1] != pc)
         j = (j + 1) & mask;
-    if (slots_[j] == 0) {
-        pcs.push_back(pc);
-        slots_[j] = static_cast<uint32_t>(pcs.size());
+    if (pcSlots_[j] == 0) {
+        staticPcs_.push_back(pc);
+        pcSlots_[j] = static_cast<uint32_t>(staticPcs_.size());
     }
-    return slots_[j] - 1;
+    return pcSlots_[j] - 1;
 }
 
 } // namespace copra::trace

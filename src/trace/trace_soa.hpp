@@ -2,22 +2,23 @@
  * @file
  * The column store every branch trace lives in.
  *
- * The simulation hot loops stream one or two fields of every record
- * (pc and taken), so a trace is kept as contiguous per-field columns
- * (pc[], target[], kind[], taken[]) rather than as an array of 24-byte
- * BranchRecord structs, next to two derived indices every predictor
- * pass reuses without a build step: a dense static-branch index per
- * record (with its table of distinct pcs) and the maximal runs of
- * consecutive conditional branches (the batch boundaries).
+ * A trace is a sequence of (site, taken) pairs: per record a u32 site
+ * id and a u8 outcome, 5 bytes in all. The site table holds one row
+ * per distinct (pc, target, kind) triple, ids in order of first
+ * appearance, so record(i) is two indexed loads. Two derived indices
+ * every pass reuses come with it, without a build step: the dense
+ * static-branch id of each site's pc (with its table of distinct
+ * pcs), and the maximal runs of consecutive conditional records (the
+ * batch boundaries).
  *
- * Each column is a read-only view over one owner. Traces built in
- * memory (the generator, ingest) own their columns as vectors and
- * extend both indices as records arrive. Traces loaded from a cache-v3
- * file view the file image itself (a shared read-only mapping):
- * adopt() verifies the stored static index against the pc column and
- * derives the segments in one pass, copying no column. A copy of an
- * adopted trace shares its image; the first mutation copies the image
- * once into owned columns.
+ * Traces built in memory (the generator, ingest) own their columns
+ * and extend the site table and both indices as records arrive.
+ * Traces loaded from a cache-v4 file view the file's site and taken
+ * columns in place (a shared read-only mapping): adopt() decodes the
+ * small site table, derives the static ids from it, and verifies the
+ * records while it derives the segments, copying no record column. A
+ * copy of an adopted trace shares its image; the first mutation copies
+ * the image once into owned columns.
  *
  * BranchRecord is a value materialized on demand (record(), records())
  * for the consumers that want whole records.
@@ -39,8 +40,8 @@ class SoABlocks;
 
 /**
  * Iterator over a trace's records for range-for: each dereference
- * materializes a BranchRecord value (not a reference) from the four
- * columns.
+ * materializes a BranchRecord value (not a reference) from the
+ * record's site and outcome.
  */
 class RecordIterator
 {
@@ -84,30 +85,34 @@ class SoABlocks
         size_t count = 0; //!< number of consecutive conditionals
     };
 
-    /** The six stored columns of a trace, as read-only views. */
+    /**
+     * The stored columns of a trace, as read-only views: per record a
+     * site id and an outcome; per site a pc, a target and a kind.
+     */
     struct Columns
     {
-        std::span<const uint64_t> pc;
-        std::span<const uint64_t> target;
-        std::span<const uint8_t> kind;
+        std::span<const uint32_t> site;
         std::span<const uint8_t> taken;
-        std::span<const uint32_t> staticIndex;
-        std::span<const uint64_t> staticPcs;
+        std::span<const uint64_t> sitePc;
+        std::span<const uint64_t> siteTarget;
+        std::span<const uint8_t> siteKind;
     };
 
     SoABlocks() = default;
 
     /**
-     * View @p columns in place; @p image owns the memory they point
-     * into and is shared by every copy. One pass verifies the stored
-     * static index and derives the segments and conditional count;
-     * nothing is copied or hashed per record.
+     * View the record columns of @p columns in place; @p image owns
+     * the memory they point into and is shared by every copy. The
+     * site table is decoded (it is small), the static ids are derived
+     * from it, and one pass over the records verifies them and derives
+     * the segments and conditional count; no record column is copied.
      *
-     * @throws std::runtime_error unless the columns have equal length,
-     * every kind is a BranchKind, every taken byte is 0 or 1, every
-     * staticIndex[i] < staticPcs.size() with staticPcs[staticIndex[i]]
-     * == pc[i], the static pcs are distinct, and the ids first appear
-     * in order 0, 1, 2, ... and cover all of staticPcs.
+     * @throws std::runtime_error, naming the site or record, unless
+     * the columns have consistent lengths, every site kind is a
+     * BranchKind, no two sites share a (pc, target, kind) triple,
+     * every site id is below the site count and first appears in
+     * order 0, 1, 2, ..., every taken byte is 0 or 1, and every site
+     * is referenced.
      */
     static SoABlocks adopt(std::shared_ptr<const void> image,
                            const Columns &columns);
@@ -116,13 +121,13 @@ class SoABlocks
     SoABlocks(SoABlocks &&other) noexcept;
     SoABlocks &operator=(SoABlocks other) noexcept;
 
-    /** Append one record, extending both indices in O(1). */
+    /** Append one record, extending the site table and indices in O(1). */
     void append(const BranchRecord &rec);
 
     /**
-     * Append every record of @p other in order. Static ids are remapped
-     * through other.staticPcs(): one intern probe per static branch of
-     * @p other, none per record.
+     * Append every record of @p other in order. Site ids are remapped
+     * through other.sites(): one intern probe per site of @p other,
+     * none per record.
      */
     void append(const SoABlocks &other);
 
@@ -133,40 +138,46 @@ class SoABlocks
     void clear();
 
     /** Total records (all control-transfer kinds). */
-    size_t size() const noexcept { return view_.pc.size(); }
+    size_t size() const noexcept { return site_.size(); }
 
     /** Number of conditional records across all segments. */
     uint64_t conditionalCount() const noexcept { return conditionals_; }
 
-    /** Branch addresses, one per record. */
-    const uint64_t *pc() const noexcept { return view_.pc.data(); }
-
-    /** Taken-path targets, one per record. */
-    const uint64_t *target() const noexcept { return view_.target.data(); }
-
-    /** BranchKind encodings, one byte per record. */
-    const uint8_t *kind() const noexcept { return view_.kind.data(); }
+    /** Site ids, one per record: the record's row of sites(). */
+    const uint32_t *site() const noexcept { return site_.data(); }
 
     /** Outcomes (0/1), one byte per record. */
-    const uint8_t *taken() const noexcept { return view_.taken.data(); }
+    const uint8_t *taken() const noexcept { return taken_.data(); }
+
+    /** Distinct (pc, target, kind) triples; position = site id. */
+    std::span<const Site> sites() const noexcept { return sites_; }
+
+    /** Number of distinct sites in the trace. */
+    size_t siteCount() const noexcept { return sites_.size(); }
+
+    /** The site of record @p i. */
+    const Site &siteOf(size_t i) const noexcept { return sites_[site_[i]]; }
 
     /**
-     * Dense static-branch index, one entry per record: records with the
-     * same pc share one index in [0, staticCount()), assigned in order
-     * of first appearance. Ledger passes accumulate per-branch tallies
-     * into a flat array addressed by this column, replacing a hashed
-     * map probe per dynamic branch with one indexed add.
+     * Dense static-branch id of record @p i: records with the same pc
+     * share one id in [0, staticCount()), assigned in order of first
+     * appearance. Ledger passes accumulate per-branch tallies into a
+     * flat array addressed by this id, replacing a hashed map probe
+     * per dynamic branch with one indexed add.
      */
-    const uint32_t *staticIndex() const noexcept
+    uint32_t staticIndex(size_t i) const noexcept
     {
-        return view_.staticIndex.data();
+        return siteOf(i).branch;
     }
 
     /** Distinct branch addresses; position = dense static index. */
-    std::span<const uint64_t> staticPcs() const { return view_.staticPcs; }
+    std::span<const uint64_t> staticPcs() const noexcept
+    {
+        return staticPcs_;
+    }
 
     /** Number of distinct branch addresses in the trace. */
-    size_t staticCount() const noexcept { return view_.staticPcs.size(); }
+    size_t staticCount() const noexcept { return staticPcs_.size(); }
 
     /** Maximal conditional runs, in trace order. */
     std::span<const Segment> conditionalSegments() const noexcept
@@ -178,52 +189,45 @@ class SoABlocks
     BranchRecord
     record(size_t i) const noexcept
     {
-        return {view_.pc[i], view_.target[i],
-                static_cast<BranchKind>(view_.kind[i]),
-                view_.taken[i] != 0};
+        const Site &s = siteOf(i);
+        return {s.pc, s.target, s.kind, taken_[i] != 0};
     }
 
     /** Every record, materialized on dereference. */
     RecordRange records() const noexcept { return {this}; }
 
   private:
-    /** Columns this object owns (used when image_ is null). */
-    struct Owned
-    {
-        std::vector<uint64_t> pc;
-        std::vector<uint64_t> target;
-        std::vector<uint8_t> kind;
-        std::vector<uint8_t> taken;
-        std::vector<uint32_t> staticIndex;
-        std::vector<uint64_t> staticPcs;
-    };
-
     /** Before a mutation: copy a shared image into owned columns. */
     void own();
 
-    /** Point the views at the owned columns. */
+    /** Point the record views at the owned columns. */
     void bind();
 
+    /** Site id of a triple, adding a site (and pc) on first sight. */
+    uint32_t internSite(uint64_t pc, uint64_t target, BranchKind kind);
+
     /** Dense static id of @p pc, assigning the next id on first sight. */
-    uint32_t intern(uint64_t pc);
+    uint32_t internPc(uint64_t pc);
 
-    /** Rebuild the intern table at @p cap slots from the static pcs. */
-    void rehash(size_t cap);
-
-    /** Extend the segment and static indices over record @p i. */
-    void indexRecord(size_t i);
+    /** Extend the segment index over record @p i of site @p s. */
+    void indexRecord(size_t i, const Site &s);
 
     /** Keeps an adopted image alive; null when the columns are owned. */
     std::shared_ptr<const void> image_;
-    Owned owned_;
-    Columns view_;
+    std::vector<uint32_t> ownedSite_;
+    std::vector<uint8_t> ownedTaken_;
+    std::span<const uint32_t> site_;
+    std::span<const uint8_t> taken_;
+    std::vector<Site> sites_;
+    std::vector<uint64_t> staticPcs_;
     std::vector<Segment> condSegments_;
     /**
-     * Open-addressing pc table of the owned columns: slot = static id
-     * + 1, 0 = empty. Built on the first append, never for an adopted
-     * image that is only read.
+     * Open-addressing tables over sites_ and staticPcs_: slot = id + 1,
+     * 0 = empty. Their size follows the site count, not the record
+     * count (adopt() builds them while it decodes the site table).
      */
-    std::vector<uint32_t> slots_;
+    std::vector<uint32_t> siteSlots_;
+    std::vector<uint32_t> pcSlots_;
     uint64_t conditionals_ = 0;
 };
 

@@ -8,8 +8,9 @@ TraceStats::TraceStats(const Trace &trace)
     std::vector<StaticBranchStats> table(soa.staticCount());
     for (const SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
-            StaticBranchStats &entry = table[soa.staticIndex()[i]];
-            entry.pc = soa.pc()[i];
+            const Site &site = soa.siteOf(i);
+            StaticBranchStats &entry = table[site.branch];
+            entry.pc = site.pc;
             ++entry.execs;
             entry.taken += soa.taken()[i];
             taken_ += soa.taken()[i];

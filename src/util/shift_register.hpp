@@ -55,9 +55,6 @@ class HistoryRegister
         return (bits_ >> ago) & 1u;
     }
 
-    /** Clear all recorded history. */
-    void clear() { bits_ = 0; }
-
   private:
     unsigned length_;
     uint64_t mask_;

@@ -116,8 +116,8 @@ TEST(RecordCheck, FuzzedTracesReachTheWalkEdges)
         for (size_t i = 0; i < soa.size(); ++i) {
             if (!soa.record(i).isConditional())
                 continue;
-            run = soa.staticIndex()[i] == last ? run + 1 : 1;
-            last = soa.staticIndex()[i];
+            run = soa.staticIndex(i) == last ? run + 1 : 1;
+            last = soa.staticIndex(i);
             longest_run = std::max(longest_run, run);
         }
         OracleConfig config;

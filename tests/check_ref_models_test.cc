@@ -186,9 +186,9 @@ TEST(RefFixedPattern, MatchesTheBankThePaClassifierReads)
         std::map<uint64_t, uint32_t> id_of;
         for (size_t i = 0; i < soa.size(); ++i) {
             const BranchRecord rec = soa.record(i);
-            id_of[rec.pc] = soa.staticIndex()[i];
+            id_of[rec.pc] = soa.staticIndex(i);
             if (rec.isConditional())
-                bank.observe(soa.staticIndex()[i], rec.taken);
+                bank.observe(soa.staticIndex(i), rec.taken);
         }
         const size_t executed = static_cast<size_t>(std::count_if(
             bank.table().begin(), bank.table().end(),

@@ -43,37 +43,39 @@ TEST(PredictorContracts, EveryFactorySpecConstructsAndNames)
 TEST(PredictorContracts, BatchEntryPointMatchesScalarLoop)
 {
     // The conditionals of a fuzzed trace as one column batch, fed
-    // through predictUpdateSoa in runs of varying length.
+    // through predictUpdateSoa in runs of varying length; the batch
+    // names each branch's row of a site table.
     copra::trace::Trace trace = copra::check::fuzzTrace(7, 4000);
-    std::vector<uint64_t> pc, target;
+    std::vector<copra::trace::Site> sites;
+    std::vector<uint32_t> site;
     std::vector<uint8_t> taken;
     for (const auto &rec : trace.records()) {
         if (!rec.isConditional())
             continue;
-        pc.push_back(rec.pc);
-        target.push_back(rec.target);
+        site.push_back(static_cast<uint32_t>(sites.size()));
+        sites.push_back({rec.pc, rec.target, rec.kind, 0});
         taken.push_back(rec.taken ? 1 : 0);
     }
-    ASSERT_FALSE(pc.empty());
+    ASSERT_FALSE(site.empty());
 
     for (const std::string &spec : knownPredictors()) {
         auto batched = makePredictor(spec);
         auto scalar = makePredictor(spec);
-        std::vector<uint8_t> batch_correct(pc.size());
+        std::vector<uint8_t> batch_correct(site.size());
         uint64_t batch_total = 0;
-        for (size_t begin = 0, run = 1; begin < pc.size(); run *= 3) {
-            size_t count = std::min(run, pc.size() - begin);
-            copra::predictor::SoaBatch batch{&pc[begin], &target[begin],
-                                             &taken[begin], count};
+        for (size_t begin = 0, run = 1; begin < site.size(); run *= 3) {
+            size_t count = std::min(run, site.size() - begin);
+            copra::predictor::SoaBatch batch{&site[begin], &taken[begin],
+                                             sites.data(), count};
             batch_total += batched->predictUpdateSoa(
                 batch, batch_correct.data() + begin);
             begin += count;
         }
         uint64_t scalar_total = 0;
-        for (size_t i = 0; i < pc.size(); ++i) {
+        for (size_t i = 0; i < site.size(); ++i) {
             copra::trace::BranchRecord rec{
-                pc[i], target[i], copra::trace::BranchKind::Conditional,
-                taken[i] != 0};
+                sites[i].pc, sites[i].target,
+                copra::trace::BranchKind::Conditional, taken[i] != 0};
             bool correct = scalar->step(rec, rec.taken) == rec.taken;
             scalar_total += correct ? 1 : 0;
             ASSERT_EQ(batch_correct[i], correct ? 1 : 0)

@@ -160,11 +160,11 @@ TEST_F(TraceCacheTest, MalformedHeaderVariantsAreDroppedAndDeleted)
              // count is the u64 at header offset 24..31.
              b[24 + 7] = char(0x7f);
          }},
-        {"poisoned record kind",
+        {"poisoned site kind",
          [](std::string &b) {
-             // First kind byte of the 4-record, 4-branch image named
-             // "sample".
-             b[imageLayout(6, 4, 4).kind] = char(0x3f);
+             // First site kind byte of the 4-record, 4-site image
+             // named "sample".
+             b[imageLayout(6, 4, 4).siteKind] = char(0x3f);
          }},
     };
 
@@ -320,7 +320,7 @@ mappedRange(const std::string &path)
     return std::nullopt;
 }
 
-/** Every column and derived index of @p got equals @p want's. */
+/** Every column, site and derived index of @p got equals @p want's. */
 void
 expectSameSoa(const Trace &want, const Trace &got)
 {
@@ -329,12 +329,15 @@ expectSameSoa(const Trace &want, const Trace &got)
     ASSERT_EQ(a.size(), b.size());
     size_t n = a.size();
     EXPECT_EQ(a.conditionalCount(), b.conditionalCount());
-    EXPECT_TRUE(std::equal(a.pc(), a.pc() + n, b.pc()));
-    EXPECT_TRUE(std::equal(a.target(), a.target() + n, b.target()));
-    EXPECT_TRUE(std::equal(a.kind(), a.kind() + n, b.kind()));
+    EXPECT_TRUE(std::equal(a.site(), a.site() + n, b.site()));
     EXPECT_TRUE(std::equal(a.taken(), a.taken() + n, b.taken()));
-    EXPECT_TRUE(
-        std::equal(a.staticIndex(), a.staticIndex() + n, b.staticIndex()));
+    EXPECT_TRUE(std::ranges::equal(
+        a.sites(), b.sites(), [](const Site &x, const Site &y) {
+            return x.pc == y.pc && x.target == y.target &&
+                x.kind == y.kind && x.branch == y.branch;
+        }));
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(a.staticIndex(i), b.staticIndex(i)) << "record " << i;
     EXPECT_TRUE(std::ranges::equal(a.staticPcs(), b.staticPcs()));
     auto segments = [](const SoABlocks &soa) {
         std::vector<std::pair<size_t, size_t>> out;
@@ -366,17 +369,17 @@ TEST_F(TraceCacheTest, WarmLoadViewsTheMappedFileInPlace)
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(hits, 1u) << "a warm load must be a hit";
 
-    // The pc column lies inside the mapping of the cache file: the load
-    // viewed it in place instead of copying it out.
+    // The site column lies inside the mapping of the cache file: the
+    // load viewed it in place instead of copying it out.
     auto range = mappedRange(cache.pathFor(key));
     ASSERT_TRUE(range.has_value()) << "the cache file is not mapped";
-    auto pc = reinterpret_cast<uintptr_t>(loaded->soa().pc());
-    EXPECT_GE(pc, range->first);
-    EXPECT_LT(pc, range->second);
+    auto site = reinterpret_cast<uintptr_t>(loaded->soa().site());
+    EXPECT_GE(site, range->first);
+    EXPECT_LT(site, range->second);
 
     // A copy shares the image rather than copying it.
     Trace copy = *loaded;
-    EXPECT_EQ(copy.soa().pc(), loaded->soa().pc());
+    EXPECT_EQ(copy.soa().site(), loaded->soa().site());
 
     // A store replaces the file by rename; the loaded trace keeps the
     // old file's mapping and stays valid and unchanged.
@@ -400,13 +403,14 @@ v2Bytes(const Trace &t)
         for (int i = 0; i < bytes; ++i)
             out.push_back(char((v >> (8 * i)) & 0xff));
     };
-    const SoABlocks &soa = t.soa();
-    for (size_t i = 0; i < soa.size(); ++i)
-        put(payload, soa.pc()[i], 8);
-    for (size_t i = 0; i < soa.size(); ++i)
-        put(payload, soa.target()[i], 8);
-    payload.append(reinterpret_cast<const char *>(soa.kind()), soa.size());
-    payload.append(reinterpret_cast<const char *>(soa.taken()), soa.size());
+    for (const BranchRecord &rec : t.records())
+        put(payload, rec.pc, 8);
+    for (const BranchRecord &rec : t.records())
+        put(payload, rec.target, 8);
+    for (const BranchRecord &rec : t.records())
+        put(payload, static_cast<uint8_t>(rec.kind), 1);
+    for (const BranchRecord &rec : t.records())
+        put(payload, rec.taken ? 1 : 0, 1);
     uint64_t h = 1469598103934665603ull;
     size_t words = payload.size() / 8;
     for (size_t w = 0; w < words; ++w) {
@@ -431,9 +435,9 @@ v2Bytes(const Trace &t)
 
 TEST_F(TraceCacheTest, V2EntryInACacheSlotIsEvictedAndRegenerated)
 {
-    // A well-formed v2 file copied by hand into a v3 cache slot: the
+    // A well-formed v2 file copied by hand into a v4 cache slot: the
     // loader rejects its version, the cache evicts it, and the next
-    // loadOrGenerate regenerates and stores a v3 entry.
+    // loadOrGenerate regenerates and stores a v4 entry.
     TraceCache cache(dir_.string());
     TraceCacheKey key{"sample", 4, 1};
     fs::create_directories(dir_);
@@ -472,11 +476,11 @@ TEST_F(TraceCacheTest, AppendToAMappedTraceMatchesAppendToAGeneratedOne)
     Trace tail = check::fuzzTrace(8, 700);
     for (Trace *t : {&generated, &*mapped}) {
         t->append({0xdead0, 0xdead8, BranchKind::Conditional, true});
-        t->append({generated.soa().pc()[0], 0x40, BranchKind::Jump, true});
+        t->append({generated[0].pc, 0x40, BranchKind::Jump, true});
         t->appendTrace(tail);
     }
     expectSameSoa(generated, *mapped);
-    EXPECT_NE(mapped->soa().pc(), untouched.soa().pc())
+    EXPECT_NE(mapped->soa().site(), untouched.soa().site())
         << "the appended trace must own its columns";
     expectSameSoa(check::fuzzTrace(7, 1500), untouched);
 }

@@ -3,7 +3,7 @@
  * Unit tests for the foreign-trace ingestion frontend (trace/ingest.hpp):
  * the versioned text grammar, the CSV dialect (including out-of-order
  * index normalization), the CBP-style binary reader with its corruption
- * and endianness tripwires, and the ingest → cache-v3 → SoA round trip.
+ * and endianness tripwires, and the ingest → cache-v4 → SoA round trip.
  * Also pins the ledger's packed-tally flush across the 2^21 field
  * boundary, since ingested foreign traces are the first consumers long
  * enough to cross it with a single static branch.
@@ -376,10 +376,15 @@ TEST(IngestRoundTrip, SurvivesCacheV3AndSoA)
     const SoABlocks &sb = loaded.soa();
     ASSERT_EQ(sa.size(), sb.size());
     EXPECT_EQ(sa.conditionalCount(), sb.conditionalCount());
-    EXPECT_EQ(0, std::memcmp(sa.pc(), sb.pc(),
-                             sa.size() * sizeof(uint64_t)));
+    EXPECT_EQ(0, std::memcmp(sa.site(), sb.site(),
+                             sa.size() * sizeof(uint32_t)));
     EXPECT_EQ(0, std::memcmp(sa.taken(), sb.taken(), sa.size()));
-    EXPECT_EQ(0, std::memcmp(sa.kind(), sb.kind(), sa.size()));
+    ASSERT_EQ(sa.siteCount(), sb.siteCount());
+    for (size_t j = 0; j < sa.siteCount(); ++j) {
+        EXPECT_EQ(sa.sites()[j].pc, sb.sites()[j].pc) << "site " << j;
+        EXPECT_EQ(sa.sites()[j].target, sb.sites()[j].target);
+        EXPECT_EQ(sa.sites()[j].kind, sb.sites()[j].kind);
+    }
 }
 
 TEST(IngestLedger, PackedTallyFlushSurvivesTwoPow21Executions)

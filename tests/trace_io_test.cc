@@ -86,7 +86,7 @@ TEST(TraceIoBinary, InvalidKindRejected)
     Trace original;
     original.append({0x100, 0x104, BranchKind::Conditional, true});
     std::string bytes = binaryBytes(original);
-    bytes[imageLayout(0, 1, 1).kind] = 42; // corrupt the kind byte
+    bytes[imageLayout(0, 1, 1).siteKind] = 42; // corrupt the site kind
     EXPECT_THROW(loadBytes(bytes), std::runtime_error);
 }
 

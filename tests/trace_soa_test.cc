@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the column store and the cache-v3 loader: record
- * materialization against the columns over fuzzed traces,
- * conditional-segment and static-index invariants, the rejection of
- * truncated / garbage / wrong-version files by the loader (with the
+ * Tests for the column store and the cache-v4 loader: record
+ * materialization against the site table over fuzzed traces,
+ * conditional-segment, site and static-index invariants, the rejection
+ * of truncated / garbage / wrong-version files by the loader (with the
  * trace cache evicting what it cannot read), and the rejection of
  * re-sealed forgeries that only the verification pass can catch.
  */
@@ -29,28 +29,35 @@ namespace {
 
 namespace fs = std::filesystem;
 using test_support::binaryBytes;
+using test_support::v3Bytes;
 
 TEST(TraceSoa, RecordsMaterializeFromTheColumns)
 {
     // Property over the adversarial fuzz corpus: operator[], the
-    // records() iterator and the columns agree index for index, and the
-    // static index maps every record back to its own pc.
+    // records() iterator and the site and taken columns agree index
+    // for index, site ids first appear in order, and the static index
+    // maps every record back to its own pc.
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         Trace t = check::fuzzTrace(seed, 700);
         const SoABlocks &soa = t.soa();
         ASSERT_EQ(soa.size(), t.size()) << "seed " << seed;
         ASSERT_EQ(t.records().size(), t.size());
         size_t i = 0;
+        uint32_t next_site = 0;
         for (const BranchRecord &rec : t.records()) {
-            ASSERT_EQ(soa.pc()[i], rec.pc) << "seed " << seed;
-            ASSERT_EQ(soa.target()[i], rec.target);
-            ASSERT_EQ(soa.kind()[i], static_cast<uint8_t>(rec.kind));
+            ASSERT_LE(soa.site()[i], next_site) << "seed " << seed;
+            next_site += soa.site()[i] == next_site ? 1 : 0;
+            const Site &site = soa.sites()[soa.site()[i]];
+            ASSERT_EQ(site.pc, rec.pc) << "seed " << seed;
+            ASSERT_EQ(site.target, rec.target);
+            ASSERT_EQ(site.kind, rec.kind);
             ASSERT_EQ(soa.taken()[i] != 0, rec.taken);
             ASSERT_EQ(t[i], rec);
-            ASSERT_EQ(soa.staticPcs()[soa.staticIndex()[i]], rec.pc);
+            ASSERT_EQ(soa.staticPcs()[soa.staticIndex(i)], rec.pc);
             ++i;
         }
         EXPECT_EQ(i, t.size());
+        EXPECT_EQ(next_site, soa.siteCount()) << "every site is used";
     }
 }
 
@@ -158,7 +165,7 @@ class MappedLoadTest : public ::testing::Test
     fs::path dir_;
 };
 
-TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheSavedTrace)
+TEST_F(MappedLoadTest, MapsV4FilesIdenticallyToTheSavedTrace)
 {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         Trace t = check::fuzzTrace(seed, 400);
@@ -172,9 +179,8 @@ TEST_F(MappedLoadTest, MapsV3FilesIdenticallyToTheSavedTrace)
         EXPECT_EQ(mapped.conditionalCount(), t.conditionalCount());
         ASSERT_TRUE(std::ranges::equal(mapped.soa().staticPcs(),
                                        t.soa().staticPcs()));
-        EXPECT_TRUE(std::equal(mapped.soa().staticIndex(),
-                               mapped.soa().staticIndex() + mapped.size(),
-                               t.soa().staticIndex()));
+        for (size_t i = 0; i < mapped.size(); ++i)
+            ASSERT_EQ(mapped.soa().staticIndex(i), t.soa().staticIndex(i));
         EXPECT_EQ(mapped.soa().conditionalSegments().size(),
                   t.soa().conditionalSegments().size());
     }
@@ -208,9 +214,11 @@ TEST_F(MappedLoadTest, RejectsTruncatedGarbageAndWrongVersionFiles)
     EXPECT_EQ(rejection(writeFile("magic.trc", bad_magic)),
               "copra trace: bad magic");
 
-    // A well-formed v1 file is rejected by its version.
+    // Well-formed v1 and v3 files are rejected by their version.
     std::string why = rejection(writeFile("v1.trc", v1Bytes(t)));
     EXPECT_NE(why.find("unsupported version 1"), std::string::npos) << why;
+    why = rejection(writeFile("v3.trc", v3Bytes(t)));
+    EXPECT_EQ(why, "copra trace: unsupported version 3");
 
     // A missing file cannot be mapped at all.
     EXPECT_THROW(loadBinary((dir_ / "absent.trc").string()),
@@ -221,18 +229,25 @@ TEST_F(MappedLoadTest, LoaderRejectsEveryResealedForgery)
 {
     // Each forgery carries a valid checksum and breaks one invariant,
     // so the check that names it is the one that must fire.
+    // Each message names the record or the site at fault, except the
+    // conditional count, which is a header field.
     const std::pair<check::Forgery, const char *> expected[] = {
-        {check::Forgery::StaticIdOtherPc, "names another pc"},
-        {check::Forgery::StaticIdOutOfRange, "out of range"},
-        {check::Forgery::StaticIdOrder, "first-appearance order"},
-        {check::Forgery::DuplicateStaticPc, "duplicate static pc"},
-        {check::Forgery::TakenTwo, "taken byte"},
+        {check::Forgery::SiteOutOfRange, "out of range"},
+        {check::Forgery::SiteOrder,
+         "site id 1 at record 0 is out of first-appearance order"},
+        {check::Forgery::DuplicateSite,
+         "repeats the pc, target and kind of site 0"},
+        {check::Forgery::SiteKind, "invalid kind"},
+        {check::Forgery::TakenTwo, "taken byte at record"},
+        {check::Forgery::UnreferencedSite, "is never referenced"},
+        {check::Forgery::ConditionalCount, "conditional count mismatch"},
     };
+    static_assert(std::size(expected) == check::kForgeryCount);
     size_t forged_images = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         std::string clean = binaryBytes(check::fuzzTrace(seed, 300));
         for (const auto &[forgery, message] : expected) {
-            // A trace hammering one pc has no second branch to forge.
+            // A trace hammering one pc has no second site to forge.
             std::string forged = check::forgeImage(clean, forgery, seed);
             if (forged.empty())
                 continue;
@@ -251,7 +266,7 @@ TEST_F(MappedLoadTest, LoaderRejectsEveryResealedForgery)
                 << "seed " << seed << ": " << why;
         }
     }
-    EXPECT_GE(forged_images, 30u);
+    EXPECT_GE(forged_images, 40u);
 }
 
 TEST_F(MappedLoadTest, TakenBytesAboveOneAreRejectedNotRewritten)
@@ -262,10 +277,9 @@ TEST_F(MappedLoadTest, TakenBytesAboveOneAreRejectedNotRewritten)
     std::string bytes = binaryBytes(t);
     auto *image = reinterpret_cast<unsigned char *>(bytes.data());
     ImageLayout at = imageLayout(static_cast<uint32_t>(t.name().size()),
-                                 t.size(), t.soa().staticCount());
+                                 t.size(), t.soa().siteCount());
     image[at.taken + 17] = 0xff;
-    uint64_t checksum = imageChecksum(image, bytes.size());
-    std::memcpy(image + header_offset::kChecksum, &checksum, sizeof checksum);
+    test_support::reseal(bytes);
     EXPECT_NE(rejection(writeFile("taken.trc", bytes))
                   .find("taken byte at record 17"),
               std::string::npos);
@@ -284,6 +298,21 @@ TEST_F(MappedLoadTest, CacheEvictsV1ContentAsAMiss)
     t.append({0x108, 0x090, BranchKind::Conditional, false});
     t.append({0x10c, 0x0a0, BranchKind::Conditional, true});
     std::string path = writeFile(key.fileName(), v1Bytes(t));
+
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_FALSE(fs::exists(path));
+}
+
+TEST_F(MappedLoadTest, CacheEvictsV3ContentAsAMiss)
+{
+    // A well-formed v3 image in a v4 cache slot (the previous format,
+    // checksum intact): the version check rejects it and the cache
+    // evicts it.
+    TraceCache cache(dir_.string());
+    Trace t = check::fuzzTrace(3, 300);
+    TraceCacheKey key{t.name(), 300, 3};
+    std::string path = writeFile(key.fileName(), v3Bytes(t));
+    EXPECT_EQ(rejection(path), "copra trace: unsupported version 3");
 
     EXPECT_FALSE(cache.load(key).has_value());
     EXPECT_FALSE(fs::exists(path));

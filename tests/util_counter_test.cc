@@ -142,15 +142,6 @@ TEST(HistoryRegister, LengthMasksOldOutcomes)
     EXPECT_EQ(h.value(), 0b110u);
 }
 
-TEST(HistoryRegister, ClearForgetsEverything)
-{
-    HistoryRegister h(8);
-    h.push(true);
-    h.push(true);
-    h.clear();
-    EXPECT_EQ(h.value(), 0u);
-}
-
 TEST(HistoryRegister, SixtyFourBitHistoryWorks)
 {
     HistoryRegister h(64);

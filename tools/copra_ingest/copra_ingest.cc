@@ -1,15 +1,20 @@
 /**
  * @file
  * copra_ingest: validate and normalize a foreign branch trace into a
- * native cache-v3 binary trace file.
+ * native cache-v4 binary trace file.
  *
  * The ingestion frontend (src/trace/ingest.hpp) accepts the versioned
  * copra text grammar, CSV rows, or a CBP-championship-style packed
  * binary (formats documented in docs/TRACES.md), normalizes foreign
  * quirks (outcome conventions, CSV row order), and the tool emits the
- * result with trace::saveBinary — the same v3 layout the trace cache
- * mmaps. Provenance (record counts, normalization counts, warnings)
- * is recorded in the run manifest via --metrics-out.
+ * result with trace::saveBinary — the same v4 layout the trace cache
+ * mmaps. It prints one summary line for the file it wrote: records,
+ * conditionals, static pcs (distinct pcs of every kind), sites, bytes
+ * and bytes per conditional. The site count (distinct pc, target and kind triples)
+ * is the one input that can grow a v4 file beyond ~5 bytes per
+ * record, so it is shown for every foreign trace. Provenance (record
+ * counts, normalization counts, warnings) is recorded in the run
+ * manifest via --metrics-out.
  *
  * Examples:
  *   copra_ingest --in theirs.trace --out mine.trc
@@ -19,6 +24,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 #include "obs/instruments.hpp"
 #include "obs/manifest.hpp"
@@ -35,12 +41,12 @@ main(int argc, char **argv)
 {
     OptionParser parser(
         "validate and normalize a foreign branch trace into a native "
-        "cache-v3 binary trace file (formats: docs/TRACES.md)");
+        "cache-v4 binary trace file (formats: docs/TRACES.md)");
     std::string in_path;
     parser.addString("in", &in_path, "input trace file (required)");
     std::string out_path;
     parser.addString("out", &out_path,
-                     "output v3 binary trace path (empty with "
+                     "output v4 binary trace path (empty with "
                      "--validate = parse only)");
     std::string format_name = "auto";
     parser.addString("format", &format_name,
@@ -105,8 +111,23 @@ main(int argc, char **argv)
             std::fprintf(stderr, "copra_ingest: %s\n", e.what());
             return 1;
         }
-        std::printf("wrote %s (v%u column binary)\n", out_path.c_str(),
-                    trace::kTraceFormatVersion);
+        std::error_code ec;
+        uint64_t bytes = std::filesystem::file_size(out_path, ec);
+        if (ec)
+            bytes = 0;
+        uint64_t conditionals = trace.conditionalCount();
+        std::printf("wrote %s (cache-v%u): records=%llu conditionals=%llu "
+                    "static_pcs=%llu sites=%llu bytes=%llu "
+                    "bytes_per_conditional=%.2f\n",
+                    out_path.c_str(), trace::kTraceFormatVersion,
+                    static_cast<unsigned long long>(trace.size()),
+                    static_cast<unsigned long long>(conditionals),
+                    static_cast<unsigned long long>(trace.soa().staticCount()),
+                    static_cast<unsigned long long>(trace.soa().siteCount()),
+                    static_cast<unsigned long long>(bytes),
+                    conditionals ? static_cast<double>(bytes) /
+                            static_cast<double>(conditionals)
+                                 : 0.0);
     }
 
     obs::count(obs::ids().traceIngestRecords, report.records);
