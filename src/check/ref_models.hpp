@@ -170,8 +170,9 @@ class RefBlockPattern : public RefModel
 /**
  * Reference fixed-length-pattern predictor: replay the branch's outcome
  * from k executions ago (cold default taken until k outcomes exist).
- * It is the single-k definition that FixedPatternBank, the PA
- * classifier's 32-way instrument, is checked against per branch.
+ * It is the single-k definition the PA classifier's fixedCorrect and
+ * bestFixedK (the best of k = 1..32, scored by XOR and popcount of
+ * each branch's outcome stream) are checked against per branch.
  */
 class RefFixedPattern : public RefModel
 {

@@ -1,13 +1,15 @@
 #include "core/characterize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 #include "predictor/factory.hpp"
 #include "sim/driver.hpp"
+#include "trace/branch_streams.hpp"
 #include "trace/trace_stats.hpp"
+#include "util/logging.hpp"
 #include "workload/frontier.hpp"
 #include "workload/profiles.hpp"
 
@@ -26,28 +28,28 @@ binaryEntropyBits(uint64_t taken, uint64_t total)
 }
 
 /**
- * Execution-weighted average of per-context binary entropies. Contexts
- * arrive as an unordered map; contributions are summed in key order so
- * the result is bit-stable across platforms and library versions.
+ * One context's share of an entropy: its weight (@p not_taken +
+ * @p taken executions of @p total) times its binary entropy.
  */
 double
-contextEntropyBits(
-    const std::unordered_map<uint64_t, std::array<uint64_t, 2>> &contexts,
-    uint64_t total)
+contextBits(uint64_t not_taken, uint64_t taken, uint64_t total)
 {
-    if (total == 0)
-        return 0.0;
-    std::vector<std::pair<uint64_t, std::array<uint64_t, 2>>> sorted(
-        contexts.begin(), contexts.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    double bits = 0.0;
-    for (const auto &[key, counts] : sorted) {
-        uint64_t n = counts[0] + counts[1];
-        bits += static_cast<double>(n) / static_cast<double>(total) *
-            binaryEntropyBits(counts[1], n);
+    uint64_t n = not_taken + taken;
+    return static_cast<double>(n) / static_cast<double>(total) *
+        binaryEntropyBits(taken, n);
+}
+
+/** The deepest of @p depths (0 if none); fatal past kMaxEntropyDepth. */
+unsigned
+checkedDeepest(const std::vector<unsigned> &depths)
+{
+    unsigned deepest = 0;
+    for (unsigned depth : depths) {
+        fatalIf(depth > kMaxEntropyDepth,
+                "entropy history depth must be at most 20");
+        deepest = std::max(deepest, depth);
     }
-    return bits;
+    return deepest;
 }
 
 } // namespace
@@ -80,65 +82,103 @@ WorkloadFingerprint::localHistoryGainBits() const
     return entropyBits() - deepest;
 }
 
-double
-globalConditionedEntropyBits(const trace::Trace &trace, unsigned depth)
+std::vector<double>
+globalConditionedEntropyBits(const trace::Trace &trace,
+                             const std::vector<unsigned> &depths)
 {
     const trace::SoABlocks &soa = trace.soa();
     const uint8_t *taken = soa.taken();
-    uint64_t mask = depth >= 64 ? ~uint64_t(0)
-                                : (uint64_t(1) << depth) - 1;
-    // depth <= 20 keeps the dense table L2-resident; the fingerprint
-    // ladder tops out at 16.
-    std::vector<std::array<uint64_t, 2>> counts(size_t(1) << depth);
+    // Count contexts at the deepest depth only: the shallower contexts
+    // are the same history register under a narrower mask.
+    const unsigned deepest = checkedDeepest(depths);
+    std::vector<std::array<uint64_t, 2>> counts(size_t(1) << deepest);
+    const uint64_t mask = counts.size() - 1;
     uint64_t history = 0;
-    uint64_t total = 0;
     for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
         for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
             ++counts[history & mask][taken[i]];
             history = (history << 1) | taken[i];
         }
-        total += seg.count;
     }
-    if (total == 0)
-        return 0.0;
-    double bits = 0.0;
-    for (const auto &c : counts) {
-        uint64_t n = c[0] + c[1];
-        if (n == 0)
-            continue;
-        bits += static_cast<double>(n) / static_cast<double>(total) *
-            binaryEntropyBits(c[1], n);
+
+    // Sum depth d over its 2^d contexts in index order, then fold the
+    // table to depth d - 1 by adding each context into the one that
+    // lacks its oldest bit.
+    const uint64_t total = soa.conditionalCount();
+    std::vector<double> bits(depths.size(), 0.0);
+    for (unsigned d = deepest;; --d) {
+        const size_t contexts = size_t(1) << d;
+        for (size_t slot = 0; slot < depths.size(); ++slot) {
+            if (depths[slot] != d)
+                continue;
+            for (size_t x = 0; x < contexts; ++x)
+                if (counts[x][0] + counts[x][1] != 0)
+                    bits[slot] += contextBits(counts[x][0], counts[x][1],
+                                              total);
+        }
+        if (d == 0)
+            break;
+        for (size_t x = 0; x < contexts / 2; ++x) {
+            counts[x][0] += counts[x + contexts / 2][0];
+            counts[x][1] += counts[x + contexts / 2][1];
+        }
     }
     return bits;
 }
 
-double
-localConditionedEntropyBits(const trace::Trace &trace, unsigned depth)
+std::vector<double>
+localConditionedEntropyBits(const trace::Trace &trace,
+                            const std::vector<unsigned> &depths)
 {
-    const trace::SoABlocks &soa = trace.soa();
-    const uint32_t *site = soa.site();
-    const uint8_t *taken = soa.taken();
-    // Each site's static id, 4 bytes a row: the gather per record
-    // stays in L1 where the 24-byte site rows would not.
-    std::vector<uint32_t> branch_of;
-    branch_of.reserve(soa.siteCount());
-    for (const trace::Site &s : soa.sites())
-        branch_of.push_back(s.branch);
-    uint64_t mask = (uint64_t(1) << depth) - 1;
-    std::vector<uint64_t> histories(soa.staticCount(), 0);
-    std::unordered_map<uint64_t, std::array<uint64_t, 2>> contexts;
-    uint64_t total = 0;
-    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
-        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
-            uint32_t sidx = branch_of[site[i]];
-            uint64_t key =
-                (uint64_t(sidx) << depth) | (histories[sidx] & mask);
-            ++contexts[key][taken[i]];
-            histories[sidx] = (histories[sidx] << 1) | taken[i];
+    checkedDeepest(depths); // rejects a depth past kMaxEntropyDepth
+    const trace::BranchStreams streams(trace.soa());
+    const uint64_t total = trace.conditionalCount();
+    // One dense count table per depth, shared by every branch: a
+    // branch's walk lists the contexts it touches, and its sum clears
+    // only those.
+    struct Rung
+    {
+        uint64_t mask;
+        std::vector<std::array<uint64_t, 2>> counts;
+        std::vector<uint32_t> touched;
+    };
+    std::vector<Rung> rungs;
+    rungs.reserve(depths.size());
+    for (unsigned depth : depths)
+        rungs.push_back({(uint64_t(1) << depth) - 1,
+                         std::vector<std::array<uint64_t, 2>>(
+                             size_t(1) << depth),
+                         {}});
+
+    std::vector<double> bits(depths.size(), 0.0);
+    for (uint32_t id = 0; id < streams.size(); ++id) {
+        const trace::BranchStreams::Stream stream = streams.stream(id);
+        uint64_t history = 0;
+        for (uint64_t j = 0; j < stream.size; ++j) {
+            const bool taken = stream[j];
+            for (Rung &rung : rungs) {
+                const uint32_t context = history & rung.mask;
+                std::array<uint64_t, 2> &c = rung.counts[context];
+                if (c[0] + c[1] == 0)
+                    rung.touched.push_back(context);
+                ++c[taken];
+            }
+            history = (history << 1) | taken;
         }
-        total += seg.count;
+        // Branch by branch in static-id order, each in ascending
+        // history order: the (id, history) key order of the sum.
+        for (size_t slot = 0; slot < rungs.size(); ++slot) {
+            Rung &rung = rungs[slot];
+            std::sort(rung.touched.begin(), rung.touched.end());
+            for (uint32_t context : rung.touched) {
+                std::array<uint64_t, 2> &c = rung.counts[context];
+                bits[slot] += contextBits(c[0], c[1], total);
+                c = {0, 0};
+            }
+            rung.touched.clear();
+        }
     }
-    return contextEntropyBits(contexts, total);
+    return bits;
 }
 
 std::string
@@ -171,14 +211,14 @@ characterizeTrace(const trace::Trace &trace,
         : 0.0;
     fp.biasedFraction99 = stats.dynamicFractionWithBiasAbove(0.99);
 
+    const std::vector<double> global =
+        globalConditionedEntropyBits(trace, options.depths);
+    const std::vector<double> local =
+        localConditionedEntropyBits(trace, options.depths);
     fp.curve.reserve(options.depths.size());
-    for (unsigned depth : options.depths) {
-        HistoryEntropyPoint point;
-        point.depth = depth;
-        point.globalBits = globalConditionedEntropyBits(trace, depth);
-        point.localBits = localConditionedEntropyBits(trace, depth);
-        fp.curve.push_back(point);
-    }
+    for (size_t slot = 0; slot < options.depths.size(); ++slot)
+        fp.curve.push_back(
+            {options.depths[slot], global[slot], local[slot]});
 
     fp.gshareAccuracyPercent = std::nan("");
     if (options.withPredictor && fp.conditionals > 0) {

@@ -94,22 +94,30 @@ struct WorkloadFingerprint
     double localHistoryGainBits() const;
 };
 
-/**
- * Outcome entropy of @p trace's conditional branches under a
- * @p depth-bit global outcome history, in bits per branch. Contexts
- * are the 2^depth recent-outcome patterns; the result is the
- * execution-weighted average of the per-context binary entropies.
- */
-double globalConditionedEntropyBits(const trace::Trace &trace,
-                                    unsigned depth);
+/** Deepest history an entropy ladder accepts (its tables are dense). */
+constexpr unsigned kMaxEntropyDepth = 20;
 
 /**
- * Outcome entropy under a @p depth-bit *per-address* history: contexts
- * are (static branch, local outcome pattern) pairs. depth 0 gives the
- * execution-weighted per-branch outcome entropy.
+ * Outcome entropy of @p trace's conditional branches under a k-bit
+ * global outcome history, in bits per branch, for every k of
+ * @p depths (each at most kMaxEntropyDepth), in one pass. Contexts are
+ * the 2^k recent-outcome patterns; each result is the
+ * execution-weighted average of the per-context binary entropies,
+ * summed in ascending context order.
  */
-double localConditionedEntropyBits(const trace::Trace &trace,
-                                   unsigned depth);
+std::vector<double> globalConditionedEntropyBits(
+    const trace::Trace &trace, const std::vector<unsigned> &depths);
+
+/**
+ * Outcome entropy under a k-bit *per-address* history, for every k of
+ * @p depths (each at most kMaxEntropyDepth): contexts are (static
+ * branch, local outcome pattern) pairs, summed in ascending (static
+ * id, pattern) order. Depth 0 gives the execution-weighted per-branch
+ * outcome entropy. One walk over each branch's outcome stream
+ * (trace/branch_streams.hpp) serves every depth.
+ */
+std::vector<double> localConditionedEntropyBits(
+    const trace::Trace &trace, const std::vector<unsigned> &depths);
 
 /** Compute the fingerprint of @p trace. */
 WorkloadFingerprint characterizeTrace(const trace::Trace &trace,

@@ -73,7 +73,11 @@ struct PaBranchResult
 };
 
 /**
- * One-pass classification of all static branches of a trace.
+ * Classification of all static branches of a trace, one branch at a
+ * time: each is scored over its own outcome stream
+ * (trace/branch_streams.hpp), where the loop, block and IF-PAs state
+ * machines step through the stream and the 32 fixed-length predictors
+ * come from XOR and popcount of the stream against itself.
  *
  * Tie-breaking: ideal static wins ties against every class (the paper
  * counts branches "at least equally well predicted" by ideal static as
@@ -83,9 +87,13 @@ struct PaBranchResult
 class PaClassifier
 {
   public:
+    /** Fixed-length-pattern predictors scored per branch: k = 1..32. */
+    static constexpr unsigned kMaxFixedK = 32;
+
     /**
      * @param trace The trace to classify.
-     * @param ifpas_history Interference-free PAs history length.
+     * @param ifpas_history Interference-free PAs history length, in
+     * 1..20 (each branch's counters are a dense 2^h table).
      */
     explicit PaClassifier(const trace::Trace &trace,
                           unsigned ifpas_history = 12);

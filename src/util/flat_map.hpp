@@ -2,10 +2,8 @@
  * @file
  * The one hash table the per-branch instruments share: values keyed by
  * a uint64_t in a flat open-addressed slot array. The oracle's miner
- * keeps its per-branch contingencies in one (core/candidates.hpp), its
- * greedy select interns each branch's rows in one (core/oracle.cc) and
- * the per-address classifier keeps its interference-free PAs counters
- * in one (core/pa_class.cc).
+ * keeps its per-branch contingencies in one (core/candidates.hpp) and
+ * its greedy select interns each branch's rows in one (core/oracle.cc).
  */
 
 #pragma once

@@ -2,21 +2,37 @@
  * @file
  * Unit tests for workload fingerprinting (core/characterize.hpp):
  * history-conditioned entropy on traces with known closed-form values,
- * fingerprint invariants over synthetic suite workloads, family
- * labeling, JSON emission, and the doc renderer's drift-relevant
- * structure.
+ * both entropy ladders against record-order references, fingerprint
+ * invariants over synthetic suite workloads, family labeling, JSON
+ * emission, and the doc renderer's drift-relevant structure.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <unordered_map>
 
+#include "check/fuzz.hpp"
 #include "core/characterize.hpp"
 #include "workload/frontier.hpp"
 #include "workload/profiles.hpp"
 
 namespace copra::core {
 namespace {
+
+double
+globalBits(const trace::Trace &t, unsigned depth)
+{
+    return globalConditionedEntropyBits(t, {depth})[0];
+}
+
+double
+localBits(const trace::Trace &t, unsigned depth)
+{
+    return localConditionedEntropyBits(t, {depth})[0];
+}
 
 trace::Trace
 condTrace(const std::vector<std::pair<uint64_t, bool>> &outcomes)
@@ -37,11 +53,173 @@ alternatingTrace(size_t n)
     return condTrace(outcomes);
 }
 
+/** Binary entropy of counts (@p taken of @p total), in bits. */
+double
+referenceBinaryEntropy(uint64_t taken, uint64_t total)
+{
+    if (total == 0 || taken == 0 || taken == total)
+        return 0.0;
+    double p = static_cast<double>(taken) / static_cast<double>(total);
+    return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
+}
+
+/**
+ * Reference global H(depth): one record-order pass per depth into a
+ * dense table of 2^depth contexts, summed in index order.
+ */
+double
+referenceGlobalBits(const trace::Trace &trace, unsigned depth)
+{
+    const trace::SoABlocks &soa = trace.soa();
+    const uint8_t *taken = soa.taken();
+    uint64_t mask = (uint64_t(1) << depth) - 1;
+    std::vector<std::array<uint64_t, 2>> counts(size_t(1) << depth);
+    uint64_t history = 0;
+    uint64_t total = 0;
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            ++counts[history & mask][taken[i]];
+            history = (history << 1) | taken[i];
+        }
+        total += seg.count;
+    }
+    if (total == 0)
+        return 0.0;
+    double bits = 0.0;
+    for (const auto &c : counts) {
+        uint64_t n = c[0] + c[1];
+        if (n == 0)
+            continue;
+        bits += static_cast<double>(n) / static_cast<double>(total) *
+            referenceBinaryEntropy(c[1], n);
+    }
+    return bits;
+}
+
+/**
+ * Reference local H(depth): one record-order pass per depth, a history
+ * per static id, contexts (id << depth | history) in a hash map whose
+ * entries are summed in ascending key order.
+ */
+double
+referenceLocalBits(const trace::Trace &trace, unsigned depth)
+{
+    const trace::SoABlocks &soa = trace.soa();
+    uint64_t mask = (uint64_t(1) << depth) - 1;
+    std::vector<uint64_t> histories(soa.staticCount(), 0);
+    std::unordered_map<uint64_t, std::array<uint64_t, 2>> contexts;
+    uint64_t total = 0;
+    for (const trace::SoABlocks::Segment &seg : soa.conditionalSegments()) {
+        for (size_t i = seg.begin; i < seg.begin + seg.count; ++i) {
+            uint32_t sidx = soa.staticIndex(i);
+            uint8_t taken = soa.taken()[i];
+            uint64_t key =
+                (uint64_t(sidx) << depth) | (histories[sidx] & mask);
+            ++contexts[key][taken];
+            histories[sidx] = (histories[sidx] << 1) | taken;
+        }
+        total += seg.count;
+    }
+    if (total == 0)
+        return 0.0;
+    std::vector<std::pair<uint64_t, std::array<uint64_t, 2>>> sorted(
+        contexts.begin(), contexts.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    double bits = 0.0;
+    for (const auto &[key, counts] : sorted) {
+        uint64_t n = counts[0] + counts[1];
+        bits += static_cast<double>(n) / static_cast<double>(total) *
+            referenceBinaryEntropy(counts[1], n);
+    }
+    return bits;
+}
+
+/** Both ladders equal their references bit for bit at every depth. */
+void
+expectLaddersMatchReferences(const trace::Trace &trace,
+                             const std::vector<unsigned> &depths)
+{
+    const std::vector<double> global =
+        globalConditionedEntropyBits(trace, depths);
+    const std::vector<double> local =
+        localConditionedEntropyBits(trace, depths);
+    ASSERT_EQ(global.size(), depths.size());
+    ASSERT_EQ(local.size(), depths.size());
+    for (size_t slot = 0; slot < depths.size(); ++slot) {
+        EXPECT_EQ(global[slot], referenceGlobalBits(trace, depths[slot]))
+            << trace.name() << " global depth " << depths[slot];
+        EXPECT_EQ(local[slot], referenceLocalBits(trace, depths[slot]))
+            << trace.name() << " local depth " << depths[slot];
+    }
+}
+
+const std::vector<unsigned> kLadder = CharacterizeOptions{}.depths;
+
+TEST(CharacterizeLadders, MatchReferencesOnFuzzedTraces)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed)
+        expectLaddersMatchReferences(check::fuzzTrace(seed, 2000), kLadder);
+}
+
+TEST(CharacterizeLadders, MatchReferencesOnTheSuite)
+{
+    for (const std::string &name : workload::workloadSuiteNames())
+        expectLaddersMatchReferences(
+            workload::makeBenchmarkTrace(name, 20000, 0), kLadder);
+}
+
+TEST(CharacterizeLadders, MatchReferencesInAnyDepthOrder)
+{
+    // Unsorted and repeated depths, the deepest allowed included: each
+    // slot is its own depth's value.
+    expectLaddersMatchReferences(check::fuzzTrace(7, 2000),
+                                 {5, 0, kMaxEntropyDepth, 5, 1});
+}
+
+TEST(CharacterizeLaddersDeath, DepthPastTheDenseTablesIsFatal)
+{
+    trace::Trace t = alternatingTrace(64);
+    EXPECT_DEATH(globalConditionedEntropyBits(t, {4, kMaxEntropyDepth + 1}),
+                 "at most 20");
+    EXPECT_DEATH(localConditionedEntropyBits(t, {kMaxEntropyDepth + 1}),
+                 "at most 20");
+}
+
+TEST(CharacterizeLadders, TraceWithoutConditionalsIsZeroEverywhere)
+{
+    trace::Trace jumps("jumps-only", 1);
+    for (int i = 0; i < 100; ++i)
+        jumps.append({0x100 + 4 * uint64_t(i % 3), 0x800,
+                      trace::BranchKind::Jump, true});
+    expectLaddersMatchReferences(jumps, kLadder);
+    for (double bits : localConditionedEntropyBits(jumps, kLadder))
+        EXPECT_EQ(bits, 0.0);
+    for (double bits : globalConditionedEntropyBits(jumps, kLadder))
+        EXPECT_EQ(bits, 0.0);
+}
+
+TEST(CharacterizeLadders, BranchExecutedOnceMatchesReferences)
+{
+    // 0x300 runs once, between a loop's iterations and after another
+    // branch's last; the others run hundreds of times.
+    trace::Trace t("once", 1);
+    for (int i = 0; i < 400; ++i) {
+        t.append({0x100, 0x140, trace::BranchKind::Conditional, i % 5 != 4});
+        if (i == 200)
+            t.append({0x300, 0x340, trace::BranchKind::Conditional, false});
+        if (i % 3 == 0)
+            t.append({0x200, 0x240, trace::BranchKind::Conditional,
+                      i % 2 == 0});
+    }
+    expectLaddersMatchReferences(t, kLadder);
+}
+
 TEST(CharacterizeEntropy, AlternatingBranchIsOneBitUnconditioned)
 {
     trace::Trace t = alternatingTrace(4096);
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 0), 1.0, 1e-9);
-    EXPECT_NEAR(localConditionedEntropyBits(t, 0), 1.0, 1e-9);
+    EXPECT_NEAR(globalBits(t, 0), 1.0, 1e-9);
+    EXPECT_NEAR(localBits(t, 0), 1.0, 1e-9);
 }
 
 TEST(CharacterizeEntropy, OneHistoryBitExplainsAlternation)
@@ -50,8 +228,8 @@ TEST(CharacterizeEntropy, OneHistoryBitExplainsAlternation)
     // only the single history-less first branch contributes entropy,
     // and it lands in a deterministic context anyway.
     trace::Trace t = alternatingTrace(4096);
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 1), 0.0, 1e-6);
-    EXPECT_NEAR(localConditionedEntropyBits(t, 1), 0.0, 1e-6);
+    EXPECT_NEAR(globalBits(t, 1), 0.0, 1e-6);
+    EXPECT_NEAR(localBits(t, 1), 0.0, 1e-6);
 }
 
 TEST(CharacterizeEntropy, AlwaysTakenBranchIsZeroEntropy)
@@ -59,7 +237,7 @@ TEST(CharacterizeEntropy, AlwaysTakenBranchIsZeroEntropy)
     std::vector<std::pair<uint64_t, bool>> outcomes(1000, {0x100, true});
     trace::Trace t = condTrace(outcomes);
     for (unsigned depth : {0u, 1u, 4u, 8u})
-        EXPECT_DOUBLE_EQ(globalConditionedEntropyBits(t, depth), 0.0)
+        EXPECT_DOUBLE_EQ(globalBits(t, depth), 0.0)
             << "depth " << depth;
 }
 
@@ -71,7 +249,7 @@ TEST(CharacterizeEntropy, BiasedBranchMatchesBinaryEntropyFormula)
         outcomes.emplace_back(0x100, i % 4 != 0);
     trace::Trace t = condTrace(outcomes);
     double expected = -(0.75 * std::log2(0.75) + 0.25 * std::log2(0.25));
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 0), expected, 1e-9);
+    EXPECT_NEAR(globalBits(t, 0), expected, 1e-9);
 }
 
 TEST(CharacterizeEntropy, LocalHistorySeparatesInterleavedBranches)
@@ -86,9 +264,9 @@ TEST(CharacterizeEntropy, LocalHistorySeparatesInterleavedBranches)
         outcomes.emplace_back(0x200, false);
     }
     trace::Trace t = condTrace(outcomes);
-    EXPECT_NEAR(localConditionedEntropyBits(t, 0), 0.0, 1e-9);
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 0), 1.0, 1e-9);
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 1), 0.0, 1e-6);
+    EXPECT_NEAR(localBits(t, 0), 0.0, 1e-9);
+    EXPECT_NEAR(globalBits(t, 0), 1.0, 1e-9);
+    EXPECT_NEAR(globalBits(t, 1), 0.0, 1e-6);
 }
 
 TEST(CharacterizeEntropy, LoopTripCountNeedsEnoughHistoryBits)
@@ -100,18 +278,18 @@ TEST(CharacterizeEntropy, LoopTripCountNeedsEnoughHistoryBits)
     for (int i = 0; i < 4000; ++i)
         outcomes.emplace_back(0x100, i % 4 != 3);
     trace::Trace t = condTrace(outcomes);
-    EXPECT_GT(globalConditionedEntropyBits(t, 2), 0.1);
-    EXPECT_NEAR(globalConditionedEntropyBits(t, 3), 0.0, 1e-6);
+    EXPECT_GT(globalBits(t, 2), 0.1);
+    EXPECT_NEAR(globalBits(t, 3), 0.0, 1e-6);
 }
 
 TEST(CharacterizeEntropy, DeeperHistoryNeverHurts)
 {
     trace::Trace t = workload::makeBenchmarkTrace("gcc", 30000, 0);
-    double prev_g = globalConditionedEntropyBits(t, 0);
-    double prev_l = localConditionedEntropyBits(t, 0);
+    double prev_g = globalBits(t, 0);
+    double prev_l = localBits(t, 0);
     for (unsigned depth : {2u, 4u, 8u, 12u}) {
-        double g = globalConditionedEntropyBits(t, depth);
-        double l = localConditionedEntropyBits(t, depth);
+        double g = globalBits(t, depth);
+        double l = localBits(t, depth);
         // Conditioning on more bits cannot increase empirical entropy.
         EXPECT_LE(g, prev_g + 1e-9) << "global depth " << depth;
         EXPECT_LE(l, prev_l + 1e-9) << "local depth " << depth;

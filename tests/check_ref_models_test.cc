@@ -9,13 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/ref_models.hpp"
+#include "core/pa_class.hpp"
 #include "predictor/bimodal.hpp"
-#include "predictor/fixed_pattern.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "predictor/two_level.hpp"
 #include "sim/driver.hpp"
@@ -171,41 +170,44 @@ TEST(RefFixedPattern, ReplaysOutcomeFromKAgo)
     }
 }
 
-TEST(RefFixedPattern, MatchesTheBankThePaClassifierReads)
+TEST(RefFixedPattern, MatchesTheClassifiersBestFixedK)
 {
-    // PaClassifier (figs. 6 and 8, table 3) scores each branch by
-    // FixedPatternBank's per-k correct counts. The bank runs all 32
-    // pattern lengths in one pass; the reference is the single-k
-    // definition, cold "taken" default included. Per branch, the two
-    // must count the same hits for every k.
+    // PaClassifier (figs. 6 and 8, table 3) scores each branch by its
+    // best fixed-length pattern, k = 1..32, from XOR and popcount of
+    // the branch's outcome stream; the reference is the single-k
+    // definition, cold "taken" default included. Per branch, the best
+    // reference count and its smallest k must be the classifier's.
+    const unsigned kMax = core::PaClassifier::kMaxFixedK;
     uint64_t long_branches = 0;
     for (uint64_t seed = 0; seed < 20; ++seed) {
         trace::Trace t = fuzzTrace(seed, 1500);
-        const trace::SoABlocks &soa = t.soa();
-        predictor::FixedPatternBank bank(soa.staticCount());
-        std::map<uint64_t, uint32_t> id_of;
-        for (size_t i = 0; i < soa.size(); ++i) {
-            const BranchRecord rec = soa.record(i);
-            id_of[rec.pc] = soa.staticIndex(i);
-            if (rec.isConditional())
-                bank.observe(soa.staticIndex(i), rec.taken);
-        }
-        const size_t executed = static_cast<size_t>(std::count_if(
-            bank.table().begin(), bank.table().end(),
-            [](const auto &counts) { return counts.execs != 0; }));
-        for (unsigned k : {1u, 2u, 3u, 31u, 32u}) {
+        const core::PaClassifier classifier(t);
+        std::vector<sim::Ledger> ledgers(kMax);
+        for (unsigned k = 1; k <= kMax; ++k) {
             RefFixedPattern ref(k);
-            sim::Ledger ledger;
-            sim::run(t, ref, &ledger);
-            ASSERT_EQ(ledger.table().size(), executed) << "seed=" << seed;
-            for (const auto &[pc, tally] : ledger.table()) {
-                const auto &counts = bank.table()[id_of.at(pc)];
-                ASSERT_EQ(counts.execs, tally.execs) << "pc=" << pc;
-                ASSERT_EQ(counts.correct[k - 1], tally.correct)
-                    << "seed=" << seed << " pc=" << pc << " k=" << k;
-                if (k == 32 && tally.execs > 32)
-                    ++long_branches;
+            sim::run(t, ref, &ledgers[k - 1]);
+        }
+        const auto &rows = classifier.branches();
+        for (const sim::Ledger &ledger : ledgers)
+            ASSERT_EQ(ledger.table().size(), rows.size()) << "seed=" << seed;
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const auto &[pc, res] = rows[i];
+            uint64_t best = 0;
+            unsigned best_k = 1;
+            for (unsigned k = 1; k <= kMax; ++k) {
+                const auto &[ref_pc, tally] = ledgers[k - 1].table()[i];
+                ASSERT_EQ(ref_pc, pc);
+                ASSERT_EQ(tally.execs, res.execs) << "pc=" << pc;
+                if (tally.correct > best) {
+                    best = tally.correct;
+                    best_k = k;
+                }
             }
+            ASSERT_EQ(res.fixedCorrect, best) << "seed=" << seed << " pc=" << pc;
+            ASSERT_EQ(res.bestFixedK, best_k)
+                << "seed=" << seed << " pc=" << pc;
+            if (res.execs > kMax)
+                ++long_branches;
         }
     }
     // The warm path of k = 31 and 32 is only compared on branches that

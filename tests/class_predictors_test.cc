@@ -1,13 +1,13 @@
 /**
  * @file
  * Unit tests for the per-address class predictors: loop, block-pattern,
- * and the fixed-length-pattern bank (paper §4.1).
+ * and the PA classifier's fixed-length-pattern scores (paper §4.1).
  */
 
 #include <gtest/gtest.h>
 
+#include "core/pa_class.hpp"
 #include "predictor/block_pattern.hpp"
-#include "predictor/fixed_pattern.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "sim/driver.hpp"
 #include "workload/patterns.hpp"
@@ -166,6 +166,19 @@ TEST(BlockPattern, StateAccessor)
     EXPECT_EQ(st.lastRun[0], 2u);
 }
 
+/**
+ * The classifier's best fixed-length-pattern result for the single
+ * conditional branch at 0x100 of @p trace.
+ */
+core::PaBranchResult
+fixedResult(const trace::Trace &trace)
+{
+    const core::PaClassifier classifier(trace);
+    const core::PaBranchResult *res = classifier.branch(0x100);
+    EXPECT_NE(res, nullptr);
+    return res ? *res : core::PaBranchResult{};
+}
+
 class FixedK : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -177,50 +190,53 @@ TEST_P(FixedK, PerfectOnPeriodKPattern)
     std::vector<bool> pattern;
     for (unsigned i = 0; i < k; ++i)
         pattern.push_back((i * 7 + 1) % 3 != 0);
-    FixedPatternBank bank(1); // one branch: static id 0
-    auto trace = workload::periodicTrace(0x100, pattern, 200);
-    for (const auto &rec : trace.records())
-        bank.observe(0, rec.taken);
-    const auto &counts = bank.table()[0];
-    // Only the first k predictions (cold ring) may miss.
-    EXPECT_GE(counts.correct[k - 1] + k, counts.execs) << "k=" << k;
+    const core::PaBranchResult res =
+        fixedResult(workload::periodicTrace(0x100, pattern, 200));
+    // Only the first k predictions (warm-up) may miss, and no longer
+    // period does better than k.
+    EXPECT_GE(res.fixedCorrect + k, res.execs) << "k=" << k;
+    EXPECT_LE(res.bestFixedK, k) << "k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Periods, FixedK,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            32u));
 
-TEST(FixedPatternBank, WrongKFailsOnPrimePeriod)
+TEST(FixedPatternClass, WrongKFailsOnPrimePeriod)
 {
-    // Period-7 pattern with alternating-ish content: k=3 must do poorly.
+    // Period-7 pattern with alternating-ish content: no k below 7 ties
+    // the true period.
     std::vector<bool> pattern = {true, false, true, true, false, false,
                                  true};
-    FixedPatternBank bank(1); // one branch: static id 0
-    auto trace = workload::periodicTrace(0x100, pattern, 300);
-    for (const auto &rec : trace.records())
-        bank.observe(0, rec.taken);
-    const auto &counts = bank.table()[0];
-    EXPECT_LT(100.0 * counts.correct[2] / counts.execs, 80.0);
+    const core::PaBranchResult res =
+        fixedResult(workload::periodicTrace(0x100, pattern, 300));
+    EXPECT_EQ(res.bestFixedK, 7u);
+    EXPECT_GE(res.fixedCorrect + 7, res.execs);
 }
 
-TEST(FixedPatternBank, FindsTheTruePeriod)
+TEST(FixedPatternClass, FindsTheTruePeriod)
 {
     std::vector<bool> pattern = {true, true, false, true, false};
-    FixedPatternBank bank(1); // one branch: static id 0
-    auto trace = workload::periodicTrace(0x100, pattern, 200);
-    for (const auto &rec : trace.records())
-        bank.observe(0, rec.taken);
-    // k = 5 (or a multiple: 10, ...) is optimal; bestK returns the
-    // smallest best, which must be a multiple of 5.
-    EXPECT_EQ(bank.bestK(0) % 5, 0u);
-    EXPECT_GE(bank.bestCorrect(0) + 32, 1000u);
+    const core::PaBranchResult res =
+        fixedResult(workload::periodicTrace(0x100, pattern, 200));
+    // k = 5 and its multiples are optimal; bestFixedK is the smallest.
+    EXPECT_EQ(res.bestFixedK, 5u);
+    EXPECT_GE(res.fixedCorrect + 32, 1000u);
 }
 
-TEST(FixedPatternBank, UnseenBranchDefaults)
+TEST(FixedPatternClass, OneExecutionIsAllWarmUp)
 {
-    FixedPatternBank bank(1);
-    EXPECT_EQ(bank.bestCorrect(0), 0u);
-    EXPECT_EQ(bank.bestK(0), 1u);
+    // Every k predicts taken for a branch's first execution: one hit
+    // when it is taken, none when it is not, and k = 1 is the first
+    // maximum either way.
+    for (bool taken : {true, false}) {
+        trace::Trace t("once", 1);
+        t.append(cond(0x100, taken));
+        const core::PaBranchResult res = fixedResult(t);
+        EXPECT_EQ(res.execs, 1u);
+        EXPECT_EQ(res.fixedCorrect, taken ? 1u : 0u);
+        EXPECT_EQ(res.bestFixedK, 1u);
+    }
 }
 
 } // namespace

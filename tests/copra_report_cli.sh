@@ -3,7 +3,9 @@
 # (100M branches/s) and perf_slow.json (10M branches/s, a 90%
 # throughput regression against it); perf_oracle_base.json and
 # perf_oracle_slow.json add the selective oracle's phase CPU times
-# (1.0 s and 2.0 s summed, at equal throughput).
+# (1.0 s and 2.0 s summed, at equal throughput); perf_pa_base.json and
+# perf_pa_slow.json record only the PA classifier's CPU time (0.5 s and
+# 1.0 s, no throughput, as fig6 does).
 #   - perf-gate exits 0 within the bound, 1 beyond it, and 1 for a
 #     manifest that records no sim.run.branches;
 #   - every quantity the baseline records is gated by the same bound:
@@ -26,6 +28,8 @@ BASE="$DATA/perf_base.json"
 SLOW="$DATA/perf_slow.json"
 ORACLE_BASE="$DATA/perf_oracle_base.json"
 ORACLE_SLOW="$DATA/perf_oracle_slow.json"
+PA_BASE="$DATA/perf_pa_base.json"
+PA_SLOW="$DATA/perf_pa_slow.json"
 
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
@@ -89,6 +93,16 @@ expect 1 "oracle-only manifest against a baseline with both" \
     perf-gate "$DIR/oracle_only_base.json" --baseline "$ORACLE_BASE"
 expect 1 "throughput-only manifest against a baseline with both" \
     perf-gate "$BASE" --baseline "$ORACLE_BASE"
+expect 0 "classifier unchanged" perf-gate "$PA_BASE" --baseline "$PA_BASE"
+expect 0 "classifier speed-up" perf-gate "$PA_BASE" --baseline "$PA_SLOW"
+expect 1 "classifier CPU doubled beyond the default bound" \
+    perf-gate "$PA_SLOW" --baseline "$PA_BASE"
+expect 0 "classifier CPU doubled within a 0.6 bound" \
+    perf-gate "$PA_SLOW" --baseline "$PA_BASE" --max-regress 0.6
+expect 1 "classifier-only manifest against an oracle baseline" \
+    perf-gate "$PA_BASE" --baseline "$ORACLE_BASE"
+expect 1 "oracle manifest against a classifier baseline" \
+    perf-gate "$ORACLE_BASE" --baseline "$PA_BASE"
 expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
 expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
 expect 2 "diff with a non-numeric threshold" \

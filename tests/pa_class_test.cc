@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "predictor/block_pattern.hpp"
-#include "predictor/fixed_pattern.hpp"
 #include "predictor/interference_free.hpp"
 #include "predictor/loop_predictor.hpp"
 #include "sim/driver.hpp"
@@ -215,6 +215,15 @@ TEST(PaClassifier, LoopEnhancementUsesLoopForLoopClassOnly)
     EXPECT_NEAR(enhanced, expected, 1e-9);
 }
 
+TEST(PaClassifierDeath, HistoryOutsideTheDenseTableIsFatal)
+{
+    // IF-PAs counters are a dense 2^h table per branch, so h is 1..20.
+    auto trace = workload::loopTrace(0x100, 5, 10);
+    EXPECT_DEATH(PaClassifier(trace, 0), "1..20");
+    EXPECT_DEATH(PaClassifier(trace, 21), "1..20");
+    EXPECT_EQ(PaClassifier(trace, 20).branches().size(), 1u);
+}
+
 TEST(PaClassifierDeath, MismatchedBaseLedgerPanics)
 {
     auto trace = workload::loopTrace(0x100, 5, 10);
@@ -275,7 +284,7 @@ expectClassifierMatchesWitnesses(const trace::Trace &trace)
     const sim::Ledger block = ledger_of(predictor::BlockPatternPredictor());
     const sim::Ledger ifpas = ledger_of(predictor::IfPas(12));
     std::vector<sim::Ledger> fixed;
-    for (unsigned k = 1; k <= predictor::FixedPatternBank::kMaxK; ++k)
+    for (unsigned k = 1; k <= PaClassifier::kMaxFixedK; ++k)
         fixed.push_back(ledger_of(check::RefFixedPattern(k)));
 
     const PcRows<PaBranchResult> &rows = classifier.branches();
@@ -315,6 +324,27 @@ TEST(PaClassifier, MatchesPublicPredictorsOnTheSuite)
     for (const std::string &name : workload::workloadSuiteNames())
         expectClassifierMatchesWitnesses(
             workload::makeBenchmarkTrace(name, 20000, 0));
+}
+
+TEST(PaClassifier, MatchesPublicPredictorsAcrossTheWarmUpBoundary)
+{
+    // Branches that stop short of, at and just past the 32 executions
+    // the longest fixed-length predictor spends warming up, interleaved
+    // so each stream is scattered across the trace.
+    const unsigned execs[] = {1, 2, 5, 31, 32, 33, 64, 65, 97};
+    trace::Trace t("warm-up", 1);
+    for (unsigned round = 0; round < 97; ++round) {
+        for (unsigned b = 0; b < std::size(execs); ++b) {
+            if (round >= execs[b])
+                continue;
+            const unsigned phase = (round * (b + 3) + b) % 7;
+            t.append({0x1000 + 0x40 * uint64_t(b), 0x800,
+                      BranchKind::Conditional,
+                      b % 2 == 0 ? phase < 2 : phase < 5});
+        }
+        t.append({0x2000, 0x3000, BranchKind::Jump, true});
+    }
+    expectClassifierMatchesWitnesses(t);
 }
 
 TEST(PaClassifier, TelemetryTimesEachClassifierOnce)

@@ -115,8 +115,8 @@ FileScan scanSource(const std::string &rel, const std::string &content);
  * Unordered-container knowledge harvested from declarations: variable
  * and accessor names whose type involves std::unordered_map/set.
  * Collected from a file's own tokens plus every project header in its
- * include closure, so `for (x : bank.table())` is visible from a .cc
- * that reaches predictor/fixed_pattern.hpp through another header.
+ * include closure, so `for (x : pred.table())` is visible from a .cc
+ * that reaches the declaring header through another header.
  */
 struct UnorderedDecls
 {

@@ -21,12 +21,13 @@
  *                [--max-regress <frac>] [--json]
  *       Compute simulated branches/s from a run manifest
  *       (sim.run.branches over the summed sim.phase.predictor.seconds
- *       wall time) and the selective oracle's summed
- *       sim.phase.oracle.{mine,record,select}.cpu_seconds, whichever
- *       it records (a manifest with neither is unusable). With
+ *       wall time), the selective oracle's summed
+ *       sim.phase.oracle.{mine,record,select}.cpu_seconds and the PA
+ *       classifier's sim.phase.pa_classifier.cpu_seconds, whichever
+ *       it records (a manifest with none is unusable). With
  *       --baseline, exit non-zero when throughput regressed by more
  *       than --max-regress (default 0.15) — the CI bench-perf hard
- *       gate — and gate the oracle CPU time the same way (baseline
+ *       gate — and gate each CPU time the same way (baseline
  *       seconds over current seconds below 1 - bound fails); every
  *       quantity the baseline records is gated, and a current
  *       manifest that lacks one fails. With --json, print a small
@@ -43,6 +44,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/manifest.hpp"
 #include "obs/report.hpp"
@@ -108,31 +110,53 @@ branchesPerSecond(const obs::Json &manifest)
     return seconds > 0.0 && branches > 0.0 ? branches / seconds : 0.0;
 }
 
+/** A phase CPU time perf-gate gates: the summed sums of its phases. */
+struct CpuQuantity
+{
+    const char *name;     //!< as printed ("oracle", "PA classifier")
+    const char *jsonKey;  //!< field of the --json snapshot
+    std::vector<const char *> phases;
+};
+
 /**
- * The selective oracle's summed phase CPU time in @p manifest (mine +
- * record + select), or 0 when any of the three is missing: manifests
- * of harnesses that never run the oracle carry none of them.
+ * The gated CPU quantities: the selective oracle's mine + record +
+ * select (fig4, fig5, fig8, table2) and the PA classifier's one pass
+ * (fig6, fig8, table3).
+ */
+const std::vector<CpuQuantity> &
+cpuQuantities()
+{
+    static const std::vector<CpuQuantity> quantities = {
+        {"oracle", "oracle_cpu_seconds",
+         {"sim.phase.oracle.mine.cpu_seconds",
+          "sim.phase.oracle.record.cpu_seconds",
+          "sim.phase.oracle.select.cpu_seconds"}},
+        {"PA classifier", "pa_classifier_cpu_seconds",
+         {"sim.phase.pa_classifier.cpu_seconds"}},
+    };
+    return quantities;
+}
+
+/**
+ * Summed CPU seconds of @p quantity's phases in @p manifest, or 0 when
+ * any phase is missing: manifests of harnesses that never run the
+ * oracle or the classifier record zero for it.
  */
 double
-oracleCpuSeconds(const obs::Json &manifest)
+cpuSeconds(const obs::Json &manifest, const CpuQuantity &quantity)
 {
-    static const char *const kPhases[] = {
-        "sim.phase.oracle.mine.cpu_seconds",
-        "sim.phase.oracle.record.cpu_seconds",
-        "sim.phase.oracle.select.cpu_seconds",
-    };
     double seconds = 0.0;
-    unsigned found = 0;
+    size_t found = 0;
     for (const obs::Json &entry : manifest.at("instruments").items()) {
         const std::string &key = entry.at("key").asString();
-        for (const char *phase : kPhases) {
+        for (const char *phase : quantity.phases) {
             if (key == phase) {
                 seconds += entry.at("sum").asNumber();
                 ++found;
             }
         }
     }
-    return found == 3 ? seconds : 0.0;
+    return found == quantity.phases.size() ? seconds : 0.0;
 }
 
 int
@@ -160,17 +184,29 @@ runPerfGate(int argc, char **argv)
     if (current_path.empty())
         return usage(argv[0]);
 
-    // A manifest is gated on what it records: predictor throughput,
-    // the oracle's summed phase CPU time, or both.
+    // A manifest is gated on what it records: predictor throughput
+    // and each phase CPU time it carries.
+    const std::vector<CpuQuantity> &quantities = cpuQuantities();
+    auto recorded = [&](const obs::Json &manifest, double *throughput,
+                        std::vector<double> *cpu) {
+        *throughput = branchesPerSecond(manifest);
+        bool any = *throughput > 0.0;
+        for (const CpuQuantity &quantity : quantities) {
+            cpu->push_back(cpuSeconds(manifest, quantity));
+            any = any || cpu->back() > 0.0;
+        }
+        return any;
+    };
     obs::Json current = obs::loadManifest(current_path);
-    const double now = branchesPerSecond(current);
-    const double oracle_now = oracleCpuSeconds(current);
-    if (now <= 0.0 && oracle_now <= 0.0) {
+    double now = 0.0;
+    std::vector<double> cpu_now;
+    if (!recorded(current, &now, &cpu_now)) {
         throw std::runtime_error(
             "manifest records neither simulated-branch throughput "
-            "(sim.run.branches / sim.phase.predictor.seconds) nor the "
-            "oracle phases (sim.phase.oracle.{mine,record,select}"
-            ".cpu_seconds): " + current_path);
+            "(sim.run.branches / sim.phase.predictor.seconds) nor a "
+            "gated phase CPU time (sim.phase.oracle.{mine,record,select}"
+            ".cpu_seconds, sim.phase.pa_classifier.cpu_seconds): " +
+            current_path);
     }
     if (as_json) {
         std::printf("{\n"
@@ -180,39 +216,46 @@ runPerfGate(int argc, char **argv)
                     current.at("git_sha").asString().c_str());
         if (now > 0.0)
             std::printf(",\n  \"branches_per_second\": %.0f", now);
-        if (oracle_now > 0.0)
-            std::printf(",\n  \"oracle_cpu_seconds\": %.3f", oracle_now);
+        for (size_t q = 0; q < quantities.size(); ++q)
+            if (cpu_now[q] > 0.0)
+                std::printf(",\n  \"%s\": %.3f", quantities[q].jsonKey,
+                            cpu_now[q]);
         std::printf("\n}\n");
     } else {
         if (now > 0.0)
             std::printf("current:  %12.0f branches/s (%s)\n", now,
                         current_path.c_str());
-        if (oracle_now > 0.0)
-            std::printf("current:  %12.3f s oracle CPU (%s)\n", oracle_now,
-                        current_path.c_str());
+        for (size_t q = 0; q < quantities.size(); ++q)
+            if (cpu_now[q] > 0.0)
+                std::printf("current:  %12.3f s %s CPU (%s)\n", cpu_now[q],
+                            quantities[q].name, current_path.c_str());
     }
     if (baseline_path.empty())
         return 0;
 
     obs::Json baseline = obs::loadManifest(baseline_path);
-    const double base = branchesPerSecond(baseline);
-    const double oracle_base = oracleCpuSeconds(baseline);
-    // Every quantity the baseline records is gated, so a run that
-    // stops recording one fails instead of passing on the other.
-    if (base <= 0.0 && oracle_base <= 0.0) {
+    double base = 0.0;
+    std::vector<double> cpu_base;
+    if (!recorded(baseline, &base, &cpu_base)) {
         throw std::runtime_error(
-            "baseline records neither simulated-branch throughput nor "
-            "the oracle phases: " + baseline_path);
+            "baseline records neither simulated-branch throughput nor a "
+            "gated phase CPU time: " + baseline_path);
     }
+    // Every quantity the baseline records is gated, so a run that
+    // stops recording one fails instead of passing on the others.
     if (base > 0.0 && now <= 0.0) {
         throw std::runtime_error(
             "the baseline records simulated-branch throughput and the "
             "current manifest does not: " + current_path);
     }
-    if (oracle_base > 0.0 && oracle_now <= 0.0) {
-        throw std::runtime_error(
-            "the baseline records the oracle phases and the current "
-            "manifest does not: " + current_path);
+    for (size_t q = 0; q < quantities.size(); ++q) {
+        if (cpu_base[q] > 0.0 && cpu_now[q] <= 0.0) {
+            throw std::runtime_error(
+                std::string("the baseline records the ") +
+                quantities[q].name +
+                " phases and the current manifest does not: " +
+                current_path);
+        }
     }
     int status = 0;
     if (base > 0.0) {
@@ -229,17 +272,20 @@ runPerfGate(int argc, char **argv)
             status = 1;
         }
     }
-    if (oracle_base > 0.0) {
-        double oracle_ratio = oracle_base / oracle_now;
+    for (size_t q = 0; q < quantities.size(); ++q) {
+        if (cpu_base[q] <= 0.0)
+            continue;
+        double ratio = cpu_base[q] / cpu_now[q];
         if (!as_json)
-            std::printf("oracle:   %12.3f s CPU (baseline %.3f s), "
+            std::printf("%s: %.3f s CPU (baseline %.3f s), "
                         "speed ratio %.3fx\n",
-                        oracle_now, oracle_base, oracle_ratio);
-        if (oracle_ratio < 1.0 - max_regress) {
+                        quantities[q].name, cpu_now[q], cpu_base[q], ratio);
+        if (ratio < 1.0 - max_regress) {
             std::fprintf(stderr,
-                         "copra_report: oracle CPU time regressed %.1f%% "
+                         "copra_report: %s CPU time regressed %.1f%% "
                          "(limit %.1f%%)\n",
-                         (1.0 - oracle_ratio) * 100.0, max_regress * 100.0);
+                         quantities[q].name, (1.0 - ratio) * 100.0,
+                         max_regress * 100.0);
             status = 1;
         }
     }
