@@ -532,8 +532,8 @@ SelectiveOracle::select(const std::vector<RecordedBranch> &recorded,
                         bool timed) const
 {
     // Branches are independent (each task reads immutable recorded rows
-    // and writes only its own BranchSelection), so partition them
-    // across the pool by static id. Per-task CPU seconds, summed in
+    // and writes only its own BranchSelection), so the pool's tasks
+    // claim them one static id at a time. Per-task CPU seconds, summed in
     // index order once the pool is done, so the select phase counts
     // every thread that ran part of it.
     std::vector<double> task_cpu(timed ? selections.size() : 0);

@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -232,33 +234,55 @@ parallelFor(ThreadPool &pool, size_t n,
         return;
     }
 
-    // Static contiguous partition: chunk c covers [begin, end). The
-    // assignment depends only on n and the pool size, never on
-    // scheduling, so any per-chunk state a caller keeps is reproducible.
-    size_t chunks = std::min<size_t>(n, pool.size());
+    // Dynamic claiming: every task takes the next unclaimed index from
+    // one shared counter until none is left, so a slow index holds
+    // back only the task running it, never the indices after it. Which
+    // task runs which index depends on scheduling; the results cannot,
+    // because each index writes only its own slot.
+    //
+    // After a throw no task claims a new index, and the caller rethrows
+    // the lowest index that threw. Indices are claimed in ascending
+    // order and a claimed index always runs, so every index below a
+    // throwing one ran: the lowest thrower is the serial loop's.
+    struct Failure
+    {
+        size_t index = 0;
+        std::exception_ptr error;
+    };
+    size_t tasks = std::min<size_t>(n, pool.size());
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    // One slot per task: a task stops at its first throw, so it writes
+    // its slot at most once, and the caller reads it after get().
+    std::vector<Failure> failures(tasks);
     std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-        size_t begin = n * c / chunks;
-        size_t end = n * (c + 1) / chunks;
-        futures.push_back(pool.submit([&fn, begin, end]() {
-            for (size_t i = begin; i < end; ++i)
-                fn(i);
+    futures.reserve(tasks);
+    for (size_t t = 0; t < tasks; ++t) {
+        futures.push_back(pool.submit([&, t]() {
+            while (!failed.load(std::memory_order_relaxed)) {
+                size_t i = next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= n)
+                    return;
+                try {
+                    fn(i);
+                } catch (...) {
+                    failures[t] = {i, std::current_exception()};
+                    failed.store(true, std::memory_order_relaxed);
+                    return;
+                }
+            }
         }));
     }
-    // Wait for every chunk before rethrowing: the tasks capture fn by
-    // reference, so none may outlive this frame.
-    std::exception_ptr first_error;
-    for (auto &future : futures) {
-        try {
-            future.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    // Wait for every task before rethrowing: the tasks capture this
+    // frame by reference, so none may outlive it.
+    for (auto &future : futures)
+        future.get();
+    const Failure *lowest = nullptr;
+    for (const Failure &failure : failures)
+        if (failure.error && (!lowest || failure.index < lowest->index))
+            lowest = &failure;
+    if (lowest)
+        std::rethrow_exception(lowest->error);
 }
 
 } // namespace copra

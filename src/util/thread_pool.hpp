@@ -3,18 +3,21 @@
  * A fixed-size task pool for the parallel experiment engine.
  *
  * Every unit of parallel work in copra — trace chunks generated by
- * workload::Program::runParallel, static branches partitioned by the
+ * workload::Program::runParallel, static branches selected by the
  * selective oracle, benchmarks fanned out by the bench harnesses — is
  * independent and owns its state, so the pool needs no work stealing
  * and no task priorities: a mutex-protected FIFO queue drained by a
  * fixed set of workers is enough, and keeps the scheduling easy to
- * reason about.
+ * reason about. Iterations vary in cost (one benchmark's oracle can
+ * take 5x another's), so parallelFor balances them by letting each of
+ * its tasks claim the next unrun index from a shared counter, rather
+ * than handing each task a fixed slice up front.
  *
  * Determinism contract: the pool never introduces nondeterminism by
  * itself. Callers submit index-addressed tasks and collect results by
  * index (parallelFor), so the output of a parallel computation is
- * bit-identical to the serial loop regardless of thread count or
- * scheduling order.
+ * bit-identical to the serial loop regardless of thread count or of
+ * which worker claims which index.
  *
  * Nested parallelism: a task running on a pool worker must never block
  * on futures of tasks queued behind it (all workers could end up
@@ -145,11 +148,16 @@ void setGlobalPoolThreads(unsigned threads);
 
 /**
  * Run fn(0) .. fn(n-1) across @p pool, blocking until all complete.
- * Iterations must be independent; exceptions are rethrown in the
- * caller (first chunk wins). Runs inline when the pool has one worker,
- * when n < 2, when called from a pool worker thread, or when called
- * from a forked child of the pool's owning process (see the nested
- * parallelism and fork safety notes above).
+ * min(n, pool.size()) tasks claim indices in ascending order from one
+ * shared counter, so which worker runs an index depends on scheduling:
+ * iterations must be independent and write only their own index's
+ * output. If iterations throw, no new index is claimed and the
+ * exception of the lowest throwing index is rethrown in the caller —
+ * the one the serial loop would throw, since every lower index was
+ * claimed, and so run, first. Runs inline when the pool has one
+ * worker, when n < 2, when called from a pool worker thread, or when
+ * called from a forked child of the pool's owning process (see the
+ * nested parallelism and fork safety notes above).
  */
 void parallelFor(ThreadPool &pool, size_t n,
                  const std::function<void(size_t)> &fn);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Determinism tests for the parallel experiment engine: the oracle's
- * greedy selection, partitioned across the pool by static branch, must
- * be bit-identical for every thread count, and the batched driver loop
- * must match the scalar step() loop. Also the test the TSan ctest
- * target runs to catch data races in the sharding: the oracle's pool
+ * greedy selection, spread across the pool by static branch, must be
+ * bit-identical for every thread count, and the batched driver loop
+ * must match the scalar step() loop. Also a test a TSan ctest target
+ * runs to catch data races in the parallel paths: the oracle's pool
  * workers share one trace's recorded rows read-only and write only
  * their own branch's selection.
  */

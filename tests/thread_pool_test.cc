@@ -9,7 +9,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -107,6 +110,68 @@ TEST(ParallelFor, RethrowsIterationExceptions)
                  std::runtime_error);
 }
 
+TEST(ParallelFor, RethrowsTheLowestThrowingIndex)
+{
+    // Index 40 throws first in time; index 5 throws only after it. The
+    // serial loop would throw at 5, so parallelFor must rethrow 5's
+    // exception whichever finished first.
+    ThreadPool pool(4);
+    std::mutex mutex;
+    std::condition_variable thrown;
+    bool forty_threw = false;
+    bool released = false;
+    try {
+        parallelFor(pool, 64, [&](size_t i) {
+            if (i == 40) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    forty_threw = true;
+                }
+                thrown.notify_all();
+                throw std::runtime_error("40");
+            }
+            if (i == 5) {
+                std::unique_lock<std::mutex> lock(mutex);
+                released = thrown.wait_for(lock, std::chrono::seconds(10),
+                                           [&] { return forty_threw; });
+                throw std::runtime_error("5");
+            }
+        });
+        FAIL() << "parallelFor did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "5");
+    }
+    EXPECT_TRUE(released) << "index 40 never ran while 5 waited";
+}
+
+TEST(ParallelFor, SlowIndexDoesNotHoldBackLaterOnes)
+{
+    // Index 0 blocks until every other index has run. Under a static
+    // split the indices sharing index 0's slice would queue behind it
+    // and the wait would time out; claimed one at a time, the other
+    // three tasks run all 63.
+    ThreadPool pool(4);
+    const size_t n = 64;
+    std::mutex mutex;
+    std::condition_variable done;
+    size_t others = 0;
+    size_t seen = 0;
+    bool released = false;
+    parallelFor(pool, n, [&](size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (i == 0) {
+            released = done.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return others == n - 1; });
+            seen = others;
+            return;
+        }
+        ++others;
+        done.notify_all();
+    });
+    EXPECT_TRUE(released) << "only " << seen << " of " << n - 1
+                          << " other indices ran while index 0 waited";
+}
+
 TEST(ParallelFor, NestedInvocationRunsInlineWithoutDeadlock)
 {
     ThreadPool pool(2);
@@ -139,8 +204,8 @@ TEST(ParallelForDeath, RunsInlineInForkedChild)
 
 TEST(ThreadPool, OversubscribedPoolCoversEveryIndexOnce)
 {
-    // Far more workers than cores: the static sharding must stay
-    // correct regardless of how the OS schedules them.
+    // Far more workers than cores: claiming from the shared counter
+    // must hand out every index once however the OS schedules them.
     unsigned hw = std::thread::hardware_concurrency();
     ThreadPool pool(4 * (hw ? hw : 1));
     const size_t n = 2000;
@@ -195,8 +260,8 @@ TEST_F(CopraThreadsEnv, PositiveValuesAreHonoured)
 {
     ::setenv("COPRA_THREADS", "3", 1);
     EXPECT_EQ(defaultThreadCount(), 3u);
-    // Oversubscription is allowed: sharding never depends on the
-    // worker count matching the hardware.
+    // Oversubscription is allowed: parallelFor's results never depend
+    // on the worker count matching the hardware.
     ::setenv("COPRA_THREADS", "64", 1);
     EXPECT_EQ(defaultThreadCount(), 64u);
 }
