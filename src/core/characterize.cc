@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
 #include "predictor/factory.hpp"
 #include "sim/driver.hpp"
 #include "trace/branch_streams.hpp"
@@ -38,6 +41,90 @@ contextBits(uint64_t not_taken, uint64_t taken, uint64_t total)
     return static_cast<double>(n) / static_cast<double>(total) *
         binaryEntropyBits(taken, n);
 }
+
+/**
+ * Dense (not-taken, taken) counts over the 2^depth contexts of one
+ * depth, with its touched contexts marked in a two-level bitmap: a bit
+ * per context and a bit per 64-context word. forEach() and drain()
+ * visit the touched contexts in ascending order; drain() leaves the
+ * table empty, so one table serves every branch in turn.
+ */
+class ContextTable
+{
+  public:
+    explicit ContextTable(unsigned depth)
+        : counts_(size_t(1) << depth), words_((counts_.size() + 63) / 64),
+          summary_((words_.size() + 63) / 64)
+    {
+    }
+
+    /** Count one execution of @p context with outcome @p taken. */
+    void
+    count(size_t context, bool taken)
+    {
+        std::array<uint64_t, 2> &c = counts_[context];
+        if (c[0] + c[1] == 0)
+            mark(context);
+        ++c[taken];
+    }
+
+    /** Add the counts @p c into @p context. */
+    void
+    add(size_t context, const std::array<uint64_t, 2> &c)
+    {
+        std::array<uint64_t, 2> &into = counts_[context];
+        if (into[0] + into[1] == 0)
+            mark(context);
+        into[0] += c[0];
+        into[1] += c[1];
+    }
+
+    /** Call @p visit(context, counts) per touched context, ascending. */
+    template <typename Visit>
+    void
+    forEach(Visit &&visit) const
+    {
+        for (size_t s = 0; s < summary_.size(); ++s) {
+            for (uint64_t ws = summary_[s]; ws != 0; ws &= ws - 1) {
+                const size_t w = s * 64 + std::countr_zero(ws);
+                for (uint64_t bs = words_[w]; bs != 0; bs &= bs - 1) {
+                    const size_t context = w * 64 + std::countr_zero(bs);
+                    visit(context, counts_[context]);
+                }
+            }
+        }
+    }
+
+    /** Call @p visit(counts) per touched context, ascending, and
+     * clear each one and its marks. */
+    template <typename Visit>
+    void
+    drain(Visit &&visit)
+    {
+        forEach([&](size_t context, const std::array<uint64_t, 2> &c) {
+            visit(c);
+            counts_[context] = {0, 0};
+        });
+        for (size_t s = 0; s < summary_.size(); ++s) {
+            for (uint64_t ws = summary_[s]; ws != 0; ws &= ws - 1)
+                words_[s * 64 + std::countr_zero(ws)] = 0;
+            summary_[s] = 0;
+        }
+    }
+
+  private:
+    void
+    mark(size_t context)
+    {
+        const size_t w = context / 64;
+        words_[w] |= uint64_t(1) << (context % 64);
+        summary_[w / 64] |= uint64_t(1) << (w % 64);
+    }
+
+    std::vector<std::array<uint64_t, 2>> counts_;
+    std::vector<uint64_t> words_;   //!< bit per context: touched
+    std::vector<uint64_t> summary_; //!< bit per words_ entry: non-zero
+};
 
 /** The deepest of @p depths (0 if none); fatal past kMaxEntropyDepth. */
 unsigned
@@ -127,56 +214,60 @@ globalConditionedEntropyBits(const trace::Trace &trace,
 }
 
 std::vector<double>
-localConditionedEntropyBits(const trace::Trace &trace,
+localConditionedEntropyBits(const trace::BranchStreams &streams,
                             const std::vector<unsigned> &depths)
 {
-    checkedDeepest(depths); // rejects a depth past kMaxEntropyDepth
-    const trace::BranchStreams streams(trace.soa());
-    const uint64_t total = trace.conditionalCount();
-    // One dense count table per depth, shared by every branch: a
-    // branch's walk lists the contexts it touches, and its sum clears
-    // only those.
-    struct Rung
-    {
-        uint64_t mask;
-        std::vector<std::array<uint64_t, 2>> counts;
-        std::vector<uint32_t> touched;
-    };
-    std::vector<Rung> rungs;
-    rungs.reserve(depths.size());
-    for (unsigned depth : depths)
-        rungs.push_back({(uint64_t(1) << depth) - 1,
-                         std::vector<std::array<uint64_t, 2>>(
-                             size_t(1) << depth),
-                         {}});
+    const unsigned deepest = checkedDeepest(depths);
+    if (depths.empty())
+        return {};
+    // Each distinct depth, deepest first, with the slots that ask for it.
+    std::vector<std::pair<unsigned, std::vector<size_t>>> rungs;
+    for (unsigned d = deepest + 1; d-- > 0;) {
+        std::vector<size_t> slots;
+        for (size_t slot = 0; slot < depths.size(); ++slot)
+            if (depths[slot] == d)
+                slots.push_back(slot);
+        if (!slots.empty())
+            rungs.emplace_back(d, std::move(slots));
+    }
+    uint64_t total = 0;
+    for (uint32_t id = 0; id < streams.size(); ++id)
+        total += streams.stream(id).size;
 
+    // Every branch counts its deepest contexts into one table; each
+    // shallower depth is those contexts under a narrower mask, folded
+    // into a second table sized for the second-deepest depth.
+    ContextTable deep(deepest);
+    ContextTable shallow(rungs.size() > 1 ? rungs[1].first : 0);
+    const uint64_t mask = (uint64_t(1) << deepest) - 1;
     std::vector<double> bits(depths.size(), 0.0);
+    // Branch by branch in static-id order, each depth's contexts in
+    // ascending history order: the (id, history) key order of the sum.
+    auto sum = [&](ContextTable &table, const std::vector<size_t> &slots) {
+        table.drain([&](const std::array<uint64_t, 2> &c) {
+            for (size_t slot : slots)
+                bits[slot] += contextBits(c[0], c[1], total);
+        });
+    };
     for (uint32_t id = 0; id < streams.size(); ++id) {
         const trace::BranchStreams::Stream stream = streams.stream(id);
+        if (stream.size == 0)
+            continue;
         uint64_t history = 0;
         for (uint64_t j = 0; j < stream.size; ++j) {
             const bool taken = stream[j];
-            for (Rung &rung : rungs) {
-                const uint32_t context = history & rung.mask;
-                std::array<uint64_t, 2> &c = rung.counts[context];
-                if (c[0] + c[1] == 0)
-                    rung.touched.push_back(context);
-                ++c[taken];
-            }
+            deep.count(history & mask, taken);
             history = (history << 1) | taken;
         }
-        // Branch by branch in static-id order, each in ascending
-        // history order: the (id, history) key order of the sum.
-        for (size_t slot = 0; slot < rungs.size(); ++slot) {
-            Rung &rung = rungs[slot];
-            std::sort(rung.touched.begin(), rung.touched.end());
-            for (uint32_t context : rung.touched) {
-                std::array<uint64_t, 2> &c = rung.counts[context];
-                bits[slot] += contextBits(c[0], c[1], total);
-                c = {0, 0};
-            }
-            rung.touched.clear();
+        for (size_t r = 1; r < rungs.size(); ++r) {
+            const uint64_t narrow = (uint64_t(1) << rungs[r].first) - 1;
+            deep.forEach(
+                [&](size_t context, const std::array<uint64_t, 2> &c) {
+                    shallow.add(context & narrow, c);
+                });
+            sum(shallow, rungs[r].second);
         }
+        sum(deep, rungs[0].second);
     }
     return bits;
 }
@@ -196,6 +287,10 @@ WorkloadFingerprint
 characterizeTrace(const trace::Trace &trace,
                   const CharacterizeOptions &options)
 {
+    // One wall/CPU pair per fingerprint; the clocks are not read when
+    // telemetry is off.
+    obs::PhaseTimer timer(obs::ids().simPhaseCharacterizeSeconds,
+                          obs::ids().simPhaseCharacterizeCpuSeconds);
     WorkloadFingerprint fp;
     fp.name = trace.name();
     fp.family = workloadFamily(trace.name());
@@ -203,18 +298,34 @@ characterizeTrace(const trace::Trace &trace,
     fp.records = trace.size();
     fp.conditionals = trace.conditionalCount();
 
-    trace::TraceStats stats(trace);
-    fp.staticBranches = stats.staticBranches();
-    fp.takenRate = stats.dynamicBranches()
-        ? static_cast<double>(stats.dynamicTaken()) /
-            static_cast<double>(stats.dynamicBranches())
-        : 0.0;
-    fp.biasedFraction99 = stats.dynamicFractionWithBiasAbove(0.99);
+    // Footprint and bias from the outcome streams the local ladder
+    // reads: a branch's executions are its stream length and its taken
+    // count the stream's popcount.
+    const trace::BranchStreams streams(trace.soa());
+    uint64_t taken = 0;
+    uint64_t biased = 0; // executions of >99%-biased branches
+    for (uint32_t id = 0; id < streams.size(); ++id) {
+        const trace::BranchStreams::Stream stream = streams.stream(id);
+        if (stream.size == 0)
+            continue;
+        const trace::StaticBranchStats branch{0, stream.size,
+                                              stream.takenCount()};
+        ++fp.staticBranches;
+        taken += branch.taken;
+        if (branch.bias() > 0.99)
+            biased += branch.execs;
+    }
+    if (fp.conditionals > 0) {
+        fp.takenRate = static_cast<double>(taken) /
+            static_cast<double>(fp.conditionals);
+        fp.biasedFraction99 = static_cast<double>(biased) /
+            static_cast<double>(fp.conditionals);
+    }
 
     const std::vector<double> global =
         globalConditionedEntropyBits(trace, options.depths);
     const std::vector<double> local =
-        localConditionedEntropyBits(trace, options.depths);
+        localConditionedEntropyBits(streams, options.depths);
     fp.curve.reserve(options.depths.size());
     for (size_t slot = 0; slot < options.depths.size(); ++slot)
         fp.curve.push_back(

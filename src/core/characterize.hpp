@@ -31,6 +31,7 @@
 #include "core/experiments.hpp"
 #include "core/h2p.hpp"
 #include "obs/json.hpp"
+#include "trace/branch_streams.hpp"
 #include "trace/trace.hpp"
 
 namespace copra::core {
@@ -110,16 +111,29 @@ std::vector<double> globalConditionedEntropyBits(
 
 /**
  * Outcome entropy under a k-bit *per-address* history, for every k of
- * @p depths (each at most kMaxEntropyDepth): contexts are (static
- * branch, local outcome pattern) pairs, summed in ascending (static
- * id, pattern) order. Depth 0 gives the execution-weighted per-branch
- * outcome entropy. One walk over each branch's outcome stream
- * (trace/branch_streams.hpp) serves every depth.
+ * @p depths (each at most kMaxEntropyDepth), over the outcome streams
+ * of one trace: contexts are (static branch, local outcome pattern)
+ * pairs, summed in ascending (static id, pattern) order. Depth 0 gives
+ * the execution-weighted per-branch outcome entropy.
+ *
+ * Cost: one increment per conditional execution, counting each
+ * branch's contexts at the deepest depth only; then, per branch and per
+ * shallower depth, one add per deepest context the branch touched
+ * (the same history under a narrower mask). Each depth's touched
+ * contexts are visited in ascending order through a two-level bitmap,
+ * never sorted. Memory: count tables for the deepest and the
+ * second-deepest depth, 16 bytes per context.
  */
 std::vector<double> localConditionedEntropyBits(
-    const trace::Trace &trace, const std::vector<unsigned> &depths);
+    const trace::BranchStreams &streams,
+    const std::vector<unsigned> &depths);
 
-/** Compute the fingerprint of @p trace. */
+/**
+ * Compute the fingerprint of @p trace. One trace::BranchStreams view
+ * serves the footprint (stream lengths and popcounts) and the local
+ * ladder. While telemetry is on, each call records one
+ * sim.phase.characterize.{seconds,cpu_seconds} sample.
+ */
 WorkloadFingerprint characterizeTrace(const trace::Trace &trace,
                                       const CharacterizeOptions &options);
 

@@ -130,6 +130,12 @@ buildCatalog()
             "sim.phase.pa_classifier.cpu_seconds", "seconds",
             "thread CPU time of one PaClassifier's class-predictor pass",
             "core");
+    addHist(c, i.simPhaseCharacterizeSeconds,
+            "sim.phase.characterize.seconds", "seconds",
+            "wall time of one characterizeTrace fingerprint", "core");
+    addHist(c, i.simPhaseCharacterizeCpuSeconds,
+            "sim.phase.characterize.cpu_seconds", "seconds",
+            "thread CPU time of one characterizeTrace fingerprint", "core");
 
     // --- util: thread pool ------------------------------------------
     add(c, i.poolTaskQueued, "pool.task.queued", Kind::Counter, "tasks",

@@ -58,6 +58,10 @@ struct Ids
     InstrumentId simPhasePaClassifierSeconds = 0;
     InstrumentId simPhasePaClassifierCpuSeconds = 0;
 
+    // core: workload fingerprints (src/core/characterize.cc).
+    InstrumentId simPhaseCharacterizeSeconds = 0;
+    InstrumentId simPhaseCharacterizeCpuSeconds = 0;
+
     // util: the thread pool (src/util/thread_pool.cc, via hooks).
     InstrumentId poolTaskQueued = 0;
     InstrumentId poolTaskExecuted = 0;

@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,8 +29,9 @@ class BranchStreams
   public:
     /**
      * One branch's outcomes in execution order: execution j is bit
-     * j % 64 of words[j / 64]. The word after the last one is always
-     * readable, so a 64-bit window may start at any bit below size.
+     * j % 64 of words[j / 64]. Bits at and past size are zero, and the
+     * word after the last one is always readable, so a 64-bit window
+     * may start at any bit below size.
      */
     struct Stream
     {
@@ -41,6 +43,16 @@ class BranchStreams
         operator[](uint64_t j) const noexcept
         {
             return (words[j >> 6] >> (j & 63)) & 1;
+        }
+
+        /** Taken executions: the popcount of the stream's words. */
+        uint64_t
+        takenCount() const noexcept
+        {
+            uint64_t taken = 0;
+            for (uint64_t w = 0; w < (size + 63) / 64; ++w)
+                taken += std::popcount(words[w]);
+            return taken;
         }
     };
 

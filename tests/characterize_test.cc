@@ -2,9 +2,11 @@
  * @file
  * Unit tests for workload fingerprinting (core/characterize.hpp):
  * history-conditioned entropy on traces with known closed-form values,
- * both entropy ladders against record-order references, fingerprint
- * invariants over synthetic suite workloads, family labeling, JSON
- * emission, and the doc renderer's drift-relevant structure.
+ * both entropy ladders against record-order references (dense contexts
+ * included), the fingerprint's footprint against trace::TraceStats,
+ * its telemetry, fingerprint invariants over synthetic suite
+ * workloads, family labeling, JSON emission, and the doc renderer's
+ * drift-relevant structure.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,10 @@
 
 #include "check/fuzz.hpp"
 #include "core/characterize.hpp"
+#include "obs/instruments.hpp"
+#include "obs/registry.hpp"
+#include "trace/trace_stats.hpp"
+#include "util/rng.hpp"
 #include "workload/frontier.hpp"
 #include "workload/profiles.hpp"
 
@@ -31,7 +37,8 @@ globalBits(const trace::Trace &t, unsigned depth)
 double
 localBits(const trace::Trace &t, unsigned depth)
 {
-    return localConditionedEntropyBits(t, {depth})[0];
+    return localConditionedEntropyBits(trace::BranchStreams(t.soa()),
+                                       {depth})[0];
 }
 
 trace::Trace
@@ -143,7 +150,8 @@ expectLaddersMatchReferences(const trace::Trace &trace,
     const std::vector<double> global =
         globalConditionedEntropyBits(trace, depths);
     const std::vector<double> local =
-        localConditionedEntropyBits(trace, depths);
+        localConditionedEntropyBits(trace::BranchStreams(trace.soa()),
+                                    depths);
     ASSERT_EQ(global.size(), depths.size());
     ASSERT_EQ(local.size(), depths.size());
     for (size_t slot = 0; slot < depths.size(); ++slot) {
@@ -175,6 +183,7 @@ TEST(CharacterizeLadders, MatchReferencesInAnyDepthOrder)
     // slot is its own depth's value.
     expectLaddersMatchReferences(check::fuzzTrace(7, 2000),
                                  {5, 0, kMaxEntropyDepth, 5, 1});
+    expectLaddersMatchReferences(check::fuzzTrace(7, 2000), {});
 }
 
 TEST(CharacterizeLaddersDeath, DepthPastTheDenseTablesIsFatal)
@@ -182,18 +191,28 @@ TEST(CharacterizeLaddersDeath, DepthPastTheDenseTablesIsFatal)
     trace::Trace t = alternatingTrace(64);
     EXPECT_DEATH(globalConditionedEntropyBits(t, {4, kMaxEntropyDepth + 1}),
                  "at most 20");
-    EXPECT_DEATH(localConditionedEntropyBits(t, {kMaxEntropyDepth + 1}),
+    EXPECT_DEATH(localConditionedEntropyBits(trace::BranchStreams(t.soa()),
+                                             {kMaxEntropyDepth + 1}),
                  "at most 20");
 }
 
-TEST(CharacterizeLadders, TraceWithoutConditionalsIsZeroEverywhere)
+/** 100 jumps over three pcs and no conditional branch. */
+trace::Trace
+jumpsOnlyTrace()
 {
     trace::Trace jumps("jumps-only", 1);
     for (int i = 0; i < 100; ++i)
         jumps.append({0x100 + 4 * uint64_t(i % 3), 0x800,
                       trace::BranchKind::Jump, true});
+    return jumps;
+}
+
+TEST(CharacterizeLadders, TraceWithoutConditionalsIsZeroEverywhere)
+{
+    const trace::Trace jumps = jumpsOnlyTrace();
     expectLaddersMatchReferences(jumps, kLadder);
-    for (double bits : localConditionedEntropyBits(jumps, kLadder))
+    for (double bits : localConditionedEntropyBits(
+             trace::BranchStreams(jumps.soa()), kLadder))
         EXPECT_EQ(bits, 0.0);
     for (double bits : globalConditionedEntropyBits(jumps, kLadder))
         EXPECT_EQ(bits, 0.0);
@@ -213,6 +232,77 @@ TEST(CharacterizeLadders, BranchExecutedOnceMatchesReferences)
                       i % 2 == 0});
     }
     expectLaddersMatchReferences(t, kLadder);
+}
+
+TEST(CharacterizeLadders, DenseContextsMatchReferences)
+{
+    // Two interleaved branches with pseudo-random outcomes, 2^18
+    // executions each: nearly every context at depths 12 and 16 is
+    // touched, and at depth 20 every 64-context word of the bitmap is,
+    // so the ordered traversal crosses every summary word. The second
+    // branch reuses the tables the first one drained.
+    trace::Trace t("dense", 1);
+    Rng rng(33);
+    for (uint64_t i = 0; i < (uint64_t(1) << 18); ++i) {
+        const uint64_t bits = rng.next();
+        t.append({0x100, 0x140, trace::BranchKind::Conditional,
+                  (bits & 1) != 0});
+        t.append({0x200, 0x240, trace::BranchKind::Conditional,
+                  (bits & 2) != 0});
+    }
+    expectLaddersMatchReferences(t, {0, 12, 16, kMaxEntropyDepth});
+}
+
+/** The fingerprint's footprint equals TraceStats' record-order pass. */
+void
+expectFootprintMatchesTraceStats(const trace::Trace &trace)
+{
+    CharacterizeOptions options;
+    options.withPredictor = false;
+    const WorkloadFingerprint fp = characterizeTrace(trace, options);
+    const trace::TraceStats stats(trace);
+    EXPECT_EQ(fp.staticBranches, stats.staticBranches()) << trace.name();
+    EXPECT_EQ(fp.takenRate,
+              stats.dynamicBranches()
+                  ? static_cast<double>(stats.dynamicTaken()) /
+                      static_cast<double>(stats.dynamicBranches())
+                  : 0.0)
+        << trace.name();
+    EXPECT_EQ(fp.biasedFraction99, stats.dynamicFractionWithBiasAbove(0.99))
+        << trace.name();
+}
+
+TEST(CharacterizeFingerprint, FootprintMatchesTraceStats)
+{
+    for (const std::string &name : workload::workloadSuiteNames())
+        expectFootprintMatchesTraceStats(
+            workload::makeBenchmarkTrace(name, 20000, 0));
+    for (uint64_t seed = 1; seed <= 20; ++seed)
+        expectFootprintMatchesTraceStats(check::fuzzTrace(seed, 2000));
+    expectFootprintMatchesTraceStats(jumpsOnlyTrace());
+}
+
+TEST(CharacterizeFingerprint, TelemetryTimesEachFingerprintOnce)
+{
+    // With telemetry on, each fingerprint adds one wall-time and one
+    // CPU-time sample and computes exactly what an untimed one does.
+    trace::Trace t = workload::makeBenchmarkTrace("xlisp", 20000, 0);
+    CharacterizeOptions options;
+    const WorkloadFingerprint quiet = characterizeTrace(t, options);
+    obs::Registry::instance().reset();
+    obs::setEnabled(true);
+    const WorkloadFingerprint timed = characterizeTrace(t, options);
+    characterizeTrace(t, options);
+    obs::Snapshot snap = obs::Registry::instance().snapshot();
+    obs::setEnabled(false);
+    obs::Registry::instance().reset();
+
+    const obs::InstrumentId id = obs::ids().simPhaseCharacterizeCpuSeconds;
+    EXPECT_EQ(snap.values.at(id).count, 2u);
+    EXPECT_GT(snap.values.at(id).sum, 0.0);
+    EXPECT_EQ(
+        snap.values.at(obs::ids().simPhaseCharacterizeSeconds).count, 2u);
+    EXPECT_EQ(fingerprintToJson(quiet).dump(), fingerprintToJson(timed).dump());
 }
 
 TEST(CharacterizeEntropy, AlternatingBranchIsOneBitUnconditioned)

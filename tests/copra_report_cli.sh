@@ -5,7 +5,9 @@
 # perf_oracle_slow.json add the selective oracle's phase CPU times
 # (1.0 s and 2.0 s summed, at equal throughput); perf_pa_base.json and
 # perf_pa_slow.json record only the PA classifier's CPU time (0.5 s and
-# 1.0 s, no throughput, as fig6 does).
+# 1.0 s, no throughput, as fig6 does); perf_characterize_base.json and
+# perf_characterize_slow.json record only the fingerprints' CPU time
+# (0.8 s and 1.6 s, no throughput, as copra_characterize does).
 #   - perf-gate exits 0 within the bound, 1 beyond it, and 1 for a
 #     manifest that records no sim.run.branches;
 #   - every quantity the baseline records is gated by the same bound:
@@ -30,6 +32,8 @@ ORACLE_BASE="$DATA/perf_oracle_base.json"
 ORACLE_SLOW="$DATA/perf_oracle_slow.json"
 PA_BASE="$DATA/perf_pa_base.json"
 PA_SLOW="$DATA/perf_pa_slow.json"
+CHAR_BASE="$DATA/perf_characterize_base.json"
+CHAR_SLOW="$DATA/perf_characterize_slow.json"
 
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
@@ -103,6 +107,18 @@ expect 1 "classifier-only manifest against an oracle baseline" \
     perf-gate "$PA_BASE" --baseline "$ORACLE_BASE"
 expect 1 "oracle manifest against a classifier baseline" \
     perf-gate "$ORACLE_BASE" --baseline "$PA_BASE"
+expect 0 "characterize unchanged" \
+    perf-gate "$CHAR_BASE" --baseline "$CHAR_BASE"
+expect 0 "characterize speed-up" \
+    perf-gate "$CHAR_BASE" --baseline "$CHAR_SLOW"
+expect 1 "characterize CPU doubled beyond the default bound" \
+    perf-gate "$CHAR_SLOW" --baseline "$CHAR_BASE"
+expect 0 "characterize CPU doubled within a 0.6 bound" \
+    perf-gate "$CHAR_SLOW" --baseline "$CHAR_BASE" --max-regress 0.6
+expect 1 "characterize-only manifest against a classifier baseline" \
+    perf-gate "$CHAR_BASE" --baseline "$PA_BASE"
+expect 1 "classifier manifest against a characterize baseline" \
+    perf-gate "$PA_BASE" --baseline "$CHAR_BASE"
 expect 0 "diff with a valid threshold" diff "$BASE" "$SLOW" --threshold 0.05
 expect 2 "diff with a percent threshold" diff "$BASE" "$SLOW" --threshold 5%
 expect 2 "diff with a non-numeric threshold" \

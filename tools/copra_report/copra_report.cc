@@ -22,8 +22,9 @@
  *       Compute simulated branches/s from a run manifest
  *       (sim.run.branches over the summed sim.phase.predictor.seconds
  *       wall time), the selective oracle's summed
- *       sim.phase.oracle.{mine,record,select}.cpu_seconds and the PA
- *       classifier's sim.phase.pa_classifier.cpu_seconds, whichever
+ *       sim.phase.oracle.{mine,record,select}.cpu_seconds, the PA
+ *       classifier's sim.phase.pa_classifier.cpu_seconds and the
+ *       fingerprints' sim.phase.characterize.cpu_seconds, whichever
  *       it records (a manifest with none is unusable). With
  *       --baseline, exit non-zero when throughput regressed by more
  *       than --max-regress (default 0.15) — the CI bench-perf hard
@@ -120,8 +121,9 @@ struct CpuQuantity
 
 /**
  * The gated CPU quantities: the selective oracle's mine + record +
- * select (fig4, fig5, fig8, table2) and the PA classifier's one pass
- * (fig6, fig8, table3).
+ * select (fig4, fig5, fig8, table2), the PA classifier's one pass
+ * (fig6, fig8, table3) and the workload fingerprints
+ * (copra_characterize).
  */
 const std::vector<CpuQuantity> &
 cpuQuantities()
@@ -133,6 +135,8 @@ cpuQuantities()
           "sim.phase.oracle.select.cpu_seconds"}},
         {"PA classifier", "pa_classifier_cpu_seconds",
          {"sim.phase.pa_classifier.cpu_seconds"}},
+        {"characterize", "characterize_cpu_seconds",
+         {"sim.phase.characterize.cpu_seconds"}},
     };
     return quantities;
 }
@@ -205,7 +209,8 @@ runPerfGate(int argc, char **argv)
             "manifest records neither simulated-branch throughput "
             "(sim.run.branches / sim.phase.predictor.seconds) nor a "
             "gated phase CPU time (sim.phase.oracle.{mine,record,select}"
-            ".cpu_seconds, sim.phase.pa_classifier.cpu_seconds): " +
+            ".cpu_seconds, sim.phase.pa_classifier.cpu_seconds, "
+            "sim.phase.characterize.cpu_seconds): " +
             current_path);
     }
     if (as_json) {
